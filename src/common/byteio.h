@@ -87,6 +87,9 @@ class ByteReader {
       memset(out, 0, size);
       return;
     }
+    if (size == 0) {
+      return;  // an empty reader's data_ may be null, and memcpy from null is UB
+    }
     memcpy(out, data_ + pos_, size);
     pos_ += size;
   }

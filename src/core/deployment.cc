@@ -3,22 +3,37 @@
 #include <algorithm>
 
 #include "src/common/byteio.h"
-#include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/kernel/os.h"
 
 namespace eof {
 
-Result<std::unique_ptr<Deployment>> Deployment::Create(const DeployOptions& options) {
-  ASSIGN_OR_RETURN(OsInfo info, OsRegistry::Instance().Find(options.os_name));
-  std::string board_name = options.board_name.empty() ? info.default_board : options.board_name;
-  ASSIGN_OR_RETURN(BoardSpec spec, BoardSpecByName(board_name));
+namespace {
 
+Result<BoardSpec> ResolveBoardSpec(const DeployOptions& options) {
+  ASSIGN_OR_RETURN(OsInfo info, OsRegistry::Instance().Find(options.os_name));
+  return BoardSpecByName(options.board_name.empty() ? info.default_board : options.board_name);
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const FirmwareImage>> Deployment::BuildImageFor(
+    const DeployOptions& options) {
+  ASSIGN_OR_RETURN(BoardSpec spec, ResolveBoardSpec(options));
   ImageBuildOptions build;
   build.os_name = options.os_name;
   build.instrumentation = options.instrumentation;
   build.seed = options.seed;
   ASSIGN_OR_RETURN(std::shared_ptr<FirmwareImage> image, BuildImage(spec, build));
+  return std::shared_ptr<const FirmwareImage>(std::move(image));
+}
+
+Result<std::unique_ptr<Deployment>> Deployment::Create(const DeployOptions& options) {
+  ASSIGN_OR_RETURN(BoardSpec spec, ResolveBoardSpec(options));
+  std::shared_ptr<const FirmwareImage> image = options.image;
+  if (image == nullptr) {
+    ASSIGN_OR_RETURN(image, BuildImageFor(options));
+  }
 
   auto deployment = std::unique_ptr<Deployment>(new Deployment());
   deployment->image_ = image;
@@ -64,25 +79,14 @@ Status Deployment::ValidateCovRing() {
   return OkStatus();
 }
 
-uint64_t Deployment::PayloadHash(const std::string& partition,
-                                 const std::vector<uint8_t>& payload) {
-  auto it = payload_hash_.find(partition);
-  if (it != payload_hash_.end()) {
-    return it->second;
-  }
-  uint64_t hash = Fnv1aBytes(payload.data(), payload.size());
-  payload_hash_.emplace(partition, hash);
-  return hash;
-}
-
 Status Deployment::ReflashAndRebootLegacy(uint64_t* programmed) {
   for (const Partition& part : image_->partition_table().partitions) {
-    auto payload = image_->PayloadOf(part.name);
-    if (!payload.ok()) {
+    const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
+    if (payload == nullptr) {
       continue;  // raw partitions (nvs) carry no payload
     }
-    RETURN_IF_ERROR(port_->FlashPartition(part.offset, payload.value()));
-    *programmed += payload.value().size();
+    RETURN_IF_ERROR(port_->FlashPartition(part.offset, payload->bytes));
+    *programmed += payload->bytes.size();
   }
   return port_->ResetTarget();
 }
@@ -110,11 +114,11 @@ Status Deployment::ReflashAndReboot() {
 Status Deployment::ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipped) {
   uint64_t flash_base = board_->spec().flash_base;
   for (const Partition& part : image_->partition_table().partitions) {
-    auto payload = image_->PayloadOf(part.name);
-    if (!payload.ok()) {
+    const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
+    if (payload == nullptr) {
       continue;  // raw partitions (nvs) carry no payload
     }
-    const std::vector<uint8_t>& bytes = payload.value();
+    const std::vector<uint8_t>& bytes = payload->bytes;
     // Delta reflash: prove the partition's on-flash content unchanged with a
     // target-assisted checksum (~KB/s-free: only the digest crosses the link) and
     // skip the 5 us/byte reprogram when it matches the payload hash. A checksum
@@ -122,7 +126,7 @@ Status Deployment::ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipp
     // retrying with a blind reflash would only burn a second link timeout.
     ASSIGN_OR_RETURN(uint64_t on_flash,
                      port_->ChecksumMem(flash_base + part.offset, bytes.size()));
-    if (on_flash == PayloadHash(part.name, bytes)) {
+    if (on_flash == payload->digest) {
       port_->NoteFlashSkipped(bytes.size());
       *skipped += bytes.size();
       continue;

@@ -10,7 +10,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/agent/agent_layout.h"
@@ -30,6 +29,11 @@ struct DeployOptions {
   std::string board_name;  // "" = the OS's default evaluation board
   InstrumentationOptions instrumentation;
   uint64_t seed = 1;
+
+  // Optional prebuilt image to deploy instead of building one from the fields above;
+  // it must come from Deployment::BuildImageFor for the same os and board. Images are
+  // immutable, so many deployments may share one.
+  std::shared_ptr<const FirmwareImage> image;
 
   // Default: coalesce the per-execution link traffic into vectored batches and
   // delta-reflash on restore. false = the legacy per-op protocol (one round trip per
@@ -59,6 +63,11 @@ class Deployment {
   // the agent. On success the target is parked at executor_main (kIdle).
   static Result<std::unique_ptr<Deployment>> Create(const DeployOptions& options);
 
+  // The image Create() builds for `options` when options.image is unset — build once,
+  // then pass it as options.image to deploy it on many fresh boards.
+  static Result<std::shared_ptr<const FirmwareImage>> BuildImageFor(
+      const DeployOptions& options);
+
   Board& board() { return *board_; }
   DebugPort& port() { return *port_; }
   const FirmwareImage& image() const { return *image_; }
@@ -66,7 +75,7 @@ class Deployment {
 
   // Restore every partition payload at its table offset and reboot — the StateRestoration
   // body of Algorithm 1 (lines 15-18). On the batched link this is a DELTA reflash: each
-  // partition's payload hash (FNV, cached per partition) is compared against a
+  // partition's payload digest (FNV, computed at image build) is compared against a
   // target-assisted flash checksum, and only partitions whose on-flash bytes actually
   // changed since the last flash are reprogrammed; proven-clean bytes are counted in
   // DebugPortStats::flash_skipped_bytes. The legacy link reflashes unconditionally.
@@ -148,9 +157,6 @@ class Deployment {
   // `programmed`/`skipped` report flash bytes reprogrammed vs. proven clean.
   Status ReflashAndRebootLegacy(uint64_t* programmed);
   Status ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipped);
-  // Payload hash for the delta-reflash cache, computed once per partition (payloads are
-  // immutable for the lifetime of the image).
-  uint64_t PayloadHash(const std::string& partition, const std::vector<uint8_t>& payload);
 
   // Adjusts prefetch_hint_ after a drain observed `count` entries against a
   // speculative window of `prefetch`.
@@ -162,7 +168,7 @@ class Deployment {
   Result<uint32_t> CollectBank(const PortOp& op, uint32_t bank, uint32_t prefetch,
                                uint32_t* count_out, std::vector<CovHit>* out);
 
-  std::shared_ptr<FirmwareImage> image_;
+  std::shared_ptr<const FirmwareImage> image_;
   std::unique_ptr<Board> board_;
   std::unique_ptr<DebugPort> port_;
   telemetry::BoardTelemetry* telemetry_ = nullptr;
@@ -171,7 +177,6 @@ class Deployment {
   bool batched_ = true;
   bool flip_mode_ = false;       // self-service bank flips enabled (two-bank drains)
   uint32_t prefetch_hint_ = 64;  // adaptive entry prefetch for the batched drain
-  std::unordered_map<std::string, uint64_t> payload_hash_;
 };
 
 }  // namespace eof

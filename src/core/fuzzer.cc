@@ -1,5 +1,7 @@
 #include "src/core/fuzzer.h"
 
+#include <mutex>
+
 #include "src/common/logging.h"
 #include "src/core/replay.h"
 #include "src/kernel/os.h"
@@ -61,11 +63,28 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
 std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config) {
   // Capture by value: the validator outlives the config reference and runs late in
   // the campaign, replaying each first sighting on a board deployed from scratch.
+  // Every replay flashes the same immutable image, built on first use and owned by
+  // this validator alone, so it lives exactly as long as the campaign does.
+  struct SharedImage {
+    std::once_flag built;
+    std::shared_ptr<const FirmwareImage> image;  // nullptr: the build failed
+  };
+  auto shared = std::make_shared<SharedImage>();
   std::string os_name = config.os_name;
   std::string board_name = config.board_name;
-  return [os_name, board_name](const BugReport& bug) {
+  return [os_name, board_name, shared](const BugReport& bug) {
+    std::call_once(shared->built, [&] {
+      DeployOptions deploy;
+      deploy.os_name = os_name;
+      deploy.board_name = board_name;
+      Result<std::shared_ptr<const FirmwareImage>> image = Deployment::BuildImageFor(deploy);
+      if (image.ok()) {
+        shared->image = std::move(image).value();
+      }
+    });
+    // Without an image the replay builds its own, and fails the way the build did.
     Result<ReplayOutcome> replay =
-        ReplayReproducer(os_name, bug.program_text, board_name);
+        ReplayReproducer(os_name, bug.program_text, board_name, shared->image);
     if (!replay.ok()) {
       // A reproducer that cannot even be replayed (parse failure, deploy failure)
       // is no evidence of a cold-boot bug.

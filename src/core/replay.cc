@@ -12,10 +12,12 @@ namespace eof {
 
 Result<ReplayOutcome> ReplayReproducer(const std::string& os_name,
                                        const std::string& program_text,
-                                       const std::string& board_name) {
+                                       const std::string& board_name,
+                                       std::shared_ptr<const FirmwareImage> image) {
   DeployOptions deploy;
   deploy.os_name = os_name;
   deploy.board_name = board_name;
+  deploy.image = std::move(image);
   ASSIGN_OR_RETURN(std::unique_ptr<Deployment> deployment, Deployment::Create(deploy));
 
   ASSIGN_OR_RETURN(OsInfo info, OsRegistry::Instance().Find(os_name));

@@ -4,6 +4,7 @@
 #ifndef SRC_CORE_REPLAY_H_
 #define SRC_CORE_REPLAY_H_
 
+#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -20,10 +21,13 @@ struct ReplayOutcome {
 };
 
 // Deploys `os_name` on its default board (or `board_name`), parses `program_text`
-// against freshly mined specs, executes it once, and reports.
+// against freshly mined specs, executes it once, and reports. `image`, when set, is
+// flashed instead of a freshly built one (DeployOptions::image); the board is fresh
+// and cold-booted either way.
 Result<ReplayOutcome> ReplayReproducer(const std::string& os_name,
                                        const std::string& program_text,
-                                       const std::string& board_name = "");
+                                       const std::string& board_name = "",
+                                       std::shared_ptr<const FirmwareImage> image = nullptr);
 
 struct TrimOutcome {
   std::string trimmed_text;        // the minimized program, serialized

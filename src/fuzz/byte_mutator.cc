@@ -20,20 +20,32 @@ std::vector<uint8_t> ByteMutator::Mutate(const std::vector<uint8_t>& seed, Rng& 
   }
   uint64_t rounds = 1 + rng.Below(8);
   for (uint64_t round = 0; round < rounds; ++round) {
+    // A delete-block round can empty `out`. Cases 0-3 then still draw exactly what
+    // they draw on a non-empty buffer, in the same order, and only skip the access:
+    // the draws keep the stream every later mutation depends on in place.
     switch (rng.Below(8)) {
       case 0: {  // bit flip
         size_t pos = rng.Index(out.size());
-        out[pos] ^= static_cast<uint8_t>(1u << rng.Below(8));
+        uint8_t bit = static_cast<uint8_t>(1u << rng.Below(8));
+        if (!out.empty()) {
+          out[pos] ^= bit;
+        }
         break;
       }
       case 1: {  // random byte
-        out[rng.Index(out.size())] = static_cast<uint8_t>(rng.Next());
+        uint8_t value = static_cast<uint8_t>(rng.Next());
+        size_t pos = rng.Index(out.size());
+        if (!out.empty()) {
+          out[pos] = value;
+        }
         break;
       }
       case 2: {  // interesting 8/16-bit value
         size_t pos = rng.Index(out.size());
         uint64_t value = rng.InterestingInt(16);
-        out[pos] = static_cast<uint8_t>(value);
+        if (!out.empty()) {
+          out[pos] = static_cast<uint8_t>(value);
+        }
         if (pos + 1 < out.size() && rng.CoinFlip()) {
           out[pos + 1] = static_cast<uint8_t>(value >> 8);
         }
@@ -41,7 +53,11 @@ std::vector<uint8_t> ByteMutator::Mutate(const std::vector<uint8_t>& seed, Rng& 
       }
       case 3: {  // byte arithmetic
         size_t pos = rng.Index(out.size());
-        out[pos] = static_cast<uint8_t>(out[pos] + rng.Range(1, 32) * (rng.CoinFlip() ? 1 : -1));
+        uint64_t delta = rng.Range(1, 32);
+        bool up = rng.CoinFlip();
+        if (!out.empty()) {
+          out[pos] = static_cast<uint8_t>(out[pos] + delta * (up ? 1 : -1));
+        }
         break;
       }
       case 4: {  // delete block

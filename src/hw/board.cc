@@ -124,6 +124,16 @@ void Board::OnBasicBlockExecuted(uint64_t address) {
 
 void Board::InstallImage(std::shared_ptr<const FirmwareImage> image) {
   image_ = std::move(image);
+  flash_verified_ = false;
+}
+
+Status Board::VerifyFlashMemoized() {
+  if (!flash_verified_ || flash_verified_write_count_ != flash_.write_count()) {
+    flash_verdict_ = image_->VerifyFlash(flash_);
+    flash_verified_write_count_ = flash_.write_count();
+    flash_verified_ = true;
+  }
+  return flash_verdict_;
 }
 
 Status Board::FlashWrite(uint64_t offset, const std::vector<uint8_t>& data) {
@@ -147,7 +157,7 @@ void Board::Reset() {
     power_state_ = PowerState::kOff;
     return;
   }
-  Status flash_ok = image_->VerifyFlash(flash_);
+  Status flash_ok = VerifyFlashMemoized();
   if (!flash_ok.ok()) {
     // Boot ROM rejects the image silently; the host sees only unresponsiveness.
     power_state_ = PowerState::kBootFailed;
@@ -184,7 +194,7 @@ void Board::WarmRestore() {
     power_state_ = PowerState::kOff;
     return;
   }
-  Status flash_ok = image_->VerifyFlash(flash_);
+  Status flash_ok = VerifyFlashMemoized();
   if (!flash_ok.ok()) {
     power_state_ = PowerState::kBootFailed;
     frozen_pc_ = spec_.flash_base;

@@ -141,6 +141,10 @@ class Board : public TargetEnv {
   }
   bool InBasicBlockSpace(uint64_t address) const;
 
+  // The boot ROM's check, image_->VerifyFlash(flash_), re-run only when the installed
+  // image or the flash write count changed since the last run.
+  Status VerifyFlashMemoized();
+
   BoardSpec spec_;
   std::vector<uint8_t> ram_;
   Flash flash_;
@@ -149,6 +153,10 @@ class Board : public TargetEnv {
 
   std::shared_ptr<const FirmwareImage> image_;
   std::unique_ptr<Firmware> firmware_;
+
+  bool flash_verified_ = false;  // flash_verdict_ is valid for image_
+  uint64_t flash_verified_write_count_ = 0;
+  Status flash_verdict_;
 
   PowerState power_state_ = PowerState::kOff;
   std::string fault_detail_;

@@ -39,14 +39,14 @@ Result<BoardSnapshot> BoardSnapshot::Capture(DebugPort& port, const FirmwareImag
   // Flash shadow: a target-side digest per payload-bearing partition. Restore()
   // re-checks these before trusting the resident code.
   for (const Partition& partition : image.partition_table().partitions) {
-    auto payload = image.PayloadOf(partition.name);
-    if (!payload.ok()) {
+    const FirmwareImage::Payload* payload = image.PayloadOf(partition.name);
+    if (payload == nullptr) {
       continue;  // raw partitions (nvs) carry no payload to fingerprint
     }
     FlashShadow shadow;
     shadow.partition = partition.name;
     shadow.address = spec.flash_base + partition.offset;
-    shadow.size = payload.value().size();
+    shadow.size = payload->bytes.size();
     ASSIGN_OR_RETURN(shadow.digest, port.ChecksumMem(shadow.address, shadow.size));
     snapshot.flash_shadow_.push_back(std::move(shadow));
   }

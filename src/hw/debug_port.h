@@ -119,6 +119,8 @@ class DebugPort {
   // Target-assisted content checksum (FNV-1a over the flash or RAM window), computed
   // on the target side so only the digest crosses the link — the delta-reflash cache
   // uses this to prove a partition's on-flash bytes unchanged without reading them.
+  // Virtual time is charged by the byte either way; on the host, flash-window digests
+  // come from Flash::Digest's write-count memo.
   Result<uint64_t> ChecksumMem(uint64_t address, uint64_t size);
 
   // Records `bytes` of flash programming skipped by the delta-reflash cache. Pure

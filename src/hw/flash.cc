@@ -1,6 +1,7 @@
 #include "src/hw/flash.h"
 #include <cstddef>
 
+#include "src/common/hash.h"
 #include "src/common/strings.h"
 
 namespace eof {
@@ -37,8 +38,17 @@ Status PartitionTable::Validate(uint64_t flash_size) const {
   return OkStatus();
 }
 
+namespace {
+
+// Written so that no huge `size` can wrap the sum past the check.
+bool InBounds(uint64_t offset, uint64_t size, uint64_t limit) {
+  return offset <= limit && size <= limit - offset;
+}
+
+}  // namespace
+
 Status Flash::Write(uint64_t offset, const std::vector<uint8_t>& data) {
-  if (offset + data.size() > storage_.size()) {
+  if (!InBounds(offset, data.size(), storage_.size())) {
     return OutOfRangeError(StrFormat("flash write [%llu, %llu) out of bounds",
                                      static_cast<unsigned long long>(offset),
                                      static_cast<unsigned long long>(offset + data.size())));
@@ -48,14 +58,34 @@ Status Flash::Write(uint64_t offset, const std::vector<uint8_t>& data) {
   return OkStatus();
 }
 
-Result<std::vector<uint8_t>> Flash::Read(uint64_t offset, uint64_t size) const {
-  if (offset + size > storage_.size()) {
+Result<const uint8_t*> Flash::View(uint64_t offset, uint64_t size) const {
+  if (!InBounds(offset, size, storage_.size())) {
     return OutOfRangeError(StrFormat("flash read [%llu, %llu) out of bounds",
                                      static_cast<unsigned long long>(offset),
                                      static_cast<unsigned long long>(offset + size)));
   }
-  return std::vector<uint8_t>(storage_.begin() + static_cast<std::ptrdiff_t>(offset),
-                              storage_.begin() + static_cast<std::ptrdiff_t>(offset + size));
+  return storage_.data() + offset;
+}
+
+Result<std::vector<uint8_t>> Flash::Read(uint64_t offset, uint64_t size) const {
+  ASSIGN_OR_RETURN(const uint8_t* bytes, View(offset, size));
+  return std::vector<uint8_t>(bytes, bytes + size);
+}
+
+Result<uint64_t> Flash::Digest(uint64_t offset, uint64_t size) const {
+  ASSIGN_OR_RETURN(const uint8_t* bytes, View(offset, size));
+  if (memo_write_count_ != write_count_) {
+    digest_memo_.clear();
+    memo_write_count_ = write_count_;
+  }
+  for (const DigestMemo& memo : digest_memo_) {
+    if (memo.offset == offset && memo.size == size) {
+      return memo.digest;
+    }
+  }
+  uint64_t digest = Fnv1aBytes(bytes, size);
+  digest_memo_.push_back(DigestMemo{offset, size, digest});
+  return digest;
 }
 
 void Flash::MassErase() {

@@ -46,15 +46,34 @@ class Flash {
   // Reads `size` bytes at `offset`.
   Result<std::vector<uint8_t>> Read(uint64_t offset, uint64_t size) const;
 
+  // The stored bytes [offset, offset + size) in place, valid until the next Write or
+  // MassErase. Same bounds check and error as Read.
+  Result<const uint8_t*> View(uint64_t offset, uint64_t size) const;
+
+  // Fnv1aBytes over [offset, offset + size), hashed in place and memoized on
+  // write_count(): re-hashing flash that no write has touched costs nothing.
+  Result<uint64_t> Digest(uint64_t offset, uint64_t size) const;
+
   // Erases the whole device back to 0xff.
   void MassErase();
 
   // Number of programming operations since construction (wear accounting for stats).
+  // Write and MassErase are the only mutators of the stored bytes and both bump it,
+  // so an unchanged count proves unchanged contents.
   uint64_t write_count() const { return write_count_; }
 
  private:
+  struct DigestMemo {
+    uint64_t offset;
+    uint64_t size;
+    uint64_t digest;
+  };
+
   std::vector<uint8_t> storage_;
   uint64_t write_count_ = 0;
+  // Digests computed at write count `memo_write_count_`; dropped when it moves.
+  mutable std::vector<DigestMemo> digest_memo_;
+  mutable uint64_t memo_write_count_ = 0;
 };
 
 }  // namespace eof

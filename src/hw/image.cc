@@ -1,5 +1,7 @@
 #include "src/hw/image.h"
 
+#include <algorithm>
+
 #include "src/common/byteio.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
@@ -27,8 +29,8 @@ std::vector<uint8_t> FirmwareImage::MakePayload(const std::string& name, uint64_
   return writer.TakeBytes();
 }
 
-Status FirmwareImage::VerifyPayload(const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
+Status FirmwareImage::VerifyPayload(const uint8_t* data, size_t size) {
+  ByteReader reader(data, size);
   uint32_t magic = reader.GetU32();
   uint32_t len = reader.GetU32();
   uint64_t crc = reader.GetU64();
@@ -38,9 +40,7 @@ Status FirmwareImage::VerifyPayload(const std::vector<uint8_t>& bytes) {
   if (len > reader.remaining()) {
     return DataLossError("truncated payload body");
   }
-  std::vector<uint8_t> body(len);
-  reader.GetBytes(body.data(), body.size());
-  if (reader.failed() || Fnv1aBytes(body.data(), body.size()) != crc) {
+  if (Fnv1aBytes(data + reader.position(), len) != crc) {
     return DataLossError("payload checksum mismatch");
   }
   return OkStatus();
@@ -58,7 +58,9 @@ Status FirmwareImage::AddPartition(const std::string& name, uint64_t offset, uin
     return AlreadyExistsError(StrFormat("partition '%s' already added", name.c_str()));
   }
   table_.partitions.push_back(Partition{name, offset, part_size});
-  payloads_[name] = std::move(payload);
+  uint64_t digest = Fnv1aBytes(payload.data(), payload.size());
+  Status verify = VerifyPayload(payload);
+  payloads_[name] = Payload{std::move(payload), digest, std::move(verify)};
   return OkStatus();
 }
 
@@ -107,30 +109,29 @@ bool FirmwareImage::InCodeSpace(uint64_t address) const {
   return false;
 }
 
-Result<std::vector<uint8_t>> FirmwareImage::PayloadOf(const std::string& partition) const {
+const FirmwareImage::Payload* FirmwareImage::PayloadOf(const std::string& partition) const {
   auto it = payloads_.find(partition);
-  if (it == payloads_.end()) {
-    return NotFoundError(StrFormat("no payload for partition '%s'", partition.c_str()));
-  }
-  return it->second;
+  return it == payloads_.end() ? nullptr : &it->second;
 }
 
 Status FirmwareImage::VerifyFlash(const Flash& flash) const {
   for (const Partition& part : table_.partitions) {
-    auto payload_it = payloads_.find(part.name);
-    if (payload_it == payloads_.end()) {
+    const Payload* payload = PayloadOf(part.name);
+    if (payload == nullptr) {
       continue;
     }
-    ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                     flash.Read(part.offset, payload_it->second.size()));
-    Status valid = VerifyPayload(stored);
+    const std::vector<uint8_t>& pristine = payload->bytes;
+    ASSIGN_OR_RETURN(const uint8_t* stored, flash.View(part.offset, pristine.size()));
+    const bool intact = std::equal(pristine.begin(), pristine.end(), stored);
+    // Intact bytes are the payload's, whose verdict build time already knows.
+    Status valid = intact ? payload->verify : VerifyPayload(stored, pristine.size());
     if (!valid.ok()) {
       return DataLossError(
           StrFormat("partition '%s' failed boot validation: %s", part.name.c_str(),
                     valid.ToString().c_str()));
     }
     // CRC validity is necessary but not sufficient: the stored body must be the image's.
-    if (stored != payload_it->second) {
+    if (!intact) {
       return DataLossError(StrFormat("partition '%s' content mismatch", part.name.c_str()));
     }
   }

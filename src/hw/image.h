@@ -102,15 +102,23 @@ class FirmwareImage {
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t instrumented_sites() const { return instrumented_sites_; }
 
-  // Pristine payload bytes for reflashing `partition`.
-  Result<std::vector<uint8_t>> PayloadOf(const std::string& partition) const;
+  // A partition's pristine payload, plus what build time already knows about it.
+  struct Payload {
+    std::vector<uint8_t> bytes;
+    uint64_t digest = 0;  // Fnv1aBytes(bytes): what a checksum of pristine flash returns
+    Status verify;        // VerifyPayload(bytes)
+  };
+
+  // The payload for reflashing `partition`; nullptr for raw partitions and unknown names.
+  const Payload* PayloadOf(const std::string& partition) const;
 
   std::unique_ptr<Firmware> Instantiate() const { return factory_(*this); }
   bool has_factory() const { return static_cast<bool>(factory_); }
 
   // Verifies that the bytes stored in `flash` for every partition parse as a valid payload
-  // (magic + CRC). This is the boot ROM's integrity check; a kernel bug that scribbles on
-  // flash makes it fail until the host reflashes.
+  // (magic + CRC) and are the image's own. This is the boot ROM's integrity check; a kernel
+  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place
+  // and parses the stored bytes only when they differ from the payload.
   Status VerifyFlash(const Flash& flash) const;
 
   const std::vector<ModuleLayout>& modules() const { return modules_; }
@@ -130,12 +138,15 @@ class FirmwareImage {
   // Payload wire helpers (exposed for tests).
   static std::vector<uint8_t> MakePayload(const std::string& name, uint64_t seed,
                                           uint64_t body_bytes);
-  static Status VerifyPayload(const std::vector<uint8_t>& bytes);
+  static Status VerifyPayload(const uint8_t* data, size_t size);
+  static Status VerifyPayload(const std::vector<uint8_t>& bytes) {
+    return VerifyPayload(bytes.data(), bytes.size());
+  }
 
  private:
   std::string os_name_;
   PartitionTable table_;
-  std::unordered_map<std::string, std::vector<uint8_t>> payloads_;
+  std::unordered_map<std::string, Payload> payloads_;
   SymbolTable symbols_;
   InstrumentationOptions instr_;
   FirmwareFactory factory_;

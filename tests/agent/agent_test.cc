@@ -25,9 +25,9 @@ class AgentTest : public ::testing::Test {
     board_ = std::make_unique<Board>(spec);
     board_->InstallImage(image_);
     for (const Partition& part : image_->partition_table().partitions) {
-      auto payload = image_->PayloadOf(part.name);
-      if (payload.ok()) {
-        ASSERT_TRUE(board_->FlashWrite(part.offset, payload.value()).ok());
+      const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
+      if (payload != nullptr) {
+        ASSERT_TRUE(board_->FlashWrite(part.offset, payload->bytes).ok());
       }
     }
     board_->Reset();
@@ -160,9 +160,9 @@ TEST(AgentTinyRamTest, SmallRingOverflowsAndAgentSelfClears) {
   Board board(spec);
   board.InstallImage(image);
   for (const Partition& part : image->partition_table().partitions) {
-    auto payload = image->PayloadOf(part.name);
-    if (payload.ok()) {
-      ASSERT_TRUE(board.FlashWrite(part.offset, payload.value()).ok());
+    const FirmwareImage::Payload* payload = image->PayloadOf(part.name);
+    if (payload != nullptr) {
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
     }
   }
   board.Reset();
@@ -203,9 +203,9 @@ TEST(AgentTinyRamTest, BankFlipAbsorbsOverflowUntilBackpressure) {
   Board board(spec);
   board.InstallImage(image);
   for (const Partition& part : image->partition_table().partitions) {
-    auto payload = image->PayloadOf(part.name);
-    if (payload.ok()) {
-      ASSERT_TRUE(board.FlashWrite(part.offset, payload.value()).ok());
+    const FirmwareImage::Payload* payload = image->PayloadOf(part.name);
+    if (payload != nullptr) {
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
     }
   }
   board.Reset();

@@ -139,6 +139,19 @@ TEST(ByteIoTest, OverrunSetsFailureFlag) {
   EXPECT_TRUE(reader.failed());
 }
 
+TEST(ByteIoTest, ZeroByteReadFromEmptyReader) {
+  std::vector<uint8_t> empty;
+  ByteReader reader(empty);  // data() of an empty vector may be null
+  uint8_t out = 0x5a;
+  reader.GetBytes(&out, 0);
+  EXPECT_FALSE(reader.failed());
+  EXPECT_EQ(out, 0x5a);
+  EXPECT_EQ(reader.remaining(), 0u);
+  ByteReader null_reader(nullptr, 0);
+  null_reader.GetBytes(nullptr, 0);
+  EXPECT_FALSE(null_reader.failed());
+}
+
 TEST(ByteIoTest, LengthPrefixOverrunRejected) {
   ByteWriter writer;
   writer.PutU32(1000);  // claims 1000 bytes, provides none

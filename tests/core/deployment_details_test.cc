@@ -152,14 +152,14 @@ TEST_F(DeploymentDetailsTest, DeltaReflashReprogramsOnlyCorruptedPartition) {
   uint64_t victim_bytes = 0;
   uint64_t payload_total = 0;
   for (const Partition& part : deployment->image().partition_table().partitions) {
-    auto payload = deployment->image().PayloadOf(part.name);
-    if (!payload.ok()) {
+    const FirmwareImage::Payload* payload = deployment->image().PayloadOf(part.name);
+    if (payload == nullptr) {
       continue;
     }
-    payload_total += payload.value().size();
+    payload_total += payload->bytes.size();
     if (victim == nullptr) {
       victim = &part;
-      victim_bytes = payload.value().size();
+      victim_bytes = payload->bytes.size();
     }
   }
   ASSERT_NE(victim, nullptr);
@@ -177,6 +177,29 @@ TEST_F(DeploymentDetailsTest, DeltaReflashReprogramsOnlyCorruptedPartition) {
   EXPECT_EQ(after.flash_bytes - before.flash_bytes, victim_bytes);
   EXPECT_EQ(after.flash_skipped_bytes - before.flash_skipped_bytes,
             payload_total - victim_bytes);
+}
+
+TEST_F(DeploymentDetailsTest, PrebuiltImageDeploysLikeAFreshBuild) {
+  DeployOptions options;
+  options.os_name = "zephyr";
+  auto image = Deployment::BuildImageFor(options);
+  ASSERT_TRUE(image.ok());
+  auto fresh = Deploy("zephyr");
+  options.image = image.value();
+  auto first = Deployment::Create(options);
+  auto second = Deployment::Create(options);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  // One image, two boards: each board is its own, flashed and booted from scratch.
+  EXPECT_EQ(&(*first)->image(), image.value().get());
+  EXPECT_EQ(&(*second)->image(), image.value().get());
+  EXPECT_NE(&(*first)->board(), &(*second)->board());
+  for (Deployment* shared : {first.value().get(), second.value().get()}) {
+    EXPECT_EQ(shared->board().power_state(), PowerState::kRunning);
+    EXPECT_EQ(shared->port().Now(), fresh->port().Now());
+    EXPECT_EQ(shared->port().stats().flash_bytes, fresh->port().stats().flash_bytes);
+    EXPECT_EQ(shared->port().stats().transactions, fresh->port().stats().transactions);
+  }
 }
 
 TEST_F(DeploymentDetailsTest, BatchedDrainIsOneRoundTrip) {

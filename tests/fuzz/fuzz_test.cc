@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/wire.h"
+#include "src/common/hash.h"
 #include "src/fuzz/byte_mutator.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
@@ -322,6 +323,60 @@ TEST(ByteMutatorTest, BoundsAndVariety) {
   EXPECT_GT(changed, 250);
   std::vector<uint8_t> spliced = mutator.Splice(seed, {9, 9, 9, 9}, rng);
   EXPECT_LE(spliced.size(), 64u);
+}
+
+// Replays Mutate's opening draws: true when `seed` makes the first round delete all of
+// a 2-byte buffer and the second round a byte edit (cases 0-3) of the empty result.
+bool EmptiesThenEdits(uint64_t seed) {
+  Rng rng(seed);
+  uint64_t rounds = 1 + rng.Below(8);
+  if (rounds < 2 || rng.Below(8) != 4) {
+    return false;
+  }
+  if (rng.Index(2) != 0 || 1 + rng.Below(2) != 2) {
+    return false;  // the deleted block must start at 0 and span both bytes
+  }
+  return rng.Below(8) < 4;
+}
+
+TEST(ByteMutatorTest, ByteEditOnEmptiedBufferSkipsTheAccess) {
+  ByteMutator mutator(16);
+  uint64_t seed = 0;
+  while (!EmptiesThenEdits(seed)) {
+    ++seed;
+  }
+  ASSERT_EQ(seed, 5u);
+  // Before the guard this indexed the empty buffer (out of range; aborts under
+  // _GLIBCXX_ASSERTIONS). Now the edit draws its values and touches nothing.
+  Rng rng(seed);
+  std::vector<uint8_t> out = mutator.Mutate({0xaa, 0xbb}, rng);
+  EXPECT_TRUE(out.empty());
+  // The draws still happened: the stream sits where the unguarded code left it.
+  EXPECT_EQ(rng.Next(), 0x80feec1a8a64aa3fULL);
+}
+
+TEST(ByteMutatorTest, OutputsMatchThePreGuardMutator) {
+  // Digest of 2048 (seed, input) mutations and the RNG word after each, recorded
+  // from the mutator before the empty-buffer guard. The generator draws from this
+  // mutator, so any drift here would move every campaign.
+  ByteMutator mutator(16);
+  uint64_t hash = kFnvOffsetBasis;
+  for (uint64_t seed = 0; seed < 2048; ++seed) {
+    Rng input_rng(seed ^ 0xabcULL);
+    std::vector<uint8_t> input(1 + seed % 16);
+    for (auto& byte : input) {
+      byte = static_cast<uint8_t>(input_rng.Next());
+    }
+    Rng rng(seed);
+    std::vector<uint8_t> out = mutator.Mutate(input, rng);
+    hash = HashCombine(hash, out.size());
+    hash = Fnv1aBytes(out.data(), out.size(), hash);
+    hash = HashCombine(hash, rng.Next());
+  }
+  EXPECT_EQ(hash, 0xb001e97e2e59f10dULL);
+  Rng rng(14);
+  EXPECT_EQ(mutator.Mutate({0xaa, 0xbb}, rng), (std::vector<uint8_t>{0x56, 0x9b, 0x0e}));
+  EXPECT_EQ(rng.Next(), 0x1f5d19479a66de80ULL);
 }
 
 TEST(ProgramTest, HashSensitivity) {

@@ -1,0 +1,273 @@
+// Tests of the host-side flash memos: the board's boot-ROM verdict and Flash's digests
+// are cached on the flash write count, so each must be invalidated by every flash write
+// and every image change, and a cached answer must cost the target exactly what a
+// computed one does. VerifyFlash's in-place comparison is checked against the
+// copy-then-parse reference it replaced.
+
+#include <gtest/gtest.h>
+
+#include "src/common/byteio.h"
+#include "src/common/hash.h"
+#include "src/common/strings.h"
+#include "src/core/image_builder.h"
+#include "src/hw/board.h"
+#include "src/hw/board_catalog.h"
+#include "src/hw/debug_port.h"
+#include "src/hw/timing.h"
+#include "src/os/all_oses.h"
+
+namespace eof {
+namespace {
+
+constexpr char kBoard[] = "esp32-devkitc";
+
+std::shared_ptr<const FirmwareImage> BuildFreertos(uint64_t seed) {
+  ImageBuildOptions options;
+  options.os_name = "freertos";
+  options.seed = seed;
+  return BuildImage(BoardSpecByName(kBoard).value(), options).value();
+}
+
+void FlashPristine(Board& board, const FirmwareImage& image) {
+  for (const Partition& part : image.partition_table().partitions) {
+    const FirmwareImage::Payload* payload = image.PayloadOf(part.name);
+    if (payload != nullptr) {
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
+    }
+  }
+}
+
+class BootMemoTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() { ASSERT_TRUE(RegisterAllOses().ok()); }
+
+  void SetUp() override {
+    image_ = BuildFreertos(1);
+    board_.InstallImage(image_);
+    FlashPristine(board_, *image_);
+    board_.Reset();
+    ASSERT_EQ(board_.power_state(), PowerState::kRunning);
+  }
+
+  // What a kernel bug does: program one flipped byte inside the kernel payload
+  // through the firmware-visible flash.
+  void ScribbleKernel() {
+    const Partition* kernel = image_->partition_table().Find("kernel");
+    ASSERT_NE(kernel, nullptr);
+    uint64_t offset = kernel->offset + 40;
+    uint8_t byte = board_.flash().Read(offset, 1).value()[0];
+    ASSERT_TRUE(board_.flash().Write(offset, {static_cast<uint8_t>(byte ^ 0x5a)}).ok());
+  }
+
+  std::shared_ptr<const FirmwareImage> image_;
+  Board board_{BoardSpecByName(kBoard).value()};
+};
+
+TEST_F(BootMemoTest, ScribbleAfterGoodBootFailsResetAndWarmRestore) {
+  board_.Reset();  // a second good boot: the verdict is now cached
+  ASSERT_EQ(board_.power_state(), PowerState::kRunning);
+
+  ScribbleKernel();
+  board_.Reset();
+  EXPECT_EQ(board_.power_state(), PowerState::kBootFailed);
+  board_.WarmRestore();
+  EXPECT_EQ(board_.power_state(), PowerState::kBootFailed);
+
+  FlashPristine(board_, *image_);
+  board_.WarmRestore();
+  EXPECT_EQ(board_.power_state(), PowerState::kRunning);
+
+  ScribbleKernel();
+  board_.WarmRestore();
+  EXPECT_EQ(board_.power_state(), PowerState::kBootFailed);
+  board_.Reset();
+  EXPECT_EQ(board_.power_state(), PowerState::kBootFailed);
+}
+
+TEST_F(BootMemoTest, ReflashingPristineBytesBootsAgain) {
+  ScribbleKernel();
+  board_.Reset();
+  ASSERT_EQ(board_.power_state(), PowerState::kBootFailed);
+  FlashPristine(board_, *image_);
+  board_.Reset();
+  EXPECT_EQ(board_.power_state(), PowerState::kRunning);
+}
+
+TEST_F(BootMemoTest, InstallingAnotherImageReverifies) {
+  // Same layout, other build seed: every payload differs, and no flash write happens.
+  std::shared_ptr<const FirmwareImage> other = BuildFreertos(2);
+  board_.InstallImage(other);
+  board_.Reset();
+  EXPECT_EQ(board_.power_state(), PowerState::kBootFailed);
+  board_.InstallImage(image_);
+  board_.WarmRestore();
+  EXPECT_EQ(board_.power_state(), PowerState::kRunning);
+}
+
+class FlashDigestTest : public BootMemoTest {
+ protected:
+  void SetUp() override {
+    BootMemoTest::SetUp();
+    port_.set_flight_recorder(&recorder_);
+    ASSERT_TRUE(port_.Connect().ok());
+    const Partition* kernel = image_->partition_table().Find("kernel");
+    ASSERT_NE(kernel, nullptr);
+    kernel_offset_ = kernel->offset;
+    kernel_size_ = image_->PayloadOf("kernel")->bytes.size();
+  }
+
+  uint64_t KernelAddress() const { return board_.spec().flash_base + kernel_offset_; }
+
+  DebugPort port_{&board_};
+  telemetry::FlightRecorder recorder_;
+  uint64_t kernel_offset_ = 0;
+  uint64_t kernel_size_ = 0;
+};
+
+TEST_F(FlashDigestTest, ChecksumAfterFlashWriteReturnsTheNewDigest) {
+  auto before = port_.ChecksumMem(KernelAddress(), kernel_size_);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before.value(), image_->PayloadOf("kernel")->digest);
+
+  ASSERT_TRUE(board_.FlashWrite(kernel_offset_ + 100, {0x01, 0x02, 0x03}).ok());
+  auto after = port_.ChecksumMem(KernelAddress(), kernel_size_);
+  ASSERT_TRUE(after.ok());
+  std::vector<uint8_t> stored = board_.flash().Read(kernel_offset_, kernel_size_).value();
+  EXPECT_EQ(after.value(), Fnv1aBytes(stored.data(), stored.size()));
+  EXPECT_NE(after.value(), before.value());
+
+  board_.flash().MassErase();
+  auto erased = port_.ChecksumMem(KernelAddress(), kernel_size_);
+  ASSERT_TRUE(erased.ok());
+  std::vector<uint8_t> ones(kernel_size_, 0xff);
+  EXPECT_EQ(erased.value(), Fnv1aBytes(ones.data(), ones.size()));
+}
+
+TEST_F(FlashDigestTest, MemoHitCostsTheTargetWhatAMissDoes) {
+  struct Charge {
+    VirtualDuration time;
+    uint64_t transactions;
+    uint64_t bytes_read;
+    telemetry::PortOpRecord record;
+  };
+  auto checksum = [&]() {
+    const DebugPortStats stats = port_.stats();
+    const VirtualTime start = port_.Now();
+    EXPECT_TRUE(port_.ChecksumMem(KernelAddress(), kernel_size_).ok());
+    telemetry::FlightDump dump = recorder_.Dump("test", port_.Now());
+    return Charge{port_.Now() - start, port_.stats().transactions - stats.transactions,
+                  port_.stats().bytes_read - stats.bytes_read, dump.port_ops.back()};
+  };
+  ASSERT_TRUE(board_.FlashWrite(kernel_offset_ + 100, {0x07}).ok());
+  Charge miss = checksum();  // first digest at this write count
+  Charge hit = checksum();   // same range, no write since
+  EXPECT_EQ(hit.time, miss.time);
+  EXPECT_EQ(hit.time, ChecksumCost(kernel_size_));
+  EXPECT_EQ(hit.transactions, 1u);
+  EXPECT_EQ(miss.transactions, 1u);
+  EXPECT_EQ(hit.bytes_read, 8u);
+  EXPECT_EQ(miss.bytes_read, 8u);
+  EXPECT_EQ(hit.record.op, telemetry::FlightPortOp::kChecksum);
+  EXPECT_EQ(hit.record.op, miss.record.op);
+  EXPECT_EQ(hit.record.address, miss.record.address);
+  EXPECT_EQ(hit.record.size, miss.record.size);
+  EXPECT_EQ(hit.record.ok, miss.record.ok);
+}
+
+// The boot-ROM check as it stood before the in-place comparison: copy the stored
+// bytes out, parse them (copying the body again), then compare with the payload.
+Status CopyThenVerify(const FirmwareImage& image, const Flash& flash) {
+  auto verify_payload = [](const std::vector<uint8_t>& bytes) -> Status {
+    ByteReader reader(bytes);
+    uint32_t magic = reader.GetU32();
+    uint32_t len = reader.GetU32();
+    uint64_t crc = reader.GetU64();
+    if (reader.failed() || magic != 0xe0fb007u) {
+      return DataLossError("bad payload magic");
+    }
+    if (len > reader.remaining()) {
+      return DataLossError("truncated payload body");
+    }
+    std::vector<uint8_t> body(len);
+    reader.GetBytes(body.data(), body.size());
+    if (reader.failed() || Fnv1aBytes(body.data(), body.size()) != crc) {
+      return DataLossError("payload checksum mismatch");
+    }
+    return OkStatus();
+  };
+  for (const Partition& part : image.partition_table().partitions) {
+    const FirmwareImage::Payload* payload = image.PayloadOf(part.name);
+    if (payload == nullptr) {
+      continue;
+    }
+    ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
+                     flash.Read(part.offset, payload->bytes.size()));
+    Status valid = verify_payload(stored);
+    if (!valid.ok()) {
+      return DataLossError(StrFormat("partition '%s' failed boot validation: %s",
+                                     part.name.c_str(), valid.ToString().c_str()));
+    }
+    if (stored != payload->bytes) {
+      return DataLossError(StrFormat("partition '%s' content mismatch", part.name.c_str()));
+    }
+  }
+  return OkStatus();
+}
+
+void ExpectSameVerdict(const FirmwareImage& image, const Flash& flash, ErrorCode want) {
+  Status now = image.VerifyFlash(flash);
+  Status reference = CopyThenVerify(image, flash);
+  EXPECT_EQ(now.code(), want) << now.ToString();
+  EXPECT_EQ(now.code(), reference.code());
+  EXPECT_EQ(now.ToString(), reference.ToString());
+}
+
+TEST(VerifyFlashTest, InPlaceVerdictMatchesCopyThenVerify) {
+  FirmwareImage image;
+  ASSERT_TRUE(image.AddPartition("boot", 0x0, 0x400, 200, 5).ok());
+  ASSERT_TRUE(image.AddPartition("kernel", 0x1000, 0x1000, 1024, 5).ok());
+  ASSERT_TRUE(image.AddRawPartition("nvs", 0x3000, 0x100).ok());
+  const std::vector<uint8_t>& kernel = image.PayloadOf("kernel")->bytes;
+  auto fresh_flash = [&image]() {
+    Flash flash(0x4000);
+    for (const char* name : {"boot", "kernel"}) {
+      const Partition* part = image.partition_table().Find(name);
+      EXPECT_TRUE(flash.Write(part->offset, image.PayloadOf(name)->bytes).ok());
+    }
+    return flash;
+  };
+
+  Flash pristine = fresh_flash();
+  ExpectSameVerdict(image, pristine, ErrorCode::kOk);
+
+  Flash erased(0x4000);  // nothing flashed: the first partition's magic is 0xffffffff
+  ExpectSameVerdict(image, erased, ErrorCode::kDataLoss);
+
+  Flash bad_magic = fresh_flash();
+  ASSERT_TRUE(bad_magic.Write(0x1000, {0x00}).ok());
+  ExpectSameVerdict(image, bad_magic, ErrorCode::kDataLoss);
+
+  Flash truncated = fresh_flash();  // length word claims more than the payload holds
+  ASSERT_TRUE(truncated.Write(0x1000 + 4, {0xff, 0xff, 0x00, 0x00}).ok());
+  ExpectSameVerdict(image, truncated, ErrorCode::kDataLoss);
+
+  Flash bad_crc = fresh_flash();
+  ASSERT_TRUE(bad_crc.Write(0x1000 + 16 + 7, {static_cast<uint8_t>(kernel[16 + 7] ^ 1)}).ok());
+  ExpectSameVerdict(image, bad_crc, ErrorCode::kDataLoss);
+
+  // A well-formed payload of the right size, but another build's body.
+  Flash foreign = fresh_flash();
+  std::vector<uint8_t> other = FirmwareImage::MakePayload("kernel", 6, 1024);
+  ASSERT_EQ(other.size(), kernel.size());
+  ASSERT_TRUE(FirmwareImage::VerifyPayload(other).ok());
+  ASSERT_TRUE(foreign.Write(0x1000, other).ok());
+  ExpectSameVerdict(image, foreign, ErrorCode::kDataLoss);
+
+  // A payload that does not fit the flash at all: both report the read's bounds error.
+  Flash tiny(0x1100);
+  ASSERT_TRUE(tiny.Write(0x0, image.PayloadOf("boot")->bytes).ok());
+  ExpectSameVerdict(image, tiny, ErrorCode::kOutOfRange);
+}
+
+}  // namespace
+}  // namespace eof

@@ -24,6 +24,24 @@ TEST(FlashTest, WriteReadErase) {
   EXPECT_EQ(flash.Read(16, 1).value()[0], 0xff);
 }
 
+TEST(FlashTest, HugeLengthsCannotWrapTheBoundsCheck) {
+  Flash flash(4096);
+  // offset + size wraps to 7, which a sum-based check would let through.
+  const uint64_t huge = UINT64_MAX - 8;
+  EXPECT_EQ(flash.Read(16, huge).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.View(16, huge).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Digest(16, huge).status().code(), ErrorCode::kOutOfRange);
+  // A write cannot carry UINT64_MAX - 8 bytes, so wrap it from the offset side.
+  EXPECT_EQ(flash.Write(huge, std::vector<uint8_t>(16, 0xaa)).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Read(huge, 16).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.write_count(), 0u);
+  // The edges still work.
+  EXPECT_TRUE(flash.Write(4096, {}).ok());
+  EXPECT_TRUE(flash.Read(4096, 0).ok());
+  EXPECT_TRUE(flash.Write(4095, {1}).ok());
+  EXPECT_FALSE(flash.Read(4097, 0).ok());
+}
+
 TEST(PartitionTableTest, ValidationRejectsOverlapAndOverflow) {
   PartitionTable table;
   table.partitions = {{"a", 0, 100}, {"b", 100, 100}};
@@ -78,7 +96,7 @@ TEST(ImageTest, FlashVerification) {
   ASSERT_TRUE(image.AddRawPartition("nvs", 0x2000, 0x100).ok());
   Flash flash(16384);
   EXPECT_FALSE(image.VerifyFlash(flash).ok());  // nothing flashed
-  ASSERT_TRUE(flash.Write(0x100, image.PayloadOf("kernel").value()).ok());
+  ASSERT_TRUE(flash.Write(0x100, image.PayloadOf("kernel")->bytes).ok());
   EXPECT_TRUE(image.VerifyFlash(flash).ok());
   // nvs is a raw partition: scribbling there must NOT fail validation.
   ASSERT_TRUE(flash.Write(0x2000, {0xaa, 0xbb}).ok());
