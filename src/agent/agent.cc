@@ -67,6 +67,28 @@ void AgentFirmware::WriteError(TargetEnv& env, AgentError error) {
                         static_cast<uint32_t>(error));
 }
 
+template <typename Body>
+bool AgentFirmware::RunTrapping(TargetEnv& env, const char* where, Body&& body) {
+  try {
+    body();
+    return true;
+  } catch (const KernelPanicSignal&) {
+    // handle_exception(): vector to the OS exception function, freeze there.
+    bool bp = env.EnterProgramPoint(exception_handler_addr_);
+    env.LatchFault(exception_handler_addr_, std::string("kernel panic") + where);
+    trap_info_.reason = bp ? HaltReason::kBreakpoint : HaltReason::kFault;
+  } catch (const KernelAssertSignal& signal) {
+    // Assertion text already went to the UART; the core parks in the abort loop.
+    env.LatchHang(std::string("assertion") + where + ": " + signal.message);
+    trap_info_.reason = HaltReason::kHang;
+  } catch (const KernelHangSignal& signal) {
+    env.LatchHang(signal.message);
+    trap_info_.reason = HaltReason::kHang;
+  }
+  trapped_ = true;
+  return false;
+}
+
 bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
   const WireCall& call = program_.calls[call_index_];
   // Resolve wire arguments against earlier results.
@@ -89,50 +111,18 @@ bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
   }
 
   int64_t result = 0;
-  try {
-    auto outcome = os_->registry().Call(*ctx_, call.api_id, args);
-    // Unknown API or arity mismatch: the agent rejects the call but keeps executing.
-    result = outcome.ok() ? outcome.value() : -1;
-    os_->Tick(*ctx_);
-  } catch (const KernelPanicSignal&) {
-    // handle_exception(): vector to the OS exception function, freeze there.
-    bool bp = env.EnterProgramPoint(exception_handler_addr_);
-    env.LatchFault(exception_handler_addr_, "kernel panic");
-    trapped_ = true;
-    trap_info_.reason = bp ? HaltReason::kBreakpoint : HaltReason::kFault;
-    return false;
-  } catch (const KernelAssertSignal& signal) {
-    // Assertion text already went to the UART; the core parks in the abort loop.
-    env.LatchHang("assertion: " + signal.message);
-    trapped_ = true;
-    trap_info_.reason = HaltReason::kHang;
-    return false;
-  } catch (const KernelHangSignal& signal) {
-    env.LatchHang(signal.message);
-    trapped_ = true;
-    trap_info_.reason = HaltReason::kHang;
+  if (!RunTrapping(env, "", [&] {
+        auto outcome = os_->registry().Call(*ctx_, call.api_id, args);
+        // Unknown API or arity mismatch: the agent rejects the call but keeps executing.
+        result = outcome.ok() ? outcome.value() : -1;
+        os_->Tick(*ctx_);
+      })) {
     return false;
   }
   // Pending injected peripheral events preempt the task between calls (ISR dispatch).
   PeripheralEvent event;
   while (env.NextPeripheralEvent(&event)) {
-    try {
-      os_->OnPeripheralEvent(*ctx_, event);
-    } catch (const KernelPanicSignal&) {
-      bool bp = env.EnterProgramPoint(exception_handler_addr_);
-      env.LatchFault(exception_handler_addr_, "kernel panic in ISR");
-      trapped_ = true;
-      trap_info_.reason = bp ? HaltReason::kBreakpoint : HaltReason::kFault;
-      return false;
-    } catch (const KernelAssertSignal& signal) {
-      env.LatchHang("assertion in ISR: " + signal.message);
-      trapped_ = true;
-      trap_info_.reason = HaltReason::kHang;
-      return false;
-    } catch (const KernelHangSignal& signal) {
-      env.LatchHang(signal.message);
-      trapped_ = true;
-      trap_info_.reason = HaltReason::kHang;
+    if (!RunTrapping(env, " in ISR", [&] { os_->OnPeripheralEvent(*ctx_, event); })) {
       return false;
     }
   }

@@ -46,6 +46,12 @@ class AgentFirmware : public Firmware {
   void WriteStatus(TargetEnv& env, AgentState state);
   void WriteError(TargetEnv& env, AgentError error);
 
+  // Runs `body`, latching a kernel panic / assertion / hang it raises as the board's
+  // fault; returns false when it did. `where` suffixes the panic and assertion
+  // details ("" for a call, " in ISR" for a peripheral-event handler).
+  template <typename Body>
+  bool RunTrapping(TargetEnv& env, const char* where, Body&& body);
+
   // Executes calls_[call_index_]; returns false when a trap ended the program.
   bool ExecuteCurrentCall(TargetEnv& env);
 

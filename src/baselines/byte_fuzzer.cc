@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/common/byteio.h"
 #include "src/common/strings.h"
 #include "src/kernel/os.h"
 
@@ -29,9 +30,6 @@ Status ByteFuzzer::Setup() {
   deploy.os_name = config_.os_name;
   deploy.board_name = config_.board_name;
   deploy.seed = config_.seed;
-  // The published baseline tools issue one GDB/OpenOCD command per operation; EOF's
-  // vectored link batching and delta reflash are not part of their designs.
-  deploy.batched_link = false;
   switch (config_.mode) {
     case ByteFuzzerMode::kGdbFuzz:
       // No target instrumentation at all: coverage comes from hardware breakpoints.
@@ -190,9 +188,76 @@ Status ByteFuzzer::PlantBreakpoints() {
   return OkStatus();
 }
 
+// The published baseline tools issue one GDB/OpenOCD command per operation; EOF's
+// vectored link batching and delta reflash are not part of their designs. The three
+// helpers below are that per-op traffic, one link round trip per port call.
+
+Status ByteFuzzer::PublishTestCase(const std::vector<uint8_t>& encoded) {
+  if (encoded.size() > kMailboxMaxBytes) {
+    return InvalidArgumentError(StrFormat("test case of %zu bytes exceeds the mailbox",
+                                          encoded.size()));
+  }
+  DebugPort& port = deployment_->port();
+  uint64_t base = deployment_->board_spec().ram_base + kMailboxOffset;
+  ByteWriter header;
+  header.PutU32(1);  // flag
+  header.PutU32(static_cast<uint32_t>(encoded.size()));
+  // Payload first, then length, then the ready flag — the flag write publishes the case.
+  RETURN_IF_ERROR(port.WriteMem(base + kMailboxDataOffset, encoded));
+  return port.WriteMem(base + kMailboxFlagOffset, header.bytes());
+}
+
+Result<std::vector<CovHit>> ByteFuzzer::DrainRing() {
+  // Global+bank-0 header read, entries read, blind 0/0 bank-header write. The
+  // baselines never grant bank flips, so the target never leaves bank 0; entries
+  // appended between the reads and the reset are lost.
+  DebugPort& port = deployment_->port();
+  uint64_t ram_base = deployment_->board_spec().ram_base;
+  CovRingLayout ring = deployment_->cov_ring();
+  ASSIGN_OR_RETURN(std::vector<uint8_t> header,
+                   port.ReadMem(ram_base + ring.ram_offset,
+                                CovRingLayout::kGlobalHeaderBytes +
+                                    CovRingLayout::kBankHeaderBytes));
+  ByteReader reader(header);
+  reader.GetU32();  // version (validated at deploy time)
+  reader.GetU32();  // capacity
+  reader.GetU32();  // current_call
+  reader.GetU32();  // active_bank
+  uint32_t count = std::min(reader.GetU32(), ring.capacity);  // clamp a scribbled count
+  uint64_t bank_base = ram_base + ring.BankOffset(0);
+  std::vector<CovHit> entries;
+  if (count > 0) {
+    ASSIGN_OR_RETURN(
+        std::vector<uint8_t> raw,
+        port.ReadMem(bank_base + CovRingLayout::kBankHeaderBytes,
+                     static_cast<uint64_t>(count) * CovRingLayout::kEntryBytes));
+    ByteReader entry_reader(raw);
+    entries.reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      CovHit hit;
+      hit.edge = entry_reader.GetU64();
+      hit.call = entry_reader.GetU32();
+      entries.push_back(hit);
+    }
+  }
+  ByteWriter zero;
+  zero.PutU32(0);
+  zero.PutU32(0);
+  RETURN_IF_ERROR(port.WriteMem(bank_base, zero.bytes()));
+  return entries;
+}
+
 Status ByteFuzzer::Restore() {
   ++result_.restores;
-  RETURN_IF_ERROR(deployment_->ReflashAndReboot());
+  // Full reflash of every payload partition, then reboot: no checksum-skip.
+  const FirmwareImage& image = deployment_->image();
+  for (const Partition& part : image.partition_table().partitions) {
+    const FirmwareImage::Payload* payload = image.PayloadOf(part.name);
+    if (payload != nullptr) {  // raw partitions (nvs) carry no payload
+      RETURN_IF_ERROR(deployment_->port().FlashPartition(part.offset, payload->bytes));
+    }
+  }
+  RETURN_IF_ERROR(deployment_->port().ResetTarget());
   RETURN_IF_ERROR(deployment_->port().SetBreakpoint(executor_main_addr_));
   if (config_.mode == ByteFuzzerMode::kGdbFuzz) {
     for (uint64_t address : bb_planted_) {
@@ -284,7 +349,7 @@ WireProgram ByteFuzzer::BuildProgram(const std::vector<uint8_t>& input) {
 Result<uint64_t> ByteFuzzer::ExecuteOne(const WireProgram& program) {
   DebugPort& port = deployment_->port();
   std::vector<uint8_t> encoded = EncodeProgram(program);
-  Status write = deployment_->WriteTestCase(encoded);
+  Status write = PublishTestCase(encoded);
   if (!write.ok()) {
     ++result_.timeouts;
     RETURN_IF_ERROR(Restore());
@@ -340,7 +405,7 @@ Result<uint64_t> ByteFuzzer::ExecuteOne(const WireProgram& program) {
     }
     RETURN_IF_ERROR(PlantBreakpoints());
   } else {
-    auto entries = deployment_->DrainCoverage();
+    auto entries = DrainRing();
     if (entries.ok()) {
       fresh = coverage_.AddBatchAttributed(entries.value(), nullptr);
     }
@@ -392,6 +457,7 @@ Result<CampaignResult> ByteFuzzer::Run() {
   result_.final_coverage = CoverageCount();
   result_.corpus_size = corpus_.size();
   result_.elapsed = port.Now() - start_time_;
+  result_.link = port.stats();
   return result_;
 }
 

@@ -63,6 +63,9 @@ class ByteFuzzer {
   };
 
   Status Setup();
+  // Per-op link traffic of the published tools (see byte_fuzzer.cc).
+  Status PublishTestCase(const std::vector<uint8_t>& encoded);
+  Result<std::vector<CovHit>> DrainRing();
   Status Restore();
   // Rotates hardware breakpoints onto not-yet-hit candidate blocks (GDBFuzz only).
   Status PlantBreakpoints();

@@ -40,7 +40,6 @@ Result<std::unique_ptr<Deployment>> Deployment::Create(const DeployOptions& opti
   deployment->ram_base_ = spec.ram_base;
   deployment->ring_.ram_offset = kCovRingOffset;
   deployment->ring_.capacity = CovRingCapacityFor(spec.ram_bytes);
-  deployment->batched_ = options.batched_link;
   deployment->board_ = std::make_unique<Board>(spec);
   deployment->board_->InstallImage(image);
   deployment->telemetry_ = options.telemetry;
@@ -79,40 +78,15 @@ Status Deployment::ValidateCovRing() {
   return OkStatus();
 }
 
-Status Deployment::ReflashAndRebootLegacy(uint64_t* programmed) {
-  for (const Partition& part : image_->partition_table().partitions) {
-    const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
-    if (payload == nullptr) {
-      continue;  // raw partitions (nvs) carry no payload
-    }
-    RETURN_IF_ERROR(port_->FlashPartition(part.offset, payload->bytes));
-    *programmed += payload->bytes.size();
-  }
-  return port_->ResetTarget();
-}
-
 Status Deployment::ReflashAndReboot() {
   telemetry::Tracer::Span span;
   if (telemetry_ != nullptr) {
     span = telemetry_->tracer().Begin("reflash", port_->Now());
   }
-  uint64_t programmed = 0;
-  uint64_t skipped = 0;
-  Status status = batched_ ? ReflashAndRebootBatched(&programmed, &skipped)
-                           : ReflashAndRebootLegacy(&programmed);
-  if (telemetry_ != nullptr) {
-    telemetry_->tracer().End(span, port_->Now(), /*journal=*/true);
-    if (status.ok() && batched_) {
-      telemetry_->EmitEvent(port_->Now(), "delta_reflash",
-                            {telemetry::EventField::Uint("programmed_bytes", programmed),
-                             telemetry::EventField::Uint("skipped_bytes", skipped)});
-    }
-  }
-  return status;
-}
-
-Status Deployment::ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipped) {
   uint64_t flash_base = board_->spec().flash_base;
+  uint64_t programmed = 0;  // flash bytes reprogrammed
+  uint64_t skipped = 0;     // flash bytes proven clean
+  Status status = OkStatus();
   for (const Partition& part : image_->partition_table().partitions) {
     const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
     if (payload == nullptr) {
@@ -124,17 +98,34 @@ Status Deployment::ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipp
     // skip the 5 us/byte reprogram when it matches the payload hash. A checksum
     // failure (severed link) aborts the restore like a failed flash write would —
     // retrying with a blind reflash would only burn a second link timeout.
-    ASSIGN_OR_RETURN(uint64_t on_flash,
-                     port_->ChecksumMem(flash_base + part.offset, bytes.size()));
-    if (on_flash == payload->digest) {
+    Result<uint64_t> on_flash = port_->ChecksumMem(flash_base + part.offset, bytes.size());
+    if (!on_flash.ok()) {
+      status = on_flash.status();
+      break;
+    }
+    if (on_flash.value() == payload->digest) {
       port_->NoteFlashSkipped(bytes.size());
-      *skipped += bytes.size();
+      skipped += bytes.size();
       continue;
     }
-    RETURN_IF_ERROR(port_->FlashPartition(part.offset, bytes));
-    *programmed += bytes.size();
+    status = port_->FlashPartition(part.offset, bytes);
+    if (!status.ok()) {
+      break;
+    }
+    programmed += bytes.size();
   }
-  return port_->ResetTarget();
+  if (status.ok()) {
+    status = port_->ResetTarget();
+  }
+  if (telemetry_ != nullptr) {
+    telemetry_->tracer().End(span, port_->Now(), /*journal=*/true);
+    if (status.ok()) {
+      telemetry_->EmitEvent(port_->Now(), "delta_reflash",
+                            {telemetry::EventField::Uint("programmed_bytes", programmed),
+                             telemetry::EventField::Uint("skipped_bytes", skipped)});
+    }
+  }
+  return status;
 }
 
 Result<uint64_t> Deployment::SymbolAddress(const std::string& symbol) const {
@@ -150,13 +141,9 @@ Status Deployment::WriteTestCase(const std::vector<uint8_t>& encoded) {
   ByteWriter header;
   header.PutU32(1);  // flag
   header.PutU32(static_cast<uint32_t>(encoded.size()));
-  if (!batched_) {
-    // Payload first, then length, then the ready flag — the flag write publishes the case.
-    RETURN_IF_ERROR(port_->WriteMem(base + kMailboxDataOffset, encoded));
-    return port_->WriteMem(base + kMailboxFlagOffset, header.bytes());
-  }
-  // Same publish order inside one round trip: batch ops commit in queue order, so the
-  // flag still lands after the payload.
+  // Payload first, then length and the ready flag — the flag write publishes the case.
+  // Batch ops commit in queue order, so inside the one round trip the flag still lands
+  // after the payload.
   std::vector<PortOp> ops;
   ops.push_back(PortOp::Write(base + kMailboxDataOffset, encoded));
   ops.push_back(PortOp::Write(base + kMailboxFlagOffset, header.bytes()));
@@ -239,127 +226,14 @@ Result<uint32_t> Deployment::CollectBank(const PortOp& op, uint32_t bank,
 
 Result<std::vector<CovHit>> Deployment::DrainCoverage(uint32_t* dropped,
                                                       AgentStatusView* status) {
-  uint64_t ring_base = ram_base_ + ring_.ram_offset;
-  if (!batched_) {
-    // Legacy protocol: global+bank header read, entries read, blind 0/0 bank-header
-    // write — three round trips per bank (bank 0, the steady state without bank
-    // flips; flip mode pays the extra header read for the second bank), and entries
-    // appended between the reads and the reset are lost (the window the batched
-    // read-then-subtract closes).
-    ASSIGN_OR_RETURN(std::vector<uint8_t> header,
-                     port_->ReadMem(ring_base, CovRingLayout::kGlobalHeaderBytes +
-                                                   CovRingLayout::kBankHeaderBytes));
-    ByteReader reader(header);
-    reader.GetU32();  // version (validated at deploy time)
-    reader.GetU32();  // capacity
-    reader.GetU32();  // current_call
-    uint32_t active = reader.GetU32() & CovRingLayout::kActiveBankMask;
-    uint32_t bank0_count = reader.GetU32();  // bank 0's header rides the same read
-    uint32_t bank0_drops = reader.GetU32();
-    // Oldest entries first: the parked bank (the one the target flipped away from)
-    // precedes the active one. Without flips the target never leaves bank 0.
-    std::vector<uint32_t> banks;
-    if (flip_mode_) {
-      banks.push_back(active ^ 1);
-    }
-    banks.push_back(active);
-    std::vector<CovHit> entries;
-    uint32_t drop_total = 0;
-    for (uint32_t bank : banks) {
-      uint64_t bank_base = ram_base_ + ring_.BankOffset(bank);
-      uint32_t count = bank0_count;
-      uint32_t drop_count = bank0_drops;
-      if (bank != 0) {
-        ASSIGN_OR_RETURN(std::vector<uint8_t> bank_header,
-                         port_->ReadMem(bank_base, CovRingLayout::kBankHeaderBytes));
-        ByteReader bank_reader(bank_header);
-        count = bank_reader.GetU32();
-        drop_count = bank_reader.GetU32();
-      }
-      drop_total += drop_count;
-      if (count > ring_.capacity) {
-        count = ring_.capacity;  // a scribbled header must not drive a huge read
-      }
-      if (count > 0) {
-        ASSIGN_OR_RETURN(
-            std::vector<uint8_t> raw,
-            port_->ReadMem(bank_base + CovRingLayout::kBankHeaderBytes,
-                           static_cast<uint64_t>(count) * CovRingLayout::kEntryBytes));
-        ByteReader entry_reader(raw);
-        entries.reserve(entries.size() + count);
-        ParseCovEntries(entry_reader, count, &entries);
-      }
-      ByteWriter zero;
-      zero.PutU32(0);
-      zero.PutU32(0);
-      RETURN_IF_ERROR(port_->WriteMem(bank_base, zero.bytes()));
-    }
-    if (dropped != nullptr) {
-      *dropped = drop_total;
-    }
-    if (status != nullptr) {
-      ASSIGN_OR_RETURN(*status, ReadAgentStatus());
-    }
-    return entries;
-  }
-
-  // Batched protocol, one round trip in the common case. Per drained bank:
-  //   read   bank header + `prefetch` speculative entries (contiguous)
-  //   count   -= the count the read saw   (adapter-side read-modify-write)
-  //   dropped -= the drops the read saw
-  // The subtracts land target-side after the read, so entries the target appends in
-  // between are preserved: the header keeps exactly the not-yet-drained tail. In
-  // flip mode the active_bank word rides along to order the banks (parked first);
-  // the target owns the bank bit and the host never flips it.
-  uint32_t prefetch = std::min(prefetch_hint_, ring_.capacity);
-  uint64_t bank_read_bytes = CovRingLayout::kBankHeaderBytes +
-                             static_cast<uint64_t>(prefetch) * CovRingLayout::kEntryBytes;
-  std::vector<PortOp> ops;
-  size_t bank_op[2] = {0, 0};
-  if (flip_mode_) {
-    ops.push_back(PortOp::Read(ring_base + CovRingLayout::kActiveBankOffset, 4));
-  }
-  for (uint32_t bank = 0; bank < (flip_mode_ ? 2u : 1u); ++bank) {
-    uint64_t bank_base = ram_base_ + ring_.BankOffset(bank);
-    bank_op[bank] = ops.size();
-    ops.push_back(PortOp::Read(bank_base, bank_read_bytes));
-    ops.push_back(PortOp::SubU32(bank_base + CovRingLayout::kCountOffset,
-                                 /*operand_op=*/bank_op[bank], /*operand_offset=*/0));
-    ops.push_back(PortOp::SubU32(bank_base + CovRingLayout::kDroppedOffset,
-                                 /*operand_op=*/bank_op[bank], /*operand_offset=*/4));
-  }
+  DrainPlan plan = MakeDrainPlan();
   if (status != nullptr) {
-    ops.push_back(PortOp::Read(status_address(), kStatusBlockSize));
+    plan.ops.push_back(PortOp::Read(status_address(), kStatusBlockSize));
   }
-  RETURN_IF_ERROR(port_->RunBatch(&ops));
-
-  uint32_t active = 0;
-  if (flip_mode_) {
-    ByteReader bank_word(ops[0].result);
-    active = bank_word.GetU32() & CovRingLayout::kActiveBankMask;
-  }
-  std::vector<CovHit> entries;
-  uint32_t drop_total = 0;
-  uint32_t max_count = 0;
-  // Oldest first: parked bank (if flips are on), then the active one.
-  std::vector<uint32_t> banks;
-  if (flip_mode_) {
-    banks.push_back(active ^ 1);
-  }
-  banks.push_back(active);
-  for (uint32_t bank : banks) {
-    uint32_t count = 0;
-    ASSIGN_OR_RETURN(uint32_t drop_count,
-                     CollectBank(ops[bank_op[bank]], bank, prefetch, &count, &entries));
-    drop_total += drop_count;
-    max_count = std::max(max_count, count);
-  }
-  if (dropped != nullptr) {
-    *dropped = drop_total;
-  }
-  AdaptPrefetch(max_count, prefetch);
+  RETURN_IF_ERROR(port_->RunBatch(&plan.ops));
+  ASSIGN_OR_RETURN(std::vector<CovHit> entries, FinishDrainPlan(&plan, dropped));
   if (status != nullptr) {
-    *status = ParseStatusBlock(ops.back().result);
+    *status = ParseStatusBlock(plan.ops.back().result);
   }
   return entries;
 }
@@ -375,19 +249,28 @@ void Deployment::AdaptPrefetch(uint32_t count, uint32_t prefetch) {
 }
 
 Deployment::DrainPlan Deployment::MakeDrainPlan() {
-  // The same two-bank read+subtract protocol as the immediate batched drain
-  // (op layout: active_bank word, then header+prefetch / count-sub / dropped-sub
-  // per bank). The ops commit against the stopped target before the continue
-  // releases the core, so everything the reads covered is frozen and the
-  // undershoot tails can be fetched after the next stop without racing appends.
+  // One round trip in the common case. Per drained bank:
+  //   read    bank header + `prefetch` speculative entries (contiguous)
+  //   count   -= the count the read saw   (adapter-side read-modify-write)
+  //   dropped -= the drops the read saw
+  // The subtracts land target-side after the read, so entries the target appends in
+  // between are preserved: the header keeps exactly the not-yet-drained tail. In
+  // flip mode the active_bank word leads the plan to order the banks (parked first);
+  // the target owns the bank bit and the host never flips it. A plan ridden on a
+  // continue commits against the stopped target before the core is released, so
+  // everything its reads covered is frozen and the undershoot tails can be fetched
+  // after the next stop without racing appends.
   DrainPlan plan;
   plan.prefetch = std::min(prefetch_hint_, ring_.capacity);
-  uint64_t ring_base = ram_base_ + ring_.ram_offset;
+  plan.both_banks = flip_mode_;
   uint64_t bank_read_bytes =
       CovRingLayout::kBankHeaderBytes +
       static_cast<uint64_t>(plan.prefetch) * CovRingLayout::kEntryBytes;
-  plan.ops.push_back(PortOp::Read(ring_base + CovRingLayout::kActiveBankOffset, 4));
-  for (uint32_t bank = 0; bank < 2; ++bank) {
+  if (plan.both_banks) {
+    plan.ops.push_back(PortOp::Read(
+        ram_base_ + ring_.ram_offset + CovRingLayout::kActiveBankOffset, 4));
+  }
+  for (uint32_t bank = 0; bank < (plan.both_banks ? 2u : 1u); ++bank) {
     uint64_t bank_base = ram_base_ + ring_.BankOffset(bank);
     size_t read_op = plan.ops.size();
     plan.ops.push_back(PortOp::Read(bank_base, bank_read_bytes));
@@ -401,18 +284,27 @@ Deployment::DrainPlan Deployment::MakeDrainPlan() {
 
 Result<std::vector<CovHit>> Deployment::FinishDrainPlan(DrainPlan* plan,
                                                         uint32_t* dropped) {
-  ByteReader bank_word(plan->ops[0].result);
-  uint32_t active = bank_word.GetU32() & CovRingLayout::kActiveBankMask;
-  // ops[1..3] drain bank 0, ops[4..6] bank 1; surface oldest entries first — the
-  // parked bank the target flipped away from, then the one it was filling.
+  // Three ops per bank, after the active_bank word when both banks ride. Surface the
+  // oldest entries first: the parked bank the target flipped away from, then the one
+  // it was filling. Without flips the target never leaves bank 0.
+  uint32_t active = 0;
+  size_t first_bank_op = 0;
+  std::vector<uint32_t> banks;
+  if (plan->both_banks) {
+    ByteReader bank_word(plan->ops[0].result);
+    active = bank_word.GetU32() & CovRingLayout::kActiveBankMask;
+    first_bank_op = 1;
+    banks.push_back(active ^ 1);
+  }
+  banks.push_back(active);
   std::vector<CovHit> entries;
   uint32_t drop_total = 0;
   uint32_t max_count = 0;
-  for (uint32_t bank : {active ^ 1, active}) {
+  for (uint32_t bank : banks) {
     uint32_t count = 0;
-    ASSIGN_OR_RETURN(
-        uint32_t drop_count,
-        CollectBank(plan->ops[1 + 3 * bank], bank, plan->prefetch, &count, &entries));
+    ASSIGN_OR_RETURN(uint32_t drop_count,
+                     CollectBank(plan->ops[first_bank_op + 3 * bank], bank,
+                                 plan->prefetch, &count, &entries));
     drop_total += drop_count;
     max_count = std::max(max_count, count);
   }

@@ -35,12 +35,6 @@ struct DeployOptions {
   // immutable, so many deployments may share one.
   std::shared_ptr<const FirmwareImage> image;
 
-  // Default: coalesce the per-execution link traffic into vectored batches and
-  // delta-reflash on restore. false = the legacy per-op protocol (one round trip per
-  // read/write, unconditional full reflash) kept for baseline fidelity and for the
-  // batched-vs-legacy comparison in bench_port_batching.
-  bool batched_link = true;
-
   // The board session's telemetry; when set, the debug port registers its `link.*`
   // counters there, reflashes are traced as "reflash" spans, and delta-reflash
   // savings are journaled. nullptr = the port keeps a private registry (tests,
@@ -74,19 +68,19 @@ class Deployment {
   const BoardSpec& board_spec() const { return board_->spec(); }
 
   // Restore every partition payload at its table offset and reboot — the StateRestoration
-  // body of Algorithm 1 (lines 15-18). On the batched link this is a DELTA reflash: each
-  // partition's payload digest (FNV, computed at image build) is compared against a
-  // target-assisted flash checksum, and only partitions whose on-flash bytes actually
-  // changed since the last flash are reprogrammed; proven-clean bytes are counted in
-  // DebugPortStats::flash_skipped_bytes. The legacy link reflashes unconditionally.
+  // body of Algorithm 1 (lines 15-18). This is a DELTA reflash: each partition's
+  // payload digest (FNV, computed at image build) is compared against a target-assisted
+  // flash checksum, and only partitions whose on-flash bytes actually changed since the
+  // last flash are reprogrammed; proven-clean bytes are counted in
+  // DebugPortStats::flash_skipped_bytes.
   Status ReflashAndReboot();
 
   // Absolute address of `symbol`, resolved from the image.
   Result<uint64_t> SymbolAddress(const std::string& symbol) const;
 
-  // Writes an encoded program into the mailbox and raises the ready flag. Batched link:
-  // payload and header travel in one round trip (the header write still publishes last,
-  // so the flag-after-payload order the agent depends on is preserved).
+  // Writes an encoded program into the mailbox and raises the ready flag. Payload and
+  // header travel in one round trip (the header write still publishes last, so the
+  // flag-after-payload order the agent depends on is preserved).
   Status WriteTestCase(const std::vector<uint8_t>& encoded);
 
   Result<AgentStatusView> ReadAgentStatus();
@@ -107,14 +101,13 @@ class Deployment {
 
   // Drains the coverage ring and returns the attributed entries. Also returns
   // entries dropped since last drain via `dropped` when non-null; when `status` is
-  // non-null the agent status block is read in the SAME round trip (batched link) or
-  // with one extra read (legacy link).
+  // non-null the agent status block is read in the SAME round trip.
   //
-  // Batched link: each bank header and a capacity-bounded entry prefetch are read
-  // speculatively in one contiguous op, and the header is updated with an adapter-side
+  // Each bank header and a capacity-bounded entry prefetch are read speculatively in
+  // one contiguous op, and the header is updated with an adapter-side
   // read-then-subtract (count -= drained, dropped -= reported) instead of a blind 0/0
   // write — entries the target appends between the read and the header update survive
-  // for the next drain. The legacy link keeps the historical read/read/zero protocol.
+  // for the next drain. The op list is MakeDrainPlan's, run immediately.
   //
   // Without bank flips the target never leaves bank 0 and only it is drained. With
   // SetBankFlipMode(true) both banks ride the same round trip and entries surface in
@@ -125,17 +118,19 @@ class Deployment {
 
   // --- overlapped (double-buffered) drain ---
   //
-  // MakeDrainPlan builds the op plan for a both-bank drain (the read+subtract
-  // protocol above). Ride the plan on the next exec-continue via
-  // DebugPort::ContinueWithPlan — the drain then costs zero extra round trips: the
-  // ops commit against the stopped target before the continue releases the core, so
-  // every entry they cover is frozen — and hand the stopped plan to FinishDrainPlan
-  // to order the banks (parked first), fetch any prefetch-undershoot tails, and
-  // adapt the prefetch window. If the continue failed, drop the plan on the floor
-  // instead: nothing was applied, the ring is untouched.
+  // MakeDrainPlan builds the op plan of the read+subtract drain above: bank 0 only,
+  // or — in bank-flip mode — the active_bank word plus both banks. Ride the plan on
+  // the next exec-continue via DebugPort::ContinueWithPlan — the drain then costs
+  // zero extra round trips: the ops commit against the stopped target before the
+  // continue releases the core, so every entry they cover is frozen — and hand the
+  // stopped plan to FinishDrainPlan to order the banks (parked first), fetch any
+  // prefetch-undershoot tails, and adapt the prefetch window. If the continue
+  // failed, drop the plan on the floor instead: nothing was applied, the ring is
+  // untouched. Ops appended after the plan's own are ignored by FinishDrainPlan.
   struct DrainPlan {
     std::vector<PortOp> ops;
-    uint32_t prefetch = 0;  // speculative entries carried per bank-read op
+    uint32_t prefetch = 0;    // speculative entries carried per bank-read op
+    bool both_banks = false;  // layout: active_bank word, then banks 0 and 1
   };
   DrainPlan MakeDrainPlan();
   Result<std::vector<CovHit>> FinishDrainPlan(DrainPlan* plan, uint32_t* dropped = nullptr);
@@ -147,16 +142,8 @@ class Deployment {
 
   CovRingLayout cov_ring() const { return ring_; }
 
-  bool batched_link() const { return batched_; }
-  // Escape hatch for tests and benches comparing the two link protocols.
-  void set_batched_link(bool batched) { batched_ = batched; }
-
  private:
   Deployment() = default;
-
-  // `programmed`/`skipped` report flash bytes reprogrammed vs. proven clean.
-  Status ReflashAndRebootLegacy(uint64_t* programmed);
-  Status ReflashAndRebootBatched(uint64_t* programmed, uint64_t* skipped);
 
   // Adjusts prefetch_hint_ after a drain observed `count` entries against a
   // speculative window of `prefetch`.
@@ -174,9 +161,8 @@ class Deployment {
   telemetry::BoardTelemetry* telemetry_ = nullptr;
   CovRingLayout ring_;
   uint64_t ram_base_ = 0;
-  bool batched_ = true;
   bool flip_mode_ = false;       // self-service bank flips enabled (two-bank drains)
-  uint32_t prefetch_hint_ = 64;  // adaptive entry prefetch for the batched drain
+  uint32_t prefetch_hint_ = 64;  // adaptive entry prefetch for the drain
 };
 
 }  // namespace eof

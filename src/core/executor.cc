@@ -75,7 +75,6 @@ Status TargetExecutor::Setup() {
   deploy.board_name = options_.board_name;
   deploy.instrumentation = options_.instrumentation;
   deploy.seed = options_.seed;
-  deploy.batched_link = options_.batched_link;
   deploy.telemetry = telemetry_;
   ASSIGN_OR_RETURN(deployment_, Deployment::Create(deploy));
   // From here on every link op and drained UART line lands in the session's flight
@@ -94,9 +93,8 @@ Status TargetExecutor::Setup() {
   // Self-service bank flips pair with the overlapped drain: the target parks full
   // banks at call boundaries instead of stalling for host service, and the host
   // collects both banks per drain. Only meaningful when coverage is being drained
-  // at all and the link can carry the two-bank batch.
-  bank_flip_ = options_.overlapped_drain && options_.coverage_feedback &&
-               deployment_->batched_link();
+  // at all.
+  bank_flip_ = options_.overlapped_drain && options_.coverage_feedback;
   RETURN_IF_ERROR(ArmBreakpoints());
 
   if (options_.restore_mode == RestoreMode::kSnapshot) {
@@ -119,26 +117,16 @@ Status TargetExecutor::Setup() {
 }
 
 Status TargetExecutor::ArmBreakpoints() {
-  if (deployment_->batched_link()) {
-    // All workflow breakpoints travel in one link round trip.
-    std::vector<PortOp> ops;
-    ops.push_back(PortOp::SetBp(executor_main_addr_));
-    if (options_.coverage_feedback) {
-      ops.push_back(PortOp::SetBp(cov_full_addr_));
-    }
-    if (options_.exception_monitor) {
-      ops.push_back(PortOp::SetBp(exception_addr_));
-    }
-    RETURN_IF_ERROR(deployment_->port().RunBatch(&ops));
-  } else {
-    RETURN_IF_ERROR(deployment_->port().SetBreakpoint(executor_main_addr_));
-    if (options_.coverage_feedback) {
-      RETURN_IF_ERROR(deployment_->port().SetBreakpoint(cov_full_addr_));
-    }
-    if (options_.exception_monitor) {
-      RETURN_IF_ERROR(deployment_->port().SetBreakpoint(exception_addr_));
-    }
+  // All workflow breakpoints travel in one link round trip.
+  std::vector<PortOp> ops;
+  ops.push_back(PortOp::SetBp(executor_main_addr_));
+  if (options_.coverage_feedback) {
+    ops.push_back(PortOp::SetBp(cov_full_addr_));
   }
+  if (options_.exception_monitor) {
+    ops.push_back(PortOp::SetBp(exception_addr_));
+  }
+  RETURN_IF_ERROR(deployment_->port().RunBatch(&ops));
   if (bank_flip_) {
     // Every path that arms also just booted (deploy, cold restore), which zeroed
     // the ring header: re-grant the self-service flip bit alongside the arming.
@@ -253,8 +241,6 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
   int stall_strikes = 0;
   int cov_drains = 0;
   bool done = false;
-  const bool batched = deployment_->batched_link();
-  const bool overlap = options_.overlapped_drain && batched;
   std::optional<Deployment::DrainPlan> pending_plan;
   std::vector<uint8_t> status_raw;
   // One exec_continue span covers the whole breakpoint-synchronised run of this test
@@ -262,16 +248,15 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
   // included — it gets its own watchdog_recovery span inside Restore.
   telemetry::Tracer::Span exec_span = telemetry_->tracer().Begin("exec_continue", port.Now());
   for (int round = 0; !done && round < kMaxContinueRounds;) {
-    // Batched link: the agent status block rides in the stop reply (GDB/MI-style
-    // stop-event coalescing), so executor_main stops need no follow-up read. A
-    // pending double-buffered drain plan rides the same round trip for free.
+    // The agent status block rides in the stop reply (GDB/MI-style stop-event
+    // coalescing), so executor_main stops need no follow-up read. A pending
+    // double-buffered drain plan rides the same round trip for free.
     auto stop_or = pending_plan.has_value()
                        ? port.ContinueWithPlan(&pending_plan->ops,
                                                deployment_->status_address(),
                                                kStatusBlockSize, &status_raw)
-                       : (batched ? port.ContinueWithRead(deployment_->status_address(),
-                                                          kStatusBlockSize, &status_raw)
-                                  : port.Continue());
+                       : port.ContinueWithRead(deployment_->status_address(),
+                                               kStatusBlockSize, &status_raw);
     if (stop_or.ok() && pending_plan.has_value()) {
       // The plan committed before the core was released: collect the parked bank.
       auto drained = deployment_->FinishDrainPlan(&*pending_plan);
@@ -332,7 +317,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       // bank flips on, the target absorbs every other overflow itself and this
       // charge — the dominant drain cost — is paid half as often.
       deployment_->board().clock().Advance(kCovStallPollCost);
-      if (overlap) {
+      if (options_.overlapped_drain) {
         // Double-buffered: queue the drain+bank-flip plan onto the next continue
         // instead of paying a round trip now. The entries surface after the next
         // stop — same entries, one transaction cheaper.
@@ -350,14 +335,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       // Back at the top of the loop. The first pass just means "test case accepted, about
       // to run" (the agent pauses before reading the mailbox); the program has completed
       // once the agent consumed the mailbox, which we see as a second stop here.
-      bool waiting;
-      if (batched) {
-        waiting = Deployment::ParseStatusBlock(status_raw).state == AgentState::kWaiting;
-      } else {
-        auto status = deployment_->ReadAgentStatus();
-        waiting = status.ok() && status.value().state == AgentState::kWaiting;
-      }
-      if (waiting) {
+      if (Deployment::ParseStatusBlock(status_raw).state == AgentState::kWaiting) {
         ++round;
         continue;  // first stop: resume into the program
       }
@@ -460,7 +438,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       return outcome;
     }
   }
-  // The post-execution status read shares the drain's round trip on the batched link.
+  // The post-execution status read shares the drain's round trip.
   AgentStatusView status_view;
   bool status_read = false;
   HarvestCoverage(&outcome, &status_view, &status_read);

@@ -81,10 +81,9 @@ struct ExecutorOptions {
   bool watchdogs = true;
   bool power_probe = false;
   bool inject_peripheral_events = false;
-  bool batched_link = true;  // vectored link batches + delta reflash (see DeployOptions)
   // Double-buffered mid-program drains: when the ring fills, flip the target onto
   // the other bank and ride the drain plan on the next exec-continue round trip
-  // instead of paying a separate drain transaction (requires the batched link).
+  // instead of paying a separate drain transaction.
   // Drained entries are bit-identical either way; only virtual time differs.
   bool overlapped_drain = true;
   uint32_t periodic_reset_execs = 24;
@@ -156,8 +155,8 @@ class TargetExecutor {
   // the scheduler can fold it into bug provenance.
   void DumpFlight(const char* reason, ExecOutcome* outcome);
   // Drains the coverage ring into `outcome`. When `status_out` is non-null the agent
-  // status block is fetched too — in the drain's own round trip on the batched link —
-  // and `*status_ok` reports whether it arrived.
+  // status block is fetched too — in the drain's own round trip — and `*status_ok`
+  // reports whether it arrived.
   void HarvestCoverage(ExecOutcome* outcome, AgentStatusView* status_out = nullptr,
                        bool* status_ok = nullptr);
 
@@ -188,8 +187,8 @@ class TargetExecutor {
   uint64_t executor_main_addr_ = 0;
   uint64_t cov_full_addr_ = 0;
   uint64_t exception_addr_ = 0;
-  // Self-service bank flips for this session (overlapped drain + coverage feedback on a
-  // batched link). Re-granted to the target at every arm; see Deployment::SetBankFlipMode.
+  // Self-service bank flips for this session (overlapped drain + coverage feedback).
+  // Re-granted to the target at every arm; see Deployment::SetBankFlipMode.
   bool bank_flip_ = false;
   VirtualTime start_time_ = 0;
   uint64_t execs_since_reset_ = 0;

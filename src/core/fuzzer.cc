@@ -36,7 +36,6 @@ ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
   options.watchdogs = config.watchdogs;
   options.power_probe = config.power_probe;
   options.inject_peripheral_events = config.inject_peripheral_events;
-  options.batched_link = config.batched_link;
   options.overlapped_drain = config.overlapped_drain;
   options.periodic_reset_execs = config.periodic_reset_execs;
   options.exception_symbol = exception_symbol;

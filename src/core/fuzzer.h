@@ -57,14 +57,9 @@ struct FuzzerConfig {
   // alongside each test case, driving interrupt paths. Off by default (the base paper).
   bool inject_peripheral_events = false;
 
-  // Vectored debug-link batches + delta reflash (§5.5 link-overhead optimisation).
-  // false = legacy one-round-trip-per-op protocol, kept for baseline fidelity and the
-  // batched-vs-legacy comparison bench.
-  bool batched_link = true;
-
   // Double-buffered mid-program coverage drains: ride each ring drain on the next
-  // continue's round trip instead of paying a separate transaction (needs the
-  // batched link). Drained entries are bit-identical either way.
+  // continue's round trip instead of paying a separate transaction. Drained entries
+  // are bit-identical either way.
   bool overlapped_drain = true;
   // Directed mode: bias generation toward calls owning edges adjacent to the
   // coverage frontier (per-call attribution). Changes the RNG-visible schedule.

@@ -4,10 +4,10 @@
 // entirely unresponsive. Watchdog #2: when exec-continue fails to change the PC, the core
 // is not executing instructions. Both are host-side and need no target instrumentation.
 // Restoration restores every partition at its table offset and reboots (a plain reboot
-// is insufficient when flash was damaged). On the batched link the restore is a DELTA
-// reflash: partitions whose on-flash bytes a target-assisted checksum proves unchanged
-// are skipped, so Algorithm 1 pays the 5 us/byte flash-programming cost only for what
-// the run actually corrupted — the dominant saving of the §5.5 link-overhead work.
+// is insufficient when flash was damaged). The restore is a DELTA reflash: partitions
+// whose on-flash bytes a target-assisted checksum proves unchanged are skipped, so
+// Algorithm 1 pays the 5 us/byte flash-programming cost only for what the run actually
+// corrupted — the dominant saving of the §5.5 link-overhead work.
 
 #ifndef SRC_CORE_LIVENESS_H_
 #define SRC_CORE_LIVENESS_H_

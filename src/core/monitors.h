@@ -48,7 +48,7 @@ class ExceptionMonitor {
 
   // Resolves the exception symbol and records it for IsExceptionStop without arming —
   // callers that coalesce breakpoint programming into one vectored batch (the executor's
-  // batched ArmBreakpoints) plant the returned address themselves.
+  // ArmBreakpoints) plant the returned address themselves.
   Result<uint64_t> Resolve(Deployment& deployment, const std::string& exception_symbol);
 
   // True when `stop` is a breakpoint hit on the armed exception function.

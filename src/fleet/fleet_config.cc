@@ -26,7 +26,6 @@ WireCampaignConfig ToWireConfig(const FuzzerConfig& config,
   if (config.power_probe) flags |= kFlagPowerProbe;
   if (config.use_extended_specs) flags |= kFlagUseExtendedSpecs;
   if (config.inject_peripheral_events) flags |= kFlagInjectPeripheralEvents;
-  if (config.batched_link) flags |= kFlagBatchedLink;
   if (config.overlapped_drain) flags |= kFlagOverlappedDrain;
   if (config.directed) flags |= kFlagDirected;
   if (config.trim) flags |= kFlagTrim;
@@ -53,7 +52,6 @@ FuzzerConfig FromWireConfig(const WireCampaignConfig& wire) {
   config.power_probe = (wire.flags & kFlagPowerProbe) != 0;
   config.use_extended_specs = (wire.flags & kFlagUseExtendedSpecs) != 0;
   config.inject_peripheral_events = (wire.flags & kFlagInjectPeripheralEvents) != 0;
-  config.batched_link = (wire.flags & kFlagBatchedLink) != 0;
   config.overlapped_drain = (wire.flags & kFlagOverlappedDrain) != 0;
   config.directed = (wire.flags & kFlagDirected) != 0;
   config.trim = (wire.flags & kFlagTrim) != 0;

@@ -314,7 +314,8 @@ enum ConfigFlag : uint32_t {
   kFlagPowerProbe = 1u << 4,
   kFlagUseExtendedSpecs = 1u << 5,
   kFlagInjectPeripheralEvents = 1u << 6,
-  kFlagBatchedLink = 1u << 7,
+  // 1u << 7 was the legacy-link selector: retired, do not reuse (a mixed-version
+  // fleet would read it with its old meaning).
   kFlagOverlappedDrain = 1u << 8,
   kFlagDirected = 1u << 9,
   kFlagTrim = 1u << 10,

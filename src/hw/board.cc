@@ -140,9 +140,7 @@ Status Board::FlashWrite(uint64_t offset, const std::vector<uint8_t>& data) {
   return flash_.Write(offset, data);
 }
 
-void Board::Reset() {
-  ++reset_count_;
-  clock_.Advance(kRebootCost);
+bool Board::Boot() {
   std::fill(ram_.begin(), ram_.end(), 0);
   uart_.Reset();
   bp_hits_.clear();
@@ -155,14 +153,14 @@ void Board::Reset() {
 
   if (image_ == nullptr || !image_->has_factory()) {
     power_state_ = PowerState::kOff;
-    return;
+    return false;
   }
   Status flash_ok = VerifyFlashMemoized();
   if (!flash_ok.ok()) {
     // Boot ROM rejects the image silently; the host sees only unresponsiveness.
     power_state_ = PowerState::kBootFailed;
     frozen_pc_ = spec_.flash_base;  // stuck in the ROM loader
-    return;
+    return true;
   }
   firmware_ = image_->Instantiate();
   power_state_ = PowerState::kRunning;
@@ -172,43 +170,23 @@ void Board::Reset() {
     frozen_pc_ = ReadPC();
     firmware_.reset();
   }
+  return true;
+}
+
+void Board::Reset() {
+  ++reset_count_;
+  clock_.Advance(kRebootCost);
+  Boot();
 }
 
 void Board::WarmRestore() {
   ++warm_restore_count_;
-  // The boot path below meters itself in cycles (ConsumeCycles advances the clock);
-  // a warm restore replaces those charges with one flat cost, so remember where the
-  // clock stood and settle up at the end.
+  // The boot path meters itself in cycles (ConsumeCycles advances the clock); a warm
+  // restore replaces those charges with one flat cost, so remember where the clock
+  // stood and settle up at the end.
   const VirtualTime start = clock_.Now();
-  std::fill(ram_.begin(), ram_.end(), 0);
-  uart_.Reset();
-  bp_hits_.clear();
-  pending_events_.clear();
-  fault_detail_.clear();
-  firmware_.reset();
-  current_point_ = 0;
-  cycles_at_point_ = cycle_count_;
-  frozen_pc_ = 0;
-
-  if (image_ == nullptr || !image_->has_factory()) {
-    power_state_ = PowerState::kOff;
+  if (!Boot()) {
     return;
-  }
-  Status flash_ok = VerifyFlashMemoized();
-  if (!flash_ok.ok()) {
-    power_state_ = PowerState::kBootFailed;
-    frozen_pc_ = spec_.flash_base;
-    clock_.RewindTo(start);
-    clock_.Advance(kWarmRestoreCost);
-    return;
-  }
-  firmware_ = image_->Instantiate();
-  power_state_ = PowerState::kRunning;
-  Status boot = firmware_->OnBoot(*this);
-  if (!boot.ok()) {
-    power_state_ = PowerState::kBootFailed;
-    frozen_pc_ = ReadPC();
-    firmware_.reset();
   }
   clock_.RewindTo(start);
   clock_.Advance(kWarmRestoreCost);

@@ -145,6 +145,11 @@ class Board : public TargetEnv {
   // image or the flash write count changed since the last run.
   Status VerifyFlashMemoized();
 
+  // The boot body Reset and WarmRestore share: wipes RAM and the session state, runs
+  // the boot ROM's flash check, and boots the firmware (kRunning or kBootFailed).
+  // Returns false — board kOff — when no bootable image is installed.
+  bool Boot();
+
   BoardSpec spec_;
   std::vector<uint8_t> ram_;
   Flash flash_;

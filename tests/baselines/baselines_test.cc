@@ -64,6 +64,22 @@ TEST_F(BaselinesTest, ShiftCollectsSemihostCoverage) {
   EXPECT_GT(result.value().final_coverage, 5u);
 }
 
+TEST_F(BaselinesTest, BaselinesReportPerOpLinkTraffic) {
+  ByteFuzzerConfig config;
+  config.mode = ByteFuzzerMode::kShift;
+  config.entry = "json";
+  config.seed = 3;
+  config.budget = 2 * kVirtualMinute;
+  config.sample_points = 4;
+  ByteFuzzer fuzzer(config);
+  auto result = fuzzer.Run();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result.value().execs, 0u);
+  EXPECT_GT(result.value().link.transactions, 0u);
+  // The published tools issue one command per operation: never a vectored batch.
+  EXPECT_EQ(result.value().link.batches, 0u);
+}
+
 TEST_F(BaselinesTest, ShiftIsSlowerThanGdbFuzzPerExec) {
   uint64_t execs[2] = {0, 0};
   int index = 0;

@@ -111,12 +111,12 @@ TEST_F(DeploymentDetailsTest, DebugPortStatsAccumulate) {
 }
 
 TEST_F(DeploymentDetailsTest, ReflashCostScalesWithImageSize) {
-  // Measures the full-reprogram cost model, so pin the legacy link: the batched
-  // link's delta reflash would skip every (still pristine) partition.
+  // Measures the full-reprogram cost model, so erase both boards' flash first: the
+  // delta reflash would otherwise skip every (still pristine) partition.
   auto small = Deploy("zephyr");    // ~0.9 MB image
   auto large = Deploy("nuttx");     // ~3.6 MB image
-  small->set_batched_link(false);
-  large->set_batched_link(false);
+  small->board().flash().MassErase();
+  large->board().flash().MassErase();
   VirtualTime t0 = small->port().Now();
   ASSERT_TRUE(small->ReflashAndReboot().ok());
   VirtualDuration small_cost = small->port().Now() - t0;
@@ -221,15 +221,57 @@ TEST_F(DeploymentDetailsTest, BatchedDrainIsOneRoundTrip) {
   EXPECT_EQ(entries.value().size(), 8u);
   // Header read, entries prefetch, and both header subtracts fold into one batch.
   EXPECT_EQ(deployment->port().stats().transactions - t0, 1u);
+}
 
-  // The legacy protocol pays three round trips for the identical drain.
-  deployment->set_batched_link(false);
-  fill(8);
-  t0 = deployment->port().stats().transactions;
-  entries = deployment->DrainCoverage();
+TEST_F(DeploymentDetailsTest, FlipModeDrainIsOneRoundTripParkedBankFirst) {
+  auto deployment = Deploy("pokos");
+  Board& board = deployment->board();
+  CovRingLayout ring = deployment->cov_ring();
+  ASSERT_TRUE(deployment->SetBankFlipMode(true).ok());
+  auto fill = [&](uint32_t bank, uint32_t count, uint32_t drops, uint64_t edge_base) {
+    for (uint32_t i = 0; i < count; ++i) {
+      ASSERT_TRUE(board.RamWriteU64(ring.EntryOffset(bank, i), edge_base + i).ok());
+      ASSERT_TRUE(board.RamWriteU32(ring.EntryOffset(bank, i) + 8, bank).ok());
+    }
+    ASSERT_TRUE(
+        board.RamWriteU32(ring.BankOffset(bank) + CovRingLayout::kCountOffset, count).ok());
+    ASSERT_TRUE(
+        board.RamWriteU32(ring.BankOffset(bank) + CovRingLayout::kDroppedOffset, drops)
+            .ok());
+  };
+  // The target flipped from bank 1 onto bank 0: bank 1 is parked and holds the
+  // older entries.
+  fill(1, 5, 2, 0x3000);
+  fill(0, 3, 1, 0x4000);
+  ASSERT_TRUE(board.RamWriteU32(ring.ram_offset + CovRingLayout::kActiveBankOffset,
+                                CovRingLayout::kBankFlipEnableBit | 0)
+                  .ok());
+  // A recognisable status block: calls_done rides the drain's round trip.
+  ASSERT_TRUE(board.RamWriteU32(kStatusBlockOffset + 8, 1234).ok());
+
+  uint32_t dropped = 0;
+  AgentStatusView status;
+  uint64_t t0 = deployment->port().stats().transactions;
+  auto entries = deployment->DrainCoverage(&dropped, &status);
   ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), 8u);
-  EXPECT_EQ(deployment->port().stats().transactions - t0, 3u);
+  EXPECT_EQ(deployment->port().stats().transactions - t0, 1u);
+  ASSERT_EQ(entries.value().size(), 8u);
+  for (uint32_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(entries.value()[i].edge, 0x3000u + i);
+    EXPECT_EQ(entries.value()[i].call, 1u);
+  }
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(entries.value()[5 + i].edge, 0x4000u + i);
+    EXPECT_EQ(entries.value()[5 + i].call, 0u);
+  }
+  EXPECT_EQ(dropped, 3u);
+  EXPECT_EQ(status.calls_done, 1234u);
+
+  // Both bank headers were drained: a second drain is empty.
+  auto again = deployment->DrainCoverage(&dropped);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().empty());
+  EXPECT_EQ(dropped, 0u);
 }
 
 TEST_F(DeploymentDetailsTest, WriteTestCaseIsOneRoundTrip) {
@@ -238,11 +280,6 @@ TEST_F(DeploymentDetailsTest, WriteTestCaseIsOneRoundTrip) {
   uint64_t t0 = deployment->port().stats().transactions;
   ASSERT_TRUE(deployment->WriteTestCase(encoded).ok());
   EXPECT_EQ(deployment->port().stats().transactions - t0, 1u);
-
-  deployment->set_batched_link(false);
-  t0 = deployment->port().stats().transactions;
-  ASSERT_TRUE(deployment->WriteTestCase(encoded).ok());
-  EXPECT_EQ(deployment->port().stats().transactions - t0, 2u);
 }
 
 }  // namespace
