@@ -27,14 +27,7 @@ ExecStats ExecStatsFromSnapshot(const telemetry::MetricsSnapshot& snapshot) {
 }
 
 ExecStats TargetExecutor::stats() const {
-  ExecStats stats;
-  stats.rejected = rejected_->Value();
-  stats.stalls = stalls_->Value();
-  stats.timeouts = timeouts_->Value();
-  stats.restores = restores_->Value();
-  stats.snapshot_restores = snapshot_restores_->Value();
-  stats.snapshot_bytes = snapshot_bytes_->Value();
-  return stats;
+  return ExecStatsFromSnapshot(telemetry_->registry().Snapshot());
 }
 
 Result<std::unique_ptr<TargetExecutor>> TargetExecutor::Create(const ExecutorOptions& options,

@@ -14,32 +14,52 @@
 
 namespace eof {
 
+void SetResultScalars(const telemetry::MetricsSnapshot& campaign, const ExecStats& stats,
+                      const DebugPortStats& link, CampaignResult* result) {
+  result->final_coverage = campaign.GaugeValue("campaign.coverage");
+  result->corpus_size = campaign.GaugeValue("campaign.corpus");
+  result->frontier = campaign.GaugeValue("campaign.frontier");
+  result->execs = campaign.CounterValue("campaign.execs");
+  result->crashes = campaign.CounterValue("campaign.crashes");
+  result->bugs_rejected = campaign.CounterValue("campaign.bugs_rejected");
+  result->directed_hits = campaign.CounterValue("campaign.directed_hits");
+  result->trim_removed_calls = campaign.CounterValue("campaign.trim_removed_calls");
+  result->trim_kept_calls = campaign.CounterValue("campaign.trim_kept_calls");
+  result->rejected = stats.rejected;
+  result->stalls = stats.stalls;
+  result->timeouts = stats.timeouts;
+  result->restores = stats.restores;
+  result->snapshot_restores = stats.snapshot_restores;
+  result->snapshot_bytes = stats.snapshot_bytes;
+  result->link = link;
+}
+
 CampaignScheduler::CampaignScheduler(const spec::CompiledSpecs& specs, Options options)
     : specs_(specs),
       options_(options),
       sampler_(options.budget, options.sample_points),
       worker_elapsed_(static_cast<size_t>(std::max(options.workers, 1)), 0),
       worker_done_(static_cast<size_t>(std::max(options.workers, 1)), false) {
-  telemetry::MetricsRegistry* registry = options_.registry;
-  if (registry == nullptr) {
+  registry_ = options_.registry;
+  if (registry_ == nullptr) {
     owned_registry_ = std::make_unique<telemetry::MetricsRegistry>();
-    registry = owned_registry_.get();
+    registry_ = owned_registry_.get();
   }
   sink_ = options_.sink;
-  execs_ = registry->RegisterCounter("campaign.execs");
-  crashes_ = registry->RegisterCounter("campaign.crashes");
-  bugs_found_ = registry->RegisterCounter("campaign.bugs");
-  bug_dedup_hits_ = registry->RegisterCounter("campaign.bug_dedup_hits");
-  bugs_rejected_ = registry->RegisterCounter("campaign.bugs_rejected");
-  validation_replays_ = registry->RegisterCounter("campaign.validation_replays");
-  fresh_edges_ = registry->RegisterCounter("campaign.fresh_edges");
-  corpus_adds_ = registry->RegisterCounter("campaign.corpus_adds");
-  directed_hits_ = registry->RegisterCounter("campaign.directed_hits");
-  trim_removed_calls_ = registry->RegisterCounter("campaign.trim_removed_calls");
-  trim_kept_calls_ = registry->RegisterCounter("campaign.trim_kept_calls");
-  coverage_gauge_ = registry->RegisterGauge("campaign.coverage");
-  corpus_gauge_ = registry->RegisterGauge("campaign.corpus");
-  frontier_gauge_ = registry->RegisterGauge("campaign.frontier");
+  execs_ = registry_->RegisterCounter("campaign.execs");
+  crashes_ = registry_->RegisterCounter("campaign.crashes");
+  bugs_found_ = registry_->RegisterCounter("campaign.bugs");
+  bug_dedup_hits_ = registry_->RegisterCounter("campaign.bug_dedup_hits");
+  bugs_rejected_ = registry_->RegisterCounter("campaign.bugs_rejected");
+  validation_replays_ = registry_->RegisterCounter("campaign.validation_replays");
+  fresh_edges_ = registry_->RegisterCounter("campaign.fresh_edges");
+  corpus_adds_ = registry_->RegisterCounter("campaign.corpus_adds");
+  directed_hits_ = registry_->RegisterCounter("campaign.directed_hits");
+  trim_removed_calls_ = registry_->RegisterCounter("campaign.trim_removed_calls");
+  trim_kept_calls_ = registry_->RegisterCounter("campaign.trim_kept_calls");
+  coverage_gauge_ = registry_->RegisterGauge("campaign.coverage");
+  corpus_gauge_ = registry_->RegisterGauge("campaign.corpus");
+  frontier_gauge_ = registry_->RegisterGauge("campaign.frontier");
 }
 
 void CampaignScheduler::EmitEventLocked(VirtualTime at, const char* type, int worker,
@@ -70,6 +90,7 @@ void CampaignScheduler::SeedCorpus(const std::vector<std::string>& seed_programs
       corpus_.Add(std::move(parsed.value()), 1);
     }
   }
+  corpus_gauge_->Set(corpus_.size());
 }
 
 fuzz::Program CampaignScheduler::NextProgram(fuzz::Generator& generator, Rng& rng) {
@@ -174,7 +195,6 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
                      telemetry::EventField::Text("kind", signature.kind)});
   } else {
     bugs_rejected_->Increment();
-    result_.bugs_rejected++;
   }
   // The full Table-2 provenance row: everything a later `eof report` run needs to
   // rebuild the bug table (attribution, first sighting, reproducer, forensics).
@@ -244,7 +264,6 @@ void CampaignScheduler::UpdateFrontierLocked(const fuzz::Program& program,
     auto it = frontier_.find(hit.edge);
     if (it != frontier_.end()) {
       directed_hits_->Increment();
-      result_.directed_hits++;
       frontier_.erase(it);
     }
     size_t owner_spec = SIZE_MAX;
@@ -317,8 +336,6 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
       trimmed = fuzz::TrimToCalls(program, owner_calls, &trim_stats);
       trim_kept_calls_->Add(trim_stats.kept_calls);
       trim_removed_calls_->Add(trim_stats.removed_calls);
-      result_.trim_kept_calls += trim_stats.kept_calls;
-      result_.trim_removed_calls += trim_stats.removed_calls;
       if (trim_stats.removed_calls > 0) {
         EmitEventLocked(elapsed, "trim", ShardLabel(worker),
                         {telemetry::EventField::Uint("kept", trim_stats.kept_calls),
@@ -350,19 +367,8 @@ CampaignResult CampaignScheduler::Finalize(const ExecStats& stats, VirtualTime e
                                            const DebugPortStats& link) {
   std::lock_guard<std::mutex> lock(mu_);
   sampler_.Finish(coverage_.Count(), &result_.series);
-  result_.final_coverage = coverage_.Count();
-  result_.corpus_size = corpus_.size();
+  SetResultScalars(registry_->Snapshot(), stats, link, &result_);
   result_.elapsed = elapsed;
-  result_.execs = execs_->Value();
-  result_.crashes = crashes_->Value();
-  result_.rejected = stats.rejected;
-  result_.stalls = stats.stalls;
-  result_.timeouts = stats.timeouts;
-  result_.restores = stats.restores;
-  result_.snapshot_restores = stats.snapshot_restores;
-  result_.snapshot_bytes = stats.snapshot_bytes;
-  result_.link = link;
-  result_.frontier = frontier_.size();
   if (options_.export_corpus) {
     std::vector<std::pair<std::string, uint64_t>> exported;
     corpus_.ExportSince(specs_, 0, &exported);
@@ -467,10 +473,10 @@ telemetry::CampaignView CampaignScheduler::View() const {
   view.crashes = crashes_->Value();
   view.bugs = result_.bugs.size();
   view.bugs_rejected = rejected_bugs_.size();
-  view.directed_hits = result_.directed_hits;
+  view.directed_hits = directed_hits_->Value();
   view.frontier = frontier_.size();
-  view.trim_removed_calls = result_.trim_removed_calls;
-  view.trim_kept_calls = result_.trim_kept_calls;
+  view.trim_removed_calls = trim_removed_calls_->Value();
+  view.trim_kept_calls = trim_kept_calls_->Value();
   return view;
 }
 

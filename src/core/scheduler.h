@@ -139,6 +139,13 @@ class SeriesSampler {
   VirtualTime next_;
 };
 
+// Sets every CampaignResult scalar from one metrics snapshot: the scheduler's
+// campaign.* counters and gauges in `campaign`, plus the campaign's summed
+// executor and link stats. Finalize and the fleet orchestrator's merge both use
+// it, so a new campaign counter is wired here and nowhere else.
+void SetResultScalars(const telemetry::MetricsSnapshot& campaign, const ExecStats& stats,
+                      const DebugPortStats& link, CampaignResult* result);
+
 class CampaignScheduler {
  public:
   struct Options {
@@ -279,6 +286,7 @@ class CampaignScheduler {
   Options options_;
 
   std::unique_ptr<telemetry::MetricsRegistry> owned_registry_;  // set iff none was passed
+  telemetry::MetricsRegistry* registry_ = nullptr;  // options_.registry or the owned one
   telemetry::EventSink* sink_ = nullptr;
   telemetry::Counter* execs_ = nullptr;
   telemetry::Counter* crashes_ = nullptr;

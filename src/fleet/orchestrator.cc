@@ -18,6 +18,14 @@ std::string BugKey(uint32_t catalog_id, const std::string& excerpt) {
   return StrFormat("%u|%s", catalog_id, excerpt.c_str());
 }
 
+// Every CampaignResult scalar a worker's final (or a merge of finals) carries.
+CampaignResult ResultFromMetrics(const telemetry::MetricsSnapshot& metrics) {
+  CampaignResult result;
+  SetResultScalars(metrics, ExecStatsFromSnapshot(metrics),
+                   DebugPortStatsFromSnapshot(metrics), &result);
+  return result;
+}
+
 }  // namespace
 
 Orchestrator::Orchestrator(Options options) : options_(std::move(options)) {
@@ -527,9 +535,11 @@ FinalAckMsg Orchestrator::HandleFinal(const WorkerFinalMsg& msg) {
   if (!campaign->finals_seen.insert({msg.worker_id, msg.seq}).second) {
     return ack;  // duplicate upload: acknowledge, count nothing twice
   }
-  campaign->finals.push_back(msg);
+  campaign->final_metrics.Merge(msg.metrics);
+  campaign->final_series = msg.series;
   campaign->workers_served.insert(msg.worker_id);
-  worker_it->second.execs_final += msg.execs;
+  CampaignResult batch = ResultFromMetrics(msg.metrics);
+  worker_it->second.execs_final += batch.execs;
   worker_it->second.execs_live = 0;  // the batch folded into finals
   worker_it->second.journal_dropped =
       std::max(worker_it->second.journal_dropped, msg.journal_dropped);
@@ -537,10 +547,35 @@ FinalAckMsg Orchestrator::HandleFinal(const WorkerFinalMsg& msg) {
   dropped = std::max(dropped, msg.journal_dropped);
   EmitLocked(msg.elapsed_us, "worker_final", static_cast<int>(msg.worker_id),
              {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-              telemetry::EventField::Uint("execs", msg.execs),
-              telemetry::EventField::Uint("coverage", msg.final_coverage),
-              telemetry::EventField::Uint("crashes", msg.crashes)});
+              telemetry::EventField::Uint("execs", batch.execs),
+              telemetry::EventField::Uint("coverage", batch.final_coverage),
+              telemetry::EventField::Uint("crashes", batch.crashes)});
   return ack;
+}
+
+CampaignResult Orchestrator::MergedResultLocked(const CampaignState& campaign) const {
+  CampaignResult merged = ResultFromMetrics(campaign.final_metrics);
+  merged.final_coverage = campaign.coverage.Count();
+  for (const ShardState& shard : campaign.shards) {
+    merged.elapsed = std::max<VirtualTime>(merged.elapsed, shard.elapsed_us);
+  }
+  // A worker's sink spans its batches, so its drop count is cumulative: sum
+  // each worker's latest count, not every final's.
+  for (const auto& [worker, dropped] : campaign.worker_dropped) {
+    merged.journal_dropped += dropped;
+  }
+  // One worker served the whole campaign in one batch: its corpus count and
+  // sampled series ARE the campaign's (the bit-identity case). Otherwise the
+  // corpus count is the merged store (which excludes seed programs) and the
+  // series is left to the journal's farm_snapshot rows.
+  if (campaign.finals_seen.size() == 1) {
+    for (const auto& [at, coverage] : campaign.final_series) {
+      merged.series.push_back(CampaignSample{at, coverage});
+    }
+  } else {
+    merged.corpus_size = campaign.corpus.size();
+  }
+  return merged;
 }
 
 void Orchestrator::EmitFarmRowLocked(CampaignState* campaign, VirtualTime at) {
@@ -550,16 +585,7 @@ void Orchestrator::EmitFarmRowLocked(CampaignState* campaign, VirtualTime at) {
   for (const ShardState& shard : campaign->shards) {
     execs += shard.execs;
   }
-  uint64_t crashes = 0;
-  uint64_t bugs_rejected = 0;
-  for (const WorkerFinalMsg& final : campaign->finals) {
-    crashes += final.crashes;
-    bugs_rejected += final.bugs_rejected;
-  }
-  uint64_t dropped_workers = 0;
-  for (const auto& [worker, dropped] : campaign->worker_dropped) {
-    dropped_workers += dropped;
-  }
+  CampaignResult merged = MergedResultLocked(*campaign);
   telemetry::EventSink* out = sink();
   // `journal_dropped` is this (orchestrator) sink's own drop count;
   // `journal_dropped_workers` sums the latest worker-reported per-sink counts,
@@ -570,13 +596,13 @@ void Orchestrator::EmitFarmRowLocked(CampaignState* campaign, VirtualTime at) {
                                           campaign->coverage.Count()),
               telemetry::EventField::Uint("corpus", campaign->corpus.size()),
               telemetry::EventField::Uint("campaign_execs", execs),
-              telemetry::EventField::Uint("crashes", crashes),
+              telemetry::EventField::Uint("crashes", merged.crashes),
               telemetry::EventField::Uint("bugs", campaign->bugs.size()),
-              telemetry::EventField::Uint("bugs_rejected", bugs_rejected),
+              telemetry::EventField::Uint("bugs_rejected", merged.bugs_rejected),
               telemetry::EventField::Uint("journal_dropped",
                                           out == nullptr ? 0 : out->dropped()),
               telemetry::EventField::Uint("journal_dropped_workers",
-                                          dropped_workers),
+                                          merged.journal_dropped),
               telemetry::EventField::Text("campaign", campaign->spec.campaign_id)});
 }
 
@@ -585,10 +611,7 @@ void Orchestrator::FinalizeCampaignLocked(CampaignState* campaign) {
     return;
   }
   campaign->finalized = true;
-  uint64_t elapsed = 0;
-  for (const ShardState& shard : campaign->shards) {
-    elapsed = std::max(elapsed, shard.elapsed_us);
-  }
+  VirtualTime elapsed = MergedResultLocked(*campaign).elapsed;
   EmitFarmRowLocked(campaign, elapsed);
   telemetry::EventSink* out = sink();
   EmitLocked(elapsed, "campaign_end", -1,
@@ -614,51 +637,9 @@ std::vector<FleetCampaignResult> Orchestrator::Results() {
     out.corpus_syncs = campaign->corpus_syncs;
     out.workers_served = campaign->workers_served.size();
 
-    CampaignResult& merged = out.result;
-    merged.final_coverage = campaign->coverage.Count();
-    for (const ShardState& shard : campaign->shards) {
-      merged.elapsed = std::max<VirtualTime>(merged.elapsed, shard.elapsed_us);
-    }
-    for (const WorkerFinalMsg& final : campaign->finals) {
-      merged.execs += final.execs;
-      merged.rejected += final.rejected;
-      merged.crashes += final.crashes;
-      merged.stalls += final.stalls;
-      merged.timeouts += final.timeouts;
-      merged.restores += final.restores;
-      merged.snapshot_restores += final.snapshot_restores;
-      merged.snapshot_bytes += final.snapshot_bytes;
-      merged.bugs_rejected += final.bugs_rejected;
-      merged.directed_hits += final.directed_hits;
-      merged.frontier = std::max(merged.frontier, final.frontier);
-      merged.trim_removed_calls += final.trim_removed_calls;
-      merged.trim_kept_calls += final.trim_kept_calls;
-      merged.journal_dropped += final.journal_dropped;
-      merged.link.transactions += final.link_transactions;
-      merged.link.batches += final.link_batches;
-      merged.link.batched_ops += final.link_batched_ops;
-      merged.link.bytes_read += final.link_bytes_read;
-      merged.link.bytes_written += final.link_bytes_written;
-      merged.link.timeouts += final.link_timeouts;
-      merged.link.flash_bytes += final.link_flash_bytes;
-      merged.link.flash_skipped_bytes += final.link_flash_skipped_bytes;
-      merged.link.resets += final.link_resets;
-      merged.link.warm_restores += final.link_warm_restores;
-    }
-    // One worker served the whole campaign in one batch: its corpus count and
-    // sampled series ARE the campaign's (the bit-identity case). Otherwise the
-    // corpus count is the merged store (which excludes seed programs) and the
-    // series is left to the journal's farm_snapshot rows.
-    if (campaign->finals.size() == 1) {
-      merged.corpus_size = campaign->finals[0].corpus_size;
-      for (const auto& [at, coverage] : campaign->finals[0].series) {
-        merged.series.push_back(CampaignSample{at, coverage});
-      }
-    } else {
-      merged.corpus_size = campaign->corpus.size();
-    }
+    out.result = MergedResultLocked(*campaign);
     for (const CorpusEntryWire& entry : campaign->corpus) {
-      merged.corpus_programs.push_back(entry.text);
+      out.result.corpus_programs.push_back(entry.text);
     }
     results.push_back(std::move(out));
   }
@@ -701,9 +682,8 @@ StatusReplyMsg Orchestrator::AssembleStatusLocked(uint64_t now_ms) {
     wire.coverage = campaign->coverage.Count();
     wire.corpus = campaign->corpus.size();
     wire.execs = execs;
-    for (const WorkerFinalMsg& final : campaign->finals) {
-      wire.crashes += final.crashes;
-    }
+    CampaignResult merged = MergedResultLocked(*campaign);
+    wire.crashes = merged.crashes;
     wire.frontier_us = FrontierLocked(*campaign);
     wire.leases_granted = campaign->leases_granted;
     wire.leases_reclaimed = campaign->leases_reclaimed;
@@ -712,9 +692,7 @@ StatusReplyMsg Orchestrator::AssembleStatusLocked(uint64_t now_ms) {
     wire.corpus_syncs = campaign->corpus_syncs;
     telemetry::EventSink* out = sink();
     wire.journal_dropped = out == nullptr ? 0 : out->dropped();
-    for (const auto& [worker, dropped] : campaign->worker_dropped) {
-      wire.journal_dropped_workers += dropped;
-    }
+    wire.journal_dropped_workers = merged.journal_dropped;
     wire.finalized = campaign->finalized ? 1 : 0;
     for (const BugWire& bug : campaign->bugs) {
       BugStatusWire row;

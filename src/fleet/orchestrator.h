@@ -157,9 +157,12 @@ class Orchestrator {
     std::vector<BugWire> bugs;
     std::set<std::string> bug_keys;  // catalog_id|excerpt
     std::map<uint32_t, WorkerCursor> cursors;
-    // WorkerFinal accumulation (idempotent on worker/seq).
+    // WorkerFinal accumulation (idempotent on worker/seq): every accepted
+    // final's metrics merged into one snapshot, plus the latest final's series
+    // (the campaign's series when it is the only final).
     std::set<std::pair<uint32_t, uint64_t>> finals_seen;
-    std::vector<WorkerFinalMsg> finals;
+    telemetry::MetricsSnapshot final_metrics;
+    std::vector<std::pair<uint64_t, uint64_t>> final_series;
     std::set<uint32_t> workers_served;
     uint64_t leases_granted = 0;
     uint64_t leases_reclaimed = 0;
@@ -209,6 +212,8 @@ class Orchestrator {
   std::vector<uint64_t> PeerFocusLocked(const CampaignState& campaign,
                                         uint32_t worker) const;
   uint64_t FrontierLocked(const CampaignState& campaign) const;
+  // The campaign's merged result so far, minus corpus_programs.
+  CampaignResult MergedResultLocked(const CampaignState& campaign) const;
   void EmitFarmRowLocked(CampaignState* campaign, VirtualTime at);
   void FinalizeCampaignLocked(CampaignState* campaign);
   StatusReplyMsg AssembleStatusLocked(uint64_t now_ms);

@@ -381,41 +381,63 @@ Result<SyncAckMsg> DecodeSyncAck(const std::vector<uint8_t>& payload) {
   return Finish("SyncAck", reader, std::move(msg));
 }
 
+namespace {
+
+// The WorkerFinal metrics blob: counters, then gauges, each as a u32 count of
+// (name, u64 value) entries in name order.
+void PutMetrics(ByteWriter* writer, const telemetry::MetricsSnapshot& metrics) {
+  ByteWriter blob;
+  for (const auto* values : {&metrics.counters, &metrics.gauges}) {
+    blob.PutU32(static_cast<uint32_t>(values->size()));
+    for (const auto& [name, value] : *values) {
+      PutString(&blob, name);
+      blob.PutU64(value);
+    }
+  }
+  PutBlob(writer, blob.bytes());
+}
+
+Status GetMetrics(ByteReader* reader, telemetry::MetricsSnapshot* metrics) {
+  std::vector<uint8_t> blob = reader->GetLengthPrefixed();
+  if (reader->failed()) {
+    return DataLossError("WorkerFinal metrics blob truncated");
+  }
+  ByteReader blob_reader(blob);
+  for (auto* values : {&metrics->counters, &metrics->gauges}) {
+    uint32_t count = blob_reader.GetU32();
+    // An entry is at least a 4-byte name length and an 8-byte value.
+    if (blob_reader.failed() || count > blob_reader.remaining() / 12) {
+      return DataLossError("WorkerFinal metrics count exceeds the blob");
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      std::string name = GetString(&blob_reader);
+      uint64_t value = blob_reader.GetU64();
+      if (blob_reader.failed()) {
+        return DataLossError("WorkerFinal metrics blob truncated");
+      }
+      if (!values->emplace(name, value).second) {
+        return DataLossError(
+            StrFormat("WorkerFinal metrics name '%s' repeats", name.c_str()));
+      }
+    }
+  }
+  if (blob_reader.remaining() != 0) {
+    return DataLossError(StrFormat("WorkerFinal metrics blob has %zu trailing bytes",
+                                   blob_reader.remaining()));
+  }
+  return OkStatus();
+}
+
+}  // namespace
+
 std::vector<uint8_t> Encode(const WorkerFinalMsg& msg) {
   ByteWriter writer;
   writer.PutU32(msg.worker_id);
   PutString(&writer, msg.campaign_id);
   writer.PutU64(msg.seq);
-  const uint64_t scalars[] = {msg.final_coverage,
-                              msg.execs,
-                              msg.rejected,
-                              msg.crashes,
-                              msg.stalls,
-                              msg.timeouts,
-                              msg.restores,
-                              msg.snapshot_restores,
-                              msg.snapshot_bytes,
-                              msg.corpus_size,
-                              msg.elapsed_us,
-                              msg.bugs_rejected,
-                              msg.directed_hits,
-                              msg.frontier,
-                              msg.trim_removed_calls,
-                              msg.trim_kept_calls,
-                              msg.journal_dropped,
-                              msg.link_transactions,
-                              msg.link_batches,
-                              msg.link_batched_ops,
-                              msg.link_bytes_read,
-                              msg.link_bytes_written,
-                              msg.link_timeouts,
-                              msg.link_flash_bytes,
-                              msg.link_flash_skipped_bytes,
-                              msg.link_resets,
-                              msg.link_warm_restores};
-  for (uint64_t scalar : scalars) {
-    writer.PutU64(scalar);
-  }
+  writer.PutU64(msg.elapsed_us);
+  writer.PutU64(msg.journal_dropped);
+  PutMetrics(&writer, msg.metrics);
   writer.PutU32(static_cast<uint32_t>(msg.series.size()));
   for (const auto& [at, coverage] : msg.series) {
     writer.PutU64(at);
@@ -430,36 +452,9 @@ Result<WorkerFinalMsg> DecodeWorkerFinal(const std::vector<uint8_t>& payload) {
   msg.worker_id = reader.GetU32();
   msg.campaign_id = GetString(&reader);
   msg.seq = reader.GetU64();
-  uint64_t* scalars[] = {&msg.final_coverage,
-                         &msg.execs,
-                         &msg.rejected,
-                         &msg.crashes,
-                         &msg.stalls,
-                         &msg.timeouts,
-                         &msg.restores,
-                         &msg.snapshot_restores,
-                         &msg.snapshot_bytes,
-                         &msg.corpus_size,
-                         &msg.elapsed_us,
-                         &msg.bugs_rejected,
-                         &msg.directed_hits,
-                         &msg.frontier,
-                         &msg.trim_removed_calls,
-                         &msg.trim_kept_calls,
-                         &msg.journal_dropped,
-                         &msg.link_transactions,
-                         &msg.link_batches,
-                         &msg.link_batched_ops,
-                         &msg.link_bytes_read,
-                         &msg.link_bytes_written,
-                         &msg.link_timeouts,
-                         &msg.link_flash_bytes,
-                         &msg.link_flash_skipped_bytes,
-                         &msg.link_resets,
-                         &msg.link_warm_restores};
-  for (uint64_t* scalar : scalars) {
-    *scalar = reader.GetU64();
-  }
+  msg.elapsed_us = reader.GetU64();
+  msg.journal_dropped = reader.GetU64();
+  RETURN_IF_ERROR(GetMetrics(&reader, &msg.metrics));
   uint32_t series_count = reader.GetU32();
   if (!reader.failed() &&
       static_cast<size_t>(series_count) * 16 <= reader.remaining()) {

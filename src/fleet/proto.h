@@ -27,12 +27,13 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/telemetry/metrics.h"
 
 namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 1;
+inline constexpr uint16_t kProtoVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -180,41 +181,20 @@ struct SyncAckMsg {
   std::vector<uint64_t> revoked;        // lease ids no longer held (reclaimed)
 };
 
-// End-of-batch scalars: only finals count toward the merged campaign's exec
+// End-of-batch results: only finals count toward the merged campaign's exec
 // stats, so a crashed worker's partial numbers are never double-counted when its
 // shards re-run elsewhere.
 struct WorkerFinalMsg {
   uint32_t worker_id = 0;
   std::string campaign_id;
   uint64_t seq = 0;
-  uint64_t final_coverage = 0;
-  uint64_t execs = 0;
-  uint64_t rejected = 0;
-  uint64_t crashes = 0;
-  uint64_t stalls = 0;
-  uint64_t timeouts = 0;
-  uint64_t restores = 0;
-  uint64_t snapshot_restores = 0;
-  uint64_t snapshot_bytes = 0;
-  uint64_t corpus_size = 0;
   uint64_t elapsed_us = 0;
-  uint64_t bugs_rejected = 0;
-  uint64_t directed_hits = 0;
-  uint64_t frontier = 0;
-  uint64_t trim_removed_calls = 0;
-  uint64_t trim_kept_calls = 0;
-  uint64_t journal_dropped = 0;
-  // Summed debug-link traffic (DebugPortStats order).
-  uint64_t link_transactions = 0;
-  uint64_t link_batches = 0;
-  uint64_t link_batched_ops = 0;
-  uint64_t link_bytes_read = 0;
-  uint64_t link_bytes_written = 0;
-  uint64_t link_timeouts = 0;
-  uint64_t link_flash_bytes = 0;
-  uint64_t link_flash_skipped_bytes = 0;
-  uint64_t link_resets = 0;
-  uint64_t link_warm_restores = 0;
+  uint64_t journal_dropped = 0;  // this worker's sink drop count so far
+  // The batch's counters and gauges: its boards' registries merged with its
+  // campaign registry. Histograms do not travel. The orchestrator merges these
+  // snapshots and derives every CampaignResult scalar from the merge, so a new
+  // counter needs no wire change.
+  telemetry::MetricsSnapshot metrics;
   // Coverage series samples (t_us, coverage); adopted as the campaign series
   // when a single worker served every shard.
   std::vector<std::pair<uint64_t, uint64_t>> series;
@@ -321,7 +301,8 @@ enum ConfigFlag : uint32_t {
   kFlagTrim = 1u << 10,
 };
 
-// Per-message payload codecs. Decoders fail on truncated or trailing bytes.
+// Per-message payload codecs. Decoders fail on truncated or trailing bytes; the
+// WorkerFinal metrics blob also rejects counts past its end and duplicate names.
 std::vector<uint8_t> Encode(const HelloMsg& msg);
 std::vector<uint8_t> Encode(const HelloAckMsg& msg);
 std::vector<uint8_t> Encode(const LeaseRequestMsg& msg);

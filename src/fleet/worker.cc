@@ -379,33 +379,10 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   final.worker_id = worker_id_;
   final.campaign_id = grant.config.campaign_id;
   final.seq = ++sync_seq_;
-  final.final_coverage = result.final_coverage;
-  final.execs = result.execs;
-  final.rejected = result.rejected;
-  final.crashes = result.crashes;
-  final.stalls = result.stalls;
-  final.timeouts = result.timeouts;
-  final.restores = result.restores;
-  final.snapshot_restores = result.snapshot_restores;
-  final.snapshot_bytes = result.snapshot_bytes;
-  final.corpus_size = result.corpus_size;
   final.elapsed_us = result.elapsed;
-  final.bugs_rejected = result.bugs_rejected;
-  final.directed_hits = result.directed_hits;
-  final.frontier = result.frontier;
-  final.trim_removed_calls = result.trim_removed_calls;
-  final.trim_kept_calls = result.trim_kept_calls;
   final.journal_dropped = result.journal_dropped;
-  final.link_transactions = result.link.transactions;
-  final.link_batches = result.link.batches;
-  final.link_batched_ops = result.link.batched_ops;
-  final.link_bytes_read = result.link.bytes_read;
-  final.link_bytes_written = result.link.bytes_written;
-  final.link_timeouts = result.link.timeouts;
-  final.link_flash_bytes = result.link.flash_bytes;
-  final.link_flash_skipped_bytes = result.link.flash_skipped_bytes;
-  final.link_resets = result.link.resets;
-  final.link_warm_restores = result.link.warm_restores;
+  final.metrics = std::move(merged);
+  final.metrics.Merge(telemetry->campaign_registry().Snapshot());
   for (const CampaignSample& sample : result.series) {
     final.series.emplace_back(sample.time, sample.coverage);
   }

@@ -40,18 +40,7 @@ DebugPort::DebugPort(Board* board, telemetry::MetricsRegistry* registry) : board
 }
 
 DebugPortStats DebugPort::stats() const {
-  DebugPortStats stats;
-  stats.transactions = transactions_->Value();
-  stats.batches = batches_->Value();
-  stats.batched_ops = batched_ops_->Value();
-  stats.bytes_read = bytes_read_->Value();
-  stats.bytes_written = bytes_written_->Value();
-  stats.timeouts = timeouts_->Value();
-  stats.flash_bytes = flash_bytes_->Value();
-  stats.flash_skipped_bytes = flash_skipped_bytes_->Value();
-  stats.resets = resets_->Value();
-  stats.warm_restores = warm_restores_->Value();
-  return stats;
+  return DebugPortStatsFromSnapshot(registry_->Snapshot());
 }
 
 Status DebugPort::Connect() {

@@ -10,6 +10,8 @@
 
 #include "src/common/hash.h"
 #include "src/core/board_farm.h"
+#include "src/fuzz/generator.h"
+#include "src/fuzz/program_text.h"
 #include "src/os/all_oses.h"
 
 namespace eof {
@@ -162,6 +164,26 @@ TEST_F(CampaignTest, RunRepeatedParallelMatchesSerial) {
               parallel.value().runs[i].final_coverage)
         << i;
   }
+}
+
+TEST_F(CampaignTest, SeededCorpusSetsTheCorpusGauge) {
+  FuzzerConfig config = ShortCampaign(3);
+  auto plan = PrepareCampaign(config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  fuzz::Generator generator(plan->specs, fuzz::GeneratorOptions{}, /*seed=*/9);
+  std::vector<std::string> seeds;
+  for (int i = 0; i < 3; ++i) {
+    seeds.push_back(fuzz::SerializeProgramText(plan->specs, generator.Generate()));
+  }
+
+  telemetry::MetricsRegistry registry;
+  CampaignScheduler::Options options = MakeSchedulerOptions(config, /*workers=*/1);
+  options.registry = &registry;
+  CampaignScheduler scheduler(plan->specs, options);
+  scheduler.SeedCorpus(seeds);
+  ASSERT_GT(scheduler.CorpusSize(), 0u);
+  // Before any execution, the gauge already reads the seeded corpus.
+  EXPECT_EQ(registry.Snapshot().GaugeValue("campaign.corpus"), scheduler.CorpusSize());
 }
 
 }  // namespace

@@ -58,9 +58,13 @@ void ExpectSameBug(const BugWire& fleet_bug, const BugWire& local_bug) {
   EXPECT_EQ(fleet_bug.events, local_bug.events);
 }
 
-void RunDifferential(const std::string& os_name, uint64_t seed) {
+void RunDifferential(const std::string& os_name, uint64_t seed,
+                     void (*adjust)(FuzzerConfig*) = nullptr) {
   SCOPED_TRACE(os_name + " seed " + std::to_string(seed));
   FuzzerConfig config = DiffConfig(os_name, seed);
+  if (adjust != nullptr) {
+    adjust(&config);
+  }
 
   // In-process truth: one-board farm.
   BoardFarm farm(config, /*jobs=*/1);
@@ -115,6 +119,18 @@ void RunDifferential(const std::string& os_name, uint64_t seed) {
   EXPECT_EQ(fleet_result.link.bytes_read, local_result.link.bytes_read);
   EXPECT_EQ(fleet_result.link.bytes_written, local_result.link.bytes_written);
   EXPECT_EQ(fleet_result.link.flash_bytes, local_result.link.flash_bytes);
+  EXPECT_EQ(fleet_result.snapshot_bytes, local_result.snapshot_bytes);
+  EXPECT_EQ(fleet_result.directed_hits, local_result.directed_hits);
+  EXPECT_EQ(fleet_result.frontier, local_result.frontier);
+  EXPECT_EQ(fleet_result.trim_removed_calls, local_result.trim_removed_calls);
+  EXPECT_EQ(fleet_result.trim_kept_calls, local_result.trim_kept_calls);
+  EXPECT_EQ(fleet_result.journal_dropped, local_result.journal_dropped);
+  EXPECT_EQ(fleet_result.link.batches, local_result.link.batches);
+  EXPECT_EQ(fleet_result.link.batched_ops, local_result.link.batched_ops);
+  EXPECT_EQ(fleet_result.link.timeouts, local_result.link.timeouts);
+  EXPECT_EQ(fleet_result.link.flash_skipped_bytes, local_result.link.flash_skipped_bytes);
+  EXPECT_EQ(fleet_result.link.resets, local_result.link.resets);
+  EXPECT_EQ(fleet_result.link.warm_restores, local_result.link.warm_restores);
 
   // Coverage series, sampled at identical virtual instants.
   ASSERT_EQ(fleet_result.series.size(), local_result.series.size());
@@ -144,6 +160,28 @@ TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessSecondSeed) {
 
 TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessFreeRtos) {
   RunDifferential("freertos", 99);
+}
+
+TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessDirectedTrimSnapshot) {
+  // Directed, trimmed, snapshot-restored: the mode counters are non-zero here,
+  // so the comparison above pins every scalar, not just the always-on ones.
+  auto adjust = [](FuzzerConfig* config) {
+    config->directed = true;
+    config->trim = true;
+    config->restore_mode = RestoreMode::kSnapshot;
+  };
+  RunDifferential("zephyr", 7, adjust);
+
+  FuzzerConfig config = DiffConfig("zephyr", 7);
+  adjust(&config);
+  auto local = BoardFarm(config, /*jobs=*/1).Run();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  EXPECT_GT(local->snapshot_bytes, 0u);
+  EXPECT_GT(local->link.warm_restores, 0u);
+  EXPECT_GT(local->directed_hits, 0u);
+  EXPECT_GT(local->frontier, 0u);
+  EXPECT_GT(local->trim_kept_calls, 0u);
+  EXPECT_GT(local->trim_removed_calls, 0u);
 }
 
 TEST_F(FleetDifferentialTest, TwoShardsTrackTwoJobFarm) {

@@ -271,6 +271,94 @@ TEST_F(OrchestratorTest, ReclaimsExpiredLeasesAndReassigns) {
   EXPECT_EQ(results[0].result.final_coverage, 2u);
 }
 
+TEST_F(OrchestratorTest, CumulativeDropCountsFromOneWorkerCountOnce) {
+  // A worker's journal sink spans its lease batches, so each final reports the
+  // sink's running drop count: finals of 3 then 5 drops mean 5, not 8.
+  auto orchestrator = Make();
+  FleetCampaignSpec spec;
+  spec.campaign_id = "c";
+  spec.config = TinyConfig();
+  ASSERT_TRUE(orchestrator->AddCampaign(spec).ok());
+
+  auto [client, server] = LoopbackPair();
+  std::thread handler([&] { orchestrator->ServeConnection(server.get()); });
+  uint32_t worker_id = SayHello(client.get(), "w0");
+  uint64_t seq = 0;
+  for (uint64_t dropped : {3u, 5u}) {
+    WorkerFinalMsg final_msg;
+    final_msg.worker_id = worker_id;
+    final_msg.campaign_id = "c";
+    final_msg.seq = ++seq;
+    final_msg.journal_dropped = dropped;
+    ASSERT_TRUE(client->Send({MsgType::kWorkerFinal, Encode(final_msg)}).ok());
+    auto ack = client->Recv(2000);
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack->type, MsgType::kFinalAck);
+  }
+  client->Send({MsgType::kGoodbye, Encode(GoodbyeMsg{worker_id})});
+  client->Close();
+  handler.join();
+
+  auto results = orchestrator->Results();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].result.journal_dropped, 5u);
+}
+
+TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
+  auto orchestrator = Make();
+  FleetCampaignSpec spec;
+  spec.campaign_id = "c";
+  spec.config = TinyConfig();
+  spec.shards = 2;
+  ASSERT_TRUE(orchestrator->AddCampaign(spec).ok());
+
+  auto [client, server] = LoopbackPair();
+  std::thread handler([&] { orchestrator->ServeConnection(server.get()); });
+  uint32_t a_id = SayHello(client.get(), "a");
+  uint32_t b_id = SayHello(client.get(), "b");
+
+  auto send_final = [&](uint32_t worker_id, uint64_t execs, uint64_t crashes,
+                        uint64_t transactions, uint64_t trim_kept, uint64_t frontier) {
+    WorkerFinalMsg final_msg;
+    final_msg.worker_id = worker_id;
+    final_msg.campaign_id = "c";
+    final_msg.seq = 1;
+    final_msg.metrics.counters = {{"campaign.execs", execs},
+                                  {"campaign.crashes", crashes},
+                                  {"campaign.trim_kept_calls", trim_kept},
+                                  {"exec.restores", crashes + 1},
+                                  {"link.transactions", transactions}};
+    final_msg.metrics.gauges = {{"campaign.frontier", frontier}};
+    ASSERT_TRUE(client->Send({MsgType::kWorkerFinal, Encode(final_msg)}).ok());
+    auto ack = client->Recv(2000);
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack->type, MsgType::kFinalAck);
+  };
+  send_final(a_id, 100, 2, 50, 3, 7);
+  send_final(b_id, 250, 1, 70, 5, 11);
+  send_final(a_id, 100, 2, 50, 3, 7);  // a replayed final counts once
+
+  StatusReplyMsg status = orchestrator->HandleStatus(StatusRequestMsg{});
+  ASSERT_EQ(status.campaigns.size(), 1u);
+  EXPECT_EQ(status.campaigns[0].crashes, 3u);
+
+  client->Send({MsgType::kGoodbye, Encode(GoodbyeMsg{a_id})});
+  client->Close();
+  handler.join();
+
+  auto results = orchestrator->Results();
+  ASSERT_EQ(results.size(), 1u);
+  const CampaignResult& merged = results[0].result;
+  EXPECT_EQ(merged.execs, 350u);
+  EXPECT_EQ(merged.crashes, 3u);
+  EXPECT_EQ(merged.restores, 5u);
+  EXPECT_EQ(merged.link.transactions, 120u);
+  EXPECT_EQ(merged.trim_kept_calls, 8u);
+  EXPECT_EQ(merged.frontier, 11u);  // a level, not a sum
+  EXPECT_EQ(results[0].workers_served, 2u);
+  EXPECT_EQ(CountRows("worker_final"), 2u);
+}
+
 TEST_F(OrchestratorTest, EndToEndWithRealWorkerOverLoopback) {
   auto orchestrator = Make();
   FleetCampaignSpec spec;

@@ -1,14 +1,18 @@
 // Fleet wire protocol and transport tests: codec round-trips for every message,
-// frame validation against corruption, loopback queue semantics, and a TCP
-// round-trip over a real localhost socket.
+// frame validation against corruption, a hostile-input harness for the
+// WorkerFinal decoder, loopback queue semantics, and a TCP round-trip over a
+// real localhost socket.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "src/common/byteio.h"
+#include "src/common/rng.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
+#include "src/fuzz/byte_mutator.h"
 
 namespace eof {
 namespace fleet {
@@ -137,26 +141,140 @@ TEST(ProtoTest, SyncRoundTrips) {
   EXPECT_EQ(sync2->focus, sync.focus);
 }
 
-TEST(ProtoTest, WorkerFinalRoundTrips) {
+WorkerFinalMsg GoldenFinal() {
   WorkerFinalMsg final_msg;
   final_msg.worker_id = 2;
   final_msg.campaign_id = "c";
   final_msg.seq = 5;
-  final_msg.final_coverage = 100;
-  final_msg.execs = 5000;
-  final_msg.crashes = 3;
-  final_msg.link_bytes_read = 1 << 20;
-  final_msg.link_warm_restores = 7;
+  final_msg.elapsed_us = 60'000'000;
+  final_msg.journal_dropped = 4;
+  final_msg.metrics.counters = {{"campaign.crashes", 3},
+                                {"campaign.execs", 5000},
+                                {"link.bytes_read", 1 << 20},
+                                {"link.warm_restores", 7}};
+  final_msg.metrics.gauges = {{"campaign.coverage", 100}, {"campaign.frontier", 12}};
   final_msg.series = {{0, 0}, {1000, 50}, {2000, 100}};
+  return final_msg;
+}
+
+void ExpectSameFinal(const WorkerFinalMsg& a, const WorkerFinalMsg& b) {
+  EXPECT_EQ(a.worker_id, b.worker_id);
+  EXPECT_EQ(a.campaign_id, b.campaign_id);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.elapsed_us, b.elapsed_us);
+  EXPECT_EQ(a.journal_dropped, b.journal_dropped);
+  EXPECT_EQ(a.metrics.counters, b.metrics.counters);
+  EXPECT_EQ(a.metrics.gauges, b.metrics.gauges);
+  EXPECT_EQ(a.series, b.series);
+}
+
+TEST(ProtoTest, WorkerFinalRoundTrips) {
+  WorkerFinalMsg final_msg = GoldenFinal();
+  // Histograms stay home: the blob carries counters and gauges only.
+  final_msg.metrics.histograms["trace.exec_us"].count = 9;
 
   auto final2 = DecodeWorkerFinal(Encode(final_msg));
-  ASSERT_TRUE(final2.ok());
-  EXPECT_EQ(final2->final_coverage, 100u);
-  EXPECT_EQ(final2->execs, 5000u);
-  EXPECT_EQ(final2->crashes, 3u);
-  EXPECT_EQ(final2->link_bytes_read, 1u << 20);
-  EXPECT_EQ(final2->link_warm_restores, 7u);
-  EXPECT_EQ(final2->series, final_msg.series);
+  ASSERT_TRUE(final2.ok()) << final2.status().ToString();
+  ExpectSameFinal(final2.value(), final_msg);
+  EXPECT_EQ(final2->metrics.CounterValue("link.warm_restores"), 7u);
+  EXPECT_TRUE(final2->metrics.histograms.empty());
+}
+
+// A WorkerFinal payload around a hand-built metrics blob.
+std::vector<uint8_t> FinalWithBlob(const std::vector<uint8_t>& blob) {
+  ByteWriter writer;
+  writer.PutU32(1);
+  writer.PutLengthPrefixed(std::string("c"));
+  writer.PutU64(1);
+  writer.PutU64(0);
+  writer.PutU64(0);
+  writer.PutLengthPrefixed(blob);
+  writer.PutU32(0);  // no series
+  return writer.TakeBytes();
+}
+
+std::vector<uint8_t> Blob(const std::vector<std::pair<std::string, uint64_t>>& counters,
+                          const std::vector<std::pair<std::string, uint64_t>>& gauges) {
+  ByteWriter writer;
+  for (const auto* values : {&counters, &gauges}) {
+    writer.PutU32(static_cast<uint32_t>(values->size()));
+    for (const auto& [name, value] : *values) {
+      writer.PutLengthPrefixed(name);
+      writer.PutU64(value);
+    }
+  }
+  return writer.TakeBytes();
+}
+
+TEST(ProtoTest, WorkerFinalDecoderRejectsHostileInput) {
+  const std::vector<uint8_t> golden = Encode(GoldenFinal());
+  ASSERT_TRUE(DecodeWorkerFinal(golden).ok());
+  for (size_t size = 0; size < golden.size(); ++size) {
+    std::vector<uint8_t> prefix(golden.begin(), golden.begin() + size);
+    EXPECT_FALSE(DecodeWorkerFinal(prefix).ok()) << "prefix of " << size << " bytes";
+  }
+  std::vector<uint8_t> trailing = golden;
+  trailing.push_back(0);
+  EXPECT_FALSE(DecodeWorkerFinal(trailing).ok());
+
+  // The same name may be a counter and a gauge, but never twice in one map.
+  EXPECT_TRUE(DecodeWorkerFinal(FinalWithBlob(Blob({{"a", 1}}, {{"a", 2}}))).ok());
+  EXPECT_FALSE(DecodeWorkerFinal(FinalWithBlob(Blob({{"a", 1}, {"a", 2}}, {}))).ok());
+  EXPECT_FALSE(DecodeWorkerFinal(FinalWithBlob(Blob({}, {{"g", 1}, {"g", 1}}))).ok());
+
+  std::vector<uint8_t> blob_trailing = Blob({{"a", 1}}, {});
+  blob_trailing.push_back(0);
+  EXPECT_FALSE(DecodeWorkerFinal(FinalWithBlob(blob_trailing)).ok());
+
+  // Counts past the remaining bytes, in the blob and in the series.
+  for (uint32_t count : {2u, 1000u, 0xffffffffu}) {
+    ByteWriter writer;
+    writer.PutU32(count);
+    writer.PutLengthPrefixed(std::string("a"));
+    writer.PutU64(1);
+    writer.PutU32(0);
+    EXPECT_FALSE(DecodeWorkerFinal(FinalWithBlob(writer.TakeBytes())).ok()) << count;
+  }
+  std::vector<uint8_t> long_series = FinalWithBlob(Blob({}, {}));
+  long_series[long_series.size() - 4] = 0xff;
+  EXPECT_FALSE(DecodeWorkerFinal(long_series).ok());
+
+  // Oversized name length inside the blob, and a blob length past the payload.
+  for (uint32_t name_length : {9u, 0x7fffffffu, 0xffffffffu}) {
+    ByteWriter writer;
+    writer.PutU32(1);
+    writer.PutU32(name_length);
+    writer.PutU64(1);
+    writer.PutU32(0);
+    EXPECT_FALSE(DecodeWorkerFinal(FinalWithBlob(writer.TakeBytes())).ok())
+        << name_length;
+  }
+  std::vector<uint8_t> long_blob = FinalWithBlob(Blob({}, {}));
+  long_blob[4 + 5 + 24] = 0xff;  // low byte of the blob's length prefix
+  EXPECT_FALSE(DecodeWorkerFinal(long_blob).ok());
+}
+
+TEST(ProtoTest, WorkerFinalDecoderSurvivesMutatedInput) {
+  // Decoder harness: havoc mutations of a golden encoding. Every input either
+  // decodes or returns an error (sanitizer builds abort on anything else), and
+  // whatever decodes re-encodes to a message that decodes identically.
+  const std::vector<uint8_t> golden = Encode(GoldenFinal());
+  fuzz::ByteMutator mutator(golden.size() * 2);
+  Rng rng(20260514);
+  size_t decoded = 0;
+  for (int i = 0; i < 100000; ++i) {
+    std::vector<uint8_t> input = mutator.Mutate(golden, rng);
+    Result<WorkerFinalMsg> msg = DecodeWorkerFinal(input);
+    if (!msg.ok()) {
+      continue;
+    }
+    ++decoded;
+    Result<WorkerFinalMsg> again = DecodeWorkerFinal(Encode(msg.value()));
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ExpectSameFinal(again.value(), msg.value());
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 100000u);
 }
 
 TEST(ProtoTest, DecodersRejectTruncationAndTrailingBytes) {

@@ -19,9 +19,11 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "src/agent/wire.h"
+#include "src/common/strings.h"
 #include "src/fleet/observer.h"
 #include "src/fleet/orchestrator.h"
 #include "src/fleet/status_http.h"
@@ -108,36 +110,67 @@ int MineSpecs(const std::string& os_name) {
   return 0;
 }
 
-int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
-         const std::string& board, int jobs, RestoreMode restore_mode,
-         const std::string& metrics_out, uint64_t metrics_interval_s, bool directed,
-         bool trim, bool overlapped_drain) {
+// Every flag's value after parsing; a field keeps its default when its flag is
+// absent. FlagTable() below says which subcommand takes which flag.
+struct Flags {
+  uint64_t jobs = 1;
+  std::string restore_mode = "reflash";
+  std::string metrics_out;
+  uint64_t metrics_interval_s = 0;  // 0 = keep the FuzzerConfig default
+  bool directed = false;
+  bool trim = false;
+  std::string overlapped_drain = "on";
+  bool json = false;
+  std::vector<std::string> journals;
+  std::string trace_out;
+  uint64_t port = 0;  // 0 = ephemeral (serve prints the bound port)
+  uint64_t shards = 1;
+  uint64_t pool = 64;
+  uint64_t priority = 1;
+  std::string campaign_id = "campaign";
+  uint64_t heartbeat_ms = 1000;
+  uint64_t lease_ms = 5000;
+  uint64_t status_port = UINT64_MAX;  // UINT64_MAX = no status endpoint; 0 = ephemeral
+  uint64_t rotate_mb = 0;             // 0 = unrotated journal
+  std::string connect;
+  uint64_t boards = 1;
+  std::string worker_name = "worker";
+  std::string top_campaign;  // empty = every campaign
+  uint64_t interval_s = 2;
+  bool once = false;
+};
+
+// The campaign `fuzz` runs and `serve` shards.
+FuzzerConfig CampaignConfig(const std::string& os_name, uint64_t minutes, uint64_t seed,
+                            const std::string& board, const Flags& flags) {
   FuzzerConfig config;
   config.os_name = os_name;
   config.board_name = board;
   config.seed = seed;
   config.budget = minutes * kVirtualMinute;
   config.sample_points = 12;
-  config.restore_mode = restore_mode;
-  config.metrics_out = metrics_out;
-  config.directed = directed;
-  config.trim = trim;
-  config.overlapped_drain = overlapped_drain;
-  if (metrics_interval_s > 0) {
-    config.metrics_interval = metrics_interval_s * kVirtualSecond;
+  config.restore_mode =
+      flags.restore_mode == "snapshot" ? RestoreMode::kSnapshot : RestoreMode::kReflash;
+  config.directed = flags.directed;
+  config.trim = flags.trim;
+  config.overlapped_drain = flags.overlapped_drain == "on";
+  if (flags.metrics_interval_s > 0) {
+    config.metrics_interval = flags.metrics_interval_s * kVirtualSecond;
   }
+  return config;
+}
+
+int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
+         const std::string& board, const Flags& flags) {
+  FuzzerConfig config = CampaignConfig(os_name, minutes, seed, board, flags);
+  config.metrics_out = flags.metrics_out;
+  const int jobs = static_cast<int>(flags.jobs);
   printf("fuzzing %s for %llu virtual minutes (seed %llu, %d board%s, %s restores)...\n",
          os_name.c_str(), static_cast<unsigned long long>(minutes),
          static_cast<unsigned long long>(seed), jobs, jobs == 1 ? "" : "s",
-         restore_mode == RestoreMode::kSnapshot ? "snapshot" : "reflash");
-  Result<CampaignResult> result = [&] {
-    if (jobs > 1) {
-      BoardFarm farm(config, jobs);
-      return farm.Run();
-    }
-    EofFuzzer fuzzer(config);
-    return fuzzer.Run();
-  }();
+         flags.restore_mode.c_str());
+  Result<CampaignResult> result =
+      jobs > 1 ? BoardFarm(config, jobs).Run() : EofFuzzer(config).Run();
   if (!result.ok()) {
     fprintf(stderr, "campaign failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -155,18 +188,18 @@ int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
          static_cast<unsigned long long>(campaign.stalls),
          static_cast<unsigned long long>(campaign.restores),
          static_cast<unsigned long long>(campaign.corpus_size));
-  if (restore_mode == RestoreMode::kSnapshot) {
+  if (config.restore_mode == RestoreMode::kSnapshot) {
     printf("snapshot_restores=%llu snapshot_bytes=%llu rejected_sightings=%llu\n",
            static_cast<unsigned long long>(campaign.snapshot_restores),
            static_cast<unsigned long long>(campaign.snapshot_bytes),
            static_cast<unsigned long long>(campaign.bugs_rejected));
   }
-  if (directed) {
+  if (config.directed) {
     printf("directed_hits=%llu frontier=%llu\n",
            static_cast<unsigned long long>(campaign.directed_hits),
            static_cast<unsigned long long>(campaign.frontier));
   }
-  if (trim) {
+  if (config.trim) {
     printf("trim_kept_calls=%llu trim_removed_calls=%llu\n",
            static_cast<unsigned long long>(campaign.trim_kept_calls),
            static_cast<unsigned long long>(campaign.trim_removed_calls));
@@ -315,40 +348,30 @@ int Report(const std::vector<std::string>& paths, bool json,
 }
 
 int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
-          const std::string& board, const std::string& campaign_id, int shards,
-          int priority, uint16_t port, fleet::Orchestrator::Options fleet_options,
-          RestoreMode restore_mode, const std::string& metrics_out,
-          uint64_t metrics_interval_s, bool directed, bool trim, int status_port) {
-  FuzzerConfig config;
-  config.os_name = os_name;
-  config.board_name = board;
-  config.seed = seed;
-  config.budget = minutes * kVirtualMinute;
-  config.sample_points = 12;
-  config.restore_mode = restore_mode;
-  config.directed = directed;
-  config.trim = trim;
-  if (metrics_interval_s > 0) {
-    config.metrics_interval = metrics_interval_s * kVirtualSecond;
-  }
-  fleet_options.metrics_out = metrics_out;
+          const std::string& board, const Flags& flags) {
+  fleet::Orchestrator::Options fleet_options;
+  fleet_options.board_pool = static_cast<int>(flags.pool);
+  fleet_options.heartbeat_interval_ms = flags.heartbeat_ms;
+  fleet_options.lease_timeout_ms = flags.lease_ms;
+  fleet_options.journal_rotate_bytes = flags.rotate_mb * 1024 * 1024;
+  fleet_options.metrics_out = flags.metrics_out;
   auto orchestrator = fleet::Orchestrator::Create(std::move(fleet_options));
   if (!orchestrator.ok()) {
     fprintf(stderr, "serve failed: %s\n", orchestrator.status().ToString().c_str());
     return 1;
   }
   fleet::FleetCampaignSpec spec;
-  spec.campaign_id = campaign_id;
-  spec.config = config;
-  spec.shards = shards;
-  spec.weight = priority;
+  spec.campaign_id = flags.campaign_id;
+  spec.config = CampaignConfig(os_name, minutes, seed, board, flags);
+  spec.shards = static_cast<int>(flags.shards);
+  spec.weight = static_cast<int>(flags.priority);
   Status added = orchestrator.value()->AddCampaign(spec);
   if (!added.ok()) {
     fprintf(stderr, "serve failed: %s\n", added.ToString().c_str());
     return 1;
   }
   uint16_t bound_port = 0;
-  auto listener = fleet::ListenTcp(port, &bound_port);
+  auto listener = fleet::ListenTcp(static_cast<uint16_t>(flags.port), &bound_port);
   if (!listener.ok()) {
     fprintf(stderr, "serve failed: %s\n", listener.status().ToString().c_str());
     return 1;
@@ -356,7 +379,7 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
   // Read-only status endpoint: /metrics renders the same bounded-staleness
   // snapshot the fleet observers poll, plus the orchestrator's own registry.
   std::unique_ptr<fleet::StatusHttpServer> status_server;
-  if (status_port >= 0) {
+  if (flags.status_port != UINT64_MAX) {
     fleet::Orchestrator* orch = orchestrator.value().get();
     fleet::StatusHttpServer::Handlers handlers;
     handlers.metrics = [orch] {
@@ -364,7 +387,7 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
                                        orch->MetricsSnapshot());
     };
     auto started = fleet::StatusHttpServer::Start(
-        static_cast<uint16_t>(status_port), std::move(handlers));
+        static_cast<uint16_t>(flags.status_port), std::move(handlers));
     if (!started.ok()) {
       fprintf(stderr, "serve failed: %s\n", started.status().ToString().c_str());
       return 1;
@@ -375,7 +398,7 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
   }
   printf("serving campaign %s on 127.0.0.1:%u (%d shard%s, %llu virtual minutes, "
          "seed %llu)\n",
-         campaign_id.c_str(), bound_port, shards, shards == 1 ? "" : "s",
+         flags.campaign_id.c_str(), bound_port, spec.shards, spec.shards == 1 ? "" : "s",
          static_cast<unsigned long long>(minutes),
          static_cast<unsigned long long>(seed));
   fflush(stdout);
@@ -435,17 +458,16 @@ bool ParseHostPort(const std::string& connect, std::string* host, uint16_t* port
   return true;
 }
 
-int Worker(const std::string& connect, int boards, const std::string& name,
-           const std::string& metrics_out) {
+int Worker(const Flags& flags) {
   std::string host;
   uint16_t port = 0;
-  if (!ParseHostPort(connect, &host, &port)) {
+  if (!ParseHostPort(flags.connect, &host, &port)) {
     return Usage();
   }
   fleet::FleetWorker::Options options;
-  options.name = name;
-  options.capacity = boards;
-  options.metrics_out = metrics_out;
+  options.name = flags.worker_name;
+  options.capacity = static_cast<int>(flags.boards);
+  options.metrics_out = flags.metrics_out;
   auto worker = fleet::FleetWorker::Create(std::move(options));
   if (!worker.ok()) {
     fprintf(stderr, "worker failed: %s\n", worker.status().ToString().c_str());
@@ -456,8 +478,8 @@ int Worker(const std::string& connect, int boards, const std::string& name,
     fprintf(stderr, "worker failed: %s\n", transport.status().ToString().c_str());
     return 1;
   }
-  printf("worker %s connected to %s (capacity %d)\n", name.c_str(), connect.c_str(),
-         boards);
+  printf("worker %s connected to %s (capacity %llu)\n", flags.worker_name.c_str(),
+         flags.connect.c_str(), static_cast<unsigned long long>(flags.boards));
   fflush(stdout);
   Status ran = worker.value()->Run(transport.value().get());
   if (!ran.ok()) {
@@ -479,11 +501,10 @@ int Worker(const std::string& connect, int boards, const std::string& name,
 // a dead or restarted orchestrator costs one failed poll, not a wedged
 // monitor. --once renders a single frame without clearing the screen, for
 // scripting and CI.
-int Top(const std::string& connect, const std::string& campaign_id,
-        uint64_t interval_s, bool once) {
+int Top(const Flags& flags) {
   std::string host;
   uint16_t port = 0;
-  if (!ParseHostPort(connect, &host, &port)) {
+  if (!ParseHostPort(flags.connect, &host, &port)) {
     return Usage();
   }
   // Poll history drives the exec-rate sparkline and plateau detection; keep a
@@ -496,7 +517,7 @@ int Top(const std::string& connect, const std::string& campaign_id,
     if (!transport.ok()) {
       poll_status = transport.status();
     } else {
-      auto status = fleet::FetchStatus(transport.value().get(), campaign_id,
+      auto status = fleet::FetchStatus(transport.value().get(), flags.top_campaign,
                                        /*include_shards=*/true,
                                        /*timeout_ms=*/5000);
       transport.value()->Close();
@@ -510,24 +531,24 @@ int Top(const std::string& connect, const std::string& campaign_id,
       }
     }
     if (!poll_status.ok()) {
-      if (once) {
+      if (flags.once) {
         fprintf(stderr, "top failed: %s\n", poll_status.ToString().c_str());
         return 1;
       }
       fprintf(stderr, "top: poll failed: %s (retrying in %llus)\n",
               poll_status.ToString().c_str(),
-              static_cast<unsigned long long>(interval_s));
+              static_cast<unsigned long long>(flags.interval_s));
     } else {
-      if (!once) {
+      if (!flags.once) {
         fputs("\033[H\033[2J", stdout);  // cursor home + clear: plain redraw
       }
       fputs(fleet::RenderTopFrame(history).c_str(), stdout);
       fflush(stdout);
     }
-    if (once) {
+    if (flags.once) {
       return 0;
     }
-    std::this_thread::sleep_for(std::chrono::seconds(interval_s));
+    std::this_thread::sleep_for(std::chrono::seconds(flags.interval_s));
   }
 }
 
@@ -557,6 +578,172 @@ int Repro(const std::string& os_name, int bug_id) {
   return 0;
 }
 
+// Reads a decimal integer: digits only, no sign, no overflow.
+bool ParseUint(const std::string& text, uint64_t* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = strtoull(text.c_str(), &end, 10);
+  // ERANGE: strtoull saturates on overflow, which would pass every range gate.
+  return *end == '\0' && errno != ERANGE;
+}
+
+// One flag, declared once: the subcommands that take it, where its value lands,
+// and what the value may be. The target's type is the value kind: a switch
+// (bool), a bounded integer in [lo, hi] (uint64_t), a non-empty text that is one
+// of `choices` when any are given (std::string), or a repeatable non-empty text
+// (vector).
+struct FlagSpec {
+  const char* name;
+  std::vector<std::string> commands;
+  std::variant<bool*, uint64_t*, std::string*, std::vector<std::string>*> target;
+  const char* wants = "";  // what the value is, for usage errors
+  std::vector<std::string> choices = {};
+  uint64_t lo = 0;
+  uint64_t hi = UINT64_MAX;
+};
+
+std::vector<FlagSpec> FlagTable(Flags* f) {
+  const std::vector<std::string> campaign = {"fuzz", "serve"};
+  return {
+      {"--jobs", {"fuzz"}, &f->jobs, "an integer", {}, 1, 1024},
+      {"--restore-mode", campaign, &f->restore_mode, "", {"reflash", "snapshot"}},
+      {"--metrics-out", {"fuzz", "serve", "worker"}, &f->metrics_out, "a file path"},
+      {"--metrics-interval", campaign, &f->metrics_interval_s, "virtual seconds", {}, 1},
+      {"--directed", campaign, &f->directed},
+      {"--trim", campaign, &f->trim},
+      {"--overlapped-drain", {"fuzz"}, &f->overlapped_drain, "", {"on", "off"}},
+      {"--json", {"report"}, &f->json},
+      {"--journal", {"report"}, &f->journals, "a file path"},
+      {"--trace-out", {"report"}, &f->trace_out, "a file path"},
+      {"--port", {"serve"}, &f->port, "a port", {}, 0, 65535},
+      {"--shards", {"serve"}, &f->shards, "an integer", {}, 1, 1024},
+      {"--pool", {"serve"}, &f->pool, "an integer", {}, 1, 4096},
+      {"--priority", {"serve"}, &f->priority, "an integer", {}, 1, 1000},
+      {"--campaign-id", {"serve"}, &f->campaign_id, "a non-empty id"},
+      // Up to an hour between heartbeats and a day of lease; main also requires
+      // the lease to exceed the heartbeat, before any socket opens.
+      {"--heartbeat-interval", {"serve"}, &f->heartbeat_ms, "milliseconds", {}, 1,
+       3600000},
+      {"--lease-timeout", {"serve"}, &f->lease_ms, "milliseconds", {}, 1, 86400000},
+      {"--status-port", {"serve"}, &f->status_port, "a port", {}, 0, 65535},
+      {"--journal-rotate-mb", {"serve"}, &f->rotate_mb, "megabytes", {}, 1, 10240},
+      {"--connect", {"worker", "top"}, &f->connect, "HOST:PORT"},
+      {"--boards", {"worker"}, &f->boards, "an integer", {}, 1, 1024},
+      {"--name", {"worker"}, &f->worker_name, "a non-empty worker name"},
+      {"--campaign", {"top"}, &f->top_campaign, "a non-empty campaign id"},
+      {"--interval", {"top"}, &f->interval_s, "seconds", {}, 1, 3600},
+      {"--once", {"top"}, &f->once},
+  };
+}
+
+// Stores `value` in the flag's target; false (after printing why) when the
+// value is not one the flag takes.
+bool ApplyFlagValue(const FlagSpec& flag, const std::string& value) {
+  uint64_t number = 0;
+  bool ok = !value.empty();
+  std::string wants = flag.wants;
+  if (std::holds_alternative<uint64_t*>(flag.target)) {
+    ok = ParseUint(value, &number) && number >= flag.lo && number <= flag.hi;
+    wants += flag.hi == UINT64_MAX
+                 ? StrFormat(" >= %llu", static_cast<unsigned long long>(flag.lo))
+                 : StrFormat(" in [%llu, %llu]", static_cast<unsigned long long>(flag.lo),
+                             static_cast<unsigned long long>(flag.hi));
+  } else if (!flag.choices.empty()) {
+    ok = std::find(flag.choices.begin(), flag.choices.end(), value) != flag.choices.end();
+    wants = "one of " + StrJoin(flag.choices, ", ");
+  }
+  if (!ok) {
+    fprintf(stderr, "eof: %s wants %s, got '%s'\n", flag.name, wants.c_str(),
+            value.c_str());
+    return false;
+  }
+  if (uint64_t* const* target = std::get_if<uint64_t*>(&flag.target)) {
+    **target = number;
+  } else if (std::string* const* text = std::get_if<std::string*>(&flag.target)) {
+    **text = value;
+  } else {
+    std::get<std::vector<std::string>*>(flag.target)->push_back(value);
+  }
+  return true;
+}
+
+// Applies the flag table to argv: every `--flag value` or `--flag=value` the
+// command takes is consumed wherever it appears, and the positional arguments
+// close up behind argv[1] so they keep their slots. Parsing is strict: a flag
+// the command does not take, a switch given a value, or a missing or invalid
+// value is a usage error — never a silent default. Returns false after
+// printing the error.
+bool ParseFlags(const std::string& command, Flags* flags, int* argc, char** argv) {
+  std::vector<FlagSpec> table = FlagTable(flags);
+  auto takes = [&command](const FlagSpec& flag) {
+    return std::find(flag.commands.begin(), flag.commands.end(), command) !=
+           flag.commands.end();
+  };
+  int out = 1;
+  for (int i = 1; i < *argc; ++i) {
+    std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      argv[out++] = argv[i];
+      continue;
+    }
+    size_t eq = arg.find('=');
+    std::string name = arg.substr(0, eq);
+    auto flag = std::find_if(table.begin(), table.end(), [&](const FlagSpec& candidate) {
+      return candidate.name == name && takes(candidate);
+    });
+    if (flag == table.end()) {
+      std::vector<std::string> valid;
+      for (const FlagSpec& candidate : table) {
+        if (takes(candidate)) {
+          valid.push_back(candidate.name);
+        }
+      }
+      fprintf(stderr, "eof: unknown flag '%s' for '%s' (valid flags: %s)\n",
+              name.c_str(), command.c_str(),
+              valid.empty() ? "none" : StrJoin(valid, ", ").c_str());
+      return false;
+    }
+    if (bool* const* on = std::get_if<bool*>(&flag->target)) {
+      if (eq != std::string::npos) {
+        fprintf(stderr, "eof: %s is a switch and takes no value\n", name.c_str());
+        return false;
+      }
+      **on = true;
+      continue;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < *argc) {
+      value = argv[++i];
+    }
+    if (!ApplyFlagValue(*flag, value)) {
+      return false;
+    }
+  }
+  *argc = out;
+  return true;
+}
+
+// Reads the optional [minutes] [seed] positionals of fuzz/serve: strict
+// decimal integers; 0 minutes (or none) means 60.
+bool ParseMinutesSeed(int argc, char** argv, uint64_t* minutes, uint64_t* seed) {
+  *minutes = 60;
+  *seed = 1;
+  if ((argc >= 4 && !ParseUint(argv[3], minutes)) ||
+      (argc >= 5 && !ParseUint(argv[4], seed))) {
+    fprintf(stderr, "eof: minutes and seed must be decimal integers\n");
+    return false;
+  }
+  if (*minutes == 0) {
+    *minutes = 60;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -568,323 +755,19 @@ int main(int argc, char** argv) {
     return Usage();
   }
   std::string command = argv[1];
-  // Extract the `--flag value` options wherever they appear so the positional
-  // arguments keep their slots; `--flag=value` also works. Parsing is strict:
-  // a flag the subcommand does not take, an unknown flag, or a missing/invalid
-  // value is a usage error naming the valid choices — never a silent default.
-  int jobs = 1;
-  RestoreMode restore_mode = RestoreMode::kReflash;
-  std::string metrics_out;
-  uint64_t metrics_interval_s = 0;  // 0 = keep the FuzzerConfig default
-  bool json = false;
-  bool directed = false;
-  bool trim = false;
-  bool overlapped_drain = true;
-  uint64_t port = 0;  // 0 = ephemeral (serve prints the bound port)
-  int shards = 1;
-  int pool = 64;
-  int priority = 1;
-  std::string campaign_id = "campaign";
-  uint64_t heartbeat_ms = 1000;
-  uint64_t lease_ms = 5000;
-  std::string connect;
-  int boards = 1;
-  std::string worker_name = "worker";
-  std::vector<std::string> journals;
-  std::string trace_out;
-  int status_port = -1;  // -1 = no status endpoint; 0 = ephemeral
-  uint64_t rotate_mb = 0;  // 0 = unrotated journal
-  std::string top_campaign;  // empty = every campaign
-  uint64_t interval_s = 2;
-  bool once = false;
-  {
-    auto parse_uint = [](const char* text, uint64_t* out) {
-      if (text == nullptr || text[0] < '0' || text[0] > '9') {
-        return false;  // rejects empty, negative, and non-numeric values
-      }
-      char* end = nullptr;
-      errno = 0;
-      *out = strtoull(text, &end, 10);
-      // ERANGE check: strtoull silently saturates on overflow ("18446744073709551616"
-      // would otherwise read back as ULLONG_MAX and pass every range gate).
-      return *end == '\0' && errno != ERANGE;
-    };
-    // Which flags each subcommand accepts, and the flag grammar itself. A flag
-    // entry is "name" (switch) or "name=" (wants a value, inline or as the next
-    // argument).
-    const char* kFuzzFlags[] = {"--jobs=",        "--restore-mode=",
-                                "--metrics-out=", "--metrics-interval=",
-                                "--directed",     "--trim",
-                                "--overlapped-drain=", nullptr};
-    const char* kReportFlags[] = {"--json", "--journal=", "--trace-out=", nullptr};
-    const char* kServeFlags[] = {"--port=",
-                                 "--shards=",
-                                 "--pool=",
-                                 "--priority=",
-                                 "--campaign-id=",
-                                 "--heartbeat-interval=",
-                                 "--lease-timeout=",
-                                 "--restore-mode=",
-                                 "--directed",
-                                 "--trim",
-                                 "--metrics-out=",
-                                 "--metrics-interval=",
-                                 "--status-port=",
-                                 "--journal-rotate-mb=",
-                                 nullptr};
-    const char* kWorkerFlags[] = {"--connect=", "--boards=", "--name=",
-                                  "--metrics-out=", nullptr};
-    const char* kTopFlags[] = {"--connect=", "--campaign=", "--interval=",
-                               "--once", nullptr};
-    const char* kNoFlags[] = {nullptr};
-    const char** allowed = kNoFlags;
-    if (command == "fuzz") {
-      allowed = kFuzzFlags;
-    } else if (command == "report") {
-      allowed = kReportFlags;
-    } else if (command == "serve") {
-      allowed = kServeFlags;
-    } else if (command == "worker") {
-      allowed = kWorkerFlags;
-    } else if (command == "top") {
-      allowed = kTopFlags;
-    }
-    auto flag_list = [&allowed]() {
-      std::string list;
-      for (const char** f = allowed; *f != nullptr; ++f) {
-        std::string name = *f;
-        if (!name.empty() && name.back() == '=') {
-          name.pop_back();
-        }
-        list += list.empty() ? name : ", " + name;
-      }
-      return list.empty() ? std::string("none") : list;
-    };
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        argv[out++] = argv[i];
-        continue;
-      }
-      std::string name = arg.substr(0, arg.find('='));
-      const char* spec = nullptr;
-      for (const char** f = allowed; *f != nullptr; ++f) {
-        std::string fname = *f;
-        bool wants_value = !fname.empty() && fname.back() == '=';
-        if (wants_value) {
-          fname.pop_back();
-        }
-        if (fname == name) {
-          spec = *f;
-          break;
-        }
-      }
-      if (spec == nullptr) {
-        fprintf(stderr, "eof: unknown flag '%s' for '%s' (valid flags: %s)\n",
-                name.c_str(), command.c_str(), flag_list().c_str());
-        return Usage();
-      }
-      const char* value = nullptr;
-      bool wants_value = spec[strlen(spec) - 1] == '=';
-      size_t eq = arg.find('=');
-      if (eq != std::string::npos) {
-        if (!wants_value) {
-          fprintf(stderr, "eof: %s is a switch and takes no value\n", name.c_str());
-          return Usage();
-        }
-        value = arg.c_str() + eq + 1;
-      } else if (wants_value && i + 1 < argc) {
-        value = argv[++i];
-      }
-      if (name == "--jobs") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed < 1 || parsed > 1024) {
-          fprintf(stderr, "eof: --jobs wants an integer in [1, 1024], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        jobs = static_cast<int>(parsed);
-      } else if (name == "--restore-mode") {
-        std::string mode = value == nullptr ? "" : value;
-        if (mode == "reflash") {
-          restore_mode = RestoreMode::kReflash;
-        } else if (mode == "snapshot") {
-          restore_mode = RestoreMode::kSnapshot;
-        } else {
-          fprintf(stderr, "eof: --restore-mode wants 'reflash' or 'snapshot', got '%s'\n",
-                  mode.c_str());
-          return Usage();
-        }
-      } else if (name == "--metrics-out") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --metrics-out wants a file path\n");
-          return Usage();
-        }
-        metrics_out = value;
-      } else if (name == "--metrics-interval") {
-        if (!parse_uint(value, &metrics_interval_s) || metrics_interval_s < 1) {
-          fprintf(stderr,
-                  "eof: --metrics-interval wants a positive virtual-second count, "
-                  "got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--overlapped-drain") {
-        std::string mode = value == nullptr ? "" : value;
-        if (mode == "on") {
-          overlapped_drain = true;
-        } else if (mode == "off") {
-          overlapped_drain = false;
-        } else {
-          fprintf(stderr, "eof: --overlapped-drain wants 'on' or 'off', got '%s'\n",
-                  mode.c_str());
-          return Usage();
-        }
-      } else if (name == "--directed") {
-        directed = true;
-      } else if (name == "--trim") {
-        trim = true;
-      } else if (name == "--json") {
-        json = true;
-      } else if (name == "--journal") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --journal wants a file path\n");
-          return Usage();
-        }
-        journals.push_back(value);
-      } else if (name == "--port") {
-        if (!parse_uint(value, &port) || port > 65535) {
-          fprintf(stderr, "eof: --port wants an integer in [0, 65535], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--shards") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed < 1 || parsed > 1024) {
-          fprintf(stderr, "eof: --shards wants an integer in [1, 1024], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        shards = static_cast<int>(parsed);
-      } else if (name == "--pool") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed < 1 || parsed > 4096) {
-          fprintf(stderr, "eof: --pool wants an integer in [1, 4096], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        pool = static_cast<int>(parsed);
-      } else if (name == "--priority") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed < 1 || parsed > 1000) {
-          fprintf(stderr, "eof: --priority wants an integer in [1, 1000], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        priority = static_cast<int>(parsed);
-      } else if (name == "--campaign-id") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --campaign-id wants a non-empty id\n");
-          return Usage();
-        }
-        campaign_id = value;
-      } else if (name == "--heartbeat-interval") {
-        // Validated here, not in the orchestrator, so a bad knob is a usage
-        // error before any socket is opened (consistent with the rest of the
-        // strict flag grammar). Bounds: 1ms .. 1 hour.
-        if (!parse_uint(value, &heartbeat_ms) || heartbeat_ms < 1 ||
-            heartbeat_ms > 3600000) {
-          fprintf(stderr,
-                  "eof: --heartbeat-interval wants milliseconds in [1, 3600000], "
-                  "got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--lease-timeout") {
-        // Bounds: 1ms .. 24 hours; must exceed the heartbeat (checked below once
-        // both flags are parsed).
-        if (!parse_uint(value, &lease_ms) || lease_ms < 1 || lease_ms > 86400000) {
-          fprintf(stderr,
-                  "eof: --lease-timeout wants milliseconds in [1, 86400000], "
-                  "got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--connect") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --connect wants HOST:PORT\n");
-          return Usage();
-        }
-        connect = value;
-      } else if (name == "--boards") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed < 1 || parsed > 1024) {
-          fprintf(stderr, "eof: --boards wants an integer in [1, 1024], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        boards = static_cast<int>(parsed);
-      } else if (name == "--name") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --name wants a non-empty worker name\n");
-          return Usage();
-        }
-        worker_name = value;
-      } else if (name == "--trace-out") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --trace-out wants a file path\n");
-          return Usage();
-        }
-        trace_out = value;
-      } else if (name == "--status-port") {
-        uint64_t parsed = 0;
-        if (!parse_uint(value, &parsed) || parsed > 65535) {
-          fprintf(stderr,
-                  "eof: --status-port wants an integer in [0, 65535] (0 = "
-                  "ephemeral), got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-        status_port = static_cast<int>(parsed);
-      } else if (name == "--journal-rotate-mb") {
-        // Bounds: 1 MiB .. 10 GiB per segment.
-        if (!parse_uint(value, &rotate_mb) || rotate_mb < 1 || rotate_mb > 10240) {
-          fprintf(stderr,
-                  "eof: --journal-rotate-mb wants megabytes in [1, 10240], "
-                  "got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--campaign") {
-        if (value == nullptr || value[0] == '\0') {
-          fprintf(stderr, "eof: --campaign wants a non-empty campaign id\n");
-          return Usage();
-        }
-        top_campaign = value;
-      } else if (name == "--interval") {
-        if (!parse_uint(value, &interval_s) || interval_s < 1 ||
-            interval_s > 3600) {
-          fprintf(stderr,
-                  "eof: --interval wants seconds in [1, 3600], got '%s'\n",
-                  value == nullptr ? "" : value);
-          return Usage();
-        }
-      } else if (name == "--once") {
-        once = true;
-      }
-    }
-    argc = out;
+  Flags flags;
+  if (!ParseFlags(command, &flags, &argc, argv)) {
+    return Usage();
   }
-  if (command == "serve" && lease_ms <= heartbeat_ms) {
+  if (command == "serve" && flags.lease_ms <= flags.heartbeat_ms) {
     fprintf(stderr,
             "eof: --lease-timeout (%llu ms) must exceed --heartbeat-interval "
             "(%llu ms)\n",
-            static_cast<unsigned long long>(lease_ms),
-            static_cast<unsigned long long>(heartbeat_ms));
+            static_cast<unsigned long long>(flags.lease_ms),
+            static_cast<unsigned long long>(flags.heartbeat_ms));
     return Usage();
   }
-  if (command == "serve" && rotate_mb > 0 && metrics_out.empty()) {
+  if (command == "serve" && flags.rotate_mb > 0 && flags.metrics_out.empty()) {
     fprintf(stderr,
             "eof: --journal-rotate-mb needs --metrics-out (no journal to "
             "rotate)\n");
@@ -896,48 +779,30 @@ int main(int argc, char** argv) {
   if (command == "mine-specs" && argc >= 3) {
     return MineSpecs(argv[2]);
   }
-  if (command == "fuzz" && argc >= 3) {
-    uint64_t minutes = argc >= 4 ? strtoull(argv[3], nullptr, 10) : 60;
-    uint64_t seed = argc >= 5 ? strtoull(argv[4], nullptr, 10) : 1;
+  if ((command == "fuzz" || command == "serve") && argc >= 3) {
+    uint64_t minutes = 0;
+    uint64_t seed = 0;
+    if (!ParseMinutesSeed(argc, argv, &minutes, &seed)) {
+      return Usage();
+    }
     std::string board = argc >= 6 ? argv[5] : "";
-    return Fuzz(argv[2], minutes == 0 ? 60 : minutes, seed, board, jobs, restore_mode,
-                metrics_out, metrics_interval_s, directed, trim, overlapped_drain);
+    return command == "fuzz" ? Fuzz(argv[2], minutes, seed, board, flags)
+                             : Serve(argv[2], minutes, seed, board, flags);
   }
-  if (command == "report" && (argc >= 3 || !journals.empty())) {
+  if (command == "report" && (argc >= 3 || !flags.journals.empty())) {
     for (int i = 2; i < argc; ++i) {
-      if (!ExpandJournalArg(argv[i], &journals)) {
+      if (!ExpandJournalArg(argv[i], &flags.journals)) {
         return 1;
       }
     }
-    return Report(journals, json, trace_out);
+    return Report(flags.journals, flags.json, flags.trace_out);
   }
-  if (command == "serve" && argc >= 3) {
-    uint64_t minutes = argc >= 4 ? strtoull(argv[3], nullptr, 10) : 60;
-    uint64_t seed = argc >= 5 ? strtoull(argv[4], nullptr, 10) : 1;
-    std::string board = argc >= 6 ? argv[5] : "";
-    fleet::Orchestrator::Options fleet_options;
-    fleet_options.board_pool = pool;
-    fleet_options.heartbeat_interval_ms = heartbeat_ms;
-    fleet_options.lease_timeout_ms = lease_ms;
-    fleet_options.journal_rotate_bytes = rotate_mb * 1024 * 1024;
-    return Serve(argv[2], minutes == 0 ? 60 : minutes, seed, board, campaign_id,
-                 shards, priority, static_cast<uint16_t>(port), fleet_options,
-                 restore_mode, metrics_out, metrics_interval_s, directed, trim,
-                 status_port);
-  }
-  if (command == "worker") {
-    if (connect.empty()) {
-      fprintf(stderr, "eof: worker needs --connect HOST:PORT\n");
+  if (command == "worker" || command == "top") {
+    if (flags.connect.empty()) {
+      fprintf(stderr, "eof: %s needs --connect HOST:PORT\n", command.c_str());
       return Usage();
     }
-    return Worker(connect, boards, worker_name, metrics_out);
-  }
-  if (command == "top") {
-    if (connect.empty()) {
-      fprintf(stderr, "eof: top needs --connect HOST:PORT\n");
-      return Usage();
-    }
-    return Top(connect, top_campaign, interval_s, once);
+    return command == "worker" ? Worker(flags) : Top(flags);
   }
   if (command == "repro" && argc >= 4) {
     return Repro(argv[2], atoi(argv[3]));
