@@ -4,8 +4,8 @@
 // hour) must rise monotonically with the worker count; host-side wall throughput is
 // reported alongside to expose the engine's own parallel efficiency.
 //
-// Also verifies the layering refactor's determinism contract: a --jobs 1 farm
-// campaign must bit-match the legacy single-threaded EofFuzzer::Run() series.
+// Also checks determinism: a second one-board campaign of the same config
+// (EofFuzzer::Run, the same loop) must bit-match the --jobs 1 series.
 //
 // With --metrics-out=PATH, each worker-count run streams its telemetry journal to
 // PATH with ".jobsN" spliced in before the extension (farm.jsonl -> farm.jobs2.jsonl),
@@ -197,12 +197,11 @@ bool RunFleetPoint(const char* self, int workers, FleetPoint* point) {
   }
 
   auto results = orchestrator.value()->Results();
-  if (results.size() != 1 || results[0].leases_reclaimed != 0) {
+  uint64_t reclaims =
+      results.empty() ? 0 : results[0].metrics.CounterValue("fleet.leases_reclaimed");
+  if (results.size() != 1 || reclaims != 0) {
     fprintf(stderr, "fleet(%d): unexpected results (campaigns=%zu reclaims=%llu)\n",
-            workers, results.size(),
-            results.empty()
-                ? 0ULL
-                : static_cast<unsigned long long>(results[0].leases_reclaimed));
+            workers, results.size(), static_cast<unsigned long long>(reclaims));
     return false;
   }
   const CampaignResult& campaign = results[0].result;
@@ -346,16 +345,14 @@ int main(int argc, char** argv) {
   }
   printf("scaling 1 -> 4 workers: %s\n", monotone ? "monotone" : "NOT MONOTONE");
 
-  config.metrics_out.clear();  // the reference run needs no journal
-  EofFuzzer legacy(config);
-  auto single = legacy.Run();
-  if (!single.ok()) {
-    fprintf(stderr, "single-threaded run failed: %s\n",
-            single.status().ToString().c_str());
+  config.metrics_out.clear();  // the rerun needs no journal
+  auto rerun = EofFuzzer(config).Run();
+  if (!rerun.ok()) {
+    fprintf(stderr, "one-board rerun failed: %s\n", rerun.status().ToString().c_str());
     return 1;
   }
-  bool match = SeriesMatch(single.value(), farm_one);
-  printf("--jobs 1 vs single-threaded engine: %s\n",
+  bool match = SeriesMatch(rerun.value(), farm_one);
+  printf("determinism (--jobs 1 run twice): %s\n",
          match ? "bit-identical series" : "MISMATCH");
   return (monotone && match) ? 0 : 1;
 }

@@ -109,16 +109,21 @@ Result<CampaignResult> BoardFarm::Run() {
   }
 
   telemetry->CampaignStart(config_.os_name, config_.board_name);
-  telemetry->StartEmitter([&scheduler] { return scheduler.View(); });
+  telemetry->StartEmitter([&scheduler] { return scheduler.Snapshot(); });
 
+  // Board 0 fuzzes on the calling thread, boards 1..N-1 on their own: a
+  // one-board campaign never leaves the caller's thread.
   std::atomic<bool> stop(false);
+  auto run_board = [&](int i) {
+    RunFarmSession(&workers[static_cast<size_t>(i)], i, &scheduler, &plan.specs,
+                   config_.budget, config_.max_execs, &stop, telemetry->emitter());
+  };
   std::vector<std::thread> threads;
-  threads.reserve(workers.size());
-  for (int i = 0; i < jobs_; ++i) {
-    threads.emplace_back(RunFarmSession, &workers[static_cast<size_t>(i)], i,
-                         &scheduler, &plan.specs, config_.budget, config_.max_execs,
-                         &stop, telemetry->emitter(), nullptr, nullptr);
+  threads.reserve(workers.size() - 1);
+  for (int i = 1; i < jobs_; ++i) {
+    threads.emplace_back(run_board, i);
   }
+  run_board(0);
   for (std::thread& thread : threads) {
     thread.join();
   }

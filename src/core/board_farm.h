@@ -1,6 +1,6 @@
-// BoardFarm: one campaign fanned out over a farm of boards (§5.1's per-pair
-// campaigns, run wide). N worker threads each own a full board session — their own
-// Deployment, TargetExecutor, Generator, and RNG stream — and share one
+// BoardFarm: the campaign loop, fanned out over a farm of boards (§5.1's per-pair
+// campaigns, run wide). Each of N board sessions owns its own Deployment,
+// TargetExecutor, Generator, and RNG stream, and all of them share one
 // CampaignScheduler: seeds are pulled from the shared corpus and per-worker edge
 // sets merge into the global coverage map under the scheduler's lock.
 //
@@ -9,9 +9,12 @@
 // per-worker clocks into one campaign timeline by sampling at the slowest active
 // session's elapsed time. Campaign `elapsed` is the longest session.
 //
-// Determinism: worker 0 reuses the base seed and the engine's historical RNG
-// streams, so a --jobs 1 farm campaign reproduces EofFuzzer::Run() bit-for-bit.
-// Workers 1..N-1 derive independent streams by hashing (seed, worker).
+// Threads: board 0 runs on the calling thread, boards 1..N-1 on their own, so a
+// one-board campaign (EofFuzzer, --jobs 1) runs entirely on the caller's thread.
+//
+// Determinism: worker 0 reuses the base seed and RNG streams, so one-board
+// campaigns are reproducible bit-for-bit. Workers 1..N-1 derive independent
+// streams by hashing (seed, worker).
 
 #ifndef SRC_CORE_BOARD_FARM_H_
 #define SRC_CORE_BOARD_FARM_H_
@@ -31,7 +34,7 @@ uint64_t FarmWorkerSeed(uint64_t base_seed, int worker);
 // pre-filters already-seen edges so the global merge holds the campaign lock only
 // for genuinely new material. Locally-old edges are a subset of globally-old ones
 // (everything a worker drained was merged), so filtering never changes the global
-// fresh count — which keeps --jobs 1 bit-identical to the single-threaded engine.
+// fresh count.
 // Shared between the in-process BoardFarm and the fleet worker (src/fleet), which
 // runs the same loop against a batch-local scheduler.
 struct FarmSession {

@@ -5,9 +5,9 @@
 //
 // The executor is deliberately policy-free: it neither schedules inputs nor decides
 // what counts as interesting. That is the CampaignScheduler's job (scheduler.h).
-// EofFuzzer wires one executor to one scheduler; BoardFarm wires N executors (one
-// per worker thread) to a shared scheduler. An executor instance is confined to a
-// single thread — cross-worker coordination happens in the scheduler.
+// The campaign loop (BoardFarm, board_farm.h) wires one executor per board to a
+// shared scheduler. An executor instance is confined to a single thread —
+// cross-board coordination happens in the scheduler.
 
 #ifndef SRC_CORE_EXECUTOR_H_
 #define SRC_CORE_EXECUTOR_H_
@@ -102,9 +102,9 @@ class TargetExecutor {
  public:
   // Deploys (build image, attach port, flash, boot to the agent), resolves the
   // workflow symbols, and arms breakpoints. `session_rng` drives the peripheral
-  // event bursts and must outlive the executor (the single-threaded engine shares
-  // the scheduling RNG here to preserve its historical stream; farm workers pass
-  // their own per-worker stream).
+  // event bursts and must outlive the executor (each board session shares its
+  // scheduling RNG here, so peripheral-event bursts and scheduling rolls
+  // interleave on one stream).
   static Result<std::unique_ptr<TargetExecutor>> Create(const ExecutorOptions& options,
                                                         Rng* session_rng);
 

@@ -2,7 +2,7 @@
 
 #include <mutex>
 
-#include "src/common/logging.h"
+#include "src/core/board_farm.h"
 #include "src/core/replay.h"
 #include "src/kernel/os.h"
 
@@ -109,67 +109,6 @@ telemetry::CampaignTelemetry::Options MakeTelemetryOptions(const FuzzerConfig& c
   return options;
 }
 
-Result<CampaignResult> EofFuzzer::Run() {
-  ASSIGN_OR_RETURN(CampaignPlan plan, PrepareCampaign(config_));
-  ASSIGN_OR_RETURN(std::unique_ptr<telemetry::CampaignTelemetry> telemetry,
-                   telemetry::CampaignTelemetry::Create(
-                       MakeTelemetryOptions(config_, /*workers=*/1)));
-
-  fuzz::GeneratorOptions gen = config_.gen;
-  gen.use_extended = config_.use_extended_specs;
-  fuzz::Generator generator(plan.specs, gen, config_.seed);
-  Rng schedule_rng(config_.seed ^ 0x5eedf00dULL);
-
-  // The executor shares the scheduling RNG as its session stream, preserving the
-  // historical single-threaded stream (peripheral-event bursts and scheduling rolls
-  // interleave on one sequence, as the monolithic engine did).
-  ExecutorOptions executor_options =
-      MakeExecutorOptions(config_, config_.seed, plan.exception_symbol);
-  executor_options.telemetry = telemetry->board(0);
-  ASSIGN_OR_RETURN(std::unique_ptr<TargetExecutor> executor,
-                   TargetExecutor::Create(executor_options, &schedule_rng));
-
-  CampaignScheduler::Options scheduler_options =
-      MakeSchedulerOptions(config_, /*workers=*/1);
-  scheduler_options.registry = &telemetry->campaign_registry();
-  scheduler_options.sink = telemetry->sink();
-  CampaignScheduler scheduler(plan.specs, scheduler_options);
-  scheduler.SeedCorpus(config_.seed_programs);
-
-  telemetry->CampaignStart(config_.os_name, config_.board_name);
-  telemetry->StartEmitter([&scheduler] { return scheduler.View(); });
-
-  uint64_t execs_run = 0;
-  while (executor->Elapsed() < config_.budget &&
-         (config_.max_execs == 0 || execs_run < config_.max_execs)) {
-    fuzz::Program program = scheduler.NextProgram(generator, schedule_rng);
-    std::vector<uint8_t> encoded;
-    if (!EncodeForMailbox(plan.specs, &program, &encoded)) {
-      continue;
-    }
-    ASSIGN_OR_RETURN(ExecOutcome outcome, executor->ExecuteOne(encoded));
-    ++execs_run;
-    scheduler.OnOutcome(program, outcome, generator, executor->Elapsed(), /*worker=*/0);
-    if (telemetry->emitter() != nullptr) {
-      executor->SetCoverageGauge(scheduler.CoverageCount());
-      telemetry->emitter()->MaybeEmit(/*worker=*/0, executor->Elapsed());
-    }
-  }
-  VirtualTime elapsed = executor->Elapsed();
-  executor->SetCoverageGauge(scheduler.CoverageCount());
-  if (telemetry->emitter() != nullptr) {
-    telemetry->emitter()->WorkerDone(0, elapsed);
-  }
-  CampaignResult result =
-      scheduler.Finalize(executor->stats(), elapsed, executor->port_stats());
-  telemetry->CampaignEnd(elapsed);
-  result.journal_dropped = telemetry->journal_dropped();
-  if (result.journal_dropped > 0) {
-    EOF_LOG(kWarning) << "journal sink dropped " << result.journal_dropped
-                      << " rows; " << config_.metrics_out
-                      << " is incomplete (eof report numbers are lower bounds)";
-  }
-  return result;
-}
+Result<CampaignResult> EofFuzzer::Run() { return BoardFarm(config_, 1).Run(); }
 
 }  // namespace eof

@@ -6,10 +6,10 @@
 //   CampaignScheduler (scheduler.h) — campaign state: corpus, global coverage map,
 //                                    bug dedup, input scheduling, sampled series.
 //
-// EofFuzzer itself is thin glue running one executor against one scheduler on a
-// single thread; BoardFarm (board_farm.h) runs N executors against one scheduler.
-// The baselines in src/baselines configure this same engine where their design
-// matches (EOF-nf = feedback off) and compose the shared pieces where it does not.
+// One campaign loop (BoardFarm, board_farm.h) runs one executor per attached board
+// against one scheduler; EofFuzzer is that loop on a single board. The baselines in
+// src/baselines configure this same engine where their design matches (EOF-nf =
+// feedback off) and compose the shared pieces where it does not.
 
 #ifndef SRC_CORE_FUZZER_H_
 #define SRC_CORE_FUZZER_H_
@@ -121,7 +121,8 @@ class EofFuzzer {
  public:
   explicit EofFuzzer(FuzzerConfig config) : config_(std::move(config)) {}
 
-  // Deploys, fuzzes until the virtual budget is exhausted, and reports.
+  // Deploys one board, fuzzes until the virtual budget is exhausted, and reports:
+  // a one-board BoardFarm campaign, run on the calling thread.
   Result<CampaignResult> Run();
 
  private:

@@ -454,30 +454,14 @@ std::vector<size_t> CampaignScheduler::FocusSpecs() const {
   return focus_specs_;
 }
 
-uint64_t CampaignScheduler::CoverageCount() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return coverage_.Count();
-}
-
 size_t CampaignScheduler::CorpusSize() const {
   std::lock_guard<std::mutex> lock(mu_);
   return corpus_.size();
 }
 
-telemetry::CampaignView CampaignScheduler::View() const {
+telemetry::MetricsSnapshot CampaignScheduler::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  telemetry::CampaignView view;
-  view.coverage = coverage_.Count();
-  view.corpus = corpus_.size();
-  view.execs = execs_->Value();
-  view.crashes = crashes_->Value();
-  view.bugs = result_.bugs.size();
-  view.bugs_rejected = rejected_bugs_.size();
-  view.directed_hits = directed_hits_->Value();
-  view.frontier = frontier_.size();
-  view.trim_removed_calls = trim_removed_calls_->Value();
-  view.trim_kept_calls = trim_kept_calls_->Value();
-  return view;
+  return registry_->Snapshot();
 }
 
 std::vector<BugReport> CampaignScheduler::RejectedBugs() const {

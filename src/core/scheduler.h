@@ -4,8 +4,8 @@
 // which program each executor runs next (mutate / splice / generate against the
 // shared corpus, §4.5).
 //
-// All public methods are thread-safe: the single-threaded EofFuzzer calls them from
-// one thread, the BoardFarm from N worker threads. Program construction (the actual
+// All public methods are thread-safe: the campaign loop (board_farm.h) calls them
+// from one thread per board session. Program construction (the actual
 // Mutate/Splice/Generate work) happens outside the lock on the caller's own
 // Generator so workers only serialise on corpus picks and outcome merging.
 
@@ -227,11 +227,11 @@ class CampaignScheduler {
   CampaignResult Finalize(const ExecStats& stats, VirtualTime elapsed,
                           const DebugPortStats& link = DebugPortStats());
 
-  uint64_t CoverageCount() const;
   size_t CorpusSize() const;
 
-  // The campaign-global numbers for a farm_snapshot row, read under the lock.
-  telemetry::CampaignView View() const;
+  // The campaign registry's instruments, snapshotted under the campaign lock so a
+  // farm_snapshot row reads one consistent cut.
+  telemetry::MetricsSnapshot Snapshot() const;
 
   // First sightings the validator rejected (copies, read under the lock). Exposed
   // for tests asserting that rejected bugs are remembered for dedup but kept out

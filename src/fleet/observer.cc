@@ -66,7 +66,9 @@ std::vector<double> ExecRates(const std::vector<StatusReplyMsg>& history,
     uint64_t dt_ms = history[i].server_ms > history[i - 1].server_ms
                          ? history[i].server_ms - history[i - 1].server_ms
                          : 0;
-    uint64_t dx = next->execs > prev->execs ? next->execs - prev->execs : 0;
+    uint64_t prev_execs = prev->metrics.CounterValue("fleet.campaign.execs");
+    uint64_t next_execs = next->metrics.CounterValue("fleet.campaign.execs");
+    uint64_t dx = next_execs > prev_execs ? next_execs - prev_execs : 0;
     rates.push_back(dt_ms == 0 ? 0.0 : 1000.0 * static_cast<double>(dx) /
                                            static_cast<double>(dt_ms));
   }
@@ -105,9 +107,11 @@ bool CoveragePlateaued(const std::vector<StatusReplyMsg>& history,
   if (last == nullptr) {
     return false;
   }
+  uint64_t coverage = last->metrics.GaugeValue("fleet.campaign.coverage");
   for (size_t i = history.size() - need; i < history.size(); ++i) {
     const CampaignStatusWire* campaign = FindCampaign(history[i], campaign_id);
-    if (campaign == nullptr || campaign->coverage != last->coverage) {
+    if (campaign == nullptr ||
+        campaign->metrics.GaugeValue("fleet.campaign.coverage") != coverage) {
       return false;
     }
   }
@@ -131,6 +135,12 @@ std::string RenderTopFrame(const std::vector<StatusReplyMsg>& history) {
       static_cast<unsigned long long>(now.heartbeat_interval_ms),
       now.campaigns.size(), now.workers.size());
   for (const CampaignStatusWire& campaign : now.campaigns) {
+    auto counter = [&](const char* name) {
+      return static_cast<unsigned long long>(campaign.metrics.CounterValue(name));
+    };
+    auto gauge = [&](const char* name) {
+      return static_cast<unsigned long long>(campaign.metrics.GaugeValue(name));
+    };
     out += StrFormat("campaign %s %s/%s | budget %.1fs%s\n",
                      campaign.campaign_id.c_str(), campaign.os_name.c_str(),
                      campaign.board_name.c_str(),
@@ -139,22 +149,19 @@ std::string RenderTopFrame(const std::vector<StatusReplyMsg>& history) {
     out += StrFormat(
         "  shards %u: %u pending / %u leased / %u done | frontier %.2fs\n",
         campaign.shards_total, campaign.shards_pending, campaign.shards_leased,
-        campaign.shards_done, static_cast<double>(campaign.frontier_us) / 1e6);
+        campaign.shards_done,
+        static_cast<double>(gauge("fleet.campaign.frontier_us")) / 1e6);
     out += StrFormat(
         "  coverage %llu | corpus %llu | execs %llu | crashes %llu | bugs %zu\n",
-        static_cast<unsigned long long>(campaign.coverage),
-        static_cast<unsigned long long>(campaign.corpus),
-        static_cast<unsigned long long>(campaign.execs),
-        static_cast<unsigned long long>(campaign.crashes),
+        gauge("fleet.campaign.coverage"), gauge("fleet.campaign.corpus"),
+        counter("fleet.campaign.execs"), counter("fleet.campaign.crashes"),
         campaign.bugs.size());
     out += StrFormat(
         "  leases granted %llu reclaimed %llu | rejected uploads %llu | "
         "workers lost %llu | corpus syncs %llu\n",
-        static_cast<unsigned long long>(campaign.leases_granted),
-        static_cast<unsigned long long>(campaign.leases_reclaimed),
-        static_cast<unsigned long long>(campaign.rejected_uploads),
-        static_cast<unsigned long long>(campaign.workers_lost),
-        static_cast<unsigned long long>(campaign.corpus_syncs));
+        counter("fleet.leases_granted"), counter("fleet.leases_reclaimed"),
+        counter("fleet.rejected_uploads"), counter("fleet.workers_lost"),
+        counter("fleet.corpus_syncs"));
     out += StrFormat(
         "  journal drops: orchestrator %llu, workers %llu\n",
         static_cast<unsigned long long>(campaign.journal_dropped),
@@ -213,130 +220,60 @@ std::string RenderTopFrame(const std::vector<StatusReplyMsg>& history) {
   return out;
 }
 
-namespace {
-
-using telemetry::AppendPrometheusSample;
-using telemetry::AppendPrometheusType;
-using telemetry::PrometheusLabels;
-
-PrometheusLabels CampaignLabels(const CampaignStatusWire& campaign) {
-  return {{"campaign", campaign.campaign_id}};
-}
-
-PrometheusLabels WorkerLabels(const WorkerStatusWire& worker) {
-  return {{"worker", worker.name},
-          {"id", StrFormat("%u", worker.worker_id)}};
-}
-
-}  // namespace
-
 std::string RenderFleetMetrics(const StatusReplyMsg& status,
                                const telemetry::MetricsSnapshot& orchestrator) {
-  std::string out;
-  struct CampaignFamily {
-    const char* name;
-    const char* type;
-    uint64_t (*value)(const CampaignStatusWire&);
-  };
-  static const CampaignFamily kCampaignFamilies[] = {
-      {"eof_fleet_campaign_coverage", "gauge",
-       [](const CampaignStatusWire& c) { return c.coverage; }},
-      {"eof_fleet_campaign_corpus", "gauge",
-       [](const CampaignStatusWire& c) { return c.corpus; }},
-      {"eof_fleet_campaign_execs_total", "counter",
-       [](const CampaignStatusWire& c) { return c.execs; }},
-      {"eof_fleet_campaign_crashes_total", "counter",
-       [](const CampaignStatusWire& c) { return c.crashes; }},
-      {"eof_fleet_campaign_bugs", "gauge",
-       [](const CampaignStatusWire& c) { return static_cast<uint64_t>(c.bugs.size()); }},
-      {"eof_fleet_campaign_frontier_us", "gauge",
-       [](const CampaignStatusWire& c) { return c.frontier_us; }},
-      {"eof_fleet_campaign_budget_us", "gauge",
-       [](const CampaignStatusWire& c) { return c.budget_us; }},
-      {"eof_fleet_campaign_finalized", "gauge",
-       [](const CampaignStatusWire& c) { return static_cast<uint64_t>(c.finalized); }},
-      {"eof_fleet_leases_granted_total", "counter",
-       [](const CampaignStatusWire& c) { return c.leases_granted; }},
-      {"eof_fleet_leases_reclaimed_total", "counter",
-       [](const CampaignStatusWire& c) { return c.leases_reclaimed; }},
-      {"eof_fleet_rejected_uploads_total", "counter",
-       [](const CampaignStatusWire& c) { return c.rejected_uploads; }},
-      {"eof_fleet_workers_lost_total", "counter",
-       [](const CampaignStatusWire& c) { return c.workers_lost; }},
-      {"eof_fleet_corpus_syncs_total", "counter",
-       [](const CampaignStatusWire& c) { return c.corpus_syncs; }},
-  };
-  for (const CampaignFamily& family : kCampaignFamilies) {
-    AppendPrometheusType(&out, family.name, family.type);
-    for (const CampaignStatusWire& campaign : status.campaigns) {
-      AppendPrometheusSample(&out, family.name, CampaignLabels(campaign),
-                             family.value(campaign));
-    }
-  }
-  AppendPrometheusType(&out, "eof_fleet_shards", "gauge");
+  // Every family is an instrument name in one labelled snapshot; PrometheusName
+  // maps "fleet.campaign.coverage" to eof_fleet_campaign_coverage.
+  std::vector<telemetry::LabelledSnapshot> series;
   for (const CampaignStatusWire& campaign : status.campaigns) {
+    telemetry::PrometheusLabels labels = {{"campaign", campaign.campaign_id}};
+    telemetry::MetricsSnapshot metrics = campaign.metrics;
+    metrics.gauges["fleet.campaign.bugs"] = campaign.bugs.size();
+    metrics.gauges["fleet.campaign.budget_us"] = campaign.budget_us;
+    metrics.gauges["fleet.campaign.finalized"] = campaign.finalized;
+    series.push_back({labels, std::move(metrics)});
     const std::pair<const char*, uint32_t> phases[] = {
         {"pending", campaign.shards_pending},
         {"leased", campaign.shards_leased},
         {"done", campaign.shards_done}};
     for (const auto& [phase, count] : phases) {
-      PrometheusLabels labels = CampaignLabels(campaign);
-      labels.emplace_back("phase", phase);
-      AppendPrometheusSample(&out, "eof_fleet_shards", labels, count);
+      telemetry::LabelledSnapshot shards{labels, {}};
+      shards.labels.emplace_back("phase", phase);
+      shards.snapshot.gauges["fleet.shards"] = count;
+      series.push_back(std::move(shards));
+    }
+    // Per-sink drop attribution: the orchestrator's own sink and the summed
+    // worker sinks, plus the per-worker breakdown below.
+    const std::pair<const char*, uint64_t> sinks[] = {
+        {"orchestrator", campaign.journal_dropped},
+        {"workers", campaign.journal_dropped_workers}};
+    for (const auto& [sink, dropped] : sinks) {
+      telemetry::LabelledSnapshot drops{labels, {}};
+      drops.labels.emplace_back("sink", sink);
+      drops.snapshot.counters["fleet.journal_dropped"] = dropped;
+      series.push_back(std::move(drops));
     }
   }
-  // Per-sink drop attribution: the orchestrator's own sink and the summed
-  // worker sinks per campaign, plus the per-worker breakdown below.
-  AppendPrometheusType(&out, "eof_fleet_journal_dropped_total", "counter");
-  for (const CampaignStatusWire& campaign : status.campaigns) {
-    PrometheusLabels orch_labels = CampaignLabels(campaign);
-    orch_labels.emplace_back("sink", "orchestrator");
-    AppendPrometheusSample(&out, "eof_fleet_journal_dropped_total", orch_labels,
-                           campaign.journal_dropped);
-    PrometheusLabels worker_labels = CampaignLabels(campaign);
-    worker_labels.emplace_back("sink", "workers");
-    AppendPrometheusSample(&out, "eof_fleet_journal_dropped_total",
-                           worker_labels, campaign.journal_dropped_workers);
+  for (const WorkerStatusWire& worker : status.workers) {
+    telemetry::LabelledSnapshot row{
+        {{"worker", worker.name}, {"id", StrFormat("%u", worker.worker_id)}}, {}};
+    row.snapshot.counters = {{"fleet.worker.execs", worker.execs},
+                             {"fleet.worker.syncs", worker.syncs},
+                             {"fleet.worker.journal_dropped", worker.journal_dropped}};
+    row.snapshot.gauges = {{"fleet.worker.leases", worker.leases},
+                           {"fleet.worker.lost", worker.lost},
+                           {"fleet.worker.last_seen_ms", worker.last_seen_ms}};
+    series.push_back(std::move(row));
   }
-  struct WorkerFamily {
-    const char* name;
-    const char* type;
-    uint64_t (*value)(const WorkerStatusWire&);
-  };
-  static const WorkerFamily kWorkerFamilies[] = {
-      {"eof_fleet_worker_execs_total", "counter",
-       [](const WorkerStatusWire& w) { return w.execs; }},
-      {"eof_fleet_worker_syncs_total", "counter",
-       [](const WorkerStatusWire& w) { return w.syncs; }},
-      {"eof_fleet_worker_journal_dropped_total", "counter",
-       [](const WorkerStatusWire& w) { return w.journal_dropped; }},
-      {"eof_fleet_worker_leases", "gauge",
-       [](const WorkerStatusWire& w) { return w.leases; }},
-      {"eof_fleet_worker_lost", "gauge",
-       [](const WorkerStatusWire& w) { return static_cast<uint64_t>(w.lost); }},
-      {"eof_fleet_worker_last_seen_ms", "gauge",
-       [](const WorkerStatusWire& w) { return w.last_seen_ms; }},
-  };
-  for (const WorkerFamily& family : kWorkerFamilies) {
-    AppendPrometheusType(&out, family.name, family.type);
-    for (const WorkerStatusWire& worker : status.workers) {
-      AppendPrometheusSample(&out, family.name, WorkerLabels(worker),
-                             family.value(worker));
-    }
-  }
-  AppendPrometheusType(&out, "eof_fleet_server_ms", "gauge");
-  AppendPrometheusSample(&out, "eof_fleet_server_ms", {}, status.server_ms);
-  AppendPrometheusType(&out, "eof_fleet_snapshot_age_ms", "gauge");
-  AppendPrometheusSample(
-      &out, "eof_fleet_snapshot_age_ms", {},
-      status.server_ms > status.assembled_ms
-          ? status.server_ms - status.assembled_ms
-          : 0);
-  AppendPrometheusType(&out, "eof_fleet_heartbeat_interval_ms", "gauge");
-  AppendPrometheusSample(&out, "eof_fleet_heartbeat_interval_ms", {},
-                         status.heartbeat_interval_ms);
-  out += telemetry::RenderPrometheus(orchestrator);
-  return out;
+  // The orchestrator's own registry, with the snapshot's clock readings.
+  telemetry::LabelledSnapshot server{{}, orchestrator};
+  server.snapshot.gauges["fleet.server_ms"] = status.server_ms;
+  server.snapshot.gauges["fleet.snapshot_age_ms"] =
+      status.server_ms > status.assembled_ms ? status.server_ms - status.assembled_ms
+                                             : 0;
+  server.snapshot.gauges["fleet.heartbeat_interval_ms"] = status.heartbeat_interval_ms;
+  series.push_back(std::move(server));
+  return telemetry::RenderPrometheus(series);
 }
 
 }  // namespace fleet

@@ -36,8 +36,8 @@ Result<StatusReplyMsg> FetchStatus(Transport* transport,
 std::string RenderTopFrame(const std::vector<StatusReplyMsg>& history);
 
 // Renders the fleet half of GET /metrics: per-campaign and per-worker families
-// from the status snapshot (campaign= / worker= labels) followed by the
-// orchestrator's own instrument registry.
+// from the status snapshot (campaign= / worker= labels) and the orchestrator's
+// own instrument registry, one "# TYPE" line per family.
 std::string RenderFleetMetrics(const StatusReplyMsg& status,
                                const telemetry::MetricsSnapshot& orchestrator);
 

@@ -8,6 +8,7 @@
 #include "src/common/coverage_serial.h"
 #include "src/common/hash.h"
 #include "src/common/strings.h"
+#include "src/telemetry/snapshot.h"
 
 namespace eof {
 namespace fleet {
@@ -17,6 +18,12 @@ namespace {
 std::string BugKey(uint32_t catalog_id, const std::string& excerpt) {
   return StrFormat("%u|%s", catalog_id, excerpt.c_str());
 }
+
+// The per-campaign fleet.* counters, registered when the campaign is added so
+// status and /metrics show each one from zero.
+constexpr const char* kCampaignCounters[] = {
+    "fleet.leases_granted", "fleet.leases_reclaimed", "fleet.rejected_uploads",
+    "fleet.workers_lost", "fleet.corpus_syncs"};
 
 // Every CampaignResult scalar a worker's final (or a merge of finals) carries.
 CampaignResult ResultFromMetrics(const telemetry::MetricsSnapshot& metrics) {
@@ -124,6 +131,9 @@ Status Orchestrator::AddCampaign(const FleetCampaignSpec& spec) {
   campaign->wire =
       ToWireConfig(spec.config, spec.campaign_id, static_cast<uint32_t>(spec.shards));
   campaign->shards.resize(static_cast<size_t>(spec.shards));
+  for (const char* name : kCampaignCounters) {
+    campaign->metrics.RegisterCounter(name);
+  }
   // The orchestrator's campaign_start mirrors the in-process row (so `eof
   // report` reads the same envelope) with the fleet markers appended last.
   EmitLocked(0, "campaign_start", -1,
@@ -228,7 +238,7 @@ void Orchestrator::ReapLocked() {
       }
       reclaimed_from.insert(shard.worker);
       shard.phase = ShardPhase::kPending;
-      ++campaign->leases_reclaimed;
+      campaign->metrics.RegisterCounter("fleet.leases_reclaimed")->Increment();
       EmitLocked(campaign->snapshot_at_us, "lease_reclaim",
                  static_cast<int>(shard.worker),
                  {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
@@ -241,7 +251,7 @@ void Orchestrator::ReapLocked() {
       auto it = workers_.find(worker);
       if (it != workers_.end() && !it->second.lost) {
         it->second.lost = true;
-        ++campaign->workers_lost;
+        campaign->metrics.RegisterCounter("fleet.workers_lost")->Increment();
         EmitLocked(campaign->snapshot_at_us, "worker_lost", static_cast<int>(worker),
                    {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
                     telemetry::EventField::Text("name", it->second.name)});
@@ -332,7 +342,7 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
     lease.shard = static_cast<uint32_t>(i);
     lease.attempt = shard.attempt;
     grant.leases.push_back(lease);
-    ++best->leases_granted;
+    best->metrics.RegisterCounter("fleet.leases_granted")->Increment();
     EmitLocked(best->snapshot_at_us, "lease_grant", static_cast<int>(msg.worker_id),
                {telemetry::EventField::Text("campaign", best->spec.campaign_id),
                 telemetry::EventField::Uint("lease", lease.lease_id),
@@ -364,7 +374,7 @@ void Orchestrator::MergeCoverageLocked(CampaignState* campaign,
   }
   Result<DecodedCoverage> decoded = DecodeCoverage(blob);
   if (!decoded.ok()) {
-    ++campaign->rejected_uploads;
+    campaign->metrics.RegisterCounter("fleet.rejected_uploads")->Increment();
     return;
   }
   for (uint64_t id : decoded.value().ids) {
@@ -387,7 +397,7 @@ void Orchestrator::AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
     ++admitted;
   }
   if (admitted > 0) {
-    ++campaign->corpus_syncs;
+    campaign->metrics.RegisterCounter("fleet.corpus_syncs")->Increment();
     EmitLocked(campaign->snapshot_at_us, "corpus_sync", static_cast<int>(worker),
                {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
                 telemetry::EventField::Uint("programs", admitted),
@@ -581,29 +591,38 @@ CampaignResult Orchestrator::MergedResultLocked(const CampaignState& campaign) c
 void Orchestrator::EmitFarmRowLocked(CampaignState* campaign, VirtualTime at) {
   at = std::max<VirtualTime>(at, campaign->snapshot_at_us);
   campaign->snapshot_at_us = at;
+  // The merged finals' counters, with the campaign.* values the orchestrator
+  // tracks live laid over them.
+  telemetry::MetricsSnapshot snapshot = campaign->final_metrics;
   uint64_t execs = 0;
   for (const ShardState& shard : campaign->shards) {
     execs += shard.execs;
   }
-  CampaignResult merged = MergedResultLocked(*campaign);
+  snapshot.counters["campaign.execs"] = execs;
+  snapshot.counters["campaign.bugs"] = campaign->bugs.size();
+  snapshot.gauges["campaign.coverage"] = campaign->coverage.Count();
+  snapshot.gauges["campaign.corpus"] = campaign->corpus.size();
   telemetry::EventSink* out = sink();
+  if (out == nullptr) {
+    return;
+  }
+  telemetry::Event event;
+  event.at = at;
+  event.type = "farm_snapshot";
+  event.worker = -1;
+  event.fields.push_back(telemetry::EventField::Uint("boards", campaign->shards.size()));
+  event.fields.push_back(
+      telemetry::EventField::Real("execs_per_vsec", telemetry::PerVirtualSecond(execs, at)));
+  telemetry::AppendCampaignColumns(snapshot, &event);
   // `journal_dropped` is this (orchestrator) sink's own drop count;
   // `journal_dropped_workers` sums the latest worker-reported per-sink counts,
   // so a drop is attributable to a specific sink rather than one aggregate.
-  EmitLocked(at, "farm_snapshot", -1,
-             {telemetry::EventField::Uint("boards", campaign->shards.size()),
-              telemetry::EventField::Uint("campaign_coverage",
-                                          campaign->coverage.Count()),
-              telemetry::EventField::Uint("corpus", campaign->corpus.size()),
-              telemetry::EventField::Uint("campaign_execs", execs),
-              telemetry::EventField::Uint("crashes", merged.crashes),
-              telemetry::EventField::Uint("bugs", campaign->bugs.size()),
-              telemetry::EventField::Uint("bugs_rejected", merged.bugs_rejected),
-              telemetry::EventField::Uint("journal_dropped",
-                                          out == nullptr ? 0 : out->dropped()),
-              telemetry::EventField::Uint("journal_dropped_workers",
-                                          merged.journal_dropped),
-              telemetry::EventField::Text("campaign", campaign->spec.campaign_id)});
+  event.fields.push_back(telemetry::EventField::Uint("journal_dropped", out->dropped()));
+  event.fields.push_back(telemetry::EventField::Uint(
+      "journal_dropped_workers", MergedResultLocked(*campaign).journal_dropped));
+  event.fields.push_back(
+      telemetry::EventField::Text("campaign", campaign->spec.campaign_id));
+  out->Emit(event);
 }
 
 void Orchestrator::FinalizeCampaignLocked(CampaignState* campaign) {
@@ -630,11 +649,7 @@ std::vector<FleetCampaignResult> Orchestrator::Results() {
     FleetCampaignResult out;
     out.campaign_id = campaign->spec.campaign_id;
     out.bugs = campaign->bugs;
-    out.leases_granted = campaign->leases_granted;
-    out.leases_reclaimed = campaign->leases_reclaimed;
-    out.rejected_uploads = campaign->rejected_uploads;
-    out.workers_lost = campaign->workers_lost;
-    out.corpus_syncs = campaign->corpus_syncs;
+    out.metrics = campaign->metrics.Snapshot();
     out.workers_served = campaign->workers_served.size();
 
     out.result = MergedResultLocked(*campaign);
@@ -679,17 +694,13 @@ StatusReplyMsg Orchestrator::AssembleStatusLocked(uint64_t now_ms) {
       row.execs = shard.execs;
       wire.shards.push_back(row);
     }
-    wire.coverage = campaign->coverage.Count();
-    wire.corpus = campaign->corpus.size();
-    wire.execs = execs;
     CampaignResult merged = MergedResultLocked(*campaign);
-    wire.crashes = merged.crashes;
-    wire.frontier_us = FrontierLocked(*campaign);
-    wire.leases_granted = campaign->leases_granted;
-    wire.leases_reclaimed = campaign->leases_reclaimed;
-    wire.rejected_uploads = campaign->rejected_uploads;
-    wire.workers_lost = campaign->workers_lost;
-    wire.corpus_syncs = campaign->corpus_syncs;
+    wire.metrics = campaign->metrics.Snapshot();
+    wire.metrics.counters["fleet.campaign.execs"] = execs;
+    wire.metrics.counters["fleet.campaign.crashes"] = merged.crashes;
+    wire.metrics.gauges["fleet.campaign.coverage"] = campaign->coverage.Count();
+    wire.metrics.gauges["fleet.campaign.corpus"] = campaign->corpus.size();
+    wire.metrics.gauges["fleet.campaign.frontier_us"] = FrontierLocked(*campaign);
     telemetry::EventSink* out = sink();
     wire.journal_dropped = out == nullptr ? 0 : out->dropped();
     wire.journal_dropped_workers = merged.journal_dropped;

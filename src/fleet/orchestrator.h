@@ -61,11 +61,8 @@ struct FleetCampaignResult {
   // structured FlightDumps; they live in `bugs` below instead.
   CampaignResult result;
   std::vector<BugWire> bugs;
-  uint64_t leases_granted = 0;
-  uint64_t leases_reclaimed = 0;
-  uint64_t rejected_uploads = 0;  // malformed or stale upload payloads
-  uint64_t workers_lost = 0;
-  uint64_t corpus_syncs = 0;  // Syncs that contributed at least one new program
+  // The campaign's fleet.* lease and upload counters (see CampaignState).
+  telemetry::MetricsSnapshot metrics;
   uint64_t workers_served = 0;
 };
 
@@ -120,8 +117,8 @@ class Orchestrator {
   // snapshot — the bounded-staleness guarantee). Never touches lease state.
   StatusReplyMsg HandleStatus(const StatusRequestMsg& msg);
 
-  // Orchestrator-side instruments (status polls served, sync payload sizes,
-  // lease counters mirrored as gauges) for the /metrics exposition.
+  // Orchestrator-side instruments (status polls served, sync frames and their
+  // payload sizes) for the /metrics exposition.
   telemetry::MetricsSnapshot MetricsSnapshot() const;
 
  private:
@@ -164,11 +161,11 @@ class Orchestrator {
     telemetry::MetricsSnapshot final_metrics;
     std::vector<std::pair<uint64_t, uint64_t>> final_series;
     std::set<uint32_t> workers_served;
-    uint64_t leases_granted = 0;
-    uint64_t leases_reclaimed = 0;
-    uint64_t rejected_uploads = 0;
-    uint64_t workers_lost = 0;
-    uint64_t corpus_syncs = 0;
+    // Lease and upload counters, all registered by AddCampaign (kCampaignCounters
+    // in orchestrator.cc): leases granted and reclaimed, rejected (malformed or
+    // stale) uploads, workers lost, and Syncs that added a program to the corpus.
+    // Live status, /metrics and the results read them by name.
+    telemetry::MetricsRegistry metrics;
     uint64_t snapshot_at_us = 0;  // monotone farm_snapshot stamp
     // Latest worker-reported sink drop count per worker (cumulative on the
     // worker side), so the final farm_snapshot can attribute drops to sinks.

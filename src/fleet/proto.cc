@@ -383,8 +383,8 @@ Result<SyncAckMsg> DecodeSyncAck(const std::vector<uint8_t>& payload) {
 
 namespace {
 
-// The WorkerFinal metrics blob: counters, then gauges, each as a u32 count of
-// (name, u64 value) entries in name order.
+// The metrics blob (WorkerFinal, StatusReply campaigns): counters, then gauges,
+// each as a u32 count of (name, u64 value) entries in name order.
 void PutMetrics(ByteWriter* writer, const telemetry::MetricsSnapshot& metrics) {
   ByteWriter blob;
   for (const auto* values : {&metrics.counters, &metrics.gauges}) {
@@ -400,29 +400,29 @@ void PutMetrics(ByteWriter* writer, const telemetry::MetricsSnapshot& metrics) {
 Status GetMetrics(ByteReader* reader, telemetry::MetricsSnapshot* metrics) {
   std::vector<uint8_t> blob = reader->GetLengthPrefixed();
   if (reader->failed()) {
-    return DataLossError("WorkerFinal metrics blob truncated");
+    return DataLossError("metrics blob truncated");
   }
   ByteReader blob_reader(blob);
   for (auto* values : {&metrics->counters, &metrics->gauges}) {
     uint32_t count = blob_reader.GetU32();
     // An entry is at least a 4-byte name length and an 8-byte value.
     if (blob_reader.failed() || count > blob_reader.remaining() / 12) {
-      return DataLossError("WorkerFinal metrics count exceeds the blob");
+      return DataLossError("metrics count exceeds the blob");
     }
     for (uint32_t i = 0; i < count; ++i) {
       std::string name = GetString(&blob_reader);
       uint64_t value = blob_reader.GetU64();
       if (blob_reader.failed()) {
-        return DataLossError("WorkerFinal metrics blob truncated");
+        return DataLossError("metrics blob truncated");
       }
       if (!values->emplace(name, value).second) {
         return DataLossError(
-            StrFormat("WorkerFinal metrics name '%s' repeats", name.c_str()));
+            StrFormat("metrics name '%s' repeats", name.c_str()));
       }
     }
   }
   if (blob_reader.remaining() != 0) {
-    return DataLossError(StrFormat("WorkerFinal metrics blob has %zu trailing bytes",
+    return DataLossError(StrFormat("metrics blob has %zu trailing bytes",
                                    blob_reader.remaining()));
   }
   return OkStatus();
@@ -567,21 +567,9 @@ void PutCampaignStatus(ByteWriter* writer, const CampaignStatusWire& campaign) {
   writer->PutU32(campaign.shards_pending);
   writer->PutU32(campaign.shards_leased);
   writer->PutU32(campaign.shards_done);
-  const uint64_t scalars[] = {campaign.coverage,
-                              campaign.corpus,
-                              campaign.execs,
-                              campaign.crashes,
-                              campaign.frontier_us,
-                              campaign.leases_granted,
-                              campaign.leases_reclaimed,
-                              campaign.rejected_uploads,
-                              campaign.workers_lost,
-                              campaign.corpus_syncs,
-                              campaign.journal_dropped,
-                              campaign.journal_dropped_workers};
-  for (uint64_t scalar : scalars) {
-    writer->PutU64(scalar);
-  }
+  PutMetrics(writer, campaign.metrics);
+  writer->PutU64(campaign.journal_dropped);
+  writer->PutU64(campaign.journal_dropped_workers);
   writer->PutU8(campaign.finalized);
   writer->PutU32(static_cast<uint32_t>(campaign.shards.size()));
   for (const ShardStatusWire& shard : campaign.shards) {
@@ -593,7 +581,7 @@ void PutCampaignStatus(ByteWriter* writer, const CampaignStatusWire& campaign) {
   }
 }
 
-CampaignStatusWire GetCampaignStatus(ByteReader* reader) {
+Result<CampaignStatusWire> GetCampaignStatus(ByteReader* reader) {
   CampaignStatusWire campaign;
   campaign.campaign_id = GetString(reader);
   campaign.os_name = GetString(reader);
@@ -603,21 +591,9 @@ CampaignStatusWire GetCampaignStatus(ByteReader* reader) {
   campaign.shards_pending = reader->GetU32();
   campaign.shards_leased = reader->GetU32();
   campaign.shards_done = reader->GetU32();
-  uint64_t* scalars[] = {&campaign.coverage,
-                         &campaign.corpus,
-                         &campaign.execs,
-                         &campaign.crashes,
-                         &campaign.frontier_us,
-                         &campaign.leases_granted,
-                         &campaign.leases_reclaimed,
-                         &campaign.rejected_uploads,
-                         &campaign.workers_lost,
-                         &campaign.corpus_syncs,
-                         &campaign.journal_dropped,
-                         &campaign.journal_dropped_workers};
-  for (uint64_t* scalar : scalars) {
-    *scalar = reader->GetU64();
-  }
+  RETURN_IF_ERROR(GetMetrics(reader, &campaign.metrics));
+  campaign.journal_dropped = reader->GetU64();
+  campaign.journal_dropped_workers = reader->GetU64();
   campaign.finalized = reader->GetU8();
   uint32_t shard_count = reader->GetU32();
   if (!reader->failed() &&
@@ -667,7 +643,8 @@ Result<StatusReplyMsg> DecodeStatusReply(const std::vector<uint8_t>& payload) {
   msg.heartbeat_interval_ms = reader.GetU64();
   uint32_t campaign_count = reader.GetU32();
   for (uint32_t i = 0; i < campaign_count && !reader.failed(); ++i) {
-    msg.campaigns.push_back(GetCampaignStatus(&reader));
+    ASSIGN_OR_RETURN(CampaignStatusWire campaign, GetCampaignStatus(&reader));
+    msg.campaigns.push_back(std::move(campaign));
   }
   uint32_t worker_count = reader.GetU32();
   for (uint32_t i = 0; i < worker_count && !reader.failed(); ++i) {

@@ -33,7 +33,7 @@ namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 2;
+inline constexpr uint16_t kProtoVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -260,16 +260,13 @@ struct CampaignStatusWire {
   uint32_t shards_pending = 0;
   uint32_t shards_leased = 0;
   uint32_t shards_done = 0;
-  uint64_t coverage = 0;       // merged edge count
-  uint64_t corpus = 0;         // merged corpus size (incl. seed programs)
-  uint64_t execs = 0;          // finals + live lease progress
-  uint64_t crashes = 0;        // from accepted finals
-  uint64_t frontier_us = 0;    // min elapsed over active shards
-  uint64_t leases_granted = 0;
-  uint64_t leases_reclaimed = 0;
-  uint64_t rejected_uploads = 0;
-  uint64_t workers_lost = 0;
-  uint64_t corpus_syncs = 0;
+  // The campaign's counters and gauges by name, in the WorkerFinal blob format:
+  // its fleet.* lease/upload counters plus the live merged state —
+  // fleet.campaign.{coverage, corpus, frontier_us} gauges (merged edges, merged
+  // corpus, min elapsed over active shards) and fleet.campaign.{execs, crashes}
+  // counters (live lease progress, accepted finals). /metrics renders them as
+  // eof_fleet_* families, so a new counter needs no wire change.
+  telemetry::MetricsSnapshot metrics;
   uint64_t journal_dropped = 0;          // orchestrator sink drops
   uint64_t journal_dropped_workers = 0;  // sum of worker-reported drops
   uint8_t finalized = 0;
@@ -302,7 +299,8 @@ enum ConfigFlag : uint32_t {
 };
 
 // Per-message payload codecs. Decoders fail on truncated or trailing bytes; the
-// WorkerFinal metrics blob also rejects counts past its end and duplicate names.
+// metrics blob (WorkerFinal, StatusReply) also rejects counts past its end and
+// duplicate names.
 std::vector<uint8_t> Encode(const HelloMsg& msg);
 std::vector<uint8_t> Encode(const HelloAckMsg& msg);
 std::vector<uint8_t> Encode(const LeaseRequestMsg& msg);

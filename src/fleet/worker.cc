@@ -227,7 +227,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   }
 
   telemetry->CampaignStart(config.os_name, config.board_name);
-  telemetry->StartEmitter([&scheduler] { return scheduler.View(); });
+  telemetry->StartEmitter([&scheduler] { return scheduler.Snapshot(); });
 
   std::atomic<bool> stop(false);
   std::vector<std::unique_ptr<std::atomic<bool>>> cancels;

@@ -115,7 +115,7 @@ FlightDump FlightRecorder::Dump(const char* reason, VirtualTime at) const {
   UnrollRing(port_ops_, port_ops_seen_,
              [&dump](const PortOpRecord& record) { dump.port_ops.push_back(record); });
   UnrollRing(uart_lines_, uart_lines_seen_, [&dump](const UartLineRecord& record) {
-    dump.uart_tail.push_back(std::string(record.View()));
+    dump.uart_tail.push_back(std::string(record.Line()));
   });
   UnrollRing(events_, events_seen_,
              [&dump](const ExecEventRecord& record) { dump.events.push_back(record); });

@@ -65,7 +65,7 @@ struct UartLineRecord {
   uint16_t length = 0;
   char text[kUartLineCapacity] = {};
 
-  std::string_view View() const { return std::string_view(text, length); }
+  std::string_view Line() const { return std::string_view(text, length); }
 };
 
 // One executor lifecycle event. `label` must point at a string literal (or other

@@ -1,5 +1,7 @@
 #include "src/telemetry/prometheus.h"
 
+#include <map>
+
 #include "src/common/strings.h"
 
 namespace eof {
@@ -68,42 +70,65 @@ void AppendPrometheusSample(std::string* out, const std::string& name,
                     static_cast<unsigned long long>(value));
 }
 
-std::string RenderPrometheus(const MetricsSnapshot& snapshot,
-                             const PrometheusLabels& base_labels) {
-  std::string out;
-  for (const auto& [name, value] : snapshot.counters) {
-    std::string metric = PrometheusName(name) + "_total";
-    AppendPrometheusType(&out, metric, "counter");
-    AppendPrometheusSample(&out, metric, base_labels, value);
+namespace {
+
+void AppendHistogram(std::string* out, const std::string& metric,
+                     const PrometheusLabels& base_labels,
+                     const HistogramSnapshot& histogram) {
+  // Cumulative buckets: the snapshot keeps per-bucket counts with a final
+  // overflow bucket, the exposition wants running totals ending at +Inf.
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < histogram.bounds.size(); ++i) {
+    cumulative += i < histogram.buckets.size() ? histogram.buckets[i] : 0;
+    PrometheusLabels labels = base_labels;
+    labels.emplace_back("le", StrFormat("%llu", static_cast<unsigned long long>(
+                                                    histogram.bounds[i])));
+    AppendPrometheusSample(out, metric + "_bucket", labels, cumulative);
   }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::string metric = PrometheusName(name);
-    AppendPrometheusType(&out, metric, "gauge");
-    AppendPrometheusSample(&out, metric, base_labels, value);
-  }
-  for (const auto& [name, histogram] : snapshot.histograms) {
-    std::string metric = PrometheusName(name);
-    AppendPrometheusType(&out, metric, "histogram");
-    // Cumulative buckets: the snapshot keeps per-bucket counts with a final
-    // overflow bucket, the exposition wants running totals ending at +Inf.
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < histogram.bounds.size(); ++i) {
-      cumulative += i < histogram.buckets.size() ? histogram.buckets[i] : 0;
-      PrometheusLabels labels = base_labels;
-      labels.emplace_back("le",
-                          StrFormat("%llu", static_cast<unsigned long long>(
-                                                histogram.bounds[i])));
-      AppendPrometheusSample(&out, metric + "_bucket", labels, cumulative);
+  PrometheusLabels inf_labels = base_labels;
+  inf_labels.emplace_back("le", "+Inf");
+  AppendPrometheusSample(out, metric + "_bucket", inf_labels, histogram.count);
+  AppendPrometheusSample(out, metric + "_sum", base_labels, histogram.sum);
+  AppendPrometheusSample(out, metric + "_count", base_labels, histogram.count);
+}
+
+}  // namespace
+
+std::string RenderPrometheus(const std::vector<LabelledSnapshot>& series) {
+  // (kind, registry name) -> the family's metric name and its samples so far.
+  enum Kind { kCounter, kGauge, kHistogram };
+  std::map<std::pair<Kind, std::string>, std::pair<std::string, std::string>> families;
+  auto family = [&](Kind kind, const std::string& name, const char* suffix) {
+    auto& entry = families[{kind, name}];
+    entry.first = PrometheusName(name) + suffix;
+    return &entry;
+  };
+  for (const LabelledSnapshot& labelled : series) {
+    for (const auto& [name, value] : labelled.snapshot.counters) {
+      auto* entry = family(kCounter, name, "_total");
+      AppendPrometheusSample(&entry->second, entry->first, labelled.labels, value);
     }
-    PrometheusLabels inf_labels = base_labels;
-    inf_labels.emplace_back("le", "+Inf");
-    AppendPrometheusSample(&out, metric + "_bucket", inf_labels,
-                           histogram.count);
-    AppendPrometheusSample(&out, metric + "_sum", base_labels, histogram.sum);
-    AppendPrometheusSample(&out, metric + "_count", base_labels,
-                           histogram.count);
+    for (const auto& [name, value] : labelled.snapshot.gauges) {
+      auto* entry = family(kGauge, name, "");
+      AppendPrometheusSample(&entry->second, entry->first, labelled.labels, value);
+    }
+    for (const auto& [name, histogram] : labelled.snapshot.histograms) {
+      auto* entry = family(kHistogram, name, "");
+      AppendHistogram(&entry->second, entry->first, labelled.labels, histogram);
+    }
+  }
+  static const char* const kTypes[] = {"counter", "gauge", "histogram"};
+  std::string out;
+  for (const auto& [key, entry] : families) {
+    AppendPrometheusType(&out, entry.first, kTypes[key.first]);
+    out += entry.second;
   }
   return out;
+}
+
+std::string RenderPrometheus(const MetricsSnapshot& snapshot,
+                             const PrometheusLabels& base_labels) {
+  return RenderPrometheus({LabelledSnapshot{base_labels, snapshot}});
 }
 
 }  // namespace telemetry

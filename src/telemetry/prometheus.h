@@ -22,6 +22,12 @@ namespace telemetry {
 // Label set applied to every rendered sample, in the given order.
 using PrometheusLabels = std::vector<std::pair<std::string, std::string>>;
 
+// One snapshot and the labels its samples carry (campaign=, worker=, ...).
+struct LabelledSnapshot {
+  PrometheusLabels labels;
+  MetricsSnapshot snapshot;
+};
+
 // The HTTP Content-Type for this exposition format.
 inline constexpr char kPrometheusContentType[] =
     "text/plain; version=0.0.4; charset=utf-8";
@@ -45,9 +51,13 @@ void AppendPrometheusType(std::string* out, const std::string& name,
 void AppendPrometheusSample(std::string* out, const std::string& name,
                             const PrometheusLabels& labels, uint64_t value);
 
-// Renders a whole snapshot. Counters sort before gauges before histograms;
-// within each kind the registry's map order (lexicographic) keeps the output
-// stable for golden tests.
+// Renders labelled snapshots as one exposition: each family gets one "# TYPE"
+// line followed by one sample per snapshot that holds it, in the given order.
+// Counters sort before gauges before histograms; within each kind families
+// sort by name, which keeps the output stable for golden tests.
+std::string RenderPrometheus(const std::vector<LabelledSnapshot>& series);
+
+// One snapshot with `base_labels` on every sample.
 std::string RenderPrometheus(const MetricsSnapshot& snapshot,
                              const PrometheusLabels& base_labels = {});
 

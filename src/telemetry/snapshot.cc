@@ -5,15 +5,36 @@
 namespace eof {
 namespace telemetry {
 
-namespace {
-
-// Rate per virtual second, guarded against a zero window.
 double PerVirtualSecond(uint64_t count, VirtualTime window) {
   if (window == 0) {
     return 0;
   }
   return static_cast<double>(count) * kVirtualSecond / static_cast<double>(window);
 }
+
+void AppendCampaignColumns(const MetricsSnapshot& campaign, Event* event) {
+  // Campaign-global truths override the merged per-board approximations.
+  event->fields.push_back(
+      EventField::Uint("campaign_coverage", campaign.GaugeValue("campaign.coverage")));
+  event->fields.push_back(EventField::Uint("corpus", campaign.GaugeValue("campaign.corpus")));
+  event->fields.push_back(
+      EventField::Uint("campaign_execs", campaign.CounterValue("campaign.execs")));
+  event->fields.push_back(
+      EventField::Uint("crashes", campaign.CounterValue("campaign.crashes")));
+  event->fields.push_back(EventField::Uint("bugs", campaign.CounterValue("campaign.bugs")));
+  event->fields.push_back(
+      EventField::Uint("bugs_rejected", campaign.CounterValue("campaign.bugs_rejected")));
+  event->fields.push_back(
+      EventField::Uint("directed_hits", campaign.CounterValue("campaign.directed_hits")));
+  event->fields.push_back(
+      EventField::Uint("frontier", campaign.GaugeValue("campaign.frontier")));
+  event->fields.push_back(EventField::Uint(
+      "trim_removed_calls", campaign.CounterValue("campaign.trim_removed_calls")));
+  event->fields.push_back(EventField::Uint(
+      "trim_kept_calls", campaign.CounterValue("campaign.trim_kept_calls")));
+}
+
+namespace {
 
 // Sum of a span histogram ("span.<name>_us"), 0 when the span never ran.
 uint64_t SpanSum(const MetricsSnapshot& snapshot, const char* name) {
@@ -79,11 +100,12 @@ void AppendBoardColumns(const MetricsSnapshot& snapshot, VirtualTime at, Event* 
 }  // namespace
 
 SnapshotEmitter::SnapshotEmitter(std::vector<const MetricsRegistry*> boards,
-                                 std::function<CampaignView()> view, EventSink* sink,
+                                 std::function<MetricsSnapshot()> campaign,
+                                 EventSink* sink,
                                  VirtualDuration interval, VirtualDuration budget,
                                  std::vector<int> labels, bool emit_farm_rows)
     : boards_(std::move(boards)),
-      view_(std::move(view)),
+      campaign_(std::move(campaign)),
       sink_(sink),
       interval_(interval),
       budget_(budget),
@@ -179,20 +201,8 @@ void SnapshotEmitter::EmitFarmLocked(VirtualTime at) {
   event.type = "farm_snapshot";
   event.fields.push_back(EventField::Uint("boards", boards_.size()));
   AppendBoardColumns(merged, at, &event);
-  if (view_) {
-    CampaignView view = view_();
-    // Campaign-global truths override the merged per-board approximations.
-    event.fields.push_back(EventField::Uint("campaign_coverage", view.coverage));
-    event.fields.push_back(EventField::Uint("corpus", view.corpus));
-    event.fields.push_back(EventField::Uint("campaign_execs", view.execs));
-    event.fields.push_back(EventField::Uint("crashes", view.crashes));
-    event.fields.push_back(EventField::Uint("bugs", view.bugs));
-    event.fields.push_back(EventField::Uint("bugs_rejected", view.bugs_rejected));
-    event.fields.push_back(EventField::Uint("directed_hits", view.directed_hits));
-    event.fields.push_back(EventField::Uint("frontier", view.frontier));
-    event.fields.push_back(
-        EventField::Uint("trim_removed_calls", view.trim_removed_calls));
-    event.fields.push_back(EventField::Uint("trim_kept_calls", view.trim_kept_calls));
+  if (campaign_) {
+    AppendCampaignColumns(campaign_(), &event);
   }
   event.fields.push_back(EventField::Uint("journal_dropped", sink_->dropped()));
   sink_->Emit(event);

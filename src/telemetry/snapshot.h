@@ -3,7 +3,7 @@
 // whenever a board crosses an interval boundary its registry is snapshotted into a
 // "board_snapshot" JSONL row, and whenever the campaign frontier (the slowest active
 // board's clock — the same rule the coverage series uses) crosses a boundary the
-// merged per-board registries plus the scheduler's campaign view become one
+// merged per-board registries plus a snapshot of the campaign registry become one
 // "farm_snapshot" row. Emission is driven purely by virtual time and never touches
 // campaign state, so metrics-on and metrics-off runs are bit-identical.
 
@@ -21,34 +21,27 @@
 namespace eof {
 namespace telemetry {
 
-// The campaign-global numbers only the scheduler knows (its coverage map, corpus,
-// and bug ledger); polled at each farm-row boundary.
-struct CampaignView {
-  uint64_t coverage = 0;
-  uint64_t corpus = 0;
-  uint64_t execs = 0;
-  uint64_t crashes = 0;
-  uint64_t bugs = 0;
-  uint64_t bugs_rejected = 0;  // first sightings the cold-boot validation oracle refused
-  // Attribution bookkeeping (0 unless directed/trim modes ran): predicted-edge
-  // hits, current frontier size, and trimmer call accounting.
-  uint64_t directed_hits = 0;
-  uint64_t frontier = 0;
-  uint64_t trim_removed_calls = 0;
-  uint64_t trim_kept_calls = 0;
-};
+// Rate per virtual second, 0 over an empty window.
+double PerVirtualSecond(uint64_t count, VirtualTime window);
+
+// The campaign columns of a farm_snapshot row, read from a snapshot of the
+// scheduler's campaign.* instruments: coverage, corpus, execs, crashes, bug
+// ledger, and attribution bookkeeping. In-process and fleet farm rows both
+// write them here, so the two journals carry the same columns.
+void AppendCampaignColumns(const MetricsSnapshot& campaign, Event* event);
 
 class SnapshotEmitter {
  public:
   // `boards[i]` is worker i's registry; registries and `sink` must outlive the
   // emitter. `interval` <= 0 disables periodic rows (Finish still emits a final
-  // farm row). `view` is called outside any campaign lock the caller holds.
+  // farm row). `campaign` snapshots the campaign registry for farm rows; it is
+  // called outside any campaign lock the caller holds.
   // `labels[i]` (when non-empty) stamps board rows with worker i's campaign-global
   // shard label instead of its local slot, so merged fleet journals keep boards
   // distinct; `emit_farm_rows=false` suppresses farm_snapshot rows entirely (fleet
   // workers — the orchestrator journals the authoritative campaign-wide rows).
   SnapshotEmitter(std::vector<const MetricsRegistry*> boards,
-                  std::function<CampaignView()> view, EventSink* sink,
+                  std::function<MetricsSnapshot()> campaign, EventSink* sink,
                   VirtualDuration interval, VirtualDuration budget,
                   std::vector<int> labels = {}, bool emit_farm_rows = true);
 
@@ -72,7 +65,7 @@ class SnapshotEmitter {
   VirtualTime FrontierLocked() const;
 
   std::vector<const MetricsRegistry*> boards_;
-  std::function<CampaignView()> view_;
+  std::function<MetricsSnapshot()> campaign_;
   EventSink* sink_;
   VirtualDuration interval_;
   VirtualDuration budget_;

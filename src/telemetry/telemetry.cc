@@ -51,7 +51,7 @@ Result<std::unique_ptr<CampaignTelemetry>> CampaignTelemetry::Create(
   return telemetry;
 }
 
-void CampaignTelemetry::StartEmitter(std::function<CampaignView()> view) {
+void CampaignTelemetry::StartEmitter(std::function<MetricsSnapshot()> campaign) {
   if (sink() == nullptr || emitter_ != nullptr) {
     return;
   }
@@ -61,7 +61,7 @@ void CampaignTelemetry::StartEmitter(std::function<CampaignView()> view) {
     registries.push_back(&board->registry());
   }
   emitter_ = std::make_unique<SnapshotEmitter>(
-      std::move(registries), std::move(view), sink(), options_.snapshot_interval,
+      std::move(registries), std::move(campaign), sink(), options_.snapshot_interval,
       options_.budget, options_.board_labels, options_.emit_farm_rows);
 }
 

@@ -82,9 +82,9 @@ class CampaignTelemetry {
   MetricsRegistry& campaign_registry() { return campaign_registry_; }
   EventSink* sink() { return external_sink_ != nullptr ? external_sink_ : sink_.get(); }
 
-  // Arms the periodic emitter; call once, after the scheduler exists. No-op without
-  // a sink.
-  void StartEmitter(std::function<CampaignView()> view);
+  // Arms the periodic emitter; call once, after the scheduler exists. `campaign`
+  // snapshots the scheduler's registry for farm rows. No-op without a sink.
+  void StartEmitter(std::function<MetricsSnapshot()> campaign);
   SnapshotEmitter* emitter() { return emitter_.get(); }
 
   // All per-board registries summed into one farm-wide snapshot (counters and

@@ -494,9 +494,9 @@ TEST_F(SnapshotValidationTest, PoisonedSnapshotSightingIsRejected) {
   // ...but the oracle replays `r0 = rt_malloc(0x1001)` on a freshly flashed board,
   // where it completes quietly — the sighting is an artifact, not a bug.
   Submit(kOddOomMalloc, crash);
-  telemetry::CampaignView view = scheduler_->View();
-  EXPECT_EQ(view.bugs, 0u);
-  EXPECT_EQ(view.bugs_rejected, 1u);
+  telemetry::MetricsSnapshot view = scheduler_->Snapshot();
+  EXPECT_EQ(view.CounterValue("campaign.bugs"), 0u);
+  EXPECT_EQ(view.CounterValue("campaign.bugs_rejected"), 1u);
   std::vector<BugReport> rejected = scheduler_->RejectedBugs();
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].catalog_id, 9);
@@ -514,7 +514,7 @@ TEST_F(SnapshotValidationTest, PoisonedSnapshotSightingIsRejected) {
   ExecOutcome again = Run(kOddOomMalloc);
   ASSERT_EQ(again.status, ExecStatus::kCrashed);
   Submit(kOddOomMalloc, again);
-  EXPECT_EQ(scheduler_->View().bugs_rejected, 1u);
+  EXPECT_EQ(scheduler_->Snapshot().CounterValue("campaign.bugs_rejected"), 1u);
   EXPECT_EQ(Rows("bug_report").size(), 1u);
   EXPECT_EQ(Rows("bug_dedup").size(), 1u);
 
@@ -537,9 +537,9 @@ TEST_F(SnapshotValidationTest, ColdReproducibleCrashIsConfirmed) {
   ASSERT_EQ(crash.status, ExecStatus::kCrashed);
   Submit(kHeapCrasher, crash);
 
-  telemetry::CampaignView view = scheduler_->View();
-  EXPECT_EQ(view.bugs, 1u);
-  EXPECT_EQ(view.bugs_rejected, 0u);
+  telemetry::MetricsSnapshot view = scheduler_->Snapshot();
+  EXPECT_EQ(view.CounterValue("campaign.bugs"), 1u);
+  EXPECT_EQ(view.CounterValue("campaign.bugs_rejected"), 0u);
   CampaignResult result = scheduler_->Finalize(executor_->stats(),
                                                executor_->Elapsed(),
                                                executor_->port_stats());

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "src/fleet/worker.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/journal.h"
+#include "src/telemetry/report.h"
 
 namespace eof {
 namespace fleet {
@@ -184,6 +186,75 @@ TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessDirectedTrimSnapshot) 
   EXPECT_GT(local->trim_removed_calls, 0u);
 }
 
+// The merged report of a one-worker fleet journal shows the same coverage
+// attribution as the in-process journal of the same config: the orchestrator's
+// farm rows carry the directed/frontier/trim columns from the merged finals,
+// and an exec rate from the row's campaign execs.
+TEST_F(FleetDifferentialTest, FleetReportMatchesInProcessAttribution) {
+  FuzzerConfig config = DiffConfig("zephyr", 3);
+  config.directed = true;
+  config.trim = true;
+  const std::string dir = ::testing::TempDir();
+  const std::string local_journal = dir + "eof_fleet_attr_local.jsonl";
+  const std::string orch_journal = dir + "eof_fleet_attr_orch.jsonl";
+  const std::string worker_journal = dir + "eof_fleet_attr_worker.jsonl";
+
+  FuzzerConfig local_config = config;
+  local_config.metrics_out = local_journal;
+  auto local = BoardFarm(local_config, /*jobs=*/1).Run();
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+  auto local_report = telemetry::LoadReportFromFile(local_journal);
+  ASSERT_TRUE(local_report.ok()) << local_report.status().ToString();
+  ASSERT_GT(local_report->directed_hits + local_report->trim_kept_calls, 0u);
+
+  {
+    Orchestrator::Options options;
+    options.metrics_out = orch_journal;
+    auto orchestrator = Orchestrator::Create(std::move(options));
+    ASSERT_TRUE(orchestrator.ok());
+    FleetCampaignSpec spec;
+    spec.campaign_id = "attr";
+    spec.config = config;
+    ASSERT_TRUE(orchestrator.value()->AddCampaign(spec).ok());
+    auto [client, server] = LoopbackPair();
+    std::thread handler(
+        [&] { orchestrator.value()->ServeConnection(server.get()); });
+    FleetWorker::Options worker_options;
+    worker_options.name = "w0";
+    worker_options.metrics_out = worker_journal;
+    auto worker = FleetWorker::Create(std::move(worker_options));
+    ASSERT_TRUE(worker.ok());
+    Status ran = worker.value()->Run(client.get());
+    ASSERT_TRUE(ran.ok()) << ran.ToString();
+    handler.join();
+    orchestrator.value()->Results();  // journals the closing farm row
+  }
+
+  auto fleet_report =
+      telemetry::LoadMergedReportFromFiles({orch_journal, worker_journal});
+  ASSERT_TRUE(fleet_report.ok()) << fleet_report.status().ToString();
+  EXPECT_EQ(fleet_report->directed_hits, local_report->directed_hits);
+  EXPECT_EQ(fleet_report->frontier, local_report->frontier);
+  EXPECT_EQ(fleet_report->trim_kept_calls, local_report->trim_kept_calls);
+  EXPECT_EQ(fleet_report->trim_removed_calls, local_report->trim_removed_calls);
+
+  auto orch_rows = telemetry::LoadMergedJournalRows({orch_journal});
+  ASSERT_TRUE(orch_rows.ok()) << orch_rows.status().ToString();
+  const telemetry::JournalRow* last_farm = nullptr;
+  for (const telemetry::JournalRow& row : orch_rows.value()) {
+    if (row.type == "farm_snapshot") {
+      last_farm = &row;
+    }
+  }
+  ASSERT_NE(last_farm, nullptr);
+  EXPECT_EQ(last_farm->Uint("campaign_execs"), local->execs);
+  EXPECT_GT(last_farm->Real("execs_per_vsec"), 0.0);
+
+  remove(local_journal.c_str());
+  remove(orch_journal.c_str());
+  remove(worker_journal.c_str());
+}
+
 TEST_F(FleetDifferentialTest, TwoShardsTrackTwoJobFarm) {
   // At two concurrent sessions the shared-corpus interleaving is thread-timing
   // dependent (the in-process farm makes the same non-guarantee), so this
@@ -225,8 +296,8 @@ TEST_F(FleetDifferentialTest, TwoShardsTrackTwoJobFarm) {
   EXPECT_GT(fleet_result.execs, local->execs / 2);
   EXPECT_LT(fleet_result.execs, local->execs * 2);
   EXPECT_GT(fleet_result.final_coverage, local->final_coverage / 2);
-  EXPECT_EQ(results[0].leases_granted, 2u);
-  EXPECT_EQ(results[0].leases_reclaimed, 0u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_granted"), 2u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_reclaimed"), 0u);
 }
 
 }  // namespace

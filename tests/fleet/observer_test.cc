@@ -1,8 +1,10 @@
-// Observability-plane fleet tests: StatusRequest/StatusReply wire codecs,
-// HandleStatus aggregation and its bounded-staleness cache, the observer's
-// zero-perturbation guarantee (an observed fleet run produces bit-identical
-// campaign results to an unobserved one), the loopback FetchStatus poll, the
-// /metrics HTTP endpoint, and the eof-top / fleet-metrics renderers.
+// Observability-plane fleet tests: StatusRequest/StatusReply wire codecs and a
+// mutation harness for the reply decoder, HandleStatus aggregation and its
+// bounded-staleness cache, the observer's zero-perturbation guarantee (an
+// observed fleet run produces bit-identical campaign results to an unobserved
+// one), the loopback FetchStatus poll, the /metrics HTTP endpoint, and the
+// eof-top / fleet-metrics renderers (pinned by goldens over a scripted
+// two-campaign fleet).
 
 #include <gtest/gtest.h>
 
@@ -11,13 +13,16 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/common/coverage_serial.h"
+#include "src/common/rng.h"
 #include "src/core/fuzzer.h"
 #include "src/fleet/observer.h"
 #include "src/fleet/orchestrator.h"
@@ -25,6 +30,7 @@
 #include "src/fleet/status_http.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/worker.h"
+#include "src/fuzz/byte_mutator.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/prometheus.h"
@@ -42,6 +48,127 @@ FuzzerConfig TinyConfig(uint64_t seed = 7) {
   return config;
 }
 
+// Goldens for TwoCampaignHistory below: the eof-top frame byte for byte, and
+// the /metrics exposition as its sorted set of lines.
+const char kTopFrameGolden[] = R"(eof top | server t=6190ms | snapshot age 0ms (bound 100ms) | campaigns 2 | workers 2
+campaign alpha zephyr/default | budget 30.0s
+  shards 3: 1 pending / 1 leased / 1 done | frontier 6.00s
+  coverage 4 | corpus 2 | execs 1150 | crashes 0 | bugs 1
+  leases granted 4 reclaimed 2 | rejected uploads 1 | workers lost 1 | corpus syncs 1
+  journal drops: orchestrator 0, workers 3
+  rate 69.4 execs/s  [█▁]
+  shard  phase    worker  attempt  execs        elapsed_s
+      0  done          2        2  900          30.00
+      1  leased        2        2  250          6.00
+      2  pending       0        0  0            0.00
+  bug 4 log/assertion board 1 t=2.10s "ASSERT: k_msgq"
+campaign beta zephyr/nrf52840dk | budget 30.0s
+  shards 1: 0 pending / 0 leased / 1 done | frontier 30.00s
+  coverage 1 | corpus 1 | execs 800 | crashes 3 | bugs 0
+  leases granted 1 reclaimed 0 | rejected uploads 0 | workers lost 0 | corpus syncs 1
+  journal drops: orchestrator 0, workers 1
+  rate 0.0 execs/s  [█▁]
+  shard  phase    worker  attempt  execs        elapsed_s
+      0  done          2        1  800          30.00
+workers:
+  id  name              leases  execs        syncs  dropped  sync_age_ms
+   1  rack0/a                0  800              2        2  5190        LOST
+   2  rack1/b                1  1950             2        1  40         
+)";
+
+const char kFleetMetricsSortedGolden[] = R"(# TYPE eof_fleet_campaign_budget_us gauge
+# TYPE eof_fleet_campaign_bugs gauge
+# TYPE eof_fleet_campaign_corpus gauge
+# TYPE eof_fleet_campaign_coverage gauge
+# TYPE eof_fleet_campaign_crashes_total counter
+# TYPE eof_fleet_campaign_execs_total counter
+# TYPE eof_fleet_campaign_finalized gauge
+# TYPE eof_fleet_campaign_frontier_us gauge
+# TYPE eof_fleet_corpus_syncs_total counter
+# TYPE eof_fleet_heartbeat_interval_ms gauge
+# TYPE eof_fleet_journal_dropped_total counter
+# TYPE eof_fleet_leases_granted_total counter
+# TYPE eof_fleet_leases_reclaimed_total counter
+# TYPE eof_fleet_rejected_uploads_total counter
+# TYPE eof_fleet_server_ms gauge
+# TYPE eof_fleet_shards gauge
+# TYPE eof_fleet_snapshot_age_ms gauge
+# TYPE eof_fleet_status_requests_total counter
+# TYPE eof_fleet_sync_frames_total counter
+# TYPE eof_fleet_sync_payload_bytes histogram
+# TYPE eof_fleet_worker_execs_total counter
+# TYPE eof_fleet_worker_journal_dropped_total counter
+# TYPE eof_fleet_worker_last_seen_ms gauge
+# TYPE eof_fleet_worker_leases gauge
+# TYPE eof_fleet_worker_lost gauge
+# TYPE eof_fleet_worker_syncs_total counter
+# TYPE eof_fleet_workers_lost_total counter
+eof_fleet_campaign_budget_us{campaign="alpha"} 30000000
+eof_fleet_campaign_budget_us{campaign="beta"} 30000000
+eof_fleet_campaign_bugs{campaign="alpha"} 1
+eof_fleet_campaign_bugs{campaign="beta"} 0
+eof_fleet_campaign_corpus{campaign="alpha"} 2
+eof_fleet_campaign_corpus{campaign="beta"} 1
+eof_fleet_campaign_coverage{campaign="alpha"} 4
+eof_fleet_campaign_coverage{campaign="beta"} 1
+eof_fleet_campaign_crashes_total{campaign="alpha"} 0
+eof_fleet_campaign_crashes_total{campaign="beta"} 3
+eof_fleet_campaign_execs_total{campaign="alpha"} 1150
+eof_fleet_campaign_execs_total{campaign="beta"} 800
+eof_fleet_campaign_finalized{campaign="alpha"} 0
+eof_fleet_campaign_finalized{campaign="beta"} 0
+eof_fleet_campaign_frontier_us{campaign="alpha"} 6000000
+eof_fleet_campaign_frontier_us{campaign="beta"} 30000000
+eof_fleet_corpus_syncs_total{campaign="alpha"} 1
+eof_fleet_corpus_syncs_total{campaign="beta"} 1
+eof_fleet_heartbeat_interval_ms 100
+eof_fleet_journal_dropped_total{campaign="alpha",sink="orchestrator"} 0
+eof_fleet_journal_dropped_total{campaign="alpha",sink="workers"} 3
+eof_fleet_journal_dropped_total{campaign="beta",sink="orchestrator"} 0
+eof_fleet_journal_dropped_total{campaign="beta",sink="workers"} 1
+eof_fleet_leases_granted_total{campaign="alpha"} 4
+eof_fleet_leases_granted_total{campaign="beta"} 1
+eof_fleet_leases_reclaimed_total{campaign="alpha"} 2
+eof_fleet_leases_reclaimed_total{campaign="beta"} 0
+eof_fleet_rejected_uploads_total{campaign="alpha"} 1
+eof_fleet_rejected_uploads_total{campaign="beta"} 0
+eof_fleet_server_ms 6190
+eof_fleet_shards{campaign="alpha",phase="done"} 1
+eof_fleet_shards{campaign="alpha",phase="leased"} 1
+eof_fleet_shards{campaign="alpha",phase="pending"} 1
+eof_fleet_shards{campaign="beta",phase="done"} 1
+eof_fleet_shards{campaign="beta",phase="leased"} 0
+eof_fleet_shards{campaign="beta",phase="pending"} 0
+eof_fleet_snapshot_age_ms 0
+eof_fleet_status_requests_total 3
+eof_fleet_sync_frames_total 4
+eof_fleet_sync_payload_bytes_bucket{le="+Inf"} 4
+eof_fleet_sync_payload_bytes_bucket{le="1024"} 4
+eof_fleet_sync_payload_bytes_bucket{le="1048576"} 4
+eof_fleet_sync_payload_bytes_bucket{le="16384"} 4
+eof_fleet_sync_payload_bytes_bucket{le="256"} 3
+eof_fleet_sync_payload_bytes_bucket{le="262144"} 4
+eof_fleet_sync_payload_bytes_bucket{le="4096"} 4
+eof_fleet_sync_payload_bytes_bucket{le="4194304"} 4
+eof_fleet_sync_payload_bytes_bucket{le="65536"} 4
+eof_fleet_sync_payload_bytes_count 4
+eof_fleet_sync_payload_bytes_sum 617
+eof_fleet_worker_execs_total{worker="rack0/a",id="1"} 800
+eof_fleet_worker_execs_total{worker="rack1/b",id="2"} 1950
+eof_fleet_worker_journal_dropped_total{worker="rack0/a",id="1"} 2
+eof_fleet_worker_journal_dropped_total{worker="rack1/b",id="2"} 1
+eof_fleet_worker_last_seen_ms{worker="rack0/a",id="1"} 1000
+eof_fleet_worker_last_seen_ms{worker="rack1/b",id="2"} 6150
+eof_fleet_worker_leases{worker="rack0/a",id="1"} 0
+eof_fleet_worker_leases{worker="rack1/b",id="2"} 1
+eof_fleet_worker_lost{worker="rack0/a",id="1"} 1
+eof_fleet_worker_lost{worker="rack1/b",id="2"} 0
+eof_fleet_worker_syncs_total{worker="rack0/a",id="1"} 2
+eof_fleet_worker_syncs_total{worker="rack1/b",id="2"} 2
+eof_fleet_workers_lost_total{campaign="alpha"} 1
+eof_fleet_workers_lost_total{campaign="beta"} 0
+)";
+
 StatusReplyMsg FullReply() {
   StatusReplyMsg reply;
   reply.server_ms = 123456;
@@ -56,16 +183,16 @@ StatusReplyMsg FullReply() {
   campaign.shards_pending = 1;
   campaign.shards_leased = 2;
   campaign.shards_done = 1;
-  campaign.coverage = 234;
-  campaign.corpus = 17;
-  campaign.execs = 9001;
-  campaign.crashes = 2;
-  campaign.frontier_us = 1500000;
-  campaign.leases_granted = 5;
-  campaign.leases_reclaimed = 1;
-  campaign.rejected_uploads = 3;
-  campaign.workers_lost = 1;
-  campaign.corpus_syncs = 8;
+  campaign.metrics.gauges = {{"fleet.campaign.coverage", 234},
+                             {"fleet.campaign.corpus", 17},
+                             {"fleet.campaign.frontier_us", 1500000}};
+  campaign.metrics.counters = {{"fleet.campaign.execs", 9001},
+                               {"fleet.campaign.crashes", 2},
+                               {"fleet.leases_granted", 5},
+                               {"fleet.leases_reclaimed", 1},
+                               {"fleet.rejected_uploads", 3},
+                               {"fleet.workers_lost", 1},
+                               {"fleet.corpus_syncs", 8}};
   campaign.journal_dropped = 4;
   campaign.journal_dropped_workers = 11;
   campaign.finalized = 1;
@@ -128,16 +255,16 @@ TEST(StatusProtoTest, ReplyRoundtripPreservesEveryField) {
   EXPECT_EQ(campaign.shards_pending, 1u);
   EXPECT_EQ(campaign.shards_leased, 2u);
   EXPECT_EQ(campaign.shards_done, 1u);
-  EXPECT_EQ(campaign.coverage, 234u);
-  EXPECT_EQ(campaign.corpus, 17u);
-  EXPECT_EQ(campaign.execs, 9001u);
-  EXPECT_EQ(campaign.crashes, 2u);
-  EXPECT_EQ(campaign.frontier_us, 1500000u);
-  EXPECT_EQ(campaign.leases_granted, 5u);
-  EXPECT_EQ(campaign.leases_reclaimed, 1u);
-  EXPECT_EQ(campaign.rejected_uploads, 3u);
-  EXPECT_EQ(campaign.workers_lost, 1u);
-  EXPECT_EQ(campaign.corpus_syncs, 8u);
+  EXPECT_EQ(campaign.metrics.GaugeValue("fleet.campaign.coverage"), 234u);
+  EXPECT_EQ(campaign.metrics.GaugeValue("fleet.campaign.corpus"), 17u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.campaign.execs"), 9001u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.campaign.crashes"), 2u);
+  EXPECT_EQ(campaign.metrics.GaugeValue("fleet.campaign.frontier_us"), 1500000u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.leases_granted"), 5u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.leases_reclaimed"), 1u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.rejected_uploads"), 3u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.workers_lost"), 1u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.corpus_syncs"), 8u);
   EXPECT_EQ(campaign.journal_dropped, 4u);
   EXPECT_EQ(campaign.journal_dropped_workers, 11u);
   EXPECT_EQ(campaign.finalized, 1u);
@@ -178,6 +305,31 @@ TEST(StatusProtoTest, ReplyRejectsTruncationAndTrailingBytes) {
   std::vector<uint8_t> padded = payload;
   padded.push_back(0);
   EXPECT_FALSE(DecodeStatusReply(padded).ok());
+}
+
+TEST(StatusProtoTest, ReplyDecoderSurvivesMutatedInput) {
+  // Decoder harness: havoc mutations of a golden reply with shards, bugs, and
+  // the metrics blob. Every input either decodes or returns an error (sanitizer
+  // builds abort on anything else), and whatever decodes re-encodes to bytes
+  // that decode and re-encode identically.
+  const std::vector<uint8_t> golden = Encode(FullReply());
+  fuzz::ByteMutator mutator(golden.size() * 2);
+  Rng rng(20261017);
+  size_t decoded = 0;
+  for (int i = 0; i < 100000; ++i) {
+    std::vector<uint8_t> input = mutator.Mutate(golden, rng);
+    Result<StatusReplyMsg> msg = DecodeStatusReply(input);
+    if (!msg.ok()) {
+      continue;
+    }
+    ++decoded;
+    std::vector<uint8_t> encoded = Encode(msg.value());
+    Result<StatusReplyMsg> again = DecodeStatusReply(encoded);
+    ASSERT_TRUE(again.ok()) << again.status().ToString();
+    ASSERT_EQ(Encode(again.value()), encoded);
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, 100000u);
 }
 
 class ObserverTest : public ::testing::Test {
@@ -266,9 +418,10 @@ TEST_F(ObserverTest, HandleStatusAggregatesCampaignWorkerAndShardState) {
   EXPECT_EQ(campaign.shards_pending, 0u);
   EXPECT_EQ(campaign.shards_leased, 2u);
   EXPECT_EQ(campaign.shards_done, 0u);
-  EXPECT_EQ(campaign.coverage, 2u);
-  EXPECT_EQ(campaign.execs, 500u);  // live lease progress, no finals yet
-  EXPECT_EQ(campaign.leases_granted, 2u);
+  EXPECT_EQ(campaign.metrics.GaugeValue("fleet.campaign.coverage"), 2u);
+  // live lease progress, no finals yet
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.campaign.execs"), 500u);
+  EXPECT_EQ(campaign.metrics.CounterValue("fleet.leases_granted"), 2u);
   EXPECT_EQ(campaign.journal_dropped_workers, 9u);
   EXPECT_EQ(campaign.finalized, 0u);
   ASSERT_EQ(campaign.bugs.size(), 1u);
@@ -468,10 +621,12 @@ TEST_F(ObserverTest, ObserverPollingPerturbsNothing) {
     EXPECT_EQ(observed[0].bugs[i].catalog_id, baseline[0].bugs[i].catalog_id);
     EXPECT_EQ(observed[0].bugs[i].excerpt, baseline[0].bugs[i].excerpt);
   }
-  EXPECT_EQ(observed[0].leases_granted, baseline[0].leases_granted);
-  EXPECT_EQ(observed[0].leases_reclaimed, baseline[0].leases_reclaimed);
-  EXPECT_EQ(observed[0].rejected_uploads, baseline[0].rejected_uploads);
-  EXPECT_EQ(observed[0].corpus_syncs, baseline[0].corpus_syncs);
+  for (const char* counter : {"fleet.leases_granted", "fleet.leases_reclaimed",
+                              "fleet.rejected_uploads", "fleet.corpus_syncs"}) {
+    EXPECT_EQ(observed[0].metrics.CounterValue(counter),
+              baseline[0].metrics.CounterValue(counter))
+        << counter;
+  }
 
   // The fleet journals agree row-type-for-row-type: status polls add nothing.
   auto count = [](const telemetry::MemoryEventSink& sink,
@@ -486,6 +641,168 @@ TEST_F(ObserverTest, ObserverPollingPerturbsNothing) {
                            "worker_lost", "worker_final", "campaign_end"}) {
     EXPECT_EQ(count(observed_sink, type), count(baseline_sink, type)) << type;
   }
+}
+
+// Scripts two campaigns through every live status counter on the fake clock:
+// leases granted and reclaimed, a lost worker, a rejected upload, corpus
+// syncs, merged coverage, a bug, a final with crashes, journal drops, and
+// shards in all three phases. Returns three polls, oldest first.
+std::vector<StatusReplyMsg> TwoCampaignHistory(Orchestrator* orchestrator,
+                                               uint64_t* now_ms) {
+  FleetCampaignSpec alpha;
+  alpha.campaign_id = "alpha";
+  alpha.config = TinyConfig();
+  alpha.shards = 3;
+  EXPECT_TRUE(orchestrator->AddCampaign(alpha).ok());
+  FleetCampaignSpec beta;
+  beta.campaign_id = "beta";
+  beta.config = TinyConfig(9);
+  beta.config.board_name = "nrf52840dk";
+  beta.shards = 1;
+  EXPECT_TRUE(orchestrator->AddCampaign(beta).ok());
+
+  auto hello = [](Transport* t, const std::string& name) {
+    EXPECT_TRUE(t->Send({MsgType::kHello, Encode(HelloMsg{name, 2})}).ok());
+    auto ack = t->Recv(2000);
+    EXPECT_TRUE(ack.ok());
+    return DecodeHelloAck(ack->payload).value().worker_id;
+  };
+  auto grant = [](Transport* t, uint32_t worker_id, uint32_t capacity) {
+    EXPECT_TRUE(
+        t->Send({MsgType::kLeaseRequest, Encode(LeaseRequestMsg{worker_id, capacity})})
+            .ok());
+    auto reply = t->Recv(2000);
+    EXPECT_TRUE(reply.ok());
+    EXPECT_EQ(reply->type, MsgType::kLeaseGrant);
+    return DecodeLeaseGrant(reply->payload).value();
+  };
+  auto sync = [](Transport* t, const SyncMsg& msg) {
+    EXPECT_TRUE(t->Send({MsgType::kSync, Encode(msg)}).ok());
+    EXPECT_TRUE(t->Recv(2000).ok());
+  };
+
+  auto [a_client, a_server] = LoopbackPair();
+  auto [b_client, b_server] = LoopbackPair();
+  std::thread a_handler([&] { orchestrator->ServeConnection(a_server.get()); });
+  std::thread b_handler([&] { orchestrator->ServeConnection(b_server.get()); });
+  uint32_t a_id = hello(a_client.get(), "rack0/a");
+  uint32_t b_id = hello(b_client.get(), "rack1/b");
+  LeaseGrantMsg a_grant = grant(a_client.get(), a_id, 2);  // alpha shards 0, 1
+  LeaseGrantMsg b_grant = grant(b_client.get(), b_id, 1);  // beta shard 0
+  EXPECT_EQ(a_grant.config.campaign_id, "alpha");
+  EXPECT_EQ(b_grant.config.campaign_id, "beta");
+
+  std::vector<StatusReplyMsg> history;
+  history.push_back(orchestrator->HandleStatus(StatusRequestMsg{}));
+
+  SyncMsg a_sync;
+  a_sync.worker_id = a_id;
+  a_sync.campaign_id = "alpha";
+  a_sync.seq = 1;
+  a_sync.shards.push_back({a_grant.leases[0].lease_id, 0, 5000000, 500, 0});
+  a_sync.shards.push_back({a_grant.leases[1].lease_id, 1, 4000000, 300, 0});
+  a_sync.coverage_delta = SerializeCoverageIds({11, 22, 33}, CoverageWireKind::kDiff);
+  a_sync.corpus = {{"prog-a1", 2}, {"prog-a2", 1}};
+  BugWire bug;
+  bug.catalog_id = 4;
+  bug.detector = "log";
+  bug.kind = "assertion";
+  bug.excerpt = "ASSERT: k_msgq";
+  bug.at_us = 2100000;
+  bug.board = 1;
+  a_sync.bugs.push_back(bug);
+  a_sync.journal_dropped = 2;
+  sync(a_client.get(), a_sync);
+  SyncMsg a_bad = a_sync;
+  a_bad.seq = 2;
+  a_bad.coverage_delta = {0xde, 0xad};  // malformed: a rejected upload
+  a_bad.corpus.clear();
+  a_bad.bugs.clear();
+  sync(a_client.get(), a_bad);
+
+  SyncMsg b_sync;
+  b_sync.worker_id = b_id;
+  b_sync.campaign_id = "beta";
+  b_sync.seq = 1;
+  b_sync.shards.push_back({b_grant.leases[0].lease_id, 0, 30000000, 800, 1});
+  b_sync.coverage_delta = SerializeCoverageIds({5}, CoverageWireKind::kDiff);
+  b_sync.corpus = {{"prog-b1", 1}};
+  sync(b_client.get(), b_sync);
+  WorkerFinalMsg b_final;
+  b_final.worker_id = b_id;
+  b_final.campaign_id = "beta";
+  b_final.seq = 1;
+  b_final.elapsed_us = 30000000;
+  b_final.journal_dropped = 1;
+  b_final.metrics.counters = {{"campaign.execs", 800}, {"campaign.crashes", 3}};
+  b_final.metrics.gauges = {{"campaign.coverage", 1}};
+  EXPECT_TRUE(b_client->Send({MsgType::kWorkerFinal, Encode(b_final)}).ok());
+  EXPECT_TRUE(b_client->Recv(2000).ok());
+
+  *now_ms += 150;
+  history.push_back(orchestrator->HandleStatus(StatusRequestMsg{}));
+
+  // Worker a goes silent: its two alpha leases reclaim and b picks them up.
+  *now_ms += 5000;
+  orchestrator->ReapExpiredLeases();
+  LeaseGrantMsg b_regrant = grant(b_client.get(), b_id, 2);
+  EXPECT_EQ(b_regrant.config.campaign_id, "alpha");
+  SyncMsg b_alpha;
+  b_alpha.worker_id = b_id;
+  b_alpha.campaign_id = "alpha";
+  b_alpha.seq = 2;
+  b_alpha.shards.push_back({b_regrant.leases[0].lease_id, b_regrant.leases[0].shard,
+                            30000000, 900, 1});
+  b_alpha.shards.push_back({b_regrant.leases[1].lease_id, b_regrant.leases[1].shard,
+                            6000000, 250, 0});
+  b_alpha.coverage_delta = SerializeCoverageIds({33, 44}, CoverageWireKind::kDiff);
+  b_alpha.journal_dropped = 1;
+  sync(b_client.get(), b_alpha);
+
+  *now_ms += 40;
+  history.push_back(orchestrator->HandleStatus(StatusRequestMsg{}));
+
+  a_client->Close();
+  b_client->Close();
+  a_handler.join();
+  b_handler.join();
+  return history;
+}
+
+// The eof-top frame over the two-campaign script, byte for byte: every line,
+// its order, and its formatting are part of the operator interface.
+TEST_F(ObserverTest, TopFrameGolden) {
+  auto orchestrator = Make();
+  std::vector<StatusReplyMsg> history = TwoCampaignHistory(orchestrator.get(), &now_ms_);
+  EXPECT_EQ(RenderTopFrame(history), kTopFrameGolden);
+}
+
+// /metrics over the same script: the set of lines (families, types, label sets,
+// values) is pinned, and no family is announced twice.
+TEST_F(ObserverTest, FleetMetricsGolden) {
+  auto orchestrator = Make();
+  std::vector<StatusReplyMsg> history = TwoCampaignHistory(orchestrator.get(), &now_ms_);
+  std::string out = RenderFleetMetrics(history.back(), orchestrator->MetricsSnapshot());
+  std::vector<std::string> lines;
+  std::set<std::string> types;
+  size_t begin = 0;
+  while (begin < out.size()) {
+    size_t end = out.find('\n', begin);
+    ASSERT_NE(end, std::string::npos) << "unterminated last line";
+    std::string line = out.substr(begin, end - begin);
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::string family = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(types.insert(family).second) << "# TYPE repeats: " << family;
+    }
+    lines.push_back(std::move(line));
+    begin = end + 1;
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string sorted;
+  for (const std::string& line : lines) {
+    sorted += line + "\n";
+  }
+  EXPECT_EQ(sorted, kFleetMetricsSortedGolden);
 }
 
 // Raw HTTP client: one request, read to EOF (the server closes per request).
@@ -559,9 +876,9 @@ TEST(RenderTopFrameTest, RendersCampaignTableHighlightsAndSparkline) {
     poll.server_ms = 1000 + 1000 * static_cast<uint64_t>(i);
     poll.assembled_ms = poll.server_ms - 60;
     poll.heartbeat_interval_ms = 100;
-    poll.campaigns[0].coverage = 234;  // unchanged across all three
+    poll.campaigns[0].metrics.gauges["fleet.campaign.coverage"] = 234;  // unchanged
     static const uint64_t kExecs[] = {1000, 1100, 9500};  // rates 100 then 8400
-    poll.campaigns[0].execs = kExecs[i];
+    poll.campaigns[0].metrics.counters["fleet.campaign.execs"] = kExecs[i];
     poll.campaigns[0].finalized = 0;
     poll.workers[0].last_seen_ms = poll.server_ms - 50;
     WorkerStatusWire lost;

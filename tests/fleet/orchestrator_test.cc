@@ -264,9 +264,9 @@ TEST_F(OrchestratorTest, ReclaimsExpiredLeasesAndReassigns) {
 
   auto results = orchestrator->Results();
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].leases_granted, 2u);
-  EXPECT_EQ(results[0].leases_reclaimed, 1u);
-  EXPECT_EQ(results[0].workers_lost, 1u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_granted"), 2u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_reclaimed"), 1u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.workers_lost"), 1u);
   EXPECT_EQ(results[0].bugs.size(), 1u);  // deduped across both uploads
   EXPECT_EQ(results[0].result.final_coverage, 2u);
 }
@@ -340,7 +340,7 @@ TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
 
   StatusReplyMsg status = orchestrator->HandleStatus(StatusRequestMsg{});
   ASSERT_EQ(status.campaigns.size(), 1u);
-  EXPECT_EQ(status.campaigns[0].crashes, 3u);
+  EXPECT_EQ(status.campaigns[0].metrics.CounterValue("fleet.campaign.crashes"), 3u);
 
   client->Send({MsgType::kGoodbye, Encode(GoodbyeMsg{a_id})});
   client->Close();
@@ -386,8 +386,8 @@ TEST_F(OrchestratorTest, EndToEndWithRealWorkerOverLoopback) {
   EXPECT_EQ(CountRows("campaign_end"), 0u);  // only Results() finalizes
   auto results = orchestrator->Results();
   ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].leases_granted, 2u);
-  EXPECT_EQ(results[0].leases_reclaimed, 0u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_granted"), 2u);
+  EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_reclaimed"), 0u);
   EXPECT_EQ(results[0].workers_served, 1u);
   EXPECT_GT(results[0].result.execs, 0u);
   EXPECT_GT(results[0].result.final_coverage, 0u);

@@ -169,8 +169,7 @@ int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
          os_name.c_str(), static_cast<unsigned long long>(minutes),
          static_cast<unsigned long long>(seed), jobs, jobs == 1 ? "" : "s",
          flags.restore_mode.c_str());
-  Result<CampaignResult> result =
-      jobs > 1 ? BoardFarm(config, jobs).Run() : EofFuzzer(config).Run();
+  Result<CampaignResult> result = BoardFarm(config, jobs).Run();
   if (!result.ok()) {
     fprintf(stderr, "campaign failed: %s\n", result.status().ToString().c_str());
     return 1;
@@ -420,13 +419,14 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
            static_cast<unsigned long long>(campaign.crashes),
            static_cast<unsigned long long>(campaign.corpus_size),
            fleet_result.bugs.size());
+    auto counter = [&](const char* name) {
+      return static_cast<unsigned long long>(fleet_result.metrics.CounterValue(name));
+    };
     printf("fleet: workers=%llu leases_granted=%llu reclaimed=%llu lost=%llu "
            "corpus_syncs=%llu\n",
            static_cast<unsigned long long>(fleet_result.workers_served),
-           static_cast<unsigned long long>(fleet_result.leases_granted),
-           static_cast<unsigned long long>(fleet_result.leases_reclaimed),
-           static_cast<unsigned long long>(fleet_result.workers_lost),
-           static_cast<unsigned long long>(fleet_result.corpus_syncs));
+           counter("fleet.leases_granted"), counter("fleet.leases_reclaimed"),
+           counter("fleet.workers_lost"), counter("fleet.corpus_syncs"));
     for (const fleet::BugWire& bug : fleet_result.bugs) {
       const BugInfo* info = FindBug(static_cast<int>(bug.catalog_id));
       printf("\nBUG #%u %s [%s monitor]\n%s\nreproducer:\n%s", bug.catalog_id,
