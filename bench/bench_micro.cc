@@ -93,7 +93,7 @@ void BM_ExecLoop(benchmark::State& state) {
   static Rng* rng = new Rng(11);
   static TargetExecutor* executor = [] {
     ExecutorOptions options;
-    options.os_name = "freertos";
+    options.deploy.os_name = "freertos";
     options.exception_symbol = "panic_handler";
     return TargetExecutor::Create(options, rng).value().release();
   }();

@@ -30,7 +30,7 @@ Result<FarmSession> MakeFarmSession(const FuzzerConfig& config,
   session.rng = std::make_unique<Rng>(seed ^ 0x5eedf00dULL);
   ExecutorOptions executor_options =
       MakeExecutorOptions(config, seed, plan.exception_symbol);
-  executor_options.telemetry = board;
+  executor_options.deploy.telemetry = board;
   ASSIGN_OR_RETURN(session.executor,
                    TargetExecutor::Create(executor_options, session.rng.get()));
   return session;

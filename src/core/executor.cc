@@ -38,13 +38,14 @@ Result<std::unique_ptr<TargetExecutor>> TargetExecutor::Create(const ExecutorOpt
 }
 
 Status TargetExecutor::Setup() {
-  telemetry_ = options_.telemetry;
+  telemetry_ = options_.deploy.telemetry;
   if (telemetry_ == nullptr) {
-    // Standalone session (tests, repro, single-board tools): instrumentation stays
+    // Standalone session (tests, replay, trim, validation): instrumentation stays
     // live against a private, journal-less registry.
     owned_telemetry_ = std::make_unique<telemetry::BoardTelemetry>(
-        /*worker=*/0, options_.seed, /*sink=*/nullptr);
+        /*worker=*/0, options_.deploy.seed, /*sink=*/nullptr);
     telemetry_ = owned_telemetry_.get();
+    options_.deploy.telemetry = telemetry_;
   }
   telemetry::MetricsRegistry& registry = telemetry_->registry();
   execs_ = registry.RegisterCounter("exec.execs");
@@ -63,13 +64,7 @@ Status TargetExecutor::Setup() {
   // target parked at executor_main with breakpoints armed.
   telemetry::Tracer::Span deploy_span = telemetry_->tracer().Begin("deploy", 0);
 
-  DeployOptions deploy;
-  deploy.os_name = options_.os_name;
-  deploy.board_name = options_.board_name;
-  deploy.instrumentation = options_.instrumentation;
-  deploy.seed = options_.seed;
-  deploy.telemetry = telemetry_;
-  ASSIGN_OR_RETURN(deployment_, Deployment::Create(deploy));
+  ASSIGN_OR_RETURN(deployment_, Deployment::Create(options_.deploy));
   // From here on every link op and drained UART line lands in the session's flight
   // recorder (deploy-time traffic is deliberately outside the window: the rings
   // should hold the conversation leading up to a crash, not the flash protocol).
@@ -203,6 +198,38 @@ void TargetExecutor::HarvestCoverage(ExecOutcome* outcome, AgentStatusView* stat
                        entries.value().end());
 }
 
+Status TargetExecutor::EndStalled(const char* reason,
+                                  const telemetry::Tracer::Span& exec_span,
+                                  ExecOutcome* outcome) {
+  stalls_->Increment();
+  outcome->status = ExecStatus::kStalled;
+  // The log monitor reads the wedge's last words — this is how assertion bugs
+  // (log + parked core) are detected.
+  std::string uart = deployment_->port().DrainUart();
+  if (options_.log_monitor) {
+    outcome->signature = log_monitor_.Scan(uart);
+    if (outcome->signature.has_value()) {
+      outcome->status = ExecStatus::kCrashed;
+    }
+  }
+  telemetry_->tracer().End(exec_span, deployment_->port().Now());
+  HarvestCoverage(outcome);
+  DumpFlight(reason, outcome);
+  return Restore(reason);
+}
+
+Status TargetExecutor::EndLinkLost(const char* reason,
+                                   const telemetry::Tracer::Span* exec_span,
+                                   ExecOutcome* outcome) {
+  timeouts_->Increment();
+  outcome->status = ExecStatus::kLinkLost;
+  if (exec_span != nullptr) {
+    telemetry_->tracer().End(*exec_span, deployment_->port().Now());
+  }
+  DumpFlight(reason, outcome);
+  return Restore(reason);
+}
+
 Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encoded) {
   ExecOutcome outcome;
   DebugPort& port = deployment_->port();
@@ -223,10 +250,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
   Status write = deployment_->WriteTestCase(encoded);
   if (!write.ok()) {
     // Link or target trouble: run the liveness protocol.
-    timeouts_->Increment();
-    outcome.status = ExecStatus::kLinkLost;
-    DumpFlight("write_failed", &outcome);
-    RETURN_IF_ERROR(Restore("write_failed"));
+    RETURN_IF_ERROR(EndLinkLost("write_failed", /*exec_span=*/nullptr, &outcome));
     return outcome;
   }
   flight_.RecordEvent(port.Now(), "publish", encoded.size());
@@ -271,14 +295,10 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
     }
     if (!stop_or.ok()) {
       // Watchdog #1: connection timeout.
-      timeouts_->Increment();
       if (!options_.watchdogs) {
         deployment_->board().clock().Advance(kManualInterventionCost);
       }
-      outcome.status = ExecStatus::kLinkLost;
-      telemetry_->tracer().End(exec_span, port.Now());
-      DumpFlight("link_lost", &outcome);
-      RETURN_IF_ERROR(Restore("link_lost"));
+      RETURN_IF_ERROR(EndLinkLost("link_lost", &exec_span, &outcome));
       return outcome;
     }
     const StopInfo& stop = stop_or.value();
@@ -349,18 +369,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       if (round >= kMaxContinueRounds) {
         // No watchdog: the operator eventually notices the wedged board.
         deployment_->board().clock().Advance(kManualInterventionCost);
-        outcome.status = ExecStatus::kStalled;
-        stalls_->Increment();
-        std::string uart = port.DrainUart();
-        auto log_hit = log_monitor_.Scan(uart);
-        if (options_.log_monitor && log_hit.has_value()) {
-          outcome.status = ExecStatus::kCrashed;
-          outcome.signature = log_hit;
-        }
-        telemetry_->tracer().End(exec_span, port.Now());
-        HarvestCoverage(&outcome);
-        DumpFlight("stall", &outcome);
-        RETURN_IF_ERROR(Restore("stall"));
+        RETURN_IF_ERROR(EndStalled("stall", exec_span, &outcome));
         return outcome;
       }
       continue;
@@ -371,18 +380,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
     }
     if (verdict == LivenessVerdict::kPowerPlateau) {
       // Ammeter plateau: the core spins flat-out; skip the PC re-check round.
-      stalls_->Increment();
-      outcome.status = ExecStatus::kStalled;
-      std::string uart_text = port.DrainUart();
-      auto log_hit = log_monitor_.Scan(uart_text);
-      if (options_.log_monitor && log_hit.has_value()) {
-        outcome.status = ExecStatus::kCrashed;
-        outcome.signature = log_hit;
-      }
-      telemetry_->tracer().End(exec_span, port.Now());
-      HarvestCoverage(&outcome);
-      DumpFlight("power_plateau", &outcome);
-      RETURN_IF_ERROR(Restore("power_plateau"));
+      RETURN_IF_ERROR(EndStalled("power_plateau", exec_span, &outcome));
       return outcome;
     }
     if (verdict == LivenessVerdict::kPcStall) {
@@ -390,28 +388,11 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       if (stall_strikes < 2) {
         continue;  // one more continue to confirm (Algorithm 1 re-check)
       }
-      stalls_->Increment();
-      outcome.status = ExecStatus::kStalled;
-      // The log monitor reads the wedge's last words — this is how assertion bugs
-      // (log + parked core) are detected.
-      std::string uart = port.DrainUart();
-      auto log_hit = log_monitor_.Scan(uart);
-      if (options_.log_monitor && log_hit.has_value()) {
-        outcome.status = ExecStatus::kCrashed;
-        outcome.signature = log_hit;
-      }
-      telemetry_->tracer().End(exec_span, port.Now());
-      HarvestCoverage(&outcome);
-      DumpFlight("pc_stall", &outcome);
-      RETURN_IF_ERROR(Restore("pc_stall"));
+      RETURN_IF_ERROR(EndStalled("pc_stall", exec_span, &outcome));
       return outcome;
     }
     // Connection timeout mid-protocol.
-    timeouts_->Increment();
-    outcome.status = ExecStatus::kLinkLost;
-    telemetry_->tracer().End(exec_span, port.Now());
-    DumpFlight("link_lost", &outcome);
-    RETURN_IF_ERROR(Restore("link_lost"));
+    RETURN_IF_ERROR(EndLinkLost("link_lost", &exec_span, &outcome));
     return outcome;
   }
 

@@ -5,9 +5,11 @@
 //
 // The executor is deliberately policy-free: it neither schedules inputs nor decides
 // what counts as interesting. That is the CampaignScheduler's job (scheduler.h).
-// The campaign loop (BoardFarm, board_farm.h) wires one executor per board to a
-// shared scheduler. An executor instance is confined to a single thread —
-// cross-board coordination happens in the scheduler.
+// It is the only exec loop: the campaign loop (BoardFarm, board_farm.h) wires one
+// executor per board to a shared scheduler, and reproducer replay, trimming and the
+// cold-boot validator (replay.h) each run one ExecuteOne on a fresh executor. An
+// executor instance is confined to a single thread — cross-board coordination
+// happens in the scheduler.
 
 #ifndef SRC_CORE_EXECUTOR_H_
 #define SRC_CORE_EXECUTOR_H_
@@ -69,10 +71,13 @@ ExecStats ExecStatsFromSnapshot(const telemetry::MetricsSnapshot& snapshot);
 // Board-session configuration: the slice of FuzzerConfig the executor needs, plus
 // the OS exception symbol resolved by campaign setup.
 struct ExecutorOptions {
-  std::string os_name;
-  std::string board_name;
-  InstrumentationOptions instrumentation;
-  uint64_t seed = 1;
+  // What to deploy and how. `deploy.telemetry` is the board session's telemetry
+  // (registry + tracer + journal); nullptr = the executor owns a private,
+  // journal-less BoardTelemetry seeded from `deploy.seed`, so instrumentation is
+  // always live (the counters are relaxed atomics and never touch the virtual clock
+  // or any RNG — fuzzing results are identical with or without a consumer). Must
+  // outlive the executor when set.
+  DeployOptions deploy;
 
   RestoreMode restore_mode = RestoreMode::kReflash;
   bool coverage_feedback = true;
@@ -89,13 +94,6 @@ struct ExecutorOptions {
   uint32_t periodic_reset_execs = 24;
 
   std::string exception_symbol;
-
-  // The board session's telemetry (registry + tracer + journal). nullptr = the
-  // executor owns a private, journal-less BoardTelemetry, so instrumentation is
-  // always live (the counters are relaxed atomics and never touch the virtual
-  // clock or any RNG — fuzzing results are identical with or without a consumer).
-  // Must outlive the executor when set.
-  telemetry::BoardTelemetry* telemetry = nullptr;
 };
 
 class TargetExecutor {
@@ -159,6 +157,14 @@ class TargetExecutor {
   // reports whether it arrived.
   void HarvestCoverage(ExecOutcome* outcome, AgentStatusView* status_out = nullptr,
                        bool* status_ok = nullptr);
+  // The two watchdog endings of a run. Each ends `exec_span` (when non-null), then
+  // dumps the flight rings as `reason` and restores the target. A stall first lets
+  // the log monitor read the wedge's last words and harvests coverage; a lost link
+  // has nothing left to read.
+  Status EndStalled(const char* reason, const telemetry::Tracer::Span& exec_span,
+                    ExecOutcome* outcome);
+  Status EndLinkLost(const char* reason, const telemetry::Tracer::Span* exec_span,
+                     ExecOutcome* outcome);
 
   ExecutorOptions options_;
   Rng* session_rng_;

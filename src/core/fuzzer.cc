@@ -25,10 +25,10 @@ Result<CampaignPlan> PrepareCampaign(const FuzzerConfig& config) {
 ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
                                     const std::string& exception_symbol) {
   ExecutorOptions options;
-  options.os_name = config.os_name;
-  options.board_name = config.board_name;
-  options.instrumentation = config.instrumentation;
-  options.seed = seed;
+  options.deploy.os_name = config.os_name;
+  options.deploy.board_name = config.board_name;
+  options.deploy.instrumentation = config.instrumentation;
+  options.deploy.seed = seed;
   options.restore_mode = config.restore_mode;
   options.coverage_feedback = config.coverage_feedback;
   options.log_monitor = config.log_monitor;
@@ -62,28 +62,31 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
 std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config) {
   // Capture by value: the validator outlives the config reference and runs late in
   // the campaign, replaying each first sighting on a board deployed from scratch.
-  // Every replay flashes the same immutable image, built on first use and owned by
-  // this validator alone, so it lives exactly as long as the campaign does.
-  struct SharedImage {
-    std::once_flag built;
-    std::shared_ptr<const FirmwareImage> image;  // nullptr: the build failed
+  // The campaign's specs and one immutable image are prepared on first use and
+  // owned by this validator alone, so they live exactly as long as the campaign.
+  struct Prepared {
+    std::once_flag once;
+    CampaignPlan plan;
+    DeployOptions deploy;  // deploy.image stays null when preparation failed
   };
-  auto shared = std::make_shared<SharedImage>();
-  std::string os_name = config.os_name;
-  std::string board_name = config.board_name;
-  return [os_name, board_name, shared](const BugReport& bug) {
-    std::call_once(shared->built, [&] {
-      DeployOptions deploy;
-      deploy.os_name = os_name;
-      deploy.board_name = board_name;
-      Result<std::shared_ptr<const FirmwareImage>> image = Deployment::BuildImageFor(deploy);
-      if (image.ok()) {
-        shared->image = std::move(image).value();
+  auto prepared = std::make_shared<Prepared>();
+  prepared->deploy.os_name = config.os_name;
+  prepared->deploy.board_name = config.board_name;
+  return [config, prepared](const BugReport& bug) {
+    std::call_once(prepared->once, [&] {
+      Result<CampaignPlan> plan = PrepareCampaign(config);
+      Result<std::shared_ptr<const FirmwareImage>> image =
+          Deployment::BuildImageFor(prepared->deploy);
+      if (plan.ok() && image.ok()) {
+        prepared->plan = std::move(plan).value();
+        prepared->deploy.image = std::move(image).value();
       }
     });
-    // Without an image the replay builds its own, and fails the way the build did.
+    if (prepared->deploy.image == nullptr) {
+      return false;
+    }
     Result<ReplayOutcome> replay =
-        ReplayReproducer(os_name, bug.program_text, board_name, shared->image);
+        ReplayReproducer(prepared->deploy, prepared->plan, bug.program_text);
     if (!replay.ok()) {
       // A reproducer that cannot even be replayed (parse failure, deploy failure)
       // is no evidence of a cold-boot bug.

@@ -110,7 +110,8 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
 // The cold-boot provenance oracle for snapshot-mode campaigns: replays a first
 // sighting's reproducer on a freshly flashed board (ReplayReproducer) and confirms
 // the bug only if the cold board crashes too — with a matching catalog id when the
-// sighting was attributed. Captures the config's os/board names by value.
+// sighting was attributed. Captures `config` by value; on first use it prepares the
+// campaign once (PrepareCampaign) and builds the one image every replay flashes.
 std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config);
 
 // The telemetry slice of `config`, for constructing the campaign's CampaignTelemetry.

@@ -1,51 +1,44 @@
 #include "src/core/monitors.h"
 
-#include "src/common/strings.h"
+#include <string_view>
 
 namespace eof {
+namespace {
 
-LogMonitor::LogMonitor() {
-  // The cross-OS crash vocabulary: panic banners, assertion reports, fatal exceptions.
-  struct Default {
-    const char* pattern;
-    const char* kind;
-  };
-  static const Default kDefaults[] = {
-      {R"(BUG: kernel panic)", "panic"},
-      {R"(BUG: unexpected stop)", "panic"},
-      {R"(Guru Meditation Error)", "panic"},
-      {R"(FATAL EXCEPTION|FATAL:)", "panic"},
-      {R"(up_assert: PANIC!)", "panic"},
-      {R"(Kernel panic)", "panic"},
-      {R"(assertion failed|Assertion failed|ASSERT)", "assertion"},
-      {R"(DEBUGASSERT)", "assertion"},
-  };
-  for (const Default& entry : kDefaults) {
-    (void)AddPattern(entry.pattern, entry.kind);
-  }
-}
+struct CrashLiteral {
+  std::string_view text;
+  const char* kind;
+};
 
-Status LogMonitor::AddPattern(const std::string& pattern, const std::string& kind) {
-  try {
-    patterns_.push_back(Pattern{std::regex(pattern), kind});
-  } catch (const std::regex_error& error) {
-    return InvalidArgumentError(StrFormat("bad pattern '%s': %s", pattern.c_str(),
-                                          error.what()));
-  }
-  return OkStatus();
-}
+// The cross-OS crash vocabulary in match order: panic banners, fatal exceptions,
+// assertion reports ("ASSERT" also covers NuttX's DEBUGASSERT).
+constexpr CrashLiteral kCrashVocabulary[] = {
+    {"BUG: kernel panic", "panic"},
+    {"BUG: unexpected stop", "panic"},
+    {"Guru Meditation Error", "panic"},
+    {"FATAL EXCEPTION", "panic"},
+    {"FATAL:", "panic"},
+    {"up_assert: PANIC!", "panic"},
+    {"Kernel panic", "panic"},
+    {"assertion failed", "assertion"},
+    {"Assertion failed", "assertion"},
+    {"ASSERT", "assertion"},
+};
+
+}  // namespace
 
 std::optional<BugSignature> LogMonitor::Scan(const std::string& uart_text) const {
-  if (uart_text.empty()) {
-    return std::nullopt;
-  }
-  for (const std::string& line : StrSplit(uart_text, '\n')) {
-    for (const Pattern& pattern : patterns_) {
-      if (std::regex_search(line, pattern.regex)) {
+  std::string_view rest = uart_text;
+  while (!rest.empty()) {
+    size_t end = rest.find('\n');
+    std::string_view line = rest.substr(0, end);
+    rest = end == std::string_view::npos ? std::string_view() : rest.substr(end + 1);
+    for (const CrashLiteral& literal : kCrashVocabulary) {
+      if (line.find(literal.text) != std::string_view::npos) {
         BugSignature signature;
         signature.detector = "log";
-        signature.kind = pattern.kind;
-        signature.excerpt = line;
+        signature.kind = literal.kind;
+        signature.excerpt = std::string(line);
         return signature;
       }
     }

@@ -1,14 +1,12 @@
-// Bug monitors (§4.5.2): the log monitor greps UART output against crash patterns with
-// regular expressions; the exception monitor plants breakpoints on the target OS's
-// exception functions and recognises stops there.
+// Bug monitors (§4.5.2): the log monitor greps UART output for the cross-OS crash
+// vocabulary (literal substrings, matched per line); the exception monitor plants
+// breakpoints on the target OS's exception functions and recognises stops there.
 
 #ifndef SRC_CORE_MONITORS_H_
 #define SRC_CORE_MONITORS_H_
 
 #include <optional>
-#include <regex>
 #include <string>
-#include <vector>
 
 #include "src/common/status.h"
 #include "src/core/deployment.h"
@@ -24,21 +22,10 @@ struct BugSignature {
 
 class LogMonitor {
  public:
-  // Default pattern set covering the four OSs' crash banners.
-  LogMonitor();
-
-  // Adds a pattern (ECMAScript regex, matched per line).
-  Status AddPattern(const std::string& pattern, const std::string& kind);
-
-  // Scans captured UART text; returns the first match.
+  // Scans captured UART text line by line; returns the first line carrying a crash
+  // banner, assertion report or fatal exception, with the kind of the first
+  // vocabulary entry it contains.
   std::optional<BugSignature> Scan(const std::string& uart_text) const;
-
- private:
-  struct Pattern {
-    std::regex regex;
-    std::string kind;
-  };
-  std::vector<Pattern> patterns_;
 };
 
 class ExceptionMonitor {

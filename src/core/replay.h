@@ -1,10 +1,12 @@
 // Reproducer replay: run one saved program text against a fresh deployment with full
 // monitoring, and report what happened — the triage half of the fuzzing workflow.
+// Replay, trim and cold-boot validation each run one TargetExecutor::ExecuteOne on a
+// freshly deployed board (reflash restores), so a verdict here is the verdict the
+// campaign's own exec loop would reach.
 
 #ifndef SRC_CORE_REPLAY_H_
 #define SRC_CORE_REPLAY_H_
 
-#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -15,19 +17,22 @@ namespace eof {
 struct ReplayOutcome {
   bool crashed = false;
   int catalog_id = 0;        // attributed Table-2 bug, 0 if unknown/no crash
-  std::string detector;      // "exception" | "log" | ""
-  std::string crash_text;    // UART capture when crashed
-  std::string uart;          // full UART capture of the run
+  std::string detector;      // "exception" | "log" | "timeout" | ""
+  std::string crash_text;    // signature excerpt + flight-dump UART tail when crashed
 };
 
-// Deploys `os_name` on its default board (or `board_name`), parses `program_text`
-// against freshly mined specs, executes it once, and reports. `image`, when set, is
-// flashed instead of a freshly built one (DeployOptions::image); the board is fresh
-// and cold-booted either way.
+// Deploys `deploy` on a fresh board, parses `program_text` against `plan.specs`,
+// executes it once with `plan.exception_symbol` armed, and reports. A stalled or
+// link-lost run counts as a "timeout" crash; the catalog id is attributed from the
+// signature excerpt, as the campaign scheduler attributes its sightings.
+Result<ReplayOutcome> ReplayReproducer(const DeployOptions& deploy, const CampaignPlan& plan,
+                                       const std::string& program_text);
+
+// The same for `os_name` on its default board (or `board_name`), with the specs a
+// default campaign mines.
 Result<ReplayOutcome> ReplayReproducer(const std::string& os_name,
                                        const std::string& program_text,
-                                       const std::string& board_name = "",
-                                       std::shared_ptr<const FirmwareImage> image = nullptr);
+                                       const std::string& board_name = "");
 
 struct TrimOutcome {
   std::string trimmed_text;        // the minimized program, serialized

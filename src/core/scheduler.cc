@@ -327,13 +327,8 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
     const fuzz::Program* admit = &program;
     fuzz::Program trimmed;
     if (options_.trim) {
-      std::vector<uint32_t> owner_calls;
-      owner_calls.reserve(fresh_hits.size());
-      for (const CovHit& hit : fresh_hits) {
-        owner_calls.push_back(hit.call);
-      }
       fuzz::TrimStats trim_stats;
-      trimmed = fuzz::TrimToCalls(program, owner_calls, &trim_stats);
+      trimmed = fuzz::TrimToFreshHits(program, fresh_hits, &trim_stats);
       trim_kept_calls_->Add(trim_stats.kept_calls);
       trim_removed_calls_->Add(trim_stats.removed_calls);
       if (trim_stats.removed_calls > 0) {

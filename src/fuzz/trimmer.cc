@@ -59,5 +59,15 @@ Program TrimToCalls(const Program& program, const std::vector<uint32_t>& owner_c
   return trimmed;
 }
 
+Program TrimToFreshHits(const Program& program, const std::vector<CovHit>& fresh_hits,
+                        TrimStats* stats) {
+  std::vector<uint32_t> owner_calls;
+  owner_calls.reserve(fresh_hits.size());
+  for (const CovHit& hit : fresh_hits) {
+    owner_calls.push_back(hit.call);
+  }
+  return TrimToCalls(program, owner_calls, stats);
+}
+
 }  // namespace fuzz
 }  // namespace eof

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/coverage_types.h"
 #include "src/fuzz/program.h"
 
 namespace eof {
@@ -31,6 +32,11 @@ struct TrimStats {
 // kept/removed counts for the returned program.
 Program TrimToCalls(const Program& program, const std::vector<uint32_t>& owner_calls,
                     TrimStats* stats = nullptr);
+
+// TrimToCalls with the owners read off a run's first-seen hits: each fresh hit's
+// call owns that edge.
+Program TrimToFreshHits(const Program& program, const std::vector<CovHit>& fresh_hits,
+                        TrimStats* stats = nullptr);
 
 }  // namespace fuzz
 }  // namespace eof

@@ -126,7 +126,6 @@ bool FileEventSink::Emit(const Event& event) {
 void FileEventSink::Flush() {
   std::lock_guard<std::mutex> lock(mu_);
   FlushLocked();
-  fflush(file_);
 }
 
 void FileEventSink::FlushLocked() {
@@ -137,6 +136,8 @@ void FileEventSink::FlushLocked() {
     }
   }
   buffer_.clear();
+  // The line buffer is the only buffer: a flushed batch is in the file.
+  fflush(file_);
 }
 
 RotatingFileEventSink::RotatingFileEventSink(std::string stem, std::string suffix,
@@ -185,7 +186,7 @@ RotatingFileEventSink::~RotatingFileEventSink() {
 }
 
 bool RotatingFileEventSink::WriteLineLocked(const std::string& line) {
-  if (fprintf(file_, "%s\n", line.c_str()) < 0) {
+  if (fprintf(file_, "%s\n", line.c_str()) < 0 || fflush(file_) != 0) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }

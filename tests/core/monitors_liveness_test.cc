@@ -35,11 +35,50 @@ TEST(LogMonitorTest, MatchesCrashVocabulary) {
   EXPECT_FALSE(monitor.Scan("FreeRTOS v10.5 scheduler started").has_value());
 }
 
-TEST(LogMonitorTest, CustomPatternAndBadRegex) {
+// One line per alternative of the default vocabulary, then lines that carry none.
+TEST(LogMonitorTest, VocabularyTable) {
+  struct Row {
+    const char* line;
+    const char* kind;  // nullptr = no match
+  };
+  const Row rows[] = {
+      {"BUG: kernel panic - rt_mp_alloc", "panic"},
+      {"BUG: unexpected stop at 0x4000", "panic"},
+      {"Guru Meditation Error: Core 0 panic'ed", "panic"},
+      {"FATAL EXCEPTION: divide fault", "panic"},
+      {"FATAL: k_heap_init: first chunk header written at -4", "panic"},
+      {"up_assert: PANIC! null deref", "panic"},
+      {"Kernel panic - not syncing", "panic"},
+      {"(obj != NULL) assertion failed at rt_object_init", "assertion"},
+      {"Assertion failed: count >= 0", "assertion"},
+      {"ASSERT at sem.c:50", "assertion"},
+      {"DEBUGASSERT(sem->semcount < SEM_VALUE_MAX)", "assertion"},
+      // A line carrying two entries reports the earlier one in vocabulary order.
+      {"ASSERT then FATAL: both", "panic"},
+      {"kernel panic", nullptr},  // lower case "kernel panic" is not a banner
+      {"fatal: lower case", nullptr},
+      {"assert(x) passed", nullptr},
+      {"Guru Meditation", nullptr},
+      {"BUG: kernel pani", nullptr},
+      {"", nullptr},
+  };
   LogMonitor monitor;
-  EXPECT_FALSE(monitor.AddPattern("(unclosed", "panic").ok());
-  ASSERT_TRUE(monitor.AddPattern(R"(WDT timeout on core \d)", "panic").ok());
-  EXPECT_TRUE(monitor.Scan("WDT timeout on core 1").has_value());
+  for (const Row& row : rows) {
+    auto hit = monitor.Scan(row.line);
+    if (row.kind == nullptr) {
+      EXPECT_FALSE(hit.has_value()) << row.line;
+      continue;
+    }
+    ASSERT_TRUE(hit.has_value()) << row.line;
+    EXPECT_EQ(hit->kind, row.kind) << row.line;
+    EXPECT_EQ(hit->detector, "log");
+    EXPECT_EQ(hit->excerpt, row.line);
+  }
+  // The excerpt is the first matching line of multi-line text, not the whole text.
+  auto hit = monitor.Scan("boot ok\nthread 3 up\nFATAL: bad\nASSERT later\n");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->excerpt, "FATAL: bad");
+  EXPECT_EQ(hit->kind, "panic");
 }
 
 class LivenessTest : public ::testing::Test {

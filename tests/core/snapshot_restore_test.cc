@@ -80,7 +80,7 @@ class SnapshotSessionTest : public ::testing::Test {
     rng_ = std::make_unique<Rng>(config.seed ^ 0x5eedf00dULL);
     ExecutorOptions options =
         MakeExecutorOptions(config, config.seed, plan_.exception_symbol);
-    options.telemetry = telemetry_.get();
+    options.deploy.telemetry = telemetry_.get();
     auto executor = TargetExecutor::Create(options, rng_.get());
     ASSERT_TRUE(executor.ok()) << executor.status().ToString();
     executor_ = std::move(executor.value());

@@ -217,6 +217,35 @@ TEST(JournalTest, FileSinkWritesParseableLinesAndFlushes) {
   remove(path.c_str());
 }
 
+// A full line buffer reaches the file itself, not a stdio buffer: the fleet
+// journal (buffer_lines = 1) is tailed while the orchestrator serves.
+TEST(JournalTest, FullLineBufferIsVisibleBeforeFlush) {
+  std::string path = ::testing::TempDir() + "/telemetry_live_sink.jsonl";
+  auto count_lines = [&path] {
+    FILE* file = fopen(path.c_str(), "rb");
+    int lines = 0;
+    for (int c; file != nullptr && (c = fgetc(file)) != EOF;) {
+      lines += c == '\n';
+    }
+    if (file != nullptr) {
+      fclose(file);
+    }
+    return lines;
+  };
+  auto sink_or = FileEventSink::Open(path, /*buffer_lines=*/1);
+  ASSERT_TRUE(sink_or.ok());
+  std::unique_ptr<FileEventSink> sink = std::move(sink_or).value();
+  Event event;
+  event.type = "lease_grant";
+  for (int i = 1; i <= 3; ++i) {
+    event.at = static_cast<VirtualTime>(i);
+    EXPECT_TRUE(sink->Emit(event));
+    EXPECT_EQ(count_lines(), i);
+  }
+  sink.reset();
+  remove(path.c_str());
+}
+
 TEST(TracerTest, SpanIdsAreSeedDeterministicAndDurationsLand) {
   MetricsRegistry reg_a;
   MetricsRegistry reg_b;
