@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the host-side hot paths: wire codec, program
-// generation/mutation, coverage accounting, debug-port memory traffic, and full target
-// boots. These bound the host overhead per executed payload.
+// generation/mutation, coverage accounting, debug-port memory traffic, full target boots,
+// and the per-board fixed costs (image build, flash checksum, deploy on a shared image).
+// These bound the host overhead per executed payload.
 
 #include <benchmark/benchmark.h>
 
@@ -122,6 +123,53 @@ void BM_FullDeployBoot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDeployBoot);
+
+// The fixed costs every fresh board pays on the host: building a firmware image
+// (payload generation, build-time verdicts and digests), checksumming a flashed
+// kernel, and deploying a prebuilt image onto a new board.
+void BM_BuildImage(benchmark::State& state) {
+  (void)RegisterAllOses();
+  DeployOptions options;
+  options.os_name = "rtthread";
+  for (auto _ : state) {
+    auto image = Deployment::BuildImageFor(options);
+    benchmark::DoNotOptimize(image.ok());
+  }
+}
+BENCHMARK(BM_BuildImage)->Unit(benchmark::kMillisecond);
+
+void BM_FlashChecksum(benchmark::State& state) {
+  (void)RegisterAllOses();
+  DeployOptions options;
+  options.os_name = "rtthread";
+  static auto deployment = Deployment::Create(options).value().release();
+  const Partition* kernel = deployment->image().partition_table().Find("kernel");
+  const uint64_t size = deployment->image().PayloadOf("kernel")->bytes.size();
+  const uint64_t address = deployment->board_spec().flash_base + kernel->offset;
+  Flash& flash = deployment->board().flash();
+  const std::vector<uint8_t> first = flash.Read(kernel->offset, 1).value();
+  for (auto _ : state) {
+    // Rewriting the same byte moves the write count, so the checksum is recomputed
+    // over unchanged bytes, as after a reflash.
+    benchmark::DoNotOptimize(flash.Write(kernel->offset, first).ok());
+    auto digest = deployment->port().ChecksumMem(address, size);
+    benchmark::DoNotOptimize(digest.ok());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+}
+BENCHMARK(BM_FlashChecksum)->Unit(benchmark::kMillisecond);
+
+void BM_DeployOnSharedImage(benchmark::State& state) {
+  (void)RegisterAllOses();
+  DeployOptions options;
+  options.os_name = "rtthread";
+  options.image = Deployment::BuildImageFor(options).value();
+  for (auto _ : state) {
+    auto deployment = Deployment::Create(options);
+    benchmark::DoNotOptimize(deployment.ok());
+  }
+}
+BENCHMARK(BM_DeployOnSharedImage)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace eof

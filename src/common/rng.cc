@@ -13,8 +13,6 @@ uint64_t SplitMix64(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
@@ -22,19 +20,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& word : state_) {
     word = SplitMix64(sm);
   }
-}
-
-uint64_t Rng::Next() {
-  // xoshiro256**
-  uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::Below(uint64_t bound) {

@@ -17,8 +17,18 @@ class Rng {
  public:
   explicit Rng(uint64_t seed);
 
-  // Uniform 64-bit value.
-  uint64_t Next();
+  // Uniform 64-bit value (xoshiro256**). Inline: image builds draw one per payload byte.
+  uint64_t Next() {
+    uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // Uniform value in [0, bound). bound == 0 returns 0.
   uint64_t Below(uint64_t bound);
@@ -47,6 +57,8 @@ class Rng {
   uint64_t InterestingInt(unsigned bits);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
   uint64_t state_[4];
 };
 

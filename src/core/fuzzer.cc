@@ -59,6 +59,18 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
   return options;
 }
 
+DeployOptions ColdBootDeployOptions(const FuzzerConfig& config) {
+  DeployOptions deploy;
+  deploy.os_name = config.os_name;
+  deploy.board_name = config.board_name;
+  deploy.instrumentation = config.instrumentation;
+  // The build seed stays 1 rather than the campaign's: freertos esp_partition_read
+  // returns payload bytes to the program, so replaying on the campaign's own image
+  // would change verdicts.
+  deploy.seed = 1;
+  return deploy;
+}
+
 std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config) {
   // Capture by value: the validator outlives the config reference and runs late in
   // the campaign, replaying each first sighting on a board deployed from scratch.
@@ -70,8 +82,7 @@ std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& 
     DeployOptions deploy;  // deploy.image stays null when preparation failed
   };
   auto prepared = std::make_shared<Prepared>();
-  prepared->deploy.os_name = config.os_name;
-  prepared->deploy.board_name = config.board_name;
+  prepared->deploy = ColdBootDeployOptions(config);
   return [config, prepared](const BugReport& bug) {
     std::call_once(prepared->once, [&] {
       Result<CampaignPlan> plan = PrepareCampaign(config);

@@ -107,6 +107,10 @@ ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
 // campaigns get the cold-boot validation oracle installed automatically.
 CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int workers);
 
+// What every cold-boot replay deploys: the campaign's os, board and instrumentation,
+// built from seed 1.
+DeployOptions ColdBootDeployOptions(const FuzzerConfig& config);
+
 // The cold-boot provenance oracle for snapshot-mode campaigns: replays a first
 // sighting's reproducer on a freshly flashed board (ReplayReproducer) and confirms
 // the bug only if the cold board crashes too — with a matching catalog id when the

@@ -257,7 +257,7 @@ Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
     ASSIGN_OR_RETURN(digest, board_->flash().Digest(address - spec.flash_base, size));
   } else {
     ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadWindow(address, size));
-    digest = Fnv1aBytes(bytes.data(), bytes.size());
+    digest = ChecksumBytes(bytes.data(), bytes.size());
   }
   bytes_read_->Add(8);  // only the digest crosses the link
   return digest;

@@ -116,7 +116,7 @@ class DebugPort {
   // batch with earlier ops already applied, like a partially-drained JTAG queue.
   Status RunBatch(std::vector<PortOp>* ops);
 
-  // Target-assisted content checksum (FNV-1a over the flash or RAM window), computed
+  // Target-assisted content checksum (ChecksumBytes over the flash or RAM window), computed
   // on the target side so only the digest crosses the link — the delta-reflash cache
   // uses this to prove a partition's on-flash bytes unchanged without reading them.
   // Virtual time is charged by the byte either way; on the host, flash-window digests

@@ -83,7 +83,7 @@ Result<uint64_t> Flash::Digest(uint64_t offset, uint64_t size) const {
       return memo.digest;
     }
   }
-  uint64_t digest = Fnv1aBytes(bytes, size);
+  uint64_t digest = ChecksumBytes(bytes, size);
   digest_memo_.push_back(DigestMemo{offset, size, digest});
   return digest;
 }

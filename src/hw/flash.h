@@ -50,7 +50,7 @@ class Flash {
   // MassErase. Same bounds check and error as Read.
   Result<const uint8_t*> View(uint64_t offset, uint64_t size) const;
 
-  // Fnv1aBytes over [offset, offset + size), hashed in place and memoized on
+  // ChecksumBytes over [offset, offset + size), hashed in place and memoized on
   // write_count(): re-hashing flash that no write has touched costs nothing.
   Result<uint64_t> Digest(uint64_t offset, uint64_t size) const;
 

@@ -1,6 +1,7 @@
 #include "src/hw/image.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "src/common/byteio.h"
 #include "src/common/hash.h"
@@ -11,22 +12,34 @@ namespace eof {
 namespace {
 
 constexpr uint32_t kPayloadMagic = 0xe0fb007u;
+constexpr size_t kPayloadHeaderBytes = 16;  // [magic u32 | len u32 | crc u64]
 
 }  // namespace
 
 std::vector<uint8_t> FirmwareImage::MakePayload(const std::string& name, uint64_t seed,
                                                 uint64_t body_bytes) {
+  // One pass: draw the body in place, folding its FNV-1a CRC into the same loop, then
+  // write the header in front. Draws stage through a local block because stores through
+  // the payload's uint8_t* may alias the RNG state and would pin it in memory.
+  std::vector<uint8_t> payload(kPayloadHeaderBytes + body_bytes);
   Rng rng(Fnv1a(name, seed));
-  std::vector<uint8_t> body(body_bytes);
-  for (auto& byte : body) {
-    byte = static_cast<uint8_t>(rng.Next());
+  uint64_t crc = kFnvOffsetBasis;
+  uint8_t block[256];
+  for (uint64_t done = 0; done < body_bytes;) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(sizeof block, body_bytes - done));
+    for (size_t i = 0; i < n; ++i) {
+      block[i] = static_cast<uint8_t>(rng.Next());
+      crc = (crc ^ block[i]) * kFnvPrime;
+    }
+    std::memcpy(payload.data() + kPayloadHeaderBytes + done, block, n);
+    done += n;
   }
-  ByteWriter writer;
-  writer.PutU32(kPayloadMagic);
-  writer.PutU32(static_cast<uint32_t>(body.size()));
-  writer.PutU64(Fnv1aBytes(body.data(), body.size()));
-  writer.PutBytes(body.data(), body.size());
-  return writer.TakeBytes();
+  ByteWriter header;
+  header.PutU32(kPayloadMagic);
+  header.PutU32(static_cast<uint32_t>(body_bytes));
+  header.PutU64(crc);
+  std::copy(header.bytes().begin(), header.bytes().end(), payload.begin());
+  return payload;
 }
 
 Status FirmwareImage::VerifyPayload(const uint8_t* data, size_t size) {
@@ -58,7 +71,7 @@ Status FirmwareImage::AddPartition(const std::string& name, uint64_t offset, uin
     return AlreadyExistsError(StrFormat("partition '%s' already added", name.c_str()));
   }
   table_.partitions.push_back(Partition{name, offset, part_size});
-  uint64_t digest = Fnv1aBytes(payload.data(), payload.size());
+  uint64_t digest = ChecksumBytes(payload.data(), payload.size());
   Status verify = VerifyPayload(payload);
   payloads_[name] = Payload{std::move(payload), digest, std::move(verify)};
   return OkStatus();

@@ -105,7 +105,7 @@ class FirmwareImage {
   // A partition's pristine payload, plus what build time already knows about it.
   struct Payload {
     std::vector<uint8_t> bytes;
-    uint64_t digest = 0;  // Fnv1aBytes(bytes): what a checksum of pristine flash returns
+    uint64_t digest = 0;  // ChecksumBytes(bytes): what a checksum of pristine flash returns
     Status verify;        // VerifyPayload(bytes)
   };
 

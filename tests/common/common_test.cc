@@ -168,6 +168,36 @@ TEST(HashTest, StableAcrossCalls) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }
 
+// Flash and RAM checksums: every byte counts wherever the window starts, and windows of
+// different lengths differ even when their bytes are all zero.
+TEST(HashTest, ChecksumBytesSeesEveryByteAtAnyAlignment) {
+  Rng rng(5);
+  std::vector<uint8_t> data(97);
+  for (uint8_t& byte : data) {
+    byte = static_cast<uint8_t>(rng.Next());
+  }
+  const std::vector<uint8_t> zeros(data.size(), 0);
+  EXPECT_EQ(ChecksumBytes(nullptr, 0), ChecksumBytes(data.data(), 0));
+  std::set<uint64_t> by_length;
+  for (size_t size = 0; size <= data.size(); ++size) {
+    const uint64_t want = ChecksumBytes(data.data(), size);
+    for (size_t shift = 1; shift < 8; ++shift) {
+      std::vector<uint8_t> moved(shift + size);
+      std::copy(data.begin(), data.begin() + size, moved.begin() + shift);
+      EXPECT_EQ(ChecksumBytes(moved.data() + shift, size), want) << size << "+" << shift;
+    }
+    for (size_t at = 0; at < size; ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        std::vector<uint8_t> flipped(data.begin(), data.begin() + size);
+        flipped[at] ^= static_cast<uint8_t>(1u << bit);
+        EXPECT_NE(ChecksumBytes(flipped.data(), size), want) << size << "@" << at;
+      }
+    }
+    by_length.insert(ChecksumBytes(zeros.data(), size));
+  }
+  EXPECT_EQ(by_length.size(), data.size() + 1);
+}
+
 TEST(CoverageMapTest, AddMergeCount) {
   CoverageMap map;
   EXPECT_TRUE(map.Add(1));

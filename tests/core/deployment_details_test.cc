@@ -179,6 +179,33 @@ TEST_F(DeploymentDetailsTest, DeltaReflashReprogramsOnlyCorruptedPartition) {
             payload_total - victim_bytes);
 }
 
+// One flipped byte anywhere in the kernel payload changes the flash checksum, so the
+// delta reflash reprograms the partition: the first byte, the middle, the last byte of
+// ChecksumBytes' 32-byte lane blocks, and the last byte, which lies in its word tail.
+TEST_F(DeploymentDetailsTest, DeltaReflashCatchesAFlipAnywhereInTheKernel) {
+  auto deployment = Deploy("zephyr");
+  const Partition* kernel = deployment->image().partition_table().Find("kernel");
+  const FirmwareImage::Payload* payload = deployment->image().PayloadOf("kernel");
+  ASSERT_NE(kernel, nullptr);
+  ASSERT_NE(payload, nullptr);
+  const uint64_t size = payload->bytes.size();
+  ASSERT_NE(size % 32, 0u);
+  const uint64_t address = deployment->board_spec().flash_base + kernel->offset;
+  for (uint64_t at : {uint64_t{0}, size / 2, size / 32 * 32 - 1, size - 1}) {
+    SCOPED_TRACE(at);
+    const uint8_t flipped = static_cast<uint8_t>(payload->bytes[at] ^ 0x01);
+    ASSERT_TRUE(deployment->board().FlashWrite(kernel->offset + at, {flipped}).ok());
+    Result<uint64_t> checksum = deployment->port().ChecksumMem(address, size);
+    ASSERT_TRUE(checksum.ok());
+    EXPECT_NE(checksum.value(), payload->digest);
+
+    const DebugPortStats before = deployment->port().stats();
+    ASSERT_TRUE(deployment->ReflashAndReboot().ok());
+    EXPECT_EQ(deployment->port().stats().flash_bytes - before.flash_bytes, size);
+    EXPECT_EQ(deployment->port().ChecksumMem(address, size).value(), payload->digest);
+  }
+}
+
 TEST_F(DeploymentDetailsTest, PrebuiltImageDeploysLikeAFreshBuild) {
   DeployOptions options;
   options.os_name = "zephyr";

@@ -6,6 +6,8 @@
 #include "src/core/image_builder.h"
 
 #include "src/agent/agent_layout.h"
+#include "src/common/hash.h"
+#include "src/common/strings.h"
 #include "src/hw/board_catalog.h"
 #include "src/kernel/image_layout.h"
 #include "src/kernel/os.h"
@@ -93,6 +95,104 @@ TEST(ImageBuilderGatingTest, AppFilteredInstrumentationIsSmaller) {
   uint64_t base = ComputeImageSize("freertos", off).value();
   EXPECT_LT(filtered, full);
   EXPECT_GT(filtered, base);
+}
+
+// Image bytes are pinned: payload generation feeds the boot-ROM check, the flash
+// checksums and (through freertos esp_partition_read) program behaviour, so a faster
+// build must produce every payload byte it produced before. Each partition pins the
+// payload size, Fnv1aBytes over the whole payload, and the build-time verdict.
+TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  struct PartitionGolden {
+    size_t size;
+    uint64_t fnv;
+    bool verifies;
+  };
+  struct Golden {
+    const char* os;
+    uint64_t seed;
+    PartitionGolden parts[3];  // bootloader, ptable, kernel
+  };
+  const Golden kGolden[] = {
+      {"zephyr", 1,
+       {{49168, 0xfd13c39ed5e806d2ULL, true},
+        {272, 0x945c588dd521188bULL, true},
+        {920944, 0x4fef68f9edfb43e8ULL, true}}},
+      {"zephyr", 7,
+       {{49168, 0x4abd8fdd7bd822e0ULL, true},
+        {272, 0x7c8b6ab3e22855e9ULL, true},
+        {920944, 0xcb93193733f3a3f9ULL, true}}},
+      {"zephyr", 3007,
+       {{49168, 0x0a98e5cef55b60d9ULL, true},
+        {272, 0xe9465842b4a4d065ULL, true},
+        {920944, 0xd6a906fc78c9657bULL, true}}},
+      {"rtthread", 1,
+       {{49168, 0xfd13c39ed5e806d2ULL, true},
+        {272, 0x945c588dd521188bULL, true},
+        {2774336, 0x890ec129bca326abULL, true}}},
+      {"rtthread", 7,
+       {{49168, 0x4abd8fdd7bd822e0ULL, true},
+        {272, 0x7c8b6ab3e22855e9ULL, true},
+        {2774336, 0xa721eb01587c2e5dULL, true}}},
+      {"rtthread", 3007,
+       {{49168, 0x0a98e5cef55b60d9ULL, true},
+        {272, 0xe9465842b4a4d065ULL, true},
+        {2774336, 0xe7100b6d38fb4a85ULL, true}}},
+      {"freertos", 1,
+       {{49168, 0xfd13c39ed5e806d2ULL, true},
+        {272, 0x945c588dd521188bULL, true},
+        {3015216, 0x4982f7647e0d7bc3ULL, true}}},
+      {"freertos", 7,
+       {{49168, 0x4abd8fdd7bd822e0ULL, true},
+        {272, 0x7c8b6ab3e22855e9ULL, true},
+        {3015216, 0xfa6902088fecd2a0ULL, true}}},
+      {"freertos", 3007,
+       {{49168, 0x0a98e5cef55b60d9ULL, true},
+        {272, 0xe9465842b4a4d065ULL, true},
+        {3015216, 0xe8503a4f874cb080ULL, true}}},
+      {"nuttx", 1,
+       {{49168, 0xfd13c39ed5e806d2ULL, true},
+        {272, 0x945c588dd521188bULL, true},
+        {3686376, 0x97494590794ba569ULL, true}}},
+      {"nuttx", 7,
+       {{49168, 0x4abd8fdd7bd822e0ULL, true},
+        {272, 0x7c8b6ab3e22855e9ULL, true},
+        {3686376, 0x15702d1202fbede9ULL, true}}},
+      {"nuttx", 3007,
+       {{49168, 0x0a98e5cef55b60d9ULL, true},
+        {272, 0xe9465842b4a4d065ULL, true},
+        {3686376, 0x034e347af10d1a3aULL, true}}},
+      {"pokos", 1,
+       {{49168, 0xfd13c39ed5e806d2ULL, true},
+        {272, 0x945c588dd521188bULL, true},
+        {1527216, 0xa303b317a8bd1ceaULL, true}}},
+      {"pokos", 7,
+       {{49168, 0x4abd8fdd7bd822e0ULL, true},
+        {272, 0x7c8b6ab3e22855e9ULL, true},
+        {1527216, 0xecf4e38171e48dc7ULL, true}}},
+      {"pokos", 3007,
+       {{49168, 0x0a98e5cef55b60d9ULL, true},
+        {272, 0xe9465842b4a4d065ULL, true},
+        {1527216, 0x715c2262751d7e1aULL, true}}},
+  };
+  for (const Golden& golden : kGolden) {
+    ImageBuildOptions options;
+    options.os_name = golden.os;
+    options.seed = golden.seed;
+    OsInfo info = OsRegistry::Instance().Find(golden.os).value();
+    auto image = BuildImage(BoardSpecByName(info.default_board).value(), options);
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    const char* names[] = {"bootloader", "ptable", "kernel"};
+    for (int i = 0; i < 3; ++i) {
+      SCOPED_TRACE(StrFormat("%s seed %llu %s", golden.os,
+                             static_cast<unsigned long long>(golden.seed), names[i]));
+      const FirmwareImage::Payload* payload = image.value()->PayloadOf(names[i]);
+      ASSERT_NE(payload, nullptr);
+      EXPECT_EQ(payload->bytes.size(), golden.parts[i].size);
+      EXPECT_EQ(Fnv1aBytes(payload->bytes.data(), payload->bytes.size()), golden.parts[i].fnv);
+      EXPECT_EQ(payload->verify.ok(), golden.parts[i].verifies);
+    }
+  }
 }
 
 }  // namespace

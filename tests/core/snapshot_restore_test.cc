@@ -553,6 +553,27 @@ TEST_F(SnapshotValidationTest, ColdReproducibleCrashIsConfirmed) {
   EXPECT_EQ(TextField(reports[0], "snapshot_validation"), "confirmed");
 }
 
+// Bugs are confirmed on the image the campaign fuzzes: a validator that dropped the
+// instrumentation options would replay an uninstrumented campaign's sightings on a
+// fully instrumented board.
+TEST(ColdBootDeployTest, CarriesTheCampaignsInstrumentation) {
+  FuzzerConfig config;
+  config.os_name = "rtthread";
+  config.board_name = "stm32f407-disco";
+  config.seed = 3007;
+  config.instrumentation.enabled = false;
+  config.instrumentation.module_filter = {"apps/http"};
+  config.instrumentation.semihost = true;
+  DeployOptions deploy = ColdBootDeployOptions(config);
+  EXPECT_EQ(deploy.os_name, "rtthread");
+  EXPECT_EQ(deploy.board_name, "stm32f407-disco");
+  EXPECT_FALSE(deploy.instrumentation.enabled);
+  EXPECT_EQ(deploy.instrumentation.module_filter, config.instrumentation.module_filter);
+  EXPECT_TRUE(deploy.instrumentation.semihost);
+  EXPECT_EQ(deploy.seed, 1u);
+  EXPECT_EQ(deploy.image, nullptr);
+}
+
 // --- Differential campaigns --------------------------------------------------
 
 class SnapshotDifferentialTest : public ::testing::Test {

@@ -133,14 +133,14 @@ TEST_F(FlashDigestTest, ChecksumAfterFlashWriteReturnsTheNewDigest) {
   auto after = port_.ChecksumMem(KernelAddress(), kernel_size_);
   ASSERT_TRUE(after.ok());
   std::vector<uint8_t> stored = board_.flash().Read(kernel_offset_, kernel_size_).value();
-  EXPECT_EQ(after.value(), Fnv1aBytes(stored.data(), stored.size()));
+  EXPECT_EQ(after.value(), ChecksumBytes(stored.data(), stored.size()));
   EXPECT_NE(after.value(), before.value());
 
   board_.flash().MassErase();
   auto erased = port_.ChecksumMem(KernelAddress(), kernel_size_);
   ASSERT_TRUE(erased.ok());
   std::vector<uint8_t> ones(kernel_size_, 0xff);
-  EXPECT_EQ(erased.value(), Fnv1aBytes(ones.data(), ones.size()));
+  EXPECT_EQ(erased.value(), ChecksumBytes(ones.data(), ones.size()));
 }
 
 TEST_F(FlashDigestTest, MemoHitCostsTheTargetWhatAMissDoes) {

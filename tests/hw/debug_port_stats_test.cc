@@ -167,7 +167,7 @@ TEST_F(DebugPortBatchTest, ChecksumMatchesContentAndMovesOnlyTheDigest) {
   const DebugPortStats before = port_.stats();
   auto digest = port_.ChecksumMem(Ram(0x200), blob.size());
   ASSERT_TRUE(digest.ok());
-  EXPECT_EQ(digest.value(), Fnv1aBytes(blob.data(), blob.size()));
+  EXPECT_EQ(digest.value(), ChecksumBytes(blob.data(), blob.size()));
   // The hash runs on-target; only the 8-byte digest crosses the link.
   EXPECT_EQ(port_.stats().bytes_read - before.bytes_read, 8u);
   EXPECT_EQ(port_.stats().transactions - before.transactions, 1u);
