@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) of the host-side hot paths: wire codec, program
 // generation/mutation, coverage accounting, debug-port memory traffic, full target boots,
-// and the per-board fixed costs (image build, flash checksum, deploy on a shared image).
+// restores (warm snapshot restore, cold reset), and the per-board fixed costs (image
+// build, flash checksum, deploy on a shared image).
 // These bound the host overhead per executed payload.
 
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
 #include "src/agent/wire.h"
+#include "src/hw/board_snapshot.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 #include "src/spec/spec_miner.h"
@@ -123,6 +125,35 @@ void BM_FullDeployBoot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDeployBoot);
+
+// The two ways a campaign brings a board back after a crash, on the largest-RAM OS:
+// a warm snapshot restore (flash-shadow gate, warm boot, RAM rewrite, resume
+// handshake) repeated in steady state, and a cold reset through the boot ROM.
+void BM_WarmRestore(benchmark::State& state) {
+  (void)RegisterAllOses();
+  DeployOptions options;
+  options.os_name = "rtthread";
+  static auto deployment = Deployment::Create(options).value().release();
+  static auto snapshot = new BoardSnapshot(
+      BoardSnapshot::Capture(deployment->port(), deployment->image()).value());
+  for (auto _ : state) {
+    Status status = snapshot->Restore(deployment->port());
+    benchmark::DoNotOptimize(status.ok());
+  }
+}
+BENCHMARK(BM_WarmRestore);
+
+void BM_ColdReset(benchmark::State& state) {
+  (void)RegisterAllOses();
+  DeployOptions options;
+  options.os_name = "rtthread";
+  static auto deployment = Deployment::Create(options).value().release();
+  for (auto _ : state) {
+    Status status = deployment->port().ResetTarget();
+    benchmark::DoNotOptimize(status.ok());
+  }
+}
+BENCHMARK(BM_ColdReset);
 
 // The fixed costs every fresh board pays on the host: building a firmware image
 // (payload generation, build-time verdicts and digests), checksumming a flashed

@@ -99,13 +99,32 @@ Result<CampaignResult> BoardFarm::Run() {
   CampaignScheduler scheduler(plan.specs, scheduler_options);
   scheduler.SeedCorpus(config_.seed_programs);
 
-  // Deploy the farm serially so each board's image build and boot stay on the
-  // deterministic per-worker seed, then fuzz concurrently.
+  // Bring the farm up concurrently, with the same thread layout as the fuzzing
+  // below: each board builds its image and boots from its own per-worker seed into
+  // its own telemetry, so the deploys share nothing. All are joined before the
+  // campaign starts; the lowest-index deploy error wins.
   std::vector<FarmSession> workers(static_cast<size_t>(jobs_));
-  for (int i = 0; i < jobs_; ++i) {
-    ASSIGN_OR_RETURN(workers[static_cast<size_t>(i)],
-                     MakeFarmSession(config_, plan, FarmWorkerSeed(config_.seed, i),
-                                     telemetry->board(i)));
+  std::vector<Status> deployed(static_cast<size_t>(jobs_));
+  auto deploy_board = [&](int i) {
+    Result<FarmSession> session = MakeFarmSession(
+        config_, plan, FarmWorkerSeed(config_.seed, i), telemetry->board(i));
+    if (session.ok()) {
+      workers[static_cast<size_t>(i)] = std::move(session).value();
+    } else {
+      deployed[static_cast<size_t>(i)] = session.status();
+    }
+  };
+  std::vector<std::thread> deployers;
+  deployers.reserve(workers.size() - 1);
+  for (int i = 1; i < jobs_; ++i) {
+    deployers.emplace_back(deploy_board, i);
+  }
+  deploy_board(0);
+  for (std::thread& deployer : deployers) {
+    deployer.join();
+  }
+  for (const Status& status : deployed) {
+    RETURN_IF_ERROR(status);
   }
 
   telemetry->CampaignStart(config_.os_name, config_.board_name);

@@ -204,7 +204,10 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
     return false;
   };
 
-  // Deploy serially on the campaign-global shard seeds, then fuzz.
+  // Deploy serially on the campaign-global shard seeds, then fuzz. Unlike
+  // BoardFarm::Run's concurrent bring-up, this stays on one thread: the lease
+  // renewal check runs between deploys, so a slow bring-up cannot outlive its
+  // leases unnoticed.
   auto last_renewal = std::chrono::steady_clock::now();
   std::vector<FarmSession> farm(grant.leases.size());
   for (size_t i = 0; i < grant.leases.size(); ++i) {

@@ -1,5 +1,9 @@
 #include "src/hw/board.h"
+
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstring>
 
 #include "src/common/logging.h"
 #include "src/common/strings.h"
@@ -14,6 +18,10 @@ constexpr uint64_t kPcWindowWords = 1024;
 
 // How many core cycles an idle/frozen Continue() burns before returning to the host.
 constexpr uint64_t kFrozenQuantumCycles = 100000;
+
+// Target RAM holds words little-endian and the word accessors copy host words in and
+// out of it, so the host must be little-endian too.
+static_assert(std::endian::native == std::endian::little);
 
 }  // namespace
 
@@ -33,23 +41,94 @@ const char* PowerStateName(PowerState state) {
   return "?";
 }
 
+void RamPages::AppendNonZero(uint64_t offset, const std::vector<uint8_t>& data) {
+  for (uint64_t at = 0; at < data.size(); at += kRamPageBytes) {
+    auto first = data.begin() + static_cast<std::ptrdiff_t>(at);
+    auto last = data.begin() +
+                static_cast<std::ptrdiff_t>(std::min<uint64_t>(at + kRamPageBytes, data.size()));
+    if (std::any_of(first, last, [](uint8_t byte) { return byte != 0; })) {
+      pages.push_back((offset + at) / kRamPageBytes);
+      bytes.insert(bytes.end(), first, last);
+    }
+  }
+}
+
+std::vector<uint8_t> RamPages::Expand() const {
+  std::vector<uint8_t> ram(ram_bytes, 0);
+  for (size_t i = 0; i < pages.size(); ++i) {
+    const uint64_t offset = pages[i] * kRamPageBytes;
+    std::copy_n(bytes.begin() + static_cast<std::ptrdiff_t>(i * kRamPageBytes),
+                std::min(kRamPageBytes, ram_bytes - offset),
+                ram.begin() + static_cast<std::ptrdiff_t>(offset));
+  }
+  return ram;
+}
+
+Status RamPages::Poke(uint64_t offset, const std::vector<uint8_t>& data) {
+  if (!InBounds(offset, data.size(), ram_bytes)) {
+    return OutOfRangeError(StrFormat("RAM poke at +0x%llx overruns %llu-byte RAM",
+                                     static_cast<unsigned long long>(offset),
+                                     static_cast<unsigned long long>(ram_bytes)));
+  }
+  std::vector<uint8_t> ram = Expand();
+  std::copy(data.begin(), data.end(), ram.begin() + static_cast<std::ptrdiff_t>(offset));
+  pages.clear();
+  bytes.clear();
+  AppendNonZero(0, ram);
+  return OkStatus();
+}
+
 Board::Board(BoardSpec spec)
     : spec_(std::move(spec)),
       ram_(spec_.ram_bytes, 0),
+      ram_dirty_((spec_.ram_bytes + 64 * kRamPageBytes - 1) / (64 * kRamPageBytes), 0),
       flash_(spec_.flash_bytes),
       uart_(64 * 1024) {}
 
+void Board::MarkDirty(uint64_t offset, uint64_t size) {
+  const uint64_t last = (offset + size - 1) / kRamPageBytes;
+  for (uint64_t page = offset / kRamPageBytes; page <= last; ++page) {
+    ram_dirty_[page / 64] |= uint64_t{1} << (page % 64);
+  }
+}
+
+void Board::ZeroDirtyPages() {
+  for (size_t word = 0; word < ram_dirty_.size(); ++word) {
+    for (uint64_t bits = ram_dirty_[word]; bits != 0; bits &= bits - 1) {
+      const uint64_t offset =
+          (word * 64 + static_cast<uint64_t>(std::countr_zero(bits))) * kRamPageBytes;
+      std::memset(ram_.data() + offset, 0, std::min(kRamPageBytes, ram_.size() - offset));
+    }
+    ram_dirty_[word] = 0;
+  }
+}
+
+void Board::LoadRam(const RamPages& image) {
+  EOF_CHECK(image.ram_bytes == ram_.size());
+  ZeroDirtyPages();
+  for (size_t i = 0; i < image.pages.size(); ++i) {
+    const uint64_t offset = image.pages[i] * kRamPageBytes;
+    const uint64_t size = std::min(kRamPageBytes, ram_.size() - offset);
+    std::memcpy(ram_.data() + offset, image.bytes.data() + i * kRamPageBytes, size);
+    MarkDirty(offset, size);
+  }
+}
+
 Status Board::RamWrite(uint64_t offset, const std::vector<uint8_t>& data) {
-  if (offset + data.size() > ram_.size()) {
+  if (!InBounds(offset, data.size(), ram_.size())) {
     return OutOfRangeError(StrFormat("RAM write at +0x%llx overruns %zu-byte RAM",
                                      static_cast<unsigned long long>(offset), ram_.size()));
   }
+  if (data.empty()) {
+    return OkStatus();
+  }
   std::copy(data.begin(), data.end(), ram_.begin() + static_cast<std::ptrdiff_t>(offset));
+  MarkDirty(offset, data.size());
   return OkStatus();
 }
 
 Result<std::vector<uint8_t>> Board::RamRead(uint64_t offset, uint64_t size) const {
-  if (offset + size > ram_.size()) {
+  if (!InBounds(offset, size, ram_.size())) {
     return OutOfRangeError(StrFormat("RAM read at +0x%llx overruns %zu-byte RAM",
                                      static_cast<unsigned long long>(offset), ram_.size()));
   }
@@ -58,33 +137,29 @@ Result<std::vector<uint8_t>> Board::RamRead(uint64_t offset, uint64_t size) cons
 }
 
 Status Board::RamWriteU32(uint64_t offset, uint32_t value) {
-  if (offset + 4 > ram_.size()) {
+  if (!InBounds(offset, 4, ram_.size())) {
     return OutOfRangeError("RAM u32 write out of bounds");
   }
-  for (int i = 0; i < 4; ++i) {
-    ram_[offset + static_cast<uint64_t>(i)] = static_cast<uint8_t>(value >> (i * 8));
-  }
+  std::memcpy(ram_.data() + offset, &value, sizeof value);
+  MarkDirty(offset, sizeof value);
   return OkStatus();
 }
 
 Status Board::RamWriteU64(uint64_t offset, uint64_t value) {
-  if (offset + 8 > ram_.size()) {
+  if (!InBounds(offset, 8, ram_.size())) {
     return OutOfRangeError("RAM u64 write out of bounds");
   }
-  for (int i = 0; i < 8; ++i) {
-    ram_[offset + static_cast<uint64_t>(i)] = static_cast<uint8_t>(value >> (i * 8));
-  }
+  std::memcpy(ram_.data() + offset, &value, sizeof value);
+  MarkDirty(offset, sizeof value);
   return OkStatus();
 }
 
 Result<uint32_t> Board::RamReadU32(uint64_t offset) const {
-  if (offset + 4 > ram_.size()) {
+  if (!InBounds(offset, 4, ram_.size())) {
     return OutOfRangeError("RAM u32 read out of bounds");
   }
   uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) {
-    value |= static_cast<uint32_t>(ram_[offset + static_cast<uint64_t>(i)]) << (i * 8);
-  }
+  std::memcpy(&value, ram_.data() + offset, sizeof value);
   return value;
 }
 
@@ -141,7 +216,7 @@ Status Board::FlashWrite(uint64_t offset, const std::vector<uint8_t>& data) {
 }
 
 bool Board::Boot() {
-  std::fill(ram_.begin(), ram_.end(), 0);
+  ZeroDirtyPages();
   uart_.Reset();
   bp_hits_.clear();
   pending_events_.clear();

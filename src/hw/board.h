@@ -42,6 +42,29 @@ enum class PowerState : uint8_t {
 
 const char* PowerStateName(PowerState state);
 
+// RAM is tracked in pages of this size: the board keeps one dirty bit per page.
+inline constexpr uint64_t kRamPageBytes = 4096;
+
+// A sparse copy of a whole RAM: its size plus the pages that may hold a non-zero
+// byte. Every page not listed is all zero. Snapshots store captured RAM this way.
+struct RamPages {
+  uint64_t ram_bytes = 0;
+  std::vector<uint64_t> pages;  // ascending page indices
+  std::vector<uint8_t> bytes;   // those pages back to back, kRamPageBytes each (a
+                                // short last page of RAM keeps its short length)
+
+  // Appends the non-zero pages of `data`, which holds RAM from page-aligned `offset`
+  // on, past every page already listed.
+  void AppendNonZero(uint64_t offset, const std::vector<uint8_t>& data);
+
+  // The whole RAM, flat.
+  std::vector<uint8_t> Expand() const;
+
+  // Writes `data` at RAM offset `offset` and re-lists the non-zero pages (tests use
+  // this to poison a captured snapshot).
+  Status Poke(uint64_t offset, const std::vector<uint8_t>& data);
+};
+
 class Board : public TargetEnv {
  public:
   explicit Board(BoardSpec spec);
@@ -98,6 +121,18 @@ class Board : public TargetEnv {
   // cannot trust the resident code and the board parks kBootFailed.
   void WarmRestore();
 
+  // Makes RAM equal to `image`, whose ram_bytes must be the RAM size. Only pages
+  // listed in the image or dirty on the board are touched; afterwards exactly the
+  // image's pages are dirty. Host-side only: the debug port prices the transfer.
+  void LoadRam(const RamPages& image);
+
+  // Whether RAM page `page` may hold a non-zero byte. A clear bit guarantees the page
+  // is all zero; RamWrite/RamWriteU32/RamWriteU64 and LoadRam set bits, Boot clears
+  // them as it zeroes the pages.
+  bool RamPageDirty(uint64_t page) const {
+    return (ram_dirty_[page / 64] >> (page % 64) & 1) != 0;
+  }
+
   // Runs firmware until a stop condition (see Firmware::Resume). On a faulted/hung/
   // boot-failed board this just burns the quantum with a frozen PC, which is exactly what
   // the host observes on real hardware.
@@ -145,6 +180,13 @@ class Board : public TargetEnv {
   // image or the flash write count changed since the last run.
   Status VerifyFlashMemoized();
 
+  // Sets the dirty bit of every page [offset, offset + size) reaches; the range is
+  // in bounds and non-empty.
+  void MarkDirty(uint64_t offset, uint64_t size);
+
+  // Zeroes every dirty page and clears the dirty bitmap: RAM is all zero afterwards.
+  void ZeroDirtyPages();
+
   // The boot body Reset and WarmRestore share: wipes RAM and the session state, runs
   // the boot ROM's flash check, and boots the firmware (kRunning or kBootFailed).
   // Returns false — board kOff — when no bootable image is installed.
@@ -152,6 +194,7 @@ class Board : public TargetEnv {
 
   BoardSpec spec_;
   std::vector<uint8_t> ram_;
+  std::vector<uint64_t> ram_dirty_;  // one bit per kRamPageBytes page of ram_
   Flash flash_;
   Uart uart_;
   VirtualClock clock_;

@@ -19,19 +19,19 @@ constexpr int kWarmResumeRounds = 6;
 Result<BoardSnapshot> BoardSnapshot::Capture(DebugPort& port, const FirmwareImage& image) {
   BoardSnapshot snapshot;
   const BoardSpec& spec = port.spec();
-  snapshot.ram_base_ = spec.ram_base;
 
   // One vectored read plan covers the whole RAM window: a single link round trip
   // plus the per-byte transfer cost, exactly like any other batched transaction.
+  // Only the non-zero pages are kept.
   std::vector<PortOp> plan;
-  for (uint64_t offset = 0; offset < spec.ram_bytes; offset += kSnapshotChunkBytes) {
-    uint64_t size = std::min(kSnapshotChunkBytes, spec.ram_bytes - offset);
+  for (uint64_t offset = 0; offset < spec.ram_bytes; offset += kRamChunkBytes) {
+    uint64_t size = std::min(kRamChunkBytes, spec.ram_bytes - offset);
     plan.push_back(PortOp::Read(spec.ram_base + offset, size));
   }
   RETURN_IF_ERROR(port.RunBatch(&plan));
-  snapshot.ram_.reserve(spec.ram_bytes);
+  snapshot.ram_.ram_bytes = spec.ram_bytes;
   for (const PortOp& op : plan) {
-    snapshot.ram_.insert(snapshot.ram_.end(), op.result.begin(), op.result.end());
+    snapshot.ram_.AppendNonZero(op.address - spec.ram_base, op.result);
   }
 
   ASSIGN_OR_RETURN(snapshot.pc_, port.ReadPC());
@@ -57,7 +57,7 @@ Result<BoardSnapshot> BoardSnapshot::Capture(DebugPort& port, const FirmwareImag
 }
 
 Status BoardSnapshot::Restore(DebugPort& port) const {
-  if (ram_.empty()) {
+  if (ram_.ram_bytes == 0) {
     return FailedPreconditionError("empty board snapshot");
   }
   // 1. The resident code must still be what the snapshot ran on: a kernel bug that
@@ -86,17 +86,9 @@ Status BoardSnapshot::Restore(DebugPort& port) const {
   // the boot ROM. From here on a failure leaves the board half restored.
   RETURN_IF_ERROR(port.WarmRestoreCore());
 
-  // 3. The captured RAM image goes back in ONE batched write. It lands after the
-  // warm boot's own status/banner writes, so the snapshot bytes win.
-  std::vector<PortOp> plan;
-  for (uint64_t offset = 0; offset < ram_.size(); offset += kSnapshotChunkBytes) {
-    uint64_t size = std::min<uint64_t>(kSnapshotChunkBytes, ram_.size() - offset);
-    plan.push_back(PortOp::Write(
-        ram_base_ + offset,
-        std::vector<uint8_t>(ram_.begin() + static_cast<ptrdiff_t>(offset),
-                             ram_.begin() + static_cast<ptrdiff_t>(offset + size))));
-  }
-  RETURN_IF_ERROR(port.RunBatch(&plan));
+  // 3. The captured RAM image goes back in ONE batched write of the whole RAM. It
+  // lands after the warm boot's own status/banner writes, so the snapshot bytes win.
+  RETURN_IF_ERROR(port.WriteRam(ram_));
 
   // 4. Warm-resume handshake: walk the agent back to its idle park so the next
   // test case finds the same state a cold boot would present.

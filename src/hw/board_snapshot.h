@@ -4,13 +4,16 @@
 // Capture() runs once per deployment against a healthy post-boot board: one vectored
 // DebugPort::RunBatch read plan pulls the whole RAM window across the link in chunks,
 // plus the parked program counter and a per-partition flash digest (the "flash
-// shadow"). Restore() first proves the flash shadow still matches (a kernel bug that
-// scribbled on flash invalidates the resident code, so the warm path must not trust
-// it) — gated by the flash controller's write counter so untouched flash costs one
-// status-word read, not a whole-image checksum — then performs a warm core restore (DebugPort::WarmRestoreCore — no boot ROM,
-// no reflash, kWarmRestoreCost instead of kRebootCost), rewrites RAM from the
-// snapshot in ONE batched write, and finishes with a bounded warm-resume handshake
-// that parks the agent back in its executor loop.
+// shadow"). The RAM is kept sparsely, as its non-zero pages (RamPages): almost all of
+// a freshly booted RAM is zero. Restore() first proves the flash shadow still matches
+// (a kernel bug that scribbled on flash invalidates the resident code, so the warm
+// path must not trust it) — gated by the flash controller's write counter so untouched
+// flash costs one status-word read, not a whole-image checksum — then performs a warm
+// core restore (DebugPort::WarmRestoreCore — no boot ROM, no reflash,
+// kWarmRestoreCost instead of kRebootCost), rewrites RAM from the snapshot in ONE
+// batched write (DebugPort::WriteRam: the link is charged for the whole RAM, the host
+// copies only the pages that differ), and finishes with a bounded warm-resume
+// handshake that parks the agent back in its executor loop.
 //
 // Any failure along the way returns a non-OK status with the board possibly half
 // restored; callers MUST fall back to a full Deployment::ReflashAndReboot in that
@@ -34,11 +37,6 @@
 
 namespace eof {
 
-// Chunk size of the vectored RAM read plan. Chunking keeps individual PortOp
-// payloads bounded without changing the cost model (RunBatch charges one fixed
-// latency per batch plus the per-byte cost of all payloads).
-inline constexpr uint64_t kSnapshotChunkBytes = 64 * 1024;
-
 class BoardSnapshot {
  public:
   // Captures RAM, the parked PC, and the flash shadow of a healthy post-boot board.
@@ -59,14 +57,20 @@ class BoardSnapshot {
   // How many full shadow audits Restore() has run (gating observability for tests).
   uint64_t shadow_audits() const { return shadow_audits_; }
 
-  // Bytes of RAM the snapshot carries (what one Restore() pushes over the link).
-  uint64_t ram_bytes() const { return static_cast<uint64_t>(ram_.size()); }
+  // Bytes of RAM the snapshot stands for: the full RAM size, which is what one
+  // Restore() pushes over the link, however few pages the snapshot stores.
+  uint64_t ram_bytes() const { return ram_.ram_bytes; }
   uint64_t captured_pc() const { return pc_; }
 
-  // Mutable access to the captured RAM image, for tests that poison the snapshot
-  // (e.g. planting a mailbox program so every restore replays hidden state).
-  std::vector<uint8_t>& ram_for_test() { return ram_; }
-  uint64_t ram_base() const { return ram_base_; }
+  // The captured RAM, as its non-zero pages.
+  const RamPages& ram() const { return ram_; }
+
+  // Writes `data` into the captured RAM at RAM offset `offset`, for tests that poison
+  // the snapshot (e.g. planting a mailbox program so every restore replays hidden
+  // state).
+  Status PokeRamForTest(uint64_t offset, const std::vector<uint8_t>& data) {
+    return ram_.Poke(offset, data);
+  }
 
  private:
   struct FlashShadow {
@@ -76,8 +80,7 @@ class BoardSnapshot {
     uint64_t digest = 0;
   };
 
-  uint64_t ram_base_ = 0;
-  std::vector<uint8_t> ram_;
+  RamPages ram_;
   uint64_t pc_ = 0;
   std::vector<FlashShadow> flash_shadow_;
   // Flash-controller write count as of the last successful shadow audit (capture

@@ -1,5 +1,7 @@
 #include "src/hw/debug_port.h"
 
+#include <algorithm>
+
 #include "src/common/hash.h"
 #include "src/common/strings.h"
 #include "src/hw/timing.h"
@@ -81,10 +83,11 @@ Status DebugPort::CheckResponsive(bool needs_core) {
 
 Result<std::vector<uint8_t>> DebugPort::ReadWindow(uint64_t address, uint64_t size) const {
   const BoardSpec& spec = board_->spec();
-  if (address >= spec.ram_base && address + size <= spec.ram_base + spec.ram_bytes) {
+  if (address >= spec.ram_base && InBounds(address - spec.ram_base, size, spec.ram_bytes)) {
     return board_->RamRead(address - spec.ram_base, size);
   }
-  if (address >= spec.flash_base && address + size <= spec.flash_base + spec.flash_bytes) {
+  if (address >= spec.flash_base &&
+      InBounds(address - spec.flash_base, size, spec.flash_bytes)) {
     return board_->flash().Read(address - spec.flash_base, size);
   }
   return OutOfRangeError(StrFormat("address 0x%llx not in RAM or flash window",
@@ -93,7 +96,8 @@ Result<std::vector<uint8_t>> DebugPort::ReadWindow(uint64_t address, uint64_t si
 
 Status DebugPort::WriteWindow(uint64_t address, const std::vector<uint8_t>& data) {
   const BoardSpec& spec = board_->spec();
-  if (address >= spec.ram_base && address + data.size() <= spec.ram_base + spec.ram_bytes) {
+  if (address >= spec.ram_base &&
+      InBounds(address - spec.ram_base, data.size(), spec.ram_bytes)) {
     return board_->RamWrite(address - spec.ram_base, data);
   }
   return OutOfRangeError(StrFormat("address 0x%llx not writable over the link",
@@ -150,25 +154,50 @@ uint64_t DebugPort::BatchPlanBytes(const std::vector<PortOp>& ops, bool* needs_c
   return total_bytes;
 }
 
+Status DebugPort::ChargeBatch(uint64_t front_address, uint64_t op_count,
+                              uint64_t total_bytes, bool needs_core) {
+  // One responsiveness gate for the whole batch: a severed link burns a single
+  // timeout and applies nothing.
+  Status gate = CheckResponsive(needs_core);
+  if (!gate.ok()) {
+    // One failed record stands in for the whole unapplied batch.
+    Note(telemetry::FlightPortOp::kRead, front_address, op_count, false);
+    return gate;
+  }
+  board_->clock().Advance(DebugBatchCost(total_bytes));
+  transactions_->Increment();
+  batches_->Increment();
+  batched_ops_->Add(op_count);
+  return OkStatus();
+}
+
 Status DebugPort::RunBatch(std::vector<PortOp>* ops) {
   if (ops == nullptr || ops->empty()) {
     return OkStatus();  // nothing queued: no round trip, no charge
   }
   bool needs_core = false;
   uint64_t total_bytes = BatchPlanBytes(*ops, &needs_core);
-  // One responsiveness gate for the whole batch: a severed link burns a single
-  // timeout and applies nothing.
-  Status gate = CheckResponsive(needs_core);
-  if (!gate.ok()) {
-    // One failed record stands in for the whole unapplied batch.
-    Note(telemetry::FlightPortOp::kRead, ops->front().address, ops->size(), false);
-    return gate;
-  }
-  board_->clock().Advance(DebugBatchCost(total_bytes));
-  transactions_->Increment();
-  batches_->Increment();
-  batched_ops_->Add(ops->size());
+  RETURN_IF_ERROR(ChargeBatch(ops->front().address, ops->size(), total_bytes, needs_core));
   return ApplyBatchOps(ops);
+}
+
+Status DebugPort::WriteRam(const RamPages& image) {
+  const BoardSpec& spec = board_->spec();
+  if (image.ram_bytes != spec.ram_bytes) {
+    return InvalidArgumentError(
+        StrFormat("RAM image of %llu bytes does not fit the %llu-byte RAM window",
+                  static_cast<unsigned long long>(image.ram_bytes),
+                  static_cast<unsigned long long>(spec.ram_bytes)));
+  }
+  const uint64_t chunks = (image.ram_bytes + kRamChunkBytes - 1) / kRamChunkBytes;
+  RETURN_IF_ERROR(ChargeBatch(spec.ram_base, chunks, image.ram_bytes, /*needs_core=*/true));
+  for (uint64_t offset = 0; offset < image.ram_bytes; offset += kRamChunkBytes) {
+    const uint64_t size = std::min(kRamChunkBytes, image.ram_bytes - offset);
+    Note(telemetry::FlightPortOp::kWrite, spec.ram_base + offset, size, true);
+    bytes_written_->Add(size);
+  }
+  board_->LoadRam(image);
+  return OkStatus();
 }
 
 Status DebugPort::ApplyBatchOps(std::vector<PortOp>* ops) {
@@ -213,7 +242,7 @@ Status DebugPort::ApplyBatchOps(std::vector<PortOp>* ops) {
           return InvalidArgumentError("kSubU32 operand must reference an earlier kRead op");
         }
         const std::vector<uint8_t>& src = (*ops)[static_cast<size_t>(op.operand_op)].result;
-        if (op.operand_offset + 4 > src.size()) {
+        if (!InBounds(op.operand_offset, 4, src.size())) {
           return InvalidArgumentError("kSubU32 operand offset out of the read's bounds");
         }
         uint32_t minuend = static_cast<uint32_t>(src[op.operand_offset]) |
@@ -221,7 +250,8 @@ Status DebugPort::ApplyBatchOps(std::vector<PortOp>* ops) {
                            static_cast<uint32_t>(src[op.operand_offset + 2]) << 16 |
                            static_cast<uint32_t>(src[op.operand_offset + 3]) << 24;
         const BoardSpec& spec = board_->spec();
-        if (op.address < spec.ram_base || op.address + 4 > spec.ram_base + spec.ram_bytes) {
+        if (op.address < spec.ram_base ||
+            !InBounds(op.address - spec.ram_base, 4, spec.ram_bytes)) {
           return OutOfRangeError("kSubU32 target not in the RAM window");
         }
         uint64_t offset = op.address - spec.ram_base;
@@ -251,7 +281,8 @@ Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
   transactions_->Increment();
   uint64_t digest = 0;
   const BoardSpec& spec = board_->spec();
-  if (address >= spec.flash_base && address + size <= spec.flash_base + spec.flash_bytes) {
+  if (address >= spec.flash_base &&
+      InBounds(address - spec.flash_base, size, spec.flash_bytes)) {
     // Flash hashes in place and memoizes on its write count; the price above is the
     // target's, whatever the host pays.
     ASSIGN_OR_RETURN(digest, board_->flash().Digest(address - spec.flash_base, size));

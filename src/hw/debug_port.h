@@ -42,6 +42,11 @@ struct DebugPortStats {
 // field-by-field Accumulate()).
 DebugPortStats DebugPortStatsFromSnapshot(const telemetry::MetricsSnapshot& snapshot);
 
+// Chunk size of whole-RAM transfers (snapshot capture and restore). Chunking keeps
+// individual PortOp payloads bounded without changing the cost model (a batch pays one
+// fixed latency plus the per-byte cost of all payloads).
+inline constexpr uint64_t kRamChunkBytes = 64 * 1024;
+
 // One queued operation of a vectored debug-link batch (DebugPort::RunBatch). Ops are
 // queued host-side and committed in one link round trip, like OpenOCD's queued JTAG
 // transfers; read results land back in the op records on commit.
@@ -115,6 +120,12 @@ class DebugPort {
   // applied; once committing, an op error (bad window, breakpoint budget) stops the
   // batch with earlier ops already applied, like a partially-drained JTAG queue.
   Status RunBatch(std::vector<PortOp>* ops);
+
+  // Rewrites the whole RAM window from `image` (a sparse copy of the full RAM). The
+  // link sees what RunBatch sees for a plan of kRamChunkBytes writes covering RAM:
+  // same gate, same price, same counters and one kWrite flight record per chunk. The
+  // host copies only the pages that differ (Board::LoadRam).
+  Status WriteRam(const RamPages& image);
 
   // Target-assisted content checksum (ChecksumBytes over the flash or RAM window), computed
   // on the target side so only the digest crosses the link — the delta-reflash cache
@@ -232,6 +243,12 @@ class DebugPort {
   // Payload byte total of a queued plan (per-op accounting mirrors RunBatch's cost
   // table); sets *needs_core when any op requires a live core.
   static uint64_t BatchPlanBytes(const std::vector<PortOp>& ops, bool* needs_core);
+
+  // The link side of committing a batch of `op_count` ops moving `total_bytes`: the
+  // responsiveness gate (a failure burns one timeout and leaves one failed flight
+  // record at `front_address`), then one DebugBatchCost charge and the batch counters.
+  Status ChargeBatch(uint64_t front_address, uint64_t op_count, uint64_t total_bytes,
+                     bool needs_core);
 
   // Applies already-committed batch ops in order (flight notes + byte counters);
   // shared by RunBatch and ContinueWithPlan after their gate/cost accounting.

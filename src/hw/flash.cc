@@ -38,15 +38,6 @@ Status PartitionTable::Validate(uint64_t flash_size) const {
   return OkStatus();
 }
 
-namespace {
-
-// Written so that no huge `size` can wrap the sum past the check.
-bool InBounds(uint64_t offset, uint64_t size, uint64_t limit) {
-  return offset <= limit && size <= limit - offset;
-}
-
-}  // namespace
-
 Status Flash::Write(uint64_t offset, const std::vector<uint8_t>& data) {
   if (!InBounds(offset, data.size(), storage_.size())) {
     return OutOfRangeError(StrFormat("flash write [%llu, %llu) out of bounds",

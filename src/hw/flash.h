@@ -17,6 +17,13 @@
 
 namespace eof {
 
+// True when [offset, offset + size) lies inside [0, limit). Written so that no huge
+// `offset` or `size` can wrap the sum past the check; every memory window in src/hw
+// (flash, RAM, the debug port's address map) tests its ranges this way.
+inline bool InBounds(uint64_t offset, uint64_t size, uint64_t limit) {
+  return offset <= limit && size <= limit - offset;
+}
+
 // One entry of the partition table ("a configuration file supplied by the developer").
 struct Partition {
   std::string name;    // "bootloader", "kernel", ...

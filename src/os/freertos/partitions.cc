@@ -117,7 +117,7 @@ int64_t PartitionRead(KernelContext& ctx, FreeRtosState& state,
   }
   uint64_t offset = args[1].scalar;
   uint64_t length = args[2].scalar;
-  if (offset + length > slot->size) {
+  if (!InBounds(offset, length, slot->size)) {
     EOF_COV(ctx);
     return ESP_ERR_INVALID_ARG;  // esp_partition bounds its accesses
   }
@@ -143,7 +143,7 @@ int64_t PartitionWrite(KernelContext& ctx, FreeRtosState& state,
   }
   uint64_t offset = args[1].scalar;
   const std::vector<uint8_t>& data = args[2].bytes;
-  if (offset + data.size() > slot->size) {
+  if (!InBounds(offset, data.size(), slot->size)) {
     EOF_COV(ctx);
     return ESP_ERR_INVALID_ARG;
   }

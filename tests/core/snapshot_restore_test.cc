@@ -7,7 +7,8 @@
 // (crash, stall, power_plateau, pc_stall, link_lost, write_failed,
 // periodic_reset_failed), the severed-link and flash-damage fallbacks to the full
 // ReflashAndReboot, the delta-reflash interaction, the flight-recorder lifecycle
-// across warm vs. cold restores, and the cold-boot validation oracle that keeps
+// across warm vs. cold restores, the page-granular restore's equivalence with the
+// whole-RAM rewrite it replaced, and the cold-boot validation oracle that keeps
 // snapshot-only artifacts (the libriscv lesson) out of the bug table.
 
 #include <gtest/gtest.h>
@@ -46,11 +47,9 @@ constexpr char kHeapPressure[] = "r0 = rt_malloc(0xfa0)\nr1 = rt_malloc(0x7d0)";
 // The other half: only panics when the pressure above is already resident.
 constexpr char kOddOomMalloc[] = "r0 = rt_malloc(0x1001)";
 
-void PutU32(std::vector<uint8_t>& bytes, uint64_t offset, uint32_t value) {
-  bytes[offset] = static_cast<uint8_t>(value & 0xff);
-  bytes[offset + 1] = static_cast<uint8_t>((value >> 8) & 0xff);
-  bytes[offset + 2] = static_cast<uint8_t>((value >> 16) & 0xff);
-  bytes[offset + 3] = static_cast<uint8_t>((value >> 24) & 0xff);
+std::vector<uint8_t> LeU32(uint32_t value) {
+  return {static_cast<uint8_t>(value & 0xff), static_cast<uint8_t>((value >> 8) & 0xff),
+          static_cast<uint8_t>((value >> 16) & 0xff), static_cast<uint8_t>((value >> 24) & 0xff)};
 }
 
 std::string TextField(const telemetry::Event& event, const std::string& key) {
@@ -435,6 +434,96 @@ TEST_F(SnapshotSessionTest, FlightRingsSurviveWarmRestoresAndResetOnColdBoot) {
   EXPECT_EQ(TextField(dumps[2], "last_restore"), "snapshot");
 }
 
+// --- Page-granular restore equivalence ---------------------------------------
+
+// The link ledger of a run of warm restores, pinned from the implementation that
+// rewrote all of RAM on the host: the page-granular restore must charge and record
+// exactly the same.
+struct RestoreLedger {
+  const char* os;
+  uint64_t transactions;
+  uint64_t batches;
+  uint64_t batched_ops;
+  uint64_t bytes_written;
+  uint64_t flight_ops_seen;
+  uint64_t flight_digest;  // FNV-1a over the flight ring's port-op records
+  VirtualTime elapsed;
+};
+
+void PrintTo(const RestoreLedger& ledger, std::ostream* out) { *out << ledger.os; }
+
+class RestoreEquivalenceTest : public SnapshotSessionTest,
+                               public ::testing::WithParamInterface<RestoreLedger> {};
+
+// Random execs, each followed by a warm restore (periodic, crash or stall): after
+// every one, RAM equals the RAM the snapshot was captured from, byte for byte, and
+// the dirty bitmap still covers every non-zero page.
+TEST_P(RestoreEquivalenceTest, WarmRestoresReproduceCapturedRam) {
+  const RestoreLedger& pinned = GetParam();
+  FuzzerConfig config;
+  config.periodic_reset_execs = 1;
+  MakeExecutor(pinned.os, config);
+  Board& board = executor_->deployment().board();
+  const uint64_t ram_bytes = board.spec().ram_bytes;
+  const std::vector<uint8_t> captured = board.RamRead(0, ram_bytes).value();
+
+  const RamPages& pages = executor_->snapshot_for_test()->ram();
+  ASSERT_EQ(pages.Expand(), captured);
+  EXPECT_LT(pages.pages.size(), ram_bytes / kRamPageBytes / 4);  // RAM is mostly zero
+
+  fuzz::Generator generator(plan_.specs, config_.gen, /*seed=*/7);
+  for (int exec = 0; exec < 40; ++exec) {
+    fuzz::Program program = generator.Generate();
+    std::vector<uint8_t> encoded;
+    ASSERT_TRUE(EncodeForMailbox(plan_.specs, &program, &encoded));
+    auto outcome = executor_->ExecuteOne(encoded);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(std::string(executor_->last_restore()), "snapshot") << "exec " << exec;
+    ASSERT_EQ(board.RamRead(0, ram_bytes).value(), captured) << "exec " << exec;
+    for (uint64_t page = 0; page * kRamPageBytes < ram_bytes; ++page) {
+      if (!board.RamPageDirty(page)) {
+        std::vector<uint8_t> bytes = board.RamRead(page * kRamPageBytes, kRamPageBytes).value();
+        ASSERT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; }))
+            << "clean page " << page << " holds data after exec " << exec;
+      }
+    }
+  }
+
+  DebugPortStats link = executor_->port_stats();
+  EXPECT_EQ(link.transactions, pinned.transactions);
+  EXPECT_EQ(link.batches, pinned.batches);
+  EXPECT_EQ(link.batched_ops, pinned.batched_ops);
+  EXPECT_EQ(link.bytes_written, pinned.bytes_written);
+  DebugPort& port = executor_->deployment().port();
+  telemetry::FlightDump dump = port.flight_recorder()->Dump("equivalence", port.Now());
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  auto fold = [&digest](uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      digest = (digest ^ ((value >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  };
+  for (const telemetry::PortOpRecord& record : dump.port_ops) {
+    fold(record.at);
+    fold(static_cast<uint64_t>(record.op));
+    fold(record.address);
+    fold(record.size);
+    fold(record.ok ? 1 : 0);
+  }
+  EXPECT_EQ(dump.port_ops_seen, pinned.flight_ops_seen);
+  EXPECT_EQ(digest, pinned.flight_digest);
+  EXPECT_EQ(executor_->Elapsed(), pinned.elapsed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PinnedLedgers, RestoreEquivalenceTest,
+    ::testing::Values(RestoreLedger{"rtthread", 383, 202, 1219, 41949734, 1330,
+                                    3408671007196890713ULL, 15491983},
+                      RestoreLedger{"freertos", 386, 202, 932, 21308015, 1053,
+                                    9645746209666748793ULL, 24457473}),
+    [](const ::testing::TestParamInfo<RestoreLedger>& info) {
+      return std::string(info.param.os);
+    });
+
 // --- Cold-boot validation oracle --------------------------------------------
 
 // Campaign-state harness: executor + scheduler wired the way EofFuzzer wires them,
@@ -475,12 +564,13 @@ TEST_F(SnapshotValidationTest, PoisonedSnapshotSightingIsRejected) {
   // boot never has.
   std::vector<uint8_t> poison = Encode(kHeapPressure);
   ASSERT_FALSE(poison.empty());
-  std::vector<uint8_t>& ram = executor_->snapshot_for_test()->ram_for_test();
-  ASSERT_GE(ram.size(), kMailboxOffset + kMailboxDataOffset + poison.size());
-  PutU32(ram, kMailboxOffset + kMailboxLenOffset, static_cast<uint32_t>(poison.size()));
-  std::copy(poison.begin(), poison.end(),
-            ram.begin() + kMailboxOffset + kMailboxDataOffset);
-  PutU32(ram, kMailboxOffset + kMailboxFlagOffset, 1);
+  BoardSnapshot* snapshot = executor_->snapshot_for_test();
+  ASSERT_TRUE(snapshot
+                  ->PokeRamForTest(kMailboxOffset + kMailboxLenOffset,
+                                   LeU32(static_cast<uint32_t>(poison.size())))
+                  .ok());
+  ASSERT_TRUE(snapshot->PokeRamForTest(kMailboxOffset + kMailboxDataOffset, poison).ok());
+  ASSERT_TRUE(snapshot->PokeRamForTest(kMailboxOffset + kMailboxFlagOffset, LeU32(1)).ok());
 
   // A completed exec triggers the periodic warm restore, which replays the poison.
   EXPECT_EQ(Run(kRtthreadBenign).status, ExecStatus::kCompleted);

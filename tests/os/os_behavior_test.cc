@@ -136,6 +136,18 @@ TEST_F(OsApiTest, FreertosPartitionGates) {
   EXPECT_EQ(Call("load_partitions", {S(0), S(4)}), -262);  // ESP_ERR_NOT_SUPPORTED
 }
 
+// A mutated length near UINT64_MAX must not wrap esp_partition's bounds check: the
+// read used to pass it and charge 2^64 - 4 cycles, ending any campaign on the spot.
+TEST_F(OsApiTest, FreertosPartitionBoundsCannotWrap) {
+  Boot("freertos");
+  EXPECT_EQ(Call("load_partitions", {S(0), S(4)}), 0);
+  const uint64_t nvs = static_cast<uint64_t>(Call("esp_partition_find", {B("nvs")}));
+  const VirtualTime before = board_->clock().Now();
+  EXPECT_EQ(Call("esp_partition_read", {S(nvs), S(1), S(UINT64_MAX)}), -258);
+  EXPECT_EQ(Call("esp_partition_write", {S(nvs), S(UINT64_MAX - 1), B("blob")}), -258);
+  EXPECT_LT(board_->clock().Now() - before, kVirtualSecond);
+}
+
 // --- RT-Thread ---
 
 TEST_F(OsApiTest, RtthreadObjectRegistry) {
