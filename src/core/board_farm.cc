@@ -88,15 +88,16 @@ void RunFarmSession(FarmSession* session, int index, CampaignScheduler* schedule
 }
 
 Result<CampaignResult> BoardFarm::Run() {
-  ASSIGN_OR_RETURN(CampaignPlan plan, PrepareCampaign(config_));
+  ASSIGN_OR_RETURN(CampaignPlan prepared, PrepareCampaign(config_));
+  auto plan = std::make_shared<const CampaignPlan>(std::move(prepared));
   ASSIGN_OR_RETURN(
       std::unique_ptr<telemetry::CampaignTelemetry> telemetry,
       telemetry::CampaignTelemetry::Create(MakeTelemetryOptions(config_, jobs_)));
 
-  CampaignScheduler::Options scheduler_options = MakeSchedulerOptions(config_, jobs_);
+  CampaignScheduler::Options scheduler_options = MakeSchedulerOptions(config_, jobs_, plan);
   scheduler_options.registry = &telemetry->campaign_registry();
   scheduler_options.sink = telemetry->sink();
-  CampaignScheduler scheduler(plan.specs, scheduler_options);
+  CampaignScheduler scheduler(plan->specs, scheduler_options);
   scheduler.SeedCorpus(config_.seed_programs);
 
   // Bring the farm up concurrently, with the same thread layout as the fuzzing
@@ -107,7 +108,7 @@ Result<CampaignResult> BoardFarm::Run() {
   std::vector<Status> deployed(static_cast<size_t>(jobs_));
   auto deploy_board = [&](int i) {
     Result<FarmSession> session = MakeFarmSession(
-        config_, plan, FarmWorkerSeed(config_.seed, i), telemetry->board(i));
+        config_, *plan, FarmWorkerSeed(config_.seed, i), telemetry->board(i));
     if (session.ok()) {
       workers[static_cast<size_t>(i)] = std::move(session).value();
     } else {
@@ -134,7 +135,7 @@ Result<CampaignResult> BoardFarm::Run() {
   // one-board campaign never leaves the caller's thread.
   std::atomic<bool> stop(false);
   auto run_board = [&](int i) {
-    RunFarmSession(&workers[static_cast<size_t>(i)], i, &scheduler, &plan.specs,
+    RunFarmSession(&workers[static_cast<size_t>(i)], i, &scheduler, &plan->specs,
                    config_.budget, config_.max_execs, &stop, telemetry->emitter());
   };
   std::vector<std::thread> threads;

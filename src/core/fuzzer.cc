@@ -42,7 +42,45 @@ ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
   return options;
 }
 
-CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int workers) {
+namespace {
+
+// The cold-boot provenance oracle for snapshot-mode campaigns: replays a first sighting's
+// reproducer on a freshly flashed board and confirms the bug only if the cold board
+// crashes too, as the same catalog bug when the sighting was attributed. It shares the
+// campaign's `plan` and builds its one image on first use.
+std::function<bool(const BugReport&)> MakeColdBootValidator(
+    const FuzzerConfig& config, std::shared_ptr<const CampaignPlan> plan) {
+  auto once = std::make_shared<std::once_flag>();
+  auto deploy = std::make_shared<DeployOptions>(ColdBootDeployOptions(config));
+  return [plan = std::move(plan), once, deploy](const BugReport& bug) {
+    std::call_once(*once, [&] {
+      auto image = Deployment::BuildImageFor(*deploy);
+      if (image.ok()) {
+        deploy->image = std::move(image).value();
+      }
+    });
+    if (plan == nullptr || deploy->image == nullptr) {  // mining or the build failed
+      return false;
+    }
+    Result<ReplayOutcome> replay = ReplayReproducer(*deploy, *plan, bug.program_text);
+    if (!replay.ok()) {
+      // A reproducer that cannot even be replayed (parse failure, deploy failure)
+      // is no evidence of a cold-boot bug.
+      return false;
+    }
+    if (!replay->crashed) {
+      return false;
+    }
+    // Attributed sightings must reproduce as the same catalog bug; unattributed
+    // ones only need the cold board to crash at all.
+    return bug.catalog_id == 0 || replay->catalog_id == bug.catalog_id;
+  };
+}
+
+}  // namespace
+
+CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int workers,
+                                                std::shared_ptr<const CampaignPlan> plan) {
   CampaignScheduler::Options options;
   options.os_name = config.os_name;
   options.coverage_feedback = config.coverage_feedback;
@@ -54,7 +92,11 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
   options.seed = config.seed;
   options.export_corpus = config.export_corpus;
   if (config.restore_mode == RestoreMode::kSnapshot) {
-    options.validator = MakeColdBootValidator(config);
+    if (plan == nullptr) {  // the caller shares no plan: mine the campaign's own
+      Result<CampaignPlan> mined = PrepareCampaign(config);
+      plan = mined.ok() ? std::make_shared<const CampaignPlan>(std::move(mined).value()) : nullptr;
+    }
+    options.validator = MakeColdBootValidator(config, std::move(plan));
   }
   return options;
 }
@@ -69,47 +111,6 @@ DeployOptions ColdBootDeployOptions(const FuzzerConfig& config) {
   // would change verdicts.
   deploy.seed = 1;
   return deploy;
-}
-
-std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config) {
-  // Capture by value: the validator outlives the config reference and runs late in
-  // the campaign, replaying each first sighting on a board deployed from scratch.
-  // The campaign's specs and one immutable image are prepared on first use and
-  // owned by this validator alone, so they live exactly as long as the campaign.
-  struct Prepared {
-    std::once_flag once;
-    CampaignPlan plan;
-    DeployOptions deploy;  // deploy.image stays null when preparation failed
-  };
-  auto prepared = std::make_shared<Prepared>();
-  prepared->deploy = ColdBootDeployOptions(config);
-  return [config, prepared](const BugReport& bug) {
-    std::call_once(prepared->once, [&] {
-      Result<CampaignPlan> plan = PrepareCampaign(config);
-      Result<std::shared_ptr<const FirmwareImage>> image =
-          Deployment::BuildImageFor(prepared->deploy);
-      if (plan.ok() && image.ok()) {
-        prepared->plan = std::move(plan).value();
-        prepared->deploy.image = std::move(image).value();
-      }
-    });
-    if (prepared->deploy.image == nullptr) {
-      return false;
-    }
-    Result<ReplayOutcome> replay =
-        ReplayReproducer(prepared->deploy, prepared->plan, bug.program_text);
-    if (!replay.ok()) {
-      // A reproducer that cannot even be replayed (parse failure, deploy failure)
-      // is no evidence of a cold-boot bug.
-      return false;
-    }
-    if (!replay->crashed) {
-      return false;
-    }
-    // Attributed sightings must reproduce as the same catalog bug; unattributed
-    // ones only need the cold board to crash at all.
-    return bug.catalog_id == 0 || replay->catalog_id == bug.catalog_id;
-  };
 }
 
 telemetry::CampaignTelemetry::Options MakeTelemetryOptions(const FuzzerConfig& config,

@@ -103,20 +103,15 @@ Result<CampaignPlan> PrepareCampaign(const FuzzerConfig& config);
 ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
                                     const std::string& exception_symbol);
 
-// The campaign-state slice of `config`, for constructing schedulers. Snapshot-mode
-// campaigns get the cold-boot validation oracle installed automatically.
-CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int workers);
-
 // What every cold-boot replay deploys: the campaign's os, board and instrumentation,
 // built from seed 1.
 DeployOptions ColdBootDeployOptions(const FuzzerConfig& config);
 
-// The cold-boot provenance oracle for snapshot-mode campaigns: replays a first
-// sighting's reproducer on a freshly flashed board (ReplayReproducer) and confirms
-// the bug only if the cold board crashes too — with a matching catalog id when the
-// sighting was attributed. Captures `config` by value; on first use it prepares the
-// campaign once (PrepareCampaign) and builds the one image every replay flashes.
-std::function<bool(const BugReport&)> MakeColdBootValidator(const FuzzerConfig& config);
+// The campaign-state slice of `config`, for constructing schedulers. Snapshot-mode
+// campaigns get the cold-boot validation oracle, which replays first sightings on a
+// freshly flashed board with the campaign's `plan` (mined here when none is shared).
+CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int workers,
+                                                std::shared_ptr<const CampaignPlan> plan = nullptr);
 
 // The telemetry slice of `config`, for constructing the campaign's CampaignTelemetry.
 telemetry::CampaignTelemetry::Options MakeTelemetryOptions(const FuzzerConfig& config,

@@ -127,7 +127,8 @@ Status FleetWorker::Run(Transport* transport) {
 Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
                                              const LeaseGrantMsg& grant) {
   FuzzerConfig config = FromWireConfig(grant.config);
-  ASSIGN_OR_RETURN(CampaignPlan plan, PrepareCampaign(config));
+  ASSIGN_OR_RETURN(CampaignPlan prepared, PrepareCampaign(config));
+  auto plan = std::make_shared<const CampaignPlan>(std::move(prepared));
 
   const int sessions = static_cast<int>(grant.leases.size());
   std::vector<int> shard_labels;
@@ -146,13 +147,13 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
                    telemetry::CampaignTelemetry::Create(telemetry_options));
 
   CampaignScheduler::Options scheduler_options =
-      MakeSchedulerOptions(config, sessions);
+      MakeSchedulerOptions(config, sessions, plan);
   scheduler_options.registry = &telemetry->campaign_registry();
   scheduler_options.sink = telemetry->sink();
   scheduler_options.shard_ids = shard_labels;
   scheduler_options.track_coverage_delta = true;
   scheduler_options.export_corpus = true;
-  CampaignScheduler scheduler(plan.specs, scheduler_options);
+  CampaignScheduler scheduler(plan->specs, scheduler_options);
   scheduler.SeedCorpus(config.seed_programs);
 
   // Resync from the grant: the orchestrator's merged campaign state. On a cold
@@ -223,7 +224,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
     }
     ASSIGN_OR_RETURN(
         farm[i],
-        MakeFarmSession(config, plan,
+        MakeFarmSession(config, *plan,
                         FarmWorkerSeed(config.seed,
                                        static_cast<int>(grant.leases[i].shard)),
                         telemetry->board(static_cast<int>(i))));
@@ -247,7 +248,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   threads.reserve(farm.size());
   for (size_t i = 0; i < farm.size(); ++i) {
     threads.emplace_back([&, i] {
-      RunFarmSession(&farm[i], static_cast<int>(i), &scheduler, &plan.specs,
+      RunFarmSession(&farm[i], static_cast<int>(i), &scheduler, &plan->specs,
                      config.budget, config.max_execs, &stop, telemetry->emitter(),
                      cancels[i].get(), progress[i].get());
       {

@@ -21,14 +21,14 @@ Status PartitionTable::Validate(uint64_t flash_size) const {
     if (part.size == 0) {
       return InvalidArgumentError(StrFormat("partition '%s' has zero size", part.name.c_str()));
     }
-    if (part.offset + part.size > flash_size) {
-      return OutOfRangeError(
-          StrFormat("partition '%s' exceeds flash size", part.name.c_str()));
+    if (!InBounds(part.offset, part.size, flash_size)) {
+      return OutOfRangeError(StrFormat("partition '%s' exceeds flash size", part.name.c_str()));
     }
     for (size_t j = i + 1; j < partitions.size(); ++j) {
       const Partition& other = partitions[j];
-      bool overlap = part.offset < other.offset + other.size &&
-                     other.offset < part.offset + part.size;
+      // Compares distances rather than end offsets, so no sum can wrap.
+      bool overlap = part.offset <= other.offset ? other.offset - part.offset < part.size
+                                                 : part.offset - other.offset < other.size;
       if (overlap) {
         return InvalidArgumentError(StrFormat("partitions '%s' and '%s' overlap",
                                               part.name.c_str(), other.name.c_str()));

@@ -61,19 +61,22 @@ Status FirmwareImage::VerifyPayload(const uint8_t* data, size_t size) {
 
 Status FirmwareImage::AddPartition(const std::string& name, uint64_t offset, uint64_t part_size,
                                    uint64_t body_bytes, uint64_t seed) {
-  std::vector<uint8_t> payload = MakePayload(name, seed, body_bytes);
-  if (payload.size() > part_size) {
+  // Sizes first, before drawing anything. A body that fits the u32 len cannot wrap the sum.
+  if (body_bytes > UINT32_MAX) {
+    return InvalidArgumentError(StrFormat("payload for '%s' overflows its u32 len", name.c_str()));
+  }
+  if (kPayloadHeaderBytes + body_bytes > part_size) {
     return InvalidArgumentError(
         StrFormat("payload for '%s' (%zu bytes) exceeds partition size %llu", name.c_str(),
-                  payload.size(), static_cast<unsigned long long>(part_size)));
+                  kPayloadHeaderBytes + body_bytes, static_cast<unsigned long long>(part_size)));
   }
   if (payloads_.count(name) != 0) {
     return AlreadyExistsError(StrFormat("partition '%s' already added", name.c_str()));
   }
   table_.partitions.push_back(Partition{name, offset, part_size});
+  std::vector<uint8_t> payload = MakePayload(name, seed, body_bytes);
   uint64_t digest = ChecksumBytes(payload.data(), payload.size());
-  Status verify = VerifyPayload(payload);
-  payloads_[name] = Payload{std::move(payload), digest, std::move(verify)};
+  payloads_[name] = Payload{std::move(payload), digest};
   return OkStatus();
 }
 
@@ -135,18 +138,18 @@ Status FirmwareImage::VerifyFlash(const Flash& flash) const {
     }
     const std::vector<uint8_t>& pristine = payload->bytes;
     ASSIGN_OR_RETURN(const uint8_t* stored, flash.View(part.offset, pristine.size()));
-    const bool intact = std::equal(pristine.begin(), pristine.end(), stored);
-    // Intact bytes are the payload's, whose verdict build time already knows.
-    Status valid = intact ? payload->verify : VerifyPayload(stored, pristine.size());
+    // Intact bytes are the payload's own, which AddPartition built to verify.
+    if (std::equal(pristine.begin(), pristine.end(), stored)) {
+      continue;
+    }
+    Status valid = VerifyPayload(stored, pristine.size());
     if (!valid.ok()) {
       return DataLossError(
           StrFormat("partition '%s' failed boot validation: %s", part.name.c_str(),
                     valid.ToString().c_str()));
     }
     // CRC validity is necessary but not sufficient: the stored body must be the image's.
-    if (!intact) {
-      return DataLossError(StrFormat("partition '%s' content mismatch", part.name.c_str()));
-    }
+    return DataLossError(StrFormat("partition '%s' content mismatch", part.name.c_str()));
   }
   return OkStatus();
 }

@@ -76,7 +76,7 @@ class FirmwareImage {
 
   // Declares a partition and generates its payload: a deterministic pseudo-binary body of
   // `body_bytes` derived from (name, seed), wrapped in a [magic|len|crc] header that the
-  // boot ROM validates. Fails if the payload exceeds the partition size.
+  // boot ROM validates. Fails, drawing nothing, if it overflows its u32 len or the partition.
   Status AddPartition(const std::string& name, uint64_t offset, uint64_t part_size,
                       uint64_t body_bytes, uint64_t seed);
 
@@ -102,11 +102,10 @@ class FirmwareImage {
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t instrumented_sites() const { return instrumented_sites_; }
 
-  // A partition's pristine payload, plus what build time already knows about it.
+  // A partition's pristine payload, plus its digest from build time.
   struct Payload {
     std::vector<uint8_t> bytes;
     uint64_t digest = 0;  // ChecksumBytes(bytes): what a checksum of pristine flash returns
-    Status verify;        // VerifyPayload(bytes)
   };
 
   // The payload for reflashing `partition`; nullptr for raw partitions and unknown names.
@@ -117,8 +116,8 @@ class FirmwareImage {
 
   // Verifies that the bytes stored in `flash` for every partition parse as a valid payload
   // (magic + CRC) and are the image's own. This is the boot ROM's integrity check; a kernel
-  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place
-  // and parses the stored bytes only when they differ from the payload.
+  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place;
+  // payloads verify by construction, so only stored bytes that differ are parsed.
   Status VerifyFlash(const Flash& flash) const;
 
   const std::vector<ModuleLayout>& modules() const { return modules_; }

@@ -177,7 +177,8 @@ TEST_F(CampaignTest, SeededCorpusSetsTheCorpusGauge) {
   }
 
   telemetry::MetricsRegistry registry;
-  CampaignScheduler::Options options = MakeSchedulerOptions(config, /*workers=*/1);
+  CampaignScheduler::Options options = MakeSchedulerOptions(
+      config, /*workers=*/1, std::make_shared<const CampaignPlan>(plan.value()));
   options.registry = &registry;
   CampaignScheduler scheduler(plan->specs, options);
   scheduler.SeedCorpus(seeds);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/image_builder.h"
 
 #include "src/agent/agent_layout.h"
@@ -100,7 +102,7 @@ TEST(ImageBuilderGatingTest, AppFilteredInstrumentationIsSmaller) {
 // Image bytes are pinned: payload generation feeds the boot-ROM check, the flash
 // checksums and (through freertos esp_partition_read) program behaviour, so a faster
 // build must produce every payload byte it produced before. Each partition pins the
-// payload size, Fnv1aBytes over the whole payload, and the build-time verdict.
+// payload size, Fnv1aBytes over the whole payload, and the boot ROM's verdict on it.
 TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
   ASSERT_TRUE(RegisterAllOses().ok());
   struct PartitionGolden {
@@ -190,8 +192,46 @@ TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
       ASSERT_NE(payload, nullptr);
       EXPECT_EQ(payload->bytes.size(), golden.parts[i].size);
       EXPECT_EQ(Fnv1aBytes(payload->bytes.data(), payload->bytes.size()), golden.parts[i].fnv);
-      EXPECT_EQ(payload->verify.ok(), golden.parts[i].verifies);
+      EXPECT_EQ(FirmwareImage::VerifyPayload(payload->bytes).ok(), golden.parts[i].verifies);
     }
+  }
+}
+
+// AddPartition builds every payload to pass the boot ROM's check, so VerifyFlash
+// accepts intact partitions without parsing them. Run the real check over every image
+// the builder can produce to hold it to that.
+TEST(PayloadVerdictTest, EveryBuiltPayloadVerifies) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  for (const std::string& os : OsRegistry::Instance().Names()) {
+    OsInfo info = OsRegistry::Instance().Find(os).value();
+    int built = 0;
+    for (const std::string& board : KnownBoardNames()) {
+      BoardSpec spec = BoardSpecByName(board).value();
+      if (std::find(info.supported_archs.begin(), info.supported_archs.end(), spec.arch) ==
+          info.supported_archs.end()) {
+        continue;
+      }
+      for (uint64_t seed : {1, 7, 3007}) {
+        SCOPED_TRACE(StrFormat("%s on %s seed %llu", os.c_str(), board.c_str(),
+                               static_cast<unsigned long long>(seed)));
+        ImageBuildOptions options;
+        options.os_name = os;
+        options.seed = seed;
+        auto image = BuildImage(spec, options);
+        if (image.status().code() == ErrorCode::kResourceExhausted) {
+          break;  // the image does not fit this board's flash at any seed
+        }
+        ASSERT_TRUE(image.ok()) << image.status().ToString();
+        ++built;
+        for (const Partition& part : image.value()->partition_table().partitions) {
+          const FirmwareImage::Payload* payload = image.value()->PayloadOf(part.name);
+          if (payload != nullptr) {
+            EXPECT_TRUE(FirmwareImage::VerifyPayload(payload->bytes).ok()) << part.name;
+          }
+        }
+      }
+    }
+    EXPECT_GT(built, 0) << os;
   }
 }
 

@@ -531,7 +531,8 @@ INSTANTIATE_TEST_SUITE_P(
 class SnapshotValidationTest : public SnapshotSessionTest {
  protected:
   void MakeScheduler() {
-    scheduler_options_ = MakeSchedulerOptions(config_, /*workers=*/1);
+    scheduler_options_ = MakeSchedulerOptions(config_, /*workers=*/1,
+                                              std::make_shared<const CampaignPlan>(plan_));
     scheduler_options_.sink = &sink_;
     ASSERT_TRUE(scheduler_options_.validator != nullptr);  // kSnapshot installs it
     scheduler_ = std::make_unique<CampaignScheduler>(plan_.specs, scheduler_options_);

@@ -53,6 +53,28 @@ TEST(PartitionTableTest, ValidationRejectsOverlapAndOverflow) {
   EXPECT_EQ(table.Find("zzz"), nullptr);
 }
 
+TEST(PartitionTableTest, HugeOffsetsCannotWrapTheChecks) {
+  constexpr uint64_t kFourMiB = 4 << 20;
+  PartitionTable table;
+  // offset + size wraps to 9, which a sum-based bounds check would let through.
+  table.partitions = {{"wrap", UINT64_MAX - 10, 20}};
+  EXPECT_EQ(table.Validate(kFourMiB).code(), ErrorCode::kOutOfRange);
+  // Ends exactly at 2^64: one byte past a UINT64_MAX-byte flash.
+  table.partitions = {{"top", UINT64_MAX - 9, 10}};
+  EXPECT_EQ(table.Validate(UINT64_MAX).code(), ErrorCode::kOutOfRange);
+  table.partitions = {{"top", UINT64_MAX - 9, 9}};
+  EXPECT_TRUE(table.Validate(UINT64_MAX).ok());
+  // Overlap near the top of the address space, where end offsets come close to wrapping.
+  table.partitions = {{"low", UINT64_MAX - 20, 14}, {"high", UINT64_MAX - 6, 6}};
+  EXPECT_TRUE(table.Validate(UINT64_MAX).ok());
+  table.partitions.push_back({"mid", UINT64_MAX - 8, 4});
+  EXPECT_EQ(table.Validate(UINT64_MAX).code(), ErrorCode::kInvalidArgument);
+  table.partitions = {{"high", UINT64_MAX - 6, 6}, {"low", UINT64_MAX - 20, 14}};
+  EXPECT_TRUE(table.Validate(UINT64_MAX).ok());
+  table.partitions.push_back({"low2", UINT64_MAX - 7, 1});
+  EXPECT_EQ(table.Validate(UINT64_MAX).code(), ErrorCode::kInvalidArgument);
+}
+
 TEST(UartTest, DrainAndFreeze) {
   Uart uart(64);
   uart.WriteLine("boot ok");
@@ -88,6 +110,29 @@ TEST(ImageTest, PayloadRoundTripAndCorruptionDetection) {
   EXPECT_TRUE(FirmwareImage::VerifyPayload(payload).ok());
   payload[40] ^= 0xff;
   EXPECT_FALSE(FirmwareImage::VerifyPayload(payload).ok());
+}
+
+TEST(ImageTest, AddPartitionChecksSizesBeforeDrawing) {
+  FirmwareImage image;
+  // 1 TiB fits the partition but not the header's u32 length; it must fail before any
+  // allocation (under ASan, allocating it aborts).
+  Status huge = image.AddPartition("k", 0, UINT64_MAX, uint64_t{1} << 40, 1);
+  EXPECT_EQ(huge.code(), ErrorCode::kInvalidArgument) << huge.ToString();
+  EXPECT_EQ(image.AddPartition("k", 0, UINT64_MAX, uint64_t{UINT32_MAX} + 1, 1).code(),
+            ErrorCode::kInvalidArgument);
+  // A body that would wrap header + body past zero.
+  EXPECT_EQ(image.AddPartition("k", 0, 64, UINT64_MAX - 8, 1).code(),
+            ErrorCode::kInvalidArgument);
+  // The 16-byte header counts against the partition: 48 + 16 fits 64 exactly, 49 does not.
+  EXPECT_EQ(image.AddPartition("k", 0, 64, 49, 1).ToString(),
+            "INVALID_ARGUMENT: payload for 'k' (65 bytes) exceeds partition size 64");
+  EXPECT_EQ(image.PayloadOf("k"), nullptr);
+  EXPECT_TRUE(image.partition_table().partitions.empty());
+  ASSERT_TRUE(image.AddPartition("k", 0, 64, 48, 1).ok());
+  EXPECT_EQ(image.PayloadOf("k")->bytes.size(), 64u);
+  // Size errors win over the duplicate name.
+  EXPECT_EQ(image.AddPartition("k", 64, 64, 49, 1).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(image.AddPartition("k", 64, 64, 48, 1).code(), ErrorCode::kAlreadyExists);
 }
 
 TEST(ImageTest, FlashVerification) {
