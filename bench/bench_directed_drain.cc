@@ -1,5 +1,5 @@
-// Directed-scheduling + double-buffered-drain bench, the attribution PR's two
-// performance claims under one gate:
+// Double-buffered-drain bench plus a journal round trip through the strict
+// report parser, under one gate:
 //
 //  A. Drain overlap. Two exec-capped FreeRTOS campaigns on the hifive1-revb
 //     (192-entry coverage ring, instrumentation on — the ring overflows on
@@ -9,13 +9,16 @@
 //     least 1.3x — the drain's round trip rides the next continue instead of
 //     paying its own link-latency charge.
 //
-//  B. Directed mode. Two budget-capped campaigns, identical except --directed.
-//     The frontier-focused generator must reach the undirected campaign's final
-//     coverage sooner (virtual time to target, read off the coverage series).
+//  C. A --trim campaign journals to JSONL; the strict report parser must load
+//     it and surface the same coverage and trim counters the campaign returned —
+//     a malformed row or a type regression in those fields fails the bench, not
+//     just the render.
 //
-//  C. The directed campaign journals to JSONL; the strict report parser must
-//     load it and surface the attribution counters — a malformed row or a
-//     type regression in the new fields fails the bench, not just the render.
+// Part B gated a frontier-focused scheduling mode. The mode lost a 20-seed
+// comparison on every OS and budget (EXPERIMENTS.md "Coverage attribution") and
+// was deleted together with part B. The binary and its output files keep their
+// names so the BENCH_directed_drain.json history and the CI artifact stay
+// continuous.
 //
 // Emits machine-readable BENCH_directed_drain.json for CI.
 
@@ -38,10 +41,9 @@ constexpr char kJournalPath[] = "BENCH_directed_drain.jsonl";
 struct Run {
   uint64_t execs = 0;
   uint64_t coverage = 0;
-  uint64_t directed_hits = 0;
-  uint64_t frontier = 0;
+  uint64_t trim_kept_calls = 0;
+  uint64_t trim_removed_calls = 0;
   VirtualTime elapsed = 0;
-  std::vector<CampaignSample> series;
   double wall_sec = 0;
 };
 
@@ -83,17 +85,15 @@ FuzzerConfig DrainConfig(bool overlapped, uint64_t max_execs) {
   return config;
 }
 
-FuzzerConfig DirectedConfig(bool directed, VirtualDuration budget) {
+// Part C's campaign: a short FreeRTOS run with trim-on-admission, journaled.
+FuzzerConfig TrimJournalConfig(VirtualDuration budget) {
   FuzzerConfig config;
   config.os_name = "freertos";
   config.seed = 9;
   config.budget = budget;
-  config.sample_points = 48;  // fine-grained series: time-to-target resolution
-  config.directed = directed;
-  if (directed) {
-    config.metrics_out = kJournalPath;
-    config.metrics_interval = budget / 16;
-  }
+  config.trim = true;
+  config.metrics_out = kJournalPath;
+  config.metrics_interval = budget / 16;
   return config;
 }
 
@@ -110,21 +110,10 @@ bool RunOne(const FuzzerConfig& config, const char* label, Run* out) {
   }
   out->execs = result->execs;
   out->coverage = result->final_coverage;
-  out->directed_hits = result->directed_hits;
-  out->frontier = result->frontier;
+  out->trim_kept_calls = result->trim_kept_calls;
+  out->trim_removed_calls = result->trim_removed_calls;
   out->elapsed = result->elapsed;
-  out->series = result->series;
   return true;
-}
-
-// First series time at which `coverage` was reached; 0 when never.
-VirtualTime TimeToCoverage(const Run& run, uint64_t target) {
-  for (const CampaignSample& sample : run.series) {
-    if (sample.coverage >= target) {
-      return sample.time;
-    }
-  }
-  return 0;
 }
 
 }  // namespace
@@ -170,72 +159,42 @@ int main() {
     ok = false;
   }
 
-  // --- Part B: directed scheduling -----------------------------------------
-  VirtualDuration budget = ScaledCampaignBudget() / 16;
-  printf("\n== B: directed vs undirected, FreeRTOS, %llu virtual seconds each ==\n",
-         static_cast<unsigned long long>(budget / kVirtualSecond));
-  Run undirected, directed;
-  if (!RunOne(DirectedConfig(false, budget), "undirected", &undirected) ||
-      !RunOne(DirectedConfig(true, budget), "directed", &directed)) {
+  // --- Part C: a journaled --trim campaign through the strict report parser ---
+  Run trimmed;
+  if (!RunOne(TrimJournalConfig(ScaledCampaignBudget() / 16), "trim", &trimmed)) {
     return 1;
   }
-  // Target: the coverage the undirected campaign ended with. Directed must get
-  // there in less virtual time (and therefore fewer executions).
-  uint64_t target = undirected.coverage;
-  VirtualTime undirected_t = TimeToCoverage(undirected, target);
-  VirtualTime directed_t = TimeToCoverage(directed, target);
-  printf("%-12s %10s %10s %14s %14s\n", "mode", "execs", "coverage", "t_target_vs",
-         "directed_hits");
-  printf("%-12s %10llu %10llu %14.1f %14s\n", "undirected",
-         static_cast<unsigned long long>(undirected.execs),
-         static_cast<unsigned long long>(undirected.coverage),
-         double(undirected_t) / kVirtualSecond, "-");
-  printf("%-12s %10llu %10llu %14.1f %14llu\n", "directed",
-         static_cast<unsigned long long>(directed.execs),
-         static_cast<unsigned long long>(directed.coverage),
-         double(directed_t) / kVirtualSecond,
-         static_cast<unsigned long long>(directed.directed_hits));
-  if (directed_t == 0) {
-    fprintf(stderr, "FAIL: directed campaign never reached the undirected target "
-                    "coverage %llu\n",
-            static_cast<unsigned long long>(target));
-    ok = false;
-  } else if (directed_t >= undirected_t) {
-    fprintf(stderr,
-            "FAIL: directed reached coverage %llu at %.1fvs, undirected at %.1fvs\n",
-            static_cast<unsigned long long>(target),
-            double(directed_t) / kVirtualSecond,
-            double(undirected_t) / kVirtualSecond);
+  if (trimmed.trim_kept_calls == 0) {
+    fprintf(stderr, "FAIL: trim campaign kept no attributed calls\n");
     ok = false;
   }
-  if (directed.directed_hits == 0) {
-    fprintf(stderr, "FAIL: directed campaign claimed no frontier hits\n");
-    ok = false;
-  }
-
-  // --- Part C: journal through the strict report parser --------------------
   auto report = telemetry::LoadReportFromFile(kJournalPath);
   if (!report.ok()) {
-    fprintf(stderr, "FAIL: strict report parser refused the directed journal: %s\n",
+    fprintf(stderr, "FAIL: strict report parser refused the trim journal: %s\n",
             report.status().ToString().c_str());
     ok = false;
   } else {
     printf("\n== C: eof-report over %s ==\n", kJournalPath);
-    printf("report: coverage=%llu directed_hits=%llu frontier=%llu\n",
+    printf("report: coverage=%llu trim_kept_calls=%llu trim_removed_calls=%llu\n",
            static_cast<unsigned long long>(report->final_coverage),
-           static_cast<unsigned long long>(report->directed_hits),
-           static_cast<unsigned long long>(report->frontier));
-    if (report->final_coverage != directed.coverage) {
-      fprintf(stderr, "FAIL: journaled coverage %llu != campaign coverage %llu\n",
-              static_cast<unsigned long long>(report->final_coverage),
-              static_cast<unsigned long long>(directed.coverage));
-      ok = false;
-    }
-    if (report->directed_hits != directed.directed_hits) {
-      fprintf(stderr, "FAIL: journaled directed_hits %llu != campaign %llu\n",
-              static_cast<unsigned long long>(report->directed_hits),
-              static_cast<unsigned long long>(directed.directed_hits));
-      ok = false;
+           static_cast<unsigned long long>(report->trim_kept_calls),
+           static_cast<unsigned long long>(report->trim_removed_calls));
+    const struct {
+      const char* name;
+      uint64_t journaled;
+      uint64_t campaign;
+    } checks[] = {
+        {"coverage", report->final_coverage, trimmed.coverage},
+        {"trim_kept_calls", report->trim_kept_calls, trimmed.trim_kept_calls},
+        {"trim_removed_calls", report->trim_removed_calls, trimmed.trim_removed_calls},
+    };
+    for (const auto& check : checks) {
+      if (check.journaled != check.campaign) {
+        fprintf(stderr, "FAIL: journaled %s %llu != campaign %llu\n", check.name,
+                static_cast<unsigned long long>(check.journaled),
+                static_cast<unsigned long long>(check.campaign));
+        ok = false;
+      }
     }
   }
 
@@ -246,25 +205,18 @@ int main() {
             "  \"overlap\": {\"execs\": %llu, \"coverage\": %llu,"
             " \"plain_elapsed_vus\": %llu, \"overlapped_elapsed_vus\": %llu,"
             " \"time_ratio\": %.4f, \"wall_sec\": %.3f},\n"
-            "  \"directed\": {\"budget_vus\": %llu, \"target_coverage\": %llu,"
-            " \"undirected_t_target_vus\": %llu, \"directed_t_target_vus\": %llu,"
-            " \"undirected_coverage\": %llu, \"directed_coverage\": %llu,"
-            " \"directed_hits\": %llu, \"frontier\": %llu, \"wall_sec\": %.3f}\n"
+            "  \"trim_journal\": {\"coverage\": %llu, \"trim_kept_calls\": %llu,"
+            " \"trim_removed_calls\": %llu, \"wall_sec\": %.3f}\n"
             "}\n",
             static_cast<unsigned long long>(kDrainExecs),
             static_cast<unsigned long long>(overlapped.coverage),
             static_cast<unsigned long long>(plain.elapsed),
             static_cast<unsigned long long>(overlapped.elapsed), overlap_ratio,
             plain.wall_sec + overlapped.wall_sec,
-            static_cast<unsigned long long>(budget),
-            static_cast<unsigned long long>(target),
-            static_cast<unsigned long long>(undirected_t),
-            static_cast<unsigned long long>(directed_t),
-            static_cast<unsigned long long>(undirected.coverage),
-            static_cast<unsigned long long>(directed.coverage),
-            static_cast<unsigned long long>(directed.directed_hits),
-            static_cast<unsigned long long>(directed.frontier),
-            undirected.wall_sec + directed.wall_sec);
+            static_cast<unsigned long long>(trimmed.coverage),
+            static_cast<unsigned long long>(trimmed.trim_kept_calls),
+            static_cast<unsigned long long>(trimmed.trim_removed_calls),
+            trimmed.wall_sec);
     fclose(json);
     printf("wrote BENCH_directed_drain.json\n");
   }

@@ -3,7 +3,7 @@
 // `call` is the index of the program call that was executing when the edge
 // fired (the agent publishes it in the ring header before each call). Host-side
 // consumers that only care about edges ignore `call`; the scheduler uses it to
-// attribute fresh coverage to the owning call for trimming and directed mode.
+// attribute fresh coverage to the owning call for trimming.
 
 #ifndef SRC_COMMON_COVERAGE_TYPES_H_
 #define SRC_COMMON_COVERAGE_TYPES_H_

@@ -84,7 +84,6 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
   CampaignScheduler::Options options;
   options.os_name = config.os_name;
   options.coverage_feedback = config.coverage_feedback;
-  options.directed = config.directed;
   options.trim = config.trim;
   options.budget = config.budget;
   options.sample_points = config.sample_points;

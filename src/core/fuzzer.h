@@ -61,9 +61,6 @@ struct FuzzerConfig {
   // continue's round trip instead of paying a separate transaction. Drained entries
   // are bit-identical either way.
   bool overlapped_drain = true;
-  // Directed mode: bias generation toward calls owning edges adjacent to the
-  // coverage frontier (per-call attribution). Changes the RNG-visible schedule.
-  bool directed = false;
   // Edge-preserving corpus trim on admission: keep only the calls fresh edges
   // attribute to plus their transitive result producers.
   bool trim = false;

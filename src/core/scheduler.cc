@@ -10,7 +10,6 @@
 #include "src/core/bug_catalog.h"
 #include "src/fuzz/program_text.h"
 #include "src/fuzz/trimmer.h"
-#include "src/hw/image.h"
 
 namespace eof {
 
@@ -18,11 +17,9 @@ void SetResultScalars(const telemetry::MetricsSnapshot& campaign, const ExecStat
                       const DebugPortStats& link, CampaignResult* result) {
   result->final_coverage = campaign.GaugeValue("campaign.coverage");
   result->corpus_size = campaign.GaugeValue("campaign.corpus");
-  result->frontier = campaign.GaugeValue("campaign.frontier");
   result->execs = campaign.CounterValue("campaign.execs");
   result->crashes = campaign.CounterValue("campaign.crashes");
   result->bugs_rejected = campaign.CounterValue("campaign.bugs_rejected");
-  result->directed_hits = campaign.CounterValue("campaign.directed_hits");
   result->trim_removed_calls = campaign.CounterValue("campaign.trim_removed_calls");
   result->trim_kept_calls = campaign.CounterValue("campaign.trim_kept_calls");
   result->rejected = stats.rejected;
@@ -54,12 +51,10 @@ CampaignScheduler::CampaignScheduler(const spec::CompiledSpecs& specs, Options o
   validation_replays_ = registry_->RegisterCounter("campaign.validation_replays");
   fresh_edges_ = registry_->RegisterCounter("campaign.fresh_edges");
   corpus_adds_ = registry_->RegisterCounter("campaign.corpus_adds");
-  directed_hits_ = registry_->RegisterCounter("campaign.directed_hits");
   trim_removed_calls_ = registry_->RegisterCounter("campaign.trim_removed_calls");
   trim_kept_calls_ = registry_->RegisterCounter("campaign.trim_kept_calls");
   coverage_gauge_ = registry_->RegisterGauge("campaign.coverage");
   corpus_gauge_ = registry_->RegisterGauge("campaign.corpus");
-  frontier_gauge_ = registry_->RegisterGauge("campaign.frontier");
 }
 
 void CampaignScheduler::EmitEventLocked(VirtualTime at, const char* type, int worker,
@@ -100,12 +95,6 @@ fuzz::Program CampaignScheduler::NextProgram(fuzz::Generator& generator, Rng& rn
     enum { kGenerate, kMutate, kSplice } action = kGenerate;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (options_.directed) {
-        // Refresh this worker's focus from the shared frontier before it builds.
-        // Focus only reweights PickSpec — it consumes no RNG, so directed=off
-        // campaigns are bit-identical with the bookkeeping compiled in.
-        generator.SetFocus(focus_specs_);
-      }
       if (!corpus_.empty()) {
         uint64_t roll = rng.Below(100);
         if (roll < 70) {
@@ -256,50 +245,6 @@ void CampaignScheduler::AdvanceFrontierLocked(int worker, VirtualTime elapsed) {
   sampler_.Advance(frontier, coverage_.Count(), &result_.series);
 }
 
-void CampaignScheduler::UpdateFrontierLocked(const fuzz::Program& program,
-                                             const std::vector<CovHit>& fresh_hits) {
-  for (const CovHit& hit : fresh_hits) {
-    // A predicted edge: generation aimed at this neighbour and the target's
-    // control flow actually reached it.
-    auto it = frontier_.find(hit.edge);
-    if (it != frontier_.end()) {
-      directed_hits_->Increment();
-      frontier_.erase(it);
-    }
-    size_t owner_spec = SIZE_MAX;
-    if (hit.call < program.calls.size()) {
-      owner_spec = program.calls[hit.call].spec_index;
-    }
-    // The synthetic code space is a strided lattice (image.h), so the nearest
-    // control-flow neighbours of a basic block are one stride away.
-    const uint64_t neighbours[2] = {hit.edge - kBasicBlockStride,
-                                    hit.edge + kBasicBlockStride};
-    for (uint64_t neighbour : neighbours) {
-      if (!coverage_.Contains(neighbour)) {
-        frontier_.emplace(neighbour, owner_spec);  // first owner wins
-      }
-    }
-  }
-  if (!fresh_hits.empty()) {
-    RebuildFocusLocked();
-    frontier_gauge_->Set(frontier_.size());
-  }
-}
-
-void CampaignScheduler::RebuildFocusLocked() {
-  focus_specs_.clear();
-  for (const auto& [edge, spec_index] : frontier_) {
-    (void)edge;
-    if (spec_index != SIZE_MAX) {
-      focus_specs_.push_back(spec_index);
-    }
-  }
-  focus_specs_.insert(focus_specs_.end(), remote_focus_.begin(), remote_focus_.end());
-  std::sort(focus_specs_.begin(), focus_specs_.end());
-  focus_specs_.erase(std::unique(focus_specs_.begin(), focus_specs_.end()),
-                     focus_specs_.end());
-}
-
 void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcome& outcome,
                                   fuzz::Generator& generator, VirtualTime elapsed,
                                   int worker) {
@@ -321,7 +266,6 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
     EmitEventLocked(elapsed, "new_coverage", ShardLabel(worker),
                     {telemetry::EventField::Uint("fresh", fresh),
                      telemetry::EventField::Uint("total", coverage_.Count())});
-    UpdateFrontierLocked(program, fresh_hits);
   }
   if (options_.coverage_feedback && fresh > 0) {
     const fuzz::Program* admit = &program;
@@ -394,9 +338,8 @@ Result<size_t> CampaignScheduler::MergeRemoteCoverage(const std::vector<uint8_t>
   std::lock_guard<std::mutex> lock(mu_);
   ASSIGN_OR_RETURN(size_t fresh, MergeSerializedCoverage(blob, &coverage_));
   if (fresh > 0) {
-    // Peer edges enter the map (so local rediscovery is not "fresh" and the
-    // frontier stops chasing them) but are neither logged into the upload delta
-    // nor counted as locally discovered.
+    // Peer edges enter the map (so local rediscovery is not "fresh") but are
+    // neither logged into the upload delta nor counted as locally discovered.
     coverage_gauge_->Set(coverage_.Count());
   }
   return fresh;
@@ -424,29 +367,12 @@ size_t CampaignScheduler::AdmitRemotePrograms(
   return admitted;
 }
 
-void CampaignScheduler::MergeRemoteFocus(const std::vector<uint64_t>& spec_indices) {
-  std::lock_guard<std::mutex> lock(mu_);
-  remote_focus_.clear();
-  remote_focus_.reserve(spec_indices.size());
-  for (uint64_t index : spec_indices) {
-    if (index < specs_.calls.size()) {
-      remote_focus_.push_back(static_cast<size_t>(index));
-    }
-  }
-  RebuildFocusLocked();
-}
-
 std::vector<BugReport> CampaignScheduler::BugsSince(size_t from) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (from >= result_.bugs.size()) {
     return {};
   }
   return std::vector<BugReport>(result_.bugs.begin() + from, result_.bugs.end());
-}
-
-std::vector<size_t> CampaignScheduler::FocusSpecs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return focus_specs_;
 }
 
 size_t CampaignScheduler::CorpusSize() const {

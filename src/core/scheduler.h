@@ -15,7 +15,6 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/coverage_map.h"
@@ -84,11 +83,8 @@ struct CampaignResult {
   // Non-zero means the JSONL file is incomplete and `eof report` numbers derived
   // from it are lower bounds — the campaign itself is unaffected.
   uint64_t journal_dropped = 0;
-  // Attribution bookkeeping: fresh edges that landed on a predicted frontier
-  // neighbour, the frontier size at campaign end, and what the edge-preserving
-  // trimmer removed/kept on corpus admission (all 0 unless the modes ran).
-  uint64_t directed_hits = 0;
-  uint64_t frontier = 0;
+  // What the edge-preserving trimmer removed/kept on corpus admission (both 0
+  // unless --trim ran).
   uint64_t trim_removed_calls = 0;
   uint64_t trim_kept_calls = 0;
   // Corpus reproducer texts in admission order; filled only when
@@ -151,11 +147,6 @@ class CampaignScheduler {
   struct Options {
     std::string os_name;              // bug attribution (catalog is per-OS)
     bool coverage_feedback = true;    // corpus + generator credit
-    // Directed mode: bias generation toward the specs whose calls own edges
-    // adjacent to the coverage frontier (uncovered ±stride neighbours of covered
-    // edges). Frontier bookkeeping itself is always on (host-only, no RNG);
-    // this flag only controls whether generators get the focus boost.
-    bool directed = false;
     // Edge-preserving trim on corpus admission: keep only the calls the fresh
     // edges attribute to, plus their transitive result producers.
     bool trim = false;
@@ -168,7 +159,7 @@ class CampaignScheduler {
     // Fleet sharding: `shard_ids[i]` is the campaign-global shard label of local
     // worker slot i. Bug provenance (board, seed_stream) and journal rows are
     // stamped with the global label so merged per-worker journals attribute
-    // correctly; session bookkeeping (frontier, sampler) stays local. Empty =
+    // correctly; session bookkeeping (the series sampler) stays local. Empty =
     // identity (the in-process farm).
     std::vector<int> shard_ids;
     // Keep an exact log of locally discovered fresh edges so TakeCoverageDelta
@@ -205,10 +196,6 @@ class CampaignScheduler {
   // off). The roll and the seed picks consume `rng` under the campaign lock; the
   // program is built outside it on the caller's generator.
   fuzz::Program NextProgram(fuzz::Generator& generator, Rng& rng);
-
-  // Current frontier-owner spec indices (sorted, deduplicated) — the focus list
-  // directed mode pushes into worker generators. Exposed for tests.
-  std::vector<size_t> FocusSpecs() const;
 
   // Folds one execution outcome into the campaign: merges drained edges into the
   // global coverage map, records/dedups bugs, admits the program to the corpus
@@ -257,9 +244,6 @@ class CampaignScheduler {
   // many were new.
   size_t AdmitRemotePrograms(
       const std::vector<std::pair<std::string, uint64_t>>& entries);
-  // Replaces the remote contribution to the directed focus list (union with the
-  // local frontier owners). An empty list restores pure local focus.
-  void MergeRemoteFocus(const std::vector<uint64_t>& spec_indices);
   // Confirmed bugs admitted at index >= `from` (upload cursor for fleet sync).
   std::vector<BugReport> BugsSince(size_t from) const;
 
@@ -269,16 +253,7 @@ class CampaignScheduler {
   void RecordBugLocked(const BugSignature& signature, const fuzz::Program& program,
                        const ExecOutcome& outcome, uint64_t coverage_delta,
                        VirtualTime elapsed, int worker);
-  // Folds the fresh (first-seen) hits of one execution into the frontier table:
-  // covered edges leave, their uncovered ±stride neighbours enter, owned by the
-  // spec of the call the fresh edge attributes to. Bumps directed_hits for fresh
-  // edges that were predicted (present in the table) and refreshes the focus list.
-  void UpdateFrontierLocked(const fuzz::Program& program,
-                            const std::vector<CovHit>& fresh_hits);
   void AdvanceFrontierLocked(int worker, VirtualTime elapsed);
-  // Rebuilds focus_specs_ = sorted distinct union of the frontier owners and the
-  // peer focus list (remote_focus_, empty outside fleet batches).
-  void RebuildFocusLocked();
   void EmitEventLocked(VirtualTime at, const char* type, int worker,
                        std::vector<telemetry::EventField> fields);
 
@@ -296,12 +271,10 @@ class CampaignScheduler {
   telemetry::Counter* validation_replays_ = nullptr;
   telemetry::Counter* fresh_edges_ = nullptr;
   telemetry::Counter* corpus_adds_ = nullptr;
-  telemetry::Counter* directed_hits_ = nullptr;
   telemetry::Counter* trim_removed_calls_ = nullptr;
   telemetry::Counter* trim_kept_calls_ = nullptr;
   telemetry::Gauge* coverage_gauge_ = nullptr;
   telemetry::Gauge* corpus_gauge_ = nullptr;
-  telemetry::Gauge* frontier_gauge_ = nullptr;
 
   mutable std::mutex mu_;
   fuzz::Corpus corpus_;
@@ -313,17 +286,9 @@ class CampaignScheduler {
   std::vector<BugReport> rejected_bugs_;
   std::vector<VirtualTime> worker_elapsed_;
   std::vector<bool> worker_done_;
-  // Uncovered ±stride neighbour of a covered edge -> spec index of the call the
-  // adjacent covered edge attributed to (SIZE_MAX when the hit carried no valid
-  // call index). Entries leave when the neighbour gets covered.
-  std::unordered_map<uint64_t, size_t> frontier_;
-  // Sorted, deduplicated owner specs of frontier_ — rebuilt when fresh edges
-  // arrive, pushed into each worker's generator by NextProgram in directed mode.
-  std::vector<size_t> focus_specs_;
   // Fleet state: exact log of locally discovered fresh edges since the last
-  // TakeCoverageDelta, and the peer focus specs folded into focus_specs_.
+  // TakeCoverageDelta.
   std::vector<uint64_t> coverage_delta_log_;
-  std::vector<size_t> remote_focus_;
 };
 
 // Shared loop glue: encodes `program` for the agent mailbox, trimming tail calls

@@ -27,7 +27,6 @@ WireCampaignConfig ToWireConfig(const FuzzerConfig& config,
   if (config.use_extended_specs) flags |= kFlagUseExtendedSpecs;
   if (config.inject_peripheral_events) flags |= kFlagInjectPeripheralEvents;
   if (config.overlapped_drain) flags |= kFlagOverlappedDrain;
-  if (config.directed) flags |= kFlagDirected;
   if (config.trim) flags |= kFlagTrim;
   wire.flags = flags;
   wire.seed_programs = config.seed_programs;
@@ -53,7 +52,6 @@ FuzzerConfig FromWireConfig(const WireCampaignConfig& wire) {
   config.use_extended_specs = (wire.flags & kFlagUseExtendedSpecs) != 0;
   config.inject_peripheral_events = (wire.flags & kFlagInjectPeripheralEvents) != 0;
   config.overlapped_drain = (wire.flags & kFlagOverlappedDrain) != 0;
-  config.directed = (wire.flags & kFlagDirected) != 0;
   config.trim = (wire.flags & kFlagTrim) != 0;
   config.seed_programs = wire.seed_programs;
   config.metrics_out.clear();

@@ -355,11 +355,9 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
   // resync path as much as the cold-start one.
   grant.coverage = SerializeCoverage(best->coverage);
   grant.corpus = best->corpus;
-  grant.focus = PeerFocusLocked(*best, msg.worker_id);
   WorkerCursor& cursor = best->cursors[msg.worker_id];
   cursor.edge = best->edge_log.size();
   cursor.corpus = best->corpus.size();
-  cursor.focus.clear();
 
   Frame frame;
   frame.type = MsgType::kLeaseGrant;
@@ -413,20 +411,6 @@ void Orchestrator::AdmitBugsLocked(CampaignState* campaign,
     }
     campaign->bugs.push_back(bug);
   }
-}
-
-std::vector<uint64_t> Orchestrator::PeerFocusLocked(const CampaignState& campaign,
-                                                    uint32_t worker) const {
-  std::vector<uint64_t> focus;
-  for (const auto& [peer, cursor] : campaign.cursors) {
-    if (peer == worker) {
-      continue;
-    }
-    focus.insert(focus.end(), cursor.focus.begin(), cursor.focus.end());
-  }
-  std::sort(focus.begin(), focus.end());
-  focus.erase(std::unique(focus.begin(), focus.end()), focus.end());
-  return focus;
 }
 
 SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
@@ -498,8 +482,6 @@ SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
   }
   cursor.edge = campaign->edge_log.size();
   cursor.corpus = campaign->corpus.size();
-  cursor.focus = msg.focus;
-  ack.focus = PeerFocusLocked(*campaign, msg.worker_id);
   ack.campaign_done = CampaignDoneLocked(*campaign) ? 1 : 0;
 
   worker_it->second.execs_live = sync_execs;

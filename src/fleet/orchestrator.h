@@ -135,11 +135,10 @@ class Orchestrator {
   };
 
   // What this worker has already been told (grant or ack): positions into the
-  // campaign's append-only edge log and corpus store, plus its last focus list.
+  // campaign's append-only edge log and corpus store.
   struct WorkerCursor {
     size_t edge = 0;
     size_t corpus = 0;
-    std::vector<uint64_t> focus;
   };
 
   struct CampaignState {
@@ -206,8 +205,6 @@ class Orchestrator {
   void AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
                          const std::vector<CorpusEntryWire>& entries);
   void AdmitBugsLocked(CampaignState* campaign, const std::vector<BugWire>& bugs);
-  std::vector<uint64_t> PeerFocusLocked(const CampaignState& campaign,
-                                        uint32_t worker) const;
   uint64_t FrontierLocked(const CampaignState& campaign) const;
   // The campaign's merged result so far, minus corpus_programs.
   CampaignResult MergedResultLocked(const CampaignState& campaign) const;

@@ -226,7 +226,6 @@ std::vector<uint8_t> Encode(const LeaseGrantMsg& msg) {
   }
   PutBlob(&writer, msg.coverage);
   PutCorpus(&writer, msg.corpus);
-  PutU64List(&writer, msg.focus);
   return writer.TakeBytes();
 }
 
@@ -244,7 +243,6 @@ Result<LeaseGrantMsg> DecodeLeaseGrant(const std::vector<uint8_t>& payload) {
   }
   msg.coverage = reader.GetLengthPrefixed();
   msg.corpus = GetCorpus(&reader);
-  msg.focus = GetU64List(&reader);
   return Finish("LeaseGrant", reader, std::move(msg));
 }
 
@@ -326,7 +324,6 @@ std::vector<uint8_t> Encode(const SyncMsg& msg) {
   for (const BugWire& bug : msg.bugs) {
     PutBug(&writer, bug);
   }
-  PutU64List(&writer, msg.focus);
   writer.PutU64(msg.journal_dropped);
   return writer.TakeBytes();
 }
@@ -353,7 +350,6 @@ Result<SyncMsg> DecodeSync(const std::vector<uint8_t>& payload) {
   for (uint32_t i = 0; i < bug_count && !reader.failed(); ++i) {
     msg.bugs.push_back(GetBug(&reader));
   }
-  msg.focus = GetU64List(&reader);
   msg.journal_dropped = reader.GetU64();
   return Finish("Sync", reader, std::move(msg));
 }
@@ -364,7 +360,6 @@ std::vector<uint8_t> Encode(const SyncAckMsg& msg) {
   writer.PutU8(msg.campaign_done);
   PutBlob(&writer, msg.coverage_delta);
   PutCorpus(&writer, msg.corpus);
-  PutU64List(&writer, msg.focus);
   PutU64List(&writer, msg.revoked);
   return writer.TakeBytes();
 }
@@ -376,7 +371,6 @@ Result<SyncAckMsg> DecodeSyncAck(const std::vector<uint8_t>& payload) {
   msg.campaign_done = reader.GetU8();
   msg.coverage_delta = reader.GetLengthPrefixed();
   msg.corpus = GetCorpus(&reader);
-  msg.focus = GetU64List(&reader);
   msg.revoked = GetU64List(&reader);
   return Finish("SyncAck", reader, std::move(msg));
 }

@@ -33,7 +33,7 @@ namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 3;
+inline constexpr uint16_t kProtoVersion = 4;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -123,7 +123,6 @@ struct LeaseGrantMsg {
   // Orchestrator's merged campaign state at grant time: the rejoin resync.
   std::vector<uint8_t> coverage;        // full coverage snapshot blob
   std::vector<CorpusEntryWire> corpus;  // merged corpus (without seed programs)
-  std::vector<uint64_t> focus;          // frontier focus spec indices
 };
 
 struct NoWorkMsg {
@@ -168,7 +167,6 @@ struct SyncMsg {
   std::vector<uint8_t> coverage_delta;  // diff blob since the last Sync
   std::vector<CorpusEntryWire> corpus;  // newly admitted programs
   std::vector<BugWire> bugs;            // newly confirmed bugs
-  std::vector<uint64_t> focus;          // worker's current focus specs
   uint64_t journal_dropped = 0;  // this worker's sink drop count so far
 };
 
@@ -177,7 +175,6 @@ struct SyncAckMsg {
   uint8_t campaign_done = 0;  // campaign finished elsewhere, stop fuzzing it
   std::vector<uint8_t> coverage_delta;  // global news for this worker
   std::vector<CorpusEntryWire> corpus;  // programs from other workers
-  std::vector<uint64_t> focus;          // other workers' focus union
   std::vector<uint64_t> revoked;        // lease ids no longer held (reclaimed)
 };
 
@@ -294,7 +291,7 @@ enum ConfigFlag : uint32_t {
   // 1u << 7 was the legacy-link selector: retired, do not reuse (a mixed-version
   // fleet would read it with its old meaning).
   kFlagOverlappedDrain = 1u << 8,
-  kFlagDirected = 1u << 9,
+  // 1u << 9 was the directed-scheduling switch: retired, do not reuse.
   kFlagTrim = 1u << 10,
 };
 

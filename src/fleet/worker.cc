@@ -39,10 +39,6 @@ std::vector<CorpusEntryWire> ToCorpusWire(
   return entries;
 }
 
-std::vector<uint64_t> FocusToWire(const std::vector<size_t>& focus) {
-  return std::vector<uint64_t>(focus.begin(), focus.end());
-}
-
 }  // namespace
 
 FleetWorker::FleetWorker(Options options) : options_(std::move(options)) {}
@@ -157,12 +153,11 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   scheduler.SeedCorpus(config.seed_programs);
 
   // Resync from the grant: the orchestrator's merged campaign state. On a cold
-  // single-worker campaign all three are empty and these are no-ops.
+  // single-worker campaign both are empty and these are no-ops.
   if (!grant.coverage.empty()) {
     RETURN_IF_ERROR(scheduler.MergeRemoteCoverage(grant.coverage).status());
   }
   scheduler.AdmitRemotePrograms(ToCorpusPairs(grant.corpus));
-  scheduler.MergeRemoteFocus(grant.focus);
   // Upload cursors start after the seeded + granted corpus: only locally
   // discovered programs travel upstream.
   std::vector<std::pair<std::string, uint64_t>> scratch;
@@ -201,7 +196,6 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
       (void)scheduler.MergeRemoteCoverage(ack.coverage_delta);
     }
     scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
-    scheduler.MergeRemoteFocus(ack.focus);
     return false;
   };
 
@@ -312,7 +306,6 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
     for (const BugReport& bug : fresh_bugs) {
       sync.bugs.push_back(ToWireBug(bug));
     }
-    sync.focus = FocusToWire(scheduler.FocusSpecs());
     sync.journal_dropped = sink() != nullptr ? sink()->dropped() : 0;
 
     pump_status = transport->Send({MsgType::kSync, Encode(sync)});
@@ -338,7 +331,6 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
             // Peer programs re-export upstream on the next sync; the
             // orchestrator's content hash dedups them, so no cursor surgery.
             scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
-            scheduler.MergeRemoteFocus(ack.focus);
             for (uint64_t lease_id : ack.revoked) {
               for (size_t i = 0; i < grant.leases.size(); ++i) {
                 if (grant.leases[i].lease_id == lease_id) {

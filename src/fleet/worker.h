@@ -5,7 +5,7 @@
 //   repeat:
 //     LeaseRequest -> LeaseGrant | NoWork(backoff / campaign_done)
 //     RunBatch: a fresh CampaignScheduler seeded from the grant's coverage
-//       snapshot + merged corpus + peer focus, one BoardFarm session per lease
+//       snapshot + merged corpus, one BoardFarm session per lease
 //       (seeded by the campaign-global shard label, FarmWorkerSeed rule); a
 //       sync pump heartbeats Sync/SyncAck every heartbeat interval, renewing
 //       leases, uploading coverage diffs / new corpus / new bugs, and folding

@@ -12,7 +12,6 @@ constexpr uint64_t kBaseWeight = 10;
 constexpr uint64_t kCovCreditBoost = 40;
 constexpr uint64_t kCovCreditCap = 400;
 constexpr uint64_t kAdjacencyBoost = 30;
-constexpr uint64_t kFocusBoost = 60;
 constexpr int kMaxProducerDepth = 3;
 
 }  // namespace
@@ -47,7 +46,6 @@ Generator::Generator(const spec::CompiledSpecs& specs, GeneratorOptions options,
   EOF_CHECK(!eligible_.empty()) << "no eligible calls under the generator options";
   weights_.assign(eligible_.size(), kBaseWeight);
   cov_credit_.assign(eligible_.size(), 0);
-  focus_boost_.assign(eligible_.size(), 0);
 }
 
 uint64_t Generator::BufferCap(const ArgSpec& arg) const {
@@ -192,7 +190,7 @@ size_t Generator::PickSpec(const Program& program) {
     last_produced = specs_.calls[program.calls.back().spec_index].produces;
   }
   for (size_t slot = 0; slot < eligible_.size(); ++slot) {
-    uint64_t weight = weights_[slot] + cov_credit_[slot] + focus_boost_[slot];
+    uint64_t weight = weights_[slot] + cov_credit_[slot];
     if (!last_produced.empty()) {
       for (const ArgSpec& arg : specs_.calls[eligible_[slot]].args) {
         if (arg.kind == ArgKind::kResource && arg.resource_kind == last_produced) {
@@ -407,19 +405,6 @@ Program Generator::Splice(const Program& a, const Program& b) {
     return Generate();
   }
   return program;
-}
-
-void Generator::SetFocus(const std::vector<size_t>& spec_indices) {
-  std::fill(focus_boost_.begin(), focus_boost_.end(), 0);
-  for (size_t spec_index : spec_indices) {
-    if (spec_index >= spec_to_slot_.size()) {
-      continue;
-    }
-    size_t slot = spec_to_slot_[spec_index];
-    if (slot != SIZE_MAX) {
-      focus_boost_[slot] = kFocusBoost;
-    }
-  }
 }
 
 void Generator::NotifyNewCoverage(const Program& program) {

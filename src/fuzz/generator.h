@@ -55,14 +55,6 @@ class Generator {
   // scoring.
   void NotifyNewCoverage(const Program& program);
 
-  // Directed mode: adds a flat selection boost to these spec indices (the calls the
-  // scheduler attributes frontier edges to) until the next SetFocus replaces it.
-  // An empty list clears the focus. Unknown / ineligible indices are ignored.
-  void SetFocus(const std::vector<size_t>& spec_indices);
-
-  // Indices (into specs) of calls eligible under the options.
-  const std::vector<size_t>& eligible() const { return eligible_; }
-
   Rng& rng() { return rng_; }
   const spec::CompiledSpecs& specs() const { return specs_; }
 
@@ -104,7 +96,6 @@ class Generator {
   std::vector<size_t> eligible_;
   std::vector<uint64_t> weights_;      // parallel to eligible_
   std::vector<uint64_t> cov_credit_;   // parallel to eligible_
-  std::vector<uint64_t> focus_boost_;  // parallel to eligible_; set by SetFocus
   std::vector<size_t> spec_to_slot_;   // specs index -> eligible slot (SIZE_MAX if not)
 };
 

@@ -328,8 +328,6 @@ CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
       report.crashes = row.Uint("crashes");
       report.corpus = row.Uint("corpus");
       snapshot_bugs = row.Uint("bugs");
-      report.directed_hits = row.Uint("directed_hits");
-      report.frontier = row.Uint("frontier");
       report.trim_removed_calls = row.Uint("trim_removed_calls");
       report.trim_kept_calls = row.Uint("trim_kept_calls");
       if (row.Uint("journal_dropped") > report.journal_dropped) {
@@ -592,12 +590,8 @@ std::string CampaignReport::RenderText() const {
     total_overlapped += b.overlapped_drains;
     total_saved_us += b.drain_overlap_saved_us;
   }
-  if (directed_hits > 0 || frontier > 0 || trim_removed_calls > 0 ||
-      trim_kept_calls > 0 || total_overlapped > 0) {
+  if (trim_removed_calls > 0 || trim_kept_calls > 0 || total_overlapped > 0) {
     out += "\n-- coverage attribution --\n";
-    out += StrFormat("  directed_hits=%llu frontier=%llu\n",
-                     static_cast<unsigned long long>(directed_hits),
-                     static_cast<unsigned long long>(frontier));
     uint64_t trim_total = trim_kept_calls + trim_removed_calls;
     out += StrFormat("  trim: kept=%llu removed=%llu (%.1f%% of attributed calls)\n",
                      static_cast<unsigned long long>(trim_kept_calls),
@@ -775,12 +769,9 @@ std::string CampaignReport::RenderJson() const {
     total_overlapped += b.overlapped_drains;
     total_saved_us += b.drain_overlap_saved_us;
   }
-  if (directed_hits > 0 || frontier > 0 || trim_removed_calls > 0 ||
-      trim_kept_calls > 0 || total_overlapped > 0) {
+  if (trim_removed_calls > 0 || trim_kept_calls > 0 || total_overlapped > 0) {
     out += ",\n\"attribution\":{";
     bool af = true;
-    AppendJsonUint(&out, "directed_hits", directed_hits, &af);
-    AppendJsonUint(&out, "frontier", frontier, &af);
     AppendJsonUint(&out, "trim_kept_calls", trim_kept_calls, &af);
     AppendJsonUint(&out, "trim_removed_calls", trim_removed_calls, &af);
     AppendJsonUint(&out, "overlapped_drains", total_overlapped, &af);

@@ -143,10 +143,8 @@ struct CampaignReport {
   uint64_t journal_dropped = 0;
   uint64_t crash_dumps = 0;  // crash_dump rows journaled (dumps >= deduped bugs)
 
-  // Per-call attribution stats (last farm_snapshot row; all zero for campaigns
-  // run without --directed/--trim or for pre-attribution journals).
-  uint64_t directed_hits = 0;       // fresh edges that were frontier targets
-  uint64_t frontier = 0;            // final frontier-table size
+  // Per-call attribution stats (last farm_snapshot row; both zero for campaigns
+  // run without --trim or for pre-attribution journals).
   uint64_t trim_removed_calls = 0;  // calls dropped by trim-on-add
   uint64_t trim_kept_calls = 0;     // calls kept by trim-on-add
 

@@ -24,10 +24,6 @@ void AppendCampaignColumns(const MetricsSnapshot& campaign, Event* event) {
   event->fields.push_back(EventField::Uint("bugs", campaign.CounterValue("campaign.bugs")));
   event->fields.push_back(
       EventField::Uint("bugs_rejected", campaign.CounterValue("campaign.bugs_rejected")));
-  event->fields.push_back(
-      EventField::Uint("directed_hits", campaign.CounterValue("campaign.directed_hits")));
-  event->fields.push_back(
-      EventField::Uint("frontier", campaign.GaugeValue("campaign.frontier")));
   event->fields.push_back(EventField::Uint(
       "trim_removed_calls", campaign.CounterValue("campaign.trim_removed_calls")));
   event->fields.push_back(EventField::Uint(

@@ -88,13 +88,15 @@ expect 2 $TOP --name w
 expect 2 list-targets --json
 expect 2 bugs --once
 expect 2 mine-specs zephyr --trim
-expect 2 repro zephyr 1 --directed
+expect 2 repro zephyr 1 --trim
+# --directed was deleted: it is an unknown flag everywhere.
+expect 2 $FUZZ --directed
+expect 2 $SERVE --directed
 
 # --- switches take no value ---
-expect 1 $FUZZ --directed --trim
-expect 2 $FUZZ --directed=1
+expect 1 $FUZZ --trim
 expect 2 $FUZZ --trim=
-expect 1 $SERVE --directed --trim
+expect 1 $SERVE --trim
 expect 2 $SERVE --trim=on
 expect 2 $REPORT --json=1
 expect 1 $REPORT --json

@@ -4,11 +4,11 @@
 // The overlapped drain is only admissible if it is indistinguishable from the
 // stop-and-drain baseline everywhere except the clock: same inputs, same
 // coverage, same corpus, same deduped bug table — at --jobs 1 and --jobs 4 —
-// while folding the drain's round trip into the next continue. Directed mode and
-// trim-on-add change scheduling on purpose, so for them the suite checks the
-// contract instead: attribution counters populate, trims never lose coverage
-// credit (the trimmed program is what was admitted), and `--directed=off
-// --trim=off` stays the deterministic default the rest of the suite pins.
+// while folding the drain's round trip into the next continue. Trim-on-add
+// changes the corpus on purpose, so for it the suite checks the contract
+// instead: the trim counters populate, trims never lose coverage credit (the
+// trimmed program is what was admitted), and `--trim=off` stays the
+// deterministic default the rest of the suite pins.
 
 #include <gtest/gtest.h>
 
@@ -130,17 +130,15 @@ TEST_F(AttributionDifferentialTest, OverlappedDrainMatchesPlainJobs4) {
   EXPECT_EQ(ids(*plain), ids(*overlapped));
 }
 
-TEST_F(AttributionDifferentialTest, DirectedTrimCampaignPopulatesAttribution) {
+TEST_F(AttributionDifferentialTest, TrimCampaignPopulatesAttribution) {
   FuzzerConfig config = CappedConfig(true, /*seed=*/23, /*max_execs=*/250);
-  config.directed = true;
   config.trim = true;
   auto result = EofFuzzer(config).Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  // Every fresh edge feeds the frontier table, so a campaign that found any
-  // coverage leaves a non-empty frontier behind and trims on every admission.
+  // Every admission runs the trimmer, so a campaign that found any coverage
+  // records the calls the fresh edges attributed to.
   EXPECT_GT(result->final_coverage, 0u);
-  EXPECT_GT(result->frontier, 0u);
   EXPECT_GT(result->trim_kept_calls, 0u);
   // Attribution granularity keeps at least the owner calls; what it removed is
   // bounded by what it saw.
@@ -149,15 +147,13 @@ TEST_F(AttributionDifferentialTest, DirectedTrimCampaignPopulatesAttribution) {
 }
 
 TEST_F(AttributionDifferentialTest, DefaultModeLeavesAttributionCountersZero) {
-  // The determinism contract's other half: with --directed=off --trim=off the
-  // attribution machinery observes (frontier bookkeeping is always on, so the
-  // frontier gauge and directed_hits tally still fill in) but never steers —
-  // generators get no focus boost and no trim ever runs.
+  // The determinism contract's other half: with --trim=off the scheduler still
+  // attributes fresh edges to calls (the fleet delta log needs them) but never
+  // trims an admission.
   auto result = EofFuzzer(CappedConfig(true, /*seed=*/23, /*max_execs=*/120)).Run();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->trim_kept_calls, 0u);
   EXPECT_EQ(result->trim_removed_calls, 0u);
-  EXPECT_GT(result->frontier, 0u);  // bookkeeping runs regardless
 }
 
 }  // namespace

@@ -122,8 +122,6 @@ void RunDifferential(const std::string& os_name, uint64_t seed,
   EXPECT_EQ(fleet_result.link.bytes_written, local_result.link.bytes_written);
   EXPECT_EQ(fleet_result.link.flash_bytes, local_result.link.flash_bytes);
   EXPECT_EQ(fleet_result.snapshot_bytes, local_result.snapshot_bytes);
-  EXPECT_EQ(fleet_result.directed_hits, local_result.directed_hits);
-  EXPECT_EQ(fleet_result.frontier, local_result.frontier);
   EXPECT_EQ(fleet_result.trim_removed_calls, local_result.trim_removed_calls);
   EXPECT_EQ(fleet_result.trim_kept_calls, local_result.trim_kept_calls);
   EXPECT_EQ(fleet_result.journal_dropped, local_result.journal_dropped);
@@ -164,11 +162,10 @@ TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessFreeRtos) {
   RunDifferential("freertos", 99);
 }
 
-TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessDirectedTrimSnapshot) {
-  // Directed, trimmed, snapshot-restored: the mode counters are non-zero here,
-  // so the comparison above pins every scalar, not just the always-on ones.
+TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessTrimSnapshot) {
+  // Trimmed, snapshot-restored: the mode counters are non-zero here, so the
+  // comparison above pins every scalar, not just the always-on ones.
   auto adjust = [](FuzzerConfig* config) {
-    config->directed = true;
     config->trim = true;
     config->restore_mode = RestoreMode::kSnapshot;
   };
@@ -180,19 +177,16 @@ TEST_F(FleetDifferentialTest, SingleWorkerMatchesInProcessDirectedTrimSnapshot) 
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   EXPECT_GT(local->snapshot_bytes, 0u);
   EXPECT_GT(local->link.warm_restores, 0u);
-  EXPECT_GT(local->directed_hits, 0u);
-  EXPECT_GT(local->frontier, 0u);
   EXPECT_GT(local->trim_kept_calls, 0u);
   EXPECT_GT(local->trim_removed_calls, 0u);
 }
 
 // The merged report of a one-worker fleet journal shows the same coverage
 // attribution as the in-process journal of the same config: the orchestrator's
-// farm rows carry the directed/frontier/trim columns from the merged finals,
+// farm rows carry the trim columns from the merged finals,
 // and an exec rate from the row's campaign execs.
 TEST_F(FleetDifferentialTest, FleetReportMatchesInProcessAttribution) {
   FuzzerConfig config = DiffConfig("zephyr", 3);
-  config.directed = true;
   config.trim = true;
   const std::string dir = ::testing::TempDir();
   const std::string local_journal = dir + "eof_fleet_attr_local.jsonl";
@@ -205,7 +199,7 @@ TEST_F(FleetDifferentialTest, FleetReportMatchesInProcessAttribution) {
   ASSERT_TRUE(local.ok()) << local.status().ToString();
   auto local_report = telemetry::LoadReportFromFile(local_journal);
   ASSERT_TRUE(local_report.ok()) << local_report.status().ToString();
-  ASSERT_GT(local_report->directed_hits + local_report->trim_kept_calls, 0u);
+  ASSERT_GT(local_report->trim_kept_calls, 0u);
 
   {
     Orchestrator::Options options;
@@ -233,8 +227,6 @@ TEST_F(FleetDifferentialTest, FleetReportMatchesInProcessAttribution) {
   auto fleet_report =
       telemetry::LoadMergedReportFromFiles({orch_journal, worker_journal});
   ASSERT_TRUE(fleet_report.ok()) << fleet_report.status().ToString();
-  EXPECT_EQ(fleet_report->directed_hits, local_report->directed_hits);
-  EXPECT_EQ(fleet_report->frontier, local_report->frontier);
   EXPECT_EQ(fleet_report->trim_kept_calls, local_report->trim_kept_calls);
   EXPECT_EQ(fleet_report->trim_removed_calls, local_report->trim_removed_calls);
 

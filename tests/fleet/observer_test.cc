@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/common/coverage_serial.h"
-#include "src/common/rng.h"
 #include "src/core/fuzzer.h"
 #include "src/fleet/observer.h"
 #include "src/fleet/orchestrator.h"
@@ -30,10 +29,10 @@
 #include "src/fleet/status_http.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/worker.h"
-#include "src/fuzz/byte_mutator.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/prometheus.h"
+#include "tests/fleet/decoder_harness.h"
 
 namespace eof {
 namespace fleet {
@@ -152,7 +151,7 @@ eof_fleet_sync_payload_bytes_bucket{le="4096"} 4
 eof_fleet_sync_payload_bytes_bucket{le="4194304"} 4
 eof_fleet_sync_payload_bytes_bucket{le="65536"} 4
 eof_fleet_sync_payload_bytes_count 4
-eof_fleet_sync_payload_bytes_sum 617
+eof_fleet_sync_payload_bytes_sum 601
 eof_fleet_worker_execs_total{worker="rack0/a",id="1"} 800
 eof_fleet_worker_execs_total{worker="rack1/b",id="2"} 1950
 eof_fleet_worker_journal_dropped_total{worker="rack0/a",id="1"} 2
@@ -308,28 +307,9 @@ TEST(StatusProtoTest, ReplyRejectsTruncationAndTrailingBytes) {
 }
 
 TEST(StatusProtoTest, ReplyDecoderSurvivesMutatedInput) {
-  // Decoder harness: havoc mutations of a golden reply with shards, bugs, and
-  // the metrics blob. Every input either decodes or returns an error (sanitizer
-  // builds abort on anything else), and whatever decodes re-encodes to bytes
-  // that decode and re-encode identically.
-  const std::vector<uint8_t> golden = Encode(FullReply());
-  fuzz::ByteMutator mutator(golden.size() * 2);
-  Rng rng(20261017);
-  size_t decoded = 0;
-  for (int i = 0; i < 100000; ++i) {
-    std::vector<uint8_t> input = mutator.Mutate(golden, rng);
-    Result<StatusReplyMsg> msg = DecodeStatusReply(input);
-    if (!msg.ok()) {
-      continue;
-    }
-    ++decoded;
-    std::vector<uint8_t> encoded = Encode(msg.value());
-    Result<StatusReplyMsg> again = DecodeStatusReply(encoded);
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    ASSERT_EQ(Encode(again.value()), encoded);
-  }
-  EXPECT_GT(decoded, 0u);
-  EXPECT_LT(decoded, 100000u);
+  // A golden reply with shards, bugs, and the metrics blob.
+  ExpectDecoderSurvivesHavoc(Encode(FullReply()), DecodeThenEncode(&DecodeStatusReply),
+                             20261017);
 }
 
 class ObserverTest : public ::testing::Test {

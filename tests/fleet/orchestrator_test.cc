@@ -318,7 +318,7 @@ TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
   uint32_t b_id = SayHello(client.get(), "b");
 
   auto send_final = [&](uint32_t worker_id, uint64_t execs, uint64_t crashes,
-                        uint64_t transactions, uint64_t trim_kept, uint64_t frontier) {
+                        uint64_t transactions, uint64_t trim_kept, uint64_t corpus) {
     WorkerFinalMsg final_msg;
     final_msg.worker_id = worker_id;
     final_msg.campaign_id = "c";
@@ -328,7 +328,7 @@ TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
                                   {"campaign.trim_kept_calls", trim_kept},
                                   {"exec.restores", crashes + 1},
                                   {"link.transactions", transactions}};
-    final_msg.metrics.gauges = {{"campaign.frontier", frontier}};
+    final_msg.metrics.gauges = {{"campaign.corpus", corpus}};
     ASSERT_TRUE(client->Send({MsgType::kWorkerFinal, Encode(final_msg)}).ok());
     auto ack = client->Recv(2000);
     ASSERT_TRUE(ack.ok());
@@ -354,7 +354,10 @@ TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
   EXPECT_EQ(merged.restores, 5u);
   EXPECT_EQ(merged.link.transactions, 120u);
   EXPECT_EQ(merged.trim_kept_calls, 8u);
-  EXPECT_EQ(merged.frontier, 11u);  // a level, not a sum
+  // Gauges are levels: two workers' corpus gauges neither sum nor stand for the
+  // campaign. A multi-worker result reports the merged store, empty here because
+  // no worker synced a program (MetricsSnapshotTest pins max-merging itself).
+  EXPECT_EQ(merged.corpus_size, 0u);
   EXPECT_EQ(results[0].workers_served, 2u);
   EXPECT_EQ(CountRows("worker_final"), 2u);
 }

@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "src/common/byteio.h"
-#include "src/common/rng.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
-#include "src/fuzz/byte_mutator.h"
+#include "tests/fleet/decoder_harness.h"
 
 namespace eof {
 namespace fleet {
@@ -79,7 +78,7 @@ TEST(ProtoTest, HandshakeMessagesRoundTrip) {
   EXPECT_EQ(ack2->lease_timeout_ms, 2000u);
 }
 
-TEST(ProtoTest, LeaseGrantRoundTrips) {
+LeaseGrantMsg GoldenGrant() {
   LeaseGrantMsg grant;
   grant.config.campaign_id = "night-run";
   grant.config.os_name = "zephyr";
@@ -87,14 +86,17 @@ TEST(ProtoTest, LeaseGrantRoundTrips) {
   grant.config.seed = 1234;
   grant.config.budget_us = 60'000'000;
   grant.config.total_shards = 8;
-  grant.config.flags = kFlagCoverageFeedback | kFlagDirected;
+  grant.config.flags = kFlagCoverageFeedback | kFlagTrim;
   grant.config.seed_programs = {"r0 = k_yield()", "r1 = k_msgq_put(r0, `00`)"};
   grant.leases.push_back({77, 3, 2});
   grant.leases.push_back({78, 5, 1});
   grant.coverage = {0xaa, 0xbb};
   grant.corpus.push_back({"r0 = k_yield()", 4});
-  grant.focus = {1, 9, 200};
+  return grant;
+}
 
+TEST(ProtoTest, LeaseGrantRoundTrips) {
+  LeaseGrantMsg grant = GoldenGrant();
   auto grant2 = DecodeLeaseGrant(Encode(grant));
   ASSERT_TRUE(grant2.ok());
   EXPECT_EQ(grant2->config.campaign_id, "night-run");
@@ -109,10 +111,9 @@ TEST(ProtoTest, LeaseGrantRoundTrips) {
   ASSERT_EQ(grant2->corpus.size(), 1u);
   EXPECT_EQ(grant2->corpus[0].text, "r0 = k_yield()");
   EXPECT_EQ(grant2->corpus[0].new_edges, 4u);
-  EXPECT_EQ(grant2->focus, grant.focus);
 }
 
-TEST(ProtoTest, SyncRoundTrips) {
+SyncMsg GoldenSync() {
   SyncMsg sync;
   sync.worker_id = 3;
   sync.campaign_id = "c";
@@ -127,9 +128,12 @@ TEST(ProtoTest, SyncRoundTrips) {
   bug.program_text = "r0 = k_yield()";
   bug.uart_tail = "line1\nline2";
   sync.bugs.push_back(bug);
-  sync.focus = {4, 5};
+  sync.journal_dropped = 2;
+  return sync;
+}
 
-  auto sync2 = DecodeSync(Encode(sync));
+TEST(ProtoTest, SyncRoundTrips) {
+  auto sync2 = DecodeSync(Encode(GoldenSync()));
   ASSERT_TRUE(sync2.ok());
   EXPECT_EQ(sync2->seq, 17u);
   ASSERT_EQ(sync2->shards.size(), 1u);
@@ -138,7 +142,29 @@ TEST(ProtoTest, SyncRoundTrips) {
   ASSERT_EQ(sync2->bugs.size(), 1u);
   EXPECT_EQ(sync2->bugs[0].catalog_id, 6u);
   EXPECT_EQ(sync2->bugs[0].uart_tail, "line1\nline2");
-  EXPECT_EQ(sync2->focus, sync.focus);
+  EXPECT_EQ(sync2->journal_dropped, 2u);
+}
+
+SyncAckMsg GoldenSyncAck() {
+  SyncAckMsg ack;
+  ack.campaign_done = 1;
+  ack.coverage_delta = {4, 5, 6, 7};
+  ack.corpus.push_back({"r0 = k_yield()", 3});
+  ack.corpus.push_back({"r0 = k_sem_give(0x1)", 1});
+  ack.revoked = {41, 42};
+  return ack;
+}
+
+TEST(ProtoTest, SyncAckRoundTrips) {
+  SyncAckMsg ack = GoldenSyncAck();
+  auto ack2 = DecodeSyncAck(Encode(ack));
+  ASSERT_TRUE(ack2.ok());
+  EXPECT_EQ(ack2->accepted, 1u);
+  EXPECT_EQ(ack2->campaign_done, 1u);
+  EXPECT_EQ(ack2->coverage_delta, ack.coverage_delta);
+  ASSERT_EQ(ack2->corpus.size(), 2u);
+  EXPECT_EQ(ack2->corpus[1].text, "r0 = k_sem_give(0x1)");
+  EXPECT_EQ(ack2->revoked, ack.revoked);
 }
 
 WorkerFinalMsg GoldenFinal() {
@@ -255,26 +281,23 @@ TEST(ProtoTest, WorkerFinalDecoderRejectsHostileInput) {
 }
 
 TEST(ProtoTest, WorkerFinalDecoderSurvivesMutatedInput) {
-  // Decoder harness: havoc mutations of a golden encoding. Every input either
-  // decodes or returns an error (sanitizer builds abort on anything else), and
-  // whatever decodes re-encodes to a message that decodes identically.
-  const std::vector<uint8_t> golden = Encode(GoldenFinal());
-  fuzz::ByteMutator mutator(golden.size() * 2);
-  Rng rng(20260514);
-  size_t decoded = 0;
-  for (int i = 0; i < 100000; ++i) {
-    std::vector<uint8_t> input = mutator.Mutate(golden, rng);
-    Result<WorkerFinalMsg> msg = DecodeWorkerFinal(input);
-    if (!msg.ok()) {
-      continue;
-    }
-    ++decoded;
-    Result<WorkerFinalMsg> again = DecodeWorkerFinal(Encode(msg.value()));
-    ASSERT_TRUE(again.ok()) << again.status().ToString();
-    ExpectSameFinal(again.value(), msg.value());
-  }
-  EXPECT_GT(decoded, 0u);
-  EXPECT_LT(decoded, 100000u);
+  ExpectDecoderSurvivesHavoc(Encode(GoldenFinal()), DecodeThenEncode(&DecodeWorkerFinal),
+                             20260514);
+}
+
+TEST(ProtoTest, LeaseGrantDecoderSurvivesMutatedInput) {
+  ExpectDecoderSurvivesHavoc(Encode(GoldenGrant()), DecodeThenEncode(&DecodeLeaseGrant),
+                             20261101);
+}
+
+TEST(ProtoTest, SyncDecoderSurvivesMutatedInput) {
+  ExpectDecoderSurvivesHavoc(Encode(GoldenSync()), DecodeThenEncode(&DecodeSync),
+                             20261102);
+}
+
+TEST(ProtoTest, SyncAckDecoderSurvivesMutatedInput) {
+  ExpectDecoderSurvivesHavoc(Encode(GoldenSyncAck()), DecodeThenEncode(&DecodeSyncAck),
+                             20261103);
 }
 
 TEST(ProtoTest, DecodersRejectTruncationAndTrailingBytes) {

@@ -173,39 +173,6 @@ TEST(GeneratorOptionsTest, BufferCapRespected) {
   }
 }
 
-TEST(GeneratorFocusTest, FocusBoostSkewsSelectionAndClears) {
-  const spec::CompiledSpecs& specs = SpecsFor("freertos");
-  GeneratorOptions options;
-  options.max_calls = 1;
-  Generator generator(specs, options, 42);
-  ASSERT_GE(generator.eligible().size(), 2u);
-  size_t focused = generator.eligible()[0];
-
-  // Only the final call of a max_calls=1 program is the weighted pick; earlier
-  // calls are producers EmitCall prepended, which the focus boost does not touch.
-  auto count_focused = [&](int rounds) {
-    int hits = 0;
-    for (int i = 0; i < rounds; ++i) {
-      Program program = generator.Generate();
-      if (!program.calls.empty() && program.calls.back().spec_index == focused) {
-        ++hits;
-      }
-    }
-    return hits;
-  };
-
-  int baseline = count_focused(400);
-  generator.SetFocus({focused});
-  int boosted = count_focused(400);
-  // kFocusBoost is 6x the base weight: the focused call must come up far more often.
-  EXPECT_GT(boosted, baseline * 2);
-  // Unknown indices are ignored, an empty focus clears the boost entirely.
-  generator.SetFocus({SIZE_MAX});
-  generator.SetFocus({});
-  int cleared = count_focused(400);
-  EXPECT_LT(cleared, boosted / 2);
-}
-
 // A program shaped like: c0 produces, c1 noise, c2 consumes c0, c3 noise, c4
 // consumes c2. Owner call 4 must pull in its full producer chain {0, 2, 4}.
 Program ChainProgram() {

@@ -88,15 +88,33 @@ TEST(ParseJournalTest, SkipsBlankLinesAndReportsTheFailingLineNumber) {
 }
 
 TEST(BuildReportTest, MissingBookendsAndDropsBecomeWarnings) {
-  auto rows = ParseJournal(R"({"type":"farm_snapshot","t_us":100,"campaign_coverage":5,)"
-                           R"("campaign_execs":10,"journal_dropped":3})");
-  ASSERT_TRUE(rows.ok());
+  // The second row is a farm_snapshot in the format journals had while directed
+  // scheduling existed: its retired directed_hits/frontier columns are ignored.
+  auto rows = ParseJournal(
+      R"({"type":"farm_snapshot","t_us":100,"campaign_coverage":5,)"
+      R"("campaign_execs":10,"journal_dropped":3})"
+      "\n"
+      R"({"type":"farm_snapshot","t_us":200,"boards":1,"execs":12,"execs_per_vsec":0.06,)"
+      R"("coverage":7,"campaign_coverage":7,"corpus":3,"campaign_execs":12,"crashes":0,)"
+      R"("bugs":0,"bugs_rejected":0,"directed_hits":6,"frontier":443,)"
+      R"("trim_removed_calls":4,"trim_kept_calls":9,"journal_dropped":3})");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   CampaignReport report = BuildReport(rows.value());
-  EXPECT_EQ(report.final_coverage, 5u);
-  EXPECT_EQ(report.final_execs, 10u);
+  EXPECT_EQ(report.final_coverage, 7u);
+  EXPECT_EQ(report.final_execs, 12u);
+  EXPECT_EQ(report.trim_removed_calls, 4u);
+  EXPECT_EQ(report.trim_kept_calls, 9u);
   EXPECT_EQ(report.journal_dropped, 3u);
   ASSERT_EQ(report.warnings.size(), 3u);  // no start, no end, dropped rows
-  EXPECT_NE(report.RenderText().find("WARNING"), std::string::npos);
+  std::string text = report.RenderText();
+  std::string json = report.RenderJson();
+  EXPECT_NE(text.find("WARNING"), std::string::npos);
+  EXPECT_NE(text.find("trim: kept=9 removed=4"), std::string::npos);
+  EXPECT_NE(json.find("\"trim_kept_calls\":9"), std::string::npos);
+  for (const std::string& rendered : {text, json}) {
+    EXPECT_EQ(rendered.find("directed_hits"), std::string::npos);
+    EXPECT_EQ(rendered.find("frontier"), std::string::npos);
+  }
 }
 
 TEST(BuildReportTest, DedupRowsCreditTheFirstSightingOfTheCatalogId) {

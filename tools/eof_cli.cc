@@ -52,7 +52,7 @@ int Usage() {
           "  eof list-targets\n"
           "  eof mine-specs <os>\n"
           "  eof fuzz <os> [minutes=60] [seed=1] [board=default] [--jobs N]\n"
-          "           [--restore-mode reflash|snapshot] [--directed] [--trim]\n"
+          "           [--restore-mode reflash|snapshot] [--trim]\n"
           "           [--overlapped-drain on|off]\n"
           "           [--metrics-out FILE.jsonl] [--metrics-interval SECONDS]\n"
           "  eof report <journal.jsonl|dir>... [--journal FILE]... [--json]\n"
@@ -60,7 +60,7 @@ int Usage() {
           "  eof serve <os> [minutes=60] [seed=1] [board=default] [--port N]\n"
           "           [--shards N] [--pool N] [--priority N] [--campaign-id ID]\n"
           "           [--heartbeat-interval MS] [--lease-timeout MS]\n"
-          "           [--restore-mode reflash|snapshot] [--directed] [--trim]\n"
+          "           [--restore-mode reflash|snapshot] [--trim]\n"
           "           [--metrics-out FILE.jsonl] [--metrics-interval SECONDS]\n"
           "           [--status-port N] [--journal-rotate-mb N]\n"
           "  eof worker --connect HOST:PORT [--boards N] [--name S]\n"
@@ -117,7 +117,6 @@ struct Flags {
   std::string restore_mode = "reflash";
   std::string metrics_out;
   uint64_t metrics_interval_s = 0;  // 0 = keep the FuzzerConfig default
-  bool directed = false;
   bool trim = false;
   std::string overlapped_drain = "on";
   bool json = false;
@@ -151,7 +150,6 @@ FuzzerConfig CampaignConfig(const std::string& os_name, uint64_t minutes, uint64
   config.sample_points = 12;
   config.restore_mode =
       flags.restore_mode == "snapshot" ? RestoreMode::kSnapshot : RestoreMode::kReflash;
-  config.directed = flags.directed;
   config.trim = flags.trim;
   config.overlapped_drain = flags.overlapped_drain == "on";
   if (flags.metrics_interval_s > 0) {
@@ -192,11 +190,6 @@ int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
            static_cast<unsigned long long>(campaign.snapshot_restores),
            static_cast<unsigned long long>(campaign.snapshot_bytes),
            static_cast<unsigned long long>(campaign.bugs_rejected));
-  }
-  if (config.directed) {
-    printf("directed_hits=%llu frontier=%llu\n",
-           static_cast<unsigned long long>(campaign.directed_hits),
-           static_cast<unsigned long long>(campaign.frontier));
   }
   if (config.trim) {
     printf("trim_kept_calls=%llu trim_removed_calls=%llu\n",
@@ -612,7 +605,6 @@ std::vector<FlagSpec> FlagTable(Flags* f) {
       {"--restore-mode", campaign, &f->restore_mode, "", {"reflash", "snapshot"}},
       {"--metrics-out", {"fuzz", "serve", "worker"}, &f->metrics_out, "a file path"},
       {"--metrics-interval", campaign, &f->metrics_interval_s, "virtual seconds", {}, 1},
-      {"--directed", campaign, &f->directed},
       {"--trim", campaign, &f->trim},
       {"--overlapped-drain", {"fuzz"}, &f->overlapped_drain, "", {"on", "off"}},
       {"--json", {"report"}, &f->json},
