@@ -1,7 +1,9 @@
 // SanCov-style coverage instrumentation for the simulated kernels (§4.5.1).
 //
 // Kernel code marks branch sites with EOF_COV(ctx); each site gets a stable 64-bit ID from
-// (module, file, line). When the image was built with instrumentation covering the site's
+// (module, file basename, line). The basename (__FILE_NAME__), not the path, so IDs and
+// every campaign result do not depend on the checkout directory; no two instrumented
+// .cc files may share a basename (tests/kernel/cov_basename_test.sh). When the image was built with instrumentation covering the site's
 // module, the hook burns extra cycles (the inserted callback) and appends the site's
 // synthetic basic-block address to a coverage ring in target RAM, which the host drains
 // over the debug port. When the ring fills, the agent pauses at _kcmp_buf_full so the host
@@ -24,7 +26,7 @@ struct EdgeSite {
   const char* module;
   const char* file;
   int line;
-  uint64_t id;  // stable across runs: hash of (module, file, line)
+  uint64_t id;  // stable across runs and checkouts: hash of (module, file basename, line)
 };
 
 constexpr EdgeSite MakeEdgeSite(const char* module, const char* file, int line) {
@@ -67,7 +69,7 @@ constexpr uint64_t CovSizeClass(uint64_t value) {
 #define EOF_COV(ctx)                                                                     \
   do {                                                                                   \
     static constexpr ::eof::EdgeSite eof_cov_site =                                      \
-        ::eof::MakeEdgeSite(kCovModule, __FILE__, __LINE__);                             \
+        ::eof::MakeEdgeSite(kCovModule, __FILE_NAME__, __LINE__);                        \
     (ctx).Cov(eof_cov_site);                                                             \
   } while (false)
 
@@ -75,7 +77,7 @@ constexpr uint64_t CovSizeClass(uint64_t value) {
 #define EOF_COV_BUCKET(ctx, bucket)                                                      \
   do {                                                                                   \
     static constexpr ::eof::EdgeSite eof_cov_site =                                      \
-        ::eof::MakeEdgeSite(kCovModule, __FILE__, __LINE__);                             \
+        ::eof::MakeEdgeSite(kCovModule, __FILE_NAME__, __LINE__);                        \
     (ctx).CovBucket(eof_cov_site, static_cast<uint64_t>(bucket));                        \
   } while (false)
 
