@@ -170,9 +170,9 @@ void BM_BuildImage(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildImage)->Unit(benchmark::kMillisecond);
 
-// The rtthread kernel payload, the largest part of BM_BuildImage: drawing it with its
-// FNV-1a CRC folded in, and the boot ROM's full parse of it (which image builds skip;
-// boots run it only on stored bytes that differ from the payload).
+// The rtthread kernel payload, the largest part of BM_BuildImage: drawing it a word at a
+// time and taking its word-wide CRC, and the boot ROM's full parse of it (which image
+// builds skip; boots run it only on stored bytes that differ from the payload).
 const std::vector<uint8_t>& RtthreadKernelPayload() {
   static const std::vector<uint8_t>* payload = [] {
     (void)RegisterAllOses();

@@ -1,11 +1,12 @@
-// FNV-1a hashing used for coverage-edge identifiers and payload CRCs, plus the word-wide
-// ChecksumBytes for flash and RAM content checksums. Edge IDs must be
+// FNV-1a hashing used for coverage-edge identifiers, plus the word-wide ChecksumBytes for
+// payload CRCs and flash and RAM content checksums. Edge IDs must be
 // stable across runs (corpus entries reference them), so we use a fixed, well-known hash
 // rather than std::hash, whose value is implementation-defined.
 
 #ifndef SRC_COMMON_HASH_H_
 #define SRC_COMMON_HASH_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -39,9 +40,14 @@ constexpr uint64_t Fnv1aBytes(const uint8_t* data, size_t size,
 // each take every fourth 8-byte word through an xxHash64-style round, so the loop is not
 // one serial multiply per byte as Fnv1aBytes is. Every round and every fold below is a
 // bijection of the word or lane it takes, so two windows of one length that differ in a
-// single 8-byte word (any one-byte flip, say) always checksum differently. Words load in
-// host byte order: the value is only ever compared with another ChecksumBytes taken in
-// the same process, and never lands in image bytes, journals or results.
+// single 8-byte word (any one-byte flip, say) always checksum differently.
+//
+// Byte order: words load in host byte order, and the value lands in image bytes (every
+// payload header's CRC). So the host must be little-endian; then a word is its 8 bytes
+// read little-endian and the checksum is the same on every host. Target RAM relies on
+// the same: it holds words little-endian, and the board copies host words in and out.
+static_assert(std::endian::native == std::endian::little);
+
 inline uint64_t ChecksumBytes(const uint8_t* data, size_t size) {
   constexpr uint64_t kMulA = 0x9e3779b185ebca87ULL;
   constexpr uint64_t kMulB = 0xc2b2ae3d27d4eb4fULL;

@@ -19,10 +19,6 @@ constexpr uint64_t kPcWindowWords = 1024;
 // How many core cycles an idle/frozen Continue() burns before returning to the host.
 constexpr uint64_t kFrozenQuantumCycles = 100000;
 
-// Target RAM holds words little-endian and the word accessors copy host words in and
-// out of it, so the host must be little-endian too.
-static_assert(std::endian::native == std::endian::little);
-
 }  // namespace
 
 const char* PowerStateName(PowerState state) {

@@ -18,26 +18,26 @@ constexpr size_t kPayloadHeaderBytes = 16;  // [magic u32 | len u32 | crc u64]
 
 std::vector<uint8_t> FirmwareImage::MakePayload(const std::string& name, uint64_t seed,
                                                 uint64_t body_bytes) {
-  // One pass: draw the body in place, folding its FNV-1a CRC into the same loop, then
-  // write the header in front. Draws stage through a local block because stores through
-  // the payload's uint8_t* may alias the RNG state and would pin it in memory.
+  // The body is whole little-endian Rng::Next() words, the last one cut short, drawn in
+  // place; the header in front carries the body's ChecksumBytes. Draws stage through a
+  // local block because stores through the payload's uint8_t* may alias the RNG state and
+  // would pin it in memory. The last block may draw words past the body; the RNG is local.
   std::vector<uint8_t> payload(kPayloadHeaderBytes + body_bytes);
+  uint8_t* body = payload.data() + kPayloadHeaderBytes;
   Rng rng(Fnv1a(name, seed));
-  uint64_t crc = kFnvOffsetBasis;
-  uint8_t block[256];
+  uint64_t block[32];
   for (uint64_t done = 0; done < body_bytes;) {
-    const size_t n = static_cast<size_t>(std::min<uint64_t>(sizeof block, body_bytes - done));
-    for (size_t i = 0; i < n; ++i) {
-      block[i] = static_cast<uint8_t>(rng.Next());
-      crc = (crc ^ block[i]) * kFnvPrime;
+    for (uint64_t& word : block) {
+      word = rng.Next();
     }
-    std::memcpy(payload.data() + kPayloadHeaderBytes + done, block, n);
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(sizeof block, body_bytes - done));
+    std::memcpy(body + done, block, n);
     done += n;
   }
   ByteWriter header;
   header.PutU32(kPayloadMagic);
   header.PutU32(static_cast<uint32_t>(body_bytes));
-  header.PutU64(crc);
+  header.PutU64(ChecksumBytes(body, body_bytes));
   std::copy(header.bytes().begin(), header.bytes().end(), payload.begin());
   return payload;
 }
@@ -53,7 +53,7 @@ Status FirmwareImage::VerifyPayload(const uint8_t* data, size_t size) {
   if (len > reader.remaining()) {
     return DataLossError("truncated payload body");
   }
-  if (Fnv1aBytes(data + reader.position(), len) != crc) {
+  if (ChecksumBytes(data + reader.position(), len) != crc) {
     return DataLossError("payload checksum mismatch");
   }
   return OkStatus();

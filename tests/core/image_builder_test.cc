@@ -101,8 +101,9 @@ TEST(ImageBuilderGatingTest, AppFilteredInstrumentationIsSmaller) {
 
 // Image bytes are pinned: payload generation feeds the boot-ROM check, the flash
 // checksums and (through freertos esp_partition_read) program behaviour, so a faster
-// build must produce every payload byte it produced before. Each partition pins the
-// payload size, Fnv1aBytes over the whole payload, and the boot ROM's verdict on it.
+// build must produce every payload byte it produced before, and a change to the payload
+// format must move these goldens on purpose. Each partition pins the payload size,
+// Fnv1aBytes over the whole payload, and the boot ROM's verdict on it.
 TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
   ASSERT_TRUE(RegisterAllOses().ok());
   struct PartitionGolden {
@@ -117,65 +118,65 @@ TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
   };
   const Golden kGolden[] = {
       {"zephyr", 1,
-       {{49168, 0xfd13c39ed5e806d2ULL, true},
-        {272, 0x945c588dd521188bULL, true},
-        {920944, 0x4fef68f9edfb43e8ULL, true}}},
+       {{49168, 0xf6853affd0208566ULL, true},
+        {272, 0x4d094a9e31ee7731ULL, true},
+        {920944, 0x9ac180fd56f7dcf1ULL, true}}},
       {"zephyr", 7,
-       {{49168, 0x4abd8fdd7bd822e0ULL, true},
-        {272, 0x7c8b6ab3e22855e9ULL, true},
-        {920944, 0xcb93193733f3a3f9ULL, true}}},
+       {{49168, 0x1b76fb1fd9aeddc9ULL, true},
+        {272, 0x411c38b60e3ebcb2ULL, true},
+        {920944, 0xedcda59ec3f74566ULL, true}}},
       {"zephyr", 3007,
-       {{49168, 0x0a98e5cef55b60d9ULL, true},
-        {272, 0xe9465842b4a4d065ULL, true},
-        {920944, 0xd6a906fc78c9657bULL, true}}},
+       {{49168, 0x43c58506718ea325ULL, true},
+        {272, 0x450da8d62300ebf7ULL, true},
+        {920944, 0x6e5fdcae7ff21077ULL, true}}},
       {"rtthread", 1,
-       {{49168, 0xfd13c39ed5e806d2ULL, true},
-        {272, 0x945c588dd521188bULL, true},
-        {2774336, 0x890ec129bca326abULL, true}}},
+       {{49168, 0xf6853affd0208566ULL, true},
+        {272, 0x4d094a9e31ee7731ULL, true},
+        {2774336, 0x14b2085172d25f8dULL, true}}},
       {"rtthread", 7,
-       {{49168, 0x4abd8fdd7bd822e0ULL, true},
-        {272, 0x7c8b6ab3e22855e9ULL, true},
-        {2774336, 0xa721eb01587c2e5dULL, true}}},
+       {{49168, 0x1b76fb1fd9aeddc9ULL, true},
+        {272, 0x411c38b60e3ebcb2ULL, true},
+        {2774336, 0x12744bacf8e7ed25ULL, true}}},
       {"rtthread", 3007,
-       {{49168, 0x0a98e5cef55b60d9ULL, true},
-        {272, 0xe9465842b4a4d065ULL, true},
-        {2774336, 0xe7100b6d38fb4a85ULL, true}}},
+       {{49168, 0x43c58506718ea325ULL, true},
+        {272, 0x450da8d62300ebf7ULL, true},
+        {2774336, 0x33dd540e69541269ULL, true}}},
       {"freertos", 1,
-       {{49168, 0xfd13c39ed5e806d2ULL, true},
-        {272, 0x945c588dd521188bULL, true},
-        {3015216, 0x4982f7647e0d7bc3ULL, true}}},
+       {{49168, 0xf6853affd0208566ULL, true},
+        {272, 0x4d094a9e31ee7731ULL, true},
+        {3015216, 0x81f39b9519f8735cULL, true}}},
       {"freertos", 7,
-       {{49168, 0x4abd8fdd7bd822e0ULL, true},
-        {272, 0x7c8b6ab3e22855e9ULL, true},
-        {3015216, 0xfa6902088fecd2a0ULL, true}}},
+       {{49168, 0x1b76fb1fd9aeddc9ULL, true},
+        {272, 0x411c38b60e3ebcb2ULL, true},
+        {3015216, 0x330ec264ec9e3689ULL, true}}},
       {"freertos", 3007,
-       {{49168, 0x0a98e5cef55b60d9ULL, true},
-        {272, 0xe9465842b4a4d065ULL, true},
-        {3015216, 0xe8503a4f874cb080ULL, true}}},
+       {{49168, 0x43c58506718ea325ULL, true},
+        {272, 0x450da8d62300ebf7ULL, true},
+        {3015216, 0xa2688f2bc4427abaULL, true}}},
       {"nuttx", 1,
-       {{49168, 0xfd13c39ed5e806d2ULL, true},
-        {272, 0x945c588dd521188bULL, true},
-        {3686376, 0x97494590794ba569ULL, true}}},
+       {{49168, 0xf6853affd0208566ULL, true},
+        {272, 0x4d094a9e31ee7731ULL, true},
+        {3686376, 0x35435f901b56f31dULL, true}}},
       {"nuttx", 7,
-       {{49168, 0x4abd8fdd7bd822e0ULL, true},
-        {272, 0x7c8b6ab3e22855e9ULL, true},
-        {3686376, 0x15702d1202fbede9ULL, true}}},
+       {{49168, 0x1b76fb1fd9aeddc9ULL, true},
+        {272, 0x411c38b60e3ebcb2ULL, true},
+        {3686376, 0xf514d700def0f902ULL, true}}},
       {"nuttx", 3007,
-       {{49168, 0x0a98e5cef55b60d9ULL, true},
-        {272, 0xe9465842b4a4d065ULL, true},
-        {3686376, 0x034e347af10d1a3aULL, true}}},
+       {{49168, 0x43c58506718ea325ULL, true},
+        {272, 0x450da8d62300ebf7ULL, true},
+        {3686376, 0xecd1340d572f9764ULL, true}}},
       {"pokos", 1,
-       {{49168, 0xfd13c39ed5e806d2ULL, true},
-        {272, 0x945c588dd521188bULL, true},
-        {1527216, 0xa303b317a8bd1ceaULL, true}}},
+       {{49168, 0xf6853affd0208566ULL, true},
+        {272, 0x4d094a9e31ee7731ULL, true},
+        {1527216, 0xd68121eb2332d000ULL, true}}},
       {"pokos", 7,
-       {{49168, 0x4abd8fdd7bd822e0ULL, true},
-        {272, 0x7c8b6ab3e22855e9ULL, true},
-        {1527216, 0xecf4e38171e48dc7ULL, true}}},
+       {{49168, 0x1b76fb1fd9aeddc9ULL, true},
+        {272, 0x411c38b60e3ebcb2ULL, true},
+        {1527216, 0x8b28a90b74059232ULL, true}}},
       {"pokos", 3007,
-       {{49168, 0x0a98e5cef55b60d9ULL, true},
-        {272, 0xe9465842b4a4d065ULL, true},
-        {1527216, 0x715c2262751d7e1aULL, true}}},
+       {{49168, 0x43c58506718ea325ULL, true},
+        {272, 0x450da8d62300ebf7ULL, true},
+        {1527216, 0x67662862d7ba2345ULL, true}}},
   };
   for (const Golden& golden : kGolden) {
     ImageBuildOptions options;

@@ -190,7 +190,7 @@ Status CopyThenVerify(const FirmwareImage& image, const Flash& flash) {
     }
     std::vector<uint8_t> body(len);
     reader.GetBytes(body.data(), body.size());
-    if (reader.failed() || Fnv1aBytes(body.data(), body.size()) != crc) {
+    if (reader.failed() || ChecksumBytes(body.data(), body.size()) != crc) {
       return DataLossError("payload checksum mismatch");
     }
     return OkStatus();
