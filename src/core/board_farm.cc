@@ -28,8 +28,7 @@ Result<FarmSession> MakeFarmSession(const FuzzerConfig& config,
   gen.use_extended = config.use_extended_specs;
   session.generator = std::make_unique<fuzz::Generator>(plan.specs, gen, seed);
   session.rng = std::make_unique<Rng>(seed ^ 0x5eedf00dULL);
-  ExecutorOptions executor_options =
-      MakeExecutorOptions(config, seed, plan.exception_symbol);
+  ExecutorOptions executor_options = MakeExecutorOptions(config, plan, seed);
   executor_options.deploy.telemetry = board;
   ASSIGN_OR_RETURN(session.executor,
                    TargetExecutor::Create(executor_options, session.rng.get()));

@@ -1,7 +1,5 @@
 #include "src/core/fuzzer.h"
 
-#include <mutex>
-
 #include "src/core/board_farm.h"
 #include "src/core/replay.h"
 #include "src/kernel/os.h"
@@ -19,16 +17,15 @@ Result<CampaignPlan> PrepareCampaign(const FuzzerConfig& config) {
   ASSIGN_OR_RETURN(spec::MinedSpecs mined,
                    spec::MineValidatedSpecs(scratch_os->registry(), miner));
   plan.specs = std::move(mined.specs);
+  ASSIGN_OR_RETURN(plan.image,
+                   Deployment::BuildImageFor(ColdBootDeployOptions(config, plan, config.seed)));
   return plan;
 }
 
-ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
-                                    const std::string& exception_symbol) {
+ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, const CampaignPlan& plan,
+                                    uint64_t seed) {
   ExecutorOptions options;
-  options.deploy.os_name = config.os_name;
-  options.deploy.board_name = config.board_name;
-  options.deploy.instrumentation = config.instrumentation;
-  options.deploy.seed = seed;
+  options.deploy = ColdBootDeployOptions(config, plan, seed);
   options.restore_mode = config.restore_mode;
   options.coverage_feedback = config.coverage_feedback;
   options.log_monitor = config.log_monitor;
@@ -38,31 +35,24 @@ ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
   options.inject_peripheral_events = config.inject_peripheral_events;
   options.overlapped_drain = config.overlapped_drain;
   options.periodic_reset_execs = config.periodic_reset_execs;
-  options.exception_symbol = exception_symbol;
+  options.exception_symbol = plan.exception_symbol;
   return options;
 }
 
 namespace {
 
 // The cold-boot provenance oracle for snapshot-mode campaigns: replays a first sighting's
-// reproducer on a freshly flashed board and confirms the bug only if the cold board
-// crashes too, as the same catalog bug when the sighting was attributed. It shares the
-// campaign's `plan` and builds its one image on first use.
+// reproducer on a freshly flashed board with the sighting board's own image, and confirms
+// the bug only if the cold board crashes too, as the same catalog bug when the sighting
+// was attributed. It shares the campaign's `plan`, and with it board 0's image.
 std::function<bool(const BugReport&)> MakeColdBootValidator(
     const FuzzerConfig& config, std::shared_ptr<const CampaignPlan> plan) {
-  auto once = std::make_shared<std::once_flag>();
-  auto deploy = std::make_shared<DeployOptions>(ColdBootDeployOptions(config));
-  return [plan = std::move(plan), once, deploy](const BugReport& bug) {
-    std::call_once(*once, [&] {
-      auto image = Deployment::BuildImageFor(*deploy);
-      if (image.ok()) {
-        deploy->image = std::move(image).value();
-      }
-    });
-    if (plan == nullptr || deploy->image == nullptr) {  // mining or the build failed
+  return [config, plan = std::move(plan)](const BugReport& bug) {
+    if (plan == nullptr) {  // mining or the image build failed
       return false;
     }
-    Result<ReplayOutcome> replay = ReplayReproducer(*deploy, *plan, bug.program_text);
+    Result<ReplayOutcome> replay = ReplayReproducer(
+        ColdBootDeployOptions(config, *plan, bug.seed_stream), *plan, bug.program_text);
     if (!replay.ok()) {
       // A reproducer that cannot even be replayed (parse failure, deploy failure)
       // is no evidence of a cold-boot bug.
@@ -100,15 +90,16 @@ CampaignScheduler::Options MakeSchedulerOptions(const FuzzerConfig& config, int 
   return options;
 }
 
-DeployOptions ColdBootDeployOptions(const FuzzerConfig& config) {
+DeployOptions ColdBootDeployOptions(const FuzzerConfig& config, const CampaignPlan& plan,
+                                    uint64_t seed_stream) {
   DeployOptions deploy;
   deploy.os_name = config.os_name;
   deploy.board_name = config.board_name;
   deploy.instrumentation = config.instrumentation;
-  // The build seed stays 1 rather than the campaign's: freertos esp_partition_read
-  // returns payload bytes to the program, so replaying on the campaign's own image
-  // would change verdicts.
-  deploy.seed = 1;
+  deploy.seed = seed_stream;
+  if (seed_stream == config.seed) {
+    deploy.image = plan.image;
+  }
   return deploy;
 }
 

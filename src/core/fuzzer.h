@@ -87,22 +87,28 @@ struct FuzzerConfig {
 };
 
 // Shared campaign setup (Figure 3 step ②): mines + post-validates the target's API
-// specifications and resolves the OS exception symbol. Board-independent, so farms
-// run it once and share the result across workers.
+// specifications, resolves the OS exception symbol and builds board 0's firmware image.
+// Board-independent, so farms run it once and share the result across workers.
 struct CampaignPlan {
   spec::CompiledSpecs specs;
   std::string exception_symbol;
+  // Board 0's image, built once from the campaign seed. Board 0's session, the cold-boot
+  // validator and replay all deploy this one image; images are immutable.
+  std::shared_ptr<const FirmwareImage> image;
 };
 Result<CampaignPlan> PrepareCampaign(const FuzzerConfig& config);
 
-// The board-session slice of `config` (plus the resolved exception symbol), for
-// constructing executors. `seed` seeds the image build and the deployment.
-ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, uint64_t seed,
-                                    const std::string& exception_symbol);
+// What the board on stream `seed_stream` deploys, and so what a cold-boot replay of its
+// sightings deploys: the campaign's os, board and instrumentation on the image built from
+// `seed_stream`. Board 0's stream is `config.seed`, and its image is `plan.image`; other
+// boards' images are left for the deployment to build.
+DeployOptions ColdBootDeployOptions(const FuzzerConfig& config, const CampaignPlan& plan,
+                                    uint64_t seed_stream);
 
-// What every cold-boot replay deploys: the campaign's os, board and instrumentation,
-// built from seed 1.
-DeployOptions ColdBootDeployOptions(const FuzzerConfig& config);
+// The board-session slice of `config` for the board on stream `seed`, for constructing
+// executors: its deployment (ColdBootDeployOptions) and `plan`'s exception symbol.
+ExecutorOptions MakeExecutorOptions(const FuzzerConfig& config, const CampaignPlan& plan,
+                                    uint64_t seed);
 
 // The campaign-state slice of `config`, for constructing schedulers. Snapshot-mode
 // campaigns get the cold-boot validation oracle, which replays first sightings on a

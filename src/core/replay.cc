@@ -22,15 +22,17 @@ Result<ExecOutcome> ExecuteOnce(const DeployOptions& deploy, const CampaignPlan&
   return executor->ExecuteOne(EncodeProgram(program.ToWire(plan.specs)));
 }
 
+// A default campaign's plan for `os_name` on `board_name`, and in `deploy` its board 0:
+// every replay of the campaign deploys the plan's one image.
 Result<CampaignPlan> PrepareDefaultCampaign(const std::string& os_name,
                                             const std::string& board_name,
                                             DeployOptions* deploy) {
-  deploy->os_name = os_name;
-  deploy->board_name = board_name;
   FuzzerConfig config;
   config.os_name = os_name;
   config.board_name = board_name;
-  return PrepareCampaign(config);
+  ASSIGN_OR_RETURN(CampaignPlan plan, PrepareCampaign(config));
+  *deploy = ColdBootDeployOptions(config, plan, config.seed);
+  return plan;
 }
 
 }  // namespace

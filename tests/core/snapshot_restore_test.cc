@@ -77,8 +77,7 @@ class SnapshotSessionTest : public ::testing::Test {
     telemetry_ = std::make_unique<telemetry::BoardTelemetry>(/*worker=*/0, config.seed,
                                                              &sink_);
     rng_ = std::make_unique<Rng>(config.seed ^ 0x5eedf00dULL);
-    ExecutorOptions options =
-        MakeExecutorOptions(config, config.seed, plan_.exception_symbol);
+    ExecutorOptions options = MakeExecutorOptions(config, plan_, config.seed);
     options.deploy.telemetry = telemetry_.get();
     auto executor = TargetExecutor::Create(options, rng_.get());
     ASSERT_TRUE(executor.ok()) << executor.status().ToString();
@@ -655,14 +654,40 @@ TEST(ColdBootDeployTest, CarriesTheCampaignsInstrumentation) {
   config.instrumentation.enabled = false;
   config.instrumentation.module_filter = {"apps/http"};
   config.instrumentation.semihost = true;
-  DeployOptions deploy = ColdBootDeployOptions(config);
+  DeployOptions deploy = ColdBootDeployOptions(config, CampaignPlan{}, config.seed);
   EXPECT_EQ(deploy.os_name, "rtthread");
   EXPECT_EQ(deploy.board_name, "stm32f407-disco");
   EXPECT_FALSE(deploy.instrumentation.enabled);
   EXPECT_EQ(deploy.instrumentation.module_filter, config.instrumentation.module_filter);
   EXPECT_TRUE(deploy.instrumentation.semihost);
-  EXPECT_EQ(deploy.seed, 1u);
-  EXPECT_EQ(deploy.image, nullptr);
+  EXPECT_EQ(deploy.seed, 3007u);
+}
+
+// One image per campaign: the plan builds board 0's image, board 0's session deploys
+// it, and the validator replays board 0's sightings on it. A sighting from another
+// board replays on the image of that board's own stream.
+TEST(ColdBootDeployTest, ValidatorAndBoardZeroShareThePlansImage) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  FuzzerConfig config;
+  config.os_name = "rtthread";
+  config.restore_mode = RestoreMode::kSnapshot;
+  config.seed = 7;
+  Result<CampaignPlan> plan = PrepareCampaign(config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_NE(plan->image, nullptr);
+
+  telemetry::MemoryEventSink sink;
+  telemetry::BoardTelemetry board(/*worker=*/0, config.seed, &sink);
+  Result<FarmSession> session = MakeFarmSession(config, *plan, config.seed, &board);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  DeployOptions validator = ColdBootDeployOptions(config, *plan, config.seed);
+  EXPECT_EQ(validator.image.get(), plan->image.get());
+  EXPECT_EQ(&session->executor->deployment().image(), plan->image.get());
+
+  const uint64_t board1 = FarmWorkerSeed(config.seed, 1);
+  DeployOptions other = ColdBootDeployOptions(config, *plan, board1);
+  EXPECT_EQ(other.seed, board1);
+  EXPECT_EQ(other.image, nullptr);
 }
 
 // --- Differential campaigns --------------------------------------------------
