@@ -24,7 +24,7 @@ int64_t SemInit(KernelContext& ctx, NuttxState& state, const std::vector<ArgValu
   ctx.ConsumeCycles(kApiBaseCycles);
   EOF_COV(ctx);
   uint64_t value = args[0].scalar;
-  if (value > 0x7fffffff) {
+  if (value > static_cast<uint64_t>(kSemValueMax)) {
     EOF_COV(ctx);
     return EINVAL_;
   }
@@ -46,6 +46,10 @@ int64_t SemPost(KernelContext& ctx, NuttxState& state, const std::vector<ArgValu
   if (sem == nullptr) {
     EOF_COV(ctx);
     return EINVAL_;
+  }
+  if (sem->value == kSemValueMax) {
+    EOF_COV(ctx);
+    return EOVERFLOW_;
   }
   ++sem->value;
   ++sem->post_count;

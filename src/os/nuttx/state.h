@@ -22,6 +22,7 @@ inline constexpr int64_t EAGAIN_ = -11;
 inline constexpr int64_t ENOMEM_ = -12;
 inline constexpr int64_t EEXIST_ = -17;
 inline constexpr int64_t EINVAL_ = -22;
+inline constexpr int64_t EOVERFLOW_ = -75;
 inline constexpr int64_t EMSGSIZE_ = -90;
 inline constexpr int64_t ETIMEDOUT_ = -110;
 
@@ -37,6 +38,10 @@ struct MsgQueue {
   std::deque<std::vector<uint8_t>> msgs;
   bool open = true;
 };
+
+// The largest count a semaphore holds: sem_init refuses more, sem_post fails with
+// EOVERFLOW rather than pass it.
+inline constexpr int32_t kSemValueMax = 0x7fffffff;
 
 struct PosixSem {
   int32_t value = 0;

@@ -256,6 +256,18 @@ TEST_F(OsApiTest, NuttxMqueueSemantics) {
   EXPECT_EQ(Call("mq_close", {S(m)}), 0);
 }
 
+TEST_F(OsApiTest, NuttxSemPostRefusesToPassSemValueMax) {
+  Boot("nuttx");
+  EXPECT_EQ(Call("sem_init", {S(0x80000000ULL)}), -22);  // above SEM_VALUE_MAX
+  int64_t sem = Call("sem_init", {S(0x7fffffff)});
+  ASSERT_GT(sem, 0);
+  uint64_t s = static_cast<uint64_t>(sem);
+  EXPECT_EQ(Call("sem_post", {S(s)}), -75);  // EOVERFLOW, count unchanged
+  EXPECT_EQ(Call("sem_wait", {S(s)}), 0);
+  EXPECT_EQ(Call("sem_post", {S(s)}), 0);    // back at SEM_VALUE_MAX
+  EXPECT_EQ(Call("sem_post", {S(s)}), -75);
+}
+
 TEST_F(OsApiTest, NuttxClockAndTimers) {
   Boot("nuttx");
   EXPECT_EQ(Call("clock_settime", {S(1), S(100), S(0)}), -22);  // monotonic not settable
