@@ -2,11 +2,12 @@
 //
 // Kernel code marks branch sites with EOF_COV(ctx); each site gets a stable 64-bit ID from
 // (module, file basename, line). The basename (__FILE_NAME__), not the path, so IDs and
-// every campaign result do not depend on the checkout directory; no two instrumented
-// .cc files may share a basename (tests/kernel/cov_basename_test.sh). When the image was built with instrumentation covering the site's
-// module, the hook burns extra cycles (the inserted callback) and appends the site's
-// synthetic basic-block address to a coverage ring in target RAM, which the host drains
-// over the debug port. When the ring fills, the agent pauses at _kcmp_buf_full so the host
+// every campaign result do not depend on the checkout directory; no two instrumented .cc
+// files may share a basename (tests/kernel/cov_basename_test.sh).
+//
+// When the image was built with instrumentation covering the site's module, the hook burns
+// extra cycles (the inserted callback) and appends the site's synthetic basic-block address
+// to a coverage ring in target RAM, which the host drains over the debug port. When the ring fills, the agent pauses at _kcmp_buf_full so the host
 // can drain and reset it — exactly the Figure 5 flow.
 //
 // Whether or not instrumentation is compiled in, executing a site reports its basic-block
