@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) of the host-side hot paths: wire codec, program
 // generation/mutation, coverage accounting, debug-port memory traffic, full target boots,
 // restores (warm snapshot restore, cold reset), and the per-board fixed costs (image
-// build and its kernel payload, flash checksum, deploy on a shared image).
+// build and its kernel payload, flash checksum, deploy on a shared image, the cold-boot
+// validator's replay).
 // These bound the host overhead per executed payload.
 
 #include <benchmark/benchmark.h>
@@ -9,6 +10,8 @@
 #include "src/common/coverage_map.h"
 #include "src/core/deployment.h"
 #include "src/core/executor.h"
+#include "src/core/fuzzer.h"
+#include "src/core/replay.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
 #include "src/agent/wire.h"
@@ -235,6 +238,21 @@ void BM_DeployOnSharedImage(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeployOnSharedImage)->Unit(benchmark::kMillisecond);
+
+// The snapshot-mode validator's exact path: one replay of a crashing reproducer on a
+// fresh board (deploy, reflash, cold boot, one exec) with a campaign plan built once.
+void BM_ColdValidatorReplay(benchmark::State& state) {
+  (void)RegisterAllOses();
+  FuzzerConfig config;
+  config.os_name = "rtthread";
+  static const CampaignPlan* plan = new CampaignPlan(PrepareCampaign(config).value());
+  const DeployOptions deploy = ColdBootDeployOptions(config, *plan, config.seed);
+  for (auto _ : state) {
+    auto outcome = ReplayReproducer(deploy, *plan, "r0 = rt_object_get_type(0x0)\n");
+    benchmark::DoNotOptimize(outcome.ok() && outcome->crashed);
+  }
+}
+BENCHMARK(BM_ColdValidatorReplay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace eof

@@ -254,7 +254,7 @@ Status ByteFuzzer::Restore() {
   for (const Partition& part : image.partition_table().partitions) {
     const FirmwareImage::Payload* payload = image.PayloadOf(part.name);
     if (payload != nullptr) {  // raw partitions (nvs) carry no payload
-      RETURN_IF_ERROR(deployment_->port().FlashPartition(part.offset, payload->bytes));
+      RETURN_IF_ERROR(deployment_->port().FlashPartition(part.offset, *payload));
     }
   }
   RETURN_IF_ERROR(deployment_->port().ResetTarget());

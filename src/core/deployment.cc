@@ -108,7 +108,7 @@ Status Deployment::ReflashAndReboot() {
       skipped += bytes.size();
       continue;
     }
-    status = port_->FlashPartition(part.offset, bytes);
+    status = port_->FlashPartition(part.offset, *payload);
     if (!status.ok()) {
       break;
     }

@@ -211,6 +211,15 @@ Status Board::FlashWrite(uint64_t offset, const std::vector<uint8_t>& data) {
   return flash_.Write(offset, data);
 }
 
+Status Board::FlashProgram(uint64_t offset, const FirmwareImage::Payload& payload) {
+  if (image_ == nullptr || !image_->Owns(payload)) {
+    return FailedPreconditionError("programmed payload is not the installed image's");
+  }
+  // Aliasing pointer: the flash co-owns the image to keep the payload's bytes alive.
+  std::shared_ptr<const std::vector<uint8_t>> bytes(image_, &payload.bytes);
+  return flash_.Program(offset, std::move(bytes), payload.digest);
+}
+
 bool Board::Boot() {
   ZeroDirtyPages();
   uart_.Reset();

@@ -109,6 +109,10 @@ class Board : public TargetEnv {
 
   Status FlashWrite(uint64_t offset, const std::vector<uint8_t>& data);
 
+  // Programs `payload`, which must be the installed image's, at `offset`. The flash maps
+  // the payload's pages rather than copying them and keeps the image alive while it does.
+  Status FlashProgram(uint64_t offset, const FirmwareImage::Payload& payload);
+
   // Power-on / reset: validates flash against the installed image, instantiates firmware,
   // and runs its boot path. Leaves the board kRunning parked before the agent loop, or
   // kBootFailed on validation/boot failure.

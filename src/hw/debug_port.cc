@@ -400,14 +400,15 @@ void DebugPort::ClearAllBreakpoints() {
   board_->ClearBreakpoints();
 }
 
-Status DebugPort::FlashPartition(uint64_t offset, const std::vector<uint8_t>& data) {
+Status DebugPort::FlashPartition(uint64_t offset, const FirmwareImage::Payload& payload) {
+  const uint64_t size = payload.bytes.size();
   Status gate = CheckResponsive(/*needs_core=*/false);
-  Note(telemetry::FlightPortOp::kFlash, offset, data.size(), gate.ok());
+  Note(telemetry::FlightPortOp::kFlash, offset, size, gate.ok());
   RETURN_IF_ERROR(gate);
-  board_->clock().Advance(FlashProgramCost(data.size()));
+  board_->clock().Advance(FlashProgramCost(size));
   transactions_->Increment();
-  flash_bytes_->Add(data.size());
-  return board_->FlashWrite(offset, data);
+  flash_bytes_->Add(size);
+  return board_->FlashProgram(offset, payload);
 }
 
 Status DebugPort::ResetTarget() {

@@ -173,8 +173,9 @@ class DebugPort {
   Status ClearBreakpoint(uint64_t address);
   void ClearAllBreakpoints();
 
-  // Programs a partition payload at `offset` (the StateRestoration reflash path).
-  Status FlashPartition(uint64_t offset, const std::vector<uint8_t>& data);
+  // Programs a payload of the installed image at `offset` (the StateRestoration reflash
+  // path).
+  Status FlashPartition(uint64_t offset, const FirmwareImage::Payload& payload);
 
   // Hardware reset; the target re-runs its boot ROM against current flash contents.
   Status ResetTarget();

@@ -9,7 +9,9 @@
 #ifndef SRC_HW_FLASH_H_
 #define SRC_HW_FLASH_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,42 +43,83 @@ struct PartitionTable {
   Status Validate(uint64_t flash_size) const;
 };
 
+// The device's bytes, tracked in pages of kPageBytes. Each page's bytes live in one of
+// three places:
+//   - the one process-wide erased page (all 0xff), which every untouched page shares;
+//   - a page of an immutable byte run the flash co-owns: Program maps a payload's whole
+//     pages instead of copying them;
+//   - a private copy, made the first time a write touches the page.
+// Invariant: no write goes through a shared page. Write makes each page it touches private
+// first. So a new Flash allocates no page, and a flash holds private copies only of pages
+// written since they were last programmed or erased.
 class Flash {
  public:
-  explicit Flash(uint64_t size_bytes) : storage_(size_bytes, 0xff) {}
+  static constexpr uint64_t kPageBytes = 4096;
 
-  uint64_t size() const { return storage_.size(); }
+  explicit Flash(uint64_t size_bytes);
 
-  // Program bytes at `offset` (debug-port reflash path, or a buggy kernel write).
+  uint64_t size() const { return size_; }
+
+  // Program bytes at `offset` (a buggy kernel write, or a test's).
   Status Write(uint64_t offset, const std::vector<uint8_t>& data);
+
+  // The reflash path: stores `*run` at `offset` as Write would, but maps every page the
+  // run covers whole instead of copying it, and co-owns the run while any page does.
+  // `digest` is ChecksumBytes of the run, so Digest(offset, run size) returns it without
+  // hashing until the next write. Same bounds check and write_count() bump as Write.
+  Status Program(uint64_t offset, std::shared_ptr<const std::vector<uint8_t>> run,
+                 uint64_t digest);
 
   // Reads `size` bytes at `offset`.
   Result<std::vector<uint8_t>> Read(uint64_t offset, uint64_t size) const;
 
-  // The stored bytes [offset, offset + size) in place, valid until the next Write or
-  // MassErase. Same bounds check and error as Read.
-  Result<const uint8_t*> View(uint64_t offset, uint64_t size) const;
+  // Whether the stored bytes [offset, offset + size) equal `bytes`. A page mapped onto
+  // those very bytes compares equal without being read. Same bounds check and error as
+  // Read.
+  Result<bool> Equals(uint64_t offset, const uint8_t* bytes, uint64_t size) const;
 
-  // ChecksumBytes over [offset, offset + size), hashed in place and memoized on
-  // write_count(): re-hashing flash that no write has touched costs nothing.
+  // ChecksumBytes over [offset, offset + size), hashed page by page in place and memoized
+  // on write_count(): re-hashing flash that no write has touched costs nothing. An
+  // all-erased range hashes once per length per process.
   Result<uint64_t> Digest(uint64_t offset, uint64_t size) const;
 
   // Erases the whole device back to 0xff.
   void MassErase();
 
   // Number of programming operations since construction (wear accounting for stats).
-  // Write and MassErase are the only mutators of the stored bytes and both bump it,
-  // so an unchanged count proves unchanged contents.
+  // Write, Program and MassErase are the only mutators of the stored bytes and all bump
+  // it, so an unchanged count proves unchanged contents.
   uint64_t write_count() const { return write_count_; }
 
  private:
+  struct Page {
+    const uint8_t* bytes = nullptr;             // where the page's bytes are
+    const std::vector<uint8_t>* run = nullptr;  // the co-owned run they are in, if shared
+    std::unique_ptr<uint8_t[]> own;             // their private copy, if private
+  };
+
   struct DigestMemo {
     uint64_t offset;
     uint64_t size;
     uint64_t digest;
   };
 
-  std::vector<uint8_t> storage_;
+  // Bytes in page `page`: kPageBytes, except for a short last page.
+  uint64_t PageSize(uint64_t page) const {
+    return std::min(kPageBytes, size_ - page * kPageBytes);
+  }
+
+  // Calls visit(page, offset in page, offset in range, length) for each page's share of
+  // [offset, offset + size), in order, while it returns true. The range is in bounds.
+  template <class Visit>
+  void ForEachPage(uint64_t offset, uint64_t size, Visit visit) const;
+
+  // Page `page`'s private copy, made from its current bytes if it has none yet.
+  uint8_t* MakePrivate(uint64_t page);
+
+  uint64_t size_;
+  std::vector<Page> pages_;
+  std::vector<std::shared_ptr<const std::vector<uint8_t>>> runs_;  // co-owned runs
   uint64_t write_count_ = 0;
   // Digests computed at write count `memo_write_count_`; dropped when it moves.
   mutable std::vector<DigestMemo> digest_memo_;

@@ -130,6 +130,11 @@ const FirmwareImage::Payload* FirmwareImage::PayloadOf(const std::string& partit
   return it == payloads_.end() ? nullptr : &it->second;
 }
 
+bool FirmwareImage::Owns(const Payload& payload) const {
+  return std::any_of(payloads_.begin(), payloads_.end(),
+                     [&](const auto& entry) { return &entry.second == &payload; });
+}
+
 Status FirmwareImage::VerifyFlash(const Flash& flash) const {
   for (const Partition& part : table_.partitions) {
     const Payload* payload = PayloadOf(part.name);
@@ -137,12 +142,13 @@ Status FirmwareImage::VerifyFlash(const Flash& flash) const {
       continue;
     }
     const std::vector<uint8_t>& pristine = payload->bytes;
-    ASSIGN_OR_RETURN(const uint8_t* stored, flash.View(part.offset, pristine.size()));
+    ASSIGN_OR_RETURN(bool intact, flash.Equals(part.offset, pristine.data(), pristine.size()));
     // Intact bytes are the payload's own, which AddPartition built to verify.
-    if (std::equal(pristine.begin(), pristine.end(), stored)) {
+    if (intact) {
       continue;
     }
-    Status valid = VerifyPayload(stored, pristine.size());
+    ASSIGN_OR_RETURN(std::vector<uint8_t> stored, flash.Read(part.offset, pristine.size()));
+    Status valid = VerifyPayload(stored);
     if (!valid.ok()) {
       return DataLossError(
           StrFormat("partition '%s' failed boot validation: %s", part.name.c_str(),

@@ -111,13 +111,17 @@ class FirmwareImage {
   // The payload for reflashing `partition`; nullptr for raw partitions and unknown names.
   const Payload* PayloadOf(const std::string& partition) const;
 
+  // Whether `payload` is one of this image's own.
+  bool Owns(const Payload& payload) const;
+
   std::unique_ptr<Firmware> Instantiate() const { return factory_(*this); }
   bool has_factory() const { return static_cast<bool>(factory_); }
 
   // Verifies that the bytes stored in `flash` for every partition parse as a valid payload
   // (magic + CRC) and are the image's own. This is the boot ROM's integrity check; a kernel
-  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place;
-  // payloads verify by construction, so only stored bytes that differ are parsed.
+  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place,
+  // skipping pages mapped onto the payload; payloads verify by construction, so only
+  // stored bytes that differ are copied out and parsed.
   Status VerifyFlash(const Flash& flash) const;
 
   const std::vector<ModuleLayout>& modules() const { return modules_; }

@@ -168,8 +168,9 @@ TEST(HashTest, StableAcrossCalls) {
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
 }
 
-// Flash and RAM checksums: every byte counts wherever the window starts, and windows of
-// different lengths differ even when their bytes are all zero.
+// Flash and RAM checksums: every byte counts wherever the window starts, windows of
+// different lengths differ even when their bytes are all zero, and a window fed to
+// ChecksumStream in pieces checksums the same wherever the pieces break.
 TEST(HashTest, ChecksumBytesSeesEveryByteAtAnyAlignment) {
   Rng rng(5);
   std::vector<uint8_t> data(97);
@@ -185,6 +186,14 @@ TEST(HashTest, ChecksumBytesSeesEveryByteAtAnyAlignment) {
       std::vector<uint8_t> moved(shift + size);
       std::copy(data.begin(), data.begin() + size, moved.begin() + shift);
       EXPECT_EQ(ChecksumBytes(moved.data() + shift, size), want) << size << "+" << shift;
+    }
+    for (size_t cut = 0; cut <= size; ++cut) {
+      const size_t second = cut + rng.Below(size - cut + 1);
+      ChecksumStream stream;
+      stream.Update(data.data(), cut);
+      stream.Update(data.data() + cut, second - cut);
+      stream.Update(data.data() + second, size - second);
+      EXPECT_EQ(stream.Finish(), want) << size << "/" << cut << "/" << second;
     }
     for (size_t at = 0; at < size; ++at) {
       for (int bit = 0; bit < 8; ++bit) {

@@ -2,13 +2,17 @@
 // are cached on the flash write count, so each must be invalidated by every flash write
 // and every image change, and a cached answer must cost the target exactly what a
 // computed one does. VerifyFlash's in-place comparison is checked against the
-// copy-then-parse reference it replaced.
+// copy-then-parse reference it replaced. Boards deploying on many threads share one
+// image's pages and the erased-flash digests (run under TSan in CI).
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 #include "src/common/byteio.h"
 #include "src/common/hash.h"
 #include "src/common/strings.h"
+#include "src/core/deployment.h"
 #include "src/core/image_builder.h"
 #include "src/hw/board.h"
 #include "src/hw/board_catalog.h"
@@ -172,6 +176,53 @@ TEST_F(FlashDigestTest, MemoHitCostsTheTargetWhatAMissDoes) {
   EXPECT_EQ(hit.record.address, miss.record.address);
   EXPECT_EQ(hit.record.size, miss.record.size);
   EXPECT_EQ(hit.record.ok, miss.record.ok);
+}
+
+// Boards on several threads deploy one shared image, then reflash, reboot and checksum
+// it: they read the same payload pages and fill the process-wide erased digests at once.
+TEST(SharedImageTest, ConcurrentBoardsShareOnePayload) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  DeployOptions options;
+  options.os_name = "freertos";
+  options.image = Deployment::BuildImageFor(options).value();
+  const Partition* kernel = options.image->partition_table().Find("kernel");
+  ASSERT_NE(kernel, nullptr);
+  const FirmwareImage::Payload* payload = options.image->PayloadOf("kernel");
+  constexpr int kBoards = 4;
+  std::vector<Status> statuses(kBoards);
+  std::vector<uint64_t> digests(kBoards, 0);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kBoards; ++i) {
+    threads.emplace_back([&, i] {
+      auto deployment = Deployment::Create(options);
+      if (!deployment.ok()) {
+        statuses[i] = deployment.status();
+        return;
+      }
+      Board& board = (*deployment)->board();
+      // A scribble makes the reflash program the kernel again.
+      statuses[i] = board.FlashWrite(kernel->offset + 40, {0x00});
+      if (statuses[i].ok()) {
+        statuses[i] = (*deployment)->ReflashAndReboot();
+      }
+      if (statuses[i].ok()) {
+        auto digest = (*deployment)->port().ChecksumMem(
+            board.spec().flash_base + kernel->offset, payload->bytes.size());
+        statuses[i] = digest.status();
+        digests[i] = digest.ok() ? *digest : 0;
+      }
+      if (statuses[i].ok() && board.power_state() != PowerState::kRunning) {
+        statuses[i] = InternalError("board did not boot");
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int i = 0; i < kBoards; ++i) {
+    EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
+    EXPECT_EQ(digests[i], payload->digest) << i;
+  }
 }
 
 // The boot-ROM check as it stood before the in-place comparison: copy the stored

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/hash.h"
+#include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/hw/board.h"
 #include "src/hw/board_catalog.h"
 #include "src/hw/debug_port.h"
@@ -29,10 +32,14 @@ TEST(FlashTest, HugeLengthsCannotWrapTheBoundsCheck) {
   // offset + size wraps to 7, which a sum-based check would let through.
   const uint64_t huge = UINT64_MAX - 8;
   EXPECT_EQ(flash.Read(16, huge).status().code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(flash.View(16, huge).status().code(), ErrorCode::kOutOfRange);
+  const uint8_t byte = 0;
+  EXPECT_EQ(flash.Equals(16, &byte, huge).status().code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.Digest(16, huge).status().code(), ErrorCode::kOutOfRange);
   // A write cannot carry UINT64_MAX - 8 bytes, so wrap it from the offset side.
   EXPECT_EQ(flash.Write(huge, std::vector<uint8_t>(16, 0xaa)).code(), ErrorCode::kOutOfRange);
+  auto run = std::make_shared<const std::vector<uint8_t>>(16, 0xaa);
+  EXPECT_EQ(flash.Program(huge, run, 0).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Program(4096 - 15, run, 0).code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.Read(huge, 16).status().code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.write_count(), 0u);
   // The edges still work.
@@ -40,6 +47,115 @@ TEST(FlashTest, HugeLengthsCannotWrapTheBoundsCheck) {
   EXPECT_TRUE(flash.Read(4096, 0).ok());
   EXPECT_TRUE(flash.Write(4095, {1}).ok());
   EXPECT_FALSE(flash.Read(4097, 0).ok());
+}
+
+// Flash against a flat model that starts erased: seeded random writes, programs and
+// erases, each followed by reads, comparisons and digests of random ranges. Page
+// sharing must never show through any of them.
+TEST(FlashTest, MatchesAFlatModel) {
+  constexpr uint64_t kPage = Flash::kPageBytes;
+  constexpr uint64_t kSize = 6 * kPage + 1000;  // a short last page
+  Rng rng(17);
+  auto random_bytes = [&rng](uint64_t size) {
+    std::vector<uint8_t> bytes(size);
+    for (uint8_t& byte : bytes) {
+      byte = static_cast<uint8_t>(rng.Next());
+    }
+    return bytes;
+  };
+  // Runs to program: whole pages, a partial last page, one that fills the device's
+  // short last page when programmed at 5 pages, and a short one. The model copies from
+  // `pristine`, so a write through a shared page shows as a mismatch.
+  std::vector<std::shared_ptr<const std::vector<uint8_t>>> runs;
+  std::vector<std::vector<uint8_t>> pristine;
+  for (uint64_t size : {2 * kPage, 2 * kPage + 100, kPage + 1000, uint64_t{10}}) {
+    pristine.push_back(random_bytes(size));
+    runs.push_back(std::make_shared<const std::vector<uint8_t>>(pristine.back()));
+  }
+  Flash flash(kSize);
+  std::vector<uint8_t> model(kSize, 0xff);
+  auto check_range = [&](uint64_t offset, uint64_t size) {
+    SCOPED_TRACE(StrFormat("range [%llu, +%llu)", static_cast<unsigned long long>(offset),
+                           static_cast<unsigned long long>(size)));
+    const std::vector<uint8_t> want(model.begin() + static_cast<std::ptrdiff_t>(offset),
+                                    model.begin() + static_cast<std::ptrdiff_t>(offset + size));
+    EXPECT_EQ(flash.Read(offset, size).value(), want);
+    EXPECT_TRUE(flash.Equals(offset, want.data(), size).value());
+    if (size != 0) {
+      std::vector<uint8_t> flipped = want;
+      flipped[rng.Below(size)] ^= 0x01;
+      EXPECT_FALSE(flash.Equals(offset, flipped.data(), size).value());
+    }
+    EXPECT_EQ(flash.Digest(offset, size).value(), ChecksumBytes(want.data(), size));
+  };
+  uint64_t writes = 0;
+  size_t last_run = 0;
+  uint64_t last_offset = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE(step);
+    const uint64_t pick = rng.Below(10);
+    if (pick < 5) {  // an unaligned write of up to 2.5 pages, sometimes empty
+      const uint64_t size = rng.Chance(1, 10) ? 0 : rng.Range(1, 5 * kPage / 2);
+      const uint64_t offset = rng.Below(kSize - size + 1);
+      const std::vector<uint8_t> data = random_bytes(size);
+      ASSERT_TRUE(flash.Write(offset, data).ok());
+      std::copy(data.begin(), data.end(), model.begin() + static_cast<std::ptrdiff_t>(offset));
+    } else if (pick < 9) {  // a program, sometimes the last one again
+      if (!rng.Chance(1, 4)) {
+        last_run = rng.Index(runs.size());
+        const uint64_t size = runs[last_run]->size();
+        last_offset = rng.CoinFlip() ? rng.Below((kSize - size) / kPage + 1) * kPage
+                                     : rng.Below(kSize - size + 1);
+      }
+      const auto& run = runs[last_run];
+      const std::vector<uint8_t>& bytes = pristine[last_run];
+      const uint64_t digest = ChecksumBytes(bytes.data(), bytes.size());
+      ASSERT_TRUE(flash.Program(last_offset, run, digest).ok());
+      std::copy(bytes.begin(), bytes.end(),
+                model.begin() + static_cast<std::ptrdiff_t>(last_offset));
+      EXPECT_TRUE(flash.Equals(last_offset, run->data(), run->size()).value());
+      EXPECT_EQ(flash.Digest(last_offset, run->size()).value(), digest);
+    } else {
+      flash.MassErase();
+      std::fill(model.begin(), model.end(), 0xff);
+    }
+    EXPECT_EQ(flash.write_count(), ++writes);
+    check_range(0, kSize);
+    for (int i = 0; i < 4; ++i) {
+      const uint64_t size = rng.Chance(1, 8) ? 0 : rng.Range(1, 3 * kPage);
+      check_range(rng.Below(kSize - size + 1), size);
+    }
+  }
+}
+
+// A board keeps the pages of a payload it programmed after its image is replaced and
+// dropped; ASan reports a use after free if the flash stops co-owning them.
+TEST(FlashTest, ProgrammedPagesOutliveTheirImage) {
+  auto build = [](uint64_t seed) {
+    auto image = std::make_shared<FirmwareImage>();
+    EXPECT_TRUE(image->AddPartition("kernel", 0x1000, 0x4000, 3 * Flash::kPageBytes, seed).ok());
+    return std::shared_ptr<const FirmwareImage>(std::move(image));
+  };
+  std::shared_ptr<const FirmwareImage> first = build(1);
+  std::shared_ptr<const FirmwareImage> second = build(2);
+  const std::vector<uint8_t> pristine = first->PayloadOf("kernel")->bytes;
+  Board board(BoardSpecByName("esp32-devkitc").value());
+  board.InstallImage(first);
+  ASSERT_TRUE(board.FlashProgram(0x1000, *first->PayloadOf("kernel")).ok());
+  // Only the installed image's payloads can be programmed.
+  EXPECT_EQ(board.FlashProgram(0x1000, *second->PayloadOf("kernel")).code(),
+            ErrorCode::kFailedPrecondition);
+
+  board.InstallImage(second);
+  std::weak_ptr<const FirmwareImage> watch = first;
+  first.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_EQ(board.flash().Read(0x1000, pristine.size()).value(), pristine);
+  EXPECT_FALSE(second->VerifyFlash(board.flash()).ok());
+  // Once no page maps the first payload, the next program lets go of it.
+  ASSERT_TRUE(board.FlashProgram(0x1000, *second->PayloadOf("kernel")).ok());
+  EXPECT_TRUE(watch.expired());
+  EXPECT_TRUE(second->VerifyFlash(board.flash()).ok());
 }
 
 TEST(PartitionTableTest, ValidationRejectsOverlapAndOverflow) {
