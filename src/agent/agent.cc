@@ -112,7 +112,7 @@ bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
 
   int64_t result = 0;
   if (!RunTrapping(env, "", [&] {
-        auto outcome = os_->registry().Call(*ctx_, call.api_id, args);
+        auto outcome = os_->CallApi(*ctx_, call.api_id, args);
         // Unknown API or arity mismatch: the agent rejects the call but keeps executing.
         result = outcome.ok() ? outcome.value() : -1;
         os_->Tick(*ctx_);

@@ -1,6 +1,6 @@
 // Application-level fuzzing targets: an HTTP server and a JSON component built on the
 // FreeRTOS target (Table 4 / Figure 8 workloads). RegisterAppApis() wires them into an
-// ApiRegistry; HttpHandleRaw/JsonParse are the byte-level entry points byte-buffer
+// ApiTable; HttpHandleRaw/JsonParse are the byte-level entry points byte-buffer
 // fuzzers (GDBFuzz/SHIFT) hit directly.
 
 #ifndef SRC_APPS_APPS_H_
@@ -27,7 +27,7 @@ int64_t HttpHandleRaw(KernelContext& ctx, AppsState& state, const std::string& r
 int64_t JsonParse(KernelContext& ctx, AppsState& state, const std::string& text);
 
 // Registers the app-level API surface (http_* and json_* calls, structured + raw).
-Status RegisterAppApis(ApiRegistry& registry, AppsState& state);
+Status RegisterAppApis(ApiTable<AppsState>& table);
 
 }  // namespace apps
 }  // namespace eof

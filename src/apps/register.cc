@@ -109,26 +109,14 @@ int64_t ApiSyzJsonDoc(KernelContext& ctx, AppsState& state,
 
 }  // namespace
 
-Status RegisterAppApis(ApiRegistry& registry, AppsState& state) {
-  AppsState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn, bool pseudo = false) -> Status {
-    spec.is_pseudo = pseudo;
-    spec.extended_spec = pseudo;
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterAppApis(ApiTable<AppsState>& table) {
   {
     ApiSpec spec;
     spec.name = "http_server_start";
     spec.subsystem = "http";
     spec.doc = "bind the HTTP server to a port";
     spec.args = {ArgSpec::Scalar("port", 16, 0, 65535)};
-    RETURN_IF_ERROR(add(std::move(spec), ApiServerStart));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ApiServerStart));
   }
   {
     ApiSpec spec;
@@ -136,7 +124,7 @@ Status RegisterAppApis(ApiRegistry& registry, AppsState& state) {
     spec.subsystem = "http";
     spec.doc = "feed raw request bytes to the server";
     spec.args = {ArgSpec::Buffer("request", 0, 1024)};
-    RETURN_IF_ERROR(add(std::move(spec), ApiHandleRaw));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ApiHandleRaw));
   }
   {
     ApiSpec spec;
@@ -149,7 +137,7 @@ Status RegisterAppApis(ApiRegistry& registry, AppsState& state) {
                  ArgSpec::String("query", {"", "verbose=1", "v=0&x=2"}),
                  ArgSpec::Scalar("with_auth", 8, 0, 1), ArgSpec::Buffer("body", 0, 512),
                  ArgSpec::Scalar("chunked", 8, 0, 1)};
-    RETURN_IF_ERROR(add(std::move(spec), ApiRequest));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ApiRequest));
   }
   {
     ApiSpec spec;
@@ -157,7 +145,7 @@ Status RegisterAppApis(ApiRegistry& registry, AppsState& state) {
     spec.subsystem = "json";
     spec.doc = "parse a JSON document from raw bytes";
     spec.args = {ArgSpec::Buffer("doc", 0, 512)};
-    RETURN_IF_ERROR(add(std::move(spec), ApiJsonParse));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ApiJsonParse));
   }
   {
     ApiSpec spec;
@@ -166,7 +154,9 @@ Status RegisterAppApis(ApiRegistry& registry, AppsState& state) {
     spec.doc = "generate a well-formed document of a given shape and parse it";
     spec.args = {ArgSpec::Scalar("depth", 8, 0, 16), ArgSpec::Scalar("width", 8, 0, 8),
                  ArgSpec::Scalar("flavor", 8, 0, 3)};
-    RETURN_IF_ERROR(add(std::move(spec), ApiSyzJsonDoc, /*pseudo=*/true));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), ApiSyzJsonDoc));
   }
   return OkStatus();
 }

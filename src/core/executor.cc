@@ -129,7 +129,10 @@ void TargetExecutor::DumpFlight(const char* reason, ExecOutcome* outcome) {
   // that separates "crashed on a cold-booted board" from "crashed after a warm
   // snapshot restore" when auditing provenance.
   dump.last_restore = last_restore_;
-  telemetry_->EmitEvent(dump.at, "crash_dump", dump.ToEventFields());
+  // Rendering the dump's fields is most of a dump's host cost; only a journal reads them.
+  if (telemetry_->sink() != nullptr) {
+    telemetry_->EmitEvent(dump.at, "crash_dump", dump.ToEventFields());
+  }
   if (outcome != nullptr) {
     outcome->dump = std::move(dump);
   }

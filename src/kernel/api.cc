@@ -75,7 +75,7 @@ ArgSpec ArgSpec::Len(std::string name, int buffer_index) {
   return spec;
 }
 
-Result<uint32_t> ApiRegistry::Register(ApiSpec spec, ApiFn fn) {
+Status ApiRegistry::AddSpec(ApiSpec spec) {
   if (by_name_.count(spec.name) != 0) {
     return AlreadyExistsError(StrFormat("API '%s' already registered", spec.name.c_str()));
   }
@@ -97,12 +97,10 @@ Result<uint32_t> ApiRegistry::Register(ApiSpec spec, ApiFn fn) {
                                             spec.name.c_str(), arg.name.c_str()));
     }
   }
-  uint32_t id = static_cast<uint32_t>(specs_.size());
-  spec.id = id;
-  by_name_[spec.name] = id;
+  spec.id = static_cast<uint32_t>(specs_.size());
+  by_name_[spec.name] = spec.id;
   specs_.push_back(std::move(spec));
-  fns_.push_back(std::move(fn));
-  return id;
+  return OkStatus();
 }
 
 const ApiSpec* ApiRegistry::FindById(uint32_t id) const {
@@ -120,17 +118,16 @@ const ApiSpec* ApiRegistry::FindByName(const std::string& name) const {
   return &specs_[it->second];
 }
 
-Result<int64_t> ApiRegistry::Call(KernelContext& ctx, uint32_t id,
-                                  const std::vector<ArgValue>& args) const {
+Status ApiRegistry::CheckCall(uint32_t id, size_t arg_count) const {
   if (id >= specs_.size()) {
     return NotFoundError(StrFormat("no API with id %u", id));
   }
-  if (args.size() != specs_[id].args.size()) {
+  if (arg_count != specs_[id].args.size()) {
     return InvalidArgumentError(StrFormat("API '%s' expects %zu args, got %zu",
                                           specs_[id].name.c_str(), specs_[id].args.size(),
-                                          args.size()));
+                                          arg_count));
   }
-  return fns_[id](ctx, args);
+  return OkStatus();
 }
 
 }  // namespace eof

@@ -11,10 +11,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/status.h"
 
 namespace eof {
@@ -93,31 +95,87 @@ struct ArgValue {
   }
 };
 
-// API entry point. Returns a kernel status / handle value (OS-specific conventions).
-// May throw KernelPanicSignal / KernelAssertSignal / KernelHangSignal.
-using ApiFn = std::function<int64_t(KernelContext&, const std::vector<ArgValue>&)>;
-
+// The metadata half of an OS's API table: what the spec miner, the generator and the
+// image builder read. Entries are added through ApiTable, which pairs each with its
+// implementation.
 class ApiRegistry {
  public:
-  // Registers `spec` with its implementation; assigns and returns the API id.
-  Result<uint32_t> Register(ApiSpec spec, ApiFn fn);
-
   const ApiSpec* FindById(uint32_t id) const;
   const ApiSpec* FindByName(const std::string& name) const;
-
-  // Dispatches a call. Unknown ids or arity mismatches are *rejected by the agent* with an
-  // error return (the paper's agent validates before dispatch), never a crash.
-  Result<int64_t> Call(KernelContext& ctx, uint32_t id,
-                       const std::vector<ArgValue>& args) const;
 
   const std::vector<ApiSpec>& all() const { return specs_; }
   size_t size() const { return specs_.size(); }
 
+ protected:
+  ApiRegistry() = default;
+
+  // Validates `spec`, assigns its id and appends it.
+  Status AddSpec(ApiSpec spec);
+
+  // Unknown ids or arity mismatches are *rejected by the agent* with an error return (the
+  // paper's agent validates before dispatch), never a crash.
+  Status CheckCall(uint32_t id, size_t arg_count) const;
+
  private:
   std::vector<ApiSpec> specs_;
-  std::vector<ApiFn> fns_;
   std::unordered_map<std::string, uint32_t> by_name_;
 };
+
+// An OS's API table. Each entry point runs against the kernel state of the boot that
+// dispatches it, so one table per OS serves every boot in the process read-only; the
+// state reaches it through Os::CallApi.
+template <typename State>
+class ApiTable : public ApiRegistry {
+ public:
+  // Returns a kernel status / handle value (OS-specific conventions). May throw
+  // KernelPanicSignal / KernelAssertSignal / KernelHangSignal.
+  using Fn = std::function<int64_t(KernelContext&, State&, const std::vector<ArgValue>&)>;
+
+  // Registers `spec` with its implementation; the spec's id is its registration index.
+  Status Register(ApiSpec spec, Fn fn) {
+    RETURN_IF_ERROR(AddSpec(std::move(spec)));
+    fns_.push_back(std::move(fn));
+    return OkStatus();
+  }
+
+  // Registers every entry of `part`, dispatched with the `member` of this table's state.
+  template <typename Part>
+  Status Include(const ApiTable<Part>& part, Part State::*member) {
+    for (size_t i = 0; i < part.size(); ++i) {
+      typename ApiTable<Part>::Fn fn = part.fns_[i];
+      RETURN_IF_ERROR(Register(part.all()[i], [fn, member](KernelContext& ctx, State& state,
+                                                           const std::vector<ArgValue>& args) {
+        return fn(ctx, state.*member, args);
+      }));
+    }
+    return OkStatus();
+  }
+
+  Result<int64_t> Call(KernelContext& ctx, State& state, uint32_t id,
+                       const std::vector<ArgValue>& args) const {
+    RETURN_IF_ERROR(CheckCall(id, args.size()));
+    return fns_[id](ctx, state, args);
+  }
+
+ private:
+  template <typename>
+  friend class ApiTable;
+
+  std::vector<Fn> fns_;
+};
+
+// Builds an OS's table from its per-subsystem registration functions. A registration
+// error is a bug in the OS model and aborts.
+template <typename State>
+ApiTable<State> BuildApiTable(const char* os_name,
+                              std::initializer_list<Status (*)(ApiTable<State>&)> parts) {
+  ApiTable<State> table;
+  for (Status (*part)(ApiTable<State>&) : parts) {
+    Status status = part(table);
+    EOF_CHECK(status.ok()) << os_name << " API registration failed: " << status.ToString();
+  }
+  return table;
+}
 
 }  // namespace eof
 

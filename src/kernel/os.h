@@ -1,7 +1,9 @@
 // The embedded-OS interface the agent runs against, plus the global registry of supported
 // OSs (FreeRTOS, RT-Thread, NuttX, Zephyr, PoKOS — §4.6 "Embedded OS Adaptation").
 //
-// A fresh Os instance is constructed for every boot, so kernel state resets with the board.
+// Kernel state is per boot: a fresh Os instance is constructed for every boot, so it resets
+// with the board. The API table is per process: each OS builds it once, on first use, and
+// every boot dispatches through it with its own state.
 
 #ifndef SRC_KERNEL_OS_H_
 #define SRC_KERNEL_OS_H_
@@ -33,8 +35,12 @@ class Os {
 
   virtual const std::string& name() const = 0;
 
-  // The full API surface, including pseudo-syscalls.
+  // The full API surface, including pseudo-syscalls. Shared by every instance of this OS.
   virtual const ApiRegistry& registry() const = 0;
+
+  // Dispatches call `id` of registry() against this boot's kernel state.
+  virtual Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                                  const std::vector<ArgValue>& args) = 0;
 
   // Boot-time initialization (scheduler, heaps, device tables). Emits the boot banner.
   virtual Status Init(KernelContext& ctx) = 0;

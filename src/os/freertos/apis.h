@@ -11,14 +11,14 @@
 namespace eof {
 namespace freertos {
 
-Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterHeapApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state);
-Status RegisterPseudoApis(ApiRegistry& registry, FreeRtosState& state);
+Status RegisterTaskApis(ApiTable<FreeRtosState>& table);
+Status RegisterQueueApis(ApiTable<FreeRtosState>& table);
+Status RegisterEventGroupApis(ApiTable<FreeRtosState>& table);
+Status RegisterTimerApis(ApiTable<FreeRtosState>& table);
+Status RegisterHeapApis(ApiTable<FreeRtosState>& table);
+Status RegisterStreamBufferApis(ApiTable<FreeRtosState>& table);
+Status RegisterPartitionApis(ApiTable<FreeRtosState>& table);
+Status RegisterPseudoApis(ApiTable<FreeRtosState>& table);
 
 // Heap bookkeeping shared with Init().
 void HeapInit(FreeRtosState& state, uint64_t arena_size);

@@ -112,24 +112,14 @@ int64_t EventGroupDelete(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterEventGroupApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "xEventGroupCreate";
     spec.subsystem = "event";
     spec.doc = "create an event group";
     spec.produces = "event_group";
-    RETURN_IF_ERROR(add(std::move(spec), EventGroupCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventGroupCreate));
   }
   {
     ApiSpec spec;
@@ -138,7 +128,7 @@ Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "set bits in an event group";
     spec.args = {ArgSpec::Resource("group", "event_group"),
                  ArgSpec::Scalar("bits", 32, 0, UINT32_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), EventGroupSetBits));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventGroupSetBits));
   }
   {
     ApiSpec spec;
@@ -147,7 +137,7 @@ Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "clear bits in an event group";
     spec.args = {ArgSpec::Resource("group", "event_group"),
                  ArgSpec::Scalar("bits", 32, 0, UINT32_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), EventGroupClearBits));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventGroupClearBits));
   }
   {
     ApiSpec spec;
@@ -158,7 +148,7 @@ Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state) {
                  ArgSpec::Scalar("bits", 32, 0, UINT32_MAX),
                  ArgSpec::Scalar("clear_on_exit", 8, 0, 1),
                  ArgSpec::Scalar("wait_all", 8, 0, 1)};
-    RETURN_IF_ERROR(add(std::move(spec), EventGroupWaitBits));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventGroupWaitBits));
   }
   {
     ApiSpec spec;
@@ -166,7 +156,7 @@ Status RegisterEventGroupApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "event";
     spec.doc = "destroy an event group";
     spec.args = {ArgSpec::Resource("group", "event_group")};
-    RETURN_IF_ERROR(add(std::move(spec), EventGroupDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventGroupDelete));
   }
   return OkStatus();
 }

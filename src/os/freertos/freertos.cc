@@ -15,25 +15,21 @@ EOF_COV_MODULE("freertos/kernel");
 
 constexpr uint64_t kHeapArenaBytes = 64 * 1024;
 
+Status RegisterAppLayerApis(ApiTable<FreeRtosState>& table) {
+  ApiTable<apps::AppsState> app_table;
+  RETURN_IF_ERROR(apps::RegisterAppApis(app_table));
+  return table.Include(app_table, &FreeRtosState::apps);
+}
+
 }  // namespace
 
-FreeRtosOs::FreeRtosOs() {
-  Status status = OkStatus();
-  auto accumulate = [&status](Status step) {
-    if (status.ok() && !step.ok()) {
-      status = step;
-    }
-  };
-  accumulate(RegisterTaskApis(registry_, state_));
-  accumulate(RegisterQueueApis(registry_, state_));
-  accumulate(RegisterEventGroupApis(registry_, state_));
-  accumulate(RegisterTimerApis(registry_, state_));
-  accumulate(RegisterHeapApis(registry_, state_));
-  accumulate(RegisterStreamBufferApis(registry_, state_));
-  accumulate(RegisterPartitionApis(registry_, state_));
-  accumulate(RegisterPseudoApis(registry_, state_));
-  accumulate(apps::RegisterAppApis(registry_, apps_state_));
-  EOF_CHECK(status.ok()) << "FreeRTOS API registration failed: " << status.ToString();
+const ApiTable<FreeRtosState>& FreeRtosOs::Apis() {
+  // Built once per process, by whichever boot first needs it.
+  static const ApiTable<FreeRtosState> table = BuildApiTable<FreeRtosState>(
+      "FreeRTOS", {RegisterTaskApis, RegisterQueueApis, RegisterEventGroupApis, RegisterTimerApis,
+                   RegisterHeapApis, RegisterStreamBufferApis, RegisterPartitionApis,
+                   RegisterPseudoApis, RegisterAppLayerApis});
+  return table;
 }
 
 Status FreeRtosOs::Init(KernelContext& ctx) {

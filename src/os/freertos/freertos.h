@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "src/apps/apps_state.h"
 #include "src/kernel/os.h"
 #include "src/os/freertos/state.h"
 
@@ -16,10 +15,12 @@ namespace freertos {
 
 class FreeRtosOs : public Os {
  public:
-  FreeRtosOs();
-
   const std::string& name() const override { return name_; }
-  const ApiRegistry& registry() const override { return registry_; }
+  const ApiRegistry& registry() const override { return Apis(); }
+  Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                          const std::vector<ArgValue>& args) override {
+    return Apis().Call(ctx, state_, id, args);
+  }
   Status Init(KernelContext& ctx) override;
   std::string exception_symbol() const override { return "panic_handler"; }
   OsFootprint footprint() const override;
@@ -29,15 +30,12 @@ class FreeRtosOs : public Os {
 
   // Test access to internal kernel state.
   FreeRtosState& state_for_test() { return state_; }
-  apps::AppsState& apps_state_for_test() { return apps_state_; }
 
  private:
   std::string name_ = "freertos";
   FreeRtosState state_;
-  // The application layer (HTTP server + JSON component) ships in the same firmware;
-  // Table 4 confines instrumentation and generation to these modules.
-  apps::AppsState apps_state_;
-  ApiRegistry registry_;
+
+  static const ApiTable<FreeRtosState>& Apis();
 };
 
 // Adds FreeRTOS to the global OS registry (idempotent-unsafe; call once via

@@ -158,17 +158,7 @@ void HeapInit(FreeRtosState& state, uint64_t arena_size) {
   state.heap.alloc_count = 0;
 }
 
-Status RegisterHeapApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterHeapApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "pvPortMalloc";
@@ -176,7 +166,7 @@ Status RegisterHeapApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "allocate from the FreeRTOS heap";
     spec.args = {ArgSpec::Scalar("size", 32, 0, 16384)};
     spec.produces = "heap_mem";
-    RETURN_IF_ERROR(add(std::move(spec), PortMalloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PortMalloc));
   }
   {
     ApiSpec spec;
@@ -184,21 +174,21 @@ Status RegisterHeapApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "heap";
     spec.doc = "return memory to the FreeRTOS heap";
     spec.args = {ArgSpec::Resource("mem", "heap_mem")};
-    RETURN_IF_ERROR(add(std::move(spec), PortFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PortFree));
   }
   {
     ApiSpec spec;
     spec.name = "xPortGetFreeHeapSize";
     spec.subsystem = "heap";
     spec.doc = "current free heap bytes";
-    RETURN_IF_ERROR(add(std::move(spec), GetFreeHeapSize));
+    RETURN_IF_ERROR(table.Register(std::move(spec), GetFreeHeapSize));
   }
   {
     ApiSpec spec;
     spec.name = "xPortGetMinimumEverFreeHeapSize";
     spec.subsystem = "heap";
     spec.doc = "low-watermark of free heap bytes";
-    RETURN_IF_ERROR(add(std::move(spec), GetMinimumEverFreeHeapSize));
+    RETURN_IF_ERROR(table.Register(std::move(spec), GetMinimumEverFreeHeapSize));
   }
   return OkStatus();
 }

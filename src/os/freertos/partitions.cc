@@ -175,24 +175,14 @@ int64_t PartitionErase(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterPartitionApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "load_partitions";
     spec.subsystem = "partition";
     spec.doc = "load partition table entries into the kernel registry";
     spec.args = {ArgSpec::Scalar("start_slot", 32, 0, 7), ArgSpec::Scalar("count", 32, 0, 15)};
-    RETURN_IF_ERROR(add(std::move(spec), LoadPartitions));
+    RETURN_IF_ERROR(table.Register(std::move(spec), LoadPartitions));
   }
   {
     ApiSpec spec;
@@ -201,7 +191,7 @@ Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "find a partition by label";
     spec.args = {ArgSpec::String("label", {"bootloader", "ptable", "kernel", "nvs", "ota_0"})};
     spec.produces = "partition";
-    RETURN_IF_ERROR(add(std::move(spec), PartitionFind));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionFind));
   }
   {
     ApiSpec spec;
@@ -211,7 +201,7 @@ Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.args = {ArgSpec::Resource("part", "partition"),
                  ArgSpec::Scalar("offset", 32, 0, 65536),
                  ArgSpec::Scalar("length", 32, 0, 4096)};
-    RETURN_IF_ERROR(add(std::move(spec), PartitionRead));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionRead));
   }
   {
     ApiSpec spec;
@@ -220,7 +210,7 @@ Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "program bytes into a writable partition";
     spec.args = {ArgSpec::Resource("part", "partition"),
                  ArgSpec::Scalar("offset", 32, 0, 65536), ArgSpec::Buffer("data", 0, 512)};
-    RETURN_IF_ERROR(add(std::move(spec), PartitionWrite));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionWrite));
   }
   {
     ApiSpec spec;
@@ -228,7 +218,7 @@ Status RegisterPartitionApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "partition";
     spec.doc = "erase a writable partition";
     spec.args = {ArgSpec::Resource("part", "partition")};
-    RETURN_IF_ERROR(add(std::move(spec), PartitionErase));
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionErase));
   }
   return OkStatus();
 }

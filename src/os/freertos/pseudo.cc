@@ -177,26 +177,16 @@ int64_t SyzTimerBurst(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterPseudoApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    spec.is_pseudo = true;
-    spec.extended_spec = true;
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterPseudoApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "syz_worker_pipeline";
     spec.subsystem = "pseudo";
     spec.doc = "queue + worker-task producer/consumer pipeline";
     spec.args = {ArgSpec::Scalar("workers", 32, 0, 16), ArgSpec::Scalar("items", 32, 0, 64)};
-    RETURN_IF_ERROR(add(std::move(spec), SyzWorkerPipeline));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SyzWorkerPipeline));
   }
   {
     ApiSpec spec;
@@ -204,7 +194,9 @@ Status RegisterPseudoApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "pseudo";
     spec.doc = "binary-semaphore ping-pong rounds";
     spec.args = {ArgSpec::Scalar("rounds", 32, 0, 512)};
-    RETURN_IF_ERROR(add(std::move(spec), SyzSemPingpong));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SyzSemPingpong));
   }
   {
     ApiSpec spec;
@@ -212,7 +204,9 @@ Status RegisterPseudoApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "pseudo";
     spec.doc = "auto-reload timer burst with tick advance";
     spec.args = {ArgSpec::Scalar("count", 32, 0, 32), ArgSpec::Scalar("period", 32, 0, 100)};
-    RETURN_IF_ERROR(add(std::move(spec), SyzTimerBurst));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SyzTimerBurst));
   }
   return OkStatus();
 }

@@ -266,17 +266,7 @@ int64_t SemaphoreGive(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterQueueApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "xQueueCreate";
@@ -284,7 +274,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "create a queue of N items of a given size";
     spec.args = {ArgSpec::Scalar("length", 32, 0, 256), ArgSpec::Scalar("item_size", 32, 0, 512)};
     spec.produces = "queue";
-    RETURN_IF_ERROR(add(std::move(spec), QueueCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueCreate));
   }
   {
     ApiSpec spec;
@@ -293,7 +283,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "enqueue an item (to_front selects xQueueSendToFront)";
     spec.args = {ArgSpec::Resource("queue", "queue"), ArgSpec::Buffer("item", 0, 512),
                  ArgSpec::Scalar("to_front", 8, 0, 1)};
-    RETURN_IF_ERROR(add(std::move(spec), QueueSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueSend));
   }
   {
     ApiSpec spec;
@@ -301,7 +291,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "dequeue an item";
     spec.args = {ArgSpec::Resource("queue", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), QueueReceive));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueReceive));
   }
   {
     ApiSpec spec;
@@ -309,7 +299,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "peek at the head item without removing it";
     spec.args = {ArgSpec::Resource("queue", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), QueuePeek));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueuePeek));
   }
   {
     ApiSpec spec;
@@ -317,7 +307,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "number of queued items";
     spec.args = {ArgSpec::Resource("queue", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), QueueMessagesWaiting));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueMessagesWaiting));
   }
   {
     ApiSpec spec;
@@ -325,7 +315,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "drop all queued items";
     spec.args = {ArgSpec::Resource("queue", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), QueueReset));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueReset));
   }
   {
     ApiSpec spec;
@@ -333,7 +323,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "destroy a queue or semaphore";
     spec.args = {ArgSpec::Resource("queue", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), QueueDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueueDelete));
   }
   {
     ApiSpec spec;
@@ -341,7 +331,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "create a binary semaphore (starts empty)";
     spec.produces = "queue";
-    RETURN_IF_ERROR(add(std::move(spec), SemaphoreCreateBinary));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemaphoreCreateBinary));
   }
   {
     ApiSpec spec;
@@ -351,7 +341,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.args = {ArgSpec::Scalar("max_count", 32, 0, 1024),
                  ArgSpec::Scalar("initial_count", 32, 0, 1024)};
     spec.produces = "queue";
-    RETURN_IF_ERROR(add(std::move(spec), SemaphoreCreateCounting));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemaphoreCreateCounting));
   }
   {
     ApiSpec spec;
@@ -359,7 +349,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "create a mutex (priority-inheritance semaphore)";
     spec.produces = "queue";
-    RETURN_IF_ERROR(add(std::move(spec), SemaphoreCreateMutex));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemaphoreCreateMutex));
   }
   {
     ApiSpec spec;
@@ -367,7 +357,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "take a semaphore or lock a mutex";
     spec.args = {ArgSpec::Resource("sem", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), SemaphoreTake));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemaphoreTake));
   }
   {
     ApiSpec spec;
@@ -375,7 +365,7 @@ Status RegisterQueueApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "queue";
     spec.doc = "give a semaphore or unlock a mutex";
     spec.args = {ArgSpec::Resource("sem", "queue")};
-    RETURN_IF_ERROR(add(std::move(spec), SemaphoreGive));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemaphoreGive));
   }
   return OkStatus();
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/apps/apps_state.h"
 #include "src/kernel/handle_table.h"
 
 namespace eof {
@@ -107,6 +108,10 @@ struct FreeRtosState {
     bool loaded = false;
   };
   std::vector<PartitionSlot> partition_slots;
+
+  // The application layer (HTTP server + JSON component) ships in the same firmware;
+  // Table 4 confines instrumentation and generation to these modules.
+  apps::AppsState apps;
 };
 
 }  // namespace freertos

@@ -121,17 +121,7 @@ int64_t StreamBufferDelete(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterStreamBufferApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "xStreamBufferCreate";
@@ -140,7 +130,7 @@ Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.args = {ArgSpec::Scalar("capacity", 32, 0, 8192),
                  ArgSpec::Scalar("trigger_level", 32, 0, 8192)};
     spec.produces = "stream_buffer";
-    RETURN_IF_ERROR(add(std::move(spec), StreamBufferCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), StreamBufferCreate));
   }
   {
     ApiSpec spec;
@@ -148,7 +138,7 @@ Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "stream";
     spec.doc = "write bytes into a stream buffer";
     spec.args = {ArgSpec::Resource("buffer", "stream_buffer"), ArgSpec::Buffer("data", 0, 1024)};
-    RETURN_IF_ERROR(add(std::move(spec), StreamBufferSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), StreamBufferSend));
   }
   {
     ApiSpec spec;
@@ -157,7 +147,7 @@ Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "read bytes from a stream buffer";
     spec.args = {ArgSpec::Resource("buffer", "stream_buffer"),
                  ArgSpec::Scalar("max_len", 32, 0, 1024)};
-    RETURN_IF_ERROR(add(std::move(spec), StreamBufferReceive));
+    RETURN_IF_ERROR(table.Register(std::move(spec), StreamBufferReceive));
   }
   {
     ApiSpec spec;
@@ -165,7 +155,7 @@ Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "stream";
     spec.doc = "drop buffered bytes";
     spec.args = {ArgSpec::Resource("buffer", "stream_buffer")};
-    RETURN_IF_ERROR(add(std::move(spec), StreamBufferReset));
+    RETURN_IF_ERROR(table.Register(std::move(spec), StreamBufferReset));
   }
   {
     ApiSpec spec;
@@ -173,7 +163,7 @@ Status RegisterStreamBufferApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "stream";
     spec.doc = "destroy a stream buffer";
     spec.args = {ArgSpec::Resource("buffer", "stream_buffer")};
-    RETURN_IF_ERROR(add(std::move(spec), StreamBufferDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), StreamBufferDelete));
   }
   return OkStatus();
 }

@@ -256,18 +256,7 @@ int64_t TaskNotifyTake(KernelContext& ctx, FreeRtosState& state,
 
 }  // namespace
 
-Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    ASSIGN_OR_RETURN(uint32_t id, registry.Register(std::move(spec),
-                                                    [s, fn](KernelContext& ctx,
-                                                            const std::vector<ArgValue>& args) {
-                                                      return fn(ctx, *s, args);
-                                                    }));
-    (void)id;
-    return OkStatus();
-  };
-
+Status RegisterTaskApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "xTaskCreate";
@@ -277,7 +266,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
                  ArgSpec::Scalar("stack_words", 32, 0, 4096),
                  ArgSpec::Scalar("priority", 32, 0, 32)};
     spec.produces = "task";
-    RETURN_IF_ERROR(add(std::move(spec), TaskCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskCreate));
   }
   {
     ApiSpec spec;
@@ -285,7 +274,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "delete a task (0 = calling task)";
     spec.args = {ArgSpec::Resource("task", "task", /*optional_null=*/true)};
-    RETURN_IF_ERROR(add(std::move(spec), TaskDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskDelete));
   }
   {
     ApiSpec spec;
@@ -293,7 +282,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "block the calling task for N ticks";
     spec.args = {ArgSpec::Scalar("ticks", 32, 0, 2000)};
-    RETURN_IF_ERROR(add(std::move(spec), TaskDelay));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskDelay));
   }
   {
     ApiSpec spec;
@@ -301,7 +290,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "change a task's priority";
     spec.args = {ArgSpec::Resource("task", "task"), ArgSpec::Scalar("priority", 32, 0, 64)};
-    RETURN_IF_ERROR(add(std::move(spec), TaskPrioritySet));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskPrioritySet));
   }
   {
     ApiSpec spec;
@@ -309,7 +298,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "read a task's priority";
     spec.args = {ArgSpec::Resource("task", "task")};
-    RETURN_IF_ERROR(add(std::move(spec), TaskPriorityGet));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskPriorityGet));
   }
   {
     ApiSpec spec;
@@ -317,7 +306,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "suspend a task";
     spec.args = {ArgSpec::Resource("task", "task")};
-    RETURN_IF_ERROR(add(std::move(spec), TaskSuspend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskSuspend));
   }
   {
     ApiSpec spec;
@@ -325,14 +314,14 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "task";
     spec.doc = "resume a suspended task";
     spec.args = {ArgSpec::Resource("task", "task")};
-    RETURN_IF_ERROR(add(std::move(spec), TaskResume));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskResume));
   }
   {
     ApiSpec spec;
     spec.name = "uxTaskGetNumberOfTasks";
     spec.subsystem = "task";
     spec.doc = "number of live tasks";
-    RETURN_IF_ERROR(add(std::move(spec), TaskCount));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskCount));
   }
   {
     ApiSpec spec;
@@ -342,7 +331,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.args = {ArgSpec::Resource("task", "task"),
                  ArgSpec::Scalar("value", 32, 0, UINT32_MAX),
                  ArgSpec::Flags("action", {0, 1, 2, 3, 4})};
-    RETURN_IF_ERROR(add(std::move(spec), TaskNotify));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskNotify));
   }
   {
     ApiSpec spec;
@@ -351,7 +340,7 @@ Status RegisterTaskApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "consume a pending notification";
     spec.args = {ArgSpec::Scalar("clear_on_exit", 8, 0, 1),
                  ArgSpec::Resource("task", "task")};
-    RETURN_IF_ERROR(add(std::move(spec), TaskNotifyTake));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskNotifyTake));
   }
   return OkStatus();
 }

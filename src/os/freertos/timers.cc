@@ -142,17 +142,7 @@ void TimersOnTick(KernelContext& ctx, FreeRtosState& state) {
   });
 }
 
-Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
-  FreeRtosState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterTimerApis(ApiTable<FreeRtosState>& table) {
   {
     ApiSpec spec;
     spec.name = "xTimerCreate";
@@ -161,7 +151,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.args = {ArgSpec::String("name"), ArgSpec::Scalar("period_ticks", 32, 0, 10000),
                  ArgSpec::Scalar("autoreload", 8, 0, 1)};
     spec.produces = "fr_timer";
-    RETURN_IF_ERROR(add(std::move(spec), TimerCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerCreate));
   }
   {
     ApiSpec spec;
@@ -169,7 +159,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "timer";
     spec.doc = "start a timer";
     spec.args = {ArgSpec::Resource("timer", "fr_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerStart));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerStart));
   }
   {
     ApiSpec spec;
@@ -177,7 +167,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "timer";
     spec.doc = "stop a timer";
     spec.args = {ArgSpec::Resource("timer", "fr_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerStop));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerStop));
   }
   {
     ApiSpec spec;
@@ -186,7 +176,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.doc = "change a timer's period (restarts it)";
     spec.args = {ArgSpec::Resource("timer", "fr_timer"),
                  ArgSpec::Scalar("period_ticks", 32, 0, 10000)};
-    RETURN_IF_ERROR(add(std::move(spec), TimerChangePeriod));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerChangePeriod));
   }
   {
     ApiSpec spec;
@@ -194,7 +184,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "timer";
     spec.doc = "destroy a timer";
     spec.args = {ArgSpec::Resource("timer", "fr_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerDelete));
   }
   {
     ApiSpec spec;
@@ -202,7 +192,7 @@ Status RegisterTimerApis(ApiRegistry& registry, FreeRtosState& state) {
     spec.subsystem = "timer";
     spec.doc = "query whether a timer is running";
     spec.args = {ArgSpec::Resource("timer", "fr_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerIsActive));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerIsActive));
   }
   return OkStatus();
 }

@@ -10,12 +10,12 @@
 namespace eof {
 namespace nuttx {
 
-Status RegisterEnvApis(ApiRegistry& registry, NuttxState& state);
-Status RegisterTimeApis(ApiRegistry& registry, NuttxState& state);
-Status RegisterMqApis(ApiRegistry& registry, NuttxState& state);
-Status RegisterSemApis(ApiRegistry& registry, NuttxState& state);
-Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state);
-Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state);
+Status RegisterEnvApis(ApiTable<NuttxState>& table);
+Status RegisterTimeApis(ApiTable<NuttxState>& table);
+Status RegisterMqApis(ApiTable<NuttxState>& table);
+Status RegisterSemApis(ApiTable<NuttxState>& table);
+Status RegisterTimerApis(ApiTable<NuttxState>& table);
+Status RegisterTaskApis(ApiTable<NuttxState>& table);
 
 }  // namespace nuttx
 }  // namespace eof

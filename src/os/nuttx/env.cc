@@ -125,17 +125,7 @@ int64_t ClearEnv(KernelContext& ctx, NuttxState& state, const std::vector<ArgVal
 
 }  // namespace
 
-Status RegisterEnvApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterEnvApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "setenv";
@@ -145,7 +135,7 @@ Status RegisterEnvApis(ApiRegistry& registry, NuttxState& state) {
                                           "TERM", "USER", "SHELL"}),
                  ArgSpec::String("value"), ArgSpec::Scalar("overwrite", 8, 0, 1)};
     spec.args[1].buf_max = 256;
-    RETURN_IF_ERROR(add(std::move(spec), SetEnv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SetEnv));
   }
   {
     ApiSpec spec;
@@ -153,7 +143,7 @@ Status RegisterEnvApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "env";
     spec.doc = "read an environment variable";
     spec.args = {ArgSpec::String("name", {"PATH", "HOME", "TZ", "LANG"})};
-    RETURN_IF_ERROR(add(std::move(spec), GetEnv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), GetEnv));
   }
   {
     ApiSpec spec;
@@ -161,14 +151,14 @@ Status RegisterEnvApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "env";
     spec.doc = "remove an environment variable";
     spec.args = {ArgSpec::String("name", {"PATH", "HOME", "TZ", "LANG"})};
-    RETURN_IF_ERROR(add(std::move(spec), UnsetEnv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), UnsetEnv));
   }
   {
     ApiSpec spec;
     spec.name = "clearenv";
     spec.subsystem = "env";
     spec.doc = "drop all environment variables";
-    RETURN_IF_ERROR(add(std::move(spec), ClearEnv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ClearEnv));
   }
   return OkStatus();
 }

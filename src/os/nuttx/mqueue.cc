@@ -181,17 +181,7 @@ int64_t MqClose(KernelContext& ctx, NuttxState& state, const std::vector<ArgValu
 
 }  // namespace
 
-Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterMqApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "mq_open";
@@ -200,7 +190,7 @@ Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
     spec.args = {ArgSpec::String("name", {"/mq0", "/mq1", "/ctrl"}),
                  ArgSpec::Scalar("maxmsg", 32, 0, 32), ArgSpec::Scalar("msgsize", 32, 0, 1024)};
     spec.produces = "nx_mq";
-    RETURN_IF_ERROR(add(std::move(spec), MqOpen));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqOpen));
   }
   {
     ApiSpec spec;
@@ -208,7 +198,7 @@ Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "mqueue";
     spec.doc = "non-blocking send";
     spec.args = {ArgSpec::Resource("mq", "nx_mq"), ArgSpec::Buffer("msg", 0, 512)};
-    RETURN_IF_ERROR(add(std::move(spec), MqSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqSend));
   }
   {
     ApiSpec spec;
@@ -218,7 +208,7 @@ Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
     spec.args = {ArgSpec::Resource("mq", "nx_mq"), ArgSpec::Buffer("msg", 0, 512),
                  ArgSpec::Scalar("prio", 32, 0, 64),
                  ArgSpec::Scalar("timeout_ms", 32, 0, 1000)};
-    RETURN_IF_ERROR(add(std::move(spec), NxmqTimedsend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), NxmqTimedsend));
   }
   {
     ApiSpec spec;
@@ -226,7 +216,7 @@ Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "mqueue";
     spec.doc = "non-blocking receive";
     spec.args = {ArgSpec::Resource("mq", "nx_mq")};
-    RETURN_IF_ERROR(add(std::move(spec), MqReceive));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqReceive));
   }
   {
     ApiSpec spec;
@@ -234,7 +224,7 @@ Status RegisterMqApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "mqueue";
     spec.doc = "close a message queue";
     spec.args = {ArgSpec::Resource("mq", "nx_mq")};
-    RETURN_IF_ERROR(add(std::move(spec), MqClose));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqClose));
   }
   return OkStatus();
 }

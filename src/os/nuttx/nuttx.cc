@@ -14,20 +14,12 @@ EOF_COV_MODULE("nuttx/kernel");
 
 }  // namespace
 
-NuttxOs::NuttxOs() {
-  Status status = OkStatus();
-  auto accumulate = [&status](Status step) {
-    if (status.ok() && !step.ok()) {
-      status = step;
-    }
-  };
-  accumulate(RegisterEnvApis(registry_, state_));
-  accumulate(RegisterTimeApis(registry_, state_));
-  accumulate(RegisterMqApis(registry_, state_));
-  accumulate(RegisterSemApis(registry_, state_));
-  accumulate(RegisterTimerApis(registry_, state_));
-  accumulate(RegisterTaskApis(registry_, state_));
-  EOF_CHECK(status.ok()) << "NuttX API registration failed: " << status.ToString();
+const ApiTable<NuttxState>& NuttxOs::Apis() {
+  // Built once per process, by whichever boot first needs it.
+  static const ApiTable<NuttxState> table = BuildApiTable<NuttxState>(
+      "NuttX", {RegisterEnvApis, RegisterTimeApis, RegisterMqApis, RegisterSemApis,
+                RegisterTimerApis, RegisterTaskApis});
+  return table;
 }
 
 Status NuttxOs::Init(KernelContext& ctx) {

@@ -15,10 +15,12 @@ namespace nuttx {
 
 class NuttxOs : public Os {
  public:
-  NuttxOs();
-
   const std::string& name() const override { return name_; }
-  const ApiRegistry& registry() const override { return registry_; }
+  const ApiRegistry& registry() const override { return Apis(); }
+  Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                          const std::vector<ArgValue>& args) override {
+    return Apis().Call(ctx, state_, id, args);
+  }
   Status Init(KernelContext& ctx) override;
   std::string exception_symbol() const override { return "up_assert"; }
   OsFootprint footprint() const override;
@@ -30,7 +32,8 @@ class NuttxOs : public Os {
  private:
   std::string name_ = "nuttx";
   NuttxState state_;
-  ApiRegistry registry_;
+
+  static const ApiTable<NuttxState>& Apis();
 };
 
 Status RegisterNuttxOs();

@@ -135,17 +135,7 @@ int64_t SemDestroy(KernelContext& ctx, NuttxState& state,
 
 }  // namespace
 
-Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterSemApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "sem_init";
@@ -153,7 +143,7 @@ Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
     spec.doc = "initialise an unnamed semaphore";
     spec.args = {ArgSpec::Scalar("value", 32, 0, 16)};
     spec.produces = "nx_sem";
-    RETURN_IF_ERROR(add(std::move(spec), SemInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemInit));
   }
   {
     ApiSpec spec;
@@ -161,7 +151,7 @@ Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "semaphore";
     spec.doc = "post a semaphore";
     spec.args = {ArgSpec::Resource("sem", "nx_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemPost));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemPost));
   }
   {
     ApiSpec spec;
@@ -169,7 +159,7 @@ Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "semaphore";
     spec.doc = "wait on a semaphore (zero wait)";
     spec.args = {ArgSpec::Resource("sem", "nx_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemWait));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemWait));
   }
   {
     ApiSpec spec;
@@ -177,7 +167,7 @@ Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "semaphore";
     spec.doc = "non-blocking wait";
     spec.args = {ArgSpec::Resource("sem", "nx_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), NxsemTrywait));
+    RETURN_IF_ERROR(table.Register(std::move(spec), NxsemTrywait));
   }
   {
     ApiSpec spec;
@@ -185,7 +175,7 @@ Status RegisterSemApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "semaphore";
     spec.doc = "destroy a semaphore";
     spec.args = {ArgSpec::Resource("sem", "nx_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemDestroy));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemDestroy));
   }
   return OkStatus();
 }

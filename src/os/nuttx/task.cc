@@ -97,17 +97,7 @@ int64_t Usleep(KernelContext& ctx, NuttxState& state, const std::vector<ArgValue
 
 }  // namespace
 
-Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterTaskApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "task_create";
@@ -117,7 +107,7 @@ Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state) {
                  ArgSpec::Scalar("priority", 32, 0, 300),
                  ArgSpec::Scalar("stack_size", 32, 0, 8192)};
     spec.produces = "nx_task";
-    RETURN_IF_ERROR(add(std::move(spec), TaskCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskCreate));
   }
   {
     ApiSpec spec;
@@ -125,7 +115,7 @@ Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "task";
     spec.doc = "kill a task";
     spec.args = {ArgSpec::Resource("task", "nx_task")};
-    RETURN_IF_ERROR(add(std::move(spec), TaskDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskDelete));
   }
   {
     ApiSpec spec;
@@ -134,7 +124,7 @@ Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state) {
     spec.doc = "change a task's priority";
     spec.args = {ArgSpec::Resource("task", "nx_task"),
                  ArgSpec::Scalar("priority", 32, 0, 300)};
-    RETURN_IF_ERROR(add(std::move(spec), TaskSetPriority));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TaskSetPriority));
   }
   {
     ApiSpec spec;
@@ -142,7 +132,7 @@ Status RegisterTaskApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "task";
     spec.doc = "sleep for N microseconds";
     spec.args = {ArgSpec::Scalar("usec", 32, 0, 1000000)};
-    RETURN_IF_ERROR(add(std::move(spec), Usleep));
+    RETURN_IF_ERROR(table.Register(std::move(spec), Usleep));
   }
   return OkStatus();
 }

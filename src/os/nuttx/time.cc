@@ -114,17 +114,7 @@ int64_t Gettimeofday(KernelContext& ctx, NuttxState& state,
 
 }  // namespace
 
-Status RegisterTimeApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterTimeApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "clock_settime";
@@ -133,7 +123,7 @@ Status RegisterTimeApis(ApiRegistry& registry, NuttxState& state) {
     spec.args = {ArgSpec::Flags("clockid", {0, 1}),
                  ArgSpec::Scalar("sec", 64, 0, 8589934592ULL),
                  ArgSpec::Scalar("nsec", 32, 0, 2000000000)};
-    RETURN_IF_ERROR(add(std::move(spec), ClockSettime));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ClockSettime));
   }
   {
     ApiSpec spec;
@@ -142,7 +132,7 @@ Status RegisterTimeApis(ApiRegistry& registry, NuttxState& state) {
     spec.doc = "read a system clock";
     spec.args = {ArgSpec::Flags("clockid", {0, 1}, /*combinable=*/false)};
     spec.args[0].extended_flag_values = {4, 7};
-    RETURN_IF_ERROR(add(std::move(spec), ClockGettime));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ClockGettime));
   }
   {
     ApiSpec spec;
@@ -151,14 +141,14 @@ Status RegisterTimeApis(ApiRegistry& registry, NuttxState& state) {
     spec.doc = "clock resolution query";
     spec.args = {ArgSpec::Flags("clockid", {0, 1, 4}, /*combinable=*/false)};
     spec.args[0].extended_flag_values = {6, 7};  // header-only ids, LLM-mined
-    RETURN_IF_ERROR(add(std::move(spec), ClockGetres));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ClockGetres));
   }
   {
     ApiSpec spec;
     spec.name = "gettimeofday";
     spec.subsystem = "libc";
     spec.doc = "BSD-style wall-clock read";
-    RETURN_IF_ERROR(add(std::move(spec), Gettimeofday));
+    RETURN_IF_ERROR(table.Register(std::move(spec), Gettimeofday));
   }
   return OkStatus();
 }

@@ -131,17 +131,7 @@ int64_t TimerDelete(KernelContext& ctx, NuttxState& state,
 
 }  // namespace
 
-Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
-  NuttxState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterTimerApis(ApiTable<NuttxState>& table) {
   {
     ApiSpec spec;
     spec.name = "timer_create";
@@ -150,7 +140,7 @@ Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
     spec.args = {ArgSpec::Flags("clockid", {0, 1, 7}, /*combinable=*/false),
                  ArgSpec::Scalar("signo", 32, 0, 63)};
     spec.produces = "nx_timer";
-    RETURN_IF_ERROR(add(std::move(spec), TimerCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerCreate));
   }
   {
     ApiSpec spec;
@@ -159,7 +149,7 @@ Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
     spec.doc = "arm/disarm a timer (period in ns; 0 disarms)";
     spec.args = {ArgSpec::Resource("timer", "nx_timer"),
                  ArgSpec::Scalar("period_ns", 64, 0, 10000000000ULL)};
-    RETURN_IF_ERROR(add(std::move(spec), TimerSettime));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerSettime));
   }
   {
     ApiSpec spec;
@@ -167,7 +157,7 @@ Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "timer";
     spec.doc = "remaining time of an armed timer";
     spec.args = {ArgSpec::Resource("timer", "nx_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerGettime));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerGettime));
   }
   {
     ApiSpec spec;
@@ -175,7 +165,7 @@ Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "timer";
     spec.doc = "overrun count of a timer";
     spec.args = {ArgSpec::Resource("timer", "nx_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerGetoverrun));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerGetoverrun));
   }
   {
     ApiSpec spec;
@@ -183,7 +173,7 @@ Status RegisterTimerApis(ApiRegistry& registry, NuttxState& state) {
     spec.subsystem = "timer";
     spec.doc = "destroy a timer";
     spec.args = {ArgSpec::Resource("timer", "nx_timer")};
-    RETURN_IF_ERROR(add(std::move(spec), TimerDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimerDelete));
   }
   return OkStatus();
 }

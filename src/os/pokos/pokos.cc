@@ -297,22 +297,7 @@ int64_t TimedWait(KernelContext& ctx, PokState& state, const std::vector<ArgValu
   return POK_ERRNO_OK;
 }
 
-}  // namespace
-
-PokOs::PokOs() {
-  PokState* s = &state_;
-  Status status = OkStatus();
-  auto add = [&](ApiSpec spec, auto fn) {
-    if (!status.ok()) {
-      return;
-    }
-    auto result = registry_.Register(
-        std::move(spec), [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-          return fn(ctx, *s, args);
-        });
-    status = result.status();
-  };
-
+Status RegisterPokApis(ApiTable<PokState>& table) {
   {
     ApiSpec spec;
     spec.name = "pok_partition_create";
@@ -322,7 +307,7 @@ PokOs::PokOs() {
                  ArgSpec::Scalar("memory", 32, 0, 131072),
                  ArgSpec::Scalar("slice_ms", 32, 0, 2000)};
     spec.produces = "pok_partition";
-    add(std::move(spec), PartitionCreate);
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionCreate));
   }
   {
     ApiSpec spec;
@@ -331,7 +316,7 @@ PokOs::PokOs() {
     spec.doc = "ARINC-653 mode transition (0=idle 1=cold 2=warm 3=normal)";
     spec.args = {ArgSpec::Resource("partition", "pok_partition"),
                  ArgSpec::Flags("mode", {0, 1, 2, 3})};
-    add(std::move(spec), PartitionSetMode);
+    RETURN_IF_ERROR(table.Register(std::move(spec), PartitionSetMode));
   }
   {
     ApiSpec spec;
@@ -342,7 +327,7 @@ PokOs::PokOs() {
                  ArgSpec::Scalar("priority", 32, 0, 300),
                  ArgSpec::Scalar("period_ms", 32, 0, 1000)};
     spec.produces = "pok_thread";
-    add(std::move(spec), ThreadCreate);
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadCreate));
   }
   {
     ApiSpec spec;
@@ -350,7 +335,7 @@ PokOs::PokOs() {
     spec.subsystem = "kernel";
     spec.doc = "start a thread (partition must be NORMAL)";
     spec.args = {ArgSpec::Resource("thread", "pok_thread")};
-    add(std::move(spec), ThreadStart);
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadStart));
   }
   {
     ApiSpec spec;
@@ -362,7 +347,7 @@ PokOs::PokOs() {
                  ArgSpec::Scalar("is_source", 8, 0, 1),
                  ArgSpec::Scalar("validity_ms", 32, 0, 1000)};
     spec.produces = "pok_sport";
-    add(std::move(spec), SamplingCreate);
+    RETURN_IF_ERROR(table.Register(std::move(spec), SamplingCreate));
   }
   {
     ApiSpec spec;
@@ -370,7 +355,7 @@ PokOs::PokOs() {
     spec.subsystem = "port";
     spec.doc = "publish a sample";
     spec.args = {ArgSpec::Resource("port", "pok_sport"), ArgSpec::Buffer("msg", 0, 1024)};
-    add(std::move(spec), SamplingWrite);
+    RETURN_IF_ERROR(table.Register(std::move(spec), SamplingWrite));
   }
   {
     ApiSpec spec;
@@ -378,7 +363,7 @@ PokOs::PokOs() {
     spec.subsystem = "port";
     spec.doc = "read the latest sample with validity";
     spec.args = {ArgSpec::Resource("port", "pok_sport")};
-    add(std::move(spec), SamplingRead);
+    RETURN_IF_ERROR(table.Register(std::move(spec), SamplingRead));
   }
   {
     ApiSpec spec;
@@ -389,7 +374,7 @@ PokOs::PokOs() {
                  ArgSpec::Scalar("max_size", 32, 0, 2048),
                  ArgSpec::Scalar("depth", 32, 0, 64), ArgSpec::Scalar("is_source", 8, 0, 1)};
     spec.produces = "pok_qport";
-    add(std::move(spec), QueuingCreate);
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueuingCreate));
   }
   {
     ApiSpec spec;
@@ -397,7 +382,7 @@ PokOs::PokOs() {
     spec.subsystem = "port";
     spec.doc = "enqueue a message";
     spec.args = {ArgSpec::Resource("port", "pok_qport"), ArgSpec::Buffer("msg", 0, 1024)};
-    add(std::move(spec), QueuingSend);
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueuingSend));
   }
   {
     ApiSpec spec;
@@ -405,14 +390,14 @@ PokOs::PokOs() {
     spec.subsystem = "port";
     spec.doc = "dequeue a message";
     spec.args = {ArgSpec::Resource("port", "pok_qport")};
-    add(std::move(spec), QueuingReceive);
+    RETURN_IF_ERROR(table.Register(std::move(spec), QueuingReceive));
   }
   {
     ApiSpec spec;
     spec.name = "pok_time_get";
     spec.subsystem = "kernel";
     spec.doc = "milliseconds since boot";
-    add(std::move(spec), TimeGet);
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimeGet));
   }
   {
     ApiSpec spec;
@@ -420,9 +405,17 @@ PokOs::PokOs() {
     spec.subsystem = "kernel";
     spec.doc = "sleep the calling thread";
     spec.args = {ArgSpec::Scalar("ms", 32, 0, 1000)};
-    add(std::move(spec), TimedWait);
+    RETURN_IF_ERROR(table.Register(std::move(spec), TimedWait));
   }
-  EOF_CHECK(status.ok()) << "PoKOS API registration failed: " << status.ToString();
+  return OkStatus();
+}
+
+}  // namespace
+
+const ApiTable<PokState>& PokOs::Apis() {
+  // Built once per process, by whichever boot first needs it.
+  static const ApiTable<PokState> table = BuildApiTable<PokState>("PoKOS", {RegisterPokApis});
+  return table;
 }
 
 Status PokOs::Init(KernelContext& ctx) {

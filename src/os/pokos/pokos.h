@@ -70,10 +70,12 @@ struct PokState {
 
 class PokOs : public Os {
  public:
-  PokOs();
-
   const std::string& name() const override { return name_; }
-  const ApiRegistry& registry() const override { return registry_; }
+  const ApiRegistry& registry() const override { return Apis(); }
+  Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                          const std::vector<ArgValue>& args) override {
+    return Apis().Call(ctx, state_, id, args);
+  }
   Status Init(KernelContext& ctx) override;
   std::string exception_symbol() const override { return "pok_fatal"; }
   OsFootprint footprint() const override;
@@ -85,7 +87,8 @@ class PokOs : public Os {
  private:
   std::string name_ = "pokos";
   PokState state_;
-  ApiRegistry registry_;
+
+  static const ApiTable<PokState>& Apis();
 };
 
 Status RegisterPokOs();

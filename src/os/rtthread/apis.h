@@ -10,15 +10,15 @@
 namespace eof {
 namespace rtthread {
 
-Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterHeapApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterServiceApis(ApiRegistry& registry, RtThreadState& state);
-Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state);
+Status RegisterObjectApis(ApiTable<RtThreadState>& table);
+Status RegisterThreadApis(ApiTable<RtThreadState>& table);
+Status RegisterIpcApis(ApiTable<RtThreadState>& table);
+Status RegisterMemPoolApis(ApiTable<RtThreadState>& table);
+Status RegisterSmemApis(ApiTable<RtThreadState>& table);
+Status RegisterHeapApis(ApiTable<RtThreadState>& table);
+Status RegisterDeviceApis(ApiTable<RtThreadState>& table);
+Status RegisterServiceApis(ApiTable<RtThreadState>& table);
+Status RegisterSocketApis(ApiTable<RtThreadState>& table);
 
 // Console output path: rt_kprintf -> _kputs -> rt_device_write -> rt_serial_write.
 // Exposed to the socket layer, whose logging rides this path (Figure 6 / bug #12).

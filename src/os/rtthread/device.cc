@@ -215,17 +215,7 @@ int64_t ConsoleSetDevice(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterDeviceApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_device_find";
@@ -233,7 +223,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "look up a registered device by name";
     spec.args = {ArgSpec::String("name", {"uart0", "uart1", "pin", "spi0"})};
     spec.produces = "rt_device";
-    RETURN_IF_ERROR(add(std::move(spec), DeviceFind));
+    RETURN_IF_ERROR(table.Register(std::move(spec), DeviceFind));
   }
   {
     ApiSpec spec;
@@ -243,7 +233,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::Resource("dev", "rt_device"),
                  ArgSpec::Flags("oflag", {0, 0x001, 0x002, 0x003, 0x040, 0x043},
                                 /*combinable=*/false)};
-    RETURN_IF_ERROR(add(std::move(spec), DeviceOpen));
+    RETURN_IF_ERROR(table.Register(std::move(spec), DeviceOpen));
   }
   {
     ApiSpec spec;
@@ -251,7 +241,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "serial";
     spec.doc = "close a device";
     spec.args = {ArgSpec::Resource("dev", "rt_device")};
-    RETURN_IF_ERROR(add(std::move(spec), DeviceClose));
+    RETURN_IF_ERROR(table.Register(std::move(spec), DeviceClose));
   }
   {
     ApiSpec spec;
@@ -259,7 +249,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "serial";
     spec.doc = "write bytes to a device";
     spec.args = {ArgSpec::Resource("dev", "rt_device"), ArgSpec::Buffer("data", 0, 256)};
-    RETURN_IF_ERROR(add(std::move(spec), DeviceWrite));
+    RETURN_IF_ERROR(table.Register(std::move(spec), DeviceWrite));
   }
   {
     ApiSpec spec;
@@ -267,7 +257,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "serial";
     spec.doc = "remove a device from the registry";
     spec.args = {ArgSpec::Resource("dev", "rt_device")};
-    RETURN_IF_ERROR(add(std::move(spec), DeviceUnregister));
+    RETURN_IF_ERROR(table.Register(std::move(spec), DeviceUnregister));
   }
   {
     ApiSpec spec;
@@ -275,7 +265,7 @@ Status RegisterDeviceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "serial";
     spec.doc = "route the kernel console to a serial device";
     spec.args = {ArgSpec::String("name", {"uart0", "uart1"})};
-    RETURN_IF_ERROR(add(std::move(spec), ConsoleSetDevice));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ConsoleSetDevice));
   }
   return OkStatus();
 }

@@ -424,17 +424,7 @@ int64_t MqDelete(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterIpcApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_event_create";
@@ -442,7 +432,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "create an event object";
     spec.args = {ArgSpec::String("name", {"evt0", "evt1"})};
     spec.produces = "rt_event";
-    RETURN_IF_ERROR(add(std::move(spec), EventCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventCreate));
   }
   {
     ApiSpec spec;
@@ -451,7 +441,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "set event bits and resume satisfied waiters";
     spec.args = {ArgSpec::Resource("event", "rt_event"),
                  ArgSpec::Scalar("set", 32, 0, UINT32_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), EventSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventSend));
   }
   {
     ApiSpec spec;
@@ -461,7 +451,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::Resource("event", "rt_event"),
                  ArgSpec::Scalar("pattern", 32, 0, UINT32_MAX),
                  ArgSpec::Flags("option", {1, 2, 3, 5, 6, 7}, /*combinable=*/false)};
-    RETURN_IF_ERROR(add(std::move(spec), EventRecv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventRecv));
   }
   {
     ApiSpec spec;
@@ -469,7 +459,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "destroy an event object";
     spec.args = {ArgSpec::Resource("event", "rt_event")};
-    RETURN_IF_ERROR(add(std::move(spec), EventDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), EventDelete));
   }
   {
     ApiSpec spec;
@@ -479,7 +469,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::String("name", {"sem0", "sem1"}),
                  ArgSpec::Scalar("value", 32, 0, 70000)};
     spec.produces = "rt_sem";
-    RETURN_IF_ERROR(add(std::move(spec), SemCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemCreate));
   }
   {
     ApiSpec spec;
@@ -487,7 +477,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "take a semaphore (zero wait)";
     spec.args = {ArgSpec::Resource("sem", "rt_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemTake));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemTake));
   }
   {
     ApiSpec spec;
@@ -495,7 +485,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "release a semaphore";
     spec.args = {ArgSpec::Resource("sem", "rt_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemRelease));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemRelease));
   }
   {
     ApiSpec spec;
@@ -503,7 +493,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "destroy a semaphore";
     spec.args = {ArgSpec::Resource("sem", "rt_sem")};
-    RETURN_IF_ERROR(add(std::move(spec), SemDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SemDelete));
   }
   {
     ApiSpec spec;
@@ -514,7 +504,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
                  ArgSpec::Scalar("msg_size", 32, 0, 512),
                  ArgSpec::Scalar("max_msgs", 32, 0, 64)};
     spec.produces = "rt_mq";
-    RETURN_IF_ERROR(add(std::move(spec), MqCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqCreate));
   }
   {
     ApiSpec spec;
@@ -522,7 +512,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "enqueue a message";
     spec.args = {ArgSpec::Resource("mq", "rt_mq"), ArgSpec::Buffer("msg", 0, 256)};
-    RETURN_IF_ERROR(add(std::move(spec), MqSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqSend));
   }
   {
     ApiSpec spec;
@@ -530,7 +520,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "enqueue a message at the head";
     spec.args = {ArgSpec::Resource("mq", "rt_mq"), ArgSpec::Buffer("msg", 0, 256)};
-    RETURN_IF_ERROR(add(std::move(spec), MqUrgent));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqUrgent));
   }
   {
     ApiSpec spec;
@@ -538,7 +528,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "dequeue a message (zero wait)";
     spec.args = {ArgSpec::Resource("mq", "rt_mq")};
-    RETURN_IF_ERROR(add(std::move(spec), MqRecv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqRecv));
   }
   {
     ApiSpec spec;
@@ -546,7 +536,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "destroy a message queue";
     spec.args = {ArgSpec::Resource("mq", "rt_mq")};
-    RETURN_IF_ERROR(add(std::move(spec), MqDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MqDelete));
   }
   {
     ApiSpec spec;
@@ -555,7 +545,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "create a mailbox of N 64-bit mails";
     spec.args = {ArgSpec::String("name", {"mb0", "mb1"}), ArgSpec::Scalar("size", 32, 0, 512)};
     spec.produces = "rt_mailbox";
-    RETURN_IF_ERROR(add(std::move(spec), MbCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MbCreate));
   }
   {
     ApiSpec spec;
@@ -564,7 +554,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "post a mail";
     spec.args = {ArgSpec::Resource("mb", "rt_mailbox"),
                  ArgSpec::Scalar("value", 64, 0, UINT64_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), MbSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MbSend));
   }
   {
     ApiSpec spec;
@@ -572,7 +562,7 @@ Status RegisterIpcApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "ipc";
     spec.doc = "fetch a mail (zero wait)";
     spec.args = {ArgSpec::Resource("mb", "rt_mailbox")};
-    RETURN_IF_ERROR(add(std::move(spec), MbRecv));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MbRecv));
   }
   return OkStatus();
 }

@@ -138,17 +138,7 @@ int64_t MpDelete(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterMemPoolApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_mp_create";
@@ -158,7 +148,7 @@ Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state) {
                  ArgSpec::Scalar("block_count", 32, 0, 16),
                  ArgSpec::Scalar("block_size", 32, 0, 2048)};
     spec.produces = "rt_mempool";
-    RETURN_IF_ERROR(add(std::move(spec), MpCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MpCreate));
   }
   {
     ApiSpec spec;
@@ -168,7 +158,7 @@ Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::Resource("pool", "rt_mempool"),
                  ArgSpec::Scalar("timeout", 32, 0, UINT32_MAX)};
     spec.produces = "rt_mp_block";
-    RETURN_IF_ERROR(add(std::move(spec), MpAlloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MpAlloc));
   }
   {
     ApiSpec spec;
@@ -176,7 +166,7 @@ Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "mempool";
     spec.doc = "return a block to its pool";
     spec.args = {ArgSpec::Resource("block", "rt_mp_block")};
-    RETURN_IF_ERROR(add(std::move(spec), MpFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MpFree));
   }
   {
     ApiSpec spec;
@@ -184,7 +174,7 @@ Status RegisterMemPoolApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "mempool";
     spec.doc = "destroy a memory pool";
     spec.args = {ArgSpec::Resource("pool", "rt_mempool")};
-    RETURN_IF_ERROR(add(std::move(spec), MpDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MpDelete));
   }
   return OkStatus();
 }

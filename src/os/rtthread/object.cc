@@ -150,17 +150,7 @@ int64_t ObjectGetLength(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterObjectApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_object_init";
@@ -169,7 +159,7 @@ Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::Flags("type", {1, 2, 3, 4, 5, 6, 7, 8, 9}),
                  ArgSpec::String("name", {"obj0", "tmr1", "sem2", "dev3", "thr4"})};
     spec.produces = "rt_object";
-    RETURN_IF_ERROR(add(std::move(spec), ObjectInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ObjectInit));
   }
   {
     ApiSpec spec;
@@ -177,7 +167,7 @@ Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "object";
     spec.doc = "detach a statically initialised object";
     spec.args = {ArgSpec::Resource("object", "rt_object")};
-    RETURN_IF_ERROR(add(std::move(spec), ObjectDetach));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ObjectDetach));
   }
   {
     ApiSpec spec;
@@ -185,7 +175,7 @@ Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "object";
     spec.doc = "class type of an object";
     spec.args = {ArgSpec::Resource("object", "rt_object", /*optional_null=*/true)};
-    RETURN_IF_ERROR(add(std::move(spec), ObjectGetType));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ObjectGetType));
   }
   {
     ApiSpec spec;
@@ -195,7 +185,7 @@ Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::String("name", {"obj0", "tmr1", "sem2", "dev3", "thr4"}),
                  ArgSpec::Scalar("type", 8, 0, 9)};
     spec.produces = "rt_object";
-    RETURN_IF_ERROR(add(std::move(spec), ObjectFind));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ObjectFind));
   }
   {
     ApiSpec spec;
@@ -203,7 +193,7 @@ Status RegisterObjectApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "object";
     spec.doc = "number of live objects of a class";
     spec.args = {ArgSpec::Scalar("type", 8, 0, 9)};
-    RETURN_IF_ERROR(add(std::move(spec), ObjectGetLength));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ObjectGetLength));
   }
   return OkStatus();
 }

@@ -14,23 +14,13 @@ EOF_COV_MODULE("rtthread/kernel");
 
 }  // namespace
 
-RtThreadOs::RtThreadOs() {
-  Status status = OkStatus();
-  auto accumulate = [&status](Status step) {
-    if (status.ok() && !step.ok()) {
-      status = step;
-    }
-  };
-  accumulate(RegisterObjectApis(registry_, state_));
-  accumulate(RegisterThreadApis(registry_, state_));
-  accumulate(RegisterIpcApis(registry_, state_));
-  accumulate(RegisterMemPoolApis(registry_, state_));
-  accumulate(RegisterSmemApis(registry_, state_));
-  accumulate(RegisterHeapApis(registry_, state_));
-  accumulate(RegisterDeviceApis(registry_, state_));
-  accumulate(RegisterServiceApis(registry_, state_));
-  accumulate(RegisterSocketApis(registry_, state_));
-  EOF_CHECK(status.ok()) << "RT-Thread API registration failed: " << status.ToString();
+const ApiTable<RtThreadState>& RtThreadOs::Apis() {
+  // Built once per process, by whichever boot first needs it.
+  static const ApiTable<RtThreadState> table = BuildApiTable<RtThreadState>(
+      "RT-Thread", {RegisterObjectApis, RegisterThreadApis, RegisterIpcApis, RegisterMemPoolApis,
+                    RegisterSmemApis, RegisterHeapApis, RegisterDeviceApis, RegisterServiceApis,
+                    RegisterSocketApis});
+  return table;
 }
 
 Status RtThreadOs::Init(KernelContext& ctx) {

@@ -15,10 +15,12 @@ namespace rtthread {
 
 class RtThreadOs : public Os {
  public:
-  RtThreadOs();
-
   const std::string& name() const override { return name_; }
-  const ApiRegistry& registry() const override { return registry_; }
+  const ApiRegistry& registry() const override { return Apis(); }
+  Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                          const std::vector<ArgValue>& args) override {
+    return Apis().Call(ctx, state_, id, args);
+  }
   Status Init(KernelContext& ctx) override;
   std::string exception_symbol() const override { return "common_exception"; }
   OsFootprint footprint() const override;
@@ -31,7 +33,8 @@ class RtThreadOs : public Os {
  private:
   std::string name_ = "rtthread";
   RtThreadState state_;
-  ApiRegistry registry_;
+
+  static const ApiTable<RtThreadState>& Apis();
 };
 
 Status RegisterRtThreadOs();

@@ -118,17 +118,7 @@ int64_t ServicePoll(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterServiceApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterServiceApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_service_register";
@@ -136,7 +126,7 @@ Status RegisterServiceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "register a background GPIO-polling service";
     spec.args = {ArgSpec::String("name", {"svc0", "svc1", "svc2"})};
     spec.produces = "rt_service";
-    RETURN_IF_ERROR(add(std::move(spec), ServiceRegister));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ServiceRegister));
   }
   {
     ApiSpec spec;
@@ -144,14 +134,14 @@ Status RegisterServiceApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "service";
     spec.doc = "unregister a service";
     spec.args = {ArgSpec::Resource("service", "rt_service")};
-    RETURN_IF_ERROR(add(std::move(spec), ServiceUnregister));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ServiceUnregister));
   }
   {
     ApiSpec spec;
     spec.name = "rt_service_poll";
     spec.subsystem = "service";
     spec.doc = "run one poll pass over all registered services";
-    RETURN_IF_ERROR(add(std::move(spec), ServicePoll));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ServicePoll));
   }
   return OkStatus();
 }

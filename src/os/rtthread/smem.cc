@@ -278,18 +278,7 @@ int64_t RtFree(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn, bool extended = false) -> Status {
-    spec.extended_spec = extended;
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterSmemApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_smem_init";
@@ -298,7 +287,7 @@ Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::String("name", {"sm0", "sm1"}),
                  ArgSpec::Scalar("size", 32, 0, 16384)};
     spec.produces = "rt_smem";
-    RETURN_IF_ERROR(add(std::move(spec), SmemInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SmemInit));
   }
   {
     ApiSpec spec;
@@ -307,7 +296,7 @@ Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "allocate from a small-memory instance";
     spec.args = {ArgSpec::Resource("smem", "rt_smem"), ArgSpec::Scalar("size", 32, 0, 4096)};
     spec.produces = "rt_smem_mem";
-    RETURN_IF_ERROR(add(std::move(spec), SmemAlloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SmemAlloc));
   }
   {
     ApiSpec spec;
@@ -315,7 +304,7 @@ Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "memory";
     spec.doc = "free a small-memory allocation";
     spec.args = {ArgSpec::Resource("mem", "rt_smem_mem")};
-    RETURN_IF_ERROR(add(std::move(spec), SmemFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SmemFree));
   }
   {
     ApiSpec spec;
@@ -323,7 +312,8 @@ Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "memory";
     spec.doc = "rename a small-memory instance (LLM-mined API, absent from base specs)";
     spec.args = {ArgSpec::Resource("smem", "rt_smem"), ArgSpec::String("name")};
-    RETURN_IF_ERROR(add(std::move(spec), SmemSetname, /*extended=*/true));
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SmemSetname));
   }
   {
     ApiSpec spec;
@@ -331,29 +321,19 @@ Status RegisterSmemApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "memory";
     spec.doc = "destroy a small-memory instance";
     spec.args = {ArgSpec::Resource("smem", "rt_smem")};
-    RETURN_IF_ERROR(add(std::move(spec), SmemDetach));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SmemDetach));
   }
   return OkStatus();
 }
 
-Status RegisterHeapApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterHeapApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_malloc";
     spec.subsystem = "heap";
     spec.doc = "allocate from the main kernel heap";
     spec.args = {ArgSpec::Scalar("size", 32, 0, 16384)};
-    RETURN_IF_ERROR(add(std::move(spec), RtMalloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), RtMalloc));
   }
   {
     ApiSpec spec;
@@ -361,7 +341,7 @@ Status RegisterHeapApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "heap";
     spec.doc = "return memory to the main kernel heap";
     spec.args = {ArgSpec::Scalar("size", 32, 0, 16384)};
-    RETURN_IF_ERROR(add(std::move(spec), RtFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), RtFree));
   }
   return OkStatus();
 }

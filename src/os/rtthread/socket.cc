@@ -156,19 +156,7 @@ int64_t SyzCreateBindSocket(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn, bool pseudo = false) -> Status {
-    spec.is_pseudo = pseudo;
-    spec.extended_spec = pseudo;
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterSocketApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "socket";
@@ -177,7 +165,7 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
     spec.args = {ArgSpec::Flags("domain", {2, 10}), ArgSpec::Flags("type", {1, 2}),
                  ArgSpec::Scalar("protocol", 32, 0, 255)};
     spec.produces = "rt_socket";
-    RETURN_IF_ERROR(add(std::move(spec), SalSocket));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SalSocket));
   }
   {
     ApiSpec spec;
@@ -186,7 +174,7 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "bind a socket to a local port";
     spec.args = {ArgSpec::Resource("sock", "rt_socket"),
                  ArgSpec::Scalar("port", 16, 0, 65535)};
-    RETURN_IF_ERROR(add(std::move(spec), SalBind));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SalBind));
   }
   {
     ApiSpec spec;
@@ -195,7 +183,7 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
     spec.doc = "connect a stream socket";
     spec.args = {ArgSpec::Resource("sock", "rt_socket"),
                  ArgSpec::Scalar("port", 16, 0, 65535)};
-    RETURN_IF_ERROR(add(std::move(spec), SalConnect));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SalConnect));
   }
   {
     ApiSpec spec;
@@ -203,7 +191,7 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "socket";
     spec.doc = "send bytes on a socket";
     spec.args = {ArgSpec::Resource("sock", "rt_socket"), ArgSpec::Buffer("data", 0, 1024)};
-    RETURN_IF_ERROR(add(std::move(spec), SalSend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SalSend));
   }
   {
     ApiSpec spec;
@@ -211,7 +199,7 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "socket";
     spec.doc = "close a socket";
     spec.args = {ArgSpec::Resource("sock", "rt_socket")};
-    RETURN_IF_ERROR(add(std::move(spec), SalClose));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SalClose));
   }
   {
     ApiSpec spec;
@@ -222,7 +210,9 @@ Status RegisterSocketApis(ApiRegistry& registry, RtThreadState& state) {
                  ArgSpec::Scalar("protocol", 32, 0, 255),
                  ArgSpec::Scalar("port", 16, 0, 65535)};
     spec.produces = "rt_socket";
-    RETURN_IF_ERROR(add(std::move(spec), SyzCreateBindSocket, /*pseudo=*/true));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SyzCreateBindSocket));
   }
   return OkStatus();
 }

@@ -141,17 +141,7 @@ int64_t ThreadDelete(KernelContext& ctx, RtThreadState& state,
 
 }  // namespace
 
-Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
-  RtThreadState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterThreadApis(ApiTable<RtThreadState>& table) {
   {
     ApiSpec spec;
     spec.name = "rt_thread_create";
@@ -161,7 +151,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
                  ArgSpec::Scalar("stack_size", 32, 0, 8192),
                  ArgSpec::Scalar("priority", 8, 0, 40), ArgSpec::Scalar("tick", 8, 0, 100)};
     spec.produces = "rt_thread";
-    RETURN_IF_ERROR(add(std::move(spec), ThreadCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadCreate));
   }
   {
     ApiSpec spec;
@@ -169,7 +159,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "thread";
     spec.doc = "start a created thread";
     spec.args = {ArgSpec::Resource("thread", "rt_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadStartup));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadStartup));
   }
   {
     ApiSpec spec;
@@ -177,7 +167,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "thread";
     spec.doc = "sleep the calling thread for N ticks";
     spec.args = {ArgSpec::Scalar("ticks", 32, 0, 1000)};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadDelay));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadDelay));
   }
   {
     ApiSpec spec;
@@ -185,7 +175,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "thread";
     spec.doc = "suspend a started thread";
     spec.args = {ArgSpec::Resource("thread", "rt_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadSuspend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadSuspend));
   }
   {
     ApiSpec spec;
@@ -193,7 +183,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "thread";
     spec.doc = "resume a suspended thread";
     spec.args = {ArgSpec::Resource("thread", "rt_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadResume));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadResume));
   }
   {
     ApiSpec spec;
@@ -201,7 +191,7 @@ Status RegisterThreadApis(ApiRegistry& registry, RtThreadState& state) {
     spec.subsystem = "thread";
     spec.doc = "destroy a thread";
     spec.args = {ArgSpec::Resource("thread", "rt_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadDelete));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadDelete));
   }
   return OkStatus();
 }

@@ -10,12 +10,12 @@
 namespace eof {
 namespace zephyr {
 
-Status RegisterSysHeapApis(ApiRegistry& registry, ZephyrState& state);
-Status RegisterKHeapApis(ApiRegistry& registry, ZephyrState& state);
-Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state);
-Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state);
-Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state);
-Status RegisterFifoApis(ApiRegistry& registry, ZephyrState& state);
+Status RegisterSysHeapApis(ApiTable<ZephyrState>& table);
+Status RegisterKHeapApis(ApiTable<ZephyrState>& table);
+Status RegisterMsgqApis(ApiTable<ZephyrState>& table);
+Status RegisterJsonApis(ApiTable<ZephyrState>& table);
+Status RegisterThreadApis(ApiTable<ZephyrState>& table);
+Status RegisterFifoApis(ApiTable<ZephyrState>& table);
 
 // Boot-time sys_heap arena initialisation.
 void SysHeapInit(ZephyrState& state, uint64_t bytes);

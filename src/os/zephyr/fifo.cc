@@ -79,24 +79,14 @@ int64_t FifoIsEmpty(KernelContext& ctx, ZephyrState& state,
 
 }  // namespace
 
-Status RegisterFifoApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterFifoApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "k_fifo_init";
     spec.subsystem = "fifo";
     spec.doc = "initialise a FIFO";
     spec.produces = "z_fifo";
-    RETURN_IF_ERROR(add(std::move(spec), FifoInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), FifoInit));
   }
   {
     ApiSpec spec;
@@ -105,7 +95,7 @@ Status RegisterFifoApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "append an item";
     spec.args = {ArgSpec::Resource("fifo", "z_fifo"),
                  ArgSpec::Scalar("value", 64, 0, UINT64_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), FifoPut));
+    RETURN_IF_ERROR(table.Register(std::move(spec), FifoPut));
   }
   {
     ApiSpec spec;
@@ -113,7 +103,7 @@ Status RegisterFifoApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "fifo";
     spec.doc = "pop the head item (K_NO_WAIT)";
     spec.args = {ArgSpec::Resource("fifo", "z_fifo")};
-    RETURN_IF_ERROR(add(std::move(spec), FifoGet));
+    RETURN_IF_ERROR(table.Register(std::move(spec), FifoGet));
   }
   {
     ApiSpec spec;
@@ -121,7 +111,7 @@ Status RegisterFifoApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "fifo";
     spec.doc = "emptiness check";
     spec.args = {ArgSpec::Resource("fifo", "z_fifo")};
-    RETURN_IF_ERROR(add(std::move(spec), FifoIsEmpty));
+    RETURN_IF_ERROR(table.Register(std::move(spec), FifoIsEmpty));
   }
   return OkStatus();
 }

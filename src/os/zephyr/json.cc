@@ -208,24 +208,14 @@ int64_t JsonObjRelease(KernelContext& ctx, ZephyrState& state,
 
 }  // namespace
 
-Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterJsonApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "json_obj_init";
     spec.subsystem = "json";
     spec.doc = "create an empty JSON object";
     spec.produces = "z_json";
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjInit));
   }
   {
     ApiSpec spec;
@@ -235,7 +225,7 @@ Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
     spec.args = {ArgSpec::Resource("obj", "z_json"),
                  ArgSpec::String("key", {"id", "val", "ts", "name"}),
                  ArgSpec::Scalar("value", 64, 0, UINT64_MAX)};
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjAppendNum));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjAppendNum));
   }
   {
     ApiSpec spec;
@@ -245,7 +235,7 @@ Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
     spec.args = {ArgSpec::Resource("obj", "z_json"),
                  ArgSpec::String("key", {"id", "val", "ts", "name"}),
                  ArgSpec::String("value")};
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjAppendStr));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjAppendStr));
   }
   {
     ApiSpec spec;
@@ -254,7 +244,7 @@ Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "nest one object inside another";
     spec.args = {ArgSpec::Resource("parent", "z_json"), ArgSpec::Resource("child", "z_json"),
                  ArgSpec::String("key", {"inner", "cfg", "meta"})};
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjAppendChild));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjAppendChild));
   }
   {
     ApiSpec spec;
@@ -262,7 +252,7 @@ Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "json";
     spec.doc = "serialise an object tree to text";
     spec.args = {ArgSpec::Resource("obj", "z_json")};
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjEncode));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjEncode));
   }
   {
     ApiSpec spec;
@@ -270,7 +260,7 @@ Status RegisterJsonApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "json";
     spec.doc = "free a JSON object";
     spec.args = {ArgSpec::Resource("obj", "z_json")};
-    RETURN_IF_ERROR(add(std::move(spec), JsonObjRelease));
+    RETURN_IF_ERROR(table.Register(std::move(spec), JsonObjRelease));
   }
   return OkStatus();
 }

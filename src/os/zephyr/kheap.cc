@@ -101,17 +101,7 @@ int64_t KHeapFree(KernelContext& ctx, ZephyrState& state,
 
 }  // namespace
 
-Status RegisterKHeapApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterKHeapApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "k_heap_init";
@@ -119,7 +109,7 @@ Status RegisterKHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "initialise a kernel heap over a memory region";
     spec.args = {ArgSpec::Scalar("size", 32, 0, 32768)};
     spec.produces = "k_heap";
-    RETURN_IF_ERROR(add(std::move(spec), KHeapInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), KHeapInit));
   }
   {
     ApiSpec spec;
@@ -127,7 +117,7 @@ Status RegisterKHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "kheap";
     spec.doc = "allocate from a kernel heap";
     spec.args = {ArgSpec::Resource("heap", "k_heap"), ArgSpec::Scalar("size", 32, 0, 4096)};
-    RETURN_IF_ERROR(add(std::move(spec), KHeapAlloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), KHeapAlloc));
   }
   {
     ApiSpec spec;
@@ -135,7 +125,7 @@ Status RegisterKHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "kheap";
     spec.doc = "return bytes to a kernel heap";
     spec.args = {ArgSpec::Resource("heap", "k_heap"), ArgSpec::Scalar("size", 32, 0, 4096)};
-    RETURN_IF_ERROR(add(std::move(spec), KHeapFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), KHeapFree));
   }
   return OkStatus();
 }

@@ -157,17 +157,7 @@ int64_t UptimeGet(KernelContext& ctx, ZephyrState& state,
 
 }  // namespace
 
-Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterThreadApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "k_thread_create";
@@ -177,7 +167,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
                  ArgSpec::Scalar("stack_size", 32, 0, 8192),
                  ArgSpec::Scalar("priority", 32, 0, 31)};
     spec.produces = "z_thread";
-    RETURN_IF_ERROR(add(std::move(spec), ThreadCreate));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadCreate));
   }
   {
     ApiSpec spec;
@@ -185,7 +175,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "thread";
     spec.doc = "suspend a thread";
     spec.args = {ArgSpec::Resource("thread", "z_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadSuspend));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadSuspend));
   }
   {
     ApiSpec spec;
@@ -193,7 +183,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "thread";
     spec.doc = "resume a suspended thread";
     spec.args = {ArgSpec::Resource("thread", "z_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadResume));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadResume));
   }
   {
     ApiSpec spec;
@@ -201,7 +191,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "thread";
     spec.doc = "abort a thread";
     spec.args = {ArgSpec::Resource("thread", "z_thread")};
-    RETURN_IF_ERROR(add(std::move(spec), ThreadAbort));
+    RETURN_IF_ERROR(table.Register(std::move(spec), ThreadAbort));
   }
   {
     ApiSpec spec;
@@ -209,7 +199,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "thread";
     spec.doc = "sleep for N milliseconds";
     spec.args = {ArgSpec::Scalar("ms", 32, 0, 1000)};
-    RETURN_IF_ERROR(add(std::move(spec), KSleep));
+    RETURN_IF_ERROR(table.Register(std::move(spec), KSleep));
   }
   {
     ApiSpec spec;
@@ -218,7 +208,7 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "queue a work item on the system work queue";
     spec.args = {ArgSpec::Scalar("tag", 32, 0, UINT32_MAX)};
     spec.produces = "z_work";
-    RETURN_IF_ERROR(add(std::move(spec), WorkSubmit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), WorkSubmit));
   }
   {
     ApiSpec spec;
@@ -226,14 +216,14 @@ Status RegisterThreadApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "thread";
     spec.doc = "cancel a pending work item";
     spec.args = {ArgSpec::Resource("work", "z_work")};
-    RETURN_IF_ERROR(add(std::move(spec), WorkCancel));
+    RETURN_IF_ERROR(table.Register(std::move(spec), WorkCancel));
   }
   {
     ApiSpec spec;
     spec.name = "k_uptime_get";
     spec.subsystem = "thread";
     spec.doc = "milliseconds since boot";
-    RETURN_IF_ERROR(add(std::move(spec), UptimeGet));
+    RETURN_IF_ERROR(table.Register(std::move(spec), UptimeGet));
   }
   return OkStatus();
 }

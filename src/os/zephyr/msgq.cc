@@ -171,19 +171,7 @@ int64_t SyzMsgqRoundtrip(KernelContext& ctx, ZephyrState& state,
 
 }  // namespace
 
-Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn, bool pseudo = false) -> Status {
-    spec.is_pseudo = pseudo;
-    spec.extended_spec = pseudo;
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterMsgqApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "k_msgq_alloc_init";
@@ -192,7 +180,7 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.args = {ArgSpec::Scalar("msg_size", 32, 0, 512),
                  ArgSpec::Scalar("max_msgs", 32, 0, 128)};
     spec.produces = "z_msgq";
-    RETURN_IF_ERROR(add(std::move(spec), MsgqAllocInit));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MsgqAllocInit));
   }
   {
     ApiSpec spec;
@@ -200,7 +188,7 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "msgq";
     spec.doc = "enqueue a message";
     spec.args = {ArgSpec::Resource("msgq", "z_msgq"), ArgSpec::Buffer("msg", 0, 256)};
-    RETURN_IF_ERROR(add(std::move(spec), MsgqPut));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MsgqPut));
   }
   {
     ApiSpec spec;
@@ -208,7 +196,7 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "msgq";
     spec.doc = "dequeue a message";
     spec.args = {ArgSpec::Resource("msgq", "z_msgq")};
-    RETURN_IF_ERROR(add(std::move(spec), MsgqGet));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MsgqGet));
   }
   {
     ApiSpec spec;
@@ -216,7 +204,7 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "msgq";
     spec.doc = "drop all queued messages";
     spec.args = {ArgSpec::Resource("msgq", "z_msgq")};
-    RETURN_IF_ERROR(add(std::move(spec), MsgqPurge));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MsgqPurge));
   }
   {
     ApiSpec spec;
@@ -224,7 +212,7 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "msgq";
     spec.doc = "number of queued messages";
     spec.args = {ArgSpec::Resource("msgq", "z_msgq")};
-    RETURN_IF_ERROR(add(std::move(spec), MsgqNumUsed));
+    RETURN_IF_ERROR(table.Register(std::move(spec), MsgqNumUsed));
   }
   {
     ApiSpec spec;
@@ -232,7 +220,9 @@ Status RegisterMsgqApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "msgq";
     spec.doc = "static k_msgq_init + put/get roundtrip (application pattern)";
     spec.args = {ArgSpec::Scalar("msg_size", 32, 0, 256), ArgSpec::Scalar("count", 32, 0, 32)};
-    RETURN_IF_ERROR(add(std::move(spec), SyzMsgqRoundtrip, /*pseudo=*/true));
+    spec.is_pseudo = true;
+    spec.extended_spec = true;
+    RETURN_IF_ERROR(table.Register(std::move(spec), SyzMsgqRoundtrip));
   }
   return OkStatus();
 }

@@ -182,17 +182,7 @@ void SysHeapInit(ZephyrState& state, uint64_t bytes) {
   state.sys_heap.used_bytes = 0;
 }
 
-Status RegisterSysHeapApis(ApiRegistry& registry, ZephyrState& state) {
-  ZephyrState* s = &state;
-  auto add = [&](ApiSpec spec, auto fn) -> Status {
-    return registry
-        .Register(std::move(spec),
-                  [s, fn](KernelContext& ctx, const std::vector<ArgValue>& args) {
-                    return fn(ctx, *s, args);
-                  })
-        .status();
-  };
-
+Status RegisterSysHeapApis(ApiTable<ZephyrState>& table) {
   {
     ApiSpec spec;
     spec.name = "sys_heap_alloc";
@@ -200,7 +190,7 @@ Status RegisterSysHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "allocate from the system heap";
     spec.args = {ArgSpec::Scalar("size", 32, 0, 8192)};
     spec.produces = "z_mem";
-    RETURN_IF_ERROR(add(std::move(spec), SysHeapAlloc));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SysHeapAlloc));
   }
   {
     ApiSpec spec;
@@ -208,14 +198,14 @@ Status RegisterSysHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.subsystem = "heap";
     spec.doc = "free a system-heap allocation";
     spec.args = {ArgSpec::Resource("mem", "z_mem")};
-    RETURN_IF_ERROR(add(std::move(spec), SysHeapFree));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SysHeapFree));
   }
   {
     ApiSpec spec;
     spec.name = "sys_heap_runtime_stats_get";
     spec.subsystem = "heap";
     spec.doc = "bytes currently allocated";
-    RETURN_IF_ERROR(add(std::move(spec), SysHeapRuntimeStats));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SysHeapRuntimeStats));
   }
   {
     ApiSpec spec;
@@ -224,7 +214,7 @@ Status RegisterSysHeapApis(ApiRegistry& registry, ZephyrState& state) {
     spec.doc = "random alloc/free storm with validation (test-build hook)";
     spec.args = {ArgSpec::Scalar("op_count", 32, 0, 256),
                  ArgSpec::Scalar("max_size", 32, 0, 1024)};
-    RETURN_IF_ERROR(add(std::move(spec), SysHeapStress));
+    RETURN_IF_ERROR(table.Register(std::move(spec), SysHeapStress));
   }
   return OkStatus();
 }

@@ -14,20 +14,12 @@ EOF_COV_MODULE("zephyr/kernel");
 
 }  // namespace
 
-ZephyrOs::ZephyrOs() {
-  Status status = OkStatus();
-  auto accumulate = [&status](Status step) {
-    if (status.ok() && !step.ok()) {
-      status = step;
-    }
-  };
-  accumulate(RegisterSysHeapApis(registry_, state_));
-  accumulate(RegisterKHeapApis(registry_, state_));
-  accumulate(RegisterMsgqApis(registry_, state_));
-  accumulate(RegisterJsonApis(registry_, state_));
-  accumulate(RegisterThreadApis(registry_, state_));
-  accumulate(RegisterFifoApis(registry_, state_));
-  EOF_CHECK(status.ok()) << "Zephyr API registration failed: " << status.ToString();
+const ApiTable<ZephyrState>& ZephyrOs::Apis() {
+  // Built once per process, by whichever boot first needs it.
+  static const ApiTable<ZephyrState> table = BuildApiTable<ZephyrState>(
+      "Zephyr", {RegisterSysHeapApis, RegisterKHeapApis, RegisterMsgqApis, RegisterJsonApis,
+                 RegisterThreadApis, RegisterFifoApis});
+  return table;
 }
 
 Status ZephyrOs::Init(KernelContext& ctx) {

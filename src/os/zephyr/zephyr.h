@@ -15,10 +15,12 @@ namespace zephyr {
 
 class ZephyrOs : public Os {
  public:
-  ZephyrOs();
-
   const std::string& name() const override { return name_; }
-  const ApiRegistry& registry() const override { return registry_; }
+  const ApiRegistry& registry() const override { return Apis(); }
+  Result<int64_t> CallApi(KernelContext& ctx, uint32_t id,
+                          const std::vector<ArgValue>& args) override {
+    return Apis().Call(ctx, state_, id, args);
+  }
   Status Init(KernelContext& ctx) override;
   std::string exception_symbol() const override { return "z_fatal_error"; }
   OsFootprint footprint() const override;
@@ -30,7 +32,8 @@ class ZephyrOs : public Os {
  private:
   std::string name_ = "zephyr";
   ZephyrState state_;
-  ApiRegistry registry_;
+
+  static const ApiTable<ZephyrState>& Apis();
 };
 
 Status RegisterZephyrOs();

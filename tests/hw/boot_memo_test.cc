@@ -3,12 +3,15 @@
 // and every image change, and a cached answer must cost the target exactly what a
 // computed one does. VerifyFlash's in-place comparison is checked against the
 // copy-then-parse reference it replaced. Boards deploying on many threads share one
-// image's pages and the erased-flash digests (run under TSan in CI).
+// image's pages and the erased-flash digests, and first boots on many threads build each
+// OS's shared API table once (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <thread>
 
+#include "src/agent/agent_layout.h"
 #include "src/common/byteio.h"
 #include "src/common/hash.h"
 #include "src/common/strings.h"
@@ -18,6 +21,8 @@
 #include "src/hw/board_catalog.h"
 #include "src/hw/debug_port.h"
 #include "src/hw/timing.h"
+#include "src/kernel/kernel_context.h"
+#include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
 namespace eof {
@@ -39,6 +44,75 @@ void FlashPristine(Board& board, const FirmwareImage& image) {
       ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
     }
   }
+}
+
+// Declared first so that it runs before any other test in this binary constructs an OS:
+// four threads are each the first boot of every OS at once, then dispatch through the
+// shared tables concurrently.
+TEST(SharedApiTableTest, ConcurrentFirstBootsBuildOneTablePerOs) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  struct Probe {
+    const char* os;
+    const char* api;
+    std::vector<uint64_t> scalars;
+    int64_t expected;
+  };
+  const std::vector<Probe> probes = {
+      {"freertos", "uxTaskGetNumberOfTasks", {}, 1},  // IDLE
+      {"rtthread", "rt_object_get_length", {2}, 0},
+      {"nuttx", "clock_getres", {0}, 10000000},
+      {"zephyr", "sys_heap_runtime_stats_get", {}, 0},
+      {"pokos", "pok_time_get", {}, 0},
+  };
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::vector<const ApiRegistry*>> tables(kThreads);
+  std::vector<std::string> failures(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (const Probe& probe : probes) {
+        OsInfo info = OsRegistry::Instance().Find(probe.os).value();
+        BoardSpec spec = BoardSpecByName(info.default_board).value();
+        ImageBuildOptions options;
+        options.os_name = probe.os;
+        std::shared_ptr<const FirmwareImage> image = BuildImage(spec, options).value();
+        Board board(spec);
+        board.InstallImage(image);
+        CovRingLayout ring;
+        ring.ram_offset = kCovRingOffset;
+        ring.capacity = CovRingCapacityFor(spec.ram_bytes);
+        KernelContext ctx(board, *image, ring);
+        std::unique_ptr<Os> os = info.factory();
+        if (!os->Init(ctx).ok()) {
+          failures[t] += StrFormat("%s: boot failed; ", probe.os);
+          continue;
+        }
+        tables[t].push_back(&os->registry());
+        std::vector<ArgValue> args(probe.scalars.size());
+        for (size_t i = 0; i < args.size(); ++i) {
+          args[i].scalar = probe.scalars[i];
+        }
+        for (int round = 0; round < 50; ++round) {
+          Result<int64_t> result =
+              os->CallApi(ctx, os->registry().FindByName(probe.api)->id, args);
+          if (!result.ok() || result.value() != probe.expected) {
+            failures[t] += StrFormat("%s: %s returned the wrong result; ", probe.os, probe.api);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], "") << "thread " << t;
+    EXPECT_EQ(tables[t], tables[0]) << "thread " << t;
+  }
+  EXPECT_EQ(tables[0].size(), probes.size());
 }
 
 class BootMemoTest : public ::testing::Test {

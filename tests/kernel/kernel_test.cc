@@ -47,27 +47,32 @@ TEST(HandleTableTest, CapacityBound) {
   EXPECT_EQ(table.Insert(3), 0);
 }
 
+struct CounterState {
+  int64_t calls = 0;
+};
+
 TEST(ApiRegistryTest, RegistrationValidation) {
-  ApiRegistry registry;
+  ApiTable<CounterState> table;
   ApiSpec bad_len;
   bad_len.name = "f";
   bad_len.args = {ArgSpec::Len("n", 0)};  // len target is itself, not a buffer
-  EXPECT_FALSE(registry.Register(bad_len, nullptr).ok());
+  EXPECT_FALSE(table.Register(bad_len, nullptr).ok());
 
   ApiSpec empty_flags;
   empty_flags.name = "g";
   empty_flags.args = {ArgSpec::Flags("mode", {})};
-  EXPECT_FALSE(registry.Register(empty_flags, nullptr).ok());
+  EXPECT_FALSE(table.Register(empty_flags, nullptr).ok());
 
   ApiSpec good;
   good.name = "h";
   good.args = {ArgSpec::Buffer("data", 0, 16), ArgSpec::Len("n", 0)};
-  auto id = registry.Register(good, [](KernelContext&, const std::vector<ArgValue>&) {
-    return int64_t{7};
-  });
-  ASSERT_TRUE(id.ok());
-  EXPECT_FALSE(registry.Register(good, nullptr).ok());  // duplicate name
-  EXPECT_EQ(registry.FindByName("h")->id, id.value());
+  ASSERT_TRUE(
+      table.Register(good, [](KernelContext&, CounterState& state, const std::vector<ArgValue>&) {
+        return ++state.calls;
+      }).ok());
+  EXPECT_FALSE(table.Register(good, nullptr).ok());  // duplicate name
+  EXPECT_EQ(table.FindByName("h")->id, 0u);
+  EXPECT_EQ(table.size(), 1u);
 }
 
 class KernelContextTest : public ::testing::Test {
@@ -98,6 +103,51 @@ class KernelContextTest : public ::testing::Test {
   std::shared_ptr<FirmwareImage> image_;
   CovRingLayout ring_;
 };
+
+// One table serves many states: each call runs against the state it is handed, and an
+// included part table reaches its member of that state.
+TEST_F(KernelContextTest, ApiTableDispatchesAgainstTheCallersState) {
+  struct BoardState {
+    CounterState kernel;
+    CounterState app;
+  };
+  ApiTable<CounterState> app_table;
+  ApiSpec bump;
+  bump.name = "app_bump";
+  bump.args = {ArgSpec::Scalar("by", 32, 0, 10)};
+  ASSERT_TRUE(app_table
+                  .Register(bump, [](KernelContext&, CounterState& state,
+                                     const std::vector<ArgValue>& args) {
+                    return state.calls += static_cast<int64_t>(args[0].scalar);
+                  })
+                  .ok());
+  ApiTable<BoardState> table;
+  ApiSpec count;
+  count.name = "kernel_count";
+  ASSERT_TRUE(table
+                  .Register(count, [](KernelContext&, BoardState& state,
+                                      const std::vector<ArgValue>&) {
+                    return ++state.kernel.calls;
+                  })
+                  .ok());
+  ASSERT_TRUE(table.Include(app_table, &BoardState::app).ok());
+  EXPECT_EQ(table.FindByName("app_bump")->id, 1u);
+  EXPECT_FALSE(table.Include(app_table, &BoardState::app).ok());  // duplicate names
+
+  KernelContext ctx(board_, *image_, ring_);
+  BoardState first;
+  BoardState second;
+  ArgValue three;
+  three.scalar = 3;
+  EXPECT_EQ(table.Call(ctx, first, 0, {}).value(), 1);
+  EXPECT_EQ(table.Call(ctx, first, 0, {}).value(), 2);
+  EXPECT_EQ(table.Call(ctx, second, 0, {}).value(), 1);
+  EXPECT_EQ(table.Call(ctx, second, 1, {three}).value(), 3);
+  EXPECT_EQ(first.app.calls, 0);
+  EXPECT_EQ(second.kernel.calls, 1);
+  EXPECT_EQ(table.Call(ctx, first, 2, {}).status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(table.Call(ctx, first, 1, {}).status().code(), ErrorCode::kInvalidArgument);
+}
 
 TEST_F(KernelContextTest, CovWritesRingAndOverflows) {
   KernelContext ctx(board_, *image_, ring_);

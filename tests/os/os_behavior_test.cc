@@ -39,7 +39,7 @@ class OsApiTest : public ::testing::Test {
   int64_t Call(const char* api, std::vector<ArgValue> args = {}) {
     const ApiSpec* spec = os_->registry().FindByName(api);
     EXPECT_NE(spec, nullptr) << api;
-    auto result = os_->registry().Call(*ctx_, spec->id, args);
+    auto result = os_->CallApi(*ctx_, spec->id, args);
     EXPECT_TRUE(result.ok()) << api << ": " << result.status().ToString();
     return result.ok() ? result.value() : INT64_MIN;
   }
@@ -60,6 +60,44 @@ class OsApiTest : public ::testing::Test {
   std::unique_ptr<KernelContext> ctx_;
   std::unique_ptr<Os> os_;
 };
+
+// --- The API table: one per OS per process, state per boot ---
+
+TEST_F(OsApiTest, InstancesOfAnOsShareOneApiTable) {
+  for (const char* name : {"freertos", "rtthread", "nuttx", "zephyr", "pokos"}) {
+    OsInfo info = OsRegistry::Instance().Find(name).value();
+    std::unique_ptr<Os> first = info.factory();
+    std::unique_ptr<Os> second = info.factory();
+    EXPECT_EQ(&first->registry(), &second->registry()) << name;
+    EXPECT_GT(first->registry().size(), 0u) << name;
+  }
+}
+
+TEST_F(OsApiTest, CallsReachOnlyTheDispatchingInstancesState) {
+  Boot("rtthread");
+  std::unique_ptr<Os> other = OsRegistry::Instance().Find("rtthread").value().factory();
+  ASSERT_TRUE(other->Init(*ctx_).ok());
+  ASSERT_GT(Call("rt_sem_create", {B("sem0"), S(0)}), 0);
+  int64_t object = Call("rt_object_find", {B("sem0"), S(2)});
+  EXPECT_GT(object, 0);
+
+  uint32_t find = other->registry().FindByName("rt_object_find")->id;
+  auto on_other = other->CallApi(*ctx_, find, {B("sem0"), S(2)});
+  ASSERT_TRUE(on_other.ok());
+  EXPECT_EQ(on_other.value(), 0);  // the other boot never created it
+  EXPECT_EQ(Call("rt_object_find", {B("sem0"), S(2)}), object);
+}
+
+TEST_F(OsApiTest, CallApiRejectsUnknownIdsAndArityMismatches) {
+  Boot("rtthread");
+  EXPECT_EQ(os_->CallApi(*ctx_, static_cast<uint32_t>(os_->registry().size()), {})
+                .status()
+                .code(),
+            ErrorCode::kNotFound);
+  uint32_t find = os_->registry().FindByName("rt_object_find")->id;
+  EXPECT_EQ(os_->CallApi(*ctx_, find, {B("sem0")}).status().code(),
+            ErrorCode::kInvalidArgument);
+}
 
 // --- FreeRTOS ---
 

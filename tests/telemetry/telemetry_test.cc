@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "src/core/fuzzer.h"
@@ -461,26 +464,22 @@ TEST(CampaignTelemetryTest, OpenFailureSurfacesAndEmptyPathMeansNoSink) {
   EXPECT_EQ(telemetry_or.value()->emitter(), nullptr);
 }
 
-// The campaign-level determinism contract: with --jobs 1, a campaign writing a
-// telemetry journal must produce bit-identical fuzzing results (coverage, series,
-// execs, bugs) to the same campaign with telemetry off.
-TEST(CampaignTelemetryTest, JournalingCampaignIsBitIdenticalToSilentOne) {
-  ASSERT_TRUE(RegisterAllOses().ok());
-  FuzzerConfig config;
-  config.os_name = "freertos";
-  config.seed = 11;
-  config.budget = 90 * kVirtualSecond;
-  config.sample_points = 6;
-
+// Runs `config` silent and then journaled; expects bit-identical fuzzing results and
+// returns the journal's text.
+std::string ExpectJournalingChangesNothing(FuzzerConfig config, const std::string& journal,
+                                           CampaignResult* silent_out) {
   EofFuzzer silent(config);
   auto silent_result = silent.Run();
-  ASSERT_TRUE(silent_result.ok());
+  EXPECT_TRUE(silent_result.ok());
 
-  config.metrics_out = ::testing::TempDir() + "/determinism_probe.jsonl";
+  config.metrics_out = ::testing::TempDir() + "/" + journal;
   config.metrics_interval = 15 * kVirtualSecond;
   EofFuzzer journaled(config);
   auto journaled_result = journaled.Run();
-  ASSERT_TRUE(journaled_result.ok());
+  EXPECT_TRUE(journaled_result.ok());
+  if (!silent_result.ok() || !journaled_result.ok()) {
+    return "";
+  }
 
   const CampaignResult& a = silent_result.value();
   const CampaignResult& b = journaled_result.value();
@@ -488,19 +487,49 @@ TEST(CampaignTelemetryTest, JournalingCampaignIsBitIdenticalToSilentOne) {
   EXPECT_EQ(a.execs, b.execs);
   EXPECT_EQ(a.crashes, b.crashes);
   EXPECT_EQ(a.elapsed, b.elapsed);
-  EXPECT_EQ(a.bugs.size(), b.bugs.size());
-  ASSERT_EQ(a.series.size(), b.series.size());
-  for (size_t i = 0; i < a.series.size(); ++i) {
+  EXPECT_EQ(a.series.size(), b.series.size());
+  for (size_t i = 0; i < std::min(a.series.size(), b.series.size()); ++i) {
     EXPECT_EQ(a.series[i].time, b.series[i].time);
     EXPECT_EQ(a.series[i].coverage, b.series[i].coverage);
   }
-  // And the journal actually has content.
-  FILE* file = fopen(config.metrics_out.c_str(), "rb");
-  ASSERT_NE(file, nullptr);
-  fseek(file, 0, SEEK_END);
-  EXPECT_GT(ftell(file), 0);
-  fclose(file);
+  // A dump's journal fields are rendered only for a journal; the dump a bug carries
+  // must not depend on that.
+  EXPECT_EQ(a.bugs.size(), b.bugs.size());
+  for (size_t i = 0; i < std::min(a.bugs.size(), b.bugs.size()); ++i) {
+    EXPECT_EQ(a.bugs[i].dump.RenderText(), b.bugs[i].dump.RenderText()) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].dump.last_restore, b.bugs[i].dump.last_restore) << "bug " << i;
+  }
+  *silent_out = a;
+
+  std::ifstream file(config.metrics_out);
+  std::string text((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
   remove(config.metrics_out.c_str());
+  return text;
+}
+
+// The campaign-level determinism contract: with --jobs 1, a campaign writing a
+// telemetry journal must produce bit-identical fuzzing results (coverage, series,
+// execs, bugs and their crash dumps) to the same campaign with telemetry off.
+TEST(CampaignTelemetryTest, JournalingCampaignIsBitIdenticalToSilentOne) {
+  ASSERT_TRUE(RegisterAllOses().ok());
+  FuzzerConfig config;
+  config.os_name = "freertos";
+  config.seed = 11;
+  config.budget = 90 * kVirtualSecond;
+  config.sample_points = 6;
+  CampaignResult silent;
+  std::string journal = ExpectJournalingChangesNothing(config, "determinism_probe.jsonl", &silent);
+  EXPECT_FALSE(journal.empty());
+
+  // Crash-heavy: rtthread crashes within seconds, and snapshot mode adds warm restores
+  // and validator cold boots to the paths that dump.
+  config.os_name = "rtthread";
+  config.budget = 10 * kVirtualMinute;
+  config.restore_mode = RestoreMode::kSnapshot;
+  journal = ExpectJournalingChangesNothing(config, "determinism_crashes.jsonl", &silent);
+  EXPECT_GT(silent.crashes, 0u);
+  EXPECT_FALSE(silent.bugs.empty());
+  EXPECT_NE(journal.find("{\"type\":\"crash_dump\""), std::string::npos);
 }
 
 }  // namespace
