@@ -1,7 +1,7 @@
-// Fleet wire protocol and transport tests: codec round-trips for every message,
-// frame validation against corruption, a hostile-input harness for the
-// WorkerFinal decoder, loopback queue semantics, and a TCP round-trip over a
-// real localhost socket.
+// Fleet wire protocol and transport tests: codec round-trips, the pinned wire
+// bytes of every message, frame validation against corruption, a hostile-input
+// harness for the WorkerFinal decoder, loopback queue semantics, and a TCP
+// round-trip over a real localhost socket.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/byteio.h"
+#include "src/common/strings.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
 #include "tests/fleet/decoder_harness.h"
@@ -85,7 +86,12 @@ LeaseGrantMsg GoldenGrant() {
   grant.config.board_name = "frdm_k64f";
   grant.config.seed = 1234;
   grant.config.budget_us = 60'000'000;
+  grant.config.max_execs = 5000;
+  grant.config.metrics_interval_us = 1'000'000;
   grant.config.total_shards = 8;
+  grant.config.sample_points = 48;
+  grant.config.periodic_reset_execs = 12;
+  grant.config.restore_mode = 1;
   grant.config.flags = kFlagCoverageFeedback | kFlagTrim;
   grant.config.seed_programs = {"r0 = k_yield()", "r1 = k_msgq_put(r0, `00`)"};
   grant.leases.push_back({77, 3, 2});
@@ -124,9 +130,20 @@ SyncMsg GoldenSync() {
   BugWire bug;
   bug.catalog_id = 6;
   bug.detector = "watchdog";
+  bug.kind = "stall";
   bug.excerpt = "STALL";
   bug.program_text = "r0 = k_yield()";
+  bug.at_us = 1500;
+  bug.first_exec = 40;
+  bug.board = 2;
+  bug.seed_stream = 11;
+  bug.coverage_delta = 5;
+  bug.snapshot_validation = "validated";
+  bug.dump_reason = "watchdog";
+  bug.dump_last_restore = "reflash";
   bug.uart_tail = "line1\nline2";
+  bug.port_ops = "read 0x20000000";
+  bug.events = "irq 3";
   sync.bugs.push_back(bug);
   sync.journal_dropped = 2;
   return sync;
@@ -278,6 +295,106 @@ TEST(ProtoTest, WorkerFinalDecoderRejectsHostileInput) {
   std::vector<uint8_t> long_blob = FinalWithBlob(Blob({}, {}));
   long_blob[4 + 5 + 24] = 0xff;  // low byte of the blob's length prefix
   EXPECT_FALSE(DecodeWorkerFinal(long_blob).ok());
+}
+
+StatusReplyMsg GoldenStatusReply() {
+  StatusReplyMsg reply;
+  reply.server_ms = 123456;
+  reply.assembled_ms = 123400;
+  reply.heartbeat_interval_ms = 250;
+  CampaignStatusWire campaign;
+  campaign.campaign_id = "c1";
+  campaign.os_name = "zephyr";
+  campaign.board_name = "frdm_k64f";
+  campaign.budget_us = 30'000'000;
+  campaign.shards_total = 4;
+  campaign.shards_pending = 1;
+  campaign.shards_leased = 2;
+  campaign.shards_done = 1;
+  campaign.metrics.counters = {{"fleet.campaign.execs", 9001}, {"fleet.leases_granted", 5}};
+  campaign.metrics.gauges = {{"fleet.campaign.coverage", 234}};
+  campaign.journal_dropped = 4;
+  campaign.journal_dropped_workers = 11;
+  campaign.finalized = 1;
+  campaign.shards.push_back({2, 1, 42, 7, 3, 124000, 2'500'000, 321});
+  campaign.bugs.push_back({9, "exception", "double free", "PANIC: double\nfree", 777, 1});
+  reply.campaigns.push_back(campaign);
+  reply.workers.push_back({7, "rack0/w7", 123300, 1, 4567, 2, 31, 6});
+  return reply;
+}
+
+// One fully populated instance of every message (each field non-default, each
+// vector non-empty, each u8 flag non-zero), its decoder, and its wire bytes as
+// pinned at protocol version 4.
+struct CodecCase {
+  const char* name;
+  std::vector<uint8_t> golden;
+  RoundTripFn round_trip;
+  const char* hex;
+};
+
+std::vector<CodecCase> CodecCases() {
+  return {
+      {"Hello", Encode(HelloMsg{"rig-7", 8}), DecodeThenEncode(&DecodeHello),
+       "050000007269672d3708000000"},
+      {"HelloAck", Encode(HelloAckMsg{42, 250, 2000}), DecodeThenEncode(&DecodeHelloAck),
+       "2a000000fa00000000000000d007000000000000"},
+      {"LeaseRequest", Encode(LeaseRequestMsg{42, 4}), DecodeThenEncode(&DecodeLeaseRequest),
+       "2a00000004000000"},
+      {"LeaseGrant", Encode(GoldenGrant()), DecodeThenEncode(&DecodeLeaseGrant),
+       "090000006e696768742d72756e060000007a6570687972090000006672646d5f6b363466d2040000"
+       "000000000087930300000000881300000000000040420f000000000008000000300000000c000000"
+       "0101040000020000000e0000007230203d206b5f7969656c642829190000007231203d206b5f6d73"
+       "67715f7075742872302c206030306029020000004d0000000000000003000000020000004e000000"
+       "00000000050000000100000002000000aabb010000000e0000007230203d206b5f7969656c642829"
+       "0400000000000000"},
+      {"NoWork", Encode(NoWorkMsg{1, 250}), DecodeThenEncode(&DecodeNoWork),
+       "01fa00000000000000"},
+      {"Sync", Encode(GoldenSync()), DecodeThenEncode(&DecodeSync),
+       "030000000100000063110000000000000001000000090000000000000001000000f4010000000000"
+       "000c000000000000000103000000010203010000000400000070726f670200000000000000010000"
+       "0006000000080000007761746368646f67050000007374616c6c050000005354414c4c0e00000072"
+       "30203d206b5f7969656c642829dc050000000000002800000000000000020000000b000000000000"
+       "0005000000000000000900000076616c696461746564080000007761746368646f67070000007265"
+       "666c6173680b0000006c696e65310a6c696e65320f00000072656164203078323030303030303005"
+       "00000069727120330200000000000000"},
+      {"SyncAck", Encode(GoldenSyncAck()), DecodeThenEncode(&DecodeSyncAck),
+       "01010400000004050607020000000e0000007230203d206b5f7969656c6428290300000000000000"
+       "140000007230203d206b5f73656d5f67697665283078312901000000000000000200000029000000"
+       "000000002a00000000000000"},
+      {"WorkerFinal", Encode(GoldenFinal()), DecodeThenEncode(&DecodeWorkerFinal),
+       "020000000100000063050000000000000000879303000000000400000000000000b1000000040000"
+       "001000000063616d706169676e2e6372617368657303000000000000000e00000063616d70616967"
+       "6e2e657865637388130000000000000f0000006c696e6b2e62797465735f72656164000010000000"
+       "0000120000006c696e6b2e7761726d5f726573746f72657307000000000000000200000011000000"
+       "63616d706169676e2e636f76657261676564000000000000001100000063616d706169676e2e6672"
+       "6f6e746965720c000000000000000300000000000000000000000000000000000000e80300000000"
+       "00003200000000000000d0070000000000006400000000000000"},
+      {"FinalAck", Encode(FinalAckMsg{1}), DecodeThenEncode(&DecodeFinalAck),
+       "01"},
+      {"Goodbye", Encode(GoodbyeMsg{7}), DecodeThenEncode(&DecodeGoodbye),
+       "07000000"},
+      {"StatusRequest", Encode(StatusRequestMsg{"night-run", 1}),
+       DecodeThenEncode(&DecodeStatusRequest),
+       "090000006e696768742d72756e01"},
+      {"StatusReply", Encode(GoldenStatusReply()), DecodeThenEncode(&DecodeStatusReply),
+       "40e201000000000008e2010000000000fa0000000000000001000000020000006331060000007a65"
+       "70687972090000006672646d5f6b36346680c3c90100000000040000000100000002000000010000"
+       "006b0000000200000014000000666c6565742e63616d706169676e2e657865637329230000000000"
+       "0014000000666c6565742e6c65617365735f6772616e746564050000000000000001000000170000"
+       "00666c6565742e63616d706169676e2e636f766572616765ea000000000000000400000000000000"
+       "0b00000000000000010100000002000000012a00000000000000070000000300000060e401000000"
+       "0000a0252600000000004101000000000000010000000900000009000000657863657074696f6e0b"
+       "000000646f75626c6520667265651200000050414e49433a20646f75626c650a6672656509030000"
+       "00000000010000000100000007000000080000007261636b302f7737a4e101000000000001d71100"
+       "000000000002000000000000001f000000000000000600000000000000"},
+  };
+}
+
+TEST(ProtoTest, GoldenEncodings) {
+  for (const CodecCase& kase : CodecCases()) {
+    EXPECT_EQ(BytesToHex(kase.golden.data(), kase.golden.size()), kase.hex) << kase.name;
+  }
 }
 
 TEST(ProtoTest, WorkerFinalDecoderSurvivesMutatedInput) {
