@@ -7,69 +7,270 @@ namespace eof {
 namespace fleet {
 namespace {
 
-void PutString(ByteWriter* writer, const std::string& text) {
-  writer->PutLengthPrefixed(text);
+// --- Field lists, in wire order ---
+//
+// Each message and each struct nested in one lists its fields once. A Writer
+// visits the list to encode and a Reader visits it to decode, so the two
+// directions cannot drift. A vector travels as a u32 count and then its items.
+
+template <class IO>
+void Fields(IO& io, HelloMsg& m) { io(m.worker_name, m.capacity); }
+
+template <class IO>
+void Fields(IO& io, HelloAckMsg& m) {
+  io(m.worker_id, m.heartbeat_interval_ms, m.lease_timeout_ms);
 }
 
-std::string GetString(ByteReader* reader) {
-  std::vector<uint8_t> bytes = reader->GetLengthPrefixed();
-  return std::string(bytes.begin(), bytes.end());
+template <class IO>
+void Fields(IO& io, LeaseRequestMsg& m) { io(m.worker_id, m.capacity); }
+
+template <class IO>
+void Fields(IO& io, WireCampaignConfig& m) {
+  io(m.campaign_id, m.os_name, m.board_name, m.seed, m.budget_us, m.max_execs,
+     m.metrics_interval_us, m.total_shards, m.sample_points, m.periodic_reset_execs,
+     m.restore_mode, m.flags, m.seed_programs);
 }
 
-void PutBlob(ByteWriter* writer, const std::vector<uint8_t>& blob) {
-  writer->PutLengthPrefixed(blob);
+template <class IO>
+void Fields(IO& io, ShardLease& m) { io(m.lease_id, m.shard, m.attempt); }
+
+template <class IO>
+void Fields(IO& io, CorpusEntryWire& m) { io(m.text, m.new_edges); }
+
+template <class IO>
+void Fields(IO& io, LeaseGrantMsg& m) { io(m.config, m.leases, m.coverage, m.corpus); }
+
+template <class IO>
+void Fields(IO& io, NoWorkMsg& m) { io(m.campaign_done, m.retry_ms); }
+
+template <class IO>
+void Fields(IO& io, ShardProgressWire& m) {
+  io(m.lease_id, m.shard, m.elapsed_us, m.execs, m.completed);
 }
 
-void PutU64List(ByteWriter* writer, const std::vector<uint64_t>& values) {
-  writer->PutU32(static_cast<uint32_t>(values.size()));
-  for (uint64_t value : values) {
-    writer->PutU64(value);
-  }
+template <class IO>
+void Fields(IO& io, BugWire& m) {
+  io(m.catalog_id, m.detector, m.kind, m.excerpt, m.program_text, m.at_us, m.first_exec,
+     m.board, m.seed_stream, m.coverage_delta, m.snapshot_validation, m.dump_reason,
+     m.dump_last_restore, m.uart_tail, m.port_ops, m.events);
 }
 
-std::vector<uint64_t> GetU64List(ByteReader* reader) {
-  uint32_t count = reader->GetU32();
-  std::vector<uint64_t> values;
-  if (reader->failed() || static_cast<size_t>(count) * 8 > reader->remaining()) {
-    return values;
-  }
-  values.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    values.push_back(reader->GetU64());
-  }
-  return values;
+template <class IO>
+void Fields(IO& io, SyncMsg& m) {
+  io(m.worker_id, m.campaign_id, m.seq, m.shards, m.coverage_delta, m.corpus, m.bugs,
+     m.journal_dropped);
 }
 
-void PutCorpus(ByteWriter* writer, const std::vector<CorpusEntryWire>& entries) {
-  writer->PutU32(static_cast<uint32_t>(entries.size()));
-  for (const CorpusEntryWire& entry : entries) {
-    PutString(writer, entry.text);
-    writer->PutU64(entry.new_edges);
-  }
+template <class IO>
+void Fields(IO& io, SyncAckMsg& m) {
+  io(m.accepted, m.campaign_done, m.coverage_delta, m.corpus, m.revoked);
 }
 
-std::vector<CorpusEntryWire> GetCorpus(ByteReader* reader) {
-  uint32_t count = reader->GetU32();
-  std::vector<CorpusEntryWire> entries;
-  for (uint32_t i = 0; i < count && !reader->failed(); ++i) {
-    CorpusEntryWire entry;
-    entry.text = GetString(reader);
-    entry.new_edges = reader->GetU64();
-    entries.push_back(std::move(entry));
-  }
-  return entries;
+template <class IO>
+void Fields(IO& io, WorkerFinalMsg& m) {
+  io(m.worker_id, m.campaign_id, m.seq, m.elapsed_us, m.journal_dropped, m.metrics,
+     m.series);
 }
 
-// Finishes a decode: every payload byte must have been consumed exactly.
-template <typename T>
-Result<T> Finish(const char* what, const ByteReader& reader, T msg) {
-  if (reader.failed()) {
-    return DataLossError(StrFormat("%s payload truncated", what));
+template <class IO>
+void Fields(IO& io, FinalAckMsg& m) { io(m.accepted); }
+
+template <class IO>
+void Fields(IO& io, GoodbyeMsg& m) { io(m.worker_id); }
+
+template <class IO>
+void Fields(IO& io, StatusRequestMsg& m) { io(m.campaign_id, m.include_shards); }
+
+template <class IO>
+void Fields(IO& io, ShardStatusWire& m) {
+  io(m.shard, m.phase, m.lease_id, m.worker, m.attempt, m.deadline_ms, m.elapsed_us,
+     m.execs);
+}
+
+template <class IO>
+void Fields(IO& io, BugStatusWire& m) {
+  io(m.catalog_id, m.detector, m.kind, m.excerpt, m.at_us, m.board);
+}
+
+template <class IO>
+void Fields(IO& io, CampaignStatusWire& m) {
+  io(m.campaign_id, m.os_name, m.board_name, m.budget_us, m.shards_total, m.shards_pending,
+     m.shards_leased, m.shards_done, m.metrics, m.journal_dropped, m.journal_dropped_workers,
+     m.finalized, m.shards, m.bugs);
+}
+
+template <class IO>
+void Fields(IO& io, WorkerStatusWire& m) {
+  io(m.worker_id, m.name, m.last_seen_ms, m.lost, m.execs, m.leases, m.syncs,
+     m.journal_dropped);
+}
+
+template <class IO>
+void Fields(IO& io, StatusReplyMsg& m) {
+  io(m.server_ms, m.assembled_ms, m.heartbeat_interval_ms, m.campaigns, m.workers);
+}
+
+// The metrics blob (WorkerFinal, StatusReply campaigns): counters, then gauges,
+// each as a u32 count of (name, u64 value) entries in name order. It keeps its
+// own codec because its decoder bounds each count by the blob's remaining bytes
+// and rejects a name that repeats within one map.
+void PutMetrics(ByteWriter* writer, const telemetry::MetricsSnapshot& metrics) {
+  ByteWriter blob;
+  for (const auto* values : {&metrics.counters, &metrics.gauges}) {
+    blob.PutU32(static_cast<uint32_t>(values->size()));
+    for (const auto& [name, value] : *values) {
+      blob.PutLengthPrefixed(name);
+      blob.PutU64(value);
+    }
   }
-  if (reader.remaining() != 0) {
-    return DataLossError(
-        StrFormat("%s payload has %zu trailing bytes", what, reader.remaining()));
+  writer->PutLengthPrefixed(blob.bytes());
+}
+
+Status GetMetrics(ByteReader* reader, telemetry::MetricsSnapshot* metrics) {
+  std::vector<uint8_t> blob = reader->GetLengthPrefixed();
+  if (reader->failed()) {
+    return DataLossError("metrics blob truncated");
   }
+  ByteReader blob_reader(blob);
+  for (auto* values : {&metrics->counters, &metrics->gauges}) {
+    uint32_t count = blob_reader.GetU32();
+    // An entry is at least a 4-byte name length and an 8-byte value.
+    if (blob_reader.failed() || count > blob_reader.remaining() / 12) {
+      return DataLossError("metrics count exceeds the blob");
+    }
+    for (uint32_t i = 0; i < count; ++i) {
+      std::vector<uint8_t> name_bytes = blob_reader.GetLengthPrefixed();
+      uint64_t value = blob_reader.GetU64();
+      if (blob_reader.failed()) {
+        return DataLossError("metrics blob truncated");
+      }
+      std::string name(name_bytes.begin(), name_bytes.end());
+      if (!values->emplace(name, value).second) {
+        return DataLossError(
+            StrFormat("metrics name '%s' repeats", name.c_str()));
+      }
+    }
+  }
+  if (blob_reader.remaining() != 0) {
+    return DataLossError(StrFormat("metrics blob has %zu trailing bytes",
+                                   blob_reader.remaining()));
+  }
+  return OkStatus();
+}
+
+// Appends each visited field to the payload. Fields arrive as mutable references
+// (one list serves both directions); the Writer only reads them.
+class Writer {
+ public:
+  template <class... T>
+  void operator()(T&... fields) {
+    (Write(fields), ...);
+  }
+
+  std::vector<uint8_t> TakeBytes() { return out_.TakeBytes(); }
+
+ private:
+  void Write(uint8_t& v) { out_.PutU8(v); }
+  void Write(uint32_t& v) { out_.PutU32(v); }
+  void Write(uint64_t& v) { out_.PutU64(v); }
+  void Write(std::string& v) { out_.PutLengthPrefixed(v); }
+  void Write(std::vector<uint8_t>& v) { out_.PutLengthPrefixed(v); }
+  void Write(telemetry::MetricsSnapshot& v) { PutMetrics(&out_, v); }
+
+  template <class A, class B>
+  void Write(std::pair<A, B>& v) {
+    (*this)(v.first, v.second);
+  }
+
+  template <class T>
+  void Write(std::vector<T>& items) {
+    out_.PutU32(static_cast<uint32_t>(items.size()));
+    for (T& item : items) {
+      Write(item);
+    }
+  }
+
+  template <class T>
+  void Write(T& nested) {
+    Fields(*this, nested);
+  }
+
+  ByteWriter out_;
+};
+
+// Fills each visited field from the payload. The first error sticks and every
+// later field is skipped, so a vector's count never drives reads past it.
+class Reader {
+ public:
+  explicit Reader(const std::vector<uint8_t>& payload) : in_(payload) {}
+
+  template <class... T>
+  void operator()(T&... fields) {
+    ((ok() ? Read(fields) : void()), ...);
+  }
+
+  // Every payload byte must have been consumed exactly.
+  Status Finish(const char* what) const {
+    RETURN_IF_ERROR(status_);
+    if (in_.failed()) {
+      return DataLossError(StrFormat("%s payload truncated", what));
+    }
+    if (in_.remaining() != 0) {
+      return DataLossError(
+          StrFormat("%s payload has %zu trailing bytes", what, in_.remaining()));
+    }
+    return OkStatus();
+  }
+
+ private:
+  bool ok() const { return status_.ok() && !in_.failed(); }
+
+  void Read(uint8_t& v) { v = in_.GetU8(); }
+  void Read(uint32_t& v) { v = in_.GetU32(); }
+  void Read(uint64_t& v) { v = in_.GetU64(); }
+  void Read(std::vector<uint8_t>& v) { v = in_.GetLengthPrefixed(); }
+  void Read(telemetry::MetricsSnapshot& v) { status_ = GetMetrics(&in_, &v); }
+
+  void Read(std::string& v) {
+    std::vector<uint8_t> bytes = in_.GetLengthPrefixed();
+    v.assign(bytes.begin(), bytes.end());
+  }
+
+  template <class A, class B>
+  void Read(std::pair<A, B>& v) {
+    (*this)(v.first, v.second);
+  }
+
+  template <class T>
+  void Read(std::vector<T>& items) {
+    uint32_t count = in_.GetU32();
+    for (uint32_t i = 0; i < count && ok(); ++i) {
+      Read(items.emplace_back());
+    }
+  }
+
+  template <class T>
+  void Read(T& nested) {
+    Fields(*this, nested);
+  }
+
+  ByteReader in_;
+  Status status_;
+};
+
+template <class Msg>
+std::vector<uint8_t> EncodeFields(const Msg& msg) {
+  Writer writer;
+  Fields(writer, const_cast<Msg&>(msg));  // the Writer never modifies a field
+  return writer.TakeBytes();
+}
+
+template <class Msg>
+Result<Msg> DecodeFields(const char* what, const std::vector<uint8_t>& payload) {
+  Msg msg;
+  Reader reader(payload);
+  Fields(reader, msg);
+  RETURN_IF_ERROR(reader.Finish(what));
   return msg;
 }
 
@@ -124,537 +325,27 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size) {
   return frame;
 }
 
-std::vector<uint8_t> Encode(const HelloMsg& msg) {
-  ByteWriter writer;
-  PutString(&writer, msg.worker_name);
-  writer.PutU32(msg.capacity);
-  return writer.TakeBytes();
-}
-
-Result<HelloMsg> DecodeHello(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  HelloMsg msg;
-  msg.worker_name = GetString(&reader);
-  msg.capacity = reader.GetU32();
-  return Finish("Hello", reader, std::move(msg));
-}
-
-std::vector<uint8_t> Encode(const HelloAckMsg& msg) {
-  ByteWriter writer;
-  writer.PutU32(msg.worker_id);
-  writer.PutU64(msg.heartbeat_interval_ms);
-  writer.PutU64(msg.lease_timeout_ms);
-  return writer.TakeBytes();
-}
-
-Result<HelloAckMsg> DecodeHelloAck(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  HelloAckMsg msg;
-  msg.worker_id = reader.GetU32();
-  msg.heartbeat_interval_ms = reader.GetU64();
-  msg.lease_timeout_ms = reader.GetU64();
-  return Finish("HelloAck", reader, msg);
-}
-
-std::vector<uint8_t> Encode(const LeaseRequestMsg& msg) {
-  ByteWriter writer;
-  writer.PutU32(msg.worker_id);
-  writer.PutU32(msg.capacity);
-  return writer.TakeBytes();
-}
-
-Result<LeaseRequestMsg> DecodeLeaseRequest(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  LeaseRequestMsg msg;
-  msg.worker_id = reader.GetU32();
-  msg.capacity = reader.GetU32();
-  return Finish("LeaseRequest", reader, msg);
-}
-
-namespace {
-
-void PutConfig(ByteWriter* writer, const WireCampaignConfig& config) {
-  PutString(writer, config.campaign_id);
-  PutString(writer, config.os_name);
-  PutString(writer, config.board_name);
-  writer->PutU64(config.seed);
-  writer->PutU64(config.budget_us);
-  writer->PutU64(config.max_execs);
-  writer->PutU64(config.metrics_interval_us);
-  writer->PutU32(config.total_shards);
-  writer->PutU32(config.sample_points);
-  writer->PutU32(config.periodic_reset_execs);
-  writer->PutU8(config.restore_mode);
-  writer->PutU32(config.flags);
-  writer->PutU32(static_cast<uint32_t>(config.seed_programs.size()));
-  for (const std::string& program : config.seed_programs) {
-    PutString(writer, program);
+// The public pair of each message: its field list run through a Writer or a Reader.
+#define EOF_FLEET_CODEC(Name)                                                     \
+  std::vector<uint8_t> Encode(const Name##Msg& msg) { return EncodeFields(msg); } \
+  Result<Name##Msg> Decode##Name(const std::vector<uint8_t>& payload) {           \
+    return DecodeFields<Name##Msg>(#Name, payload);                               \
   }
-}
 
-WireCampaignConfig GetConfig(ByteReader* reader) {
-  WireCampaignConfig config;
-  config.campaign_id = GetString(reader);
-  config.os_name = GetString(reader);
-  config.board_name = GetString(reader);
-  config.seed = reader->GetU64();
-  config.budget_us = reader->GetU64();
-  config.max_execs = reader->GetU64();
-  config.metrics_interval_us = reader->GetU64();
-  config.total_shards = reader->GetU32();
-  config.sample_points = reader->GetU32();
-  config.periodic_reset_execs = reader->GetU32();
-  config.restore_mode = reader->GetU8();
-  config.flags = reader->GetU32();
-  uint32_t seed_count = reader->GetU32();
-  for (uint32_t i = 0; i < seed_count && !reader->failed(); ++i) {
-    config.seed_programs.push_back(GetString(reader));
-  }
-  return config;
-}
+EOF_FLEET_CODEC(Hello)
+EOF_FLEET_CODEC(HelloAck)
+EOF_FLEET_CODEC(LeaseRequest)
+EOF_FLEET_CODEC(LeaseGrant)
+EOF_FLEET_CODEC(NoWork)
+EOF_FLEET_CODEC(Sync)
+EOF_FLEET_CODEC(SyncAck)
+EOF_FLEET_CODEC(WorkerFinal)
+EOF_FLEET_CODEC(FinalAck)
+EOF_FLEET_CODEC(Goodbye)
+EOF_FLEET_CODEC(StatusRequest)
+EOF_FLEET_CODEC(StatusReply)
 
-}  // namespace
-
-std::vector<uint8_t> Encode(const LeaseGrantMsg& msg) {
-  ByteWriter writer;
-  PutConfig(&writer, msg.config);
-  writer.PutU32(static_cast<uint32_t>(msg.leases.size()));
-  for (const ShardLease& lease : msg.leases) {
-    writer.PutU64(lease.lease_id);
-    writer.PutU32(lease.shard);
-    writer.PutU32(lease.attempt);
-  }
-  PutBlob(&writer, msg.coverage);
-  PutCorpus(&writer, msg.corpus);
-  return writer.TakeBytes();
-}
-
-Result<LeaseGrantMsg> DecodeLeaseGrant(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  LeaseGrantMsg msg;
-  msg.config = GetConfig(&reader);
-  uint32_t lease_count = reader.GetU32();
-  for (uint32_t i = 0; i < lease_count && !reader.failed(); ++i) {
-    ShardLease lease;
-    lease.lease_id = reader.GetU64();
-    lease.shard = reader.GetU32();
-    lease.attempt = reader.GetU32();
-    msg.leases.push_back(lease);
-  }
-  msg.coverage = reader.GetLengthPrefixed();
-  msg.corpus = GetCorpus(&reader);
-  return Finish("LeaseGrant", reader, std::move(msg));
-}
-
-std::vector<uint8_t> Encode(const NoWorkMsg& msg) {
-  ByteWriter writer;
-  writer.PutU8(msg.campaign_done);
-  writer.PutU64(msg.retry_ms);
-  return writer.TakeBytes();
-}
-
-Result<NoWorkMsg> DecodeNoWork(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  NoWorkMsg msg;
-  msg.campaign_done = reader.GetU8();
-  msg.retry_ms = reader.GetU64();
-  return Finish("NoWork", reader, msg);
-}
-
-namespace {
-
-void PutBug(ByteWriter* writer, const BugWire& bug) {
-  writer->PutU32(bug.catalog_id);
-  PutString(writer, bug.detector);
-  PutString(writer, bug.kind);
-  PutString(writer, bug.excerpt);
-  PutString(writer, bug.program_text);
-  writer->PutU64(bug.at_us);
-  writer->PutU64(bug.first_exec);
-  writer->PutU32(bug.board);
-  writer->PutU64(bug.seed_stream);
-  writer->PutU64(bug.coverage_delta);
-  PutString(writer, bug.snapshot_validation);
-  PutString(writer, bug.dump_reason);
-  PutString(writer, bug.dump_last_restore);
-  PutString(writer, bug.uart_tail);
-  PutString(writer, bug.port_ops);
-  PutString(writer, bug.events);
-}
-
-BugWire GetBug(ByteReader* reader) {
-  BugWire bug;
-  bug.catalog_id = reader->GetU32();
-  bug.detector = GetString(reader);
-  bug.kind = GetString(reader);
-  bug.excerpt = GetString(reader);
-  bug.program_text = GetString(reader);
-  bug.at_us = reader->GetU64();
-  bug.first_exec = reader->GetU64();
-  bug.board = reader->GetU32();
-  bug.seed_stream = reader->GetU64();
-  bug.coverage_delta = reader->GetU64();
-  bug.snapshot_validation = GetString(reader);
-  bug.dump_reason = GetString(reader);
-  bug.dump_last_restore = GetString(reader);
-  bug.uart_tail = GetString(reader);
-  bug.port_ops = GetString(reader);
-  bug.events = GetString(reader);
-  return bug;
-}
-
-}  // namespace
-
-std::vector<uint8_t> Encode(const SyncMsg& msg) {
-  ByteWriter writer;
-  writer.PutU32(msg.worker_id);
-  PutString(&writer, msg.campaign_id);
-  writer.PutU64(msg.seq);
-  writer.PutU32(static_cast<uint32_t>(msg.shards.size()));
-  for (const ShardProgressWire& shard : msg.shards) {
-    writer.PutU64(shard.lease_id);
-    writer.PutU32(shard.shard);
-    writer.PutU64(shard.elapsed_us);
-    writer.PutU64(shard.execs);
-    writer.PutU8(shard.completed);
-  }
-  PutBlob(&writer, msg.coverage_delta);
-  PutCorpus(&writer, msg.corpus);
-  writer.PutU32(static_cast<uint32_t>(msg.bugs.size()));
-  for (const BugWire& bug : msg.bugs) {
-    PutBug(&writer, bug);
-  }
-  writer.PutU64(msg.journal_dropped);
-  return writer.TakeBytes();
-}
-
-Result<SyncMsg> DecodeSync(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  SyncMsg msg;
-  msg.worker_id = reader.GetU32();
-  msg.campaign_id = GetString(&reader);
-  msg.seq = reader.GetU64();
-  uint32_t shard_count = reader.GetU32();
-  for (uint32_t i = 0; i < shard_count && !reader.failed(); ++i) {
-    ShardProgressWire shard;
-    shard.lease_id = reader.GetU64();
-    shard.shard = reader.GetU32();
-    shard.elapsed_us = reader.GetU64();
-    shard.execs = reader.GetU64();
-    shard.completed = reader.GetU8();
-    msg.shards.push_back(shard);
-  }
-  msg.coverage_delta = reader.GetLengthPrefixed();
-  msg.corpus = GetCorpus(&reader);
-  uint32_t bug_count = reader.GetU32();
-  for (uint32_t i = 0; i < bug_count && !reader.failed(); ++i) {
-    msg.bugs.push_back(GetBug(&reader));
-  }
-  msg.journal_dropped = reader.GetU64();
-  return Finish("Sync", reader, std::move(msg));
-}
-
-std::vector<uint8_t> Encode(const SyncAckMsg& msg) {
-  ByteWriter writer;
-  writer.PutU8(msg.accepted);
-  writer.PutU8(msg.campaign_done);
-  PutBlob(&writer, msg.coverage_delta);
-  PutCorpus(&writer, msg.corpus);
-  PutU64List(&writer, msg.revoked);
-  return writer.TakeBytes();
-}
-
-Result<SyncAckMsg> DecodeSyncAck(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  SyncAckMsg msg;
-  msg.accepted = reader.GetU8();
-  msg.campaign_done = reader.GetU8();
-  msg.coverage_delta = reader.GetLengthPrefixed();
-  msg.corpus = GetCorpus(&reader);
-  msg.revoked = GetU64List(&reader);
-  return Finish("SyncAck", reader, std::move(msg));
-}
-
-namespace {
-
-// The metrics blob (WorkerFinal, StatusReply campaigns): counters, then gauges,
-// each as a u32 count of (name, u64 value) entries in name order.
-void PutMetrics(ByteWriter* writer, const telemetry::MetricsSnapshot& metrics) {
-  ByteWriter blob;
-  for (const auto* values : {&metrics.counters, &metrics.gauges}) {
-    blob.PutU32(static_cast<uint32_t>(values->size()));
-    for (const auto& [name, value] : *values) {
-      PutString(&blob, name);
-      blob.PutU64(value);
-    }
-  }
-  PutBlob(writer, blob.bytes());
-}
-
-Status GetMetrics(ByteReader* reader, telemetry::MetricsSnapshot* metrics) {
-  std::vector<uint8_t> blob = reader->GetLengthPrefixed();
-  if (reader->failed()) {
-    return DataLossError("metrics blob truncated");
-  }
-  ByteReader blob_reader(blob);
-  for (auto* values : {&metrics->counters, &metrics->gauges}) {
-    uint32_t count = blob_reader.GetU32();
-    // An entry is at least a 4-byte name length and an 8-byte value.
-    if (blob_reader.failed() || count > blob_reader.remaining() / 12) {
-      return DataLossError("metrics count exceeds the blob");
-    }
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string name = GetString(&blob_reader);
-      uint64_t value = blob_reader.GetU64();
-      if (blob_reader.failed()) {
-        return DataLossError("metrics blob truncated");
-      }
-      if (!values->emplace(name, value).second) {
-        return DataLossError(
-            StrFormat("metrics name '%s' repeats", name.c_str()));
-      }
-    }
-  }
-  if (blob_reader.remaining() != 0) {
-    return DataLossError(StrFormat("metrics blob has %zu trailing bytes",
-                                   blob_reader.remaining()));
-  }
-  return OkStatus();
-}
-
-}  // namespace
-
-std::vector<uint8_t> Encode(const WorkerFinalMsg& msg) {
-  ByteWriter writer;
-  writer.PutU32(msg.worker_id);
-  PutString(&writer, msg.campaign_id);
-  writer.PutU64(msg.seq);
-  writer.PutU64(msg.elapsed_us);
-  writer.PutU64(msg.journal_dropped);
-  PutMetrics(&writer, msg.metrics);
-  writer.PutU32(static_cast<uint32_t>(msg.series.size()));
-  for (const auto& [at, coverage] : msg.series) {
-    writer.PutU64(at);
-    writer.PutU64(coverage);
-  }
-  return writer.TakeBytes();
-}
-
-Result<WorkerFinalMsg> DecodeWorkerFinal(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  WorkerFinalMsg msg;
-  msg.worker_id = reader.GetU32();
-  msg.campaign_id = GetString(&reader);
-  msg.seq = reader.GetU64();
-  msg.elapsed_us = reader.GetU64();
-  msg.journal_dropped = reader.GetU64();
-  RETURN_IF_ERROR(GetMetrics(&reader, &msg.metrics));
-  uint32_t series_count = reader.GetU32();
-  if (!reader.failed() &&
-      static_cast<size_t>(series_count) * 16 <= reader.remaining()) {
-    msg.series.reserve(series_count);
-    for (uint32_t i = 0; i < series_count; ++i) {
-      uint64_t at = reader.GetU64();
-      uint64_t coverage = reader.GetU64();
-      msg.series.emplace_back(at, coverage);
-    }
-  } else if (series_count > 0) {
-    return DataLossError("WorkerFinal series truncated");
-  }
-  return Finish("WorkerFinal", reader, std::move(msg));
-}
-
-std::vector<uint8_t> Encode(const FinalAckMsg& msg) {
-  ByteWriter writer;
-  writer.PutU8(msg.accepted);
-  return writer.TakeBytes();
-}
-
-Result<FinalAckMsg> DecodeFinalAck(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  FinalAckMsg msg;
-  msg.accepted = reader.GetU8();
-  return Finish("FinalAck", reader, msg);
-}
-
-std::vector<uint8_t> Encode(const GoodbyeMsg& msg) {
-  ByteWriter writer;
-  writer.PutU32(msg.worker_id);
-  return writer.TakeBytes();
-}
-
-Result<GoodbyeMsg> DecodeGoodbye(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  GoodbyeMsg msg;
-  msg.worker_id = reader.GetU32();
-  return Finish("Goodbye", reader, msg);
-}
-
-std::vector<uint8_t> Encode(const StatusRequestMsg& msg) {
-  ByteWriter writer;
-  PutString(&writer, msg.campaign_id);
-  writer.PutU8(msg.include_shards);
-  return writer.TakeBytes();
-}
-
-Result<StatusRequestMsg> DecodeStatusRequest(
-    const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  StatusRequestMsg msg;
-  msg.campaign_id = GetString(&reader);
-  msg.include_shards = reader.GetU8();
-  return Finish("StatusRequest", reader, std::move(msg));
-}
-
-namespace {
-
-void PutShardStatus(ByteWriter* writer, const ShardStatusWire& shard) {
-  writer->PutU32(shard.shard);
-  writer->PutU8(shard.phase);
-  writer->PutU64(shard.lease_id);
-  writer->PutU32(shard.worker);
-  writer->PutU32(shard.attempt);
-  writer->PutU64(shard.deadline_ms);
-  writer->PutU64(shard.elapsed_us);
-  writer->PutU64(shard.execs);
-}
-
-ShardStatusWire GetShardStatus(ByteReader* reader) {
-  ShardStatusWire shard;
-  shard.shard = reader->GetU32();
-  shard.phase = reader->GetU8();
-  shard.lease_id = reader->GetU64();
-  shard.worker = reader->GetU32();
-  shard.attempt = reader->GetU32();
-  shard.deadline_ms = reader->GetU64();
-  shard.elapsed_us = reader->GetU64();
-  shard.execs = reader->GetU64();
-  return shard;
-}
-
-void PutBugStatus(ByteWriter* writer, const BugStatusWire& bug) {
-  writer->PutU32(bug.catalog_id);
-  PutString(writer, bug.detector);
-  PutString(writer, bug.kind);
-  PutString(writer, bug.excerpt);
-  writer->PutU64(bug.at_us);
-  writer->PutU32(bug.board);
-}
-
-BugStatusWire GetBugStatus(ByteReader* reader) {
-  BugStatusWire bug;
-  bug.catalog_id = reader->GetU32();
-  bug.detector = GetString(reader);
-  bug.kind = GetString(reader);
-  bug.excerpt = GetString(reader);
-  bug.at_us = reader->GetU64();
-  bug.board = reader->GetU32();
-  return bug;
-}
-
-void PutCampaignStatus(ByteWriter* writer, const CampaignStatusWire& campaign) {
-  PutString(writer, campaign.campaign_id);
-  PutString(writer, campaign.os_name);
-  PutString(writer, campaign.board_name);
-  writer->PutU64(campaign.budget_us);
-  writer->PutU32(campaign.shards_total);
-  writer->PutU32(campaign.shards_pending);
-  writer->PutU32(campaign.shards_leased);
-  writer->PutU32(campaign.shards_done);
-  PutMetrics(writer, campaign.metrics);
-  writer->PutU64(campaign.journal_dropped);
-  writer->PutU64(campaign.journal_dropped_workers);
-  writer->PutU8(campaign.finalized);
-  writer->PutU32(static_cast<uint32_t>(campaign.shards.size()));
-  for (const ShardStatusWire& shard : campaign.shards) {
-    PutShardStatus(writer, shard);
-  }
-  writer->PutU32(static_cast<uint32_t>(campaign.bugs.size()));
-  for (const BugStatusWire& bug : campaign.bugs) {
-    PutBugStatus(writer, bug);
-  }
-}
-
-Result<CampaignStatusWire> GetCampaignStatus(ByteReader* reader) {
-  CampaignStatusWire campaign;
-  campaign.campaign_id = GetString(reader);
-  campaign.os_name = GetString(reader);
-  campaign.board_name = GetString(reader);
-  campaign.budget_us = reader->GetU64();
-  campaign.shards_total = reader->GetU32();
-  campaign.shards_pending = reader->GetU32();
-  campaign.shards_leased = reader->GetU32();
-  campaign.shards_done = reader->GetU32();
-  RETURN_IF_ERROR(GetMetrics(reader, &campaign.metrics));
-  campaign.journal_dropped = reader->GetU64();
-  campaign.journal_dropped_workers = reader->GetU64();
-  campaign.finalized = reader->GetU8();
-  uint32_t shard_count = reader->GetU32();
-  if (!reader->failed() &&
-      static_cast<size_t>(shard_count) * 41 <= reader->remaining()) {
-    campaign.shards.reserve(shard_count);
-  }
-  for (uint32_t i = 0; i < shard_count && !reader->failed(); ++i) {
-    campaign.shards.push_back(GetShardStatus(reader));
-  }
-  uint32_t bug_count = reader->GetU32();
-  for (uint32_t i = 0; i < bug_count && !reader->failed(); ++i) {
-    campaign.bugs.push_back(GetBugStatus(reader));
-  }
-  return campaign;
-}
-
-}  // namespace
-
-std::vector<uint8_t> Encode(const StatusReplyMsg& msg) {
-  ByteWriter writer;
-  writer.PutU64(msg.server_ms);
-  writer.PutU64(msg.assembled_ms);
-  writer.PutU64(msg.heartbeat_interval_ms);
-  writer.PutU32(static_cast<uint32_t>(msg.campaigns.size()));
-  for (const CampaignStatusWire& campaign : msg.campaigns) {
-    PutCampaignStatus(&writer, campaign);
-  }
-  writer.PutU32(static_cast<uint32_t>(msg.workers.size()));
-  for (const WorkerStatusWire& worker : msg.workers) {
-    writer.PutU32(worker.worker_id);
-    PutString(&writer, worker.name);
-    writer.PutU64(worker.last_seen_ms);
-    writer.PutU8(worker.lost);
-    writer.PutU64(worker.execs);
-    writer.PutU64(worker.leases);
-    writer.PutU64(worker.syncs);
-    writer.PutU64(worker.journal_dropped);
-  }
-  return writer.TakeBytes();
-}
-
-Result<StatusReplyMsg> DecodeStatusReply(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
-  StatusReplyMsg msg;
-  msg.server_ms = reader.GetU64();
-  msg.assembled_ms = reader.GetU64();
-  msg.heartbeat_interval_ms = reader.GetU64();
-  uint32_t campaign_count = reader.GetU32();
-  for (uint32_t i = 0; i < campaign_count && !reader.failed(); ++i) {
-    ASSIGN_OR_RETURN(CampaignStatusWire campaign, GetCampaignStatus(&reader));
-    msg.campaigns.push_back(std::move(campaign));
-  }
-  uint32_t worker_count = reader.GetU32();
-  for (uint32_t i = 0; i < worker_count && !reader.failed(); ++i) {
-    WorkerStatusWire worker;
-    worker.worker_id = reader.GetU32();
-    worker.name = GetString(&reader);
-    worker.last_seen_ms = reader.GetU64();
-    worker.lost = reader.GetU8();
-    worker.execs = reader.GetU64();
-    worker.leases = reader.GetU64();
-    worker.syncs = reader.GetU64();
-    worker.journal_dropped = reader.GetU64();
-    msg.workers.push_back(std::move(worker));
-  }
-  return Finish("StatusReply", reader, std::move(msg));
-}
+#undef EOF_FLEET_CODEC
 
 }  // namespace fleet
 }  // namespace eof

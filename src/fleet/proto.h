@@ -101,7 +101,7 @@ struct WireCampaignConfig {
   uint32_t sample_points = 96;
   uint32_t periodic_reset_execs = 24;
   uint8_t restore_mode = 0;  // RestoreMode enum value
-  // Flag bits, see kFlag* in proto.cc.
+  // Flag bits, see ConfigFlag below.
   uint32_t flags = 0;
   std::vector<std::string> seed_programs;
 };
@@ -295,9 +295,10 @@ enum ConfigFlag : uint32_t {
   kFlagTrim = 1u << 10,
 };
 
-// Per-message payload codecs. Decoders fail on truncated or trailing bytes; the
-// metrics blob (WorkerFinal, StatusReply) also rejects counts past its end and
-// duplicate names.
+// Per-message payload codecs. Each message, and each struct nested in one, has
+// one field list in wire order that both directions walk. Decoders fail on
+// truncated or trailing bytes; the metrics blob (WorkerFinal, StatusReply) keeps
+// its own codec, which also rejects counts past its end and duplicate names.
 std::vector<uint8_t> Encode(const HelloMsg& msg);
 std::vector<uint8_t> Encode(const HelloAckMsg& msg);
 std::vector<uint8_t> Encode(const LeaseRequestMsg& msg);

@@ -1,5 +1,6 @@
 // Unit tests for the common substrate: Status/Result, string helpers, RNG statistical
-// sanity, byte IO round-trips, hashing stability, and the coverage map.
+// sanity, byte IO round-trips, hashing stability, and the coverage map and its wire
+// blobs.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "src/common/status.h"
 #include "src/common/strings.h"
 #include "src/common/vclock.h"
+#include "tests/fleet/decoder_harness.h"
 
 namespace eof {
 namespace {
@@ -358,6 +360,18 @@ TEST(CoverageSerialTest, MergeIsCommutative) {
   ASSERT_TRUE(MergeSerializedCoverage(left, &rl).ok());
   EXPECT_EQ(SerializeCoverage(lr), SerializeCoverage(rl));
   EXPECT_EQ(lr.Count(), 5u);
+}
+
+// The orchestrator decodes coverage blobs straight from worker Syncs.
+TEST(CoverageSerialTest, DecoderSurvivesMutatedInput) {
+  auto round_trip = [](const std::vector<uint8_t>& blob) -> Result<std::vector<uint8_t>> {
+    ASSIGN_OR_RETURN(DecodedCoverage decoded, DecodeCoverage(blob));
+    return SerializeCoverageIds(std::move(decoded.ids), decoded.kind);
+  };
+  ExpectDecoderSurvivesHavoc(
+      SerializeCoverageIds({0, 3, 9, 0x10001, 1000000, 0xffffffffffffffffULL},
+                           CoverageWireKind::kDiff),
+      round_trip, 20261112);
 }
 
 TEST(CoverageSerialTest, RejectsCorruptBlobs) {

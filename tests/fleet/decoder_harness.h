@@ -1,6 +1,6 @@
-// Havoc decoder harness shared by the fleet wire-format tests: byte-level
-// mutations of a golden encoding must never crash a decoder, and whatever a
-// decoder accepts must survive a re-encode.
+// Havoc decoder harness shared by the wire-format tests (fleet messages, coverage
+// blobs, agent programs): byte-level mutations of a golden encoding must never
+// crash a decoder, and whatever a decoder accepts must survive a re-encode.
 
 #ifndef TESTS_FLEET_DECODER_HARNESS_H_
 #define TESTS_FLEET_DECODER_HARNESS_H_
@@ -16,12 +16,12 @@
 #include "src/fuzz/byte_mutator.h"
 
 namespace eof {
-namespace fleet {
 
 // Decodes a payload and re-encodes the decoded message.
 using RoundTripFn =
     std::function<Result<std::vector<uint8_t>>(const std::vector<uint8_t>&)>;
 
+// For a fleet message: its Decode* function, then its Encode overload.
 template <typename Msg>
 RoundTripFn DecodeThenEncode(Result<Msg> (*decode)(const std::vector<uint8_t>&)) {
   return [decode](const std::vector<uint8_t>& payload) -> Result<std::vector<uint8_t>> {
@@ -55,7 +55,6 @@ inline void ExpectDecoderSurvivesHavoc(const std::vector<uint8_t>& golden,
   EXPECT_LT(decoded, kInputs);
 }
 
-}  // namespace fleet
 }  // namespace eof
 
 #endif  // TESTS_FLEET_DECODER_HARNESS_H_

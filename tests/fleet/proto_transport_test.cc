@@ -1,7 +1,7 @@
 // Fleet wire protocol and transport tests: codec round-trips, the pinned wire
-// bytes of every message, frame validation against corruption, a hostile-input
-// harness for the WorkerFinal decoder, loopback queue semantics, and a TCP
-// round-trip over a real localhost socket.
+// bytes of every message, a havoc harness over every decoder, frame validation
+// against corruption, a hostile-input table for the WorkerFinal decoder,
+// loopback queue semantics, and a TCP round-trip over a real localhost socket.
 
 #include <gtest/gtest.h>
 
@@ -52,7 +52,7 @@ TEST(ProtoTest, FrameRejectsCorruption) {
   EXPECT_FALSE(DecodeFrame(bad_version.data(), bad_version.size()).ok());
 
   std::vector<uint8_t> bad_type = wire;
-  bad_type[6] = 0x7f;  // type 0x7f is outside [kHello, kGoodbye]
+  bad_type[6] = 0x7f;  // type 0x7f is outside [kHello, kStatusReply]
   EXPECT_FALSE(DecodeFrame(bad_type.data(), bad_type.size()).ok());
 
   EXPECT_FALSE(DecodeFrame(wire.data(), wire.size() - 1).ok());
@@ -397,25 +397,19 @@ TEST(ProtoTest, GoldenEncodings) {
   }
 }
 
-TEST(ProtoTest, WorkerFinalDecoderSurvivesMutatedInput) {
-  ExpectDecoderSurvivesHavoc(Encode(GoldenFinal()), DecodeThenEncode(&DecodeWorkerFinal),
-                             20260514);
+// Every decoder survives havoc seeded from its message's golden encoding.
+class DecoderHavocTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(DecoderHavocTest, SurvivesMutatedInput) {
+  const CodecCase kase = CodecCases()[GetParam()];
+  ExpectDecoderSurvivesHavoc(kase.golden, kase.round_trip, 20261100 + GetParam());
 }
 
-TEST(ProtoTest, LeaseGrantDecoderSurvivesMutatedInput) {
-  ExpectDecoderSurvivesHavoc(Encode(GoldenGrant()), DecodeThenEncode(&DecodeLeaseGrant),
-                             20261101);
-}
-
-TEST(ProtoTest, SyncDecoderSurvivesMutatedInput) {
-  ExpectDecoderSurvivesHavoc(Encode(GoldenSync()), DecodeThenEncode(&DecodeSync),
-                             20261102);
-}
-
-TEST(ProtoTest, SyncAckDecoderSurvivesMutatedInput) {
-  ExpectDecoderSurvivesHavoc(Encode(GoldenSyncAck()), DecodeThenEncode(&DecodeSyncAck),
-                             20261103);
-}
+INSTANTIATE_TEST_SUITE_P(AllMessages, DecoderHavocTest,
+                         ::testing::Range<size_t>(0, CodecCases().size()),
+                         [](const ::testing::TestParamInfo<size_t>& info) {
+                           return std::string(CodecCases()[info.param].name);
+                         });
 
 TEST(ProtoTest, DecodersRejectTruncationAndTrailingBytes) {
   std::vector<uint8_t> payload = Encode(HelloAckMsg{});

@@ -1,6 +1,6 @@
-// Unit + property tests for the fuzzing engine: wire round-trips, generator invariants
-// (refs always valid, constraints honoured, option fences), mutation invariants across
-// sweeps, corpus scheduling, and the byte mutator.
+// Unit + property tests for the fuzzing engine: wire round-trips and havoc, generator
+// invariants (refs always valid, constraints honoured, option fences), mutation
+// invariants across sweeps, corpus scheduling, and the byte mutator.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 #include "src/spec/spec_miner.h"
+#include "tests/fleet/decoder_harness.h"
 
 namespace eof {
 namespace fuzz {
@@ -59,6 +60,27 @@ TEST(WireTest, RejectsForwardResultRefs) {
   WireProgram decoded;
   EXPECT_EQ(DecodeProgram(encoded.data(), encoded.size(), &decoded),
             AgentError::kBadResultRef);
+}
+
+// The agent decodes whatever bytes the host left in its mailbox.
+TEST(WireTest, DecoderSurvivesMutatedInput) {
+  WireProgram program;
+  WireCall call;
+  call.api_id = 3;
+  call.args = {WireArg::Scalar(0xdeadbeefcafef00dULL), WireArg::Bytes({1, 2, 3})};
+  program.calls.push_back(call);
+  WireCall second;
+  second.api_id = 9;
+  second.args = {WireArg::ResultRef(0), WireArg::Scalar(7)};
+  program.calls.push_back(second);
+  auto round_trip = [](const std::vector<uint8_t>& bytes) -> Result<std::vector<uint8_t>> {
+    WireProgram decoded;
+    if (DecodeProgram(bytes.data(), bytes.size(), &decoded) != AgentError::kNone) {
+      return DataLossError("agent rejected the program");
+    }
+    return EncodeProgram(decoded);
+  };
+  ExpectDecoderSurvivesHavoc(EncodeProgram(program), round_trip, 20261113);
 }
 
 TEST(WireTest, RejectsBadMagicAndTruncation) {
