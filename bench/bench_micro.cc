@@ -3,23 +3,51 @@
 // restores (warm snapshot restore, cold reset), and the per-board fixed costs (image
 // build and its kernel payload, flash checksum, deploy on a shared image, the cold-boot
 // validator's replay).
-// These bound the host overhead per executed payload.
+// These bound the host overhead per executed payload. Every operator new in this binary
+// is counted, so a benchmark can report its heap allocations per iteration.
 
 #include <benchmark/benchmark.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
 
 #include "src/common/coverage_map.h"
 #include "src/core/deployment.h"
 #include "src/core/executor.h"
 #include "src/core/fuzzer.h"
 #include "src/core/replay.h"
+#include "src/core/scheduler.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
+#include "src/fuzz/program_text.h"
 #include "src/agent/wire.h"
 #include "src/hw/board_snapshot.h"
 #include "src/hw/image.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 #include "src/spec/spec_miner.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace eof {
 namespace {
@@ -53,18 +81,52 @@ void BM_MutateProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_MutateProgram);
 
+// A program's host-to-agent trip with the loop's reused buffers: encode into the
+// mailbox buffer, decode into the agent's program.
 void BM_WireEncodeDecode(benchmark::State& state) {
   fuzz::Generator generator(Specs(), fuzz::GeneratorOptions{}, 1);
   fuzz::Program program = generator.Generate();
-  WireProgram wire = program.ToWire(Specs());
+  std::vector<uint8_t> encoded;
+  WireProgram decoded;
   for (auto _ : state) {
-    std::vector<uint8_t> encoded = EncodeProgram(wire);
-    WireProgram decoded;
+    program.Encode(Specs(), &encoded);
     AgentError error = DecodeProgram(encoded.data(), encoded.size(), &decoded);
     benchmark::DoNotOptimize(error);
   }
 }
 BENCHMARK(BM_WireEncodeDecode);
+
+// The campaign loop's host-side program step against a warm corpus: pick a seed (or
+// roll generate), mutate or splice it in the loop's program, and encode it for the
+// mailbox. Reports heap allocations per iteration.
+void BM_NextProgram(benchmark::State& state) {
+  fuzz::Generator generator(Specs(), fuzz::GeneratorOptions{}, 5);
+  std::vector<std::string> seeds;
+  for (int i = 0; i < 64; ++i) {
+    seeds.push_back(fuzz::SerializeProgramText(Specs(), generator.Generate()));
+  }
+  CampaignScheduler::Options options;
+  options.os_name = "rtthread";
+  CampaignScheduler scheduler(Specs(), options);
+  scheduler.SeedCorpus(seeds);
+  Rng rng(9);
+  fuzz::Program program;
+  std::vector<uint8_t> encoded;
+  for (int i = 0; i < 64; ++i) {  // warm the loop's buffers
+    scheduler.NextProgram(generator, rng, &program);
+    (void)EncodeForMailbox(Specs(), &program, &encoded);
+  }
+  const uint64_t allocations_before = g_allocations.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    scheduler.NextProgram(generator, rng, &program);
+    benchmark::DoNotOptimize(EncodeForMailbox(Specs(), &program, &encoded));
+  }
+  state.counters["allocs_per_iter"] = benchmark::Counter(
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) -
+                          allocations_before),
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_NextProgram);
 
 void BM_CoverageMerge(benchmark::State& state) {
   Rng rng(7);
@@ -111,10 +173,12 @@ void BM_ExecLoop(benchmark::State& state) {
   }();
   fuzz::Generator generator(*specs, fuzz::GeneratorOptions{}, 3);
   fuzz::Program program = generator.Generate();
-  std::vector<uint8_t> encoded = EncodeProgram(program.ToWire(*specs));
+  std::vector<uint8_t> encoded;
+  program.Encode(*specs, &encoded);
+  ExecOutcome outcome;
   for (auto _ : state) {
-    auto outcome = executor->ExecuteOne(encoded);
-    benchmark::DoNotOptimize(outcome.ok());
+    Status status = executor->ExecuteOne(encoded, &outcome);
+    benchmark::DoNotOptimize(status.ok());
   }
 }
 BENCHMARK(BM_ExecLoop);

@@ -71,7 +71,8 @@ int main() {
          static_cast<unsigned>(status.last_error));
 
   // 5. Drain the coverage ring: the branches the test case touched.
-  auto coverage = target.DrainCoverage().value();
+  std::vector<CovHit> coverage;
+  (void)target.DrainCoverage(&coverage);
   printf("coverage entries collected: %zu\n", coverage.size());
   printf("target PC now: 0x%llx\n",
          static_cast<unsigned long long>(target.port().ReadPC().value()));

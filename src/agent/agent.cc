@@ -91,11 +91,13 @@ bool AgentFirmware::RunTrapping(TargetEnv& env, const char* where, Body&& body) 
 
 bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
   const WireCall& call = program_.calls[call_index_];
-  // Resolve wire arguments against earlier results.
-  std::vector<ArgValue> args;
-  args.reserve(call.args.size());
-  for (const WireArg& wire_arg : call.args) {
-    ArgValue value;
+  // Resolve wire arguments against earlier results, over the previous call's args.
+  args_.resize(call.args.size());
+  for (size_t i = 0; i < call.args.size(); ++i) {
+    const WireArg& wire_arg = call.args[i];
+    ArgValue& value = args_[i];
+    value.scalar = 0;
+    value.bytes.clear();
     switch (wire_arg.kind) {
       case WireArgKind::kScalar:
         value.scalar = wire_arg.scalar;
@@ -104,15 +106,14 @@ bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
         value.scalar = static_cast<uint64_t>(results_[wire_arg.scalar]);
         break;
       case WireArgKind::kBytes:
-        value.bytes = wire_arg.bytes;
+        value.bytes.assign(wire_arg.bytes.begin(), wire_arg.bytes.end());
         break;
     }
-    args.push_back(std::move(value));
   }
 
   int64_t result = 0;
   if (!RunTrapping(env, "", [&] {
-        auto outcome = os_->CallApi(*ctx_, call.api_id, args);
+        auto outcome = os_->CallApi(*ctx_, call.api_id, args_);
         // Unknown API or arity mismatch: the agent rejects the call but keeps executing.
         result = outcome.ok() ? outcome.value() : -1;
         os_->Tick(*ctx_);
@@ -173,13 +174,10 @@ StopInfo AgentFirmware::Resume(TargetEnv& env, uint64_t max_steps) {
         auto len = env.RamReadU32(kMailboxOffset + kMailboxLenOffset);
         uint32_t prog_len = len.ok() ? len.value() : 0;
         AgentError error = AgentError::kTruncated;
-        program_.calls.clear();
-        if (prog_len <= kMailboxMaxBytes) {
-          auto bytes = env.RamRead(kMailboxOffset + kMailboxDataOffset, prog_len);
-          if (bytes.ok()) {
-            error = DecodeProgram(bytes.value().data(), bytes.value().size(), &program_);
-            env.ConsumeCycles(kCopyPerByteCycles * prog_len);
-          }
+        if (prog_len <= kMailboxMaxBytes &&
+            env.RamReadInto(kMailboxOffset + kMailboxDataOffset, prog_len, &mailbox_).ok()) {
+          error = DecodeProgram(mailbox_.data(), mailbox_.size(), &program_);
+          env.ConsumeCycles(kCopyPerByteCycles * prog_len);
         }
         // Consume the mailbox either way.
         (void)env.RamWriteU32(kMailboxOffset + kMailboxFlagOffset, 0);

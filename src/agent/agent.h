@@ -65,7 +65,11 @@ class AgentFirmware : public Firmware {
   LoopState state_ = LoopState::kAtExecutorMain;
   bool skip_pause_ = false;  // set after a breakpoint stop so resume passes the point
 
+  // Per-boot buffers the exec loop reuses: the mailbox bytes as read, the program
+  // decoded from them, and the current call's resolved args.
+  std::vector<uint8_t> mailbox_;
   WireProgram program_;
+  std::vector<ArgValue> args_;
   size_t call_index_ = 0;
   std::vector<int64_t> results_;
   uint32_t progs_done_ = 0;

@@ -63,11 +63,33 @@ struct WireProgram {
   std::vector<WireCall> calls;
 };
 
+// The one encoder of the format. It writes into a caller-owned buffer, which keeps its
+// capacity from program to program; callers walk their own program type, announcing
+// each call and then writing its args in order.
+class WireWriter {
+ public:
+  // Clears `*out` and writes the header for `ncalls` calls.
+  WireWriter(std::vector<uint8_t>* out, size_t ncalls);
+
+  void Call(uint32_t api_id, size_t nargs);
+  void Scalar(uint64_t value);
+  void ResultRef(uint16_t call_index);
+  void Bytes(const std::vector<uint8_t>& bytes);
+
+ private:
+  void PutLe(uint64_t value, size_t width);
+
+  std::vector<uint8_t>& out_;
+};
+
 // Host side: serialize for the mailbox.
 std::vector<uint8_t> EncodeProgram(const WireProgram& program);
 
 // Target side: decode with full validation. On failure returns the AgentError that the
-// agent reports in its status block.
+// agent reports in its status block, and `out` holds the calls decoded before the
+// failing one. `out` may be reused from an earlier decode: its calls, args and byte
+// buffers are overwritten in place, so a decoder that keeps one WireProgram stops
+// allocating once it has seen its largest program.
 AgentError DecodeProgram(const uint8_t* data, size_t size, WireProgram* out);
 
 }  // namespace eof

@@ -100,10 +100,9 @@ class ByteReader {
       failed_ = true;
       return 0;
     }
+    // One load: the host is little-endian like the wire (hash.h asserts it).
     uint64_t v = 0;
-    for (int i = 0; i < width; ++i) {
-      v |= static_cast<uint64_t>(data_[pos_ + i]) << (i * 8);
-    }
+    std::memcpy(&v, data_ + pos_, static_cast<size_t>(width));
     pos_ += static_cast<size_t>(width);
     return v;
   }

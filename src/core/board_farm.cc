@@ -41,26 +41,30 @@ void RunFarmSession(FarmSession* session, int index, CampaignScheduler* schedule
                     telemetry::SnapshotEmitter* emitter,
                     const std::atomic<bool>* cancel, FarmProgress* progress) {
   uint64_t execs_run = 0;
+  // The loop's buffers, reused every exec: the program (seeds are copied into it),
+  // its mailbox encoding, the outcome, and the locally fresh hits.
+  fuzz::Program program;
+  std::vector<uint8_t> encoded;
+  ExecOutcome outcome;
+  std::vector<CovHit> fresh_here;
   while (session->executor->Elapsed() < budget &&
          (max_execs == 0 || execs_run < max_execs) &&
          !stop->load(std::memory_order_relaxed) &&
          (cancel == nullptr || !cancel->load(std::memory_order_relaxed))) {
-    fuzz::Program program = scheduler->NextProgram(*session->generator, *session->rng);
-    std::vector<uint8_t> encoded;
+    scheduler->NextProgram(*session->generator, *session->rng, &program);
     if (!EncodeForMailbox(*specs, &program, &encoded)) {
       continue;
     }
-    auto outcome_or = session->executor->ExecuteOne(encoded);
-    if (!outcome_or.ok()) {
-      session->status = outcome_or.status();
+    Status executed = session->executor->ExecuteOne(encoded, &outcome);
+    if (!executed.ok()) {
+      session->status = executed;
       stop->store(true, std::memory_order_relaxed);
       break;
     }
-    ExecOutcome outcome = std::move(outcome_or).value();
     ++execs_run;
-    std::vector<CovHit> fresh_here;
+    fresh_here.clear();
     session->local_coverage.AddBatchAttributed(outcome.hits, &fresh_here);
-    outcome.hits = std::move(fresh_here);
+    outcome.hits.swap(fresh_here);
     scheduler->OnOutcome(program, outcome, *session->generator,
                          session->executor->Elapsed(), index);
     if (progress != nullptr) {

@@ -43,6 +43,9 @@ Result<std::unique_ptr<Deployment>> Deployment::Create(const DeployOptions& opti
   deployment->board_ = std::make_unique<Board>(spec);
   deployment->board_->InstallImage(image);
   deployment->telemetry_ = options.telemetry;
+  const uint64_t mailbox = spec.ram_base + kMailboxOffset;
+  deployment->mailbox_ops_.push_back(PortOp::Write(mailbox + kMailboxDataOffset, {}));
+  deployment->mailbox_ops_.push_back(PortOp::Write(mailbox + kMailboxFlagOffset, {}));
   deployment->port_ = std::make_unique<DebugPort>(
       deployment->board_.get(),
       options.telemetry != nullptr ? &options.telemetry->registry() : nullptr);
@@ -137,17 +140,17 @@ Status Deployment::WriteTestCase(const std::vector<uint8_t>& encoded) {
     return InvalidArgumentError(StrFormat("test case of %zu bytes exceeds the mailbox",
                                           encoded.size()));
   }
-  uint64_t base = ram_base_ + kMailboxOffset;
-  ByteWriter header;
-  header.PutU32(1);  // flag
-  header.PutU32(static_cast<uint32_t>(encoded.size()));
   // Payload first, then length and the ready flag — the flag write publishes the case.
   // Batch ops commit in queue order, so inside the one round trip the flag still lands
   // after the payload.
-  std::vector<PortOp> ops;
-  ops.push_back(PortOp::Write(base + kMailboxDataOffset, encoded));
-  ops.push_back(PortOp::Write(base + kMailboxFlagOffset, header.bytes()));
-  return port_->RunBatch(&ops);
+  mailbox_ops_[0].data.assign(encoded.begin(), encoded.end());
+  std::vector<uint8_t>& header = mailbox_ops_[1].data;  // LE u32 flag = 1, u32 length
+  header.assign(8, 0);
+  header[0] = 1;
+  for (size_t i = 0; i < 4; ++i) {
+    header[4 + i] = static_cast<uint8_t>(encoded.size() >> (8 * i));
+  }
+  return port_->RunBatch(&mailbox_ops_);
 }
 
 AgentStatusView Deployment::ParseStatusBlock(const std::vector<uint8_t>& raw) {
@@ -168,6 +171,18 @@ Result<AgentStatusView> Deployment::ReadAgentStatus() {
 }
 
 namespace {
+
+// Stores `op` in plan slot `index`, which is at most one past the end. A slot that
+// already exists keeps its result buffer, so a plan rebuilt in place stops
+// allocating for its reads.
+void SetPlanOp(std::vector<PortOp>* ops, size_t index, PortOp op) {
+  if (index == ops->size()) {
+    ops->push_back(std::move(op));
+    return;
+  }
+  op.result.swap((*ops)[index].result);
+  (*ops)[index] = std::move(op);
+}
 
 // Parses `count` 12-byte {u64 edge, u32 call} entries from `reader`.
 void ParseCovEntries(ByteReader& reader, uint32_t count, std::vector<CovHit>* out) {
@@ -206,7 +221,6 @@ Result<uint32_t> Deployment::CollectBank(const PortOp& op, uint32_t bank,
   }
   *count_out = count;
   uint32_t from_prefetch = std::min(count, prefetch);
-  out->reserve(out->size() + count);
   ParseCovEntries(reader, from_prefetch, out);
   if (count > from_prefetch) {
     // The speculative window undershot: fetch the tail in one follow-up read.
@@ -224,18 +238,15 @@ Result<uint32_t> Deployment::CollectBank(const PortOp& op, uint32_t bank,
   return drop_count;
 }
 
-Result<std::vector<CovHit>> Deployment::DrainCoverage(uint32_t* dropped,
-                                                      AgentStatusView* status) {
-  DrainPlan plan = MakeDrainPlan();
+Status Deployment::DrainCoverage(std::vector<CovHit>* out, uint32_t* dropped,
+                                 AgentStatusView* status) {
+  MakeDrainPlan(&drain_plan_, /*read_status=*/status != nullptr);
+  RETURN_IF_ERROR(port_->RunBatch(&drain_plan_.ops));
+  RETURN_IF_ERROR(FinishDrainPlan(&drain_plan_, out, dropped));
   if (status != nullptr) {
-    plan.ops.push_back(PortOp::Read(status_address(), kStatusBlockSize));
+    *status = ParseStatusBlock(drain_plan_.ops.back().result);
   }
-  RETURN_IF_ERROR(port_->RunBatch(&plan.ops));
-  ASSIGN_OR_RETURN(std::vector<CovHit> entries, FinishDrainPlan(&plan, dropped));
-  if (status != nullptr) {
-    *status = ParseStatusBlock(plan.ops.back().result);
-  }
-  return entries;
+  return OkStatus();
 }
 
 void Deployment::AdaptPrefetch(uint32_t count, uint32_t prefetch) {
@@ -248,7 +259,7 @@ void Deployment::AdaptPrefetch(uint32_t count, uint32_t prefetch) {
   }
 }
 
-Deployment::DrainPlan Deployment::MakeDrainPlan() {
+void Deployment::MakeDrainPlan(DrainPlan* plan, bool read_status) {
   // One round trip in the common case. Per drained bank:
   //   read    bank header + `prefetch` speculative entries (contiguous)
   //   count   -= the count the read saw   (adapter-side read-modify-write)
@@ -260,59 +271,70 @@ Deployment::DrainPlan Deployment::MakeDrainPlan() {
   // continue commits against the stopped target before the core is released, so
   // everything its reads covered is frozen and the undershoot tails can be fetched
   // after the next stop without racing appends.
-  DrainPlan plan;
-  plan.prefetch = std::min(prefetch_hint_, ring_.capacity);
-  plan.both_banks = flip_mode_;
+  plan->prefetch = std::min(prefetch_hint_, ring_.capacity);
+  plan->both_banks = flip_mode_;
   uint64_t bank_read_bytes =
       CovRingLayout::kBankHeaderBytes +
-      static_cast<uint64_t>(plan.prefetch) * CovRingLayout::kEntryBytes;
-  if (plan.both_banks) {
-    plan.ops.push_back(PortOp::Read(
-        ram_base_ + ring_.ram_offset + CovRingLayout::kActiveBankOffset, 4));
+      static_cast<uint64_t>(plan->prefetch) * CovRingLayout::kEntryBytes;
+  std::vector<PortOp>* ops = &plan->ops;
+  size_t n = 0;
+  if (plan->both_banks) {
+    SetPlanOp(ops, n++,
+              PortOp::Read(ram_base_ + ring_.ram_offset + CovRingLayout::kActiveBankOffset,
+                           4));
   }
-  for (uint32_t bank = 0; bank < (plan.both_banks ? 2u : 1u); ++bank) {
+  for (uint32_t bank = 0; bank < (plan->both_banks ? 2u : 1u); ++bank) {
     uint64_t bank_base = ram_base_ + ring_.BankOffset(bank);
-    size_t read_op = plan.ops.size();
-    plan.ops.push_back(PortOp::Read(bank_base, bank_read_bytes));
-    plan.ops.push_back(PortOp::SubU32(bank_base + CovRingLayout::kCountOffset,
-                                      /*operand_op=*/read_op, /*operand_offset=*/0));
-    plan.ops.push_back(PortOp::SubU32(bank_base + CovRingLayout::kDroppedOffset,
-                                      /*operand_op=*/read_op, /*operand_offset=*/4));
+    const int read_op = static_cast<int>(n);
+    SetPlanOp(ops, n++, PortOp::Read(bank_base, bank_read_bytes));
+    SetPlanOp(ops, n++,
+              PortOp::SubU32(bank_base + CovRingLayout::kCountOffset, read_op,
+                             /*operand_offset=*/0));
+    SetPlanOp(ops, n++,
+              PortOp::SubU32(bank_base + CovRingLayout::kDroppedOffset, read_op,
+                             /*operand_offset=*/4));
   }
-  return plan;
+  if (read_status) {
+    SetPlanOp(ops, n++, PortOp::Read(status_address(), kStatusBlockSize));
+  }
+  ops->resize(n);
 }
 
-Result<std::vector<CovHit>> Deployment::FinishDrainPlan(DrainPlan* plan,
-                                                        uint32_t* dropped) {
+Status Deployment::FinishDrainPlan(DrainPlan* plan, std::vector<CovHit>* out,
+                                   uint32_t* dropped) {
   // Three ops per bank, after the active_bank word when both banks ride. Surface the
   // oldest entries first: the parked bank the target flipped away from, then the one
   // it was filling. Without flips the target never leaves bank 0.
   uint32_t active = 0;
   size_t first_bank_op = 0;
-  std::vector<uint32_t> banks;
+  uint32_t banks[2] = {0, 0};
+  size_t bank_count = 0;
   if (plan->both_banks) {
     ByteReader bank_word(plan->ops[0].result);
     active = bank_word.GetU32() & CovRingLayout::kActiveBankMask;
     first_bank_op = 1;
-    banks.push_back(active ^ 1);
+    banks[bank_count++] = active ^ 1;
   }
-  banks.push_back(active);
-  std::vector<CovHit> entries;
+  banks[bank_count++] = active;
+  const size_t kept = out->size();
   uint32_t drop_total = 0;
   uint32_t max_count = 0;
-  for (uint32_t bank : banks) {
+  for (size_t i = 0; i < bank_count; ++i) {
     uint32_t count = 0;
-    ASSIGN_OR_RETURN(uint32_t drop_count,
-                     CollectBank(plan->ops[first_bank_op + 3 * bank], bank,
-                                 plan->prefetch, &count, &entries));
-    drop_total += drop_count;
+    Result<uint32_t> drop_count = CollectBank(plan->ops[first_bank_op + 3 * banks[i]],
+                                              banks[i], plan->prefetch, &count, out);
+    if (!drop_count.ok()) {
+      out->resize(kept);
+      return drop_count.status();
+    }
+    drop_total += drop_count.value();
     max_count = std::max(max_count, count);
   }
   if (dropped != nullptr) {
     *dropped = drop_total;
   }
   AdaptPrefetch(max_count, plan->prefetch);
-  return entries;
+  return OkStatus();
 }
 
 }  // namespace eof

@@ -80,7 +80,8 @@ class Deployment {
 
   // Writes an encoded program into the mailbox and raises the ready flag. Payload and
   // header travel in one round trip (the header write still publishes last, so the
-  // flag-after-payload order the agent depends on is preserved).
+  // flag-after-payload order the agent depends on is preserved). The two write ops
+  // are the deployment's own and keep their buffers from case to case.
   Status WriteTestCase(const std::vector<uint8_t>& encoded);
 
   Result<AgentStatusView> ReadAgentStatus();
@@ -99,9 +100,10 @@ class Deployment {
   Status SetBankFlipMode(bool enabled);
   bool bank_flip_mode() const { return flip_mode_; }
 
-  // Drains the coverage ring and returns the attributed entries. Also returns
-  // entries dropped since last drain via `dropped` when non-null; when `status` is
-  // non-null the agent status block is read in the SAME round trip.
+  // Drains the coverage ring and appends the attributed entries to `*out` (left as
+  // it was on failure). Also returns entries dropped since last drain via `dropped`
+  // when non-null; when `status` is non-null the agent status block is read in the
+  // SAME round trip.
   //
   // Each bank header and a capacity-bounded entry prefetch are read speculatively in
   // one contiguous op, and the header is updated with an adapter-side
@@ -112,28 +114,33 @@ class Deployment {
   // Without bank flips the target never leaves bank 0 and only it is drained. With
   // SetBankFlipMode(true) both banks ride the same round trip and entries surface in
   // write order: the parked bank (the one the target flipped away from — its entries
-  // are older) first, then the active one. The host never flips banks itself.
-  Result<std::vector<CovHit>> DrainCoverage(uint32_t* dropped = nullptr,
-                                            AgentStatusView* status = nullptr);
+  // are older) first, then the active one. The host never flips banks itself. The
+  // op plan is the deployment's own and keeps its read buffers from drain to drain.
+  Status DrainCoverage(std::vector<CovHit>* out, uint32_t* dropped = nullptr,
+                       AgentStatusView* status = nullptr);
 
   // --- overlapped (double-buffered) drain ---
   //
-  // MakeDrainPlan builds the op plan of the read+subtract drain above: bank 0 only,
-  // or — in bank-flip mode — the active_bank word plus both banks. Ride the plan on
+  // MakeDrainPlan builds the op plan of the read+subtract drain above into `plan`:
+  // bank 0 only, or — in bank-flip mode — the active_bank word plus both banks, then
+  // (with `read_status`) a read of the agent status block. The plan's ops are
+  // rewritten in place, so a plan kept by its caller keeps its read buffers. Ride it on
   // the next exec-continue via DebugPort::ContinueWithPlan — the drain then costs
   // zero extra round trips: the ops commit against the stopped target before the
   // continue releases the core, so every entry they cover is frozen — and hand the
   // stopped plan to FinishDrainPlan to order the banks (parked first), fetch any
-  // prefetch-undershoot tails, and adapt the prefetch window. If the continue
-  // failed, drop the plan on the floor instead: nothing was applied, the ring is
-  // untouched. Ops appended after the plan's own are ignored by FinishDrainPlan.
+  // prefetch-undershoot tails, append the entries to `*out` (left as it was on
+  // failure), and adapt the prefetch window. If the continue failed, drop the plan on
+  // the floor instead: nothing was applied, the ring is untouched. The status read
+  // after the plan's own ops is ignored by FinishDrainPlan.
   struct DrainPlan {
     std::vector<PortOp> ops;
     uint32_t prefetch = 0;    // speculative entries carried per bank-read op
     bool both_banks = false;  // layout: active_bank word, then banks 0 and 1
   };
-  DrainPlan MakeDrainPlan();
-  Result<std::vector<CovHit>> FinishDrainPlan(DrainPlan* plan, uint32_t* dropped = nullptr);
+  void MakeDrainPlan(DrainPlan* plan, bool read_status = false);
+  Status FinishDrainPlan(DrainPlan* plan, std::vector<CovHit>* out,
+                         uint32_t* dropped = nullptr);
 
   // Reads the ring's version/capacity header words back from the booted target and
   // fails loudly on a layout mismatch (stale agent, corrupt RAM) — a silent mismatch
@@ -163,6 +170,8 @@ class Deployment {
   uint64_t ram_base_ = 0;
   bool flip_mode_ = false;       // self-service bank flips enabled (two-bank drains)
   uint32_t prefetch_hint_ = 64;  // adaptive entry prefetch for the drain
+  std::vector<PortOp> mailbox_ops_;  // WriteTestCase's payload and header writes
+  DrainPlan drain_plan_;             // DrainCoverage's plan
 };
 
 }  // namespace eof

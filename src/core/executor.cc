@@ -187,18 +187,18 @@ void TargetExecutor::HarvestCoverage(ExecOutcome* outcome, AgentStatusView* stat
                                      bool* status_ok) {
   telemetry::Tracer::Span span =
       telemetry_->tracer().Begin("coverage_drain", deployment_->port().Now());
-  auto entries = deployment_->DrainCoverage(/*dropped=*/nullptr, status_out);
+  const size_t before = outcome->hits.size();
+  Status drained = deployment_->DrainCoverage(&outcome->hits, /*dropped=*/nullptr, status_out);
   telemetry_->tracer().End(span, deployment_->port().Now());
   if (status_ok != nullptr) {
-    *status_ok = entries.ok() && status_out != nullptr;
+    *status_ok = drained.ok() && status_out != nullptr;
   }
-  if (!entries.ok()) {
+  if (!drained.ok()) {
     return;
   }
-  edges_drained_->Add(entries.value().size());
-  flight_.RecordEvent(deployment_->port().Now(), "drain", entries.value().size());
-  outcome->hits.insert(outcome->hits.end(), entries.value().begin(),
-                       entries.value().end());
+  const size_t count = outcome->hits.size() - before;
+  edges_drained_->Add(count);
+  flight_.RecordEvent(deployment_->port().Now(), "drain", count);
 }
 
 Status TargetExecutor::EndStalled(const char* reason,
@@ -235,6 +235,16 @@ Status TargetExecutor::EndLinkLost(const char* reason,
 
 Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encoded) {
   ExecOutcome outcome;
+  RETURN_IF_ERROR(ExecuteOne(encoded, &outcome));
+  return outcome;
+}
+
+Status TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encoded, ExecOutcome* out) {
+  out->status = ExecStatus::kCompleted;
+  out->signature.reset();
+  out->hits.clear();
+  out->dump.reset();
+  ExecOutcome& outcome = *out;
   DebugPort& port = deployment_->port();
   execs_->Increment();
   flight_.RecordEvent(port.Now(), "exec_begin", execs_->Value());
@@ -253,16 +263,14 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
   Status write = deployment_->WriteTestCase(encoded);
   if (!write.ok()) {
     // Link or target trouble: run the liveness protocol.
-    RETURN_IF_ERROR(EndLinkLost("write_failed", /*exec_span=*/nullptr, &outcome));
-    return outcome;
+    return EndLinkLost("write_failed", /*exec_span=*/nullptr, &outcome);
   }
   flight_.RecordEvent(port.Now(), "publish", encoded.size());
 
   int stall_strikes = 0;
   int cov_drains = 0;
   bool done = false;
-  std::optional<Deployment::DrainPlan> pending_plan;
-  std::vector<uint8_t> status_raw;
+  bool plan_pending = false;  // pending_plan_ rides the next continue
   // One exec_continue span covers the whole breakpoint-synchronised run of this test
   // case (all continue rounds and mid-run coverage drains); recovery time is not
   // included — it gets its own watchdog_recovery span inside Restore.
@@ -271,38 +279,34 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
     // The agent status block rides in the stop reply (GDB/MI-style stop-event
     // coalescing), so executor_main stops need no follow-up read. A pending
     // double-buffered drain plan rides the same round trip for free.
-    auto stop_or = pending_plan.has_value()
-                       ? port.ContinueWithPlan(&pending_plan->ops,
+    auto stop_or = plan_pending
+                       ? port.ContinueWithPlan(&pending_plan_.ops,
                                                deployment_->status_address(),
-                                               kStatusBlockSize, &status_raw)
+                                               kStatusBlockSize, &status_raw_)
                        : port.ContinueWithRead(deployment_->status_address(),
-                                               kStatusBlockSize, &status_raw);
-    if (stop_or.ok() && pending_plan.has_value()) {
+                                               kStatusBlockSize, &status_raw_);
+    if (stop_or.ok() && plan_pending) {
       // The plan committed before the core was released: collect the parked bank.
-      auto drained = deployment_->FinishDrainPlan(&*pending_plan);
-      if (drained.ok()) {
-        edges_drained_->Add(drained.value().size());
+      const size_t before = outcome.hits.size();
+      if (deployment_->FinishDrainPlan(&pending_plan_, &outcome.hits).ok()) {
+        const size_t count = outcome.hits.size() - before;
+        edges_drained_->Add(count);
         overlapped_drains_->Increment();
         // vs. the immediate path (separate drain batch + continue): one fixed
         // link-latency charge saved per overlapped drain.
         drain_overlap_saved_us_->Add(kDebugTransactionCost);
-        flight_.RecordEvent(port.Now(), "drain", drained.value().size());
-        outcome.hits.insert(outcome.hits.end(), drained.value().begin(),
-                            drained.value().end());
+        flight_.RecordEvent(port.Now(), "drain", count);
       }
-      pending_plan.reset();
-    } else if (pending_plan.has_value()) {
-      // Severed link: the plan never applied; the target still fills the same bank
-      // and the restore below rewinds everything to bank 0 anyway.
-      pending_plan.reset();
     }
+    // On a severed link the plan never applied; the target still fills the same bank
+    // and the restore below rewinds everything to bank 0 anyway.
+    plan_pending = false;
     if (!stop_or.ok()) {
       // Watchdog #1: connection timeout.
       if (!options_.watchdogs) {
         deployment_->board().clock().Advance(kManualInterventionCost);
       }
-      RETURN_IF_ERROR(EndLinkLost("link_lost", &exec_span, &outcome));
-      return outcome;
+      return EndLinkLost("link_lost", &exec_span, &outcome);
     }
     const StopInfo& stop = stop_or.value();
 
@@ -318,8 +322,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       telemetry_->tracer().End(exec_span, port.Now());
       HarvestCoverage(&outcome);
       DumpFlight("crash", &outcome);
-      RETURN_IF_ERROR(Restore("crash"));
-      return outcome;
+      return Restore("crash");
     }
 
     if (stop.reason == HaltReason::kBreakpoint && stop.symbol == "_kcmp_buf_full") {
@@ -337,7 +340,8 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
         // Double-buffered: queue the drain+bank-flip plan onto the next continue
         // instead of paying a round trip now. The entries surface after the next
         // stop — same entries, one transaction cheaper.
-        pending_plan = deployment_->MakeDrainPlan();
+        deployment_->MakeDrainPlan(&pending_plan_);
+        plan_pending = true;
       } else {
         HarvestCoverage(&outcome);
       }
@@ -351,7 +355,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       // Back at the top of the loop. The first pass just means "test case accepted, about
       // to run" (the agent pauses before reading the mailbox); the program has completed
       // once the agent consumed the mailbox, which we see as a second stop here.
-      if (Deployment::ParseStatusBlock(status_raw).state == AgentState::kWaiting) {
+      if (Deployment::ParseStatusBlock(status_raw_).state == AgentState::kWaiting) {
         ++round;
         continue;  // first stop: resume into the program
       }
@@ -372,8 +376,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       if (round >= kMaxContinueRounds) {
         // No watchdog: the operator eventually notices the wedged board.
         deployment_->board().clock().Advance(kManualInterventionCost);
-        RETURN_IF_ERROR(EndStalled("stall", exec_span, &outcome));
-        return outcome;
+        return EndStalled("stall", exec_span, &outcome);
       }
       continue;
     }
@@ -383,20 +386,17 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
     }
     if (verdict == LivenessVerdict::kPowerPlateau) {
       // Ammeter plateau: the core spins flat-out; skip the PC re-check round.
-      RETURN_IF_ERROR(EndStalled("power_plateau", exec_span, &outcome));
-      return outcome;
+      return EndStalled("power_plateau", exec_span, &outcome);
     }
     if (verdict == LivenessVerdict::kPcStall) {
       ++stall_strikes;
       if (stall_strikes < 2) {
         continue;  // one more continue to confirm (Algorithm 1 re-check)
       }
-      RETURN_IF_ERROR(EndStalled("pc_stall", exec_span, &outcome));
-      return outcome;
+      return EndStalled("pc_stall", exec_span, &outcome);
     }
     // Connection timeout mid-protocol.
-    RETURN_IF_ERROR(EndLinkLost("link_lost", &exec_span, &outcome));
-    return outcome;
+    return EndLinkLost("link_lost", &exec_span, &outcome);
   }
 
   telemetry_->tracer().End(exec_span, port.Now());
@@ -411,8 +411,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       outcome.signature = log_hit;
       HarvestCoverage(&outcome);
       DumpFlight("crash", &outcome);
-      RETURN_IF_ERROR(Restore("crash"));
-      return outcome;
+      return Restore("crash");
     }
   }
   // The post-execution status read shares the drain's round trip.
@@ -455,7 +454,7 @@ Result<ExecOutcome> TargetExecutor::ExecuteOne(const std::vector<uint8_t>& encod
       }
     }
   }
-  return outcome;
+  return OkStatus();
 }
 
 }  // namespace eof

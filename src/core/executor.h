@@ -109,6 +109,9 @@ class TargetExecutor {
   // Publishes one encoded test case and runs it to completion / crash / stall /
   // link loss, restoring the target as needed (Algorithm 1).
   Result<ExecOutcome> ExecuteOne(const std::vector<uint8_t>& encoded);
+  // The same run into a caller-owned outcome, which is reset first and keeps its hit
+  // buffer's capacity: the campaign loop passes one outcome for every exec.
+  Status ExecuteOne(const std::vector<uint8_t>& encoded, ExecOutcome* outcome);
 
   // Virtual board time spent in this session so far.
   VirtualTime Elapsed() { return deployment_->port().Now() - start_time_; }
@@ -196,6 +199,10 @@ class TargetExecutor {
   // Self-service bank flips for this session (overlapped drain + coverage feedback).
   // Re-granted to the target at every arm; see Deployment::SetBankFlipMode.
   bool bank_flip_ = false;
+  // Exec-loop buffers reused from exec to exec: the status block each continue reads
+  // back, and the drain plan an overlapped drain rides on the next continue.
+  std::vector<uint8_t> status_raw_;
+  Deployment::DrainPlan pending_plan_;
   VirtualTime start_time_ = 0;
   uint64_t execs_since_reset_ = 0;
 };

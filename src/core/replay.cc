@@ -19,7 +19,9 @@ Result<ExecOutcome> ExecuteOnce(const DeployOptions& deploy, const CampaignPlan&
   Rng session_rng(deploy.seed);  // drives peripheral events only, which stay off
   ASSIGN_OR_RETURN(std::unique_ptr<TargetExecutor> executor,
                    TargetExecutor::Create(options, &session_rng));
-  return executor->ExecuteOne(EncodeProgram(program.ToWire(plan.specs)));
+  std::vector<uint8_t> encoded;
+  program.Encode(plan.specs, &encoded);
+  return executor->ExecuteOne(encoded);
 }
 
 // A default campaign's plan for `os_name` on `board_name`, and in `deploy` its board 0:

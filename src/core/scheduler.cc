@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/agent/agent_layout.h"
-#include "src/agent/wire.h"
 #include "src/common/coverage_serial.h"
 #include "src/common/hash.h"
 #include "src/common/logging.h"
@@ -88,34 +87,43 @@ void CampaignScheduler::SeedCorpus(const std::vector<std::string>& seed_programs
   corpus_gauge_->Set(corpus_.size());
 }
 
-fuzz::Program CampaignScheduler::NextProgram(fuzz::Generator& generator, Rng& rng) {
+void CampaignScheduler::NextProgram(fuzz::Generator& generator, Rng& rng,
+                                    fuzz::Program* program) {
   if (options_.coverage_feedback) {
-    fuzz::Program seed_a;
-    fuzz::Program seed_b;
+    fuzz::Program splice_tail;
     enum { kGenerate, kMutate, kSplice } action = kGenerate;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!corpus_.empty()) {
         uint64_t roll = rng.Below(100);
         if (roll < 70) {
-          if (corpus_.PickSeedCopy(rng, &seed_a)) {
+          if (corpus_.PickSeedCopy(rng, program)) {
             action = kMutate;
           }
         } else if (roll < 80 && corpus_.size() >= 2) {
-          if (corpus_.PickSeedCopy(rng, &seed_a) && corpus_.PickSeedCopy(rng, &seed_b)) {
+          if (corpus_.PickSeedCopy(rng, program) &&
+              corpus_.PickSeedCopy(rng, &splice_tail)) {
             action = kSplice;
           }
         }
       }
     }
     if (action == kMutate) {
-      return generator.Mutate(seed_a);
+      generator.MutateInPlace(program);
+      return;
     }
     if (action == kSplice) {
-      return generator.Splice(seed_a, seed_b);
+      generator.SpliceInPlace(program, splice_tail);
+      return;
     }
   }
-  return generator.Generate();
+  *program = generator.Generate();
+}
+
+fuzz::Program CampaignScheduler::NextProgram(fuzz::Generator& generator, Rng& rng) {
+  fuzz::Program program;
+  NextProgram(generator, rng, &program);
+  return program;
 }
 
 void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
@@ -249,7 +257,8 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
                                   fuzz::Generator& generator, VirtualTime elapsed,
                                   int worker) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<CovHit> fresh_hits;
+  std::vector<CovHit>& fresh_hits = fresh_hits_;
+  fresh_hits.clear();
   uint64_t fresh = coverage_.AddBatchAttributed(outcome.hits, &fresh_hits);
   execs_->Increment();
   if (outcome.signature.has_value()) {
@@ -392,14 +401,14 @@ std::vector<BugReport> CampaignScheduler::RejectedBugs() const {
 
 bool EncodeForMailbox(const spec::CompiledSpecs& specs, fuzz::Program* program,
                       std::vector<uint8_t>* encoded) {
-  *encoded = EncodeProgram(program->ToWire(specs));
+  program->Encode(specs, encoded);
   if (encoded->size() <= kMailboxMaxBytes) {
     return true;
   }
   // Oversized program: trim calls until it fits the mailbox.
   while (!program->calls.empty() && encoded->size() > kMailboxMaxBytes) {
     program->calls.pop_back();
-    *encoded = EncodeProgram(program->ToWire(specs));
+    program->Encode(specs, encoded);
   }
   return !program->calls.empty();
 }

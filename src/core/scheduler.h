@@ -193,8 +193,12 @@ class CampaignScheduler {
 
   // Picks the next input for a worker: 70% mutate a corpus seed, 10% splice two,
   // else generate fresh (only generate while the corpus is empty or feedback is
-  // off). The roll and the seed picks consume `rng` under the campaign lock; the
-  // program is built outside it on the caller's generator.
+  // off). The roll and the seed picks consume `rng` under the campaign lock, and the
+  // picked seed is copied into `*program` there (a copy-assign, so the caller's
+  // program keeps its capacity); the mutation runs outside the lock on the caller's
+  // generator.
+  void NextProgram(fuzz::Generator& generator, Rng& rng, fuzz::Program* program);
+  // The same schedule into a fresh program.
   fuzz::Program NextProgram(fuzz::Generator& generator, Rng& rng);
 
   // Folds one execution outcome into the campaign: merges drained edges into the
@@ -284,6 +288,8 @@ class CampaignScheduler {
   // Validator-rejected first sightings. Kept so a rejected signature re-triggering
   // dedups instead of burning another validation replay on the same artifact.
   std::vector<BugReport> rejected_bugs_;
+  // OnOutcome's globally fresh hits, reused from outcome to outcome.
+  std::vector<CovHit> fresh_hits_;
   std::vector<VirtualTime> worker_elapsed_;
   std::vector<bool> worker_done_;
   // Fleet state: exact log of locally discovered fresh edges since the last

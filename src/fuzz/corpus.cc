@@ -24,6 +24,7 @@ bool Corpus::AddLocked(Program program, uint64_t new_edges) {
   entry.added_seq = next_seq_++;
   entries_.push_back(std::move(entry));
   TrimIfNeededLocked();
+  weights_stale_ = true;
   return true;
 }
 
@@ -32,22 +33,41 @@ bool Corpus::Seen(const Program& program) {
   return !seen_hashes_.insert(program.Hash()).second;
 }
 
-size_t Corpus::PickIndexLocked(Rng& rng) {
-  std::vector<uint64_t> weights(entries_.size());
-  uint64_t newest = entries_.back().added_seq;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const CorpusEntry& entry = entries_[i];
-    uint64_t weight = 4 + std::min<uint64_t>(entry.new_edges, 64);
-    // Recency bonus: the freshest quarter of the corpus gets extra attention.
-    if (newest - entry.added_seq < std::max<uint64_t>(entries_.size() / 4, 8)) {
-      weight += 16;
-    }
-    // Over-picked seeds decay so the schedule keeps rotating.
-    weight = weight / (1 + std::min<uint64_t>(entry.picks / 32, 8));
-    weights[i] = std::max<uint64_t>(weight, 1);
+uint64_t Corpus::WeightLocked(size_t index) const {
+  const CorpusEntry& entry = entries_[index];
+  uint64_t weight = 4 + std::min<uint64_t>(entry.new_edges, 64);
+  // Recency bonus: the freshest quarter of the corpus gets extra attention.
+  if (entries_.back().added_seq - entry.added_seq <
+      std::max<uint64_t>(entries_.size() / 4, 8)) {
+    weight += 16;
   }
-  size_t pick = rng.WeightedIndex(weights);
+  // Over-picked seeds decay so the schedule keeps rotating.
+  weight = weight / (1 + std::min<uint64_t>(entry.picks / 32, 8));
+  return std::max<uint64_t>(weight, 1);
+}
+
+size_t Corpus::PickIndexLocked(Rng& rng) {
+  if (weights_stale_) {
+    // An admission moved the recency window: weigh every entry again.
+    weights_stale_ = false;
+    weights_.resize(entries_.size());
+    total_weight_ = 0;
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      weights_[i] = WeightLocked(i);
+      total_weight_ += weights_[i];
+    }
+  }
+  // Rng::WeightedIndex's draw and walk; every weight is at least 1.
+  uint64_t point = rng.Below(total_weight_);
+  size_t pick = 0;
+  for (; pick + 1 < weights_.size() && point >= weights_[pick]; ++pick) {
+    point -= weights_[pick];
+  }
   ++entries_[pick].picks;
+  // Only the picked entry's weight can move, when its pick count crosses a decay step.
+  const uint64_t weight = WeightLocked(pick);
+  total_weight_ = total_weight_ - weights_[pick] + weight;
+  weights_[pick] = weight;
   return pick;
 }
 

@@ -78,6 +78,8 @@ class Corpus {
 
  private:
   bool AddLocked(Program program, uint64_t new_edges);
+  // The scheduling weight of entries_[index] (at least 1).
+  uint64_t WeightLocked(size_t index) const;
   size_t PickIndexLocked(Rng& rng);
   void TrimIfNeededLocked();
 
@@ -85,6 +87,11 @@ class Corpus {
   mutable std::mutex mu_;
   uint64_t next_seq_ = 0;
   std::vector<CorpusEntry> entries_;
+  // WeightLocked of every entry and their sum, kept across picks. Every admission
+  // moves the recency window and marks them stale; the next pick rebuilds them.
+  std::vector<uint64_t> weights_;
+  uint64_t total_weight_ = 0;
+  bool weights_stale_ = true;
   std::unordered_set<uint64_t> seen_hashes_;
 };
 

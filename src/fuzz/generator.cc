@@ -1,6 +1,7 @@
 #include "src/fuzz/generator.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/common/logging.h"
 
@@ -57,18 +58,22 @@ uint64_t Generator::BufferCap(const ArgSpec& arg) const {
 }
 
 size_t Generator::ProducerSpec(const std::string& kind) {
-  // Collect all producers, pick one at random (there may be several, e.g. the three
-  // semaphore constructors all produce "queue").
-  std::vector<size_t> producers;
-  for (size_t slot = 0; slot < eligible_.size(); ++slot) {
-    if (specs_.calls[eligible_[slot]].produces == kind) {
-      producers.push_back(eligible_[slot]);
-    }
+  // Pick one producer at random (there may be several, e.g. the three semaphore
+  // constructors all produce "queue").
+  size_t producers = 0;
+  for (size_t spec_index : eligible_) {
+    producers += specs_.calls[spec_index].produces == kind ? 1 : 0;
   }
-  if (producers.empty()) {
+  if (producers == 0) {
     return SIZE_MAX;
   }
-  return producers[rng_.Index(producers.size())];
+  size_t nth = rng_.Index(producers);
+  for (size_t spec_index : eligible_) {
+    if (specs_.calls[spec_index].produces == kind && nth-- == 0) {
+      return spec_index;
+    }
+  }
+  return SIZE_MAX;
 }
 
 int Generator::FindProducer(const Program& program, const std::string& kind, size_t before) {
@@ -88,7 +93,7 @@ int Generator::FindProducer(const Program& program, const std::string& kind, siz
   return -1;
 }
 
-ProgArg Generator::GenArg(Program* program, const ArgSpec& arg,
+ProgArg Generator::GenArg(Program* program, size_t before, const ArgSpec& arg,
                           const std::vector<ProgArg>& so_far, int depth) {
   switch (arg.kind) {
     case ArgKind::kScalar: {
@@ -100,17 +105,18 @@ ProgArg Generator::GenArg(Program* program, const ArgSpec& arg,
       return ProgArg::Scalar(value);
     }
     case ArgKind::kFlags: {
-      std::vector<uint64_t> pool = arg.flag_values;
-      if (options_.use_extended) {
-        pool.insert(pool.end(), arg.extended_flag_values.begin(),
-                    arg.extended_flag_values.end());
-      }
-      if (pool.empty()) {
+      // The pool is the base values, then (extended tier) the extended ones.
+      const size_t base = arg.flag_values.size();
+      const size_t pool = base + (options_.use_extended ? arg.extended_flag_values.size() : 0);
+      if (pool == 0) {
         return ProgArg::Scalar(0);
       }
-      uint64_t value = pool[rng_.Index(pool.size())];
+      auto value_at = [&](size_t i) {
+        return i < base ? arg.flag_values[i] : arg.extended_flag_values[i - base];
+      };
+      uint64_t value = value_at(rng_.Index(pool));
       if (arg.combinable && rng_.Chance(1, 3)) {
-        value |= pool[rng_.Index(pool.size())];
+        value |= value_at(rng_.Index(pool));
       }
       return ProgArg::Scalar(value);
     }
@@ -118,7 +124,7 @@ ProgArg Generator::GenArg(Program* program, const ArgSpec& arg,
       if (arg.optional_null && rng_.Chance(1, 12)) {
         return ProgArg::Scalar(0);
       }
-      int producer = FindProducer(*program, arg.resource_kind, program->calls.size());
+      int producer = FindProducer(*program, arg.resource_kind, before);
       if (producer >= 0) {
         return ProgArg::Result(producer);
       }
@@ -175,25 +181,27 @@ size_t Generator::EmitCall(Program* program, size_t spec_index, int depth) {
   const spec::CompiledCall& decl = specs_.calls[spec_index];
   ProgCall call;
   call.spec_index = spec_index;
+  call.args.reserve(decl.args.size());
   for (const ArgSpec& arg : decl.args) {
-    call.args.push_back(GenArg(program, arg, call.args, depth));
+    call.args.push_back(GenArg(program, program->calls.size(), arg, call.args, depth));
   }
   program->calls.push_back(std::move(call));
   return program->calls.size() - 1;
 }
 
 size_t Generator::PickSpec(const Program& program) {
-  std::vector<uint64_t> weights(eligible_.size());
+  std::vector<uint64_t>& weights = pick_weights_;
+  weights.resize(eligible_.size());
   // Adjacency: favour consumers of the resource the most recent call produced.
-  std::string last_produced;
+  const std::string* last_produced = nullptr;
   if (!program.calls.empty()) {
-    last_produced = specs_.calls[program.calls.back().spec_index].produces;
+    last_produced = &specs_.calls[program.calls.back().spec_index].produces;
   }
   for (size_t slot = 0; slot < eligible_.size(); ++slot) {
     uint64_t weight = weights_[slot] + cov_credit_[slot];
-    if (!last_produced.empty()) {
+    if (last_produced != nullptr && !last_produced->empty()) {
       for (const ArgSpec& arg : specs_.calls[eligible_[slot]].args) {
-        if (arg.kind == ArgKind::kResource && arg.resource_kind == last_produced) {
+        if (arg.kind == ArgKind::kResource && arg.resource_kind == *last_produced) {
           weight += kAdjacencyBoost;
           break;
         }
@@ -285,11 +293,8 @@ void Generator::MutateArgOp(Program* program) {
     }
     return;
   }
-  // Full regeneration (may rebind resources).
-  Program prefix;
-  prefix.calls.assign(program->calls.begin(),
-                      program->calls.begin() + static_cast<std::ptrdiff_t>(call_index));
-  arg = GenArg(&prefix, arg_spec, call.args, kMaxProducerDepth);  // no producer insertion
+  // Full regeneration (may rebind resources to earlier calls; no producer insertion).
+  arg = GenArg(program, call_index, arg_spec, call.args, kMaxProducerDepth);
   if (arg.kind == ProgArg::Kind::kResult &&
       (arg.ref < 0 || static_cast<size_t>(arg.ref) >= call_index)) {
     arg = ProgArg::Scalar(0);
@@ -300,26 +305,24 @@ void Generator::InsertCallOp(Program* program) {
   if (program->calls.size() >= kWireMaxCalls - 4) {
     return;
   }
-  // Generate into a copy of the prefix so producer insertion lands correctly, then
-  // reattach the suffix with refs shifted.
+  // Set the suffix aside so the call (and any producers it needs) is emitted at the
+  // end of the prefix, then reattach the suffix with refs shifted.
   size_t position = rng_.Index(program->calls.size() + 1);
-  Program head;
-  head.calls.assign(program->calls.begin(),
-                    program->calls.begin() + static_cast<std::ptrdiff_t>(position));
-  size_t before = head.calls.size();
-  EmitCall(&head, PickSpec(head), 0);
-  size_t inserted = head.calls.size() - before;
-  for (size_t i = position; i < program->calls.size(); ++i) {
-    ProgCall call = program->calls[i];
+  const auto split = program->calls.begin() + static_cast<std::ptrdiff_t>(position);
+  suffix_.assign(std::make_move_iterator(split), std::make_move_iterator(program->calls.end()));
+  program->calls.erase(split, program->calls.end());
+  EmitCall(program, PickSpec(*program), 0);
+  size_t inserted = program->calls.size() - position;
+  for (ProgCall& call : suffix_) {
     for (ProgArg& arg : call.args) {
       if (arg.kind == ProgArg::Kind::kResult &&
           static_cast<size_t>(arg.ref) >= position) {
         arg.ref += static_cast<int>(inserted);
       }
     }
-    head.calls.push_back(std::move(call));
+    program->calls.push_back(std::move(call));
   }
-  *program = std::move(head);
+  suffix_.clear();
 }
 
 void Generator::RemoveCallOp(Program* program) {
@@ -356,8 +359,7 @@ void Generator::AppendCallsOp(Program* program) {
   }
 }
 
-Program Generator::Mutate(const Program& seed) {
-  Program program = seed;
+void Generator::MutateInPlace(Program* program) {
   uint64_t rounds = 1 + rng_.Below(3);
   for (uint64_t round = 0; round < rounds; ++round) {
     switch (rng_.Below(10)) {
@@ -365,45 +367,54 @@ Program Generator::Mutate(const Program& seed) {
       case 1:
       case 2:
       case 3:
-        MutateArgOp(&program);
+        MutateArgOp(program);
         break;
       case 4:
       case 5:
-        AppendCallsOp(&program);
+        AppendCallsOp(program);
         break;
       case 6:
-        InsertCallOp(&program);
+        InsertCallOp(program);
         break;
       case 7:
-        RemoveCallOp(&program);
+        RemoveCallOp(program);
         break;
       case 8:
-        DuplicateCallOp(&program);
+        DuplicateCallOp(program);
         break;
       default:
-        MutateArgOp(&program);
+        MutateArgOp(program);
         break;
     }
   }
-  if (program.calls.empty()) {
-    return Generate();
+  if (program->calls.empty()) {
+    *program = Generate();
   }
+}
+
+Program Generator::Mutate(const Program& seed) {
+  Program program = seed;
+  MutateInPlace(&program);
   return program;
 }
 
+void Generator::SpliceInPlace(Program* program, const Program& tail_source) {
+  const std::vector<ProgCall>& b = tail_source.calls;
+  size_t head = program->calls.empty() ? 0 : rng_.Index(program->calls.size() + 1);
+  size_t tail = b.empty() ? 0 : rng_.Index(b.size());
+  program->calls.resize(head);
+  for (size_t i = tail; i < b.size() && program->calls.size() < kWireMaxCalls - 4; ++i) {
+    program->calls.push_back(b[i]);
+  }
+  FixupRefs(program);
+  if (program->calls.empty()) {
+    *program = Generate();
+  }
+}
+
 Program Generator::Splice(const Program& a, const Program& b) {
-  Program program;
-  size_t head = a.calls.empty() ? 0 : rng_.Index(a.calls.size() + 1);
-  size_t tail = b.calls.empty() ? 0 : rng_.Index(b.calls.size());
-  program.calls.assign(a.calls.begin(), a.calls.begin() + static_cast<std::ptrdiff_t>(head));
-  for (size_t i = tail; i < b.calls.size() && program.calls.size() < kWireMaxCalls - 4;
-       ++i) {
-    program.calls.push_back(b.calls[i]);
-  }
-  FixupRefs(&program);
-  if (program.calls.empty()) {
-    return Generate();
-  }
+  Program program = a;
+  SpliceInPlace(&program, b);
   return program;
 }
 

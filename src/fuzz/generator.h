@@ -44,10 +44,15 @@ class Generator {
   // Fresh random program.
   Program Generate();
 
-  // Mutated copy of `seed` (1..3 stacked operations; refs stay valid).
+  // Mutates `program` in place (1..3 stacked operations; refs stay valid).
+  void MutateInPlace(Program* program);
+  // Mutated copy of `seed`: MutateInPlace on a copy.
   Program Mutate(const Program& seed);
 
-  // Head of `a` + tail of `b`, refs rewired.
+  // Cuts `program` to a head and appends a tail of `tail_source` (another program),
+  // refs rewired.
+  void SpliceInPlace(Program* program, const Program& tail_source);
+  // Head of `a` + tail of `b`: SpliceInPlace on a copy of `a`.
   Program Splice(const Program& a, const Program& b);
 
   // Coverage credit: boosts selection weight of every call in `program` (decays as other
@@ -63,8 +68,11 @@ class Generator {
   // are prepended (bounded recursion). Returns the call's index.
   size_t EmitCall(Program* program, size_t spec_index, int depth);
 
-  ProgArg GenArg(Program* program, const ArgSpec& arg, const std::vector<ProgArg>& so_far,
-                 int depth);
+  // A value for `arg`. A resource arg binds to a producer among the first `before`
+  // calls of `program`; failing that, below kMaxProducerDepth, a producer is appended
+  // to `program` first (callers below that depth pass the whole program as `before`).
+  ProgArg GenArg(Program* program, size_t before, const ArgSpec& arg,
+                 const std::vector<ProgArg>& so_far, int depth);
 
   // Index of an existing call producing `kind` before `before` (prefer recent), or -1.
   int FindProducer(const Program& program, const std::string& kind, size_t before);
@@ -97,6 +105,11 @@ class Generator {
   std::vector<uint64_t> weights_;      // parallel to eligible_
   std::vector<uint64_t> cov_credit_;   // parallel to eligible_
   std::vector<size_t> spec_to_slot_;   // specs index -> eligible slot (SIZE_MAX if not)
+
+  // Scratch reused across calls: PickSpec's per-pick weights and the suffix
+  // InsertCallOp sets aside.
+  std::vector<uint64_t> pick_weights_;
+  std::vector<ProgCall> suffix_;
 };
 
 }  // namespace fuzz

@@ -6,27 +6,24 @@
 namespace eof {
 namespace fuzz {
 
-WireProgram Program::ToWire(const spec::CompiledSpecs& specs) const {
-  WireProgram wire;
+void Program::Encode(const spec::CompiledSpecs& specs, std::vector<uint8_t>* out) const {
+  WireWriter writer(out, calls.size());
   for (const ProgCall& call : calls) {
-    WireCall wire_call;
-    wire_call.api_id = specs.calls[call.spec_index].api_id;
+    writer.Call(specs.calls[call.spec_index].api_id, call.args.size());
     for (const ProgArg& arg : call.args) {
       switch (arg.kind) {
         case ProgArg::Kind::kScalar:
-          wire_call.args.push_back(WireArg::Scalar(arg.scalar));
+          writer.Scalar(arg.scalar);
           break;
         case ProgArg::Kind::kResult:
-          wire_call.args.push_back(WireArg::ResultRef(static_cast<uint16_t>(arg.ref)));
+          writer.ResultRef(static_cast<uint16_t>(arg.ref));
           break;
         case ProgArg::Kind::kBytes:
-          wire_call.args.push_back(WireArg::Bytes(arg.bytes));
+          writer.Bytes(arg.bytes);
           break;
       }
     }
-    wire.calls.push_back(std::move(wire_call));
   }
-  return wire;
 }
 
 uint64_t Program::Hash() const {

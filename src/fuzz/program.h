@@ -50,8 +50,9 @@ struct ProgCall {
 struct Program {
   std::vector<ProgCall> calls;
 
-  // Serializes against `specs` (spec_index -> api_id binding).
-  WireProgram ToWire(const spec::CompiledSpecs& specs) const;
+  // Serializes into `*out` for the agent mailbox, binding spec_index to api_id through
+  // `specs`. `out` is overwritten and keeps its capacity.
+  void Encode(const spec::CompiledSpecs& specs, std::vector<uint8_t>* out) const;
 
   // Stable content hash for corpus dedup.
   uint64_t Hash() const;

@@ -123,13 +123,20 @@ Status Board::RamWrite(uint64_t offset, const std::vector<uint8_t>& data) {
   return OkStatus();
 }
 
-Result<std::vector<uint8_t>> Board::RamRead(uint64_t offset, uint64_t size) const {
+Status Board::RamReadInto(uint64_t offset, uint64_t size, std::vector<uint8_t>* out) const {
   if (!InBounds(offset, size, ram_.size())) {
     return OutOfRangeError(StrFormat("RAM read at +0x%llx overruns %zu-byte RAM",
                                      static_cast<unsigned long long>(offset), ram_.size()));
   }
-  return std::vector<uint8_t>(ram_.begin() + static_cast<std::ptrdiff_t>(offset),
-                              ram_.begin() + static_cast<std::ptrdiff_t>(offset + size));
+  out->assign(ram_.begin() + static_cast<std::ptrdiff_t>(offset),
+              ram_.begin() + static_cast<std::ptrdiff_t>(offset + size));
+  return OkStatus();
+}
+
+Result<std::vector<uint8_t>> Board::RamRead(uint64_t offset, uint64_t size) const {
+  std::vector<uint8_t> out;
+  RETURN_IF_ERROR(RamReadInto(offset, size, &out));
+  return out;
 }
 
 Status Board::RamWriteU32(uint64_t offset, uint32_t value) {

@@ -72,7 +72,8 @@ class Board : public TargetEnv {
   // --- TargetEnv (firmware-visible) ---
   const BoardSpec& spec() const override { return spec_; }
   Status RamWrite(uint64_t offset, const std::vector<uint8_t>& data) override;
-  Result<std::vector<uint8_t>> RamRead(uint64_t offset, uint64_t size) const override;
+  Status RamReadInto(uint64_t offset, uint64_t size,
+                     std::vector<uint8_t>* out) const override;
   Uart& uart() override { return uart_; }
   Flash& flash() override { return flash_; }
   Status RamWriteU32(uint64_t offset, uint32_t value) override;
@@ -108,6 +109,9 @@ class Board : public TargetEnv {
   const FirmwareImage* installed_image() const { return image_.get(); }
 
   Status FlashWrite(uint64_t offset, const std::vector<uint8_t>& data);
+
+  // RamReadInto into a fresh vector.
+  Result<std::vector<uint8_t>> RamRead(uint64_t offset, uint64_t size) const;
 
   // Programs `payload`, which must be the installed image's, at `offset`. The flash maps
   // the payload's pages rather than copying them and keeps the image alive while it does.

@@ -81,14 +81,16 @@ Status DebugPort::CheckResponsive(bool needs_core) {
   return OkStatus();
 }
 
-Result<std::vector<uint8_t>> DebugPort::ReadWindow(uint64_t address, uint64_t size) const {
+Status DebugPort::ReadWindow(uint64_t address, uint64_t size,
+                             std::vector<uint8_t>* out) const {
   const BoardSpec& spec = board_->spec();
   if (address >= spec.ram_base && InBounds(address - spec.ram_base, size, spec.ram_bytes)) {
-    return board_->RamRead(address - spec.ram_base, size);
+    return board_->RamReadInto(address - spec.ram_base, size, out);
   }
   if (address >= spec.flash_base &&
       InBounds(address - spec.flash_base, size, spec.flash_bytes)) {
-    return board_->flash().Read(address - spec.flash_base, size);
+    ASSIGN_OR_RETURN(*out, board_->flash().Read(address - spec.flash_base, size));
+    return OkStatus();
   }
   return OutOfRangeError(StrFormat("address 0x%llx not in RAM or flash window",
                                    static_cast<unsigned long long>(address)));
@@ -114,7 +116,9 @@ Result<std::vector<uint8_t>> DebugPort::ReadMem(uint64_t address, uint64_t size)
   transactions_->Increment();
   bytes_read_->Add(size);
   Note(telemetry::FlightPortOp::kRead, address, size, true);
-  return ReadWindow(address, size);
+  std::vector<uint8_t> out;
+  RETURN_IF_ERROR(ReadWindow(address, size, &out));
+  return out;
 }
 
 Status DebugPort::WriteMem(uint64_t address, const std::vector<uint8_t>& data) {
@@ -227,7 +231,7 @@ Status DebugPort::ApplyBatchOps(std::vector<PortOp>* ops) {
     }
     switch (op.kind) {
       case PortOp::Kind::kRead: {
-        ASSIGN_OR_RETURN(op.result, ReadWindow(op.address, op.size));
+        RETURN_IF_ERROR(ReadWindow(op.address, op.size, &op.result));
         bytes_read_->Add(op.size);
         break;
       }
@@ -287,7 +291,8 @@ Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
     // target's, whatever the host pays.
     ASSIGN_OR_RETURN(digest, board_->flash().Digest(address - spec.flash_base, size));
   } else {
-    ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadWindow(address, size));
+    std::vector<uint8_t> bytes;
+    RETURN_IF_ERROR(ReadWindow(address, size, &bytes));
     digest = ChecksumBytes(bytes.data(), bytes.size());
   }
   bytes_read_->Add(8);  // only the digest crosses the link
@@ -342,7 +347,7 @@ Result<StopInfo> DebugPort::ContinueWithRead(uint64_t address, uint64_t size,
   batched_ops_->Add(2);
   StopInfo stop = board_->Continue(max_steps);
   Note(telemetry::FlightPortOp::kContinue, stop.pc, size, true);
-  ASSIGN_OR_RETURN(*out, ReadWindow(address, size));
+  RETURN_IF_ERROR(ReadWindow(address, size, out));
   bytes_read_->Add(size);
   return stop;
 }
@@ -372,7 +377,7 @@ Result<StopInfo> DebugPort::ContinueWithPlan(std::vector<PortOp>* ops, uint64_t 
   }
   StopInfo stop = board_->Continue(max_steps);
   Note(telemetry::FlightPortOp::kContinue, stop.pc, size, true);
-  ASSIGN_OR_RETURN(*out, ReadWindow(address, size));
+  RETURN_IF_ERROR(ReadWindow(address, size, out));
   bytes_read_->Add(size);
   return stop;
 }

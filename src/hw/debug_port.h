@@ -237,8 +237,9 @@ class DebugPort {
   Status CheckResponsive(bool needs_core);
 
   // Window-resolved access without cost/stat accounting (shared by single ops and
-  // batch commit). Reads resolve against RAM or flash; writes only against RAM.
-  Result<std::vector<uint8_t>> ReadWindow(uint64_t address, uint64_t size) const;
+  // batch commit). Reads resolve against RAM or flash and replace `*out`, keeping its
+  // capacity for RAM reads; writes only resolve against RAM.
+  Status ReadWindow(uint64_t address, uint64_t size, std::vector<uint8_t>* out) const;
   Status WriteWindow(uint64_t address, const std::vector<uint8_t>& data);
 
   // Payload byte total of a queued plan (per-op accounting mirrors RunBatch's cost

@@ -26,7 +26,9 @@ class TargetEnv {
 
   // RAM, addressed by offset from ram_base.
   virtual Status RamWrite(uint64_t offset, const std::vector<uint8_t>& data) = 0;
-  virtual Result<std::vector<uint8_t>> RamRead(uint64_t offset, uint64_t size) const = 0;
+  // Replaces `*out` with the `size` bytes at `offset`; `out` keeps its capacity.
+  virtual Status RamReadInto(uint64_t offset, uint64_t size,
+                             std::vector<uint8_t>* out) const = 0;
 
   virtual Uart& uart() = 0;
   virtual Flash& flash() = 0;
@@ -40,7 +42,7 @@ class TargetEnv {
   virtual bool EnterProgramPoint(uint64_t address) = 0;
 
   // Word-sized RAM accessors for hot paths (coverage-ring writes); semantics match
-  // RamWrite/RamRead of 4/8 bytes little-endian.
+  // RamWrite/RamReadInto of 4/8 bytes little-endian.
   virtual Status RamWriteU32(uint64_t offset, uint32_t value) = 0;
   virtual Status RamWriteU64(uint64_t offset, uint64_t value) = 0;
   virtual Result<uint32_t> RamReadU32(uint64_t offset) const = 0;

@@ -44,20 +44,25 @@ void KernelContext::BeginResumeWindow() {
 
 void KernelContext::CovBucket(const EdgeSite& site, uint64_t bucket) {
   ++cov_events_;
-  // Resolve the site's synthetic basic-block address.
-  const ModuleLayout* layout = nullptr;
-  auto it = layout_cache_.find(site.module);
-  if (it != layout_cache_.end()) {
-    layout = it->second;
-  } else {
-    for (const ModuleLayout& candidate : image_.modules()) {
-      if (candidate.module == site.module) {
-        layout = &candidate;
-        break;
+  // Resolve the site's module: its synthetic basic-block layout and whether it is
+  // instrumented. Consecutive events mostly come from one module.
+  if (site.module != last_module_) {
+    auto it = layout_cache_.find(site.module);
+    if (it == layout_cache_.end()) {
+      CachedModule cached;
+      for (const ModuleLayout& candidate : image_.modules()) {
+        if (candidate.module == site.module) {
+          cached.layout = &candidate;
+          break;
+        }
       }
+      cached.covered = image_.instrumentation().Covers(site.module);
+      it = layout_cache_.emplace(site.module, cached).first;
     }
-    layout_cache_[site.module] = layout;
+    last_module_ = site.module;
+    last_cached_ = it->second;
   }
+  const ModuleLayout* layout = last_cached_.layout;
   if (layout == nullptr) {
     return;  // module not declared in the image: invisible to every tool
   }
@@ -71,7 +76,7 @@ void KernelContext::CovBucket(const EdgeSite& site, uint64_t bucket) {
   // breakpoints (GDBFuzz) observe it either way.
   env_.OnBasicBlockExecuted(bb_address);
 
-  if (!image_.instrumentation().Covers(site.module)) {
+  if (!last_cached_.covered) {
     return;
   }
   ++cov_instrumented_events_;

@@ -95,9 +95,16 @@ class KernelContext {
   CovRingLayout ring_;
   Rng rng_;
 
-  // module-name pointer -> layout (module names are string literals, so pointer identity
-  // is a valid cache key; a miss falls back to by-value lookup).
-  std::unordered_map<const void*, const ModuleLayout*> layout_cache_;
+  // module-name pointer -> layout and instrumentation verdict (module names are string
+  // literals, so pointer identity is a valid cache key; a miss falls back to by-value
+  // lookup).
+  struct CachedModule {
+    const ModuleLayout* layout = nullptr;
+    bool covered = false;  // InstrumentationOptions::Covers
+  };
+  std::unordered_map<const void*, CachedModule> layout_cache_;
+  const void* last_module_ = nullptr;  // the module of the last event, and its entry
+  CachedModule last_cached_;
 
   bool cov_overflow_pending_ = false;
 

@@ -45,6 +45,22 @@ class AgentTest : public ::testing::Test {
     ASSERT_TRUE(board_->RamWriteU32(kMailboxOffset + kMailboxFlagOffset, 1).ok());
   }
 
+  // Reboots the board (a fresh agent), runs `program`, and returns the coverage ring's
+  // bank 0 entries: which edges each call reached.
+  std::vector<uint8_t> RingAfterFreshRun(const WireProgram& program) {
+    board_->Reset();
+    EXPECT_EQ(board_->power_state(), PowerState::kRunning);
+    WriteMailbox(program);
+    EXPECT_EQ(board_->Continue().reason, HaltReason::kIdle);
+    CovRingLayout ring;
+    ring.ram_offset = kCovRingOffset;
+    ring.capacity = CovRingCapacityFor(board_->spec().ram_bytes);
+    uint32_t count =
+        board_->RamReadU32(ring.BankOffset(0) + CovRingLayout::kCountOffset).value();
+    return board_->RamRead(ring.EntryOffset(0, 0), count * CovRingLayout::kEntryBytes)
+        .value();
+  }
+
   uint32_t StatusField(uint64_t offset) {
     return board_->RamReadU32(kStatusBlockOffset + offset).value();
   }
@@ -128,6 +144,35 @@ TEST_F(AgentTest, ResultReferencesResolveAcrossCalls) {
   EXPECT_EQ(StatusField(kStatusTotalCallsOffset), 3u);
   // The send actually landed on the queue the first call created: verified through the
   // coverage ring being non-trivial and no rejection. (State itself is target-internal.)
+}
+
+// The agent resolves each call's args over the previous call's. A scalar arg must
+// reach the kernel with no bytes, even where the call before passed bytes in the
+// same position: the third send below must write nothing, exactly like a send of
+// an empty buffer.
+TEST_F(AgentTest, ScalarArgAfterBytesArgCarriesNoStaleBytes) {
+  auto program_ending_with = [&](WireArg last_payload) {
+    WireProgram program;
+    WireCall create;
+    create.api_id = os_->registry().FindByName("xStreamBufferCreate")->id;
+    create.args = {WireArg::Scalar(64), WireArg::Scalar(1)};
+    program.calls.push_back(create);
+    WireCall send;
+    send.api_id = os_->registry().FindByName("xStreamBufferSend")->id;
+    send.args = {WireArg::ResultRef(0), WireArg::Bytes({'a', 'b', 'c', 'd'})};
+    program.calls.push_back(send);
+    send.args[1] = std::move(last_payload);
+    program.calls.push_back(send);
+    return program;
+  };
+  const std::vector<uint8_t> scalar_last =
+      RingAfterFreshRun(program_ending_with(WireArg::Scalar(0)));
+  const std::vector<uint8_t> empty_last =
+      RingAfterFreshRun(program_ending_with(WireArg::Bytes({})));
+  const std::vector<uint8_t> bytes_last =
+      RingAfterFreshRun(program_ending_with(WireArg::Bytes({'a', 'b', 'c', 'd'})));
+  EXPECT_EQ(scalar_last, empty_last);
+  EXPECT_NE(bytes_last, empty_last);  // a send that carries bytes takes another path
 }
 
 TEST_F(AgentTest, CovBufferFullPausesWhenArmed) {

@@ -46,17 +46,17 @@ TEST_F(DeploymentDetailsTest, CoverageDrainResetsHeaderAndReportsDrops) {
       board.RamWriteU32(ring.BankOffset(0) + CovRingLayout::kDroppedOffset, 7).ok());
 
   uint32_t dropped = 0;
-  auto entries = deployment->DrainCoverage(&dropped);
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), ring.capacity);
+  std::vector<CovHit> entries;
+  ASSERT_TRUE(deployment->DrainCoverage(&entries, &dropped).ok());
+  EXPECT_EQ(entries.size(), ring.capacity);
   EXPECT_EQ(dropped, 7u);
-  EXPECT_EQ(entries.value()[3].edge, 0x1003u);
-  EXPECT_EQ(entries.value()[3].call, 3u);  // attribution survives the drain
+  EXPECT_EQ(entries[3].edge, 0x1003u);
+  EXPECT_EQ(entries[3].call, 3u);  // attribution survives the drain
 
   // Header reset: a second drain is empty.
-  auto again = deployment->DrainCoverage(&dropped);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again.value().empty());
+  std::vector<CovHit> again;
+  ASSERT_TRUE(deployment->DrainCoverage(&again, &dropped).ok());
+  EXPECT_TRUE(again.empty());
   EXPECT_EQ(dropped, 0u);
 }
 
@@ -66,9 +66,9 @@ TEST_F(DeploymentDetailsTest, ScribbledRingCountIsClamped) {
   // A buggy target wrote a huge count; the host must not issue a giant read.
   ASSERT_TRUE(deployment->board().RamWriteU32(
       ring.BankOffset(0) + CovRingLayout::kCountOffset, 0xffffffff).ok());
-  auto entries = deployment->DrainCoverage();
-  ASSERT_TRUE(entries.ok());
-  EXPECT_LE(entries.value().size(), ring.capacity);
+  std::vector<CovHit> entries;
+  ASSERT_TRUE(deployment->DrainCoverage(&entries).ok());
+  EXPECT_LE(entries.size(), ring.capacity);
 }
 
 TEST_F(DeploymentDetailsTest, CorruptRingHeaderFailsValidationLoudly) {
@@ -243,9 +243,9 @@ TEST_F(DeploymentDetailsTest, BatchedDrainIsOneRoundTrip) {
 
   fill(8);
   uint64_t t0 = deployment->port().stats().transactions;
-  auto entries = deployment->DrainCoverage();
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries.value().size(), 8u);
+  std::vector<CovHit> entries;
+  ASSERT_TRUE(deployment->DrainCoverage(&entries).ok());
+  EXPECT_EQ(entries.size(), 8u);
   // Header read, entries prefetch, and both header subtracts fold into one batch.
   EXPECT_EQ(deployment->port().stats().transactions - t0, 1u);
 }
@@ -279,25 +279,25 @@ TEST_F(DeploymentDetailsTest, FlipModeDrainIsOneRoundTripParkedBankFirst) {
   uint32_t dropped = 0;
   AgentStatusView status;
   uint64_t t0 = deployment->port().stats().transactions;
-  auto entries = deployment->DrainCoverage(&dropped, &status);
-  ASSERT_TRUE(entries.ok());
+  std::vector<CovHit> entries;
+  ASSERT_TRUE(deployment->DrainCoverage(&entries, &dropped, &status).ok());
   EXPECT_EQ(deployment->port().stats().transactions - t0, 1u);
-  ASSERT_EQ(entries.value().size(), 8u);
+  ASSERT_EQ(entries.size(), 8u);
   for (uint32_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(entries.value()[i].edge, 0x3000u + i);
-    EXPECT_EQ(entries.value()[i].call, 1u);
+    EXPECT_EQ(entries[i].edge, 0x3000u + i);
+    EXPECT_EQ(entries[i].call, 1u);
   }
   for (uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(entries.value()[5 + i].edge, 0x4000u + i);
-    EXPECT_EQ(entries.value()[5 + i].call, 0u);
+    EXPECT_EQ(entries[5 + i].edge, 0x4000u + i);
+    EXPECT_EQ(entries[5 + i].call, 0u);
   }
   EXPECT_EQ(dropped, 3u);
   EXPECT_EQ(status.calls_done, 1234u);
 
   // Both bank headers were drained: a second drain is empty.
-  auto again = deployment->DrainCoverage(&dropped);
-  ASSERT_TRUE(again.ok());
-  EXPECT_TRUE(again.value().empty());
+  std::vector<CovHit> again;
+  ASSERT_TRUE(deployment->DrainCoverage(&again, &dropped).ok());
+  EXPECT_TRUE(again.empty());
   EXPECT_EQ(dropped, 0u);
 }
 

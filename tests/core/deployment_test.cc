@@ -95,9 +95,9 @@ TEST_F(DeploymentTest, ExecutesProgramAndReportsStatus) {
   EXPECT_EQ(status.value().last_error, AgentError::kNone);
 
   // The instrumented kernel produced coverage.
-  auto coverage = deployment->DrainCoverage();
-  ASSERT_TRUE(coverage.ok());
-  EXPECT_GT(coverage.value().size(), 0u);
+  std::vector<CovHit> coverage;
+  ASSERT_TRUE(deployment->DrainCoverage(&coverage).ok());
+  EXPECT_GT(coverage.size(), 0u);
 }
 
 TEST_F(DeploymentTest, RejectsMalformedProgram) {

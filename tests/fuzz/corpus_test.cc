@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/program_text.h"
 #include "src/kernel/os.h"
@@ -72,6 +73,49 @@ TEST(CorpusCheckpointTest, LoadSkipsGarbageBlocksKeepsValidOnes) {
   auto admitted = restored.LoadText(Specs(), text);
   ASSERT_TRUE(admitted.ok());
   EXPECT_EQ(admitted.value(), original.size());
+}
+
+// Pins the schedule PickSeedCopy draws (PickIndexLocked's weights and its one RNG
+// draw per pick) on a seeded corpus: adds of mixed value, picks that decay heavily
+// re-picked entries, and a trim that drops the weakest third.
+TEST(CorpusScheduleTest, PickIndexSequenceIsPinned) {
+  Corpus corpus(/*max_entries=*/24);
+  Rng rng(2026);
+  std::vector<size_t> picks;
+  // Entry i holds one call with scalar i, so a pick maps back to its index.
+  auto pick = [&] {
+    Program copy;
+    ASSERT_TRUE(corpus.PickSeedCopy(rng, &copy));
+    const uint64_t id = copy.calls[0].args[0].scalar;
+    for (size_t i = 0; i < corpus.entries().size(); ++i) {
+      if (corpus.entries()[i].program.calls[0].args[0].scalar == id) {
+        picks.push_back(i);
+        return;
+      }
+    }
+    FAIL() << "picked program " << id << " is not in the corpus";
+  };
+  for (uint64_t i = 0; i < 30; ++i) {
+    Program program;
+    program.calls.push_back(ProgCall{0, {ProgArg::Scalar(i)}});
+    ASSERT_TRUE(corpus.Add(std::move(program), (i * 37) % 90));
+    for (int k = 0; k < 3; ++k) {
+      pick();
+    }
+  }
+  for (int k = 0; k < 400; ++k) {
+    pick();
+  }
+  ASSERT_EQ(corpus.size(), 21u);  // trimmed to 16 at the 25th add, then 5 more
+  ASSERT_EQ(picks.size(), 490u);
+  const std::vector<size_t> head(picks.begin(), picks.begin() + 24);
+  EXPECT_EQ(head, (std::vector<size_t>{0, 0, 0, 1, 1, 1, 2, 2, 1, 2, 2, 2,
+                                       2, 0, 2, 3, 4, 2, 3, 2, 2, 7, 2, 2}));
+  uint64_t digest = kFnvOffsetBasis;
+  for (size_t index : picks) {
+    digest = HashCombine(digest, index);
+  }
+  EXPECT_EQ(digest, 0x28d467f5371d9e5bULL);
 }
 
 TEST(CorpusConcurrencyTest, ParallelAddPickSeenKeepsInvariants) {

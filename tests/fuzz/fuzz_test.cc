@@ -6,6 +6,8 @@
 
 #include "src/agent/wire.h"
 #include "src/common/hash.h"
+#include "src/common/strings.h"
+#include "src/core/scheduler.h"
 #include "src/fuzz/byte_mutator.h"
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
@@ -83,6 +85,91 @@ TEST(WireTest, DecoderSurvivesMutatedInput) {
   ExpectDecoderSurvivesHavoc(EncodeProgram(program), round_trip, 20261113);
 }
 
+// Field-by-field equality, bytes of every arg kind included: a decoder that leaves an
+// earlier program's bytes on a scalar arg fails it.
+::testing::AssertionResult SameWire(const WireProgram& a, const WireProgram& b) {
+  if (a.calls.size() != b.calls.size()) {
+    return ::testing::AssertionFailure()
+           << a.calls.size() << " calls vs " << b.calls.size();
+  }
+  for (size_t i = 0; i < a.calls.size(); ++i) {
+    const WireCall& x = a.calls[i];
+    const WireCall& y = b.calls[i];
+    if (x.api_id != y.api_id || x.args.size() != y.args.size()) {
+      return ::testing::AssertionFailure() << "call " << i << " differs";
+    }
+    for (size_t k = 0; k < x.args.size(); ++k) {
+      if (x.args[k].kind != y.args[k].kind || x.args[k].scalar != y.args[k].scalar ||
+          x.args[k].bytes != y.args[k].bytes) {
+        return ::testing::AssertionFailure() << "call " << i << " arg " << k << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The agent decodes every mailbox into one WireProgram. Over the havoc stream of
+// DecoderSurvivesMutatedInput (same golden, same seed), a decode into a reused
+// WireProgram must report exactly what a fresh decode reports: the same error and the
+// same calls, with nothing left over from earlier inputs.
+TEST(WireTest, ReusedDecodeMatchesFreshDecode) {
+  WireProgram program;
+  WireCall call;
+  call.api_id = 3;
+  call.args = {WireArg::Scalar(0xdeadbeefcafef00dULL), WireArg::Bytes({1, 2, 3})};
+  program.calls.push_back(call);
+  WireCall second;
+  second.api_id = 9;
+  second.args = {WireArg::ResultRef(0), WireArg::Scalar(7)};
+  program.calls.push_back(second);
+  const std::vector<uint8_t> golden = EncodeProgram(program);
+  ByteMutator mutator(golden.size() * 2);
+  Rng rng(20261113);
+  WireProgram reused;
+  int failed = 0;
+  for (int i = 0; i < 100000; ++i) {
+    const std::vector<uint8_t> input = mutator.Mutate(golden, rng);
+    WireProgram fresh;
+    const AgentError expected = DecodeProgram(input.data(), input.size(), &fresh);
+    ASSERT_EQ(DecodeProgram(input.data(), input.size(), &reused), expected) << "input " << i;
+    ASSERT_TRUE(SameWire(reused, fresh)) << "input " << i;
+    failed += expected != AgentError::kNone ? 1 : 0;
+  }
+  EXPECT_GT(failed, 0);
+
+  // A longer valid program, then one that fails inside its second call's args: the
+  // reused decode keeps only the first call, with the new call's scalar arg in place
+  // of the bytes the longer program had there.
+  WireProgram longer;
+  WireCall bytes_call;
+  bytes_call.api_id = 5;
+  bytes_call.args = {WireArg::Bytes({9, 9, 9, 9}), WireArg::Scalar(1)};
+  for (int i = 0; i < 4; ++i) {
+    longer.calls.push_back(bytes_call);
+  }
+  const std::vector<uint8_t> longer_bytes = EncodeProgram(longer);
+  ASSERT_EQ(DecodeProgram(longer_bytes.data(), longer_bytes.size(), &reused),
+            AgentError::kNone);
+  WireProgram failing;
+  WireCall scalar_call;
+  scalar_call.api_id = 6;
+  scalar_call.args = {WireArg::Scalar(2)};
+  failing.calls.push_back(scalar_call);
+  WireCall forward_ref;
+  forward_ref.api_id = 7;
+  forward_ref.args = {WireArg::Scalar(3), WireArg::ResultRef(1)};  // refers to itself
+  failing.calls.push_back(forward_ref);
+  const std::vector<uint8_t> failing_bytes = EncodeProgram(failing);
+  WireProgram fresh;
+  ASSERT_EQ(DecodeProgram(failing_bytes.data(), failing_bytes.size(), &fresh),
+            AgentError::kBadResultRef);
+  ASSERT_EQ(DecodeProgram(failing_bytes.data(), failing_bytes.size(), &reused),
+            AgentError::kBadResultRef);
+  EXPECT_TRUE(SameWire(reused, fresh));
+  ASSERT_EQ(reused.calls.size(), 1u);
+  EXPECT_TRUE(reused.calls[0].args[0].bytes.empty());
+}
+
 TEST(WireTest, RejectsBadMagicAndTruncation) {
   WireProgram decoded;
   std::vector<uint8_t> junk = {1, 2, 3, 4, 5, 6};
@@ -99,6 +186,136 @@ TEST(WireTest, RejectsBadMagicAndTruncation) {
     EXPECT_NE(error, AgentError::kNone) << "truncation at " << cut << " accepted";
   }
 }
+
+// The wire image of `program`, built field by field: the host's route to the mailbox
+// before programs encoded straight into the mailbox buffer.
+WireProgram HandBuiltWire(const Program& program, const spec::CompiledSpecs& specs) {
+  WireProgram wire;
+  for (const ProgCall& call : program.calls) {
+    WireCall wire_call;
+    wire_call.api_id = specs.calls[call.spec_index].api_id;
+    for (const ProgArg& arg : call.args) {
+      switch (arg.kind) {
+        case ProgArg::Kind::kScalar:
+          wire_call.args.push_back(WireArg::Scalar(arg.scalar));
+          break;
+        case ProgArg::Kind::kResult:
+          wire_call.args.push_back(WireArg::ResultRef(static_cast<uint16_t>(arg.ref)));
+          break;
+        case ProgArg::Kind::kBytes:
+          wire_call.args.push_back(WireArg::Bytes(arg.bytes));
+          break;
+      }
+    }
+    wire.calls.push_back(std::move(wire_call));
+  }
+  return wire;
+}
+
+// The mailbox trim of that route: drop the last call until the encoding fits.
+bool HandBuiltTrim(const spec::CompiledSpecs& specs, Program* program,
+                   std::vector<uint8_t>* encoded) {
+  *encoded = EncodeProgram(HandBuiltWire(*program, specs));
+  if (encoded->size() <= kMailboxMaxBytes) {
+    return true;
+  }
+  while (!program->calls.empty() && encoded->size() > kMailboxMaxBytes) {
+    program->calls.pop_back();
+    *encoded = EncodeProgram(HandBuiltWire(*program, specs));
+  }
+  return !program->calls.empty();
+}
+
+TEST(ProgramEncodeTest, GoldenEncoding) {
+  spec::CompiledSpecs specs;
+  specs.calls.resize(2);
+  specs.calls[0].api_id = 7;
+  specs.calls[1].api_id = 0x0102;
+  Program program;
+  program.calls.push_back(
+      ProgCall{0, {ProgArg::Scalar(0x1122334455667788ULL), ProgArg::Bytes({0xaa, 0xbb})}});
+  program.calls.push_back(ProgCall{1, {ProgArg::Result(0)}});
+  std::vector<uint8_t> encoded = {1, 2, 3};  // overwritten, not appended to
+  program.Encode(specs, &encoded);
+  EXPECT_EQ(BytesToHex(encoded.data(), encoded.size()),
+            "50463045" "0200"            // magic "E0FP", 2 calls
+            "07000000" "02"              // api 7, 2 args
+            "00" "8877665544332211"      // scalar
+            "02" "02000000" "aabb"       // 2 bytes
+            "02010000" "01"              // api 0x0102, 1 arg
+            "01" "0000");                // result of call 0
+  EXPECT_EQ(encoded, EncodeProgram(HandBuiltWire(program, specs)));
+}
+
+class ProgramEncodeDifferential : public ::testing::TestWithParam<const char*> {};
+
+// Generated, mutated and spliced programs encode to the bytes of their hand-built
+// wire images, through one reused buffer as the campaign loop encodes them.
+TEST_P(ProgramEncodeDifferential, MatchesHandBuiltWireBytes) {
+  const spec::CompiledSpecs& specs = SpecsFor(GetParam());
+  Generator generator(specs, GeneratorOptions{}, 4242);
+  std::vector<uint8_t> encoded;
+  Program previous = generator.Generate();
+  for (int i = 0; i < 10000; ++i) {
+    Program program;
+    switch (i % 3) {
+      case 0:
+        program = generator.Generate();
+        break;
+      case 1:
+        program = generator.Mutate(previous);
+        break;
+      default:
+        program = generator.Splice(previous, generator.Generate());
+        break;
+    }
+    program.Encode(specs, &encoded);
+    ASSERT_EQ(encoded, EncodeProgram(HandBuiltWire(program, specs)))
+        << "program " << i << ":\n" << program.Format(specs);
+    previous = std::move(program);
+  }
+}
+
+// Programs too large for the mailbox: EncodeForMailbox keeps exactly the calls the
+// hand-built trim keeps, and encodes them to the same bytes.
+TEST_P(ProgramEncodeDifferential, OversizedProgramsTrimToTheSameCalls) {
+  const spec::CompiledSpecs& specs = SpecsFor(GetParam());
+  GeneratorOptions options;
+  options.max_calls = 48;
+  Generator generator(specs, options, 777);
+  std::vector<uint8_t> encoded;
+  int trimmed = 0;
+  for (int i = 0; i < 2000 && trimmed < 50; ++i) {
+    Program program = generator.Generate();
+    size_t filled = 0;
+    for (ProgCall& call : program.calls) {
+      for (ProgArg& arg : call.args) {
+        if (arg.kind == ProgArg::Kind::kBytes) {
+          arg.bytes.assign(1200 + (filled * 211) % 848, static_cast<uint8_t>(filled));
+          ++filled;
+        }
+      }
+    }
+    Program expected = program;
+    std::vector<uint8_t> expected_bytes;
+    const bool expected_fits = HandBuiltTrim(specs, &expected, &expected_bytes);
+    if (expected.calls.size() == program.calls.size()) {
+      continue;  // fitted untrimmed
+    }
+    ++trimmed;
+    ASSERT_EQ(EncodeForMailbox(specs, &program, &encoded), expected_fits);
+    ASSERT_EQ(program.calls.size(), expected.calls.size());
+    ASSERT_EQ(program.Hash(), expected.Hash());
+    if (expected_fits) {
+      ASSERT_EQ(encoded, expected_bytes);
+    }
+  }
+  EXPECT_EQ(trimmed, 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOses, ProgramEncodeDifferential,
+                         ::testing::Values("freertos", "rtthread", "nuttx", "zephyr",
+                                           "pokos"));
 
 // Property sweep: every generated and mutated program keeps refs valid and arity right.
 class GeneratorProperty : public ::testing::TestWithParam<const char*> {};
