@@ -5,6 +5,7 @@
 #include "src/common/byteio.h"
 #include "src/common/strings.h"
 #include "src/kernel/os.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 
@@ -123,9 +124,9 @@ Status Deployment::ReflashAndReboot() {
   if (telemetry_ != nullptr) {
     telemetry_->tracer().End(span, port_->Now(), /*journal=*/true);
     if (status.ok()) {
-      telemetry_->EmitEvent(port_->Now(), "delta_reflash",
-                            {telemetry::EventField::Uint("programmed_bytes", programmed),
-                             telemetry::EventField::Uint("skipped_bytes", skipped)});
+      telemetry::Journal(telemetry_->sink(), port_->Now(), telemetry_->worker(), [&] {
+        return telemetry::DeltaReflashRow{programmed, skipped};
+      });
     }
   }
   return status;

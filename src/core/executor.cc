@@ -2,6 +2,7 @@
 
 #include "src/common/logging.h"
 #include "src/hw/timing.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace {
@@ -129,10 +130,12 @@ void TargetExecutor::DumpFlight(const char* reason, ExecOutcome* outcome) {
   // that separates "crashed on a cold-booted board" from "crashed after a warm
   // snapshot restore" when auditing provenance.
   dump.last_restore = last_restore_;
-  // Rendering the dump's fields is most of a dump's host cost; only a journal reads them.
-  if (telemetry_->sink() != nullptr) {
-    telemetry_->EmitEvent(dump.at, "crash_dump", dump.ToEventFields());
-  }
+  // Rendering the dump's rings is most of a dump's host cost; only a journal reads them.
+  telemetry::Journal(telemetry_->sink(), dump.at, telemetry_->worker(), [&] {
+    return telemetry::CrashDumpRow{dump.reason,        dump.last_restore,    dump.port_ops_seen,
+                                   dump.uart_lines_seen, dump.events_seen,     dump.PortOpsText(),
+                                   dump.UartTailText(),  dump.EventsText()};
+  });
   if (outcome != nullptr) {
     outcome->dump = std::move(dump);
   }
@@ -175,10 +178,9 @@ Status TargetExecutor::Restore(const char* reason) {
     flight_.Clear();
     status = ArmBreakpoints();
   }
-  telemetry_->EmitEvent(deployment_->port().Now(), "liveness_reset",
-                        {telemetry::EventField::Text("reason", reason),
-                         telemetry::EventField::Uint("restores", restores_->Value()),
-                         telemetry::EventField::Text("restore", last_restore_)});
+  telemetry::Journal(telemetry_->sink(), deployment_->port().Now(), telemetry_->worker(), [&] {
+    return telemetry::LivenessResetRow{reason, restores_->Value(), last_restore_};
+  });
   telemetry_->tracer().End(span, deployment_->port().Now(), /*journal=*/true);
   return status;
 }

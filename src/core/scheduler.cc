@@ -9,6 +9,7 @@
 #include "src/core/bug_catalog.h"
 #include "src/fuzz/program_text.h"
 #include "src/fuzz/trimmer.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 
@@ -54,19 +55,6 @@ CampaignScheduler::CampaignScheduler(const spec::CompiledSpecs& specs, Options o
   trim_kept_calls_ = registry_->RegisterCounter("campaign.trim_kept_calls");
   coverage_gauge_ = registry_->RegisterGauge("campaign.coverage");
   corpus_gauge_ = registry_->RegisterGauge("campaign.corpus");
-}
-
-void CampaignScheduler::EmitEventLocked(VirtualTime at, const char* type, int worker,
-                                        std::vector<telemetry::EventField> fields) {
-  if (sink_ == nullptr) {
-    return;
-  }
-  telemetry::Event event;
-  event.at = at;
-  event.type = type;
-  event.worker = worker;
-  event.fields = std::move(fields);
-  sink_->Emit(event);
 }
 
 int CampaignScheduler::ShardLabel(int worker) const {
@@ -149,10 +137,9 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   };
   if (is_duplicate(result_.bugs) || is_duplicate(rejected_bugs_)) {
     bug_dedup_hits_->Increment();
-    EmitEventLocked(elapsed, "bug_dedup", shard,
-                    {telemetry::EventField::Uint(
-                         "catalog_id", static_cast<uint64_t>(catalog_id)),
-                     telemetry::EventField::Text("detector", signature.detector)});
+    telemetry::Journal(sink_, elapsed, shard, [&] {
+      return telemetry::BugDedupRow{catalog_id, signature.detector};
+    });
     return;
   }
   BugReport report;
@@ -185,45 +172,27 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   }
   if (confirmed) {
     bugs_found_->Increment();
-    EmitEventLocked(elapsed, "bug", shard,
-                    {telemetry::EventField::Uint("catalog_id",
-                                                 static_cast<uint64_t>(catalog_id)),
-                     telemetry::EventField::Text("detector", signature.detector),
-                     telemetry::EventField::Text("kind", signature.kind)});
+    telemetry::Journal(sink_, elapsed, shard, [&] {
+      return telemetry::BugRow{catalog_id, signature.detector, signature.kind};
+    });
   } else {
     bugs_rejected_->Increment();
   }
   // The full Table-2 provenance row: everything a later `eof report` run needs to
   // rebuild the bug table (attribution, first sighting, reproducer, forensics).
   // Rejected sightings are journaled too — snapshot_validation says which is which.
-  {
+  telemetry::Journal(sink_, elapsed, shard, [&] {
     const BugInfo* info = FindBug(catalog_id);
-    std::vector<telemetry::EventField> fields;
-    fields.push_back(telemetry::EventField::Uint("catalog_id",
-                                                 static_cast<uint64_t>(catalog_id)));
-    fields.push_back(telemetry::EventField::Text("detector", report.detector));
-    fields.push_back(telemetry::EventField::Text("kind", report.kind));
-    fields.push_back(telemetry::EventField::Text(
-        "operation", info != nullptr ? info->operation : ""));
-    fields.push_back(telemetry::EventField::Uint("first_exec", report.first_exec));
-    fields.push_back(
-        telemetry::EventField::Uint("board", static_cast<uint64_t>(shard)));
-    fields.push_back(telemetry::EventField::Uint("seed_stream", report.seed_stream));
-    fields.push_back(telemetry::EventField::Uint("coverage_delta", coverage_delta));
-    fields.push_back(telemetry::EventField::Text("snapshot_validation",
-                                                 report.snapshot_validation));
-    fields.push_back(telemetry::EventField::Text("last_restore",
-                                                 report.dump.last_restore));
-    fields.push_back(telemetry::EventField::Text("excerpt", report.excerpt));
-    fields.push_back(telemetry::EventField::Text("program", report.program_text));
-    fields.push_back(telemetry::EventField::Text("dump_reason", report.dump.reason));
-    fields.push_back(telemetry::EventField::Text("uart_tail",
-                                                 report.dump.UartTailText()));
-    fields.push_back(telemetry::EventField::Text("port_ops",
-                                                 report.dump.PortOpsText()));
-    fields.push_back(telemetry::EventField::Text("events", report.dump.EventsText()));
-    EmitEventLocked(elapsed, "bug_report", shard, std::move(fields));
-  }
+    return telemetry::ReportBug{
+        .catalog_id = catalog_id, .detector = report.detector, .kind = report.kind,
+        .operation = info != nullptr ? info->operation : "", .first_exec = report.first_exec,
+        .board = shard, .seed_stream = report.seed_stream, .coverage_delta = coverage_delta,
+        .snapshot_validation = report.snapshot_validation,
+        .last_restore = report.dump.last_restore, .excerpt = report.excerpt,
+        .program = report.program_text, .dump_reason = report.dump.reason,
+        .uart_tail = report.dump.UartTailText(), .port_ops = report.dump.PortOpsText(),
+        .events = report.dump.EventsText()};
+  });
   if (confirmed) {
     result_.bugs.push_back(std::move(report));
     EOF_LOG(kDebug) << options_.os_name << ": bug #" << catalog_id << " via "
@@ -272,9 +241,9 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
         coverage_delta_log_.push_back(hit.edge);
       }
     }
-    EmitEventLocked(elapsed, "new_coverage", ShardLabel(worker),
-                    {telemetry::EventField::Uint("fresh", fresh),
-                     telemetry::EventField::Uint("total", coverage_.Count())});
+    telemetry::Journal(sink_, elapsed, ShardLabel(worker), [&] {
+      return telemetry::NewCoverageRow{fresh, coverage_.Count()};
+    });
   }
   if (options_.coverage_feedback && fresh > 0) {
     const fuzz::Program* admit = &program;
@@ -285,10 +254,9 @@ void CampaignScheduler::OnOutcome(const fuzz::Program& program, const ExecOutcom
       trim_kept_calls_->Add(trim_stats.kept_calls);
       trim_removed_calls_->Add(trim_stats.removed_calls);
       if (trim_stats.removed_calls > 0) {
-        EmitEventLocked(elapsed, "trim", ShardLabel(worker),
-                        {telemetry::EventField::Uint("kept", trim_stats.kept_calls),
-                         telemetry::EventField::Uint("removed",
-                                                     trim_stats.removed_calls)});
+        telemetry::Journal(sink_, elapsed, ShardLabel(worker), [&] {
+          return telemetry::TrimRow{trim_stats.kept_calls, trim_stats.removed_calls};
+        });
       }
       admit = &trimmed;
     }

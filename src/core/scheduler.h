@@ -258,8 +258,6 @@ class CampaignScheduler {
                        const ExecOutcome& outcome, uint64_t coverage_delta,
                        VirtualTime elapsed, int worker);
   void AdvanceFrontierLocked(int worker, VirtualTime elapsed);
-  void EmitEventLocked(VirtualTime at, const char* type, int worker,
-                       std::vector<telemetry::EventField> fields);
 
   const spec::CompiledSpecs& specs_;
   Options options_;

@@ -8,6 +8,7 @@
 #include "src/common/coverage_serial.h"
 #include "src/common/hash.h"
 #include "src/common/strings.h"
+#include "src/telemetry/rows.h"
 #include "src/telemetry/snapshot.h"
 
 namespace eof {
@@ -67,9 +68,8 @@ Result<std::unique_ptr<Orchestrator>> Orchestrator::Create(Options options) {
     if (orchestrator->options_.journal_rotate_bytes > 0) {
       ASSIGN_OR_RETURN(
           orchestrator->file_sink_,
-          telemetry::RotatingFileEventSink::Open(
-              orchestrator->options_.metrics_out,
-              orchestrator->options_.journal_rotate_bytes, /*buffer_lines=*/1));
+          telemetry::RotatingFileEventSink::Open(orchestrator->options_.metrics_out,
+                                                 orchestrator->options_.journal_rotate_bytes));
     } else {
       ASSIGN_OR_RETURN(
           orchestrator->file_sink_,
@@ -97,20 +97,6 @@ telemetry::EventSink* Orchestrator::sink() const {
   return file_sink_.get();
 }
 
-void Orchestrator::EmitLocked(VirtualTime at, const char* type, int worker,
-                              std::vector<telemetry::EventField> fields) {
-  telemetry::EventSink* out = sink();
-  if (out == nullptr) {
-    return;
-  }
-  telemetry::Event event;
-  event.at = at;
-  event.type = type;
-  event.worker = worker;
-  event.fields = std::move(fields);
-  out->Emit(event);
-}
-
 Status Orchestrator::AddCampaign(const FleetCampaignSpec& spec) {
   if (spec.campaign_id.empty()) {
     return InvalidArgumentError("AddCampaign: campaign_id must be non-empty");
@@ -136,17 +122,12 @@ Status Orchestrator::AddCampaign(const FleetCampaignSpec& spec) {
   }
   // The orchestrator's campaign_start mirrors the in-process row (so `eof
   // report` reads the same envelope) with the fleet markers appended last.
-  EmitLocked(0, "campaign_start", -1,
-             {telemetry::EventField::Text("os", spec.config.os_name),
-              telemetry::EventField::Text("board", spec.config.board_name.empty()
-                                                       ? "default"
-                                                       : spec.config.board_name),
-              telemetry::EventField::Uint("workers", static_cast<uint64_t>(spec.shards)),
-              telemetry::EventField::Uint("seed", spec.config.seed),
-              telemetry::EventField::Uint("budget_us", spec.config.budget),
-              telemetry::EventField::Uint("interval_us", spec.config.metrics_interval),
-              telemetry::EventField::Text("campaign", spec.campaign_id),
-              telemetry::EventField::Uint("fleet", 1)});
+  telemetry::Journal(sink(), 0, -1, [&] {
+    return telemetry::CampaignStartRow{
+        spec.config.os_name, spec.config.board_name.empty() ? "default" : spec.config.board_name,
+        static_cast<uint64_t>(spec.shards), spec.config.seed, spec.config.budget,
+        spec.config.metrics_interval, spec.campaign_id, /*fleet=*/1};
+  });
   campaigns_.push_back(std::move(campaign));
   return OkStatus();
 }
@@ -239,12 +220,12 @@ void Orchestrator::ReapLocked() {
       reclaimed_from.insert(shard.worker);
       shard.phase = ShardPhase::kPending;
       campaign->metrics.RegisterCounter("fleet.leases_reclaimed")->Increment();
-      EmitLocked(campaign->snapshot_at_us, "lease_reclaim",
-                 static_cast<int>(shard.worker),
-                 {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-                  telemetry::EventField::Uint("lease", shard.lease_id),
-                  telemetry::EventField::Uint("shard", i),
-                  telemetry::EventField::Uint("attempt", shard.attempt)});
+      telemetry::Journal(sink(), campaign->snapshot_at_us, static_cast<int>(shard.worker),
+                         [&] {
+                           return telemetry::LeaseReclaimRow{{campaign->spec.campaign_id,
+                                                              shard.lease_id, i,
+                                                              shard.attempt}};
+                         });
       shard.lease_id = 0;
     }
     for (uint32_t worker : reclaimed_from) {
@@ -252,9 +233,9 @@ void Orchestrator::ReapLocked() {
       if (it != workers_.end() && !it->second.lost) {
         it->second.lost = true;
         campaign->metrics.RegisterCounter("fleet.workers_lost")->Increment();
-        EmitLocked(campaign->snapshot_at_us, "worker_lost", static_cast<int>(worker),
-                   {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-                    telemetry::EventField::Text("name", it->second.name)});
+        telemetry::Journal(sink(), campaign->snapshot_at_us, static_cast<int>(worker), [&] {
+          return telemetry::WorkerLostRow{campaign->spec.campaign_id, it->second.name};
+        });
       }
     }
   }
@@ -343,11 +324,10 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
     lease.attempt = shard.attempt;
     grant.leases.push_back(lease);
     best->metrics.RegisterCounter("fleet.leases_granted")->Increment();
-    EmitLocked(best->snapshot_at_us, "lease_grant", static_cast<int>(msg.worker_id),
-               {telemetry::EventField::Text("campaign", best->spec.campaign_id),
-                telemetry::EventField::Uint("lease", lease.lease_id),
-                telemetry::EventField::Uint("shard", lease.shard),
-                telemetry::EventField::Uint("attempt", lease.attempt)});
+    telemetry::Journal(sink(), best->snapshot_at_us, static_cast<int>(msg.worker_id), [&] {
+      return telemetry::LeaseGrantRow{best->spec.campaign_id, lease.lease_id, lease.shard,
+                                      lease.attempt};
+    });
   }
   best->workers_served.insert(msg.worker_id);
 
@@ -396,10 +376,10 @@ void Orchestrator::AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
   }
   if (admitted > 0) {
     campaign->metrics.RegisterCounter("fleet.corpus_syncs")->Increment();
-    EmitLocked(campaign->snapshot_at_us, "corpus_sync", static_cast<int>(worker),
-               {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-                telemetry::EventField::Uint("programs", admitted),
-                telemetry::EventField::Uint("corpus", campaign->corpus.size())});
+    telemetry::Journal(sink(), campaign->snapshot_at_us, static_cast<int>(worker), [&] {
+      return telemetry::CorpusSyncRow{campaign->spec.campaign_id, admitted,
+                                      campaign->corpus.size()};
+    });
   }
 }
 
@@ -453,11 +433,10 @@ SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
     sync_execs += progress.execs;
     if (progress.completed != 0) {
       shard.phase = ShardPhase::kDone;
-      EmitLocked(shard.elapsed_us, "lease_complete", static_cast<int>(msg.worker_id),
-                 {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-                  telemetry::EventField::Uint("lease", progress.lease_id),
-                  telemetry::EventField::Uint("shard", index),
-                  telemetry::EventField::Uint("execs", progress.execs)});
+      telemetry::Journal(sink(), shard.elapsed_us, static_cast<int>(msg.worker_id), [&] {
+        return telemetry::LeaseCompleteRow{campaign->spec.campaign_id, progress.lease_id,
+                                           index, progress.execs};
+      });
     }
   }
 
@@ -485,11 +464,10 @@ SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
   ack.campaign_done = CampaignDoneLocked(*campaign) ? 1 : 0;
 
   worker_it->second.execs_live = sync_execs;
-  EmitLocked(campaign->snapshot_at_us, "heartbeat", static_cast<int>(msg.worker_id),
-             {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-              telemetry::EventField::Uint("seq", msg.seq),
-              telemetry::EventField::Uint("leases", msg.shards.size()),
-              telemetry::EventField::Uint("execs", sync_execs)});
+  telemetry::Journal(sink(), campaign->snapshot_at_us, static_cast<int>(msg.worker_id), [&] {
+    return telemetry::HeartbeatRow{campaign->spec.campaign_id, msg.seq, msg.shards.size(),
+                                   sync_execs};
+  });
 
   // Farm row at the campaign frontier: the slowest still-running shard (or the
   // slowest overall once everything finished), monotone by construction.
@@ -537,11 +515,10 @@ FinalAckMsg Orchestrator::HandleFinal(const WorkerFinalMsg& msg) {
       std::max(worker_it->second.journal_dropped, msg.journal_dropped);
   uint64_t& dropped = campaign->worker_dropped[msg.worker_id];
   dropped = std::max(dropped, msg.journal_dropped);
-  EmitLocked(msg.elapsed_us, "worker_final", static_cast<int>(msg.worker_id),
-             {telemetry::EventField::Text("campaign", campaign->spec.campaign_id),
-              telemetry::EventField::Uint("execs", batch.execs),
-              telemetry::EventField::Uint("coverage", batch.final_coverage),
-              telemetry::EventField::Uint("crashes", batch.crashes)});
+  telemetry::Journal(sink(), msg.elapsed_us, static_cast<int>(msg.worker_id), [&] {
+    return telemetry::WorkerFinalRow{campaign->spec.campaign_id, batch.execs,
+                                     batch.final_coverage, batch.crashes};
+  });
   return ack;
 }
 
@@ -573,38 +550,30 @@ CampaignResult Orchestrator::MergedResultLocked(const CampaignState& campaign) c
 void Orchestrator::EmitFarmRowLocked(CampaignState* campaign, VirtualTime at) {
   at = std::max<VirtualTime>(at, campaign->snapshot_at_us);
   campaign->snapshot_at_us = at;
-  // The merged finals' counters, with the campaign.* values the orchestrator
-  // tracks live laid over them.
-  telemetry::MetricsSnapshot snapshot = campaign->final_metrics;
-  uint64_t execs = 0;
-  for (const ShardState& shard : campaign->shards) {
-    execs += shard.execs;
-  }
-  snapshot.counters["campaign.execs"] = execs;
-  snapshot.counters["campaign.bugs"] = campaign->bugs.size();
-  snapshot.gauges["campaign.coverage"] = campaign->coverage.Count();
-  snapshot.gauges["campaign.corpus"] = campaign->corpus.size();
-  telemetry::EventSink* out = sink();
-  if (out == nullptr) {
-    return;
-  }
-  telemetry::Event event;
-  event.at = at;
-  event.type = "farm_snapshot";
-  event.worker = -1;
-  event.fields.push_back(telemetry::EventField::Uint("boards", campaign->shards.size()));
-  event.fields.push_back(
-      telemetry::EventField::Real("execs_per_vsec", telemetry::PerVirtualSecond(execs, at)));
-  telemetry::AppendCampaignColumns(snapshot, &event);
-  // `journal_dropped` is this (orchestrator) sink's own drop count;
-  // `journal_dropped_workers` sums the latest worker-reported per-sink counts,
-  // so a drop is attributable to a specific sink rather than one aggregate.
-  event.fields.push_back(telemetry::EventField::Uint("journal_dropped", out->dropped()));
-  event.fields.push_back(telemetry::EventField::Uint(
-      "journal_dropped_workers", MergedResultLocked(*campaign).journal_dropped));
-  event.fields.push_back(
-      telemetry::EventField::Text("campaign", campaign->spec.campaign_id));
-  out->Emit(event);
+  telemetry::Journal(sink(), at, -1, [&] {
+    // The merged finals' counters, with the campaign.* values the orchestrator
+    // tracks live laid over them.
+    telemetry::MetricsSnapshot snapshot = campaign->final_metrics;
+    uint64_t execs = 0;
+    for (const ShardState& shard : campaign->shards) {
+      execs += shard.execs;
+    }
+    snapshot.counters["campaign.execs"] = execs;
+    snapshot.counters["campaign.bugs"] = campaign->bugs.size();
+    snapshot.gauges["campaign.coverage"] = campaign->coverage.Count();
+    snapshot.gauges["campaign.corpus"] = campaign->corpus.size();
+    telemetry::FleetFarmSnapshotRow row;
+    row.boards = campaign->shards.size();
+    row.execs_per_vsec = telemetry::PerVirtualSecond(execs, at);
+    row.campaign = telemetry::CampaignColumnsOf(snapshot);
+    // `journal_dropped` is this (orchestrator) sink's own drop count;
+    // `journal_dropped_workers` sums the latest worker-reported per-sink counts,
+    // so a drop is attributable to a specific sink rather than one aggregate.
+    row.journal_dropped = sink()->dropped();
+    row.journal_dropped_workers = MergedResultLocked(*campaign).journal_dropped;
+    row.campaign_id = campaign->spec.campaign_id;
+    return row;
+  });
 }
 
 void Orchestrator::FinalizeCampaignLocked(CampaignState* campaign) {
@@ -615,9 +584,7 @@ void Orchestrator::FinalizeCampaignLocked(CampaignState* campaign) {
   VirtualTime elapsed = MergedResultLocked(*campaign).elapsed;
   EmitFarmRowLocked(campaign, elapsed);
   telemetry::EventSink* out = sink();
-  EmitLocked(elapsed, "campaign_end", -1,
-             {telemetry::EventField::Uint("journal_dropped",
-                                          out == nullptr ? 0 : out->dropped())});
+  telemetry::Journal(out, elapsed, -1, [&] { return telemetry::CampaignEndRow{out->dropped()}; });
   if (out != nullptr) {
     out->Flush();
   }

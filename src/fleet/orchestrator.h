@@ -186,8 +186,6 @@ class Orchestrator {
 
   uint64_t NowMs() const;
   telemetry::EventSink* sink() const;
-  void EmitLocked(VirtualTime at, const char* type, int worker,
-                  std::vector<telemetry::EventField> fields);
 
   HelloAckMsg HandleHello(const HelloMsg& msg);
   Frame HandleLeaseRequest(const LeaseRequestMsg& msg);

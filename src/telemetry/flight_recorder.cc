@@ -179,18 +179,5 @@ std::string FlightDump::RenderText() const {
   return out;
 }
 
-std::vector<EventField> FlightDump::ToEventFields() const {
-  std::vector<EventField> fields;
-  fields.push_back(EventField::Text("reason", reason));
-  fields.push_back(EventField::Text("last_restore", last_restore));
-  fields.push_back(EventField::Uint("port_ops_seen", port_ops_seen));
-  fields.push_back(EventField::Uint("uart_lines_seen", uart_lines_seen));
-  fields.push_back(EventField::Uint("events_seen", events_seen));
-  fields.push_back(EventField::Text("port_ops", PortOpsText()));
-  fields.push_back(EventField::Text("uart_tail", UartTailText()));
-  fields.push_back(EventField::Text("events", EventsText()));
-  return fields;
-}
-
 }  // namespace telemetry
 }  // namespace eof

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/common/vclock.h"
-#include "src/telemetry/journal.h"
 
 namespace eof {
 namespace telemetry {
@@ -99,10 +98,6 @@ struct FlightDump {
   // Human-readable multi-line rendering (the form embedded in BugReport and the
   // `eof report` bug table).
   std::string RenderText() const;
-
-  // The rings as compact newline-joined text columns, for embedding in a
-  // "crash_dump" / "bug_report" journal row. Also carries the reason and totals.
-  std::vector<EventField> ToEventFields() const;
 };
 
 class FlightRecorder {

@@ -1,33 +1,10 @@
 #include "src/telemetry/journal.h"
 
 #include "src/common/strings.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace telemetry {
-
-EventField EventField::Uint(std::string key, uint64_t value) {
-  EventField field;
-  field.key = std::move(key);
-  field.kind = Kind::kUint;
-  field.uint_value = value;
-  return field;
-}
-
-EventField EventField::Real(std::string key, double value) {
-  EventField field;
-  field.key = std::move(key);
-  field.kind = Kind::kReal;
-  field.real_value = value;
-  return field;
-}
-
-EventField EventField::Text(std::string key, std::string value) {
-  EventField field;
-  field.key = std::move(key);
-  field.kind = Kind::kText;
-  field.text_value = std::move(value);
-  return field;
-}
 
 std::string JsonEscape(std::string_view text) {
   std::string out;
@@ -66,19 +43,9 @@ std::string Event::ToJsonLine() const {
   if (worker >= 0) {
     line += StrFormat(",\"worker\":%d", worker);
   }
-  for (const EventField& field : fields) {
-    line += StrFormat(",\"%s\":", JsonEscape(field.key).c_str());
-    switch (field.kind) {
-      case EventField::Kind::kUint:
-        line += StrFormat("%llu", static_cast<unsigned long long>(field.uint_value));
-        break;
-      case EventField::Kind::kReal:
-        line += StrFormat("%.4f", field.real_value);
-        break;
-      case EventField::Kind::kText:
-        line += StrFormat("\"%s\"", JsonEscape(field.text_value).c_str());
-        break;
-    }
+  if (!fields.empty()) {
+    line += ',';
+    line += fields;
   }
   line += "}";
   return line;
@@ -152,8 +119,7 @@ std::string RotatingFileEventSink::SegmentName(const std::string& stem,
 }
 
 Result<std::unique_ptr<RotatingFileEventSink>> RotatingFileEventSink::Open(
-    const std::string& base_path, uint64_t rotate_bytes, size_t buffer_lines) {
-  (void)buffer_lines;  // write-through; see the class comment
+    const std::string& base_path, uint64_t rotate_bytes) {
   if (rotate_bytes == 0) {
     return InvalidArgumentError("RotatingFileEventSink: rotate_bytes must be positive");
   }
@@ -204,26 +170,17 @@ bool RotatingFileEventSink::RotateLocked() {
   // Close the old segment with its manifest row, then open the new one with a
   // header row. Both are stamped at the last event's virtual time so rotation
   // never perturbs the journal's (virtual-time-only) determinism.
-  Event rotate;
-  rotate.at = last_at_;
-  rotate.type = "journal_rotate";
-  rotate.fields = {EventField::Uint("segment", segment_),
-                   EventField::Uint("bytes", segment_bytes_),
-                   EventField::Uint("rows", segment_rows_),
-                   EventField::Text("next", next)};
-  WriteLineLocked(rotate.ToJsonLine());
+  WriteLineLocked(
+      RowEvent(last_at_, -1, JournalRotateRow{segment_, segment_bytes_, segment_rows_, next})
+          .ToJsonLine());
   fclose(file_);
   file_ = next_file;
   ++segment_;
   segment_bytes_ = 0;
   segment_rows_ = 0;
   segments_.push_back(next);
-  Event header;
-  header.at = last_at_;
-  header.type = "journal_segment";
-  header.fields = {EventField::Uint("segment", segment_),
-                   EventField::Text("base", stem_ + suffix_)};
-  WriteLineLocked(header.ToJsonLine());
+  WriteLineLocked(
+      RowEvent(last_at_, -1, JournalSegmentRow{segment_, stem_ + suffix_}).ToJsonLine());
   return true;
 }
 
@@ -237,15 +194,9 @@ bool RotatingFileEventSink::Emit(const Event& event) {
   // that will close this segment, sized against the exact counters it would
   // carry if this line were the segment's last.
   if (segment_rows_ > 0) {
-    Event rotate;
-    rotate.at = event.at;
-    rotate.type = "journal_rotate";
-    rotate.fields = {
-        EventField::Uint("segment", segment_),
-        EventField::Uint("bytes", segment_bytes_ + line.size() + 1),
-        EventField::Uint("rows", segment_rows_ + 1),
-        EventField::Text("next", SegmentName(stem_, suffix_, segment_ + 1))};
-    uint64_t close_cost = rotate.ToJsonLine().size() + 1;
+    JournalRotateRow rotate{segment_, segment_bytes_ + line.size() + 1, segment_rows_ + 1,
+                            SegmentName(stem_, suffix_, segment_ + 1)};
+    uint64_t close_cost = RowEvent(event.at, -1, rotate).ToJsonLine().size() + 1;
     if (segment_bytes_ + line.size() + 1 + close_cost > rotate_bytes_) {
       RotateLocked();
     }

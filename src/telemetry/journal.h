@@ -24,28 +24,13 @@
 namespace eof {
 namespace telemetry {
 
-// One typed key/value of an event: an unsigned integer, a real (for rates), or a
-// string. Kept as a tagged struct rather than std::variant so rendering stays a
-// straight-line switch.
-struct EventField {
-  enum class Kind : uint8_t { kUint, kReal, kText };
-
-  std::string key;
-  Kind kind = Kind::kUint;
-  uint64_t uint_value = 0;
-  double real_value = 0;
-  std::string text_value;
-
-  static EventField Uint(std::string key, uint64_t value);
-  static EventField Real(std::string key, double value);
-  static EventField Text(std::string key, std::string value);
-};
-
+// One journal row, as its type's field list (src/telemetry/rows.h) rendered it.
+// Producers build events with RowEvent or Journal, never field by field.
 struct Event {
   VirtualTime at = 0;  // virtual microseconds; the only timestamp an event carries
   std::string type;    // "new_coverage", "bug", "liveness_reset", "board_snapshot", ...
   int worker = -1;     // board index; -1 = campaign scope
-  std::vector<EventField> fields;
+  std::string fields;  // the row's fields, rendered: "catalog_id":7,...
 
   // One JSON object, no trailing newline:
   //   {"type":"bug","t_us":12000,"worker":0,"catalog_id":7,...}
@@ -126,8 +111,7 @@ class FileEventSink : public EventSink {
 class RotatingFileEventSink : public EventSink {
  public:
   static Result<std::unique_ptr<RotatingFileEventSink>> Open(
-      const std::string& base_path, uint64_t rotate_bytes,
-      size_t buffer_lines = 1);
+      const std::string& base_path, uint64_t rotate_bytes);
   ~RotatingFileEventSink() override;
 
   bool Emit(const Event& event) override;

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
-#include <string_view>
+#include <variant>
 
 #include "src/common/strings.h"
 #include "src/telemetry/journal.h"
@@ -12,275 +11,17 @@
 namespace eof {
 namespace telemetry {
 
-uint64_t JournalRow::Uint(const std::string& key, uint64_t fallback) const {
-  auto it = uints.find(key);
-  if (it != uints.end()) {
-    return it->second;
-  }
-  auto real_it = reals.find(key);
-  if (real_it != reals.end() && real_it->second >= 0) {
-    return static_cast<uint64_t>(real_it->second);
-  }
-  return fallback;
-}
-
-double JournalRow::Real(const std::string& key, double fallback) const {
-  auto it = reals.find(key);
-  if (it != reals.end()) {
-    return it->second;
-  }
-  auto uint_it = uints.find(key);
-  if (uint_it != uints.end()) {
-    return static_cast<double>(uint_it->second);
-  }
-  return fallback;
-}
-
-const std::string& JournalRow::Text(const std::string& key) const {
-  static const std::string kEmpty;
-  auto it = texts.find(key);
-  return it == texts.end() ? kEmpty : it->second;
-}
-
-bool JournalRow::Has(const std::string& key) const {
-  return uints.count(key) > 0 || reals.count(key) > 0 || texts.count(key) > 0;
-}
-
 namespace {
 
-// Minimal strict parser for the flat JSON objects Event::ToJsonLine emits: string
-// keys, and string / unsigned / real values. Anything nested is a parse error —
-// the journal never produces it, so seeing it means the file is not a journal.
-class LineParser {
- public:
-  explicit LineParser(std::string_view text) : text_(text) {}
-
-  Status Parse(JournalRow* row) {
-    SkipSpace();
-    if (!Consume('{')) {
-      return InvalidArgumentError("expected '{'");
-    }
-    SkipSpace();
-    if (Consume('}')) {
-      return FinishRow(row);
-    }
-    while (true) {
-      std::string key;
-      RETURN_IF_ERROR(ParseString(&key));
-      SkipSpace();
-      if (!Consume(':')) {
-        return InvalidArgumentError("expected ':' after key '" + key + "'");
-      }
-      SkipSpace();
-      RETURN_IF_ERROR(ParseValue(key, row));
-      SkipSpace();
-      if (Consume(',')) {
-        SkipSpace();
-        continue;
-      }
-      if (Consume('}')) {
-        break;
-      }
-      return InvalidArgumentError("expected ',' or '}' after value of '" + key + "'");
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return InvalidArgumentError("trailing characters after object");
-    }
-    return FinishRow(row);
-  }
-
- private:
-  Status FinishRow(JournalRow* row) {
-    auto type_it = row->texts.find("type");
-    if (type_it == row->texts.end()) {
-      return InvalidArgumentError("row has no \"type\" key");
-    }
-    row->type = type_it->second;
-    row->texts.erase(type_it);
-    auto at_it = row->uints.find("t_us");
-    if (at_it != row->uints.end()) {
-      row->at = at_it->second;
-      row->uints.erase(at_it);
-    }
-    auto worker_it = row->uints.find("worker");
-    if (worker_it != row->uints.end()) {
-      row->worker = static_cast<int>(worker_it->second);
-      row->uints.erase(worker_it);
-    }
-    return OkStatus();
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status ParseString(std::string* out) {
-    if (!Consume('"')) {
-      return InvalidArgumentError("expected '\"'");
-    }
-    out->clear();
-    while (pos_ < text_.size()) {
-      char c = text_[pos_++];
-      if (c == '"') {
-        return OkStatus();
-      }
-      if (c != '\\') {
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) {
-        break;
-      }
-      char esc = text_[pos_++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) {
-            return InvalidArgumentError("truncated \\u escape");
-          }
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return InvalidArgumentError("bad \\u escape digit");
-            }
-          }
-          // The journal only escapes control bytes; encode anything else as UTF-8.
-          if (code < 0x80) {
-            *out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            *out += static_cast<char>(0xC0 | (code >> 6));
-            *out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            *out += static_cast<char>(0xE0 | (code >> 12));
-            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            *out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default:
-          return InvalidArgumentError(StrFormat("bad escape '\\%c'", esc));
-      }
-    }
-    return InvalidArgumentError("unterminated string");
-  }
-
-  Status ParseValue(const std::string& key, JournalRow* row) {
-    if (pos_ < text_.size() && text_[pos_] == '"') {
-      std::string value;
-      RETURN_IF_ERROR(ParseString(&value));
-      row->texts[key] = std::move(value);
-      return OkStatus();
-    }
-    size_t start = pos_;
-    bool real = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if ((c >= '0' && c <= '9') || c == '-' || c == '+') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E') {
-        real = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    if (pos_ == start) {
-      return InvalidArgumentError("expected a string or number value for '" + key +
-                                  "' (the journal holds nothing else)");
-    }
-    std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    if (real || token[0] == '-') {
-      double value = std::strtod(token.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return InvalidArgumentError("malformed number '" + token + "'");
-      }
-      row->reals[key] = value;
-      return OkStatus();
-    }
-    uint64_t value = std::strtoull(token.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0') {
-      return InvalidArgumentError("malformed number '" + token + "'");
-    }
-    row->uints[key] = value;
-    return OkStatus();
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
+// One visitor out of several lambdas, for std::visit over AnyRow.
+template <class... Handlers>
+struct Overloaded : Handlers... {
+  using Handlers::operator()...;
 };
+template <class... Handlers>
+Overloaded(Handlers...) -> Overloaded<Handlers...>;
 
 }  // namespace
-
-Result<JournalRow> ParseJournalLine(std::string_view line) {
-  JournalRow row;
-  RETURN_IF_ERROR(LineParser(line).Parse(&row));
-  return row;
-}
-
-Result<std::vector<JournalRow>> ParseJournal(std::string_view text) {
-  std::vector<JournalRow> rows;
-  size_t line_number = 0;
-  size_t begin = 0;
-  while (begin <= text.size()) {
-    size_t end = text.find('\n', begin);
-    if (end == std::string_view::npos) {
-      end = text.size();
-    }
-    ++line_number;
-    std::string_view line = StripWhitespace(text.substr(begin, end - begin));
-    if (!line.empty()) {
-      auto row = ParseJournalLine(line);
-      if (!row.ok()) {
-        return InvalidArgumentError(StrFormat(
-            "line %zu: %s", line_number, row.status().message().c_str()));
-      }
-      rows.push_back(std::move(row).value());
-    }
-    if (end == text.size()) {
-      break;
-    }
-    begin = end + 1;
-  }
-  return rows;
-}
-
-uint64_t BoardAccounting::OtherUs() const {
-  // recovery_us already contains any reflash performed during recovery, so the
-  // attributed total counts reflash time only once (standalone reflashes outside a
-  // recovery span do not occur in the current executor, but guard anyway).
-  uint64_t attributed = exec_us + drain_us + recovery_us + deploy_us;
-  uint64_t standalone_reflash = reflash_us > recovery_us ? reflash_us - recovery_us : 0;
-  attributed += standalone_reflash;
-  return clock > attributed ? clock - attributed : 0;
-}
 
 CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
   CampaignReport report;
@@ -291,135 +32,105 @@ CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
   std::map<int, BoardAccounting> boards;
   std::map<int, uint64_t> dedup_hits;
 
-  for (const JournalRow& row : rows) {
-    if (row.type == "campaign_start") {
-      saw_start = true;
-      // Merged fleet journals hold one campaign_start per process; the
-      // orchestrator's (fleet=1) is the campaign envelope, worker rows only
-      // describe their own batch and never override it.
-      bool fleet_row = row.Uint("fleet") != 0;
-      if (fleet_row) {
-        report.fleet.present = true;
-      }
-      if (!saw_fleet_start) {
-        saw_fleet_start = fleet_row;
-        report.os = row.Text("os");
-        report.board = row.Text("board");
-        report.workers = row.Uint("workers");
-        report.seed = row.Uint("seed");
-        report.budget = row.Uint("budget_us");
-        report.interval = row.Uint("interval_us");
-      }
-      if (report.campaign.empty()) {
-        report.campaign = row.Text("campaign");
-      }
-    } else if (row.type == "farm_snapshot") {
-      ReportSample sample;
-      sample.at = row.at;
-      sample.coverage =
-          row.Has("campaign_coverage") ? row.Uint("campaign_coverage") : row.Uint("coverage");
-      sample.execs =
-          row.Has("campaign_execs") ? row.Uint("campaign_execs") : row.Uint("execs");
-      sample.execs_per_vsec = row.Real("execs_per_vsec");
-      report.series.push_back(sample);
-      report.end = row.at;
-      report.final_coverage = sample.coverage;
-      report.final_execs = sample.execs;
-      report.crashes = row.Uint("crashes");
-      report.corpus = row.Uint("corpus");
-      snapshot_bugs = row.Uint("bugs");
-      report.trim_removed_calls = row.Uint("trim_removed_calls");
-      report.trim_kept_calls = row.Uint("trim_kept_calls");
-      if (row.Uint("journal_dropped") > report.journal_dropped) {
-        report.journal_dropped = row.Uint("journal_dropped");
-      }
-    } else if (row.type == "board_snapshot") {
-      BoardAccounting& board = boards[row.worker];
-      board.worker = row.worker;
-      board.clock = row.at;
-      board.execs = row.Uint("execs");
-      board.restores = row.Uint("restores");
-      board.snapshot_restores = row.Uint("snapshot_restores");
-      board.stalls = row.Uint("stalls");
-      board.timeouts = row.Uint("timeouts");
-      board.exec_us = row.Uint("exec_us");
-      board.drain_us = row.Uint("drain_us");
-      board.reflash_us = row.Uint("reflash_us");
-      board.recovery_us = row.Uint("recovery_us");
-      board.deploy_us = row.Uint("deploy_us");
-      board.overlapped_drains = row.Uint("overlapped_drains");
-      board.drain_overlap_saved_us = row.Uint("drain_overlap_saved_us");
-    } else if (row.type == "bug_report") {
-      ReportBug bug;
-      bug.catalog_id = static_cast<int>(row.Uint("catalog_id"));
-      bug.detector = row.Text("detector");
-      bug.kind = row.Text("kind");
-      bug.operation = row.Text("operation");
-      bug.excerpt = row.Text("excerpt");
-      bug.program = row.Text("program");
-      bug.at = row.at;
-      bug.first_exec = row.Uint("first_exec");
-      bug.board = static_cast<int>(row.Uint("board"));
-      bug.seed_stream = row.Uint("seed_stream");
-      bug.coverage_delta = row.Uint("coverage_delta");
-      bug.snapshot_validation = row.Text("snapshot_validation");
-      bug.last_restore = row.Text("last_restore");
-      bug.dump_reason = row.Text("dump_reason");
-      bug.uart_tail = row.Text("uart_tail");
-      bug.port_ops = row.Text("port_ops");
-      bug.events = row.Text("events");
-      // Validation-rejected sightings stay out of the bug table (they would also
-      // break the snapshot-vs-journal bug count consistency check below).
-      if (bug.snapshot_validation == "rejected") {
-        report.rejected_bugs.push_back(std::move(bug));
-      } else {
-        report.bugs.push_back(std::move(bug));
-      }
-    } else if (row.type == "bug_dedup") {
-      ++dedup_hits[static_cast<int>(row.Uint("catalog_id"))];
-    } else if (row.type == "liveness_reset") {
-      ++report.resets_by_reason[row.Text("reason")];
-      // Pre-snapshot journals have no "restore" field; those were all cold reboots.
-      const std::string& mode = row.Text("restore");
-      ++report.restores_by_mode[mode.empty() ? "cold" : mode];
-    } else if (row.type == "crash_dump") {
-      ++report.crash_dumps;
-    } else if (row.type == "campaign_end") {
-      saw_end = true;
-      // Merged journals carry one campaign_end per process; the campaign ends
-      // when the last one does.
-      if (row.at > report.end) {
-        report.end = row.at;
-      }
-      if (row.Uint("journal_dropped") > report.journal_dropped) {
-        report.journal_dropped = row.Uint("journal_dropped");
-      }
-    } else if (row.type == "lease_grant") {
-      report.fleet.present = true;
-      ++report.fleet.leases_granted;
-    } else if (row.type == "lease_complete") {
-      report.fleet.present = true;
-      ++report.fleet.leases_completed;
-    } else if (row.type == "lease_reclaim") {
-      report.fleet.present = true;
-      ++report.fleet.leases_reclaimed;
-    } else if (row.type == "worker_lost") {
-      report.fleet.present = true;
-      ++report.fleet.workers_lost;
-    } else if (row.type == "heartbeat") {
-      report.fleet.present = true;
-      ++report.fleet.heartbeats;
-    } else if (row.type == "corpus_sync") {
-      report.fleet.present = true;
-      ++report.fleet.corpus_syncs;
-    } else if (row.type == "worker_final") {
-      report.fleet.present = true;
-      ++report.fleet.worker_finals;
-    }
-    // "bug", "new_coverage", "span", and future row types carry no report state the
-    // rows above do not already cover.
-  }
+  auto fleet_row = [&](uint64_t* counter) {
+    report.fleet.present = true;
+    ++*counter;
+  };
+  // The campaign truths both farm rows carry.
+  auto fold_farm = [&](VirtualTime at, const CampaignColumns& campaign,
+                       double execs_per_vsec, uint64_t journal_dropped) {
+    report.series.push_back({at, campaign.campaign_coverage, campaign.campaign_execs,
+                             execs_per_vsec});
+    report.end = at;
+    report.final_coverage = campaign.campaign_coverage;
+    report.final_execs = campaign.campaign_execs;
+    report.crashes = campaign.crashes;
+    report.corpus = campaign.corpus;
+    snapshot_bugs = campaign.bugs;
+    report.trim_removed_calls = campaign.trim_removed_calls;
+    report.trim_kept_calls = campaign.trim_kept_calls;
+    report.journal_dropped = std::max(report.journal_dropped, journal_dropped);
+  };
 
+  for (const JournalRow& row : rows) {
+    Result<AnyRow> typed = DecodeRow(row);
+    if (!typed.ok()) {
+      report.warnings.push_back(typed.status().message());
+      continue;
+    }
+    std::visit(
+        Overloaded{
+            [&](const CampaignStartRow& start) {
+              saw_start = true;
+              // Merged fleet journals hold one campaign_start per process; the
+              // orchestrator's (fleet=1) is the campaign envelope, worker rows only
+              // describe their own batch and never override it.
+              bool envelope = start.fleet != 0;
+              report.fleet.present = report.fleet.present || envelope;
+              if (!saw_fleet_start) {
+                saw_fleet_start = envelope;
+                report.os = start.os;
+                report.board = start.board;
+                report.workers = start.workers;
+                report.seed = start.seed;
+                report.budget = start.budget_us;
+                report.interval = start.interval_us;
+              }
+              if (report.campaign.empty()) {
+                report.campaign = start.campaign;
+              }
+            },
+            [&](const FarmSnapshotRow& farm) {
+              fold_farm(row.at, farm.campaign, farm.board.execs_per_vsec,
+                        farm.journal_dropped);
+            },
+            [&](const FleetFarmSnapshotRow& farm) {
+              fold_farm(row.at, farm.campaign, farm.execs_per_vsec, farm.journal_dropped);
+            },
+            [&](const BoardAccounting& board) {
+              BoardAccounting& last = boards[row.worker];
+              last = board;
+              last.worker = row.worker;
+              last.clock = row.at;
+            },
+            [&](const ReportBug& sighting) {
+              ReportBug bug = sighting;
+              bug.at = row.at;
+              // Validation-rejected sightings stay out of the bug table (they would
+              // also break the snapshot-vs-journal bug count consistency check
+              // below).
+              if (bug.snapshot_validation == "rejected") {
+                report.rejected_bugs.push_back(std::move(bug));
+              } else {
+                report.bugs.push_back(std::move(bug));
+              }
+            },
+            [&](const BugDedupRow& dedup) { ++dedup_hits[dedup.catalog_id]; },
+            [&](const LivenessResetRow& reset) {
+              ++report.resets_by_reason[reset.reason];
+              ++report.restores_by_mode[reset.restore];
+            },
+            [&](const CrashDumpRow&) { ++report.crash_dumps; },
+            [&](const CampaignEndRow& end) {
+              saw_end = true;
+              // Merged journals carry one campaign_end per process; the campaign
+              // ends when the last one does.
+              report.end = std::max(report.end, row.at);
+              report.journal_dropped = std::max(report.journal_dropped, end.journal_dropped);
+            },
+            [&](const LeaseGrantRow&) { fleet_row(&report.fleet.leases_granted); },
+            [&](const LeaseCompleteRow&) { fleet_row(&report.fleet.leases_completed); },
+            [&](const LeaseReclaimRow&) { fleet_row(&report.fleet.leases_reclaimed); },
+            [&](const WorkerLostRow&) { fleet_row(&report.fleet.workers_lost); },
+            [&](const HeartbeatRow&) { fleet_row(&report.fleet.heartbeats); },
+            [&](const CorpusSyncRow&) { fleet_row(&report.fleet.corpus_syncs); },
+            [&](const WorkerFinalRow&) { fleet_row(&report.fleet.worker_finals); },
+            // bug, new_coverage, trim, delta_reflash, span and the rotation markers
+            // carry no report state the rows above do not already cover.
+            [](const auto&) {},
+        },
+        typed.value());
+  }
   if (report.fleet.present) {
     // Independent workers can journal the same deduplicated bug (each keeps its
     // own sighting until the next sync folds the orchestrator's table back in).
@@ -582,8 +293,7 @@ std::string CampaignReport::RenderText() const {
                      Percent(b.deploy_us, b.clock), Percent(b.OtherUs(), b.clock));
   }
 
-  // Attribution section only when the campaign produced any attribution signal:
-  // journals from pre-attribution builds (and plain campaigns) render unchanged.
+  // Attribution section only when the campaign produced any attribution signal.
   uint64_t total_overlapped = 0;
   uint64_t total_saved_us = 0;
   for (const BoardAccounting& b : boards) {
@@ -677,87 +387,34 @@ std::string CampaignReport::RenderText() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonUint(std::string* out, const char* key, uint64_t value, bool* first) {
-  if (!*first) {
-    *out += ',';
-  }
-  *first = false;
-  *out += StrFormat("\"%s\":%llu", key, static_cast<unsigned long long>(value));
-}
-
-void AppendJsonText(std::string* out, const char* key, const std::string& value,
-                    bool* first) {
-  if (!*first) {
-    *out += ',';
-  }
-  *first = false;
-  *out += StrFormat("\"%s\":\"%s\"", key, JsonEscape(value).c_str());
-}
-
-}  // namespace
-
 std::string CampaignReport::RenderJson() const {
   std::string out = "{";
-  bool first = true;
-  AppendJsonText(&out, "os", os, &first);
-  AppendJsonText(&out, "board", board, &first);
-  AppendJsonUint(&out, "workers", workers, &first);
-  AppendJsonUint(&out, "seed", seed, &first);
-  AppendJsonUint(&out, "budget_us", budget, &first);
-  AppendJsonUint(&out, "interval_us", interval, &first);
-  AppendJsonUint(&out, "end_us", end, &first);
-  AppendJsonUint(&out, "coverage", final_coverage, &first);
-  AppendJsonUint(&out, "execs", final_execs, &first);
-  AppendJsonUint(&out, "crashes", crashes, &first);
-  AppendJsonUint(&out, "bugs_found", bugs_found, &first);
-  AppendJsonUint(&out, "bugs_rejected", rejected_bugs.size(), &first);
-  AppendJsonUint(&out, "corpus", corpus, &first);
-  AppendJsonUint(&out, "journal_dropped", journal_dropped, &first);
-  AppendJsonUint(&out, "crash_dumps", crash_dumps, &first);
+  JsonWriter json(&out);
+  json("os", os)("board", board)("workers", workers)("seed", seed)("budget_us", budget)(
+      "interval_us", interval)("end_us", end)("coverage", final_coverage)("execs", final_execs)(
+      "crashes", crashes)("bugs_found", bugs_found)("bugs_rejected", rejected_bugs.size())(
+      "corpus", corpus)("journal_dropped", journal_dropped)("crash_dumps", crash_dumps);
 
   out += ",\n\"series\":[";
-  for (size_t i = 0; i < series.size(); ++i) {
-    const ReportSample& sample = series[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += StrFormat("{\"t_us\":%llu,\"coverage\":%llu,\"execs\":%llu,"
-                     "\"execs_per_vsec\":%.4f}",
-                     static_cast<unsigned long long>(sample.at),
-                     static_cast<unsigned long long>(sample.coverage),
-                     static_cast<unsigned long long>(sample.execs),
-                     sample.execs_per_vsec);
+  for (const ReportSample& sample : series) {
+    out += out.back() == '[' ? "{" : ",{";
+    json("t_us", sample.at)("coverage", sample.coverage)("execs", sample.execs)(
+        "execs_per_vsec", sample.execs_per_vsec);
+    out += '}';
   }
   out += "]";
 
   out += ",\n\"boards\":[";
-  for (size_t i = 0; i < boards.size(); ++i) {
-    const BoardAccounting& b = boards[i];
-    if (i > 0) {
-      out += ',';
-    }
-    out += '{';
-    bool bf = true;
-    AppendJsonUint(&out, "worker", static_cast<uint64_t>(b.worker), &bf);
-    AppendJsonUint(&out, "clock_us", b.clock, &bf);
-    AppendJsonUint(&out, "execs", b.execs, &bf);
-    AppendJsonUint(&out, "restores", b.restores, &bf);
-    AppendJsonUint(&out, "snapshot_restores", b.snapshot_restores, &bf);
-    AppendJsonUint(&out, "stalls", b.stalls, &bf);
-    AppendJsonUint(&out, "timeouts", b.timeouts, &bf);
-    AppendJsonUint(&out, "exec_us", b.exec_us, &bf);
-    AppendJsonUint(&out, "drain_us", b.drain_us, &bf);
-    AppendJsonUint(&out, "reflash_us", b.reflash_us, &bf);
-    AppendJsonUint(&out, "recovery_us", b.recovery_us, &bf);
-    AppendJsonUint(&out, "deploy_us", b.deploy_us, &bf);
-    AppendJsonUint(&out, "other_us", b.OtherUs(), &bf);
-    // Overlap keys only when the board actually overlapped drains, so reports from
-    // pre-attribution journals stay byte-identical.
+  for (const BoardAccounting& b : boards) {
+    out += out.back() == '[' ? "{" : ",{";
+    json("worker", b.worker)("clock_us", b.clock)("execs", b.execs)("restores", b.restores)(
+        "snapshot_restores", b.snapshot_restores)("stalls", b.stalls)("timeouts", b.timeouts)(
+        "exec_us", b.exec_us)("drain_us", b.drain_us)("reflash_us", b.reflash_us)(
+        "recovery_us", b.recovery_us)("deploy_us", b.deploy_us)("other_us", b.OtherUs());
+    // Overlap keys only when the board actually overlapped drains.
     if (b.overlapped_drains > 0) {
-      AppendJsonUint(&out, "overlapped_drains", b.overlapped_drains, &bf);
-      AppendJsonUint(&out, "drain_overlap_saved_us", b.drain_overlap_saved_us, &bf);
+      json("overlapped_drains", b.overlapped_drains)("drain_overlap_saved_us",
+                                                      b.drain_overlap_saved_us);
     }
     out += '}';
   }
@@ -771,106 +428,57 @@ std::string CampaignReport::RenderJson() const {
   }
   if (trim_removed_calls > 0 || trim_kept_calls > 0 || total_overlapped > 0) {
     out += ",\n\"attribution\":{";
-    bool af = true;
-    AppendJsonUint(&out, "trim_kept_calls", trim_kept_calls, &af);
-    AppendJsonUint(&out, "trim_removed_calls", trim_removed_calls, &af);
-    AppendJsonUint(&out, "overlapped_drains", total_overlapped, &af);
-    AppendJsonUint(&out, "drain_overlap_saved_us", total_saved_us, &af);
+    json("trim_kept_calls", trim_kept_calls)("trim_removed_calls", trim_removed_calls)(
+        "overlapped_drains", total_overlapped)("drain_overlap_saved_us", total_saved_us);
     out += "}";
   }
 
-  // Fleet object only for fleet journals, so legacy report JSON stays
-  // byte-identical.
+  // Fleet object only for fleet journals.
   if (fleet.present) {
     out += ",\n\"fleet\":{";
-    bool ff = true;
-    AppendJsonText(&out, "campaign", campaign, &ff);
-    AppendJsonUint(&out, "leases_granted", fleet.leases_granted, &ff);
-    AppendJsonUint(&out, "leases_completed", fleet.leases_completed, &ff);
-    AppendJsonUint(&out, "leases_reclaimed", fleet.leases_reclaimed, &ff);
-    AppendJsonUint(&out, "workers_lost", fleet.workers_lost, &ff);
-    AppendJsonUint(&out, "worker_finals", fleet.worker_finals, &ff);
-    AppendJsonUint(&out, "heartbeats", fleet.heartbeats, &ff);
-    AppendJsonUint(&out, "corpus_syncs", fleet.corpus_syncs, &ff);
+    json("campaign", campaign)("leases_granted", fleet.leases_granted)(
+        "leases_completed", fleet.leases_completed)("leases_reclaimed", fleet.leases_reclaimed)(
+        "workers_lost", fleet.workers_lost)("worker_finals", fleet.worker_finals)(
+        "heartbeats", fleet.heartbeats)("corpus_syncs", fleet.corpus_syncs);
     out += "}";
   }
 
-  out += ",\n\"resets\":{";
-  first = true;
-  for (const auto& [reason, count] : resets_by_reason) {
-    if (!first) {
-      out += ',';
+  // Count maps keyed by journal strings (reset reasons, restore modes).
+  auto append_counts = [&out](const char* name, const std::map<std::string, uint64_t>& counts) {
+    out += StrFormat(",\n\"%s\":{", name);
+    for (const auto& [key, count] : counts) {
+      out += StrFormat("%s\"%s\":%llu", out.back() == '{' ? "" : ",", JsonEscape(key).c_str(),
+                       static_cast<unsigned long long>(count));
     }
-    first = false;
-    out += StrFormat("\"%s\":%llu", JsonEscape(reason).c_str(),
-                     static_cast<unsigned long long>(count));
-  }
-  out += "}";
-
-  out += ",\n\"restores_by_mode\":{";
-  first = true;
-  for (const auto& [mode, count] : restores_by_mode) {
-    if (!first) {
-      out += ',';
-    }
-    first = false;
-    out += StrFormat("\"%s\":%llu", JsonEscape(mode).c_str(),
-                     static_cast<unsigned long long>(count));
-  }
-  out += "}";
-
-  auto append_bug = [](std::string* dst, const ReportBug& bug) {
-    *dst += '{';
-    bool bf = true;
-    AppendJsonUint(dst, "catalog_id", static_cast<uint64_t>(bug.catalog_id), &bf);
-    AppendJsonText(dst, "detector", bug.detector, &bf);
-    AppendJsonText(dst, "kind", bug.kind, &bf);
-    AppendJsonText(dst, "operation", bug.operation, &bf);
-    AppendJsonText(dst, "excerpt", bug.excerpt, &bf);
-    AppendJsonText(dst, "program", bug.program, &bf);
-    AppendJsonUint(dst, "t_us", bug.at, &bf);
-    AppendJsonUint(dst, "first_exec", bug.first_exec, &bf);
-    AppendJsonUint(dst, "board", static_cast<uint64_t>(bug.board), &bf);
-    AppendJsonUint(dst, "seed_stream", bug.seed_stream, &bf);
-    AppendJsonUint(dst, "coverage_delta", bug.coverage_delta, &bf);
-    AppendJsonUint(dst, "duplicates", bug.duplicates, &bf);
-    AppendJsonText(dst, "snapshot_validation",
-                   bug.snapshot_validation.empty() ? "not_checked"
-                                                   : bug.snapshot_validation,
-                   &bf);
-    AppendJsonText(dst, "last_restore",
-                   bug.last_restore.empty() ? "none" : bug.last_restore, &bf);
-    AppendJsonText(dst, "dump_reason", bug.dump_reason, &bf);
-    AppendJsonText(dst, "uart_tail", bug.uart_tail, &bf);
-    AppendJsonText(dst, "port_ops", bug.port_ops, &bf);
-    AppendJsonText(dst, "events", bug.events, &bf);
-    *dst += '}';
+    out += "}";
   };
+  append_counts("resets", resets_by_reason);
+  append_counts("restores_by_mode", restores_by_mode);
 
-  out += ",\n\"bugs\":[";
-  for (size_t i = 0; i < bugs.size(); ++i) {
-    if (i > 0) {
-      out += ',';
+  auto append_bugs = [&out, &json](const char* name, const std::vector<ReportBug>& list) {
+    out += StrFormat(",\n\"%s\":[", name);
+    for (const ReportBug& bug : list) {
+      out += out.back() == '[' ? "{" : ",{";
+      json("catalog_id", bug.catalog_id)("detector", bug.detector)("kind", bug.kind)(
+          "operation", bug.operation)("excerpt", bug.excerpt)("program", bug.program)(
+          "t_us", bug.at)("first_exec", bug.first_exec)("board", bug.board)(
+          "seed_stream", bug.seed_stream)("coverage_delta", bug.coverage_delta)(
+          "duplicates", bug.duplicates)(
+          "snapshot_validation",
+          bug.snapshot_validation.empty() ? "not_checked" : bug.snapshot_validation)(
+          "last_restore", bug.last_restore.empty() ? "none" : bug.last_restore)(
+          "dump_reason", bug.dump_reason)("uart_tail", bug.uart_tail)("port_ops", bug.port_ops)(
+          "events", bug.events);
+      out += '}';
     }
-    append_bug(&out, bugs[i]);
-  }
-  out += "]";
-
-  out += ",\n\"rejected_bugs\":[";
-  for (size_t i = 0; i < rejected_bugs.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    append_bug(&out, rejected_bugs[i]);
-  }
-  out += "]";
+    out += "]";
+  };
+  append_bugs("bugs", bugs);
+  append_bugs("rejected_bugs", rejected_bugs);
 
   out += ",\n\"warnings\":[";
-  for (size_t i = 0; i < warnings.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += StrFormat("\"%s\"", JsonEscape(warnings[i]).c_str());
+  for (const std::string& warning : warnings) {
+    out += StrFormat("%s\"%s\"", out.back() == '[' ? "" : ",", JsonEscape(warning).c_str());
   }
   out += "]}\n";
   return out;
@@ -923,10 +531,11 @@ Result<std::vector<JournalRow>> LoadMergedJournalRows(
   for (const std::string& path : paths) {
     ASSIGN_OR_RETURN(std::vector<JournalRow> rows, LoadJournalRows(path));
     for (const JournalRow& row : rows) {
-      if (row.type != "campaign_start") {
+      if (row.type != CampaignStartRow::kType) {
         continue;
       }
-      const std::string& id = row.Text("campaign");
+      Result<AnyRow> start = DecodeRow(row);
+      const std::string& id = std::get<CampaignStartRow>(start.value()).campaign;
       if (id.empty()) {
         continue;
       }
@@ -941,8 +550,8 @@ Result<std::vector<JournalRow>> LoadMergedJournalRows(
             path.c_str()));
       }
     }
-    bool continuation =
-        !rows.empty() && rows.front().type == "journal_segment" && !streams.empty();
+    bool continuation = !rows.empty() && rows.front().type == JournalSegmentRow::kType &&
+                        !streams.empty();
     if (continuation) {
       std::vector<JournalRow>& stream = streams.back();
       stream.insert(stream.end(), std::make_move_iterator(rows.begin()),

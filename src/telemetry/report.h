@@ -6,10 +6,12 @@
 // stream, reproducer program, flight-recorder dump). The `eof report` subcommand
 // renders it as text or machine-readable JSON.
 //
-// The parser is deliberately strict: a malformed line fails the whole load with its
-// line number (CI runs `eof report` over bench artifacts and must fail loudly on a
-// corrupt journal), while *missing* rows — a journal cut off before campaign_end, a
-// sink that dropped rows — degrade to warnings carried in the report itself.
+// The load is deliberately strict: every row must match its type's field list
+// (src/telemetry/rows.h), and a row that does not fails the whole load with its
+// file and line number (CI runs `eof report` over campaign journals and must fail
+// loudly on a corrupt one), while *missing* rows — a journal cut off before
+// campaign_end, a sink that dropped rows — degrade to warnings carried in the
+// report itself.
 
 #ifndef SRC_TELEMETRY_REPORT_H_
 #define SRC_TELEMETRY_REPORT_H_
@@ -21,36 +23,10 @@
 
 #include "src/common/status.h"
 #include "src/common/vclock.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace telemetry {
-
-// One parsed journal row: the three envelope fields plus every other key in flat
-// typed maps. Journal values are only ever unsigned integers, reals, or strings
-// (Event::ToJsonLine emits nothing else).
-struct JournalRow {
-  std::string type;
-  VirtualTime at = 0;
-  int worker = -1;
-  std::map<std::string, uint64_t> uints;
-  std::map<std::string, double> reals;
-  std::map<std::string, std::string> texts;
-
-  // Missing keys read as zero / empty; a real also satisfies Uint (truncated) so
-  // consumers need not care which way a count was rendered.
-  uint64_t Uint(const std::string& key, uint64_t fallback = 0) const;
-  double Real(const std::string& key, double fallback = 0) const;
-  const std::string& Text(const std::string& key) const;
-  bool Has(const std::string& key) const;
-};
-
-// Parses one JSONL line (one flat JSON object). Fails on malformed JSON, nested
-// values, or a missing "type" key.
-Result<JournalRow> ParseJournalLine(std::string_view line);
-
-// Parses a whole journal; empty lines are skipped, the first malformed line fails
-// the load with its 1-based line number.
-Result<std::vector<JournalRow>> ParseJournal(std::string_view text);
 
 // One point of the campaign frontier series (from farm_snapshot rows).
 struct ReportSample {
@@ -60,59 +36,10 @@ struct ReportSample {
   double execs_per_vsec = 0;
 };
 
-// Where one board's virtual time went: the final board_snapshot row's counters and
-// span sums. Percentages are against `clock` (the board's last reported time).
-struct BoardAccounting {
-  int worker = 0;
-  VirtualTime clock = 0;
-  uint64_t execs = 0;
-  uint64_t restores = 0;
-  uint64_t snapshot_restores = 0;  // restores served by the warm snapshot path
-  uint64_t stalls = 0;
-  uint64_t timeouts = 0;
-  uint64_t exec_us = 0;      // running test cases (exec_continue spans)
-  uint64_t drain_us = 0;     // coverage-ring drains
-  uint64_t reflash_us = 0;   // flash programming
-  uint64_t recovery_us = 0;  // watchdog recovery (includes nested reflash time)
-  uint64_t deploy_us = 0;    // one-off initial deploy
-  // Double-buffered drain accounting: how many drains rode on a continue's round
-  // trip, and the virtual time that overlap saved versus a stop-and-drain.
-  uint64_t overlapped_drains = 0;
-  uint64_t drain_overlap_saved_us = 0;
-
-  // Unattributed remainder (agent wait, status reads, resets outside recovery).
-  uint64_t OtherUs() const;
-};
-
-// One deduplicated bug with its Table-2 attribution and forensics (bug_report rows).
-struct ReportBug {
-  int catalog_id = 0;
-  std::string detector;
-  std::string kind;
-  std::string operation;  // Table 2 "Operations" column ("" for uncataloged bugs)
-  std::string excerpt;
-  std::string program;    // serialized reproducer
-  VirtualTime at = 0;
-  uint64_t first_exec = 0;
-  int board = 0;
-  uint64_t seed_stream = 0;
-  uint64_t coverage_delta = 0;
-  uint64_t duplicates = 0;  // later sightings folded by dedup
-  // Cold-boot provenance: the validation verdict ("confirmed" / "rejected" /
-  // "not_checked" — older journals read as "") and the restore mode that produced
-  // the board state the bug fired on ("none" / "cold" / "snapshot").
-  std::string snapshot_validation;
-  std::string last_restore;
-  std::string dump_reason;
-  std::string uart_tail;  // newline-joined flight-recorder rings
-  std::string port_ops;
-  std::string events;
-};
-
 // Fleet orchestration counters (lease_grant / heartbeat / worker_lost /
 // corpus_sync ... rows written by `eof serve`). `present` flips when any fleet
-// row (or a fleet=1 campaign_start) is seen; legacy journals render without a
-// fleet section so existing goldens stay byte-identical.
+// row (or a fleet=1 campaign_start) is seen; in-process journals render without
+// a fleet section.
 struct FleetSummary {
   bool present = false;
   uint64_t leases_granted = 0;
@@ -144,7 +71,7 @@ struct CampaignReport {
   uint64_t crash_dumps = 0;  // crash_dump rows journaled (dumps >= deduped bugs)
 
   // Per-call attribution stats (last farm_snapshot row; both zero for campaigns
-  // run without --trim or for pre-attribution journals).
+  // run without --trim).
   uint64_t trim_removed_calls = 0;  // calls dropped by trim-on-add
   uint64_t trim_kept_calls = 0;     // calls kept by trim-on-add
 
@@ -156,11 +83,11 @@ struct CampaignReport {
   std::vector<ReportBug> rejected_bugs;
   std::map<std::string, uint64_t> resets_by_reason;  // liveness_reset rows
   // liveness_reset rows split by which path restored the board ("cold" /
-  // "snapshot"; rows from pre-snapshot journals land under "cold").
+  // "snapshot").
   std::map<std::string, uint64_t> restores_by_mode;
   std::vector<std::string> warnings;
 
-  // Campaign id (campaign_start "campaign" text; "" for legacy journals).
+  // Campaign id (campaign_start "campaign" text; "" for in-process journals).
   std::string campaign;
   FleetSummary fleet;
 
@@ -170,7 +97,8 @@ struct CampaignReport {
   std::string RenderJson() const;
 };
 
-// Folds parsed rows into a report. Never fails: structural gaps become warnings.
+// Folds parsed rows into a report. Never fails: structural gaps, and rows that do
+// not match their list (only hand-built rows can), become warnings.
 CampaignReport BuildReport(const std::vector<JournalRow>& rows);
 
 // Reads, parses, and folds a journal file.

@@ -24,12 +24,6 @@ namespace telemetry {
 // Rate per virtual second, 0 over an empty window.
 double PerVirtualSecond(uint64_t count, VirtualTime window);
 
-// The campaign columns of a farm_snapshot row, read from a snapshot of the
-// scheduler's campaign.* instruments: coverage, corpus, execs, crashes, bug
-// ledger, and attribution bookkeeping. In-process and fleet farm rows both
-// write them here, so the two journals carry the same columns.
-void AppendCampaignColumns(const MetricsSnapshot& campaign, Event* event);
-
 class SnapshotEmitter {
  public:
   // `boards[i]` is worker i's registry; registries and `sink` must outlive the

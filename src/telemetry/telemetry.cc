@@ -1,22 +1,10 @@
 #include "src/telemetry/telemetry.h"
 
 #include "src/common/hash.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace telemetry {
-
-void BoardTelemetry::EmitEvent(VirtualTime at, std::string type,
-                               std::vector<EventField> fields) {
-  if (sink_ == nullptr) {
-    return;
-  }
-  Event event;
-  event.at = at;
-  event.type = std::move(type);
-  event.worker = worker_;
-  event.fields = std::move(fields);
-  sink_->Emit(event);
-}
 
 CampaignTelemetry::CampaignTelemetry(const Options& options) : options_(options) {}
 
@@ -75,27 +63,12 @@ MetricsSnapshot CampaignTelemetry::MergedBoardSnapshot() const {
 
 void CampaignTelemetry::CampaignStart(const std::string& os_name,
                                       const std::string& board_name) {
-  if (sink() == nullptr) {
-    return;
-  }
-  Event event;
-  event.at = 0;
-  event.type = "campaign_start";
-  event.fields.push_back(EventField::Text("os", os_name));
-  event.fields.push_back(
-      EventField::Text("board", board_name.empty() ? "default" : board_name));
-  event.fields.push_back(EventField::Uint("workers", boards_.size()));
-  event.fields.push_back(EventField::Uint("seed", options_.seed));
-  event.fields.push_back(EventField::Uint("budget_us", options_.budget));
-  event.fields.push_back(EventField::Uint("interval_us", options_.snapshot_interval));
-  // Fleet-only fields last, so legacy journals stay byte-identical.
-  if (!options_.campaign_id.empty()) {
-    event.fields.push_back(EventField::Text("campaign", options_.campaign_id));
-  }
-  if (options_.fleet) {
-    event.fields.push_back(EventField::Uint("fleet", 1));
-  }
-  sink()->Emit(event);
+  Journal(sink(), 0, -1, [&] {
+    return CampaignStartRow{os_name, board_name.empty() ? "default" : board_name,
+                            boards_.size(), options_.seed, options_.budget,
+                            options_.snapshot_interval, options_.campaign_id,
+                            options_.fleet ? 1u : 0u};
+  });
 }
 
 void CampaignTelemetry::CampaignEnd(VirtualTime elapsed) {
@@ -105,11 +78,7 @@ void CampaignTelemetry::CampaignEnd(VirtualTime elapsed) {
   if (sink() == nullptr) {
     return;
   }
-  Event event;
-  event.at = elapsed;
-  event.type = "campaign_end";
-  event.fields.push_back(EventField::Uint("journal_dropped", sink()->dropped()));
-  sink()->Emit(event);
+  sink()->Emit(RowEvent(elapsed, -1, CampaignEndRow{sink()->dropped()}));
   sink()->Flush();
 }
 

@@ -41,9 +41,6 @@ class BoardTelemetry {
   EventSink* sink() const { return sink_; }
   int worker() const { return worker_; }
 
-  // Journals one event stamped with this board's worker index; no-op without a sink.
-  void EmitEvent(VirtualTime at, std::string type, std::vector<EventField> fields);
-
  private:
   int worker_;
   MetricsRegistry registry_;

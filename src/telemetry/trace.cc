@@ -1,6 +1,7 @@
 #include "src/telemetry/trace.h"
 
 #include "src/common/hash.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace telemetry {
@@ -20,16 +21,9 @@ Tracer::Span Tracer::Begin(const char* name, VirtualTime now) {
 void Tracer::End(const Span& span, VirtualTime now, bool journal) {
   VirtualDuration duration = now >= span.begin ? now - span.begin : 0;
   HistogramFor(span.name)->Observe(duration);
-  if (journal && sink_ != nullptr) {
-    Event event;
-    event.at = now;
-    event.type = "span";
-    event.worker = worker_;
-    event.fields.push_back(EventField::Text("span", span.name));
-    event.fields.push_back(EventField::Uint("span_id", span.id));
-    event.fields.push_back(EventField::Uint("begin_us", span.begin));
-    event.fields.push_back(EventField::Uint("dur_us", duration));
-    sink_->Emit(event);
+  if (journal) {
+    Journal(sink_, now, worker_,
+            [&] { return SpanRow{span.name, span.id, span.begin, duration}; });
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <variant>
 
 #include "src/common/strings.h"
 #include "src/telemetry/journal.h"
@@ -44,32 +45,29 @@ std::string RenderChromeTrace(const std::vector<JournalRow>& rows) {
   std::vector<TraceEvent> events;
   std::set<int> lanes;
   for (const JournalRow& row : rows) {
-    if (row.type == "span") {
-      TraceEvent event;
-      event.name = row.Text("span");
+    Result<AnyRow> typed = DecodeRow(row);
+    if (!typed.ok()) {
+      continue;
+    }
+    TraceEvent event;
+    if (const auto* span = std::get_if<SpanRow>(&typed.value())) {
+      event.name = span->span;
       event.phase = 'X';
-      event.ts = row.Uint("begin_us");
-      event.dur = row.Uint("dur_us");
+      event.ts = span->begin_us;
+      event.dur = span->dur_us;
       event.tid = row.worker >= 0 ? row.worker : 0;
       event.args = StrFormat("{\"span_id\":%llu}",
-                             static_cast<unsigned long long>(row.Uint("span_id")));
+                             static_cast<unsigned long long>(span->span_id));
       lanes.insert(event.tid);
-      events.push_back(std::move(event));
-    } else if (row.type == "bug_report") {
-      TraceEvent event;
-      event.name = StrFormat("bug %llu %s",
-                             static_cast<unsigned long long>(row.Uint("catalog_id")),
-                             row.Text("kind").c_str());
+    } else if (const auto* bug = std::get_if<ReportBug>(&typed.value())) {
+      event.name = StrFormat("bug %d %s", bug->catalog_id, bug->kind.c_str());
       event.phase = 'i';
       event.ts = row.at;
-      event.tid = static_cast<int>(row.Uint("board"));
-      event.args = StrFormat("{\"detector\":\"%s\"}",
-                             JsonEscape(row.Text("detector")).c_str());
+      event.tid = bug->board;
+      event.args = StrFormat("{\"detector\":\"%s\"}", JsonEscape(bug->detector).c_str());
       lanes.insert(event.tid);
-      events.push_back(std::move(event));
-    } else if (row.type == "liveness_reset") {
-      TraceEvent event;
-      event.name = StrFormat("liveness_reset %s", row.Text("reason").c_str());
+    } else if (const auto* reset = std::get_if<LivenessResetRow>(&typed.value())) {
+      event.name = StrFormat("liveness_reset %s", reset->reason.c_str());
       event.phase = 'i';
       event.ts = row.at;
       if (row.worker >= 0) {
@@ -78,8 +76,10 @@ std::string RenderChromeTrace(const std::vector<JournalRow>& rows) {
       } else {
         event.global_scope = true;
       }
-      events.push_back(std::move(event));
+    } else {
+      continue;
     }
+    events.push_back(std::move(event));
   }
   // ts ascending; at a shared ts the longer span first, so an enclosing span
   // (e.g. watchdog recovery around its nested reflash) precedes its children —

@@ -28,6 +28,7 @@
 #include "src/hw/board_snapshot.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/journal.h"
+#include "src/telemetry/rows.h"
 #include "src/telemetry/telemetry.h"
 
 namespace eof {
@@ -53,12 +54,9 @@ std::vector<uint8_t> LeU32(uint32_t value) {
 }
 
 std::string TextField(const telemetry::Event& event, const std::string& key) {
-  for (const telemetry::EventField& field : event.fields) {
-    if (field.key == key) {
-      return field.text_value;
-    }
-  }
-  return "";
+  Result<telemetry::JournalRow> row = telemetry::ParseJournalLine(event.ToJsonLine());
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  return row.ok() && row->texts.count(key) > 0 ? row->texts.at(key) : "";
 }
 
 // One board session in snapshot mode with a journaled telemetry sink, driven one

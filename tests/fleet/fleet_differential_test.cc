@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -232,15 +233,17 @@ TEST_F(FleetDifferentialTest, FleetReportMatchesInProcessAttribution) {
 
   auto orch_rows = telemetry::LoadMergedJournalRows({orch_journal});
   ASSERT_TRUE(orch_rows.ok()) << orch_rows.status().ToString();
-  const telemetry::JournalRow* last_farm = nullptr;
+  std::optional<telemetry::FleetFarmSnapshotRow> last_farm;
   for (const telemetry::JournalRow& row : orch_rows.value()) {
-    if (row.type == "farm_snapshot") {
-      last_farm = &row;
+    auto typed = telemetry::DecodeRow(row);
+    ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+    if (const auto* farm = std::get_if<telemetry::FleetFarmSnapshotRow>(&typed.value())) {
+      last_farm = *farm;
     }
   }
-  ASSERT_NE(last_farm, nullptr);
-  EXPECT_EQ(last_farm->Uint("campaign_execs"), local->execs);
-  EXPECT_GT(last_farm->Real("execs_per_vsec"), 0.0);
+  ASSERT_TRUE(last_farm.has_value());
+  EXPECT_EQ(last_farm->campaign.campaign_execs, local->execs);
+  EXPECT_GT(last_farm->execs_per_vsec, 0.0);
 
   remove(local_journal.c_str());
   remove(orch_journal.c_str());

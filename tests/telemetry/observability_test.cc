@@ -14,13 +14,19 @@
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/prometheus.h"
 #include "src/telemetry/report.h"
+#include "src/telemetry/rows.h"
 #include "src/telemetry/trace_export.h"
 
 namespace eof {
 namespace telemetry {
 namespace {
 
-using Field = EventField;
+// A row as the loader sees it: rendered by its list, then parsed back.
+JournalRow Parsed(const Event& event) {
+  Result<JournalRow> row = ParseJournalLine(event.ToJsonLine());
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  return row.ok() ? std::move(row).value() : JournalRow();
+}
 
 TEST(PrometheusTest, NameSanitizationAndEscaping) {
   EXPECT_EQ(PrometheusName("span.exec_continue_us"), "eof_span_exec_continue_us");
@@ -96,21 +102,14 @@ TEST(TraceExportTest, SpansNestAndInstantsRender) {
   rows.push_back(SpanRow(1500, 0, "reflash", 1000, 300));
   rows.push_back(SpanRow(2000, 0, "watchdog_recovery", 1000, 1000));
   rows.push_back(SpanRow(5000, 1, "deploy", 4000, 1000));
-  JournalRow bug;
-  bug.type = "bug_report";
-  bug.at = 4200;
-  bug.worker = -1;
-  bug.uints["catalog_id"] = 7;
-  bug.uints["board"] = 1;
-  bug.texts["kind"] = "double free";
-  bug.texts["detector"] = "exception";
-  rows.push_back(bug);
-  JournalRow reset;
-  reset.type = "liveness_reset";
-  reset.at = 4300;
-  reset.worker = -1;  // campaign scope -> global instant
-  reset.texts["reason"] = "stall";
-  rows.push_back(reset);
+  ReportBug bug;
+  bug.catalog_id = 7;
+  bug.board = 1;
+  bug.kind = "double free";
+  bug.detector = "exception";
+  rows.push_back(Parsed(RowEvent(4200, -1, bug)));
+  // Campaign scope -> global instant.
+  rows.push_back(Parsed(RowEvent(4300, -1, LivenessResetRow{"stall", 1, "cold"})));
   JournalRow ignored;
   ignored.type = "heartbeat";  // not a trace row; must be skipped
   ignored.at = 1;
@@ -153,44 +152,20 @@ TEST(TraceExportTest, EmptyRowsRenderEmptyTrace) {
 // controls the byte sizes that drive rotation.
 std::vector<Event> CampaignEvents() {
   std::vector<Event> events;
-  Event start;
-  start.at = 0;
-  start.type = "campaign_start";
-  start.fields = {Field::Text("os", "zephyr"), Field::Text("board", "default"),
-                  Field::Uint("workers", 2), Field::Uint("seed", 7),
-                  Field::Uint("budget_us", 60000000),
-                  Field::Uint("interval_us", 1000000), Field::Uint("fleet", 1),
-                  Field::Text("campaign", "c1")};
-  events.push_back(start);
+  events.push_back(RowEvent(
+      0, -1, CampaignStartRow{"zephyr", "default", 2, 7, 60000000, 1000000, "c1", 1}));
   for (int i = 0; i < 40; ++i) {
-    Event grant;
-    grant.at = 1000 + 10 * i;
-    grant.type = "lease_grant";
-    grant.worker = 1 + (i % 2);
-    grant.fields = {Field::Text("campaign", "c1"), Field::Uint("shard", i % 4),
-                    Field::Uint("lease", 100 + i), Field::Uint("attempt", 1)};
-    events.push_back(grant);
-    Event farm;
-    farm.at = 2000 + 100 * i;
-    farm.type = "farm_snapshot";
-    farm.fields = {Field::Uint("boards", 4),
-                   Field::Uint("campaign_coverage", 10 + i),
-                   Field::Uint("corpus", 20 + i),
-                   Field::Uint("campaign_execs", 100 * i),
-                   Field::Uint("crashes", 0),
-                   Field::Uint("bugs", 0),
-                   Field::Uint("bugs_rejected", 0),
-                   Field::Uint("journal_dropped", 0),
-                   Field::Uint("journal_dropped_workers", 0),
-                   Field::Text("campaign", "c1")};
-    events.push_back(farm);
+    uint64_t n = static_cast<uint64_t>(i);
+    events.push_back(RowEvent(1000 + 10 * n, 1 + i % 2, LeaseGrantRow{"c1", 100 + n, n % 4, 1}));
+    FleetFarmSnapshotRow farm;
+    farm.boards = 4;
+    farm.campaign.campaign_coverage = 10 + n;
+    farm.campaign.corpus = 20 + n;
+    farm.campaign.campaign_execs = 100 * n;
+    farm.campaign_id = "c1";
+    events.push_back(RowEvent(2000 + 100 * n, -1, farm));
   }
-  Event end;
-  end.at = 60000000;
-  end.type = "campaign_end";
-  end.fields = {Field::Uint("execs", 4000), Field::Uint("coverage", 49),
-                Field::Uint("journal_dropped", 0), Field::Text("campaign", "c1")};
-  events.push_back(end);
+  events.push_back(RowEvent(60000000, -1, CampaignEndRow{0}));
   return events;
 }
 

@@ -1,5 +1,7 @@
-// Report-builder tests: strict JSONL parsing (malformed lines fail with their line
-// number), BuildReport's folding and warning rules, golden-file rendering of a
+// Report-builder tests: strict JSONL parsing (malformed lines and rows that break
+// their type's field list fail with their line number), one golden line per row
+// shape that must decode and re-encode byte for byte and survive havoc mutation,
+// BuildReport's folding and warning rules, golden-file rendering of a
 // fixture journal (text and JSON, including the bug-provenance table), and the
 // round-trip contract from the ISSUE acceptance list — a `--jobs 4` campaign's
 // journal, fed through `eof report`'s loader, reproduces the live CampaignResult's
@@ -9,12 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <variant>
+#include <vector>
 
+#include "src/common/strings.h"
 #include "src/core/board_farm.h"
 #include "src/core/fuzzer.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/report.h"
+#include "src/telemetry/rows.h"
+#include "tests/fleet/decoder_harness.h"
 
 namespace eof {
 namespace telemetry {
@@ -48,21 +58,13 @@ TEST(ParseJournalLineTest, ParsesEnvelopeAndTypedFields) {
   EXPECT_EQ(row->type, "bug_report");
   EXPECT_EQ(row->at, 1234u);
   EXPECT_EQ(row->worker, 2);
-  EXPECT_EQ(row->Uint("catalog_id"), 7u);
-  EXPECT_DOUBLE_EQ(row->Real("execs_per_vsec"), 8.25);
-  EXPECT_EQ(row->Text("excerpt"), "line one\nline \"two\"");
-  EXPECT_FALSE(row->Has("no_such_key"));
-  EXPECT_EQ(row->Uint("no_such_key", 42), 42u);
+  EXPECT_EQ(row->uints.at("catalog_id"), 7u);
+  EXPECT_DOUBLE_EQ(row->reals.at("execs_per_vsec"), 8.25);
+  EXPECT_EQ(row->texts.at("excerpt"), "line one\nline \"two\"");
   // Envelope keys are lifted out of the maps.
-  EXPECT_FALSE(row->Has("type"));
-  EXPECT_FALSE(row->Has("t_us"));
-}
-
-TEST(ParseJournalLineTest, UintAndRealCoerceAcrossNumberKinds) {
-  auto row = ParseJournalLine(R"({"type":"x","count":9,"rate":2.5})");
-  ASSERT_TRUE(row.ok());
-  EXPECT_EQ(row->Uint("rate"), 2u);          // real truncates to uint
-  EXPECT_DOUBLE_EQ(row->Real("count"), 9.0); // uint widens to real
+  EXPECT_EQ(row->texts.count("type"), 0u);
+  EXPECT_EQ(row->uints.count("t_us"), 0u);
+  EXPECT_EQ(row->uints.count("worker"), 0u);
 }
 
 TEST(ParseJournalLineTest, RejectsMalformedRows) {
@@ -72,34 +74,53 @@ TEST(ParseJournalLineTest, RejectsMalformedRows) {
   EXPECT_FALSE(ParseJournalLine(R"({"type":"x"} trailing)").ok());
   EXPECT_FALSE(ParseJournalLine(R"({"type":"x","s":"unterminated)").ok());
   EXPECT_FALSE(ParseJournalLine(R"({"type":"x","s":"bad \q escape"})").ok());
+  EXPECT_FALSE(ParseJournalLine(R"({"type":"x"})").ok());  // no "t_us"
+  EXPECT_FALSE(ParseJournalLine(R"({"type":"x","t_us":0,"a":1,"a":2})").ok());
+  // A number past u64 does not saturate, and a worker past int does not wrap.
+  auto overflow = ParseJournalLine(R"({"type":"x","t_us":0,"seed":99999999999999999999999})");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_NE(overflow.status().message().find("overflows"), std::string::npos);
+  EXPECT_FALSE(ParseJournalLine(R"({"type":"x","t_us":0,"worker":4294967297})").ok());
+  EXPECT_FALSE(ParseJournalLine(R"({"type":"x","t_us":0,"worker":1.5})").ok());
+  EXPECT_TRUE(ParseJournalLine(R"({"type":"x","t_us":0,"worker":2147483647})").ok());
 }
 
-TEST(ParseJournalTest, SkipsBlankLinesAndReportsTheFailingLineNumber) {
-  auto rows = ParseJournal("{\"type\":\"a\"}\n\n  \n{\"type\":\"b\"}\n");
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0].type, "a");
-  EXPECT_EQ((*rows)[1].type, "b");
+constexpr char kEndRow[] = R"({"type":"campaign_end","t_us":9,"journal_dropped":0})";
 
-  auto bad = ParseJournal("{\"type\":\"a\"}\n\nnot json\n");
+TEST(ParseJournalTest, SkipsBlankLinesAndReportsTheFailingLineNumber) {
+  auto rows = ParseJournal(std::string(kEndRow) +
+                           "\n\n  \n{\"type\":\"trim\",\"t_us\":5,\"kept\":1,\"removed\":2}\n");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[0].type, "campaign_end");
+  EXPECT_EQ((*rows)[1].type, "trim");
+
+  auto bad = ParseJournal(std::string(kEndRow) + "\n\nnot json\n");
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find("line 3"), std::string::npos)
       << bad.status().ToString();
 }
 
+// A row as the loader sees it: rendered by its list, then parsed back.
+JournalRow Parsed(const Event& event) {
+  Result<JournalRow> row = ParseJournalLine(event.ToJsonLine());
+  EXPECT_TRUE(row.ok()) << row.status().ToString();
+  return row.ok() ? std::move(row).value() : JournalRow();
+}
+
 TEST(BuildReportTest, MissingBookendsAndDropsBecomeWarnings) {
-  // The second row is a farm_snapshot in the format journals had while directed
-  // scheduling existed: its retired directed_hits/frontier columns are ignored.
-  auto rows = ParseJournal(
-      R"({"type":"farm_snapshot","t_us":100,"campaign_coverage":5,)"
-      R"("campaign_execs":10,"journal_dropped":3})"
-      "\n"
-      R"({"type":"farm_snapshot","t_us":200,"boards":1,"execs":12,"execs_per_vsec":0.06,)"
-      R"("coverage":7,"campaign_coverage":7,"corpus":3,"campaign_execs":12,"crashes":0,)"
-      R"("bugs":0,"bugs_rejected":0,"directed_hits":6,"frontier":443,)"
-      R"("trim_removed_calls":4,"trim_kept_calls":9,"journal_dropped":3})");
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  CampaignReport report = BuildReport(rows.value());
+  FarmSnapshotRow early;
+  early.campaign.campaign_coverage = 5;
+  early.campaign.campaign_execs = 10;
+  early.journal_dropped = 3;
+  FarmSnapshotRow late;
+  late.boards = 1;
+  late.board.execs = 12;
+  late.board.execs_per_vsec = 0.06;
+  late.campaign = {7, 3, 12, 0, 0, 0, 4, 9};
+  late.journal_dropped = 3;
+  CampaignReport report =
+      BuildReport({Parsed(RowEvent(100, -1, early)), Parsed(RowEvent(200, -1, late))});
   EXPECT_EQ(report.final_coverage, 7u);
   EXPECT_EQ(report.final_execs, 12u);
   EXPECT_EQ(report.trim_removed_calls, 4u);
@@ -111,21 +132,19 @@ TEST(BuildReportTest, MissingBookendsAndDropsBecomeWarnings) {
   EXPECT_NE(text.find("WARNING"), std::string::npos);
   EXPECT_NE(text.find("trim: kept=9 removed=4"), std::string::npos);
   EXPECT_NE(json.find("\"trim_kept_calls\":9"), std::string::npos);
-  for (const std::string& rendered : {text, json}) {
-    EXPECT_EQ(rendered.find("directed_hits"), std::string::npos);
-    EXPECT_EQ(rendered.find("frontier"), std::string::npos);
-  }
 }
 
 TEST(BuildReportTest, DedupRowsCreditTheFirstSightingOfTheCatalogId) {
-  auto rows = ParseJournal(
-      "{\"type\":\"campaign_start\",\"t_us\":0,\"os\":\"x\",\"board\":\"y\"}\n"
-      "{\"type\":\"bug_report\",\"t_us\":10,\"catalog_id\":3,\"program\":\"p\"}\n"
-      "{\"type\":\"bug_dedup\",\"t_us\":20,\"catalog_id\":3}\n"
-      "{\"type\":\"bug_dedup\",\"t_us\":30,\"catalog_id\":3}\n"
-      "{\"type\":\"campaign_end\",\"t_us\":40,\"journal_dropped\":0}\n");
-  ASSERT_TRUE(rows.ok());
-  CampaignReport report = BuildReport(rows.value());
+  ReportBug bug;
+  bug.catalog_id = 3;
+  bug.program = "p";
+  CampaignReport report = BuildReport({
+      Parsed(RowEvent(0, -1, CampaignStartRow{"x", "y", 1, 1, 40, 10, "", 0})),
+      Parsed(RowEvent(10, -1, bug)),
+      Parsed(RowEvent(20, -1, BugDedupRow{3, "log"})),
+      Parsed(RowEvent(30, -1, BugDedupRow{3, "log"})),
+      Parsed(RowEvent(40, -1, CampaignEndRow{0})),
+  });
   ASSERT_EQ(report.bugs.size(), 1u);
   EXPECT_EQ(report.bugs[0].duplicates, 2u);
   // bugs_found (1) disagrees with the absent snapshot count (0) -> warning.
@@ -161,7 +180,7 @@ TEST(ReportLoadTest, MissingFileAndMalformedJournalFailWithContext) {
   std::string path = ::testing::TempDir() + "eof_malformed_journal.jsonl";
   FILE* file = fopen(path.c_str(), "wb");
   ASSERT_NE(file, nullptr);
-  fputs("{\"type\":\"campaign_start\"}\n{broken\n", file);
+  fprintf(file, "%s\n{broken\n", kEndRow);
   fclose(file);
   auto bad = LoadReportFromFile(path);
   ASSERT_FALSE(bad.ok());
@@ -169,6 +188,96 @@ TEST(ReportLoadTest, MissingFileAndMalformedJournalFailWithContext) {
       << bad.status().ToString();
   remove(path.c_str());
 }
+
+// The loader checks every row against its type's list and names the file and
+// line of the first row that breaks it.
+TEST(ReportLoadTest, RowsThatBreakTheirListFailWithFileAndLine) {
+  const std::pair<const char*, const char*> kBadRows[] = {
+      {R"({"type":"campaign_end","t_us":9})", "missing key 'journal_dropped'"},
+      {R"({"type":"campaign_end","t_us":9,"journal_dropped":0,"extra":1})",
+       "unknown key 'extra'"},
+      {R"({"type":"campaign_end","t_us":9,"journal_dropped":"0"})",
+       "'journal_dropped' is not an unsigned integer"},
+      {R"({"type":"trim","t_us":9,"kept":1.5,"removed":2})",
+       "'kept' is not an unsigned integer"},
+      {R"({"type":"no_such_row","t_us":9})", "unknown row type 'no_such_row'"},
+      {R"({"type":"campaign_end","t_us":9,"journal_dropped":18446744073709551616})",
+       "overflows"},
+      {R"({"type":"bug_dedup","t_us":9,"catalog_id":2147483648,"detector":"log"})",
+       "'catalog_id' overflows an int"},
+  };
+  std::string path = ::testing::TempDir() + "eof_strict_journal.jsonl";
+  for (const auto& [row, reason] : kBadRows) {
+    FILE* file = fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    fprintf(file, "%s\n%s\n", kEndRow, row);
+    fclose(file);
+    auto bad = LoadReportFromFile(path);
+    ASSERT_FALSE(bad.ok()) << row;
+    std::string message = bad.status().message();
+    EXPECT_NE(message.find(path + ": line 2: "), std::string::npos) << message;
+    EXPECT_NE(message.find(reason), std::string::npos) << message;
+  }
+  remove(path.c_str());
+}
+
+// One journal line per row shape, written by the code before the row lists
+// existed: both farm rows, and campaign_start with and without its fleet markers.
+std::vector<std::string> GoldenRowLines() {
+  std::vector<std::string> lines;
+  for (std::string& line : StrSplit(ReadFileOrDie(TestdataPath("journal_rows.jsonl")), '\n')) {
+    if (!line.empty()) {
+      lines.push_back(std::move(line));
+    }
+  }
+  return lines;
+}
+
+// The bytes a decoded line re-encodes to.
+Result<std::string> DecodeThenEncode(std::string_view line) {
+  ASSIGN_OR_RETURN(JournalRow row, ParseJournalLine(line));
+  ASSIGN_OR_RETURN(AnyRow typed, DecodeRow(row));
+  return std::visit([&](const auto& r) { return RowEvent(row.at, row.worker, r); }, typed)
+      .ToJsonLine();
+}
+
+TEST(JournalRowsGoldenTest, EveryRowTypeRoundTripsByteForByte) {
+  std::set<size_t> shapes;
+  for (const std::string& line : GoldenRowLines()) {
+    Result<std::string> encoded = DecodeThenEncode(line);
+    ASSERT_TRUE(encoded.ok()) << encoded.status().ToString() << " in " << line;
+    EXPECT_EQ(encoded.value(), line);
+    shapes.insert(DecodeRow(ParseJournalLine(line).value()).value().index());
+  }
+  // Every row struct has a golden line.
+  EXPECT_EQ(shapes.size(), std::variant_size_v<AnyRow>);
+}
+
+constexpr int kGoldenRowLines = 25;
+
+TEST(JournalRowsGoldenTest, HavocCasesCoverEveryGoldenLine) {
+  EXPECT_EQ(GoldenRowLines().size(), static_cast<size_t>(kGoldenRowLines));
+}
+
+// Havoc over each golden line: every mutation either decodes or fails cleanly,
+// and whatever decodes re-encodes stably.
+class JournalRowHavocTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(JournalRowHavocTest, StrictReaderSurvivesMutatedLines) {
+  std::string golden = GoldenRowLines().at(static_cast<size_t>(GetParam()));
+  RoundTripFn round_trip =
+      [](const std::vector<uint8_t>& bytes) -> Result<std::vector<uint8_t>> {
+    ASSIGN_OR_RETURN(std::string line, DecodeThenEncode(std::string_view(
+                                           reinterpret_cast<const char*>(bytes.data()),
+                                           bytes.size())));
+    return std::vector<uint8_t>(line.begin(), line.end());
+  };
+  ExpectDecoderSurvivesHavoc(std::vector<uint8_t>(golden.begin(), golden.end()),
+                             round_trip, 20261700 + static_cast<uint64_t>(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRowShape, JournalRowHavocTest,
+                         ::testing::Range(0, kGoldenRowLines));
 
 // The ISSUE acceptance check: a --jobs 4 campaign journal, loaded back through the
 // report pipeline, reproduces the live campaign's final coverage and bug list

@@ -22,6 +22,7 @@
 #include "src/telemetry/flight_recorder.h"
 #include "src/telemetry/journal.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/rows.h"
 #include "src/telemetry/snapshot.h"
 #include "src/telemetry/telemetry.h"
 #include "src/telemetry/trace.h"
@@ -181,16 +182,13 @@ TEST(JournalTest, ConcurrentEmittersNeverLoseTheCount) {
 }
 
 TEST(JournalTest, EventRendersAsOneJsonObject) {
-  Event event;
-  event.at = 1500;
-  event.type = "bug";
-  event.worker = 2;
-  event.fields.push_back(EventField::Uint("catalog_id", 7));
-  event.fields.push_back(EventField::Real("rate", 2.5));
-  event.fields.push_back(EventField::Text("detector", "log\"mon\""));
-  EXPECT_EQ(event.ToJsonLine(),
+  EXPECT_EQ(RowEvent(1500, 2, BugRow{7, "log\"mon\"", "panic"}).ToJsonLine(),
             "{\"type\":\"bug\",\"t_us\":1500,\"worker\":2,\"catalog_id\":7,"
-            "\"rate\":2.5000,\"detector\":\"log\\\"mon\\\"\"}");
+            "\"detector\":\"log\\\"mon\\\"\",\"kind\":\"panic\"}");
+  FleetFarmSnapshotRow farm;
+  farm.execs_per_vsec = 2.5;
+  EXPECT_NE(RowEvent(0, -1, farm).ToJsonLine().find(",\"execs_per_vsec\":2.5000,"),
+            std::string::npos);
 }
 
 TEST(JournalTest, FileSinkWritesParseableLinesAndFlushes) {
@@ -307,14 +305,11 @@ TEST(SnapshotEmitterTest, BoardRowsFollowEachClockFarmRowsFollowTheFrontier) {
   EXPECT_EQ(events[3].type, "farm_snapshot");
   EXPECT_EQ(events[3].at, 100u);
   // The farm row merges both boards' registries.
-  bool found = false;
-  for (const EventField& field : events[3].fields) {
-    if (field.key == "execs") {
-      EXPECT_EQ(field.uint_value, 30u);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
+  Result<JournalRow> farm = ParseJournalLine(events[3].ToJsonLine());
+  ASSERT_TRUE(farm.ok()) << farm.status().ToString();
+  Result<AnyRow> typed = DecodeRow(farm.value());
+  ASSERT_TRUE(typed.ok()) << typed.status().ToString();
+  EXPECT_EQ(std::get<FarmSnapshotRow>(typed.value()).board.execs, 30u);
 
   // A finished worker stops holding the frontier back.
   emitter.WorkerDone(1);
