@@ -2,7 +2,7 @@
 // scope / type / operation / detector attribution, plus the §5.4.1 comparison counts
 // (EOF-nf and Tardis bug totals).
 //
-// Campaign length scales with EOF_BENCH_SCALE (default: 1 virtual hour per campaign;
+// Campaign length scales with EOF_BENCH_SCALE (default 8: 3 virtual hours per campaign;
 // EOF_BENCH_SCALE=1 runs the paper's full 24 hours). Short runs find the shallow subset;
 // the deep staircase bugs (#7, #10, #11, #14, #16, #17) need longer budgets.
 

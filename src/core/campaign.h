@@ -50,11 +50,13 @@ Result<RepeatedResult> RunRepeated(const FuzzerConfig& base, int repetitions,
                                    int parallelism = 1);
 
 // The paper's campaigns run 24 hours; benches scale that down via the EOF_BENCH_SCALE
-// environment variable (virtual budget = 24 h / scale; default scale 24 -> 1 virtual
-// hour). Set EOF_BENCH_SCALE=1 for full-length runs.
+// environment variable, an integer (virtual budget = 24 h / scale; default scale 8
+// -> 3 virtual hours; values below 1 count as 1). Set EOF_BENCH_SCALE=1 for
+// full-length runs.
 VirtualDuration ScaledCampaignBudget();
 
-// Scaled repetition count: min(5, max(2, 5 - log2(scale))) keeps quick runs quick.
+// Scaled repetition count, so quick runs stay quick: 5 at scale <= 2, 3 at
+// scale <= 12 (the default 8), 2 beyond.
 int ScaledRepetitions();
 
 }  // namespace eof

@@ -124,16 +124,12 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   int shard = ShardLabel(worker);
   crashes_->Increment();
   int catalog_id = AttributeBug(options_.os_name, signature.excerpt);
-  // Deduplicate: one report per catalog id (or per excerpt for unknowns). Rejected
-  // sightings count too — an artifact that re-triggers must not re-run validation.
+  // Deduplicate by the one identity rule (telemetry::SameBug). Rejected sightings
+  // count too — an artifact that re-triggers must not re-run validation.
   auto is_duplicate = [&](const std::vector<BugReport>& table) {
-    for (const BugReport& existing : table) {
-      if (catalog_id != 0 ? existing.catalog_id == catalog_id
-                          : existing.excerpt == signature.excerpt) {
-        return true;
-      }
-    }
-    return false;
+    return std::any_of(table.begin(), table.end(), [&](const BugReport& existing) {
+      return telemetry::SameBug(existing, catalog_id, signature.excerpt);
+    });
   };
   if (is_duplicate(result_.bugs) || is_duplicate(rejected_bugs_)) {
     bug_dedup_hits_->Increment();
@@ -146,6 +142,9 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   report.catalog_id = catalog_id;
   report.detector = signature.detector;
   report.kind = signature.kind;
+  if (const BugInfo* info = FindBug(catalog_id)) {
+    report.operation = info->operation;
+  }
   report.excerpt = signature.excerpt;
   report.at = elapsed;
   report.program_text = fuzz::SerializeProgramText(specs_, program);
@@ -158,7 +157,12 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
                                                      static_cast<uint64_t>(shard));
   report.coverage_delta = coverage_delta;
   if (outcome.dump.has_value()) {
-    report.dump = *outcome.dump;
+    const telemetry::FlightDump& dump = *outcome.dump;
+    report.last_restore = dump.last_restore;
+    report.dump_reason = dump.reason;
+    report.uart_tail = dump.UartTailText();
+    report.port_ops = dump.PortOpsText();
+    report.events = dump.EventsText();
   }
   // Cold-boot provenance gate: before a first sighting enters the bug table, replay
   // its reproducer against a freshly flashed board. A crash that only reproduces on
@@ -178,21 +182,10 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   } else {
     bugs_rejected_->Increment();
   }
-  // The full Table-2 provenance row: everything a later `eof report` run needs to
-  // rebuild the bug table (attribution, first sighting, reproducer, forensics).
-  // Rejected sightings are journaled too — snapshot_validation says which is which.
-  telemetry::Journal(sink_, elapsed, shard, [&] {
-    const BugInfo* info = FindBug(catalog_id);
-    return telemetry::ReportBug{
-        .catalog_id = catalog_id, .detector = report.detector, .kind = report.kind,
-        .operation = info != nullptr ? info->operation : "", .first_exec = report.first_exec,
-        .board = shard, .seed_stream = report.seed_stream, .coverage_delta = coverage_delta,
-        .snapshot_validation = report.snapshot_validation,
-        .last_restore = report.dump.last_restore, .excerpt = report.excerpt,
-        .program = report.program_text, .dump_reason = report.dump.reason,
-        .uart_tail = report.dump.UartTailText(), .port_ops = report.dump.PortOpsText(),
-        .events = report.dump.EventsText()};
-  });
+  // The record itself is the bug_report row: everything a later `eof report` run
+  // needs to rebuild the bug table. Rejected sightings are journaled too —
+  // snapshot_validation says which is which.
+  telemetry::Journal(sink_, elapsed, shard, [&]() -> const BugReport& { return report; });
   if (confirmed) {
     result_.bugs.push_back(std::move(report));
     EOF_LOG(kDebug) << options_.os_name << ": bug #" << catalog_id << " via "

@@ -25,6 +25,7 @@
 #include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
 #include "src/spec/compiler.h"
+#include "src/telemetry/rows.h"
 #include "src/telemetry/telemetry.h"
 
 namespace eof {
@@ -34,33 +35,14 @@ struct CampaignSample {
   uint64_t coverage = 0;
 };
 
-struct BugReport {
-  int catalog_id = 0;          // 0 = signature did not match the catalog
-  std::string detector;        // "exception" | "log" | "timeout"
-  std::string kind;            // "panic" | "assertion" | "unresponsive"
-  std::string excerpt;         // crash text
-  VirtualTime at = 0;
-  std::string program_text;    // the triggering program, formatted
-
-  // Provenance of the first sighting (later duplicates only bump the dedup counter).
-  uint64_t first_exec = 0;     // campaign exec index that triggered it (1-based)
-  int board = 0;               // submitting worker / board index
-  uint64_t seed_stream = 0;    // that worker's RNG stream (FarmWorkerSeed rule)
-  uint64_t coverage_delta = 0; // fresh edges this execution added to the global map
-  // Cold-boot provenance verdict: "confirmed" / "rejected" when a validator replayed
-  // the reproducer against a freshly flashed board, "not_checked" when no validator
-  // was installed (reflash-mode campaigns — every exec already starts cold).
-  std::string snapshot_validation = "not_checked";
-  // The board's flight-recorder state at detection: last port ops, UART tail, and
-  // exec-loop events leading up to the crash (empty when the detecting execution
-  // produced no dump — never the case for the executor's crash/stall/link paths).
-  telemetry::FlightDump dump;
-};
+// A bug's first sighting: one record for the bug table, the journal's
+// bug_report row and the fleet upload (src/telemetry/rows.h).
+using telemetry::BugReport;
 
 struct CampaignResult {
   uint64_t final_coverage = 0;
   std::vector<CampaignSample> series;
-  std::vector<BugReport> bugs;  // first sighting of each distinct catalog id / signature
+  std::vector<BugReport> bugs;  // first sighting of each distinct bug (telemetry::SameBug)
   // First sightings the cold-boot validation oracle refused to confirm: the
   // reproducer did not crash a freshly flashed board, so the "bug" was an artifact
   // of accumulated warm-restore state. Journaled (snapshot_validation="rejected")

@@ -58,26 +58,5 @@ FuzzerConfig FromWireConfig(const WireCampaignConfig& wire) {
   return config;
 }
 
-BugWire ToWireBug(const BugReport& bug) {
-  BugWire wire;
-  wire.catalog_id = static_cast<uint32_t>(bug.catalog_id);
-  wire.detector = bug.detector;
-  wire.kind = bug.kind;
-  wire.excerpt = bug.excerpt;
-  wire.program_text = bug.program_text;
-  wire.at_us = bug.at;
-  wire.first_exec = bug.first_exec;
-  wire.board = static_cast<uint32_t>(bug.board);
-  wire.seed_stream = bug.seed_stream;
-  wire.coverage_delta = bug.coverage_delta;
-  wire.snapshot_validation = bug.snapshot_validation;
-  wire.dump_reason = bug.dump.reason;
-  wire.dump_last_restore = bug.dump.last_restore;
-  wire.uart_tail = bug.dump.UartTailText();
-  wire.port_ops = bug.dump.PortOpsText();
-  wire.events = bug.dump.EventsText();
-  return wire;
-}
-
 }  // namespace fleet
 }  // namespace eof

@@ -1,6 +1,5 @@
-// Bridges between the engine's in-process types (FuzzerConfig, BugReport) and
-// their wire forms. Lives apart from proto.h so the codec layer stays free of
-// core dependencies.
+// Bridges between the engine's FuzzerConfig and its wire form. Lives apart from
+// proto.h so the codec layer stays free of core dependencies.
 
 #ifndef SRC_FLEET_FLEET_CONFIG_H_
 #define SRC_FLEET_FLEET_CONFIG_H_
@@ -23,10 +22,6 @@ WireCampaignConfig ToWireConfig(const FuzzerConfig& config,
 // fleet worker journals through its own shared sink, never through a scheduler-
 // owned file.
 FuzzerConfig FromWireConfig(const WireCampaignConfig& wire);
-
-// A confirmed bug with its provenance and flight-recorder text renders, the
-// exact fields the scheduler journals in bug_report rows.
-BugWire ToWireBug(const BugReport& bug);
 
 }  // namespace fleet
 }  // namespace eof

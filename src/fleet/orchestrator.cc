@@ -16,10 +16,6 @@ namespace fleet {
 
 namespace {
 
-std::string BugKey(uint32_t catalog_id, const std::string& excerpt) {
-  return StrFormat("%u|%s", catalog_id, excerpt.c_str());
-}
-
 // The per-campaign fleet.* counters, registered when the campaign is added so
 // status and /metrics show each one from zero.
 constexpr const char* kCampaignCounters[] = {
@@ -384,12 +380,13 @@ void Orchestrator::AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
 }
 
 void Orchestrator::AdmitBugsLocked(CampaignState* campaign,
-                                   const std::vector<BugWire>& bugs) {
-  for (const BugWire& bug : bugs) {
-    if (!campaign->bug_keys.insert(BugKey(bug.catalog_id, bug.excerpt)).second) {
-      continue;  // another shard already reported this signature
+                                   const std::vector<BugReport>& bugs) {
+  for (const BugReport& bug : bugs) {
+    bool known = std::any_of(campaign->bugs.begin(), campaign->bugs.end(),
+                             [&](const BugReport& kept) { return telemetry::SameBug(kept, bug); });
+    if (!known) {  // else another shard (or a replayed Sync) already reported it
+      campaign->bugs.push_back(bug);
     }
-    campaign->bugs.push_back(bug);
   }
 }
 
@@ -597,11 +594,11 @@ std::vector<FleetCampaignResult> Orchestrator::Results() {
     FinalizeCampaignLocked(campaign.get());
     FleetCampaignResult out;
     out.campaign_id = campaign->spec.campaign_id;
-    out.bugs = campaign->bugs;
     out.metrics = campaign->metrics.Snapshot();
     out.workers_served = campaign->workers_served.size();
 
     out.result = MergedResultLocked(*campaign);
+    out.result.bugs = campaign->bugs;
     for (const CorpusEntryWire& entry : campaign->corpus) {
       out.result.corpus_programs.push_back(entry.text);
     }
@@ -654,15 +651,9 @@ StatusReplyMsg Orchestrator::AssembleStatusLocked(uint64_t now_ms) {
     wire.journal_dropped = out == nullptr ? 0 : out->dropped();
     wire.journal_dropped_workers = merged.journal_dropped;
     wire.finalized = campaign->finalized ? 1 : 0;
-    for (const BugWire& bug : campaign->bugs) {
-      BugStatusWire row;
-      row.catalog_id = bug.catalog_id;
-      row.detector = bug.detector;
-      row.kind = bug.kind;
-      row.excerpt = bug.excerpt;
-      row.at_us = bug.at_us;
-      row.board = bug.board;
-      wire.bugs.push_back(std::move(row));
+    for (const BugReport& bug : campaign->bugs) {
+      wire.bugs.push_back({static_cast<uint32_t>(bug.catalog_id), bug.detector, bug.kind,
+                           bug.excerpt, bug.at, static_cast<uint32_t>(bug.board)});
     }
     reply.campaigns.push_back(std::move(wire));
   }

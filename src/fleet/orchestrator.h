@@ -56,11 +56,8 @@ struct FleetCampaignSpec {
 
 struct FleetCampaignResult {
   std::string campaign_id;
-  // Merged campaign outcome. `result.bugs` stays empty — wire bugs carry the
-  // flight-recorder rings as text renders, which do not reconstruct into
-  // structured FlightDumps; they live in `bugs` below instead.
+  // Merged campaign outcome; `result.bugs` is the orchestrator's bug table.
   CampaignResult result;
-  std::vector<BugWire> bugs;
   // The campaign's fleet.* lease and upload counters (see CampaignState).
   telemetry::MetricsSnapshot metrics;
   uint64_t workers_served = 0;
@@ -150,8 +147,7 @@ class Orchestrator {
     std::vector<CorpusEntryWire> corpus;
     std::vector<uint32_t> corpus_origin;  // worker id that contributed entry i
     std::unordered_set<uint64_t> corpus_hashes;
-    std::vector<BugWire> bugs;
-    std::set<std::string> bug_keys;  // catalog_id|excerpt
+    std::vector<BugReport> bugs;  // one per bug (telemetry::SameBug), first upload wins
     std::map<uint32_t, WorkerCursor> cursors;
     // WorkerFinal accumulation (idempotent on worker/seq): every accepted
     // final's metrics merged into one snapshot, plus the latest final's series
@@ -202,9 +198,9 @@ class Orchestrator {
                            const std::vector<uint8_t>& blob);
   void AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
                          const std::vector<CorpusEntryWire>& entries);
-  void AdmitBugsLocked(CampaignState* campaign, const std::vector<BugWire>& bugs);
+  void AdmitBugsLocked(CampaignState* campaign, const std::vector<BugReport>& bugs);
   uint64_t FrontierLocked(const CampaignState& campaign) const;
-  // The campaign's merged result so far, minus corpus_programs.
+  // The campaign's merged result so far, minus bugs and corpus_programs.
   CampaignResult MergedResultLocked(const CampaignState& campaign) const;
   void EmitFarmRowLocked(CampaignState* campaign, VirtualTime at);
   void FinalizeCampaignLocked(CampaignState* campaign);

@@ -1,5 +1,7 @@
 #include "src/fleet/proto.h"
 
+#include <climits>
+
 #include "src/common/byteio.h"
 #include "src/common/strings.h"
 
@@ -12,6 +14,8 @@ namespace {
 // Each message and each struct nested in one lists its fields once. A Writer
 // visits the list to encode and a Reader visits it to decode, so the two
 // directions cannot drift. A vector travels as a u32 count and then its items.
+// A bug travels through the journal's own bug_report list (telemetry::Fields),
+// whose field names the wire drops, with the row's `at` ahead of it.
 
 template <class IO>
 void Fields(IO& io, HelloMsg& m) { io(m.worker_name, m.capacity); }
@@ -46,13 +50,6 @@ void Fields(IO& io, NoWorkMsg& m) { io(m.campaign_done, m.retry_ms); }
 template <class IO>
 void Fields(IO& io, ShardProgressWire& m) {
   io(m.lease_id, m.shard, m.elapsed_us, m.execs, m.completed);
-}
-
-template <class IO>
-void Fields(IO& io, BugWire& m) {
-  io(m.catalog_id, m.detector, m.kind, m.excerpt, m.program_text, m.at_us, m.first_exec,
-     m.board, m.seed_stream, m.coverage_delta, m.snapshot_validation, m.dump_reason,
-     m.dump_last_restore, m.uart_tail, m.port_ops, m.events);
 }
 
 template <class IO>
@@ -167,11 +164,19 @@ class Writer {
     (Write(fields), ...);
   }
 
+  // A named field of a journal list: the name stays off the wire.
+  template <class T>
+  Writer& operator()(const char* /*key*/, T& field) {
+    (*this)(field);
+    return *this;
+  }
+
   std::vector<uint8_t> TakeBytes() { return out_.TakeBytes(); }
 
  private:
   void Write(uint8_t& v) { out_.PutU8(v); }
   void Write(uint32_t& v) { out_.PutU32(v); }
+  void Write(int& v) { out_.PutU32(static_cast<uint32_t>(v)); }
   void Write(uint64_t& v) { out_.PutU64(v); }
   void Write(std::string& v) { out_.PutLengthPrefixed(v); }
   void Write(std::vector<uint8_t>& v) { out_.PutLengthPrefixed(v); }
@@ -188,6 +193,11 @@ class Writer {
     for (T& item : items) {
       Write(item);
     }
+  }
+
+  void Write(telemetry::BugReport& bug) {
+    Write(bug.at);
+    telemetry::Fields(*this, bug);
   }
 
   template <class T>
@@ -209,6 +219,13 @@ class Reader {
     ((ok() ? Read(fields) : void()), ...);
   }
 
+  // A named field of a journal list: the wire carries the value only.
+  template <class T>
+  Reader& operator()(const char* /*key*/, T& field) {
+    (*this)(field);
+    return *this;
+  }
+
   // Every payload byte must have been consumed exactly.
   Status Finish(const char* what) const {
     RETURN_IF_ERROR(status_);
@@ -227,6 +244,13 @@ class Reader {
 
   void Read(uint8_t& v) { v = in_.GetU8(); }
   void Read(uint32_t& v) { v = in_.GetU32(); }
+  void Read(int& v) {
+    uint32_t raw = in_.GetU32();
+    if (raw > static_cast<uint32_t>(INT_MAX)) {
+      status_ = DataLossError(StrFormat("value %u overflows an int", raw));
+    }
+    v = static_cast<int>(raw);
+  }
   void Read(uint64_t& v) { v = in_.GetU64(); }
   void Read(std::vector<uint8_t>& v) { v = in_.GetLengthPrefixed(); }
   void Read(telemetry::MetricsSnapshot& v) { status_ = GetMetrics(&in_, &v); }
@@ -247,6 +271,11 @@ class Reader {
     for (uint32_t i = 0; i < count && ok(); ++i) {
       Read(items.emplace_back());
     }
+  }
+
+  void Read(telemetry::BugReport& bug) {
+    (*this)(bug.at);
+    telemetry::Fields(*this, bug);
   }
 
   template <class T>

@@ -28,12 +28,13 @@
 
 #include "src/common/status.h"
 #include "src/telemetry/metrics.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 4;
+inline constexpr uint16_t kProtoVersion = 5;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -138,26 +139,6 @@ struct ShardProgressWire {
   uint8_t completed = 0;  // session ran its full budget
 };
 
-// Full BugReport provenance; flight-recorder rings travel as their text renders.
-struct BugWire {
-  uint32_t catalog_id = 0;
-  std::string detector;
-  std::string kind;
-  std::string excerpt;
-  std::string program_text;
-  uint64_t at_us = 0;
-  uint64_t first_exec = 0;
-  uint32_t board = 0;
-  uint64_t seed_stream = 0;
-  uint64_t coverage_delta = 0;
-  std::string snapshot_validation;
-  std::string dump_reason;
-  std::string dump_last_restore;
-  std::string uart_tail;
-  std::string port_ops;
-  std::string events;
-};
-
 // Heartbeat + lease renewal + idempotent upload, all in one.
 struct SyncMsg {
   uint32_t worker_id = 0;
@@ -166,7 +147,8 @@ struct SyncMsg {
   std::vector<ShardProgressWire> shards;
   std::vector<uint8_t> coverage_delta;  // diff blob since the last Sync
   std::vector<CorpusEntryWire> corpus;  // newly admitted programs
-  std::vector<BugWire> bugs;            // newly confirmed bugs
+  // Newly confirmed bugs, each as the journal's bug_report list with `at` ahead.
+  std::vector<telemetry::BugReport> bugs;
   uint64_t journal_dropped = 0;  // this worker's sink drop count so far
 };
 

@@ -301,11 +301,8 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
     std::vector<std::pair<std::string, uint64_t>> fresh_corpus;
     corpus_cursor = scheduler.ExportCorpusSince(corpus_cursor, &fresh_corpus);
     sync.corpus = ToCorpusWire(fresh_corpus);
-    std::vector<BugReport> fresh_bugs = scheduler.BugsSince(bug_cursor);
-    bug_cursor += fresh_bugs.size();
-    for (const BugReport& bug : fresh_bugs) {
-      sync.bugs.push_back(ToWireBug(bug));
-    }
+    sync.bugs = scheduler.BugsSince(bug_cursor);
+    bug_cursor += sync.bugs.size();
     sync.journal_dropped = sink() != nullptr ? sink()->dropped() : 0;
 
     pump_status = transport->Send({MsgType::kSync, Encode(sync)});

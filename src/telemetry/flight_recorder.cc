@@ -1,9 +1,8 @@
 #include "src/telemetry/flight_recorder.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstring>
-
-#include "src/common/strings.h"
 
 namespace eof {
 namespace telemetry {
@@ -94,6 +93,13 @@ void FlightRecorder::Clear() {
 
 namespace {
 
+// Appends `value` in `base` without a temporary string: a first sighting renders
+// a whole ring of records per column.
+void AppendNumber(std::string* out, uint64_t value, int base = 10) {
+  char digits[24];
+  out->append(digits, std::to_chars(digits, digits + sizeof(digits), value, base).ptr);
+}
+
 // Copies a ring out oldest-first: entries [seen - kept, seen) in append order.
 template <typename Record, typename Push>
 void UnrollRing(const std::vector<Record>& ring, uint64_t seen, Push push) {
@@ -128,12 +134,18 @@ std::string FlightDump::PortOpsText() const {
     if (!out.empty()) {
       out += '\n';
     }
-    out += StrFormat("t=%llu %s addr=0x%llx size=%llu%s",
-                     static_cast<unsigned long long>(record.at),
-                     FlightPortOpName(record.op),
-                     static_cast<unsigned long long>(record.address),
-                     static_cast<unsigned long long>(record.size),
-                     record.ok ? "" : " FAIL");
+    // "t=%llu %s addr=0x%llx size=%llu" and " FAIL" when the op failed.
+    out += "t=";
+    AppendNumber(&out, record.at);
+    out += ' ';
+    out += FlightPortOpName(record.op);
+    out += " addr=0x";
+    AppendNumber(&out, record.address, 16);
+    out += " size=";
+    AppendNumber(&out, record.size);
+    if (!record.ok) {
+      out += " FAIL";
+    }
   }
   return out;
 }
@@ -144,8 +156,12 @@ std::string FlightDump::EventsText() const {
     if (!out.empty()) {
       out += '\n';
     }
-    out += StrFormat("t=%llu %s=%llu", static_cast<unsigned long long>(record.at),
-                     record.label, static_cast<unsigned long long>(record.value));
+    out += "t=";
+    AppendNumber(&out, record.at);
+    out += ' ';
+    out += record.label;
+    out += '=';
+    AppendNumber(&out, record.value);
   }
   return out;
 }
@@ -158,24 +174,6 @@ std::string FlightDump::UartTailText() const {
     }
     out += line;
   }
-  return out;
-}
-
-std::string FlightDump::RenderText() const {
-  std::string out = StrFormat(
-      "flight dump: reason=%s t=%llu port_ops=%zu/%llu uart_lines=%zu/%llu "
-      "events=%zu/%llu\n",
-      reason.c_str(), static_cast<unsigned long long>(at), port_ops.size(),
-      static_cast<unsigned long long>(port_ops_seen), uart_tail.size(),
-      static_cast<unsigned long long>(uart_lines_seen), events.size(),
-      static_cast<unsigned long long>(events_seen));
-  out += "-- port ops --\n";
-  out += PortOpsText();
-  out += "\n-- uart tail --\n";
-  out += UartTailText();
-  out += "\n-- events --\n";
-  out += EventsText();
-  out += '\n';
   return out;
 }
 

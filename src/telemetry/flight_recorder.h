@@ -90,14 +90,11 @@ struct FlightDump {
   std::vector<ExecEventRecord> events;
 
   // The individual rings as newline-joined text columns ("t=... rd addr=0x... " /
-  // raw UART lines / "t=... label=value"), the form embedded in journal rows.
+  // raw UART lines / "t=... label=value"): the form crash_dump rows and
+  // BugReport carry.
   std::string PortOpsText() const;
   std::string UartTailText() const;
   std::string EventsText() const;
-
-  // Human-readable multi-line rendering (the form embedded in BugReport and the
-  // `eof report` bug table).
-  std::string RenderText() const;
 };
 
 class FlightRecorder {

@@ -93,16 +93,16 @@ CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
               last.worker = row.worker;
               last.clock = row.at;
             },
-            [&](const ReportBug& sighting) {
-              ReportBug bug = sighting;
-              bug.at = row.at;
+            [&](const BugReport& sighting) {
+              ReportedBug entry{sighting};
+              entry.bug.at = row.at;
               // Validation-rejected sightings stay out of the bug table (they would
               // also break the snapshot-vs-journal bug count consistency check
               // below).
-              if (bug.snapshot_validation == "rejected") {
-                report.rejected_bugs.push_back(std::move(bug));
+              if (sighting.snapshot_validation == "rejected") {
+                report.rejected_bugs.push_back(std::move(entry));
               } else {
-                report.bugs.push_back(std::move(bug));
+                report.bugs.push_back(std::move(entry));
               }
             },
             [&](const BugDedupRow& dedup) { ++dedup_hits[dedup.catalog_id]; },
@@ -132,21 +132,20 @@ CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
         typed.value());
   }
   if (report.fleet.present) {
-    // Independent workers can journal the same deduplicated bug (each keeps its
-    // own sighting until the next sync folds the orchestrator's table back in).
-    // Merge sightings by identity key — earliest virtual time wins, later rows
-    // count as duplicates — mirroring the orchestrator's own bug admission.
-    auto fold = [](std::vector<ReportBug>* bugs) {
-      std::map<std::string, size_t> first_by_key;
-      std::vector<ReportBug> kept;
-      for (ReportBug& bug : *bugs) {
-        std::string key = StrFormat("%d|%s", bug.catalog_id, bug.excerpt.c_str());
-        auto it = first_by_key.find(key);
-        if (it == first_by_key.end()) {
-          first_by_key.emplace(std::move(key), kept.size());
-          kept.push_back(std::move(bug));
+    // Independent workers can journal the same bug (each keeps its own first
+    // sighting; the orchestrator never sends bugs back). Fold sightings by the
+    // one identity rule, as the orchestrator's own admission does: the first row
+    // wins, later rows count as duplicates.
+    auto fold = [](std::vector<ReportedBug>* bugs) {
+      std::vector<ReportedBug> kept;
+      for (ReportedBug& entry : *bugs) {
+        auto same = std::find_if(kept.begin(), kept.end(), [&](const ReportedBug& first) {
+          return SameBug(first.bug, entry.bug);
+        });
+        if (same == kept.end()) {
+          kept.push_back(std::move(entry));
         } else {
-          kept[it->second].duplicates += 1 + bug.duplicates;
+          same->duplicates += 1 + entry.duplicates;
         }
       }
       *bugs = std::move(kept);
@@ -157,18 +156,18 @@ CampaignReport BuildReport(const std::vector<JournalRow>& rows) {
 
   for (auto& [catalog_id, hits] : dedup_hits) {
     bool credited = false;
-    for (ReportBug& bug : report.bugs) {
-      if (bug.catalog_id == catalog_id) {
-        bug.duplicates += hits;
+    for (ReportedBug& entry : report.bugs) {
+      if (entry.bug.catalog_id == catalog_id) {
+        entry.duplicates += hits;
         credited = true;
         break;  // dedup rows only carry the catalog id; credit the first sighting
       }
     }
     if (!credited) {
       // Rejected sightings dedup too — re-triggers of an artifact stay with it.
-      for (ReportBug& bug : report.rejected_bugs) {
-        if (bug.catalog_id == catalog_id) {
-          bug.duplicates += hits;
+      for (ReportedBug& entry : report.rejected_bugs) {
+        if (entry.bug.catalog_id == catalog_id) {
+          entry.duplicates += hits;
           break;
         }
       }
@@ -344,7 +343,7 @@ std::string CampaignReport::RenderText() const {
   }
 
   out += StrFormat("\n-- bugs (%zu deduped) --\n", bugs.size());
-  for (const ReportBug& bug : bugs) {
+  for (const auto& [bug, duplicates] : bugs) {
     out += StrFormat(
         "bug #%d [%s/%s] op=%s board=%d first_exec=%llu seed_stream=%llu "
         "cov_delta=%llu t_vs=%.1f dups=%llu validation=%s restore=%s\n",
@@ -353,13 +352,13 @@ std::string CampaignReport::RenderText() const {
         static_cast<unsigned long long>(bug.first_exec),
         static_cast<unsigned long long>(bug.seed_stream),
         static_cast<unsigned long long>(bug.coverage_delta), VirtualSeconds(bug.at),
-        static_cast<unsigned long long>(bug.duplicates),
+        static_cast<unsigned long long>(duplicates),
         bug.snapshot_validation.empty() ? "not_checked" : bug.snapshot_validation.c_str(),
         bug.last_restore.empty() ? "none" : bug.last_restore.c_str());
     out += "  excerpt:\n";
     out += Indent(TailLines(bug.excerpt, 4));
     out += "  program:\n";
-    out += Indent(bug.program);
+    out += Indent(bug.program_text);
     out += StrFormat("  dump[%s] uart tail:\n", bug.dump_reason.c_str());
     out += Indent(TailLines(bug.uart_tail, 8));
     out += "  dump port ops (tail):\n";
@@ -371,17 +370,17 @@ std::string CampaignReport::RenderText() const {
   if (!rejected_bugs.empty()) {
     out += StrFormat("\n-- rejected sightings (%zu, failed cold-boot validation) --\n",
                      rejected_bugs.size());
-    for (const ReportBug& bug : rejected_bugs) {
+    for (const auto& [bug, duplicates] : rejected_bugs) {
       out += StrFormat(
           "sighting #%d [%s/%s] board=%d first_exec=%llu restore=%s dups=%llu\n",
           bug.catalog_id, bug.detector.c_str(), bug.kind.c_str(), bug.board,
           static_cast<unsigned long long>(bug.first_exec),
           bug.last_restore.empty() ? "none" : bug.last_restore.c_str(),
-          static_cast<unsigned long long>(bug.duplicates));
+          static_cast<unsigned long long>(duplicates));
       out += "  excerpt:\n";
       out += Indent(TailLines(bug.excerpt, 4));
       out += "  program:\n";
-      out += Indent(bug.program);
+      out += Indent(bug.program_text);
     }
   }
   return out;
@@ -455,15 +454,15 @@ std::string CampaignReport::RenderJson() const {
   append_counts("resets", resets_by_reason);
   append_counts("restores_by_mode", restores_by_mode);
 
-  auto append_bugs = [&out, &json](const char* name, const std::vector<ReportBug>& list) {
+  auto append_bugs = [&out, &json](const char* name, const std::vector<ReportedBug>& list) {
     out += StrFormat(",\n\"%s\":[", name);
-    for (const ReportBug& bug : list) {
+    for (const auto& [bug, duplicates] : list) {
       out += out.back() == '[' ? "{" : ",{";
       json("catalog_id", bug.catalog_id)("detector", bug.detector)("kind", bug.kind)(
-          "operation", bug.operation)("excerpt", bug.excerpt)("program", bug.program)(
+          "operation", bug.operation)("excerpt", bug.excerpt)("program", bug.program_text)(
           "t_us", bug.at)("first_exec", bug.first_exec)("board", bug.board)(
           "seed_stream", bug.seed_stream)("coverage_delta", bug.coverage_delta)(
-          "duplicates", bug.duplicates)(
+          "duplicates", duplicates)(
           "snapshot_validation",
           bug.snapshot_validation.empty() ? "not_checked" : bug.snapshot_validation)(
           "last_restore", bug.last_restore.empty() ? "none" : bug.last_restore)(

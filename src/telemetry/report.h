@@ -51,6 +51,14 @@ struct FleetSummary {
   uint64_t worker_finals = 0;
 };
 
+// One line of the report's bug table: a bug_report row's record plus the later
+// sightings folded into it (bug_dedup rows, and other workers' bug_report rows
+// of the same bug in a merged fleet journal).
+struct ReportedBug {
+  BugReport bug;
+  uint64_t duplicates = 0;
+};
+
 struct CampaignReport {
   // campaign_start envelope.
   std::string os;
@@ -77,10 +85,10 @@ struct CampaignReport {
 
   std::vector<ReportSample> series;
   std::vector<BoardAccounting> boards;
-  std::vector<ReportBug> bugs;
+  std::vector<ReportedBug> bugs;
   // Validation-rejected sightings (bug_report rows with snapshot_validation ==
   // "rejected"): journaled for forensics but never part of the bug table.
-  std::vector<ReportBug> rejected_bugs;
+  std::vector<ReportedBug> rejected_bugs;
   std::map<std::string, uint64_t> resets_by_reason;  // liveness_reset rows
   // liveness_reset rows split by which path restored the board ("cold" /
   // "snapshot").

@@ -236,40 +236,56 @@ struct BugDedupRow {
 template <class IO>
 void Fields(IO& io, BugDedupRow& r) { io("catalog_id", r.catalog_id)("detector", r.detector); }
 
-// One deduplicated bug with its Table-2 attribution and forensics: a bug_report
-// row (`at` is its t_us; `duplicates` is counted by the report).
-struct ReportBug {
+// The first sighting of a bug with its Table-2 attribution and forensics. One
+// record from detection to report: the scheduler's bug table, the bug_report row
+// (`at` is its t_us) and the fleet's Sync upload (the wire writes `at` ahead of
+// the list) all carry it.
+struct BugReport {
   static constexpr char kType[] = "bug_report";
-  int catalog_id = 0;
-  std::string detector;
-  std::string kind;
-  std::string operation;  // Table 2 "Operations" column ("" for uncataloged bugs)
-  uint64_t first_exec = 0;
-  int board = 0;
-  uint64_t seed_stream = 0;
-  uint64_t coverage_delta = 0;
-  // Cold-boot provenance: the validation verdict ("confirmed" / "rejected" /
-  // "not_checked") and the restore mode that produced the board state the bug
+  int catalog_id = 0;           // 0 = signature did not match the catalog
+  std::string detector;         // "exception" | "log" | "timeout"
+  std::string kind;             // "panic" | "assertion" | "unresponsive"
+  std::string operation;        // Table 2 "Operations" column ("" for uncataloged bugs)
+  uint64_t first_exec = 0;      // campaign exec index that triggered it (1-based)
+  int board = 0;                // submitting board's campaign-global shard label
+  uint64_t seed_stream = 0;     // that board's RNG stream (FarmWorkerSeed rule)
+  uint64_t coverage_delta = 0;  // fresh edges this execution added to the global map
+  // Cold-boot provenance: the validation verdict ("confirmed" / "rejected" when a
+  // validator replayed the reproducer on a freshly flashed board, "not_checked"
+  // without one) and the restore mode that produced the board state the bug
   // fired on ("none" / "cold" / "snapshot").
-  std::string snapshot_validation;
-  std::string last_restore;
-  std::string excerpt;
-  std::string program;  // serialized reproducer
+  std::string snapshot_validation = "not_checked";
+  std::string last_restore = "none";
+  std::string excerpt;       // crash text
+  std::string program_text;  // the triggering program, formatted
+  // The board's flight-recorder dump at detection: its reason and its rings as
+  // newline-joined text (all empty when the execution produced no dump).
   std::string dump_reason;
-  std::string uart_tail;  // newline-joined flight-recorder rings
+  std::string uart_tail;
   std::string port_ops;
   std::string events;
   VirtualTime at = 0;
-  uint64_t duplicates = 0;  // later sightings folded by dedup
+
+  bool operator==(const BugReport&) const = default;
 };
 template <class IO>
-void Fields(IO& io, ReportBug& r) {
+void Fields(IO& io, BugReport& r) {
   io("catalog_id", r.catalog_id)("detector", r.detector)("kind", r.kind)("operation", r.operation)(
       "first_exec", r.first_exec)("board", r.board)("seed_stream", r.seed_stream)(
       "coverage_delta", r.coverage_delta)("snapshot_validation", r.snapshot_validation)(
-      "last_restore", r.last_restore)("excerpt", r.excerpt)("program", r.program)(
+      "last_restore", r.last_restore)("excerpt", r.excerpt)("program", r.program_text)(
       "dump_reason", r.dump_reason)("uart_tail", r.uart_tail)("port_ops", r.port_ops)(
       "events", r.events);
+}
+
+// The one rule for "same bug", used by the scheduler's dedup, the orchestrator's
+// admission and `eof report`'s fleet fold: a cataloged sighting is its catalog
+// id, an uncataloged one (id 0) its crash excerpt.
+inline bool SameBug(const BugReport& bug, int catalog_id, std::string_view excerpt) {
+  return bug.catalog_id == catalog_id && (catalog_id != 0 || bug.excerpt == excerpt);
+}
+inline bool SameBug(const BugReport& a, const BugReport& b) {
+  return SameBug(a, b.catalog_id, b.excerpt);
 }
 
 // A flight-recorder dump: the reason, lifetime totals and the rings as text.
@@ -422,7 +438,7 @@ void Fields(IO& io, WorkerFinalRow& r) {
 // Any decoded row.
 using AnyRow =
     std::variant<CampaignStartRow, CampaignEndRow, FarmSnapshotRow, FleetFarmSnapshotRow,
-                 BoardAccounting, NewCoverageRow, TrimRow, BugRow, BugDedupRow, ReportBug,
+                 BoardAccounting, NewCoverageRow, TrimRow, BugRow, BugDedupRow, BugReport,
                  CrashDumpRow, LivenessResetRow, DeltaReflashRow, SpanRow, JournalRotateRow,
                  JournalSegmentRow, LeaseGrantRow, LeaseReclaimRow, LeaseCompleteRow,
                  WorkerLostRow, CorpusSyncRow, HeartbeatRow, WorkerFinalRow>;

@@ -59,7 +59,7 @@ std::string RenderChromeTrace(const std::vector<JournalRow>& rows) {
       event.args = StrFormat("{\"span_id\":%llu}",
                              static_cast<unsigned long long>(span->span_id));
       lanes.insert(event.tid);
-    } else if (const auto* bug = std::get_if<ReportBug>(&typed.value())) {
+    } else if (const auto* bug = std::get_if<BugReport>(&typed.value())) {
       event.name = StrFormat("bug %d %s", bug->catalog_id, bug->kind.c_str());
       event.phase = 'i';
       event.ts = row.at;

@@ -15,7 +15,6 @@
 
 #include "src/core/board_farm.h"
 #include "src/core/fuzzer.h"
-#include "src/fleet/fleet_config.h"
 #include "src/fleet/orchestrator.h"
 #include "src/fleet/transport.h"
 #include "src/fleet/worker.h"
@@ -40,25 +39,6 @@ FuzzerConfig DiffConfig(const std::string& os_name, uint64_t seed) {
   config.sample_points = 6;
   config.export_corpus = true;
   return config;
-}
-
-void ExpectSameBug(const BugWire& fleet_bug, const BugWire& local_bug) {
-  EXPECT_EQ(fleet_bug.catalog_id, local_bug.catalog_id);
-  EXPECT_EQ(fleet_bug.detector, local_bug.detector);
-  EXPECT_EQ(fleet_bug.kind, local_bug.kind);
-  EXPECT_EQ(fleet_bug.excerpt, local_bug.excerpt);
-  EXPECT_EQ(fleet_bug.program_text, local_bug.program_text);
-  EXPECT_EQ(fleet_bug.at_us, local_bug.at_us);
-  EXPECT_EQ(fleet_bug.first_exec, local_bug.first_exec);
-  EXPECT_EQ(fleet_bug.board, local_bug.board);
-  EXPECT_EQ(fleet_bug.seed_stream, local_bug.seed_stream);
-  EXPECT_EQ(fleet_bug.coverage_delta, local_bug.coverage_delta);
-  EXPECT_EQ(fleet_bug.snapshot_validation, local_bug.snapshot_validation);
-  EXPECT_EQ(fleet_bug.dump_reason, local_bug.dump_reason);
-  EXPECT_EQ(fleet_bug.dump_last_restore, local_bug.dump_last_restore);
-  EXPECT_EQ(fleet_bug.uart_tail, local_bug.uart_tail);
-  EXPECT_EQ(fleet_bug.port_ops, local_bug.port_ops);
-  EXPECT_EQ(fleet_bug.events, local_bug.events);
 }
 
 void RunDifferential(const std::string& os_name, uint64_t seed,
@@ -143,11 +123,11 @@ void RunDifferential(const std::string& os_name, uint64_t seed,
   // Same corpus: identical programs in identical admission order.
   EXPECT_EQ(fleet_result.corpus_programs, local_result.corpus_programs);
 
-  // Same bug table with full provenance (compare through the same wire
-  // conversion the worker uses, so text renders line up exactly).
-  ASSERT_EQ(results[0].bugs.size(), local_result.bugs.size());
+  // Same bug table: every record, provenance and dump columns included, equal to
+  // the in-process one after the Sync codec and the orchestrator's admission.
+  ASSERT_EQ(fleet_result.bugs.size(), local_result.bugs.size());
   for (size_t i = 0; i < local_result.bugs.size(); ++i) {
-    ExpectSameBug(results[0].bugs[i], ToWireBug(local_result.bugs[i]));
+    EXPECT_TRUE(fleet_result.bugs[i] == local_result.bugs[i]) << "bug " << i;
   }
 }
 

@@ -149,7 +149,7 @@ eof_fleet_sync_payload_bytes_bucket{le="4096"} 4
 eof_fleet_sync_payload_bytes_bucket{le="4194304"} 4
 eof_fleet_sync_payload_bytes_bucket{le="65536"} 4
 eof_fleet_sync_payload_bytes_count 4
-eof_fleet_sync_payload_bytes_sum 601
+eof_fleet_sync_payload_bytes_sum 620
 eof_fleet_worker_execs_total{worker="rack0/a",id="1"} 800
 eof_fleet_worker_execs_total{worker="rack1/b",id="2"} 1950
 eof_fleet_worker_journal_dropped_total{worker="rack0/a",id="1"} 2
@@ -368,7 +368,7 @@ TEST_F(ObserverTest, HandleStatusAggregatesCampaignWorkerAndShardState) {
   sync.shards.push_back({grant->leases[0].lease_id, grant->leases[0].shard,
                          5000000, 500, 0});
   sync.coverage_delta = SerializeCoverageIds({11, 22}, CoverageWireKind::kDiff);
-  BugWire bug;
+  BugReport bug;
   bug.catalog_id = 3;
   bug.detector = "exception";
   bug.kind = "crash";
@@ -588,11 +588,7 @@ TEST_F(ObserverTest, ObserverPollingPerturbsNothing) {
   EXPECT_EQ(observed[0].result.corpus_size, baseline[0].result.corpus_size);
   EXPECT_EQ(observed[0].result.corpus_programs, baseline[0].result.corpus_programs);
   EXPECT_EQ(observed[0].result.elapsed, baseline[0].result.elapsed);
-  EXPECT_EQ(observed[0].bugs.size(), baseline[0].bugs.size());
-  for (size_t i = 0; i < baseline[0].bugs.size(); ++i) {
-    EXPECT_EQ(observed[0].bugs[i].catalog_id, baseline[0].bugs[i].catalog_id);
-    EXPECT_EQ(observed[0].bugs[i].excerpt, baseline[0].bugs[i].excerpt);
-  }
+  EXPECT_TRUE(observed[0].result.bugs == baseline[0].result.bugs);
   for (const char* counter : {"fleet.leases_granted", "fleet.leases_reclaimed",
                               "fleet.rejected_uploads", "fleet.corpus_syncs"}) {
     EXPECT_EQ(observed[0].metrics.CounterValue(counter),
@@ -675,12 +671,12 @@ std::vector<StatusReplyMsg> TwoCampaignHistory(Orchestrator* orchestrator,
   a_sync.shards.push_back({a_grant.leases[1].lease_id, 1, 4000000, 300, 0});
   a_sync.coverage_delta = SerializeCoverageIds({11, 22, 33}, CoverageWireKind::kDiff);
   a_sync.corpus = {{"prog-a1", 2}, {"prog-a2", 1}};
-  BugWire bug;
+  BugReport bug;
   bug.catalog_id = 4;
   bug.detector = "log";
   bug.kind = "assertion";
   bug.excerpt = "ASSERT: k_msgq";
-  bug.at_us = 2100000;
+  bug.at = 2100000;
   bug.board = 1;
   a_sync.bugs.push_back(bug);
   a_sync.journal_dropped = 2;

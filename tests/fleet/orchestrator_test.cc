@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,6 +20,7 @@
 #include "src/fleet/worker.h"
 #include "src/os/all_oses.h"
 #include "src/telemetry/journal.h"
+#include "src/telemetry/rows.h"
 
 namespace eof {
 namespace fleet {
@@ -231,7 +233,7 @@ TEST_F(OrchestratorTest, ReclaimsExpiredLeasesAndReassigns) {
   EXPECT_EQ(stale_decoded->revoked[0], a_lease);
 
   // B completes the shard; the same bug uploaded by both workers counts once.
-  BugWire bug;
+  BugReport bug;
   bug.catalog_id = 3;
   bug.excerpt = "PANIC: double free";
   SyncMsg a_bug;
@@ -267,7 +269,7 @@ TEST_F(OrchestratorTest, ReclaimsExpiredLeasesAndReassigns) {
   EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_granted"), 2u);
   EXPECT_EQ(results[0].metrics.CounterValue("fleet.leases_reclaimed"), 1u);
   EXPECT_EQ(results[0].metrics.CounterValue("fleet.workers_lost"), 1u);
-  EXPECT_EQ(results[0].bugs.size(), 1u);  // deduped across both uploads
+  EXPECT_EQ(results[0].result.bugs.size(), 1u);  // deduped across both uploads
   EXPECT_EQ(results[0].result.final_coverage, 2u);
 }
 
@@ -360,6 +362,76 @@ TEST_F(OrchestratorTest, MergesFinalsFromTwoWorkers) {
   EXPECT_EQ(merged.corpus_size, 0u);
   EXPECT_EQ(results[0].workers_served, 2u);
   EXPECT_EQ(CountRows("worker_final"), 2u);
+}
+
+// The orchestrator admits bugs by the scheduler's identity rule. Two shards
+// that first sight catalog bug 4 with different crash text (k_heap_init prints
+// a different chunk offset per board) upload one bug; two uncataloged
+// sightings with different excerpts stay two bugs.
+TEST_F(OrchestratorTest, AdmitsOneBugPerCatalogIdAndOnePerUncatalogedExcerpt) {
+  auto orchestrator = Make();
+  for (const char* id : {"cataloged", "uncataloged"}) {
+    FleetCampaignSpec spec;
+    spec.campaign_id = id;
+    spec.config = TinyConfig();
+    spec.shards = 2;
+    ASSERT_TRUE(orchestrator->AddCampaign(spec).ok());
+  }
+  auto [client, server] = LoopbackPair();
+  std::thread handler([&] { orchestrator->ServeConnection(server.get()); });
+  uint32_t a_id = SayHello(client.get(), "a");
+  uint32_t b_id = SayHello(client.get(), "b");
+  uint64_t seq = 0;
+  auto upload = [&](uint32_t worker_id, const std::string& campaign, const BugReport& bug) {
+    SyncMsg sync;
+    sync.worker_id = worker_id;
+    sync.campaign_id = campaign;
+    sync.seq = ++seq;
+    sync.bugs.push_back(bug);
+    ASSERT_TRUE(client->Send({MsgType::kSync, Encode(sync)}).ok());
+    auto ack = client->Recv(2000);
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack->type, MsgType::kSyncAck);
+  };
+  BugReport heap_a;
+  heap_a.catalog_id = 4;
+  heap_a.excerpt = "PANIC: k_heap_init: first chunk header written at -7";
+  heap_a.board = 0;
+  BugReport heap_b = heap_a;
+  heap_b.excerpt = "PANIC: k_heap_init: first chunk header written at -1";
+  heap_b.board = 1;
+  upload(a_id, "cataloged", heap_a);
+  upload(b_id, "cataloged", heap_b);
+  BugReport unknown_a;
+  unknown_a.excerpt = "PANIC: unknown fault a";
+  BugReport unknown_b;
+  unknown_b.excerpt = "PANIC: unknown fault b";
+  upload(a_id, "uncataloged", unknown_a);
+  upload(b_id, "uncataloged", unknown_b);
+  upload(b_id, "uncataloged", unknown_a);  // the same excerpt again: one bug
+  client->Send({MsgType::kGoodbye, Encode(GoodbyeMsg{a_id})});
+  client->Close();
+  handler.join();
+
+  auto results = orchestrator->Results();
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_EQ(results[0].result.bugs.size(), 1u);
+  EXPECT_TRUE(results[0].result.bugs[0] == heap_a);  // the first upload wins
+  ASSERT_EQ(results[1].result.bugs.size(), 2u);
+  EXPECT_TRUE(results[1].result.bugs[0] == unknown_a);
+  EXPECT_TRUE(results[1].result.bugs[1] == unknown_b);
+
+  // The final farm_snapshot rows count the same bugs.
+  std::map<std::string, uint64_t> bugs_by_campaign;
+  for (const telemetry::Event& event : sink_.Events()) {
+    if (event.type == "farm_snapshot") {
+      auto row = telemetry::ParseJournalLine(event.ToJsonLine());
+      ASSERT_TRUE(row.ok()) << row.status().ToString();
+      bugs_by_campaign[row->texts["campaign"]] = row->uints["bugs"];
+    }
+  }
+  EXPECT_EQ(bugs_by_campaign["cataloged"], 1u);
+  EXPECT_EQ(bugs_by_campaign["uncataloged"], 2u);
 }
 
 TEST_F(OrchestratorTest, EndToEndWithRealWorkerOverLoopback) {

@@ -127,20 +127,21 @@ SyncMsg GoldenSync() {
   sync.shards.push_back({9, 1, 500, 12, 1});
   sync.coverage_delta = {1, 2, 3};
   sync.corpus.push_back({"prog", 2});
-  BugWire bug;
+  telemetry::BugReport bug;
   bug.catalog_id = 6;
   bug.detector = "watchdog";
   bug.kind = "stall";
+  bug.operation = "rt_list_isempty()";
   bug.excerpt = "STALL";
   bug.program_text = "r0 = k_yield()";
-  bug.at_us = 1500;
+  bug.at = 1500;
   bug.first_exec = 40;
   bug.board = 2;
   bug.seed_stream = 11;
   bug.coverage_delta = 5;
   bug.snapshot_validation = "validated";
   bug.dump_reason = "watchdog";
-  bug.dump_last_restore = "reflash";
+  bug.last_restore = "reflash";
   bug.uart_tail = "line1\nline2";
   bug.port_ops = "read 0x20000000";
   bug.events = "irq 3";
@@ -157,8 +158,7 @@ TEST(ProtoTest, SyncRoundTrips) {
   EXPECT_EQ(sync2->shards[0].lease_id, 9u);
   EXPECT_EQ(sync2->shards[0].completed, 1u);
   ASSERT_EQ(sync2->bugs.size(), 1u);
-  EXPECT_EQ(sync2->bugs[0].catalog_id, 6u);
-  EXPECT_EQ(sync2->bugs[0].uart_tail, "line1\nline2");
+  EXPECT_TRUE(sync2->bugs[0] == GoldenSync().bugs[0]);
   EXPECT_EQ(sync2->journal_dropped, 2u);
 }
 
@@ -325,7 +325,8 @@ StatusReplyMsg GoldenStatusReply() {
 
 // One fully populated instance of every message (each field non-default, each
 // vector non-empty, each u8 flag non-zero), its decoder, and its wire bytes as
-// pinned at protocol version 4.
+// pinned at protocol version 5 (only Sync's bytes moved from version 4: its bugs
+// travel as the journal's bug_report list).
 struct CodecCase {
   const char* name;
   std::vector<uint8_t> golden;
@@ -353,11 +354,11 @@ std::vector<CodecCase> CodecCases() {
       {"Sync", Encode(GoldenSync()), DecodeThenEncode(&DecodeSync),
        "030000000100000063110000000000000001000000090000000000000001000000f4010000000000"
        "000c000000000000000103000000010203010000000400000070726f670200000000000000010000"
-       "0006000000080000007761746368646f67050000007374616c6c050000005354414c4c0e00000072"
-       "30203d206b5f7969656c642829dc050000000000002800000000000000020000000b000000000000"
-       "0005000000000000000900000076616c696461746564080000007761746368646f67070000007265"
-       "666c6173680b0000006c696e65310a6c696e65320f00000072656164203078323030303030303005"
-       "00000069727120330200000000000000"},
+       "00dc0500000000000006000000080000007761746368646f67050000007374616c6c110000007274"
+       "5f6c6973745f6973656d70747928292800000000000000020000000b000000000000000500000000"
+       "0000000900000076616c696461746564070000007265666c617368050000005354414c4c0e000000"
+       "7230203d206b5f7969656c642829080000007761746368646f670b0000006c696e65310a6c696e65"
+       "320f0000007265616420307832303030303030300500000069727120330200000000000000"},
       {"SyncAck", Encode(GoldenSyncAck()), DecodeThenEncode(&DecodeSyncAck),
        "01010400000004050607020000000e0000007230203d206b5f7969656c6428290300000000000000"
        "140000007230203d206b5f73656d5f67697665283078312901000000000000000200000029000000"
@@ -419,6 +420,11 @@ TEST(ProtoTest, DecodersRejectTruncationAndTrailingBytes) {
   std::vector<uint8_t> trailing = payload;
   trailing.push_back(0);
   EXPECT_FALSE(DecodeHelloAck(trailing).ok());
+
+  // A bug's int fields reject a u32 past INT_MAX.
+  SyncMsg negative = GoldenSync();
+  negative.bugs[0].catalog_id = -1;
+  EXPECT_FALSE(DecodeSync(Encode(negative)).ok());
 
   // A Sync payload is not a LeaseGrant payload.
   SyncMsg sync;

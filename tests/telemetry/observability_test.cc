@@ -102,7 +102,7 @@ TEST(TraceExportTest, SpansNestAndInstantsRender) {
   rows.push_back(SpanRow(1500, 0, "reflash", 1000, 300));
   rows.push_back(SpanRow(2000, 0, "watchdog_recovery", 1000, 1000));
   rows.push_back(SpanRow(5000, 1, "deploy", 4000, 1000));
-  ReportBug bug;
+  BugReport bug;
   bug.catalog_id = 7;
   bug.board = 1;
   bug.kind = "double free";

@@ -135,9 +135,9 @@ TEST(BuildReportTest, MissingBookendsAndDropsBecomeWarnings) {
 }
 
 TEST(BuildReportTest, DedupRowsCreditTheFirstSightingOfTheCatalogId) {
-  ReportBug bug;
+  BugReport bug;
   bug.catalog_id = 3;
-  bug.program = "p";
+  bug.program_text = "p";
   CampaignReport report = BuildReport({
       Parsed(RowEvent(0, -1, CampaignStartRow{"x", "y", 1, 1, 40, 10, "", 0})),
       Parsed(RowEvent(10, -1, bug)),
@@ -149,6 +149,40 @@ TEST(BuildReportTest, DedupRowsCreditTheFirstSightingOfTheCatalogId) {
   EXPECT_EQ(report.bugs[0].duplicates, 2u);
   // bugs_found (1) disagrees with the absent snapshot count (0) -> warning.
   ASSERT_EQ(report.warnings.size(), 1u);
+}
+
+// Two workers of one fleet campaign each journal their own first sighting of
+// catalog bug 4, with different crash text. The merged report folds them into
+// one bug by the same identity rule the scheduler and the orchestrator use;
+// uncataloged sightings with different excerpts stay apart.
+TEST(BuildReportTest, FleetFoldKeysCatalogedSightingsOnTheIdAlone) {
+  BugReport first;
+  first.catalog_id = 4;
+  first.excerpt = "k_heap_init: first chunk header written at -7";
+  first.board = 0;
+  BugReport second = first;
+  second.excerpt = "k_heap_init: first chunk header written at -1";
+  second.board = 2;
+  BugReport unknown_a;
+  unknown_a.excerpt = "PANIC: unknown a";
+  BugReport unknown_b;
+  unknown_b.excerpt = "PANIC: unknown b";
+  CampaignReport report = BuildReport({
+      Parsed(RowEvent(0, -1, CampaignStartRow{"zephyr", "b", 4, 7, 40, 10, "c", 1})),
+      Parsed(RowEvent(10, 0, first)),
+      Parsed(RowEvent(15, 0, BugDedupRow{4, "exception"})),
+      Parsed(RowEvent(20, 2, second)),
+      Parsed(RowEvent(25, 0, unknown_a)),
+      Parsed(RowEvent(30, 2, unknown_b)),
+  });
+  ASSERT_EQ(report.bugs.size(), 3u);
+  EXPECT_EQ(report.bugs[0].bug.catalog_id, 4);
+  EXPECT_EQ(report.bugs[0].bug.excerpt, first.excerpt);  // the first row wins
+  EXPECT_EQ(report.bugs[0].bug.board, 0);
+  EXPECT_EQ(report.bugs[0].duplicates, 2u);  // the other worker's row + one bug_dedup
+  EXPECT_EQ(report.bugs[1].bug.excerpt, unknown_a.excerpt);
+  EXPECT_EQ(report.bugs[2].bug.excerpt, unknown_b.excerpt);
+  EXPECT_EQ(report.bugs_found, 3u);
 }
 
 // Golden rendering of the checked-in fixture journal. Regenerate the goldens with
@@ -316,23 +350,14 @@ TEST(ReportRoundTripTest, FarmJournalReproducesTheLiveCampaignResult) {
   EXPECT_EQ(report->corpus, result->corpus_size);
   EXPECT_EQ(report->journal_dropped, result->journal_dropped);
 
-  // The deduped bug list matches one-to-one, in order, with full provenance.
+  // The deduped bug list matches one-to-one, in order: each loaded record is the
+  // live record, field for field.
   ASSERT_EQ(report->bugs.size(), result->bugs.size());
   for (size_t i = 0; i < report->bugs.size(); ++i) {
-    const ReportBug& from_journal = report->bugs[i];
-    const BugReport& live = result->bugs[i];
-    EXPECT_EQ(from_journal.catalog_id, live.catalog_id);
-    EXPECT_EQ(from_journal.detector, live.detector);
-    EXPECT_EQ(from_journal.kind, live.kind);
-    EXPECT_EQ(from_journal.excerpt, live.excerpt);
-    EXPECT_EQ(from_journal.program, live.program_text);
-    EXPECT_EQ(from_journal.at, live.at);
-    EXPECT_EQ(from_journal.first_exec, live.first_exec);
-    EXPECT_EQ(from_journal.board, live.board);
-    EXPECT_EQ(from_journal.seed_stream, live.seed_stream);
-    EXPECT_EQ(from_journal.coverage_delta, live.coverage_delta);
+    const BugReport& from_journal = report->bugs[i].bug;
+    EXPECT_TRUE(from_journal == result->bugs[i]) << "bug " << i;
     // Every bug carries a crash dump with real forensics content.
-    EXPECT_FALSE(from_journal.program.empty());
+    EXPECT_FALSE(from_journal.program_text.empty());
     EXPECT_FALSE(from_journal.dump_reason.empty());
     EXPECT_FALSE(from_journal.uart_tail.empty());
     EXPECT_FALSE(from_journal.port_ops.empty());

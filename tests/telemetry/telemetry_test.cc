@@ -377,15 +377,28 @@ TEST(FlightRecorderTest, IdenticalHistoriesRenderBitIdenticalDumps) {
   FlightRecorder b;
   record(&a);
   record(&b);
-  EXPECT_EQ(a.Dump("crash", 50).RenderText(), b.Dump("crash", 50).RenderText());
+  FlightDump dump_a = a.Dump("crash", 50);
+  FlightDump dump_b = b.Dump("crash", 50);
+  EXPECT_EQ(dump_a.reason, dump_b.reason);
+  EXPECT_EQ(dump_a.at, dump_b.at);
+  EXPECT_EQ(dump_a.port_ops_seen, dump_b.port_ops_seen);
+  EXPECT_EQ(dump_a.uart_lines_seen, dump_b.uart_lines_seen);
+  EXPECT_EQ(dump_a.events_seen, dump_b.events_seen);
+  EXPECT_EQ(dump_a.PortOpsText(), dump_b.PortOpsText());
+  EXPECT_EQ(dump_a.UartTailText(), dump_b.UartTailText());
+  EXPECT_EQ(dump_a.EventsText(), dump_b.EventsText());
 
-  // The rendered dump carries all three sections.
-  std::string text = a.Dump("crash", 50).RenderText();
-  EXPECT_NE(text.find("reason=crash"), std::string::npos);
-  EXPECT_NE(text.find("-- port ops --"), std::string::npos);
-  EXPECT_NE(text.find("assertion failed: q != NULL"), std::string::npos);
-  EXPECT_NE(text.find("exec_begin=7"), std::string::npos);
-  EXPECT_NE(text.find("FAIL"), std::string::npos);
+  // The text columns carry what was recorded.
+  EXPECT_EQ(dump_a.reason, "crash");
+  EXPECT_NE(dump_a.UartTailText().find("assertion failed: q != NULL"), std::string::npos);
+  EXPECT_NE(dump_a.EventsText().find("exec_begin=7"), std::string::npos);
+  EXPECT_NE(dump_a.PortOpsText().find("FAIL"), std::string::npos);
+  // The exact column formats the crash_dump and bug_report rows carry.
+  EXPECT_EQ(dump_a.PortOpsText(),
+            "t=10 wr addr=0x2000 size=64\n"
+            "t=20 cont addr=0x8000100 size=0\n"
+            "t=40 rd addr=0x2000 size=4 FAIL");
+  EXPECT_EQ(dump_a.EventsText(), "t=30 exec_begin=7");
 }
 
 TEST(FlightRecorderTest, DebugPortFeedsTheAttachedRecorder) {
@@ -487,12 +500,16 @@ std::string ExpectJournalingChangesNothing(FuzzerConfig config, const std::strin
     EXPECT_EQ(a.series[i].time, b.series[i].time);
     EXPECT_EQ(a.series[i].coverage, b.series[i].coverage);
   }
-  // A dump's journal fields are rendered only for a journal; the dump a bug carries
-  // must not depend on that.
+  // A bug's record, its dump columns and last_restore included, must not depend
+  // on whether a journal was attached.
   EXPECT_EQ(a.bugs.size(), b.bugs.size());
   for (size_t i = 0; i < std::min(a.bugs.size(), b.bugs.size()); ++i) {
-    EXPECT_EQ(a.bugs[i].dump.RenderText(), b.bugs[i].dump.RenderText()) << "bug " << i;
-    EXPECT_EQ(a.bugs[i].dump.last_restore, b.bugs[i].dump.last_restore) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].dump_reason, b.bugs[i].dump_reason) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].uart_tail, b.bugs[i].uart_tail) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].port_ops, b.bugs[i].port_ops) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].events, b.bugs[i].events) << "bug " << i;
+    EXPECT_EQ(a.bugs[i].last_restore, b.bugs[i].last_restore) << "bug " << i;
+    EXPECT_TRUE(a.bugs[i] == b.bugs[i]) << "bug " << i;
   }
   *silent_out = a;
 

@@ -158,6 +158,15 @@ FuzzerConfig CampaignConfig(const std::string& os_name, uint64_t minutes, uint64
   return config;
 }
 
+// The BUG sections `eof fuzz` and `eof serve` end with, one per bug.
+void PrintBugs(const std::vector<BugReport>& bugs) {
+  for (const BugReport& bug : bugs) {
+    printf("\nBUG #%d %s [%s monitor]\n%s\nreproducer:\n%s", bug.catalog_id,
+           bug.operation.empty() ? "(unknown)" : bug.operation.c_str(), bug.detector.c_str(),
+           bug.excerpt.c_str(), bug.program_text.c_str());
+  }
+}
+
 int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
          const std::string& board, const Flags& flags) {
   FuzzerConfig config = CampaignConfig(os_name, minutes, seed, board, flags);
@@ -196,12 +205,7 @@ int Fuzz(const std::string& os_name, uint64_t minutes, uint64_t seed,
            static_cast<unsigned long long>(campaign.trim_kept_calls),
            static_cast<unsigned long long>(campaign.trim_removed_calls));
   }
-  for (const BugReport& bug : campaign.bugs) {
-    const BugInfo* info = FindBug(bug.catalog_id);
-    printf("\nBUG #%d %s [%s monitor]\n%s\nreproducer:\n%s", bug.catalog_id,
-           info != nullptr ? info->operation.c_str() : "(unknown)", bug.detector.c_str(),
-           bug.excerpt.c_str(), bug.program_text.c_str());
-  }
+  PrintBugs(campaign.bugs);
   return 0;
 }
 
@@ -410,8 +414,7 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
            static_cast<unsigned long long>(campaign.execs),
            static_cast<unsigned long long>(campaign.final_coverage),
            static_cast<unsigned long long>(campaign.crashes),
-           static_cast<unsigned long long>(campaign.corpus_size),
-           fleet_result.bugs.size());
+           static_cast<unsigned long long>(campaign.corpus_size), campaign.bugs.size());
     auto counter = [&](const char* name) {
       return static_cast<unsigned long long>(fleet_result.metrics.CounterValue(name));
     };
@@ -420,12 +423,7 @@ int Serve(const std::string& os_name, uint64_t minutes, uint64_t seed,
            static_cast<unsigned long long>(fleet_result.workers_served),
            counter("fleet.leases_granted"), counter("fleet.leases_reclaimed"),
            counter("fleet.workers_lost"), counter("fleet.corpus_syncs"));
-    for (const fleet::BugWire& bug : fleet_result.bugs) {
-      const BugInfo* info = FindBug(static_cast<int>(bug.catalog_id));
-      printf("\nBUG #%u %s [%s monitor]\n%s\nreproducer:\n%s", bug.catalog_id,
-             info != nullptr ? info->operation.c_str() : "(unknown)",
-             bug.detector.c_str(), bug.excerpt.c_str(), bug.program_text.c_str());
-    }
+    PrintBugs(campaign.bugs);
   }
   return 0;
 }
