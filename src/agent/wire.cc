@@ -132,4 +132,22 @@ AgentError DecodeProgram(const uint8_t* data, size_t size, WireProgram* out) {
   return finish(AgentError::kNone);
 }
 
+AgentError ValidateProgram(const uint8_t* data, size_t size,
+                           std::vector<uint32_t>* call_offsets) {
+  WireProgram program;
+  const AgentError error = DecodeProgram(data, size, &program);
+  call_offsets->clear();
+  uint32_t offset = 6;  // magic + ncalls
+  for (const WireCall& call : program.calls) {
+    call_offsets->push_back(offset);
+    offset += 5;  // api_id + nargs
+    for (const WireArg& arg : call.args) {
+      offset += 1 + (arg.kind == WireArgKind::kScalar      ? 8
+                     : arg.kind == WireArgKind::kResultRef ? 2
+                                                           : 4 + arg.bytes.size());
+    }
+  }
+  return error;
+}
+
 }  // namespace eof

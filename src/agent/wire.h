@@ -92,6 +92,13 @@ std::vector<uint8_t> EncodeProgram(const WireProgram& program);
 // allocating once it has seen its largest program.
 AgentError DecodeProgram(const uint8_t* data, size_t size, WireProgram* out);
 
+// Target side: checks the whole program in one pass. Returns the AgentError that the
+// agent reports in its status block; bytes after the last call are accepted and ignored.
+// `call_offsets` is cleared and then holds the start offset of every call checked before
+// the pass returned, so on success call i starts at (*call_offsets)[i].
+AgentError ValidateProgram(const uint8_t* data, size_t size,
+                           std::vector<uint32_t>* call_offsets);
+
 }  // namespace eof
 
 #endif  // SRC_AGENT_WIRE_H_

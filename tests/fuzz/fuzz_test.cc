@@ -33,6 +33,115 @@ const spec::CompiledSpecs& SpecsFor(const std::string& os_name) {
   return it->second;
 }
 
+// A program as raw api ids and ProgArgs: what the reference codec below writes and reads.
+struct RefCall {
+  uint32_t api_id = 0;
+  std::vector<ProgArg> args;
+};
+
+// The reference encoder, written byte by byte from the format comment of
+// src/agent/wire.h: the yardstick the production encoder is compared against.
+std::vector<uint8_t> RefEncode(const std::vector<RefCall>& calls) {
+  std::vector<uint8_t> out;
+  auto le = [&out](uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) {
+      out.push_back(static_cast<uint8_t>(value >> (8 * i)));
+    }
+  };
+  le(0x45304650, 4);  // magic "E0FP"
+  le(calls.size(), 2);
+  for (const RefCall& call : calls) {
+    le(call.api_id, 4);
+    le(call.args.size(), 1);
+    for (const ProgArg& arg : call.args) {
+      switch (arg.kind) {
+        case ProgArg::Kind::kScalar:
+          le(0, 1);
+          le(arg.scalar, 8);
+          break;
+        case ProgArg::Kind::kResult:
+          le(1, 1);
+          le(static_cast<uint64_t>(arg.ref), 2);
+          break;
+        case ProgArg::Kind::kBytes:
+          le(2, 1);
+          le(arg.bytes.size(), 4);
+          out.insert(out.end(), arg.bytes.begin(), arg.bytes.end());
+          break;
+      }
+    }
+  }
+  return out;
+}
+
+// The calls of `program` with their api ids bound through `specs`.
+std::vector<RefCall> RefCalls(const Program& program, const spec::CompiledSpecs& specs) {
+  std::vector<RefCall> calls;
+  for (const ProgCall& call : program.calls) {
+    calls.push_back(RefCall{specs.calls[call.spec_index].api_id, call.args});
+  }
+  return calls;
+}
+
+// Reads back, by the same format comment, the calls of a program that ValidateProgram
+// accepted with `offsets`.
+std::vector<RefCall> RefReadBack(const std::vector<uint8_t>& bytes,
+                                 const std::vector<uint32_t>& offsets) {
+  std::vector<RefCall> calls;
+  for (uint32_t offset : offsets) {
+    ByteReader reader(bytes.data() + offset, bytes.size() - offset);
+    RefCall call;
+    call.api_id = reader.GetU32();
+    call.args.resize(reader.GetU8());
+    for (ProgArg& arg : call.args) {
+      switch (reader.GetU8()) {
+        case 0:
+          arg = ProgArg::Scalar(reader.GetU64());
+          break;
+        case 1:
+          arg = ProgArg::Result(reader.GetU16());
+          break;
+        default: {
+          std::vector<uint8_t> data(reader.GetU32());
+          reader.GetBytes(data.data(), data.size());
+          arg = ProgArg::Bytes(std::move(data));
+          break;
+        }
+      }
+    }
+    calls.push_back(std::move(call));
+  }
+  return calls;
+}
+
+// The golden program every wire havoc stream below mutates.
+std::vector<uint8_t> HavocGolden() {
+  return RefEncode({{3, {ProgArg::Scalar(0xdeadbeefcafef00dULL), ProgArg::Bytes({1, 2, 3})}},
+                    {9, {ProgArg::Result(0), ProgArg::Scalar(7)}}});
+}
+
+// Pins the agent's verdict on every input of the 100k havoc stream of
+// DecoderSurvivesMutatedInput (same golden, same seed): the AgentError and, for an
+// accepted input, its call count and its calls re-encoded, folded into one hash.
+TEST(WireTest, HavocVerdictsArePinned) {
+  const std::vector<uint8_t> golden = HavocGolden();
+  ByteMutator mutator(golden.size() * 2);
+  Rng rng(20261113);
+  std::vector<uint32_t> offsets;
+  uint64_t hash = kFnvOffsetBasis;
+  for (int i = 0; i < 100000; ++i) {
+    const std::vector<uint8_t> input = mutator.Mutate(golden, rng);
+    const AgentError error = ValidateProgram(input.data(), input.size(), &offsets);
+    hash = HashCombine(hash, static_cast<uint64_t>(error));
+    if (error == AgentError::kNone) {
+      hash = HashCombine(hash, offsets.size());
+      const std::vector<uint8_t> reencoded = RefEncode(RefReadBack(input, offsets));
+      hash = Fnv1aBytes(reencoded.data(), reencoded.size(), hash);
+    }
+  }
+  EXPECT_EQ(hash, 0x956d8d1e9aa47449ULL);
+}
+
 TEST(WireTest, RoundTrip) {
   WireProgram program;
   WireCall call;
@@ -187,41 +296,16 @@ TEST(WireTest, RejectsBadMagicAndTruncation) {
   }
 }
 
-// The wire image of `program`, built field by field: the host's route to the mailbox
-// before programs encoded straight into the mailbox buffer.
-WireProgram HandBuiltWire(const Program& program, const spec::CompiledSpecs& specs) {
-  WireProgram wire;
-  for (const ProgCall& call : program.calls) {
-    WireCall wire_call;
-    wire_call.api_id = specs.calls[call.spec_index].api_id;
-    for (const ProgArg& arg : call.args) {
-      switch (arg.kind) {
-        case ProgArg::Kind::kScalar:
-          wire_call.args.push_back(WireArg::Scalar(arg.scalar));
-          break;
-        case ProgArg::Kind::kResult:
-          wire_call.args.push_back(WireArg::ResultRef(static_cast<uint16_t>(arg.ref)));
-          break;
-        case ProgArg::Kind::kBytes:
-          wire_call.args.push_back(WireArg::Bytes(arg.bytes));
-          break;
-      }
-    }
-    wire.calls.push_back(std::move(wire_call));
-  }
-  return wire;
-}
-
-// The mailbox trim of that route: drop the last call until the encoding fits.
-bool HandBuiltTrim(const spec::CompiledSpecs& specs, Program* program,
+// The mailbox trim, by the reference encoder: drop the last call until the encoding fits.
+bool RefTrim(const spec::CompiledSpecs& specs, Program* program,
                    std::vector<uint8_t>* encoded) {
-  *encoded = EncodeProgram(HandBuiltWire(*program, specs));
+  *encoded = RefEncode(RefCalls(*program, specs));
   if (encoded->size() <= kMailboxMaxBytes) {
     return true;
   }
   while (!program->calls.empty() && encoded->size() > kMailboxMaxBytes) {
     program->calls.pop_back();
-    *encoded = EncodeProgram(HandBuiltWire(*program, specs));
+    *encoded = RefEncode(RefCalls(*program, specs));
   }
   return !program->calls.empty();
 }
@@ -244,14 +328,14 @@ TEST(ProgramEncodeTest, GoldenEncoding) {
             "02" "02000000" "aabb"       // 2 bytes
             "02010000" "01"              // api 0x0102, 1 arg
             "01" "0000");                // result of call 0
-  EXPECT_EQ(encoded, EncodeProgram(HandBuiltWire(program, specs)));
+  EXPECT_EQ(encoded, RefEncode(RefCalls(program, specs)));
 }
 
 class ProgramEncodeDifferential : public ::testing::TestWithParam<const char*> {};
 
-// Generated, mutated and spliced programs encode to the bytes of their hand-built
-// wire images, through one reused buffer as the campaign loop encodes them.
-TEST_P(ProgramEncodeDifferential, MatchesHandBuiltWireBytes) {
+// Generated, mutated and spliced programs encode to the reference encoder's bytes,
+// through one reused buffer as the campaign loop encodes them.
+TEST_P(ProgramEncodeDifferential, MatchesReferenceEncoderBytes) {
   const spec::CompiledSpecs& specs = SpecsFor(GetParam());
   Generator generator(specs, GeneratorOptions{}, 4242);
   std::vector<uint8_t> encoded;
@@ -270,14 +354,14 @@ TEST_P(ProgramEncodeDifferential, MatchesHandBuiltWireBytes) {
         break;
     }
     program.Encode(specs, &encoded);
-    ASSERT_EQ(encoded, EncodeProgram(HandBuiltWire(program, specs)))
+    ASSERT_EQ(encoded, RefEncode(RefCalls(program, specs)))
         << "program " << i << ":\n" << program.Format(specs);
     previous = std::move(program);
   }
 }
 
 // Programs too large for the mailbox: EncodeForMailbox keeps exactly the calls the
-// hand-built trim keeps, and encodes them to the same bytes.
+// reference trim keeps, and encodes them to the same bytes.
 TEST_P(ProgramEncodeDifferential, OversizedProgramsTrimToTheSameCalls) {
   const spec::CompiledSpecs& specs = SpecsFor(GetParam());
   GeneratorOptions options;
@@ -298,7 +382,7 @@ TEST_P(ProgramEncodeDifferential, OversizedProgramsTrimToTheSameCalls) {
     }
     Program expected = program;
     std::vector<uint8_t> expected_bytes;
-    const bool expected_fits = HandBuiltTrim(specs, &expected, &expected_bytes);
+    const bool expected_fits = RefTrim(specs, &expected, &expected_bytes);
     if (expected.calls.size() == program.calls.size()) {
       continue;  // fitted untrimmed
     }
