@@ -75,22 +75,23 @@ void BM_MutateProgram(benchmark::State& state) {
   fuzz::Generator generator(Specs(), fuzz::GeneratorOptions{}, 1);
   fuzz::Program seed = generator.Generate();
   for (auto _ : state) {
-    fuzz::Program program = generator.Mutate(seed);
+    fuzz::Program program = seed;
+    generator.MutateInPlace(&program);
     benchmark::DoNotOptimize(program.calls.size());
   }
 }
 BENCHMARK(BM_MutateProgram);
 
 // A program's host-to-agent trip with the loop's reused buffers: encode into the
-// mailbox buffer, decode into the agent's program.
+// mailbox buffer, validate it as the agent does before executing it in place.
 void BM_WireEncodeDecode(benchmark::State& state) {
   fuzz::Generator generator(Specs(), fuzz::GeneratorOptions{}, 1);
   fuzz::Program program = generator.Generate();
   std::vector<uint8_t> encoded;
-  WireProgram decoded;
+  std::vector<uint32_t> call_offsets;
   for (auto _ : state) {
     program.Encode(Specs(), &encoded);
-    AgentError error = DecodeProgram(encoded.data(), encoded.size(), &decoded);
+    AgentError error = ValidateProgram(encoded.data(), encoded.size(), &call_offsets);
     benchmark::DoNotOptimize(error);
   }
 }

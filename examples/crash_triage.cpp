@@ -10,6 +10,7 @@
 #include "src/agent/wire.h"
 #include "src/core/deployment.h"
 #include "src/core/monitors.h"
+#include "src/fuzz/program.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
@@ -53,26 +54,24 @@ int main() {
   // the console still points at it, then create a socket — sal_socket's log message rides
   // the stale serial pointer into the fault.
   std::unique_ptr<Os> os = OsRegistry::Instance().Find("rtthread").value().factory();
-  WireProgram program;
-  auto call = [&](uint32_t api, std::vector<WireArg> args) {
-    WireCall c;
-    c.api_id = api;
-    c.args = std::move(args);
-    program.calls.push_back(std::move(c));
+  using fuzz::ProgArg;
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
+  auto call = [&](const char* api, const std::vector<ProgArg>& args) {
+    fuzz::WriteCall(&writer, ApiId(*os, api), args);
   };
-  call(ApiId(*os, "rt_device_find"), {WireArg::Bytes({'u', 'a', 'r', 't', '1'})});
-  call(ApiId(*os, "rt_device_open"), {WireArg::ResultRef(0), WireArg::Scalar(0x043)});
+  call("rt_device_find", {ProgArg::Bytes({'u', 'a', 'r', 't', '1'})});
+  call("rt_device_open", {ProgArg::Result(0), ProgArg::Scalar(0x043)});
   for (int i = 0; i < 4; ++i) {
-    call(ApiId(*os, "rt_device_write"),
-         {WireArg::ResultRef(0), WireArg::Bytes({'l', 'o', 'g', '\n'})});
+    call("rt_device_write", {ProgArg::Result(0), ProgArg::Bytes({'l', 'o', 'g', '\n'})});
   }
-  call(ApiId(*os, "rt_console_set_device"), {WireArg::Bytes({'u', 'a', 'r', 't', '1'})});
-  call(ApiId(*os, "rt_device_unregister"), {WireArg::ResultRef(0)});
-  call(ApiId(*os, "syz_create_bind_socket"),
-       {WireArg::Scalar(2), WireArg::Scalar(1), WireArg::Scalar(0), WireArg::Scalar(8080)});
+  call("rt_console_set_device", {ProgArg::Bytes({'u', 'a', 'r', 't', '1'})});
+  call("rt_device_unregister", {ProgArg::Result(0)});
+  call("syz_create_bind_socket",
+       {ProgArg::Scalar(2), ProgArg::Scalar(1), ProgArg::Scalar(0), ProgArg::Scalar(8080)});
 
-  printf("running the Figure-6 sequence (%zu calls)...\n", program.calls.size());
-  (void)target.WriteTestCase(EncodeProgram(program));
+  printf("running the Figure-6 sequence (%zu calls)...\n", writer.calls());
+  (void)target.WriteTestCase(program);
   auto stop = target.port().Continue();
   if (!stop.ok()) {
     fprintf(stderr, "continue failed: %s\n", stop.status().ToString().c_str());

@@ -8,6 +8,7 @@
 
 #include "src/agent/wire.h"
 #include "src/core/deployment.h"
+#include "src/fuzz/program.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
@@ -44,26 +45,20 @@ int main() {
 
   // 3. Hand-write a test case: create a queue, send to it, read the depth.
   std::unique_ptr<Os> os = OsRegistry::Instance().Find("freertos").value().factory();
-  WireProgram program;
+  std::vector<uint8_t> program;
   {
-    WireCall create;
-    create.api_id = os->registry().FindByName("xQueueCreate")->id;
-    create.args = {WireArg::Scalar(8), WireArg::Scalar(16)};
-    program.calls.push_back(create);
-
-    WireCall send;
-    send.api_id = os->registry().FindByName("xQueueSend")->id;
-    send.args = {WireArg::ResultRef(0), WireArg::Bytes({'h', 'i'}), WireArg::Scalar(0)};
-    program.calls.push_back(send);
-
-    WireCall waiting;
-    waiting.api_id = os->registry().FindByName("uxQueueMessagesWaiting")->id;
-    waiting.args = {WireArg::ResultRef(0)};
-    program.calls.push_back(waiting);
+    using fuzz::ProgArg;
+    WireWriter writer(&program);
+    fuzz::WriteCall(&writer, os->registry().FindByName("xQueueCreate")->id,
+                    {ProgArg::Scalar(8), ProgArg::Scalar(16)});
+    fuzz::WriteCall(&writer, os->registry().FindByName("xQueueSend")->id,
+                    {ProgArg::Result(0), ProgArg::Bytes({'h', 'i'}), ProgArg::Scalar(0)});
+    fuzz::WriteCall(&writer, os->registry().FindByName("uxQueueMessagesWaiting")->id,
+                    {ProgArg::Result(0)});
   }
 
   // 4. Publish via the mailbox and resume; the agent deserializes and executes.
-  (void)target.WriteTestCase(EncodeProgram(program));
+  (void)target.WriteTestCase(program);
   (void)target.port().Continue();
 
   auto status = target.ReadAgentStatus().value();

@@ -90,30 +90,32 @@ bool AgentFirmware::RunTrapping(TargetEnv& env, const char* where, Body&& body) 
 }
 
 bool AgentFirmware::ExecuteCurrentCall(TargetEnv& env) {
-  const WireCall& call = program_.calls[call_index_];
-  // Resolve wire arguments against earlier results, over the previous call's args.
-  args_.resize(call.args.size());
-  for (size_t i = 0; i < call.args.size(); ++i) {
-    const WireArg& wire_arg = call.args[i];
-    ArgValue& value = args_[i];
+  // ValidateProgram accepted these bytes, so every read below stays in bounds and every
+  // result ref names an earlier call. Args resolve over the previous call's.
+  const uint32_t offset = call_offsets_[call_index_];
+  ByteReader reader(mailbox_.data() + offset, mailbox_.size() - offset);
+  const uint32_t api_id = reader.GetU32();
+  args_.resize(reader.GetU8());
+  for (ArgValue& value : args_) {
     value.scalar = 0;
     value.bytes.clear();
-    switch (wire_arg.kind) {
+    switch (static_cast<WireArgKind>(reader.GetU8())) {
       case WireArgKind::kScalar:
-        value.scalar = wire_arg.scalar;
+        value.scalar = reader.GetU64();
         break;
       case WireArgKind::kResultRef:
-        value.scalar = static_cast<uint64_t>(results_[wire_arg.scalar]);
+        value.scalar = static_cast<uint64_t>(results_[reader.GetU16()]);
         break;
       case WireArgKind::kBytes:
-        value.bytes.assign(wire_arg.bytes.begin(), wire_arg.bytes.end());
+        value.bytes.resize(reader.GetU32());
+        reader.GetBytes(value.bytes.data(), value.bytes.size());
         break;
     }
   }
 
   int64_t result = 0;
   if (!RunTrapping(env, "", [&] {
-        auto outcome = os_->CallApi(*ctx_, call.api_id, args_);
+        auto outcome = os_->CallApi(*ctx_, api_id, args_);
         // Unknown API or arity mismatch: the agent rejects the call but keeps executing.
         result = outcome.ok() ? outcome.value() : -1;
         os_->Tick(*ctx_);
@@ -176,7 +178,7 @@ StopInfo AgentFirmware::Resume(TargetEnv& env, uint64_t max_steps) {
         AgentError error = AgentError::kTruncated;
         if (prog_len <= kMailboxMaxBytes &&
             env.RamReadInto(kMailboxOffset + kMailboxDataOffset, prog_len, &mailbox_).ok()) {
-          error = DecodeProgram(mailbox_.data(), mailbox_.size(), &program_);
+          error = ValidateProgram(mailbox_.data(), mailbox_.size(), &call_offsets_);
           env.ConsumeCycles(kCopyPerByteCycles * prog_len);
         }
         // Consume the mailbox either way.
@@ -204,7 +206,7 @@ StopInfo AgentFirmware::Resume(TargetEnv& env, uint64_t max_steps) {
         break;
       }
       case LoopState::kExecuting: {
-        if (call_index_ >= program_.calls.size()) {
+        if (call_index_ >= call_offsets_.size()) {
           ++progs_done_;
           WriteStatus(env, AgentState::kDone);
           state_ = LoopState::kAtExecutorMain;

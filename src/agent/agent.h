@@ -52,7 +52,8 @@ class AgentFirmware : public Firmware {
   template <typename Body>
   bool RunTrapping(TargetEnv& env, const char* where, Body&& body);
 
-  // Executes calls_[call_index_]; returns false when a trap ended the program.
+  // Executes call `call_index_`, read straight from the mailbox bytes; returns false when
+  // a trap ended the program.
   bool ExecuteCurrentCall(TargetEnv& env);
 
   const FirmwareImage& image_;
@@ -65,10 +66,10 @@ class AgentFirmware : public Firmware {
   LoopState state_ = LoopState::kAtExecutorMain;
   bool skip_pause_ = false;  // set after a breakpoint stop so resume passes the point
 
-  // Per-boot buffers the exec loop reuses: the mailbox bytes as read, the program
-  // decoded from them, and the current call's resolved args.
+  // Per-boot buffers the exec loop reuses: the mailbox bytes as read, the start offset of
+  // each call in them, and the current call's resolved args.
   std::vector<uint8_t> mailbox_;
-  WireProgram program_;
+  std::vector<uint32_t> call_offsets_;
   std::vector<ArgValue> args_;
   size_t call_index_ = 0;
   std::vector<int64_t> results_;

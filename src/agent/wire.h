@@ -29,73 +29,35 @@ enum class WireArgKind : uint8_t {
   kBytes = 2,
 };
 
-struct WireArg {
-  WireArgKind kind = WireArgKind::kScalar;
-  uint64_t scalar = 0;     // kScalar value or kResultRef call index
-  std::vector<uint8_t> bytes;
-
-  static WireArg Scalar(uint64_t value) {
-    WireArg arg;
-    arg.kind = WireArgKind::kScalar;
-    arg.scalar = value;
-    return arg;
-  }
-  static WireArg ResultRef(uint16_t call_index) {
-    WireArg arg;
-    arg.kind = WireArgKind::kResultRef;
-    arg.scalar = call_index;
-    return arg;
-  }
-  static WireArg Bytes(std::vector<uint8_t> data) {
-    WireArg arg;
-    arg.kind = WireArgKind::kBytes;
-    arg.bytes = std::move(data);
-    return arg;
-  }
-};
-
-struct WireCall {
-  uint32_t api_id = 0;
-  std::vector<WireArg> args;
-};
-
-struct WireProgram {
-  std::vector<WireCall> calls;
-};
-
 // The one encoder of the format. It writes into a caller-owned buffer, which keeps its
 // capacity from program to program; callers walk their own program type, announcing
-// each call and then writing its args in order.
+// each call and then writing its args in order. The header's call count follows the
+// calls announced so far.
 class WireWriter {
  public:
-  // Clears `*out` and writes the header for `ncalls` calls.
-  WireWriter(std::vector<uint8_t>* out, size_t ncalls);
+  // Clears `*out` and writes the header of an empty program.
+  explicit WireWriter(std::vector<uint8_t>* out);
 
   void Call(uint32_t api_id, size_t nargs);
   void Scalar(uint64_t value);
   void ResultRef(uint16_t call_index);
-  void Bytes(const std::vector<uint8_t>& bytes);
+  void Bytes(const uint8_t* data, size_t size);
+
+  // Calls announced so far.
+  size_t calls() const { return calls_; }
 
  private:
   void PutLe(uint64_t value, size_t width);
 
   std::vector<uint8_t>& out_;
+  size_t calls_ = 0;
 };
 
-// Host side: serialize for the mailbox.
-std::vector<uint8_t> EncodeProgram(const WireProgram& program);
-
-// Target side: decode with full validation. On failure returns the AgentError that the
-// agent reports in its status block, and `out` holds the calls decoded before the
-// failing one. `out` may be reused from an earlier decode: its calls, args and byte
-// buffers are overwritten in place, so a decoder that keeps one WireProgram stops
-// allocating once it has seen its largest program.
-AgentError DecodeProgram(const uint8_t* data, size_t size, WireProgram* out);
-
-// Target side: checks the whole program in one pass. Returns the AgentError that the
-// agent reports in its status block; bytes after the last call are accepted and ignored.
-// `call_offsets` is cleared and then holds the start offset of every call checked before
-// the pass returned, so on success call i starts at (*call_offsets)[i].
+// Target side: checks the whole program in one pass with primitive operations. Returns
+// the AgentError that the agent reports in its status block; bytes after the last call
+// are accepted and ignored. `call_offsets` is cleared and then holds the start offset of
+// every call checked before the pass returned, so on success call i starts at
+// (*call_offsets)[i] and every read of it stays in bounds.
 AgentError ValidateProgram(const uint8_t* data, size_t size,
                            std::vector<uint32_t>* call_offsets);
 

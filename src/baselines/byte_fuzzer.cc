@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/agent/wire.h"
 #include "src/common/byteio.h"
 #include "src/common/strings.h"
 #include "src/kernel/os.h"
@@ -279,20 +280,17 @@ std::vector<uint8_t> ByteFuzzer::NextInput() {
   return mutator_->Random(*rng_);
 }
 
-WireProgram ByteFuzzer::BuildProgram(const std::vector<uint8_t>& input) {
-  WireProgram program;
+void ByteFuzzer::BuildProgram(const std::vector<uint8_t>& input,
+                              std::vector<uint8_t>* encoded) {
+  WireWriter writer(encoded);
   if (config_.mode != ByteFuzzerMode::kGustave) {
     if (has_setup_) {
-      WireCall setup;
-      setup.api_id = setup_api_;
-      setup.args = {WireArg::Scalar(80)};
-      program.calls.push_back(std::move(setup));
+      writer.Call(setup_api_, 1);
+      writer.Scalar(80);
     }
-    WireCall entry;
-    entry.api_id = entry_api_;
-    entry.args = {WireArg::Bytes(input)};
-    program.calls.push_back(std::move(entry));
-    return program;
+    writer.Call(entry_api_, 1);
+    writer.Bytes(input.data(), input.size());
+    return;
   }
   // GUSTAVE: interpret the buffer as a syscall tape: [api byte][arg bytes...] repeated.
   size_t pos = 0;
@@ -303,52 +301,45 @@ WireProgram ByteFuzzer::BuildProgram(const std::vector<uint8_t>& input) {
     }
     return value;
   };
-  while (pos < input.size() && program.calls.size() < 8) {
+  while (pos < input.size() && writer.calls() < 8) {
+    const size_t earlier = writer.calls();
     uint32_t api = static_cast<uint32_t>(take(1)) % gustave_api_count_;
-    WireCall call;
-    call.api_id = api;
-    for (ArgKind kind : gustave_signatures_[api]) {
+    const std::vector<ArgKind>& signature = gustave_signatures_[api];
+    writer.Call(api, signature.size());
+    for (ArgKind kind : signature) {
       switch (kind) {
         case ArgKind::kBuffer:
         case ArgKind::kString: {
           size_t len = static_cast<size_t>(take(1)) % 64;
-          std::vector<uint8_t> bytes;
-          for (size_t i = 0; i < len && pos < input.size(); ++i, ++pos) {
-            bytes.push_back(input[pos]);
-          }
-          call.args.push_back(WireArg::Bytes(std::move(bytes)));
+          len = std::min(len, input.size() - pos);
+          writer.Bytes(input.data() + pos, len);
+          pos += len;
           break;
         }
         case ArgKind::kResource: {
           uint64_t raw = take(1);
           // Bind to an earlier result most of the time: GUSTAVE's interpreter resolves
           // small tape values against its object table.
-          if (!program.calls.empty() && (raw & 3) != 0) {
-            call.args.push_back(WireArg::ResultRef(
-                static_cast<uint16_t>(raw % program.calls.size())));
+          if (earlier != 0 && (raw & 3) != 0) {
+            writer.ResultRef(static_cast<uint16_t>(raw % earlier));
           } else {
-            call.args.push_back(WireArg::Scalar(raw));
+            writer.Scalar(raw);
           }
           break;
         }
         default:
-          call.args.push_back(WireArg::Scalar(take(4)));
+          writer.Scalar(take(4));
           break;
       }
     }
-    program.calls.push_back(std::move(call));
   }
-  if (program.calls.empty()) {
-    WireCall call;
-    call.api_id = 0;
-    program.calls.push_back(std::move(call));
+  if (writer.calls() == 0) {
+    writer.Call(0, 0);
   }
-  return program;
 }
 
-Result<uint64_t> ByteFuzzer::ExecuteOne(const WireProgram& program) {
+Result<uint64_t> ByteFuzzer::ExecuteOne(const std::vector<uint8_t>& encoded) {
   DebugPort& port = deployment_->port();
-  std::vector<uint8_t> encoded = EncodeProgram(program);
   Status write = PublishTestCase(encoded);
   if (!write.ok()) {
     ++result_.timeouts;
@@ -425,8 +416,8 @@ Result<CampaignResult> ByteFuzzer::Run() {
   uint64_t execs_since_reset = 0;
   while (port.Now() - start_time_ < config_.budget) {
     std::vector<uint8_t> input = NextInput();
-    WireProgram program = BuildProgram(input);
-    ASSIGN_OR_RETURN(uint64_t fresh, ExecuteOne(program));
+    BuildProgram(input, &encoded_);
+    ASSIGN_OR_RETURN(uint64_t fresh, ExecuteOne(encoded_));
     ++result_.execs;
     if (config_.mode == ByteFuzzerMode::kGdbFuzz && result_.execs % 8 == 0) {
       RETURN_IF_ERROR(RotateBreakpoints());

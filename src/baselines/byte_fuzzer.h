@@ -74,9 +74,10 @@ class ByteFuzzer {
   // Initial seed corpus for the entry (valid requests / documents, as the real tools ship).
   void SeedCorpus();
   std::vector<uint8_t> NextInput();
-  WireProgram BuildProgram(const std::vector<uint8_t>& input);
+  // Writes the mailbox bytes of the program `input` drives into `*encoded`.
+  void BuildProgram(const std::vector<uint8_t>& input, std::vector<uint8_t>* encoded);
   // Executes; returns number of newly-observed coverage units.
-  Result<uint64_t> ExecuteOne(const WireProgram& program);
+  Result<uint64_t> ExecuteOne(const std::vector<uint8_t>& encoded);
   void MaybeSample();
 
   ByteFuzzerConfig config_;
@@ -98,6 +99,7 @@ class ByteFuzzer {
   std::unordered_set<uint64_t> bb_planted_;
 
   std::vector<SeedEntry> corpus_;
+  std::vector<uint8_t> encoded_;  // the current program's mailbox bytes, reused
   CampaignResult result_;
   uint64_t executor_main_addr_ = 0;
   VirtualTime start_time_ = 0;

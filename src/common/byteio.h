@@ -94,6 +94,15 @@ class ByteReader {
     pos_ += size;
   }
 
+  // Steps over `size` bytes; flags failure on overrun.
+  void Skip(size_t size) {
+    if (size > remaining()) {
+      failed_ = true;
+      return;
+    }
+    pos_ += size;
+  }
+
  private:
   uint64_t GetLe(int width) {
     if (static_cast<size_t>(width) > remaining()) {

@@ -392,12 +392,6 @@ void Generator::MutateInPlace(Program* program) {
   }
 }
 
-Program Generator::Mutate(const Program& seed) {
-  Program program = seed;
-  MutateInPlace(&program);
-  return program;
-}
-
 void Generator::SpliceInPlace(Program* program, const Program& tail_source) {
   const std::vector<ProgCall>& b = tail_source.calls;
   size_t head = program->calls.empty() ? 0 : rng_.Index(program->calls.size() + 1);
@@ -410,12 +404,6 @@ void Generator::SpliceInPlace(Program* program, const Program& tail_source) {
   if (program->calls.empty()) {
     *program = Generate();
   }
-}
-
-Program Generator::Splice(const Program& a, const Program& b) {
-  Program program = a;
-  SpliceInPlace(&program, b);
-  return program;
 }
 
 void Generator::NotifyNewCoverage(const Program& program) {

@@ -46,14 +46,10 @@ class Generator {
 
   // Mutates `program` in place (1..3 stacked operations; refs stay valid).
   void MutateInPlace(Program* program);
-  // Mutated copy of `seed`: MutateInPlace on a copy.
-  Program Mutate(const Program& seed);
 
   // Cuts `program` to a head and appends a tail of `tail_source` (another program),
   // refs rewired.
   void SpliceInPlace(Program* program, const Program& tail_source);
-  // Head of `a` + tail of `b`: SpliceInPlace on a copy of `a`.
-  Program Splice(const Program& a, const Program& b);
 
   // Coverage credit: boosts selection weight of every call in `program` (decays as other
   // calls earn credit). This is the "recent coverage" part of the paper's adjacency

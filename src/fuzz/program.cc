@@ -6,23 +6,27 @@
 namespace eof {
 namespace fuzz {
 
-void Program::Encode(const spec::CompiledSpecs& specs, std::vector<uint8_t>* out) const {
-  WireWriter writer(out, calls.size());
-  for (const ProgCall& call : calls) {
-    writer.Call(specs.calls[call.spec_index].api_id, call.args.size());
-    for (const ProgArg& arg : call.args) {
-      switch (arg.kind) {
-        case ProgArg::Kind::kScalar:
-          writer.Scalar(arg.scalar);
-          break;
-        case ProgArg::Kind::kResult:
-          writer.ResultRef(static_cast<uint16_t>(arg.ref));
-          break;
-        case ProgArg::Kind::kBytes:
-          writer.Bytes(arg.bytes);
-          break;
-      }
+void WriteCall(WireWriter* writer, uint32_t api_id, const std::vector<ProgArg>& args) {
+  writer->Call(api_id, args.size());
+  for (const ProgArg& arg : args) {
+    switch (arg.kind) {
+      case ProgArg::Kind::kScalar:
+        writer->Scalar(arg.scalar);
+        break;
+      case ProgArg::Kind::kResult:
+        writer->ResultRef(static_cast<uint16_t>(arg.ref));
+        break;
+      case ProgArg::Kind::kBytes:
+        writer->Bytes(arg.bytes.data(), arg.bytes.size());
+        break;
     }
+  }
+}
+
+void Program::Encode(const spec::CompiledSpecs& specs, std::vector<uint8_t>* out) const {
+  WireWriter writer(out);
+  for (const ProgCall& call : calls) {
+    WriteCall(&writer, specs.calls[call.spec_index].api_id, call.args);
   }
 }
 

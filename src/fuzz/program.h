@@ -42,6 +42,10 @@ struct ProgArg {
   }
 };
 
+// Writes one call of `api_id` with `args` through `writer`. Program::Encode writes each
+// of its calls this way; examples and tests that name calls by api id use it directly.
+void WriteCall(WireWriter* writer, uint32_t api_id, const std::vector<ProgArg>& args);
+
 struct ProgCall {
   size_t spec_index = 0;  // index into CompiledSpecs::calls
   std::vector<ProgArg> args;

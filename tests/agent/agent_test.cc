@@ -6,12 +6,15 @@
 
 #include "src/agent/agent.h"
 #include "src/core/image_builder.h"
+#include "src/fuzz/program.h"
 #include "src/hw/board_catalog.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
 namespace eof {
 namespace {
+
+using fuzz::ProgArg;
 
 class AgentTest : public ::testing::Test {
  protected:
@@ -37,8 +40,7 @@ class AgentTest : public ::testing::Test {
 
   uint64_t Addr(const char* symbol) { return image_->symbols().AddressOf(symbol).value(); }
 
-  void WriteMailbox(const WireProgram& program) {
-    std::vector<uint8_t> encoded = EncodeProgram(program);
+  void WriteMailbox(const std::vector<uint8_t>& encoded) {
     ASSERT_TRUE(board_->RamWrite(kMailboxOffset + kMailboxDataOffset, encoded).ok());
     ASSERT_TRUE(board_->RamWriteU32(kMailboxOffset + kMailboxLenOffset,
                                     static_cast<uint32_t>(encoded.size())).ok());
@@ -47,7 +49,7 @@ class AgentTest : public ::testing::Test {
 
   // Reboots the board (a fresh agent), runs `program`, and returns the coverage ring's
   // bank 0 entries: which edges each call reached.
-  std::vector<uint8_t> RingAfterFreshRun(const WireProgram& program) {
+  std::vector<uint8_t> RingAfterFreshRun(const std::vector<uint8_t>& program) {
     board_->Reset();
     EXPECT_EQ(board_->power_state(), PowerState::kRunning);
     WriteMailbox(program);
@@ -74,10 +76,9 @@ TEST_F(AgentTest, PausesAtEveryArmedProgramPoint) {
   for (const char* symbol : {"executor_main", "read_prog", "execute_one"}) {
     ASSERT_TRUE(board_->AddBreakpoint(Addr(symbol)).ok());
   }
-  WireProgram program;
-  WireCall call;
-  call.api_id = os_->registry().FindByName("uxTaskGetNumberOfTasks")->id;
-  program.calls.push_back(call);
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
+  writer.Call(os_->registry().FindByName("uxTaskGetNumberOfTasks")->id, 0);
   WriteMailbox(program);
 
   // The agent pauses, in order, at each armed point of the Figure-4 loop.
@@ -124,19 +125,14 @@ TEST_F(AgentTest, ReportsEachDecoderErrorKind) {
 }
 
 TEST_F(AgentTest, ResultReferencesResolveAcrossCalls) {
-  WireProgram program;
-  WireCall create;
-  create.api_id = os_->registry().FindByName("xQueueCreate")->id;
-  create.args = {WireArg::Scalar(4), WireArg::Scalar(8)};
-  program.calls.push_back(create);
-  WireCall send;
-  send.api_id = os_->registry().FindByName("xQueueSend")->id;
-  send.args = {WireArg::ResultRef(0), WireArg::Bytes({1, 2}), WireArg::Scalar(0)};
-  program.calls.push_back(send);
-  WireCall depth;
-  depth.api_id = os_->registry().FindByName("uxQueueMessagesWaiting")->id;
-  depth.args = {WireArg::ResultRef(0)};
-  program.calls.push_back(depth);
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
+  fuzz::WriteCall(&writer, os_->registry().FindByName("xQueueCreate")->id,
+                  {ProgArg::Scalar(4), ProgArg::Scalar(8)});
+  fuzz::WriteCall(&writer, os_->registry().FindByName("xQueueSend")->id,
+                  {ProgArg::Result(0), ProgArg::Bytes({1, 2}), ProgArg::Scalar(0)});
+  fuzz::WriteCall(&writer, os_->registry().FindByName("uxQueueMessagesWaiting")->id,
+                  {ProgArg::Result(0)});
 
   WriteMailbox(program);
   EXPECT_EQ(board_->Continue().reason, HaltReason::kIdle);
@@ -151,26 +147,22 @@ TEST_F(AgentTest, ResultReferencesResolveAcrossCalls) {
 // same position: the third send below must write nothing, exactly like a send of
 // an empty buffer.
 TEST_F(AgentTest, ScalarArgAfterBytesArgCarriesNoStaleBytes) {
-  auto program_ending_with = [&](WireArg last_payload) {
-    WireProgram program;
-    WireCall create;
-    create.api_id = os_->registry().FindByName("xStreamBufferCreate")->id;
-    create.args = {WireArg::Scalar(64), WireArg::Scalar(1)};
-    program.calls.push_back(create);
-    WireCall send;
-    send.api_id = os_->registry().FindByName("xStreamBufferSend")->id;
-    send.args = {WireArg::ResultRef(0), WireArg::Bytes({'a', 'b', 'c', 'd'})};
-    program.calls.push_back(send);
-    send.args[1] = std::move(last_payload);
-    program.calls.push_back(send);
+  auto program_ending_with = [&](ProgArg last_payload) {
+    const uint32_t send = os_->registry().FindByName("xStreamBufferSend")->id;
+    std::vector<uint8_t> program;
+    WireWriter writer(&program);
+    fuzz::WriteCall(&writer, os_->registry().FindByName("xStreamBufferCreate")->id,
+                    {ProgArg::Scalar(64), ProgArg::Scalar(1)});
+    fuzz::WriteCall(&writer, send, {ProgArg::Result(0), ProgArg::Bytes({'a', 'b', 'c', 'd'})});
+    fuzz::WriteCall(&writer, send, {ProgArg::Result(0), std::move(last_payload)});
     return program;
   };
   const std::vector<uint8_t> scalar_last =
-      RingAfterFreshRun(program_ending_with(WireArg::Scalar(0)));
+      RingAfterFreshRun(program_ending_with(ProgArg::Scalar(0)));
   const std::vector<uint8_t> empty_last =
-      RingAfterFreshRun(program_ending_with(WireArg::Bytes({})));
+      RingAfterFreshRun(program_ending_with(ProgArg::Bytes({})));
   const std::vector<uint8_t> bytes_last =
-      RingAfterFreshRun(program_ending_with(WireArg::Bytes({'a', 'b', 'c', 'd'})));
+      RingAfterFreshRun(program_ending_with(ProgArg::Bytes({'a', 'b', 'c', 'd'})));
   EXPECT_EQ(scalar_last, empty_last);
   EXPECT_NE(bytes_last, empty_last);  // a send that carries bytes takes another path
 }
@@ -181,12 +173,11 @@ TEST_F(AgentTest, CovBufferFullPausesWhenArmed) {
   // observable: the esp32 ring is 4096 entries, so drive ~70 calls x ~60+ edges and check
   // either a pause happened or the ring simply never filled (both acceptable); the strict
   // version runs on the tiny-RAM board below.
-  WireProgram program;
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
   for (int i = 0; i < 40; ++i) {
-    WireCall call;
-    call.api_id = os_->registry().FindByName("pvPortMalloc")->id;
-    call.args = {WireArg::Scalar(32 + static_cast<uint64_t>(i))};
-    program.calls.push_back(call);
+    writer.Call(os_->registry().FindByName("pvPortMalloc")->id, 1);
+    writer.Scalar(32 + static_cast<uint64_t>(i));
   }
   WriteMailbox(program);
   StopInfo stop = board_->Continue();
@@ -214,15 +205,13 @@ TEST(AgentTinyRamTest, SmallRingOverflowsAndAgentSelfClears) {
   ASSERT_EQ(board.power_state(), PowerState::kRunning);
 
   auto os = OsRegistry::Instance().Find("pokos").value().factory();
-  WireProgram program;
+  std::vector<uint8_t> encoded;
+  WireWriter writer(&encoded);
   for (int i = 0; i < 60; ++i) {
-    WireCall call;
-    call.api_id = os->registry().FindByName("pok_time_get")->id;
-    program.calls.push_back(call);
+    writer.Call(os->registry().FindByName("pok_time_get")->id, 0);
   }
   // No breakpoint at _kcmp_buf_full: the agent must self-clear and keep going; drops are
   // counted in the ring header.
-  std::vector<uint8_t> encoded = EncodeProgram(program);
   ASSERT_TRUE(board.RamWrite(kMailboxOffset + kMailboxDataOffset, encoded).ok());
   ASSERT_TRUE(board.RamWriteU32(kMailboxOffset + kMailboxLenOffset,
                                 static_cast<uint32_t>(encoded.size())).ok());
@@ -267,14 +256,12 @@ TEST(AgentTinyRamTest, BankFlipAbsorbsOverflowUntilBackpressure) {
       board.AddBreakpoint(image->symbols().AddressOf("_kcmp_buf_full").value()).ok());
 
   auto os = OsRegistry::Instance().Find("freertos").value().factory();
-  WireProgram program;
+  std::vector<uint8_t> encoded;
+  WireWriter writer(&encoded);
   for (uint32_t i = 0; i < kWireMaxCalls; ++i) {
-    WireCall call;
-    call.api_id = os->registry().FindByName("pvPortMalloc")->id;
-    call.args = {WireArg::Scalar(32 + i)};
-    program.calls.push_back(call);
+    writer.Call(os->registry().FindByName("pvPortMalloc")->id, 1);
+    writer.Scalar(32 + i);
   }
-  std::vector<uint8_t> encoded = EncodeProgram(program);
   auto send = [&] {
     ASSERT_TRUE(board.RamWrite(kMailboxOffset + kMailboxDataOffset, encoded).ok());
     ASSERT_TRUE(board.RamWriteU32(kMailboxOffset + kMailboxLenOffset,

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/agent/wire.h"
+#include "src/fuzz/program.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
@@ -26,13 +27,13 @@ class DeploymentTest : public ::testing::Test {
 
   // Runs one program through the Figure-4 protocol: stop at executor_main, publish the
   // test case, resume until the agent is back at executor_main.
-  void RunProgram(Deployment& deployment, const WireProgram& program) {
+  void RunProgram(Deployment& deployment, const std::vector<uint8_t>& program) {
     uint64_t executor_main = deployment.SymbolAddress("executor_main").value();
     ASSERT_TRUE(deployment.port().SetBreakpoint(executor_main).ok());
     auto parked = deployment.port().Continue();
     ASSERT_TRUE(parked.ok()) << parked.status().ToString();
     ASSERT_EQ(parked.value().reason, HaltReason::kBreakpoint);
-    ASSERT_TRUE(deployment.WriteTestCase(EncodeProgram(program)).ok());
+    ASSERT_TRUE(deployment.WriteTestCase(program).ok());
     auto done = deployment.port().Continue();
     ASSERT_TRUE(done.ok()) << done.status().ToString();
   }
@@ -80,11 +81,11 @@ TEST_F(DeploymentTest, ExecutesProgramAndReportsStatus) {
   const ApiSpec* create = os->registry().FindByName("xTaskCreate");
   ASSERT_NE(create, nullptr);
 
-  WireProgram program;
-  WireCall call;
-  call.api_id = create->id;
-  call.args = {WireArg::Bytes({'t', 'e', 's', 't'}), WireArg::Scalar(256), WireArg::Scalar(5)};
-  program.calls.push_back(call);
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
+  fuzz::WriteCall(&writer, create->id,
+                  {fuzz::ProgArg::Bytes({'t', 'e', 's', 't'}), fuzz::ProgArg::Scalar(256),
+                   fuzz::ProgArg::Scalar(5)});
 
   RunProgram(*deployment, program);
 
@@ -126,12 +127,12 @@ TEST_F(DeploymentTest, PanicFreezesTargetAndReflashRestores) {
   uint64_t handler = deployment->SymbolAddress("panic_handler").value();
   ASSERT_TRUE(deployment->port().SetBreakpoint(handler).ok());
 
-  WireProgram program;
-  WireCall call;
-  call.api_id = load->id;
-  call.args = {WireArg::Scalar(7), WireArg::Scalar(15)};  // long copy from a high slot -> bug #13
-  program.calls.push_back(call);
-  ASSERT_TRUE(deployment->WriteTestCase(EncodeProgram(program)).ok());
+  std::vector<uint8_t> program;
+  WireWriter writer(&program);
+  writer.Call(load->id, 2);
+  writer.Scalar(7);  // long copy from a high slot -> bug #13
+  writer.Scalar(15);
+  ASSERT_TRUE(deployment->WriteTestCase(program).ok());
 
   auto stop = deployment->port().Continue();
   ASSERT_TRUE(stop.ok());

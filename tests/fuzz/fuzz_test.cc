@@ -142,156 +142,97 @@ TEST(WireTest, HavocVerdictsArePinned) {
   EXPECT_EQ(hash, 0x956d8d1e9aa47449ULL);
 }
 
-TEST(WireTest, RoundTrip) {
-  WireProgram program;
-  WireCall call;
-  call.api_id = 3;
-  call.args = {WireArg::Scalar(0xdeadbeefcafef00dULL), WireArg::Bytes({1, 2, 3})};
-  program.calls.push_back(call);
-  WireCall second;
-  second.api_id = 9;
-  second.args = {WireArg::ResultRef(0)};
-  program.calls.push_back(second);
+// `calls` through the production encoder.
+std::vector<uint8_t> WriteProgram(const std::vector<RefCall>& calls) {
+  std::vector<uint8_t> out;
+  WireWriter writer(&out);
+  for (const RefCall& call : calls) {
+    WriteCall(&writer, call.api_id, call.args);
+  }
+  return out;
+}
 
-  std::vector<uint8_t> encoded = EncodeProgram(program);
-  WireProgram decoded;
-  ASSERT_EQ(DecodeProgram(encoded.data(), encoded.size(), &decoded), AgentError::kNone);
-  ASSERT_EQ(decoded.calls.size(), 2u);
-  EXPECT_EQ(decoded.calls[0].args[0].scalar, 0xdeadbeefcafef00dULL);
-  EXPECT_EQ(decoded.calls[1].args[0].kind, WireArgKind::kResultRef);
+TEST(WireTest, RoundTrip) {
+  const std::vector<uint8_t> encoded =
+      WriteProgram({{3, {ProgArg::Scalar(0xdeadbeefcafef00dULL), ProgArg::Bytes({1, 2, 3})}},
+                    {9, {ProgArg::Result(0)}}});
+  std::vector<uint32_t> offsets;
+  ASSERT_EQ(ValidateProgram(encoded.data(), encoded.size(), &offsets), AgentError::kNone);
+  const std::vector<RefCall> decoded = RefReadBack(encoded, offsets);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].args[0].scalar, 0xdeadbeefcafef00dULL);
+  EXPECT_EQ(decoded[1].args[0].kind, ProgArg::Kind::kResult);
 }
 
 TEST(WireTest, RejectsForwardResultRefs) {
-  WireProgram program;
-  WireCall call;
-  call.api_id = 1;
-  call.args = {WireArg::ResultRef(0)};  // references itself
-  program.calls.push_back(call);
-  std::vector<uint8_t> encoded = EncodeProgram(program);
-  WireProgram decoded;
-  EXPECT_EQ(DecodeProgram(encoded.data(), encoded.size(), &decoded),
+  const std::vector<uint8_t> encoded =
+      WriteProgram({{1, {ProgArg::Result(0)}}});  // references itself
+  std::vector<uint32_t> offsets;
+  EXPECT_EQ(ValidateProgram(encoded.data(), encoded.size(), &offsets),
             AgentError::kBadResultRef);
 }
 
-// The agent decodes whatever bytes the host left in its mailbox.
+// The agent checks whatever bytes the host left in its mailbox.
 TEST(WireTest, DecoderSurvivesMutatedInput) {
-  WireProgram program;
-  WireCall call;
-  call.api_id = 3;
-  call.args = {WireArg::Scalar(0xdeadbeefcafef00dULL), WireArg::Bytes({1, 2, 3})};
-  program.calls.push_back(call);
-  WireCall second;
-  second.api_id = 9;
-  second.args = {WireArg::ResultRef(0), WireArg::Scalar(7)};
-  program.calls.push_back(second);
   auto round_trip = [](const std::vector<uint8_t>& bytes) -> Result<std::vector<uint8_t>> {
-    WireProgram decoded;
-    if (DecodeProgram(bytes.data(), bytes.size(), &decoded) != AgentError::kNone) {
+    std::vector<uint32_t> offsets;
+    if (ValidateProgram(bytes.data(), bytes.size(), &offsets) != AgentError::kNone) {
       return DataLossError("agent rejected the program");
     }
-    return EncodeProgram(decoded);
+    return WriteProgram(RefReadBack(bytes, offsets));
   };
-  ExpectDecoderSurvivesHavoc(EncodeProgram(program), round_trip, 20261113);
+  ExpectDecoderSurvivesHavoc(HavocGolden(), round_trip, 20261113);
 }
 
-// Field-by-field equality, bytes of every arg kind included: a decoder that leaves an
-// earlier program's bytes on a scalar arg fails it.
-::testing::AssertionResult SameWire(const WireProgram& a, const WireProgram& b) {
-  if (a.calls.size() != b.calls.size()) {
-    return ::testing::AssertionFailure()
-           << a.calls.size() << " calls vs " << b.calls.size();
-  }
-  for (size_t i = 0; i < a.calls.size(); ++i) {
-    const WireCall& x = a.calls[i];
-    const WireCall& y = b.calls[i];
-    if (x.api_id != y.api_id || x.args.size() != y.args.size()) {
-      return ::testing::AssertionFailure() << "call " << i << " differs";
-    }
-    for (size_t k = 0; k < x.args.size(); ++k) {
-      if (x.args[k].kind != y.args[k].kind || x.args[k].scalar != y.args[k].scalar ||
-          x.args[k].bytes != y.args[k].bytes) {
-        return ::testing::AssertionFailure() << "call " << i << " arg " << k << " differs";
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
-// The agent decodes every mailbox into one WireProgram. Over the havoc stream of
-// DecoderSurvivesMutatedInput (same golden, same seed), a decode into a reused
-// WireProgram must report exactly what a fresh decode reports: the same error and the
-// same calls, with nothing left over from earlier inputs.
+// The agent validates every mailbox into one reused offsets vector. Over the havoc
+// stream of DecoderSurvivesMutatedInput (same golden, same seed), a validate into the
+// reused vector must report exactly what a fresh validate reports: the same error and
+// the same call offsets, with nothing left over from earlier inputs.
 TEST(WireTest, ReusedDecodeMatchesFreshDecode) {
-  WireProgram program;
-  WireCall call;
-  call.api_id = 3;
-  call.args = {WireArg::Scalar(0xdeadbeefcafef00dULL), WireArg::Bytes({1, 2, 3})};
-  program.calls.push_back(call);
-  WireCall second;
-  second.api_id = 9;
-  second.args = {WireArg::ResultRef(0), WireArg::Scalar(7)};
-  program.calls.push_back(second);
-  const std::vector<uint8_t> golden = EncodeProgram(program);
+  const std::vector<uint8_t> golden = HavocGolden();
   ByteMutator mutator(golden.size() * 2);
   Rng rng(20261113);
-  WireProgram reused;
+  std::vector<uint32_t> reused;
   int failed = 0;
   for (int i = 0; i < 100000; ++i) {
     const std::vector<uint8_t> input = mutator.Mutate(golden, rng);
-    WireProgram fresh;
-    const AgentError expected = DecodeProgram(input.data(), input.size(), &fresh);
-    ASSERT_EQ(DecodeProgram(input.data(), input.size(), &reused), expected) << "input " << i;
-    ASSERT_TRUE(SameWire(reused, fresh)) << "input " << i;
+    std::vector<uint32_t> fresh;
+    const AgentError expected = ValidateProgram(input.data(), input.size(), &fresh);
+    ASSERT_EQ(ValidateProgram(input.data(), input.size(), &reused), expected) << "input " << i;
+    ASSERT_EQ(reused, fresh) << "input " << i;
     failed += expected != AgentError::kNone ? 1 : 0;
   }
   EXPECT_GT(failed, 0);
 
   // A longer valid program, then one that fails inside its second call's args: the
-  // reused decode keeps only the first call, with the new call's scalar arg in place
-  // of the bytes the longer program had there.
-  WireProgram longer;
-  WireCall bytes_call;
-  bytes_call.api_id = 5;
-  bytes_call.args = {WireArg::Bytes({9, 9, 9, 9}), WireArg::Scalar(1)};
-  for (int i = 0; i < 4; ++i) {
-    longer.calls.push_back(bytes_call);
-  }
-  const std::vector<uint8_t> longer_bytes = EncodeProgram(longer);
-  ASSERT_EQ(DecodeProgram(longer_bytes.data(), longer_bytes.size(), &reused),
+  // reused validate keeps only the first call, whose arg reads back as a scalar with
+  // none of the bytes the longer program had there.
+  const RefCall bytes_call{5, {ProgArg::Bytes({9, 9, 9, 9}), ProgArg::Scalar(1)}};
+  const std::vector<uint8_t> longer_bytes =
+      WriteProgram({bytes_call, bytes_call, bytes_call, bytes_call});
+  ASSERT_EQ(ValidateProgram(longer_bytes.data(), longer_bytes.size(), &reused),
             AgentError::kNone);
-  WireProgram failing;
-  WireCall scalar_call;
-  scalar_call.api_id = 6;
-  scalar_call.args = {WireArg::Scalar(2)};
-  failing.calls.push_back(scalar_call);
-  WireCall forward_ref;
-  forward_ref.api_id = 7;
-  forward_ref.args = {WireArg::Scalar(3), WireArg::ResultRef(1)};  // refers to itself
-  failing.calls.push_back(forward_ref);
-  const std::vector<uint8_t> failing_bytes = EncodeProgram(failing);
-  WireProgram fresh;
-  ASSERT_EQ(DecodeProgram(failing_bytes.data(), failing_bytes.size(), &fresh),
+  const std::vector<uint8_t> failing_bytes =
+      WriteProgram({{6, {ProgArg::Scalar(2)}},
+                    {7, {ProgArg::Scalar(3), ProgArg::Result(1)}}});  // refers to itself
+  std::vector<uint32_t> fresh;
+  ASSERT_EQ(ValidateProgram(failing_bytes.data(), failing_bytes.size(), &fresh),
             AgentError::kBadResultRef);
-  ASSERT_EQ(DecodeProgram(failing_bytes.data(), failing_bytes.size(), &reused),
+  ASSERT_EQ(ValidateProgram(failing_bytes.data(), failing_bytes.size(), &reused),
             AgentError::kBadResultRef);
-  EXPECT_TRUE(SameWire(reused, fresh));
-  ASSERT_EQ(reused.calls.size(), 1u);
-  EXPECT_TRUE(reused.calls[0].args[0].bytes.empty());
+  EXPECT_EQ(reused, fresh);
+  ASSERT_EQ(reused.size(), 1u);
+  EXPECT_TRUE(RefReadBack(failing_bytes, reused)[0].args[0].bytes.empty());
 }
 
 TEST(WireTest, RejectsBadMagicAndTruncation) {
-  WireProgram decoded;
+  std::vector<uint32_t> offsets;
   std::vector<uint8_t> junk = {1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(DecodeProgram(junk.data(), junk.size(), &decoded), AgentError::kBadMagic);
+  EXPECT_EQ(ValidateProgram(junk.data(), junk.size(), &offsets), AgentError::kBadMagic);
 
-  WireProgram program;
-  WireCall call;
-  call.api_id = 1;
-  call.args = {WireArg::Bytes({1, 2, 3, 4})};
-  program.calls.push_back(call);
-  std::vector<uint8_t> encoded = EncodeProgram(program);
+  const std::vector<uint8_t> encoded = WriteProgram({{1, {ProgArg::Bytes({1, 2, 3, 4})}}});
   for (size_t cut = 5; cut < encoded.size(); cut += 3) {
-    AgentError error = DecodeProgram(encoded.data(), cut, &decoded);
+    AgentError error = ValidateProgram(encoded.data(), cut, &offsets);
     EXPECT_NE(error, AgentError::kNone) << "truncation at " << cut << " accepted";
   }
 }
@@ -347,11 +288,15 @@ TEST_P(ProgramEncodeDifferential, MatchesReferenceEncoderBytes) {
         program = generator.Generate();
         break;
       case 1:
-        program = generator.Mutate(previous);
+        program = previous;
+        generator.MutateInPlace(&program);
         break;
-      default:
-        program = generator.Splice(previous, generator.Generate());
+      default: {
+        const Program tail = generator.Generate();
+        program = previous;
+        generator.SpliceInPlace(&program, tail);
         break;
+      }
     }
     program.Encode(specs, &encoded);
     ASSERT_EQ(encoded, RefEncode(RefCalls(program, specs)))
@@ -423,7 +368,8 @@ TEST_P(GeneratorProperty, MutationPreservesInvariants) {
   Generator generator(specs, GeneratorOptions{}, 99);
   Program seed = generator.Generate();
   for (int i = 0; i < 400; ++i) {
-    Program mutated = generator.Mutate(seed);
+    Program mutated = seed;
+    generator.MutateInPlace(&mutated);
     ASSERT_TRUE(mutated.RefsValid()) << mutated.Format(specs);
     ASSERT_FALSE(mutated.calls.empty());
     for (const ProgCall& call : mutated.calls) {
@@ -441,7 +387,8 @@ TEST_P(GeneratorProperty, SpliceKeepsRefsValid) {
   for (int i = 0; i < 200; ++i) {
     Program a = generator.Generate();
     Program b = generator.Generate();
-    Program spliced = generator.Splice(a, b);
+    Program spliced = a;
+    generator.SpliceInPlace(&spliced, b);
     ASSERT_TRUE(spliced.RefsValid()) << spliced.Format(specs);
   }
 }

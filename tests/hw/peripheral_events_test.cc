@@ -45,11 +45,9 @@ TEST_F(PeripheralEventsTest, EventsReachTheIsrThroughTheAgent) {
 
   // Run one trivial call so the agent dispatches the pending events.
   std::unique_ptr<Os> scratch = OsRegistry::Instance().Find("freertos").value().factory();
-  WireProgram program;
-  WireCall call;
-  call.api_id = scratch->registry().FindByName("uxTaskGetNumberOfTasks")->id;
-  program.calls.push_back(call);
-  ASSERT_TRUE(deployment->WriteTestCase(EncodeProgram(program)).ok());
+  std::vector<uint8_t> program;
+  WireWriter(&program).Call(scratch->registry().FindByName("uxTaskGetNumberOfTasks")->id, 0);
+  ASSERT_TRUE(deployment->WriteTestCase(program).ok());
   auto stop = port.Continue();
   ASSERT_TRUE(stop.ok());
 

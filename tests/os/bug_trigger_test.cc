@@ -9,15 +9,18 @@
 #include "src/core/bug_catalog.h"
 #include "src/core/deployment.h"
 #include "src/core/monitors.h"
+#include "src/fuzz/program.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 
 namespace eof {
 namespace {
 
+using fuzz::ProgArg;
+
 struct Call {
   const char* api;
-  std::vector<WireArg> args;
+  std::vector<ProgArg> args;
 };
 
 class BugTriggerTest : public ::testing::Test {
@@ -40,15 +43,13 @@ class BugTriggerTest : public ::testing::Test {
     (void)deployment_->port().DrainUart();
   }
 
-  WireProgram Build(const std::vector<Call>& calls) {
-    WireProgram program;
+  std::vector<uint8_t> Build(const std::vector<Call>& calls) {
+    std::vector<uint8_t> program;
+    WireWriter writer(&program);
     for (const Call& call : calls) {
       const ApiSpec* spec = os_->registry().FindByName(call.api);
       EXPECT_NE(spec, nullptr) << call.api;
-      WireCall wire;
-      wire.api_id = spec != nullptr ? spec->id : 0;
-      wire.args = call.args;
-      program.calls.push_back(std::move(wire));
+      fuzz::WriteCall(&writer, spec != nullptr ? spec->id : 0, call.args);
     }
     return program;
   }
@@ -57,7 +58,7 @@ class BugTriggerTest : public ::testing::Test {
   void ExpectBug(int id, const std::string& detector, const std::vector<Call>& calls) {
     const BugInfo* info = FindBug(id);
     ASSERT_NE(info, nullptr);
-    ASSERT_TRUE(deployment_->WriteTestCase(EncodeProgram(Build(calls))).ok());
+    ASSERT_TRUE(deployment_->WriteTestCase(Build(calls)).ok());
     auto stop = deployment_->port().Continue();
     ASSERT_TRUE(stop.ok()) << stop.status().ToString();
 
@@ -95,10 +96,10 @@ class BugTriggerTest : public ::testing::Test {
     EXPECT_EQ(deployment_->board().power_state(), PowerState::kRunning);
   }
 
-  static WireArg S(uint64_t value) { return WireArg::Scalar(value); }
-  static WireArg R(uint16_t index) { return WireArg::ResultRef(index); }
-  static WireArg B(const std::string& text) {
-    return WireArg::Bytes(std::vector<uint8_t>(text.begin(), text.end()));
+  static ProgArg S(uint64_t value) { return ProgArg::Scalar(value); }
+  static ProgArg R(uint16_t index) { return ProgArg::Result(index); }
+  static ProgArg B(const std::string& text) {
+    return ProgArg::Bytes(std::vector<uint8_t>(text.begin(), text.end()));
   }
 
   std::unique_ptr<Deployment> deployment_;
