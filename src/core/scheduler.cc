@@ -125,13 +125,15 @@ void CampaignScheduler::RecordBugLocked(const BugSignature& signature,
   crashes_->Increment();
   int catalog_id = AttributeBug(options_.os_name, signature.excerpt);
   // Deduplicate by the one identity rule (telemetry::SameBug). Rejected sightings
-  // count too — an artifact that re-triggers must not re-run validation.
+  // count too — an artifact that re-triggers must not re-run validation — and so
+  // do bugs other fleet workers already confirmed.
   auto is_duplicate = [&](const std::vector<BugReport>& table) {
     return std::any_of(table.begin(), table.end(), [&](const BugReport& existing) {
       return telemetry::SameBug(existing, catalog_id, signature.excerpt);
     });
   };
-  if (is_duplicate(result_.bugs) || is_duplicate(rejected_bugs_)) {
+  if (is_duplicate(result_.bugs) || is_duplicate(rejected_bugs_) ||
+      is_duplicate(remote_bugs_)) {
     bug_dedup_hits_->Increment();
     telemetry::Journal(sink_, elapsed, shard, [&] {
       return telemetry::BugDedupRow{catalog_id, signature.detector};
@@ -343,6 +345,11 @@ std::vector<BugReport> CampaignScheduler::BugsSince(size_t from) const {
     return {};
   }
   return std::vector<BugReport>(result_.bugs.begin() + from, result_.bugs.end());
+}
+
+void CampaignScheduler::LearnRemoteBugs(const std::vector<BugReport>& bugs) {
+  std::lock_guard<std::mutex> lock(mu_);
+  remote_bugs_.insert(remote_bugs_.end(), bugs.begin(), bugs.end());
 }
 
 size_t CampaignScheduler::CorpusSize() const {

@@ -232,6 +232,9 @@ class CampaignScheduler {
       const std::vector<std::pair<std::string, uint64_t>>& entries);
   // Confirmed bugs admitted at index >= `from` (upload cursor for fleet sync).
   std::vector<BugReport> BugsSince(size_t from) const;
+  // Takes bugs other workers confirmed as known: a later local sighting of one is
+  // a bug_dedup, with no validation replay, bug_report row or upload.
+  void LearnRemoteBugs(const std::vector<BugReport>& bugs);
 
  private:
   // Maps a local worker slot to its campaign-global shard label.
@@ -268,6 +271,8 @@ class CampaignScheduler {
   // Validator-rejected first sightings. Kept so a rejected signature re-triggering
   // dedups instead of burning another validation replay on the same artifact.
   std::vector<BugReport> rejected_bugs_;
+  // Bugs the fleet orchestrator reported (LearnRemoteBugs), kept for dedup only.
+  std::vector<BugReport> remote_bugs_;
   // OnOutcome's globally fresh hits, reused from outcome to outcome.
   std::vector<CovHit> fresh_hits_;
   std::vector<VirtualTime> worker_elapsed_;

@@ -331,9 +331,12 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
   // resync path as much as the cold-start one.
   grant.coverage = SerializeCoverage(best->coverage);
   grant.corpus = best->corpus;
+  // The bug table does not ride in the grant: the batch's fresh scheduler learns
+  // all of it from its first SyncAck.
   WorkerCursor& cursor = best->cursors[msg.worker_id];
   cursor.edge = best->edge_log.size();
   cursor.corpus = best->corpus.size();
+  cursor.bugs = 0;
 
   Frame frame;
   frame.type = MsgType::kLeaseGrant;
@@ -444,7 +447,8 @@ SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
   WorkerCursor& cursor = campaign->cursors[msg.worker_id];
   // Downstream news: everything merged since this worker's last grant/ack,
   // minus its own corpus contributions (coverage replays are idempotent, so the
-  // edge stream is not origin-filtered).
+  // edge stream is not origin-filtered; nor are bugs, which the worker's
+  // scheduler dedups by telemetry::SameBug).
   if (cursor.edge < campaign->edge_log.size()) {
     std::vector<uint64_t> fresh(campaign->edge_log.begin() +
                                     static_cast<ptrdiff_t>(cursor.edge),
@@ -456,8 +460,11 @@ SyncAckMsg Orchestrator::HandleSync(const SyncMsg& msg) {
       ack.corpus.push_back(campaign->corpus[i]);
     }
   }
+  ack.bugs.assign(campaign->bugs.begin() + static_cast<ptrdiff_t>(cursor.bugs),
+                  campaign->bugs.end());
   cursor.edge = campaign->edge_log.size();
   cursor.corpus = campaign->corpus.size();
+  cursor.bugs = campaign->bugs.size();
   ack.campaign_done = CampaignDoneLocked(*campaign) ? 1 : 0;
 
   worker_it->second.execs_live = sync_execs;

@@ -136,6 +136,7 @@ class Orchestrator {
   struct WorkerCursor {
     size_t edge = 0;
     size_t corpus = 0;
+    size_t bugs = 0;
   };
 
   struct CampaignState {

@@ -60,7 +60,7 @@ void Fields(IO& io, SyncMsg& m) {
 
 template <class IO>
 void Fields(IO& io, SyncAckMsg& m) {
-  io(m.accepted, m.campaign_done, m.coverage_delta, m.corpus, m.revoked);
+  io(m.accepted, m.campaign_done, m.coverage_delta, m.corpus, m.revoked, m.bugs);
 }
 
 template <class IO>

@@ -34,7 +34,7 @@ namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 5;
+inline constexpr uint16_t kProtoVersion = 6;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -158,6 +158,10 @@ struct SyncAckMsg {
   std::vector<uint8_t> coverage_delta;  // global news for this worker
   std::vector<CorpusEntryWire> corpus;  // programs from other workers
   std::vector<uint64_t> revoked;        // lease ids no longer held (reclaimed)
+  // Bugs the orchestrator admitted since this worker's cursor, each as the
+  // journal's bug_report list with `at` ahead: a later local sighting of one
+  // dedups instead of replaying and uploading it again.
+  std::vector<telemetry::BugReport> bugs;
 };
 
 // End-of-batch results: only finals count toward the merged campaign's exec

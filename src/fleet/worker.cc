@@ -196,6 +196,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
       (void)scheduler.MergeRemoteCoverage(ack.coverage_delta);
     }
     scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
+    scheduler.LearnRemoteBugs(ack.bugs);
     return false;
   };
 
@@ -328,6 +329,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
             // Peer programs re-export upstream on the next sync; the
             // orchestrator's content hash dedups them, so no cursor surgery.
             scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
+            scheduler.LearnRemoteBugs(ack.bugs);
             for (uint64_t lease_id : ack.revoked) {
               for (size_t i = 0; i < grant.leases.size(); ++i) {
                 if (grant.leases[i].lease_id == lease_id) {

@@ -9,7 +9,8 @@
 //       (seeded by the campaign-global shard label, FarmWorkerSeed rule); a
 //       sync pump heartbeats Sync/SyncAck every heartbeat interval, renewing
 //       leases, uploading coverage diffs / new corpus / new bugs, and folding
-//       the orchestrator's news back in; finished batches upload WorkerFinal.
+//       the orchestrator's news (coverage, corpus, bug table) back in;
+//       finished batches upload WorkerFinal.
 //
 // Workers are stateless between batches — everything campaign-wide arrives in
 // the grant — which is what makes crash/rejoin trivial: a restarted worker is

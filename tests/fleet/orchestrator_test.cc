@@ -14,6 +14,7 @@
 
 #include "src/common/coverage_serial.h"
 #include "src/core/fuzzer.h"
+#include "src/core/scheduler.h"
 #include "src/fleet/orchestrator.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
@@ -432,6 +433,85 @@ TEST_F(OrchestratorTest, AdmitsOneBugPerCatalogIdAndOnePerUncatalogedExcerpt) {
   }
   EXPECT_EQ(bugs_by_campaign["cataloged"], 1u);
   EXPECT_EQ(bugs_by_campaign["uncataloged"], 2u);
+}
+
+// A bug one worker uploads reaches the other worker in its next SyncAck, once
+// per cursor, and a new grant replays the whole table to the new batch. The
+// worker's scheduler then takes its own later sighting of that bug, under
+// another excerpt, as a dedup: no validation replay, no bug_report row and
+// nothing to upload.
+TEST_F(OrchestratorTest, SyncAckTeachesWorkersTheBugTable) {
+  auto orchestrator = Make();
+  FleetCampaignSpec spec;
+  spec.campaign_id = "bugs";
+  spec.config = TinyConfig();
+  spec.shards = 3;
+  ASSERT_TRUE(orchestrator->AddCampaign(spec).ok());
+  auto [client, server] = LoopbackPair();
+  std::thread handler([&] { orchestrator->ServeConnection(server.get()); });
+  uint32_t a_id = SayHello(client.get(), "a");
+  uint32_t b_id = SayHello(client.get(), "b");
+  ASSERT_TRUE(AskForWork(client.get(), a_id, 1).ok());
+  ASSERT_TRUE(AskForWork(client.get(), b_id, 1).ok());
+  uint64_t seq = 0;
+  auto sync = [&](uint32_t worker_id, const std::vector<BugReport>& bugs) {
+    SyncMsg msg;
+    msg.worker_id = worker_id;
+    msg.campaign_id = "bugs";
+    msg.seq = ++seq;
+    msg.bugs = bugs;
+    EXPECT_TRUE(client->Send({MsgType::kSync, Encode(msg)}).ok());
+    auto reply = client->Recv(2000);
+    EXPECT_TRUE(reply.ok());
+    auto ack = DecodeSyncAck(reply->payload);
+    EXPECT_TRUE(ack.ok());
+    return ack.ok() ? ack.value() : SyncAckMsg{};
+  };
+  BugReport heap;
+  heap.catalog_id = 4;
+  heap.detector = "log";
+  heap.kind = "panic";
+  heap.excerpt = "FATAL: k_heap_init: first chunk header written at -7\n";
+  EXPECT_EQ(sync(a_id, {heap}).bugs.size(), 1u);  // the table is not origin-filtered
+  const SyncAckMsg b_ack = sync(b_id, {});
+  ASSERT_EQ(b_ack.bugs.size(), 1u);
+  EXPECT_TRUE(b_ack.bugs[0] == heap);
+  EXPECT_TRUE(sync(b_id, {}).bugs.empty());  // once per cursor
+  ASSERT_TRUE(AskForWork(client.get(), b_id, 1).ok());
+  EXPECT_EQ(sync(b_id, {}).bugs.size(), 1u);  // a new batch learns the whole table
+  client->Send({MsgType::kGoodbye, Encode(GoodbyeMsg{a_id})});
+  client->Close();
+  handler.join();
+
+  // Worker B's scheduler, with and without the table its ack carried.
+  auto plan = PrepareCampaign(TinyConfig());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  fuzz::Generator generator(plan->specs, fuzz::GeneratorOptions{}, 1);
+  ExecOutcome crash;
+  crash.status = ExecStatus::kCrashed;
+  crash.signature =
+      BugSignature{"log", "panic", "FATAL: k_heap_init: first chunk header written at -1\n"};
+  for (bool learned : {false, true}) {
+    telemetry::MemoryEventSink worker_sink;
+    int replays = 0;
+    CampaignScheduler::Options options;
+    options.os_name = "zephyr";
+    options.sink = &worker_sink;
+    options.validator = [&replays](const BugReport&) { return ++replays > 0; };
+    CampaignScheduler scheduler(plan->specs, options);
+    if (learned) {
+      scheduler.LearnRemoteBugs(b_ack.bugs);
+    }
+    scheduler.OnOutcome(fuzz::Program{}, crash, generator, kVirtualSecond, 0);
+    std::map<std::string, int> rows;
+    for (const telemetry::Event& event : worker_sink.Events()) {
+      ++rows[event.type];
+    }
+    EXPECT_EQ(replays, learned ? 0 : 1) << "learned=" << learned;
+    EXPECT_EQ(rows["bug_report"], learned ? 0 : 1) << "learned=" << learned;
+    EXPECT_EQ(rows["bug_dedup"], learned ? 1 : 0) << "learned=" << learned;
+    EXPECT_EQ(scheduler.BugsSince(0).size(), learned ? 0u : 1u) << "learned=" << learned;
+  }
 }
 
 TEST_F(OrchestratorTest, EndToEndWithRealWorkerOverLoopback) {

@@ -169,6 +169,7 @@ SyncAckMsg GoldenSyncAck() {
   ack.corpus.push_back({"r0 = k_yield()", 3});
   ack.corpus.push_back({"r0 = k_sem_give(0x1)", 1});
   ack.revoked = {41, 42};
+  ack.bugs = GoldenSync().bugs;
   return ack;
 }
 
@@ -182,6 +183,8 @@ TEST(ProtoTest, SyncAckRoundTrips) {
   ASSERT_EQ(ack2->corpus.size(), 2u);
   EXPECT_EQ(ack2->corpus[1].text, "r0 = k_sem_give(0x1)");
   EXPECT_EQ(ack2->revoked, ack.revoked);
+  ASSERT_EQ(ack2->bugs.size(), 1u);
+  EXPECT_TRUE(ack2->bugs[0] == ack.bugs[0]);
 }
 
 WorkerFinalMsg GoldenFinal() {
@@ -362,7 +365,12 @@ std::vector<CodecCase> CodecCases() {
       {"SyncAck", Encode(GoldenSyncAck()), DecodeThenEncode(&DecodeSyncAck),
        "01010400000004050607020000000e0000007230203d206b5f7969656c6428290300000000000000"
        "140000007230203d206b5f73656d5f67697665283078312901000000000000000200000029000000"
-       "000000002a00000000000000"},
+       "000000002a0000000000000001000000dc0500000000000006000000080000007761746368646f67"
+       "050000007374616c6c1100000072745f6c6973745f6973656d707479282928000000000000000200"
+       "00000b0000000000000005000000000000000900000076616c696461746564070000007265666c61"
+       "7368050000005354414c4c0e0000007230203d206b5f7969656c642829080000007761746368646f"
+       "670b0000006c696e65310a6c696e65320f0000007265616420307832303030303030300500000069"
+       "72712033"},
       {"WorkerFinal", Encode(GoldenFinal()), DecodeThenEncode(&DecodeWorkerFinal),
        "020000000100000063050000000000000000879303000000000400000000000000b1000000040000"
        "001000000063616d706169676e2e6372617368657303000000000000000e00000063616d70616967"
