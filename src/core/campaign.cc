@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "src/common/hash.h"
@@ -131,11 +134,17 @@ uint64_t BenchScale() {
   if (raw == nullptr) {
     return 8;  // default: 3 virtual hours per campaign
   }
-  long value = atol(raw);
-  if (value < 1) {
-    value = 1;
+  // The whole value must be a positive decimal integer: a fraction or a typo that
+  // parsed to something else would silently change the campaign length.
+  const char* end = raw + std::strlen(raw);
+  uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(raw, end, value);
+  if (error != std::errc() || stop != end || value == 0) {
+    fprintf(stderr, "EOF_BENCH_SCALE=\"%s\": expected a positive integer divisor of 24 virtual "
+            "hours\n", raw);
+    std::exit(2);
   }
-  return static_cast<uint64_t>(value);
+  return value;
 }
 
 }  // namespace

@@ -50,9 +50,9 @@ Result<RepeatedResult> RunRepeated(const FuzzerConfig& base, int repetitions,
                                    int parallelism = 1);
 
 // The paper's campaigns run 24 hours; benches scale that down via the EOF_BENCH_SCALE
-// environment variable, an integer (virtual budget = 24 h / scale; default scale 8
-// -> 3 virtual hours; values below 1 count as 1). Set EOF_BENCH_SCALE=1 for
-// full-length runs.
+// environment variable, a positive integer (virtual budget = 24 h / scale; default
+// scale 8 -> 3 virtual hours). Anything else exits the process with status 2 and a
+// message naming the value. Set EOF_BENCH_SCALE=1 for full-length runs.
 VirtualDuration ScaledCampaignBudget();
 
 // Scaled repetition count, so quick runs stay quick: 5 at scale <= 2, 3 at

@@ -187,5 +187,29 @@ TEST_F(CampaignTest, SeededCorpusSetsTheCorpusGauge) {
   EXPECT_EQ(registry.Snapshot().GaugeValue("campaign.corpus"), scheduler.CorpusSize());
 }
 
+// EOF_BENCH_SCALE is a positive integer divisor of the paper's 24 hours. Anything
+// else exits naming the value instead of silently running the full 24 hours.
+TEST(BenchScaleTest, AcceptsOnlyPositiveIntegers) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const char* saved = getenv("EOF_BENCH_SCALE");
+  const std::string restore = saved != nullptr ? saved : "";
+  unsetenv("EOF_BENCH_SCALE");
+  EXPECT_EQ(ScaledCampaignBudget(), 3 * kVirtualHour);
+  setenv("EOF_BENCH_SCALE", "24", 1);
+  EXPECT_EQ(ScaledCampaignBudget(), kVirtualHour);
+  EXPECT_EQ(ScaledRepetitions(), 2);
+  for (const char* bad : {"0.25", "abc", "0", "", "8x", "-8", " 8"}) {
+    setenv("EOF_BENCH_SCALE", bad, 1);
+    EXPECT_EXIT(ScaledCampaignBudget(), ::testing::ExitedWithCode(2),
+                std::string("EOF_BENCH_SCALE=\"") + bad + "\"")
+        << bad;
+  }
+  if (saved != nullptr) {
+    setenv("EOF_BENCH_SCALE", restore.c_str(), 1);
+  } else {
+    unsetenv("EOF_BENCH_SCALE");
+  }
+}
+
 }  // namespace
 }  // namespace eof
