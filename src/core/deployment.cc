@@ -96,27 +96,27 @@ Status Deployment::ReflashAndReboot() {
     if (payload == nullptr) {
       continue;  // raw partitions (nvs) carry no payload
     }
-    const std::vector<uint8_t>& bytes = payload->bytes;
+    const uint64_t size = payload->size();
     // Delta reflash: prove the partition's on-flash content unchanged with a
     // target-assisted checksum (~KB/s-free: only the digest crosses the link) and
-    // skip the 5 us/byte reprogram when it matches the payload hash. A checksum
+    // skip the 5 us/byte reprogram when the flash still holds the payload. A checksum
     // failure (severed link) aborts the restore like a failed flash write would —
     // retrying with a blind reflash would only burn a second link timeout.
-    Result<uint64_t> on_flash = port_->ChecksumMem(flash_base + part.offset, bytes.size());
-    if (!on_flash.ok()) {
-      status = on_flash.status();
+    Result<bool> held = port_->FlashHolds(flash_base + part.offset, *payload);
+    if (!held.ok()) {
+      status = held.status();
       break;
     }
-    if (on_flash.value() == payload->digest) {
-      port_->NoteFlashSkipped(bytes.size());
-      skipped += bytes.size();
+    if (held.value()) {
+      port_->NoteFlashSkipped(size);
+      skipped += size;
       continue;
     }
     status = port_->FlashPartition(part.offset, *payload);
     if (!status.ok()) {
       break;
     }
-    programmed += bytes.size();
+    programmed += size;
   }
   if (status.ok()) {
     status = port_->ResetTarget();

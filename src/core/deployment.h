@@ -68,10 +68,10 @@ class Deployment {
   const BoardSpec& board_spec() const { return board_->spec(); }
 
   // Restore every partition payload at its table offset and reboot — the StateRestoration
-  // body of Algorithm 1 (lines 15-18). This is a DELTA reflash: each partition's
-  // payload digest (ChecksumBytes, computed at image build) is compared against a
-  // target-assisted flash checksum, and only partitions whose on-flash bytes actually
-  // changed since the last flash are reprogrammed; proven-clean bytes are counted in
+  // body of Algorithm 1 (lines 15-18). This is a DELTA reflash: a target-assisted flash
+  // checksum proves whether each partition still holds its payload
+  // (DebugPort::FlashHolds), and only partitions whose on-flash bytes actually changed
+  // since the last flash are reprogrammed; proven-clean bytes are counted in
   // DebugPortStats::flash_skipped_bytes.
   Status ReflashAndReboot();
 

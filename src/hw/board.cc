@@ -1,5 +1,7 @@
 #include "src/hw/board.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstddef>
@@ -74,9 +76,25 @@ Status RamPages::Poke(uint64_t offset, const std::vector<uint8_t>& data) {
   return OkStatus();
 }
 
+namespace {
+
+// Anonymous private mappings start as the OS's shared zero page.
+uint8_t* MapZeroPages(uint64_t bytes) {
+  if (bytes == 0) {
+    return nullptr;
+  }
+  void* ram = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  EOF_CHECK(ram != MAP_FAILED) << "cannot map " << bytes << " bytes of board RAM";
+  return static_cast<uint8_t*>(ram);
+}
+
+}  // namespace
+
+void Board::RamUnmapper::operator()(uint8_t* ram) const { munmap(ram, bytes); }
+
 Board::Board(BoardSpec spec)
     : spec_(std::move(spec)),
-      ram_(spec_.ram_bytes, 0),
+      ram_(MapZeroPages(spec_.ram_bytes), RamUnmapper{spec_.ram_bytes}),
       ram_dirty_((spec_.ram_bytes + 64 * kRamPageBytes - 1) / (64 * kRamPageBytes), 0),
       flash_(spec_.flash_bytes),
       uart_(64 * 1024) {}
@@ -93,76 +111,71 @@ void Board::ZeroDirtyPages() {
     for (uint64_t bits = ram_dirty_[word]; bits != 0; bits &= bits - 1) {
       const uint64_t offset =
           (word * 64 + static_cast<uint64_t>(std::countr_zero(bits))) * kRamPageBytes;
-      std::memset(ram_.data() + offset, 0, std::min(kRamPageBytes, ram_.size() - offset));
+      std::memset(ram_.get() + offset, 0, std::min(kRamPageBytes, spec_.ram_bytes - offset));
     }
     ram_dirty_[word] = 0;
   }
 }
 
 void Board::LoadRam(const RamPages& image) {
-  EOF_CHECK(image.ram_bytes == ram_.size());
+  EOF_CHECK(image.ram_bytes == spec_.ram_bytes);
   ZeroDirtyPages();
   for (size_t i = 0; i < image.pages.size(); ++i) {
     const uint64_t offset = image.pages[i] * kRamPageBytes;
-    const uint64_t size = std::min(kRamPageBytes, ram_.size() - offset);
-    std::memcpy(ram_.data() + offset, image.bytes.data() + i * kRamPageBytes, size);
+    const uint64_t size = std::min(kRamPageBytes, spec_.ram_bytes - offset);
+    std::memcpy(ram_.get() + offset, image.bytes.data() + i * kRamPageBytes, size);
     MarkDirty(offset, size);
   }
 }
 
 Status Board::RamWrite(uint64_t offset, const std::vector<uint8_t>& data) {
-  if (!InBounds(offset, data.size(), ram_.size())) {
-    return OutOfRangeError(StrFormat("RAM write at +0x%llx overruns %zu-byte RAM",
-                                     static_cast<unsigned long long>(offset), ram_.size()));
+  if (!InBounds(offset, data.size(), spec_.ram_bytes)) {
+    return OutOfRangeError(StrFormat("RAM write at +0x%llx overruns %llu-byte RAM",
+                                     static_cast<unsigned long long>(offset),
+                                     static_cast<unsigned long long>(spec_.ram_bytes)));
   }
   if (data.empty()) {
     return OkStatus();
   }
-  std::copy(data.begin(), data.end(), ram_.begin() + static_cast<std::ptrdiff_t>(offset));
+  std::memcpy(ram_.get() + offset, data.data(), data.size());
   MarkDirty(offset, data.size());
   return OkStatus();
 }
 
 Status Board::RamReadInto(uint64_t offset, uint64_t size, std::vector<uint8_t>* out) const {
-  if (!InBounds(offset, size, ram_.size())) {
-    return OutOfRangeError(StrFormat("RAM read at +0x%llx overruns %zu-byte RAM",
-                                     static_cast<unsigned long long>(offset), ram_.size()));
+  if (!InBounds(offset, size, spec_.ram_bytes)) {
+    return OutOfRangeError(StrFormat("RAM read at +0x%llx overruns %llu-byte RAM",
+                                     static_cast<unsigned long long>(offset),
+                                     static_cast<unsigned long long>(spec_.ram_bytes)));
   }
-  out->assign(ram_.begin() + static_cast<std::ptrdiff_t>(offset),
-              ram_.begin() + static_cast<std::ptrdiff_t>(offset + size));
+  out->assign(ram_.get() + offset, ram_.get() + offset + size);
   return OkStatus();
 }
 
-Result<std::vector<uint8_t>> Board::RamRead(uint64_t offset, uint64_t size) const {
-  std::vector<uint8_t> out;
-  RETURN_IF_ERROR(RamReadInto(offset, size, &out));
-  return out;
-}
-
 Status Board::RamWriteU32(uint64_t offset, uint32_t value) {
-  if (!InBounds(offset, 4, ram_.size())) {
+  if (!InBounds(offset, 4, spec_.ram_bytes)) {
     return OutOfRangeError("RAM u32 write out of bounds");
   }
-  std::memcpy(ram_.data() + offset, &value, sizeof value);
+  std::memcpy(ram_.get() + offset, &value, sizeof value);
   MarkDirty(offset, sizeof value);
   return OkStatus();
 }
 
 Status Board::RamWriteU64(uint64_t offset, uint64_t value) {
-  if (!InBounds(offset, 8, ram_.size())) {
+  if (!InBounds(offset, 8, spec_.ram_bytes)) {
     return OutOfRangeError("RAM u64 write out of bounds");
   }
-  std::memcpy(ram_.data() + offset, &value, sizeof value);
+  std::memcpy(ram_.get() + offset, &value, sizeof value);
   MarkDirty(offset, sizeof value);
   return OkStatus();
 }
 
 Result<uint32_t> Board::RamReadU32(uint64_t offset) const {
-  if (!InBounds(offset, 4, ram_.size())) {
+  if (!InBounds(offset, 4, spec_.ram_bytes)) {
     return OutOfRangeError("RAM u32 read out of bounds");
   }
   uint32_t value = 0;
-  std::memcpy(&value, ram_.data() + offset, sizeof value);
+  std::memcpy(&value, ram_.get() + offset, sizeof value);
   return value;
 }
 
@@ -222,9 +235,8 @@ Status Board::FlashProgram(uint64_t offset, const FirmwareImage::Payload& payloa
   if (image_ == nullptr || !image_->Owns(payload)) {
     return FailedPreconditionError("programmed payload is not the installed image's");
   }
-  // Aliasing pointer: the flash co-owns the image to keep the payload's bytes alive.
-  std::shared_ptr<const std::vector<uint8_t>> bytes(image_, &payload.bytes);
-  return flash_.Program(offset, std::move(bytes), payload.digest);
+  // Aliasing pointer: the flash co-owns the image to keep the payload alive.
+  return flash_.Program(offset, std::shared_ptr<const FirmwareImage::Payload>(image_, &payload));
 }
 
 bool Board::Boot() {

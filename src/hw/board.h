@@ -110,11 +110,9 @@ class Board : public TargetEnv {
 
   Status FlashWrite(uint64_t offset, const std::vector<uint8_t>& data);
 
-  // RamReadInto into a fresh vector.
-  Result<std::vector<uint8_t>> RamRead(uint64_t offset, uint64_t size) const;
-
   // Programs `payload`, which must be the installed image's, at `offset`. The flash maps
-  // the payload's pages rather than copying them and keeps the image alive while it does.
+  // its pages onto the payload rather than copying it and keeps the image alive while it
+  // does.
   Status FlashProgram(uint64_t offset, const FirmwareImage::Payload& payload);
 
   // Power-on / reset: validates flash against the installed image, instantiates firmware,
@@ -200,8 +198,16 @@ class Board : public TargetEnv {
   // Returns false — board kOff — when no bootable image is installed.
   bool Boot();
 
+  // Unmaps RAM mapped by the constructor.
+  struct RamUnmapper {
+    uint64_t bytes = 0;
+    void operator()(uint8_t* ram) const;
+  };
+
   BoardSpec spec_;
-  std::vector<uint8_t> ram_;
+  // spec_.ram_bytes of RAM, mapped from the OS's zero pages: a page costs the host
+  // nothing until it is first touched, and the board never clears all of it.
+  std::unique_ptr<uint8_t[], RamUnmapper> ram_;
   std::vector<uint64_t> ram_dirty_;  // one bit per kRamPageBytes page of ram_
   Flash flash_;
   Uart uart_;

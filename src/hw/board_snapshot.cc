@@ -36,21 +36,24 @@ Result<BoardSnapshot> BoardSnapshot::Capture(DebugPort& port, const FirmwareImag
 
   ASSIGN_OR_RETURN(snapshot.pc_, port.ReadPC());
 
-  // Flash shadow: a target-side digest per payload-bearing partition. Restore()
+  // Flash shadow: a target-side checksum per payload-bearing partition. Restore()
   // re-checks these before trusting the resident code.
   for (const Partition& partition : image.partition_table().partitions) {
     const FirmwareImage::Payload* payload = image.PayloadOf(partition.name);
     if (payload == nullptr) {
       continue;  // raw partitions (nvs) carry no payload to fingerprint
     }
-    FlashShadow shadow;
-    shadow.partition = partition.name;
-    shadow.address = spec.flash_base + partition.offset;
-    shadow.size = payload->bytes.size();
-    ASSIGN_OR_RETURN(shadow.digest, port.ChecksumMem(shadow.address, shadow.size));
+    FlashShadow shadow{partition.name, spec.flash_base + partition.offset, payload};
+    ASSIGN_OR_RETURN(bool held, port.FlashHolds(shadow.address, *payload));
+    if (!held) {
+      return FailedPreconditionError(
+          StrFormat("partition '%s' does not hold the image's payload; a snapshot needs "
+                    "a board booted from it",
+                    partition.name.c_str()));
+    }
     snapshot.flash_shadow_.push_back(std::move(shadow));
   }
-  // The digests above audited the flash as it stands right now; remember the
+  // The checksums above audited the flash as it stands right now; remember the
   // controller's write count so restores can skip re-auditing untouched flash.
   ASSIGN_OR_RETURN(snapshot.audited_write_count_, port.ReadFlashWriteCount());
   return snapshot;
@@ -70,8 +73,8 @@ Status BoardSnapshot::Restore(DebugPort& port) const {
   if (write_count != audited_write_count_) {
     ++shadow_audits_;
     for (const FlashShadow& shadow : flash_shadow_) {
-      ASSIGN_OR_RETURN(uint64_t digest, port.ChecksumMem(shadow.address, shadow.size));
-      if (digest != shadow.digest) {
+      ASSIGN_OR_RETURN(bool held, port.FlashHolds(shadow.address, *shadow.payload));
+      if (!held) {
         return FailedPreconditionError(
             StrFormat("flash shadow mismatch in partition '%s'; snapshot restore "
                       "requires a full reflash",

@@ -3,7 +3,7 @@
 //
 // Capture() runs once per deployment against a healthy post-boot board: one vectored
 // DebugPort::RunBatch read plan pulls the whole RAM window across the link in chunks,
-// plus the parked program counter and a per-partition flash digest (the "flash
+// plus the parked program counter and a per-partition flash checksum (the "flash
 // shadow"). The RAM is kept sparsely, as its non-zero pages (RamPages): almost all of
 // a freshly booted RAM is zero. Restore() first proves the flash shadow still matches
 // (a kernel bug that scribbled on flash invalidates the resident code, so the warm
@@ -73,11 +73,11 @@ class BoardSnapshot {
   }
 
  private:
+  // A partition whose flash must still hold its payload, as it did at capture.
   struct FlashShadow {
     std::string partition;
     uint64_t address = 0;  // absolute flash-window address of the payload
-    uint64_t size = 0;     // payload bytes covered by the digest
-    uint64_t digest = 0;
+    const FirmwareImage::Payload* payload = nullptr;  // the image's; it outlives the snapshot
   };
 
   RamPages ram_;

@@ -275,7 +275,7 @@ Status DebugPort::ApplyBatchOps(std::vector<PortOp>* ops) {
   return OkStatus();
 }
 
-Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
+Status DebugPort::ChargeChecksum(uint64_t address, uint64_t size) {
   // needs_core=false: the checksum runs through the debug unit's memory AP / flash
   // controller, so it is serviced even on a core that never booted (like FlashPartition).
   Status gate = CheckResponsive(/*needs_core=*/false);
@@ -283,12 +283,16 @@ Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
   RETURN_IF_ERROR(gate);
   board_->clock().Advance(ChecksumCost(size));
   transactions_->Increment();
+  return OkStatus();
+}
+
+Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
+  RETURN_IF_ERROR(ChargeChecksum(address, size));
   uint64_t digest = 0;
   const BoardSpec& spec = board_->spec();
   if (address >= spec.flash_base &&
       InBounds(address - spec.flash_base, size, spec.flash_bytes)) {
-    // Flash hashes in place and memoizes on its write count; the price above is the
-    // target's, whatever the host pays.
+    // Flash hashes in place; the price above is the target's, whatever the host pays.
     ASSIGN_OR_RETURN(digest, board_->flash().Digest(address - spec.flash_base, size));
   } else {
     std::vector<uint8_t> bytes;
@@ -297,6 +301,15 @@ Result<uint64_t> DebugPort::ChecksumMem(uint64_t address, uint64_t size) {
   }
   bytes_read_->Add(8);  // only the digest crosses the link
   return digest;
+}
+
+Result<bool> DebugPort::FlashHolds(uint64_t address, const FirmwareImage::Payload& payload) {
+  RETURN_IF_ERROR(ChargeChecksum(address, payload.size()));
+  // An address below flash wraps to an offset Holds rejects as out of bounds.
+  ASSIGN_OR_RETURN(bool held,
+                   board_->flash().Holds(address - board_->spec().flash_base, payload));
+  bytes_read_->Add(8);  // only the digest crosses the link
+  return held;
 }
 
 Result<uint64_t> DebugPort::ReadFlashWriteCount() {
@@ -406,7 +419,7 @@ void DebugPort::ClearAllBreakpoints() {
 }
 
 Status DebugPort::FlashPartition(uint64_t offset, const FirmwareImage::Payload& payload) {
-  const uint64_t size = payload.bytes.size();
+  const uint64_t size = payload.size();
   Status gate = CheckResponsive(/*needs_core=*/false);
   Note(telemetry::FlightPortOp::kFlash, offset, size, gate.ok());
   RETURN_IF_ERROR(gate);

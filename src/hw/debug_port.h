@@ -128,11 +128,16 @@ class DebugPort {
   Status WriteRam(const RamPages& image);
 
   // Target-assisted content checksum (ChecksumBytes over the flash or RAM window), computed
-  // on the target side so only the digest crosses the link — the delta-reflash cache
-  // uses this to prove a partition's on-flash bytes unchanged without reading them.
-  // Virtual time is charged by the byte either way; on the host, flash-window digests
-  // come from Flash::Digest's write-count memo.
+  // on the target side so only the digest crosses the link. Virtual time is charged by
+  // the byte.
   Result<uint64_t> ChecksumMem(uint64_t address, uint64_t size);
+
+  // Whether the flash at `address` still holds `payload`: on a real link, a ChecksumMem
+  // over the payload's range that the host compares with the payload's own checksum. The
+  // delta reflash and the snapshot flash shadow prove a partition unchanged this way. The
+  // target pays exactly what that ChecksumMem costs; the host answers from Flash::Holds,
+  // which reads no payload the flash still maps.
+  Result<bool> FlashHolds(uint64_t address, const FirmwareImage::Payload& payload);
 
   // Records `bytes` of flash programming skipped by the delta-reflash cache. Pure
   // host-side accounting: no link traffic, no virtual-time charge.
@@ -235,6 +240,10 @@ class DebugPort {
   // Returns a TimeoutError (burning kLinkTimeout) when the link is severed or the target's
   // debug unit is unresponsive (never-booted cores hold the DAP in reset on our boards).
   Status CheckResponsive(bool needs_core);
+
+  // What a target-side checksum of [address, address + size) costs: the gate, the flight
+  // note, the per-byte price and one transaction. ChecksumMem and FlashHolds share it.
+  Status ChargeChecksum(uint64_t address, uint64_t size);
 
   // Window-resolved access without cost/stat accounting (shared by single ops and
   // batch commit). Reads resolve against RAM or flash and replace `*out`, keeping its

@@ -3,11 +3,10 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
-#include <map>
-#include <mutex>
 
 #include "src/common/hash.h"
 #include "src/common/strings.h"
+#include "src/hw/image.h"
 
 namespace eof {
 namespace {
@@ -20,23 +19,6 @@ const uint8_t* ErasedPage() {
     return page;
   }();
   return kErased.data();
-}
-
-// ChecksumBytes of `size` erased bytes. It depends only on the length, so each length is
-// hashed once per process; boards deploying on several threads share the table.
-uint64_t ErasedDigest(uint64_t size) {
-  static std::mutex mu;
-  static std::map<uint64_t, uint64_t> digests;
-  std::lock_guard<std::mutex> lock(mu);
-  auto [it, inserted] = digests.try_emplace(size, 0);
-  if (inserted) {
-    ChecksumStream stream;
-    for (uint64_t done = 0; done < size; done += Flash::kPageBytes) {
-      stream.Update(ErasedPage(), std::min(Flash::kPageBytes, size - done));
-    }
-    it->second = stream.Finish();
-  }
-  return it->second;
 }
 
 Status OutOfBounds(const char* what, uint64_t offset, uint64_t size) {
@@ -99,13 +81,52 @@ void Flash::ForEachPage(uint64_t offset, uint64_t size, Visit visit) const {
   }
 }
 
+template <class Visit>
+void Flash::ForEachPiece(uint64_t offset, uint64_t size, Visit visit) const {
+  ForEachPage(offset, size, [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
+    const Page& entry = pages_[page];
+    if (entry.payload == nullptr) {
+      return visit(entry.bytes + in_page, done, n);
+    }
+    // [lo, hi) is the part of the share [start, end) the payload reaches.
+    const uint64_t start = offset + done;
+    const uint64_t end = start + n;
+    const uint64_t lo = std::clamp(entry.origin, start, end);
+    const uint64_t hi = std::clamp(entry.origin + entry.payload->size(), lo, end);
+    return (lo == start || visit(ErasedPage(), done, lo - start)) &&
+           (hi == lo ||
+            visit(entry.payload->bytes().data() + (lo - entry.origin), lo - offset, hi - lo)) &&
+           (end == hi || visit(ErasedPage(), hi - offset, end - hi));
+  });
+}
+
+bool Flash::ErasedOutside(uint64_t page, uint64_t in_page, uint64_t n) const {
+  const Page& entry = pages_[page];
+  if (n == PageSize(page)) {
+    return true;
+  }
+  if (entry.payload == nullptr) {
+    return entry.bytes == ErasedPage();
+  }
+  // A mapped page is erased wherever its payload does not reach.
+  const uint64_t start = page * kPageBytes;
+  return std::max(entry.origin, start) >= start + in_page &&
+         std::min(entry.origin + entry.payload->size(), start + PageSize(page)) <=
+             start + in_page + n;
+}
+
 uint8_t* Flash::MakePrivate(uint64_t page) {
   Page& entry = pages_[page];
   if (entry.own == nullptr) {
-    entry.own = std::make_unique_for_overwrite<uint8_t[]>(PageSize(page));
-    std::memcpy(entry.own.get(), entry.bytes, PageSize(page));
-    entry.bytes = entry.own.get();
-    entry.run = nullptr;
+    auto own = std::make_unique_for_overwrite<uint8_t[]>(PageSize(page));
+    ForEachPiece(page * kPageBytes, PageSize(page),
+                 [&](const uint8_t* bytes, uint64_t done, uint64_t n) {
+                   std::memcpy(own.get() + done, bytes, n);
+                   return true;
+                 });
+    entry.bytes = own.get();
+    entry.payload = nullptr;
+    entry.own = std::move(own);
   }
   return entry.own.get();
 }
@@ -123,32 +144,29 @@ Status Flash::Write(uint64_t offset, const std::vector<uint8_t>& data) {
   return OkStatus();
 }
 
-Status Flash::Program(uint64_t offset, std::shared_ptr<const std::vector<uint8_t>> run,
-                      uint64_t digest) {
-  const uint64_t size = run->size();
+Status Flash::Program(uint64_t offset, std::shared_ptr<const Payload> payload) {
+  const uint64_t size = payload->size();
   if (!InBounds(offset, size, size_)) {
     return OutOfBounds("write", offset, size);
   }
   ForEachPage(offset, size, [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
-    if (n == PageSize(page)) {
-      pages_[page] = Page{run->data() + done, run.get(), nullptr};
+    if (ErasedOutside(page, in_page, n)) {
+      pages_[page] = Page{nullptr, payload.get(), offset, nullptr};
     } else {
-      std::memcpy(MakePrivate(page) + in_page, run->data() + done, n);
+      std::memcpy(MakePrivate(page) + in_page, payload->bytes().data() + done, n);
     }
     return true;
   });
-  if (std::none_of(runs_.begin(), runs_.end(),
-                   [&](const auto& held) { return held == run; })) {
-    // Let go of runs no page maps any more before holding a new one.
-    std::erase_if(runs_, [&](const auto& held) {
+  if (std::none_of(payloads_.begin(), payloads_.end(),
+                   [&](const auto& held) { return held == payload; })) {
+    // Let go of payloads no page maps any more before holding a new one.
+    std::erase_if(payloads_, [&](const auto& held) {
       return std::none_of(pages_.begin(), pages_.end(),
-                          [&](const Page& page) { return page.run == held.get(); });
+                          [&](const Page& page) { return page.payload == held.get(); });
     });
-    runs_.push_back(std::move(run));
+    payloads_.push_back(std::move(payload));
   }
   ++write_count_;
-  digest_memo_.assign(1, DigestMemo{offset, size, digest});
-  memo_write_count_ = write_count_;
   return OkStatus();
 }
 
@@ -157,8 +175,8 @@ Result<std::vector<uint8_t>> Flash::Read(uint64_t offset, uint64_t size) const {
     return OutOfBounds("read", offset, size);
   }
   std::vector<uint8_t> out(size);
-  ForEachPage(offset, size, [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
-    std::memcpy(out.data() + done, pages_[page].bytes + in_page, n);
+  ForEachPiece(offset, size, [&](const uint8_t* bytes, uint64_t done, uint64_t n) {
+    std::memcpy(out.data() + done, bytes, n);
     return true;
   });
   return out;
@@ -169,52 +187,49 @@ Result<bool> Flash::Equals(uint64_t offset, const uint8_t* bytes, uint64_t size)
     return OutOfBounds("read", offset, size);
   }
   bool equal = true;
-  ForEachPage(offset, size, [&](uint64_t page, uint64_t in_page, uint64_t done, uint64_t n) {
-    const uint8_t* stored = pages_[page].bytes + in_page;
+  ForEachPiece(offset, size, [&](const uint8_t* stored, uint64_t done, uint64_t n) {
     equal = stored == bytes + done || std::memcmp(stored, bytes + done, n) == 0;
     return equal;
   });
   return equal;
 }
 
+Result<bool> Flash::Holds(uint64_t offset, const Payload& payload) const {
+  const uint64_t size = payload.size();
+  if (!InBounds(offset, size, size_)) {
+    return OutOfBounds("read", offset, size);
+  }
+  bool mapped = true;
+  bool erased = true;
+  ForEachPage(offset, size, [&](uint64_t page, uint64_t, uint64_t, uint64_t) {
+    const Page& entry = pages_[page];
+    mapped = mapped && entry.payload == &payload && entry.origin == offset;
+    erased = erased && entry.bytes == ErasedPage();
+    return mapped || erased;
+  });
+  if (mapped || erased) {
+    return mapped;
+  }
+  return Equals(offset, payload.bytes().data(), size);
+}
+
 Result<uint64_t> Flash::Digest(uint64_t offset, uint64_t size) const {
   if (!InBounds(offset, size, size_)) {
     return OutOfBounds("read", offset, size);
   }
-  if (memo_write_count_ != write_count_) {
-    digest_memo_.clear();
-    memo_write_count_ = write_count_;
-  }
-  for (const DigestMemo& memo : digest_memo_) {
-    if (memo.offset == offset && memo.size == size) {
-      return memo.digest;
-    }
-  }
-  bool erased = true;
-  ForEachPage(offset, size, [&](uint64_t page, uint64_t, uint64_t, uint64_t) {
-    erased = pages_[page].bytes == ErasedPage();
-    return erased;
+  ChecksumStream stream;
+  ForEachPiece(offset, size, [&](const uint8_t* bytes, uint64_t, uint64_t n) {
+    stream.Update(bytes, n);
+    return true;
   });
-  uint64_t digest = 0;
-  if (erased) {
-    digest = ErasedDigest(size);
-  } else {
-    ChecksumStream stream;
-    ForEachPage(offset, size, [&](uint64_t page, uint64_t in_page, uint64_t, uint64_t n) {
-      stream.Update(pages_[page].bytes + in_page, n);
-      return true;
-    });
-    digest = stream.Finish();
-  }
-  digest_memo_.push_back(DigestMemo{offset, size, digest});
-  return digest;
+  return stream.Finish();
 }
 
 void Flash::MassErase() {
   for (Page& page : pages_) {
-    page = Page{ErasedPage(), nullptr, nullptr};
+    page = Page{ErasedPage(), nullptr, 0, nullptr};
   }
-  runs_.clear();
+  payloads_.clear();
   ++write_count_;
 }
 

@@ -43,11 +43,15 @@ struct PartitionTable {
   Status Validate(uint64_t flash_size) const;
 };
 
+class Payload;  // src/hw/image.h
+
 // The device's bytes, tracked in pages of kPageBytes. Each page's bytes live in one of
 // three places:
 //   - the one process-wide erased page (all 0xff), which every untouched page shares;
-//   - a page of an immutable byte run the flash co-owns: Program maps a payload's whole
-//     pages instead of copying them;
+//   - a payload the flash co-owns: Program maps each page a payload covers onto it by
+//     identity, and the page holds the payload's bytes where the payload reaches and
+//     erased bytes elsewhere. The payload's bytes are drawn only when a read, a write or
+//     a digest of the page needs them;
 //   - a private copy, made the first time a write touches the page.
 // Invariant: no write goes through a shared page. Write makes each page it touches private
 // first. So a new Flash allocates no page, and a flash holds private copies only of pages
@@ -63,24 +67,27 @@ class Flash {
   // Program bytes at `offset` (a buggy kernel write, or a test's).
   Status Write(uint64_t offset, const std::vector<uint8_t>& data);
 
-  // The reflash path: stores `*run` at `offset` as Write would, but maps every page the
-  // run covers whole instead of copying it, and co-owns the run while any page does.
-  // `digest` is ChecksumBytes of the run, so Digest(offset, run size) returns it without
-  // hashing until the next write. Same bounds check and write_count() bump as Write.
-  Status Program(uint64_t offset, std::shared_ptr<const std::vector<uint8_t>> run,
-                 uint64_t digest);
+  // The reflash path: stores `payload` at `offset` as Write would, but maps the pages it
+  // covers onto the payload instead of copying its bytes, and co-owns the payload while
+  // any page does. A page it covers only in part is mapped too when the rest of the page
+  // is erased, and copied otherwise. Same bounds check and write_count() bump as Write.
+  Status Program(uint64_t offset, std::shared_ptr<const Payload> payload);
 
   // Reads `size` bytes at `offset`.
   Result<std::vector<uint8_t>> Read(uint64_t offset, uint64_t size) const;
 
-  // Whether the stored bytes [offset, offset + size) equal `bytes`. A page mapped onto
-  // those very bytes compares equal without being read. Same bounds check and error as
+  // Whether the stored bytes [offset, offset + size) equal `bytes`. Stored bytes that are
+  // those very bytes compare equal without being read. Same bounds check and error as
   // Read.
   Result<bool> Equals(uint64_t offset, const uint8_t* bytes, uint64_t size) const;
 
-  // ChecksumBytes over [offset, offset + size), hashed page by page in place and memoized
-  // on write_count(): re-hashing flash that no write has touched costs nothing. An
-  // all-erased range hashes once per length per process.
+  // Whether [offset, offset + payload.size()) holds `payload`'s bytes. It does, without a
+  // draw, when every page there maps the payload at `offset`; it does not when every page
+  // there is erased (a payload starts with a magic word, not with erased bytes). Any other
+  // range is compared byte for byte. Same bounds check and error as Read.
+  Result<bool> Holds(uint64_t offset, const Payload& payload) const;
+
+  // ChecksumBytes over [offset, offset + size), hashed page by page in place.
   Result<uint64_t> Digest(uint64_t offset, uint64_t size) const;
 
   // Erases the whole device back to 0xff.
@@ -93,15 +100,10 @@ class Flash {
 
  private:
   struct Page {
-    const uint8_t* bytes = nullptr;             // where the page's bytes are
-    const std::vector<uint8_t>* run = nullptr;  // the co-owned run they are in, if shared
-    std::unique_ptr<uint8_t[]> own;             // their private copy, if private
-  };
-
-  struct DigestMemo {
-    uint64_t offset;
-    uint64_t size;
-    uint64_t digest;
+    const uint8_t* bytes = nullptr;    // the erased page or `own`, unless mapped
+    const Payload* payload = nullptr;  // the payload the page maps, if mapped
+    uint64_t origin = 0;               // the flash offset that payload starts at
+    std::unique_ptr<uint8_t[]> own;    // the page's private copy, if private
   };
 
   // Bytes in page `page`: kPageBytes, except for a short last page.
@@ -114,16 +116,23 @@ class Flash {
   template <class Visit>
   void ForEachPage(uint64_t offset, uint64_t size, Visit visit) const;
 
+  // Calls visit(bytes, offset in range, length) for the stored bytes of [offset,
+  // offset + size) in contiguous pieces, in order, while it returns true. A mapped page
+  // gives up to three pieces: erased, its payload's (drawing it), erased.
+  template <class Visit>
+  void ForEachPiece(uint64_t offset, uint64_t size, Visit visit) const;
+
+  // Whether every byte of page `page` outside its share [in_page, in_page + n) is
+  // erased, so that programming the share may map the page. Draws nothing.
+  bool ErasedOutside(uint64_t page, uint64_t in_page, uint64_t n) const;
+
   // Page `page`'s private copy, made from its current bytes if it has none yet.
   uint8_t* MakePrivate(uint64_t page);
 
   uint64_t size_;
   std::vector<Page> pages_;
-  std::vector<std::shared_ptr<const std::vector<uint8_t>>> runs_;  // co-owned runs
+  std::vector<std::shared_ptr<const Payload>> payloads_;  // co-owned payloads
   uint64_t write_count_ = 0;
-  // Digests computed at write count `memo_write_count_`; dropped when it moves.
-  mutable std::vector<DigestMemo> digest_memo_;
-  mutable uint64_t memo_write_count_ = 0;
 };
 
 }  // namespace eof

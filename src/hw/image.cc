@@ -1,6 +1,7 @@
 #include "src/hw/image.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 
 #include "src/common/byteio.h"
@@ -12,9 +13,21 @@ namespace eof {
 namespace {
 
 constexpr uint32_t kPayloadMagic = 0xe0fb007u;
-constexpr size_t kPayloadHeaderBytes = 16;  // [magic u32 | len u32 | crc u64]
+constexpr size_t kPayloadHeaderBytes = Payload::kHeaderBytes;
+
+std::atomic<uint64_t> g_payload_draws{0};
 
 }  // namespace
+
+const std::vector<uint8_t>& Payload::bytes() const {
+  std::call_once(drawn_, [this] {
+    bytes_ = FirmwareImage::MakePayload(name_, seed_, body_bytes_);
+    g_payload_draws.fetch_add(1, std::memory_order_relaxed);
+  });
+  return bytes_;
+}
+
+uint64_t Payload::draws() { return g_payload_draws.load(std::memory_order_relaxed); }
 
 std::vector<uint8_t> FirmwareImage::MakePayload(const std::string& name, uint64_t seed,
                                                 uint64_t body_bytes) {
@@ -70,13 +83,10 @@ Status FirmwareImage::AddPartition(const std::string& name, uint64_t offset, uin
         StrFormat("payload for '%s' (%zu bytes) exceeds partition size %llu", name.c_str(),
                   kPayloadHeaderBytes + body_bytes, static_cast<unsigned long long>(part_size)));
   }
-  if (payloads_.count(name) != 0) {
+  if (!payloads_.try_emplace(name, name, seed, body_bytes).second) {
     return AlreadyExistsError(StrFormat("partition '%s' already added", name.c_str()));
   }
   table_.partitions.push_back(Partition{name, offset, part_size});
-  std::vector<uint8_t> payload = MakePayload(name, seed, body_bytes);
-  uint64_t digest = ChecksumBytes(payload.data(), payload.size());
-  payloads_[name] = Payload{std::move(payload), digest};
   return OkStatus();
 }
 
@@ -141,13 +151,12 @@ Status FirmwareImage::VerifyFlash(const Flash& flash) const {
     if (payload == nullptr) {
       continue;
     }
-    const std::vector<uint8_t>& pristine = payload->bytes;
-    ASSIGN_OR_RETURN(bool intact, flash.Equals(part.offset, pristine.data(), pristine.size()));
-    // Intact bytes are the payload's own, which AddPartition built to verify.
+    ASSIGN_OR_RETURN(bool intact, flash.Holds(part.offset, *payload));
+    // Intact bytes are the payload's own, which MakePayload draws to verify.
     if (intact) {
       continue;
     }
-    ASSIGN_OR_RETURN(std::vector<uint8_t> stored, flash.Read(part.offset, pristine.size()));
+    ASSIGN_OR_RETURN(std::vector<uint8_t> stored, flash.Read(part.offset, payload->size()));
     Status valid = VerifyPayload(stored);
     if (!valid.ok()) {
       return DataLossError(

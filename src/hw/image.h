@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,6 +63,35 @@ struct ModuleLayout {
 
 inline constexpr uint64_t kBasicBlockStride = 16;
 
+// A partition's pristine payload: a [magic|len|crc] header and a deterministic pseudo-binary
+// body, both a function of (name, seed, body length) alone. Its bytes are drawn the first
+// time anything reads them (FirmwareImage::MakePayload), once: boards on several threads
+// and the cold-boot validator share one image, so the draw runs under std::call_once.
+// Flash pages map a payload by identity (Flash::Program), so programming, the boot ROM
+// check and the delta reflash need none of its bytes.
+class Payload {
+ public:
+  static constexpr uint64_t kHeaderBytes = 16;  // [magic u32 | len u32 | crc u64]
+
+  Payload(std::string name, uint64_t seed, uint64_t body_bytes)
+      : name_(std::move(name)), seed_(seed), body_bytes_(body_bytes) {}
+
+  uint64_t size() const { return kHeaderBytes + body_bytes_; }
+
+  // The payload's bytes, drawn by the first call.
+  const std::vector<uint8_t>& bytes() const;
+
+  // Payloads drawn so far in this process (tests bound what a campaign touches).
+  static uint64_t draws();
+
+ private:
+  std::string name_;
+  uint64_t seed_;
+  uint64_t body_bytes_;
+  mutable std::once_flag drawn_;
+  mutable std::vector<uint8_t> bytes_;
+};
+
 class FirmwareImage {
  public:
   FirmwareImage() = default;
@@ -74,9 +104,9 @@ class FirmwareImage {
   void set_size_bytes(uint64_t size) { size_bytes_ = size; }
   void set_instrumented_sites(uint64_t sites) { instrumented_sites_ = sites; }
 
-  // Declares a partition and generates its payload: a deterministic pseudo-binary body of
+  // Declares a partition and its payload: a deterministic pseudo-binary body of
   // `body_bytes` derived from (name, seed), wrapped in a [magic|len|crc] header that the
-  // boot ROM validates. Fails, drawing nothing, if it overflows its u32 len or the partition.
+  // boot ROM validates. Draws nothing; fails if it overflows its u32 len or the partition.
   Status AddPartition(const std::string& name, uint64_t offset, uint64_t part_size,
                       uint64_t body_bytes, uint64_t seed);
 
@@ -102,11 +132,7 @@ class FirmwareImage {
   uint64_t size_bytes() const { return size_bytes_; }
   uint64_t instrumented_sites() const { return instrumented_sites_; }
 
-  // A partition's pristine payload, plus its digest from build time.
-  struct Payload {
-    std::vector<uint8_t> bytes;
-    uint64_t digest = 0;  // ChecksumBytes(bytes): what a checksum of pristine flash returns
-  };
+  using Payload = eof::Payload;
 
   // The payload for reflashing `partition`; nullptr for raw partitions and unknown names.
   const Payload* PayloadOf(const std::string& partition) const;
@@ -119,9 +145,9 @@ class FirmwareImage {
 
   // Verifies that the bytes stored in `flash` for every partition parse as a valid payload
   // (magic + CRC) and are the image's own. This is the boot ROM's integrity check; a kernel
-  // bug that scribbles on flash makes it fail until the host reflashes. Compares in place,
-  // skipping pages mapped onto the payload; payloads verify by construction, so only
-  // stored bytes that differ are copied out and parsed.
+  // bug that scribbles on flash makes it fail until the host reflashes. Asks Flash::Holds,
+  // which answers from the page mapping where it can; payloads verify by construction, so
+  // only stored bytes that differ are copied out and parsed.
   Status VerifyFlash(const Flash& flash) const;
 
   const std::vector<ModuleLayout>& modules() const { return modules_; }
@@ -138,7 +164,7 @@ class FirmwareImage {
   // True when `address` lies inside any module's basic-block region.
   bool InCodeSpace(uint64_t address) const;
 
-  // Payload wire helpers (exposed for tests).
+  // Payload wire helpers: MakePayload is the draw behind Payload::bytes().
   static std::vector<uint8_t> MakePayload(const std::string& name, uint64_t seed,
                                           uint64_t body_bytes);
   static Status VerifyPayload(const uint8_t* data, size_t size);

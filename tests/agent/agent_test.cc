@@ -30,7 +30,7 @@ class AgentTest : public ::testing::Test {
     for (const Partition& part : image_->partition_table().partitions) {
       const FirmwareImage::Payload* payload = image_->PayloadOf(part.name);
       if (payload != nullptr) {
-        ASSERT_TRUE(board_->FlashWrite(part.offset, payload->bytes).ok());
+        ASSERT_TRUE(board_->FlashWrite(part.offset, payload->bytes()).ok());
       }
     }
     board_->Reset();
@@ -59,8 +59,11 @@ class AgentTest : public ::testing::Test {
     ring.capacity = CovRingCapacityFor(board_->spec().ram_bytes);
     uint32_t count =
         board_->RamReadU32(ring.BankOffset(0) + CovRingLayout::kCountOffset).value();
-    return board_->RamRead(ring.EntryOffset(0, 0), count * CovRingLayout::kEntryBytes)
-        .value();
+    std::vector<uint8_t> entries;
+    EXPECT_TRUE(
+        board_->RamReadInto(ring.EntryOffset(0, 0), count * CovRingLayout::kEntryBytes, &entries)
+            .ok());
+    return entries;
   }
 
   uint32_t StatusField(uint64_t offset) {
@@ -198,7 +201,7 @@ TEST(AgentTinyRamTest, SmallRingOverflowsAndAgentSelfClears) {
   for (const Partition& part : image->partition_table().partitions) {
     const FirmwareImage::Payload* payload = image->PayloadOf(part.name);
     if (payload != nullptr) {
-      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes()).ok());
     }
   }
   board.Reset();
@@ -239,7 +242,7 @@ TEST(AgentTinyRamTest, BankFlipAbsorbsOverflowUntilBackpressure) {
   for (const Partition& part : image->partition_table().partitions) {
     const FirmwareImage::Payload* payload = image->PayloadOf(part.name);
     if (payload != nullptr) {
-      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes()).ok());
     }
   }
   board.Reset();

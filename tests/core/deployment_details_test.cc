@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/hash.h"
 #include "src/core/deployment.h"
 #include "src/hw/timing.h"
 #include "src/kernel/os.h"
@@ -156,10 +157,10 @@ TEST_F(DeploymentDetailsTest, DeltaReflashReprogramsOnlyCorruptedPartition) {
     if (payload == nullptr) {
       continue;
     }
-    payload_total += payload->bytes.size();
+    payload_total += payload->size();
     if (victim == nullptr) {
       victim = &part;
-      victim_bytes = payload->bytes.size();
+      victim_bytes = payload->size();
     }
   }
   ASSERT_NE(victim, nullptr);
@@ -188,21 +189,22 @@ TEST_F(DeploymentDetailsTest, DeltaReflashCatchesAFlipAnywhereInTheKernel) {
   const FirmwareImage::Payload* payload = deployment->image().PayloadOf("kernel");
   ASSERT_NE(kernel, nullptr);
   ASSERT_NE(payload, nullptr);
-  const uint64_t size = payload->bytes.size();
+  const uint64_t size = payload->size();
+  const uint64_t pristine = ChecksumBytes(payload->bytes().data(), size);
   ASSERT_NE(size % 32, 0u);
   const uint64_t address = deployment->board_spec().flash_base + kernel->offset;
   for (uint64_t at : {uint64_t{0}, size / 2, size / 32 * 32 - 1, size - 1}) {
     SCOPED_TRACE(at);
-    const uint8_t flipped = static_cast<uint8_t>(payload->bytes[at] ^ 0x01);
+    const uint8_t flipped = static_cast<uint8_t>(payload->bytes()[at] ^ 0x01);
     ASSERT_TRUE(deployment->board().FlashWrite(kernel->offset + at, {flipped}).ok());
     Result<uint64_t> checksum = deployment->port().ChecksumMem(address, size);
     ASSERT_TRUE(checksum.ok());
-    EXPECT_NE(checksum.value(), payload->digest);
+    EXPECT_NE(checksum.value(), pristine);
 
     const DebugPortStats before = deployment->port().stats();
     ASSERT_TRUE(deployment->ReflashAndReboot().ok());
     EXPECT_EQ(deployment->port().stats().flash_bytes - before.flash_bytes, size);
-    EXPECT_EQ(deployment->port().ChecksumMem(address, size).value(), payload->digest);
+    EXPECT_EQ(deployment->port().ChecksumMem(address, size).value(), pristine);
   }
 }
 

@@ -191,9 +191,9 @@ TEST(ImageBytesGoldenTest, PayloadsMatchPinnedBytes) {
                              static_cast<unsigned long long>(golden.seed), names[i]));
       const FirmwareImage::Payload* payload = image.value()->PayloadOf(names[i]);
       ASSERT_NE(payload, nullptr);
-      EXPECT_EQ(payload->bytes.size(), golden.parts[i].size);
-      EXPECT_EQ(Fnv1aBytes(payload->bytes.data(), payload->bytes.size()), golden.parts[i].fnv);
-      EXPECT_EQ(FirmwareImage::VerifyPayload(payload->bytes).ok(), golden.parts[i].verifies);
+      EXPECT_EQ(payload->size(), golden.parts[i].size);
+      EXPECT_EQ(Fnv1aBytes(payload->bytes().data(), payload->size()), golden.parts[i].fnv);
+      EXPECT_EQ(FirmwareImage::VerifyPayload(payload->bytes()).ok(), golden.parts[i].verifies);
     }
   }
 }
@@ -227,7 +227,7 @@ TEST(PayloadVerdictTest, EveryBuiltPayloadVerifies) {
         for (const Partition& part : image.value()->partition_table().partitions) {
           const FirmwareImage::Payload* payload = image.value()->PayloadOf(part.name);
           if (payload != nullptr) {
-            EXPECT_TRUE(FirmwareImage::VerifyPayload(payload->bytes).ok()) << part.name;
+            EXPECT_TRUE(FirmwareImage::VerifyPayload(payload->bytes()).ok()) << part.name;
           }
         }
       }

@@ -462,7 +462,8 @@ TEST_P(RestoreEquivalenceTest, WarmRestoresReproduceCapturedRam) {
   MakeExecutor(pinned.os, config);
   Board& board = executor_->deployment().board();
   const uint64_t ram_bytes = board.spec().ram_bytes;
-  const std::vector<uint8_t> captured = board.RamRead(0, ram_bytes).value();
+  std::vector<uint8_t> captured;
+  ASSERT_TRUE(board.RamReadInto(0, ram_bytes, &captured).ok());
 
   const RamPages& pages = executor_->snapshot_for_test()->ram();
   ASSERT_EQ(pages.Expand(), captured);
@@ -476,10 +477,12 @@ TEST_P(RestoreEquivalenceTest, WarmRestoresReproduceCapturedRam) {
     auto outcome = executor_->ExecuteOne(encoded);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_EQ(std::string(executor_->last_restore()), "snapshot") << "exec " << exec;
-    ASSERT_EQ(board.RamRead(0, ram_bytes).value(), captured) << "exec " << exec;
+    std::vector<uint8_t> bytes;
+    ASSERT_TRUE(board.RamReadInto(0, ram_bytes, &bytes).ok());
+    ASSERT_EQ(bytes, captured) << "exec " << exec;
     for (uint64_t page = 0; page * kRamPageBytes < ram_bytes; ++page) {
       if (!board.RamPageDirty(page)) {
-        std::vector<uint8_t> bytes = board.RamRead(page * kRamPageBytes, kRamPageBytes).value();
+        ASSERT_TRUE(board.RamReadInto(page * kRamPageBytes, kRamPageBytes, &bytes).ok());
         ASSERT_TRUE(std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; }))
             << "clean page " << page << " holds data after exec " << exec;
       }

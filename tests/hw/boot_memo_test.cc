@@ -1,10 +1,10 @@
-// Tests of the host-side flash memos: the board's boot-ROM verdict and Flash's digests
-// are cached on the flash write count, so each must be invalidated by every flash write
-// and every image change, and a cached answer must cost the target exactly what a
-// computed one does. VerifyFlash's in-place comparison is checked against the
-// copy-then-parse reference it replaced. Boards deploying on many threads share one
-// image's pages and the erased-flash digests, and first boots on many threads build each
-// OS's shared API table once (run under TSan in CI).
+// Tests of the host-side flash shortcuts: the board's boot-ROM verdict is cached on the
+// flash write count, so it must be invalidated by every flash write and every image
+// change, and a flash checksum answered from the page mapping (DebugPort::FlashHolds)
+// must cost the target exactly what a computed one does. VerifyFlash's in-place
+// comparison is checked against the copy-then-parse reference it replaced. Boards
+// deploying on many threads share one image's payload pages, and first boots on many
+// threads build each OS's shared API table once (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
@@ -41,7 +41,7 @@ void FlashPristine(Board& board, const FirmwareImage& image) {
   for (const Partition& part : image.partition_table().partitions) {
     const FirmwareImage::Payload* payload = image.PayloadOf(part.name);
     if (payload != nullptr) {
-      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes).ok());
+      ASSERT_TRUE(board.FlashWrite(part.offset, payload->bytes()).ok());
     }
   }
 }
@@ -191,7 +191,7 @@ class FlashDigestTest : public BootMemoTest {
     const Partition* kernel = image_->partition_table().Find("kernel");
     ASSERT_NE(kernel, nullptr);
     kernel_offset_ = kernel->offset;
-    kernel_size_ = image_->PayloadOf("kernel")->bytes.size();
+    kernel_size_ = image_->PayloadOf("kernel")->size();
   }
 
   uint64_t KernelAddress() const { return board_.spec().flash_base + kernel_offset_; }
@@ -205,7 +205,8 @@ class FlashDigestTest : public BootMemoTest {
 TEST_F(FlashDigestTest, ChecksumAfterFlashWriteReturnsTheNewDigest) {
   auto before = port_.ChecksumMem(KernelAddress(), kernel_size_);
   ASSERT_TRUE(before.ok());
-  EXPECT_EQ(before.value(), image_->PayloadOf("kernel")->digest);
+  const std::vector<uint8_t>& pristine = image_->PayloadOf("kernel")->bytes();
+  EXPECT_EQ(before.value(), ChecksumBytes(pristine.data(), pristine.size()));
 
   ASSERT_TRUE(board_.FlashWrite(kernel_offset_ + 100, {0x01, 0x02, 0x03}).ok());
   auto after = port_.ChecksumMem(KernelAddress(), kernel_size_);
@@ -221,39 +222,52 @@ TEST_F(FlashDigestTest, ChecksumAfterFlashWriteReturnsTheNewDigest) {
   EXPECT_EQ(erased.value(), ChecksumBytes(ones.data(), ones.size()));
 }
 
-TEST_F(FlashDigestTest, MemoHitCostsTheTargetWhatAMissDoes) {
+// FlashHolds is the delta reflash's and the flash shadow's ChecksumMem: whether the host
+// answers from the page mapping or by comparing bytes, the target pays what a
+// ChecksumMem of the payload's range costs, and the flight ring records the same op.
+TEST_F(FlashDigestTest, FlashHoldsCostsTheTargetWhatChecksumMemDoes) {
   struct Charge {
     VirtualDuration time;
     uint64_t transactions;
     uint64_t bytes_read;
     telemetry::PortOpRecord record;
   };
-  auto checksum = [&]() {
+  auto charge = [&](auto ask) {
     const DebugPortStats stats = port_.stats();
     const VirtualTime start = port_.Now();
-    EXPECT_TRUE(port_.ChecksumMem(KernelAddress(), kernel_size_).ok());
+    ask();
     telemetry::FlightDump dump = recorder_.Dump("test", port_.Now());
     return Charge{port_.Now() - start, port_.stats().transactions - stats.transactions,
                   port_.stats().bytes_read - stats.bytes_read, dump.port_ops.back()};
   };
+  const FirmwareImage::Payload& payload = *image_->PayloadOf("kernel");
+  auto holds = [&](bool want) {
+    return charge([&] { EXPECT_EQ(port_.FlashHolds(KernelAddress(), payload).value(), want); });
+  };
+  Charge checksum =
+      charge([&] { EXPECT_TRUE(port_.ChecksumMem(KernelAddress(), kernel_size_).ok()); });
+  Charge mapped = holds(true);  // answered from the page mapping
   ASSERT_TRUE(board_.FlashWrite(kernel_offset_ + 100, {0x07}).ok());
-  Charge miss = checksum();  // first digest at this write count
-  Charge hit = checksum();   // same range, no write since
-  EXPECT_EQ(hit.time, miss.time);
-  EXPECT_EQ(hit.time, ChecksumCost(kernel_size_));
-  EXPECT_EQ(hit.transactions, 1u);
-  EXPECT_EQ(miss.transactions, 1u);
-  EXPECT_EQ(hit.bytes_read, 8u);
-  EXPECT_EQ(miss.bytes_read, 8u);
-  EXPECT_EQ(hit.record.op, telemetry::FlightPortOp::kChecksum);
-  EXPECT_EQ(hit.record.op, miss.record.op);
-  EXPECT_EQ(hit.record.address, miss.record.address);
-  EXPECT_EQ(hit.record.size, miss.record.size);
-  EXPECT_EQ(hit.record.ok, miss.record.ok);
+  Charge compared = holds(false);  // answered by comparing bytes
+  board_.flash().MassErase();
+  Charge erased = holds(false);  // answered from the erased pages
+  EXPECT_EQ(checksum.time, ChecksumCost(kernel_size_));
+  EXPECT_EQ(checksum.transactions, 1u);
+  EXPECT_EQ(checksum.bytes_read, 8u);
+  EXPECT_EQ(checksum.record.op, telemetry::FlightPortOp::kChecksum);
+  for (const Charge& held : {mapped, compared, erased}) {
+    EXPECT_EQ(held.time, checksum.time);
+    EXPECT_EQ(held.transactions, checksum.transactions);
+    EXPECT_EQ(held.bytes_read, checksum.bytes_read);
+    EXPECT_EQ(held.record.op, checksum.record.op);
+    EXPECT_EQ(held.record.address, checksum.record.address);
+    EXPECT_EQ(held.record.size, checksum.record.size);
+    EXPECT_EQ(held.record.ok, checksum.record.ok);
+  }
 }
 
 // Boards on several threads deploy one shared image, then reflash, reboot and checksum
-// it: they read the same payload pages and fill the process-wide erased digests at once.
+// it: their first writes draw the one payload they all map at once.
 TEST(SharedImageTest, ConcurrentBoardsShareOnePayload) {
   ASSERT_TRUE(RegisterAllOses().ok());
   DeployOptions options;
@@ -281,7 +295,7 @@ TEST(SharedImageTest, ConcurrentBoardsShareOnePayload) {
       }
       if (statuses[i].ok()) {
         auto digest = (*deployment)->port().ChecksumMem(
-            board.spec().flash_base + kernel->offset, payload->bytes.size());
+            board.spec().flash_base + kernel->offset, payload->size());
         statuses[i] = digest.status();
         digests[i] = digest.ok() ? *digest : 0;
       }
@@ -293,9 +307,10 @@ TEST(SharedImageTest, ConcurrentBoardsShareOnePayload) {
   for (std::thread& thread : threads) {
     thread.join();
   }
+  const uint64_t pristine = ChecksumBytes(payload->bytes().data(), payload->size());
   for (int i = 0; i < kBoards; ++i) {
     EXPECT_TRUE(statuses[i].ok()) << i << ": " << statuses[i].ToString();
-    EXPECT_EQ(digests[i], payload->digest) << i;
+    EXPECT_EQ(digests[i], pristine) << i;
   }
 }
 
@@ -326,13 +341,13 @@ Status CopyThenVerify(const FirmwareImage& image, const Flash& flash) {
       continue;
     }
     ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                     flash.Read(part.offset, payload->bytes.size()));
+                     flash.Read(part.offset, payload->size()));
     Status valid = verify_payload(stored);
     if (!valid.ok()) {
       return DataLossError(StrFormat("partition '%s' failed boot validation: %s",
                                      part.name.c_str(), valid.ToString().c_str()));
     }
-    if (stored != payload->bytes) {
+    if (stored != payload->bytes()) {
       return DataLossError(StrFormat("partition '%s' content mismatch", part.name.c_str()));
     }
   }
@@ -352,12 +367,12 @@ TEST(VerifyFlashTest, InPlaceVerdictMatchesCopyThenVerify) {
   ASSERT_TRUE(image.AddPartition("boot", 0x0, 0x400, 200, 5).ok());
   ASSERT_TRUE(image.AddPartition("kernel", 0x1000, 0x1000, 1024, 5).ok());
   ASSERT_TRUE(image.AddRawPartition("nvs", 0x3000, 0x100).ok());
-  const std::vector<uint8_t>& kernel = image.PayloadOf("kernel")->bytes;
+  const std::vector<uint8_t>& kernel = image.PayloadOf("kernel")->bytes();
   auto fresh_flash = [&image]() {
     Flash flash(0x4000);
     for (const char* name : {"boot", "kernel"}) {
       const Partition* part = image.partition_table().Find(name);
-      EXPECT_TRUE(flash.Write(part->offset, image.PayloadOf(name)->bytes).ok());
+      EXPECT_TRUE(flash.Write(part->offset, image.PayloadOf(name)->bytes()).ok());
     }
     return flash;
   };
@@ -390,7 +405,7 @@ TEST(VerifyFlashTest, InPlaceVerdictMatchesCopyThenVerify) {
 
   // A payload that does not fit the flash at all: both report the read's bounds error.
   Flash tiny(0x1100);
-  ASSERT_TRUE(tiny.Write(0x0, image.PayloadOf("boot")->bytes).ok());
+  ASSERT_TRUE(tiny.Write(0x0, image.PayloadOf("boot")->bytes()).ok());
   ExpectSameVerdict(image, tiny, ErrorCode::kOutOfRange);
 }
 

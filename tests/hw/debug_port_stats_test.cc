@@ -45,7 +45,9 @@ TEST_F(DebugPortBatchTest, BatchIsOneTransactionAndAppliesInOrder) {
   EXPECT_EQ(after.bytes_written - before.bytes_written, 4u);
   EXPECT_EQ(after.bytes_read - before.bytes_read, 4u);
   EXPECT_EQ(ops[2].result, (std::vector<uint8_t>{0xaa, 0xbb, 0xcc, 0xdd}));
-  EXPECT_EQ(board_.RamRead(0x10, 1).value()[0], 9);
+  std::vector<uint8_t> ram;
+  ASSERT_TRUE(board_.RamReadInto(0x10, 1, &ram).ok());
+  EXPECT_EQ(ram, (std::vector<uint8_t>{9}));
 }
 
 TEST_F(DebugPortBatchTest, BatchCostIsOneLatencyChargePlusBytes) {

@@ -37,9 +37,11 @@ TEST(FlashTest, HugeLengthsCannotWrapTheBoundsCheck) {
   EXPECT_EQ(flash.Digest(16, huge).status().code(), ErrorCode::kOutOfRange);
   // A write cannot carry UINT64_MAX - 8 bytes, so wrap it from the offset side.
   EXPECT_EQ(flash.Write(huge, std::vector<uint8_t>(16, 0xaa)).code(), ErrorCode::kOutOfRange);
-  auto run = std::make_shared<const std::vector<uint8_t>>(16, 0xaa);
-  EXPECT_EQ(flash.Program(huge, run, 0).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(flash.Program(4096 - 15, run, 0).code(), ErrorCode::kOutOfRange);
+  auto payload = std::make_shared<const Payload>("run", 1, 0);  // a 16-byte header
+  EXPECT_EQ(flash.Program(huge, payload).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Program(4096 - 15, payload).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Holds(huge, *payload).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(flash.Holds(4096 - 15, *payload).status().code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.Read(huge, 16).status().code(), ErrorCode::kOutOfRange);
   EXPECT_EQ(flash.write_count(), 0u);
   // The edges still work.
@@ -50,8 +52,8 @@ TEST(FlashTest, HugeLengthsCannotWrapTheBoundsCheck) {
 }
 
 // Flash against a flat model that starts erased: seeded random writes, programs and
-// erases, each followed by reads, comparisons and digests of random ranges. Page
-// sharing must never show through any of them.
+// erases, each followed by reads, comparisons, digests and holds-payload queries of
+// random ranges. Page sharing must never show through any of them.
 TEST(FlashTest, MatchesAFlatModel) {
   constexpr uint64_t kPage = Flash::kPageBytes;
   constexpr uint64_t kSize = 6 * kPage + 1000;  // a short last page
@@ -63,17 +65,24 @@ TEST(FlashTest, MatchesAFlatModel) {
     }
     return bytes;
   };
-  // Runs to program: whole pages, a partial last page, one that fills the device's
-  // short last page when programmed at 5 pages, and a short one. The model copies from
-  // `pristine`, so a write through a shared page shows as a mismatch.
-  std::vector<std::shared_ptr<const std::vector<uint8_t>>> runs;
+  // Payloads to program: whole pages, a partial tail page, one that fills the device's
+  // short last page when programmed at 5 pages, and a bare header. The model copies from
+  // `pristine`, drawn by another payload of the same (name, seed, size), so a write
+  // through a shared page shows as a mismatch.
+  std::vector<std::shared_ptr<const Payload>> payloads;
   std::vector<std::vector<uint8_t>> pristine;
-  for (uint64_t size : {2 * kPage, 2 * kPage + 100, kPage + 1000, uint64_t{10}}) {
-    pristine.push_back(random_bytes(size));
-    runs.push_back(std::make_shared<const std::vector<uint8_t>>(pristine.back()));
+  for (uint64_t size : {2 * kPage, 2 * kPage + 100, kPage + 1000, Payload::kHeaderBytes}) {
+    const std::string name = StrFormat("p%zu", payloads.size());
+    const uint64_t body = size - Payload::kHeaderBytes;
+    payloads.push_back(std::make_shared<const Payload>(name, 3, body));
+    pristine.push_back(Payload(name, 3, body).bytes());
   }
   Flash flash(kSize);
   std::vector<uint8_t> model(kSize, 0xff);
+  auto model_holds = [&](size_t i, uint64_t offset) {
+    return std::equal(pristine[i].begin(), pristine[i].end(),
+                      model.begin() + static_cast<std::ptrdiff_t>(offset));
+  };
   auto check_range = [&](uint64_t offset, uint64_t size) {
     SCOPED_TRACE(StrFormat("range [%llu, +%llu)", static_cast<unsigned long long>(offset),
                            static_cast<unsigned long long>(size)));
@@ -87,9 +96,13 @@ TEST(FlashTest, MatchesAFlatModel) {
       EXPECT_FALSE(flash.Equals(offset, flipped.data(), size).value());
     }
     EXPECT_EQ(flash.Digest(offset, size).value(), ChecksumBytes(want.data(), size));
+    const size_t i = rng.Index(payloads.size());
+    if (offset + payloads[i]->size() <= kSize) {
+      EXPECT_EQ(flash.Holds(offset, *payloads[i]).value(), model_holds(i, offset)) << "p" << i;
+    }
   };
   uint64_t writes = 0;
-  size_t last_run = 0;
+  size_t last = 0;
   uint64_t last_offset = 0;
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE(step);
@@ -102,24 +115,25 @@ TEST(FlashTest, MatchesAFlatModel) {
       std::copy(data.begin(), data.end(), model.begin() + static_cast<std::ptrdiff_t>(offset));
     } else if (pick < 9) {  // a program, sometimes the last one again
       if (!rng.Chance(1, 4)) {
-        last_run = rng.Index(runs.size());
-        const uint64_t size = runs[last_run]->size();
+        last = rng.Index(payloads.size());
+        const uint64_t size = payloads[last]->size();
         last_offset = rng.CoinFlip() ? rng.Below((kSize - size) / kPage + 1) * kPage
                                      : rng.Below(kSize - size + 1);
       }
-      const auto& run = runs[last_run];
-      const std::vector<uint8_t>& bytes = pristine[last_run];
-      const uint64_t digest = ChecksumBytes(bytes.data(), bytes.size());
-      ASSERT_TRUE(flash.Program(last_offset, run, digest).ok());
+      const std::vector<uint8_t>& bytes = pristine[last];
+      ASSERT_TRUE(flash.Program(last_offset, payloads[last]).ok());
       std::copy(bytes.begin(), bytes.end(),
                 model.begin() + static_cast<std::ptrdiff_t>(last_offset));
-      EXPECT_TRUE(flash.Equals(last_offset, run->data(), run->size()).value());
-      EXPECT_EQ(flash.Digest(last_offset, run->size()).value(), digest);
+      EXPECT_TRUE(flash.Holds(last_offset, *payloads[last]).value());
+      EXPECT_TRUE(flash.Equals(last_offset, bytes.data(), bytes.size()).value());
+      EXPECT_EQ(flash.Digest(last_offset, bytes.size()).value(),
+                ChecksumBytes(bytes.data(), bytes.size()));
     } else {
       flash.MassErase();
       std::fill(model.begin(), model.end(), 0xff);
     }
     EXPECT_EQ(flash.write_count(), ++writes);
+    EXPECT_EQ(flash.Holds(last_offset, *payloads[last]).value(), model_holds(last, last_offset));
     check_range(0, kSize);
     for (int i = 0; i < 4; ++i) {
       const uint64_t size = rng.Chance(1, 8) ? 0 : rng.Range(1, 3 * kPage);
@@ -138,7 +152,7 @@ TEST(FlashTest, ProgrammedPagesOutliveTheirImage) {
   };
   std::shared_ptr<const FirmwareImage> first = build(1);
   std::shared_ptr<const FirmwareImage> second = build(2);
-  const std::vector<uint8_t> pristine = first->PayloadOf("kernel")->bytes;
+  const std::vector<uint8_t> pristine = first->PayloadOf("kernel")->bytes();
   Board board(BoardSpecByName("esp32-devkitc").value());
   board.InstallImage(first);
   ASSERT_TRUE(board.FlashProgram(0x1000, *first->PayloadOf("kernel")).ok());
@@ -245,7 +259,7 @@ TEST(ImageTest, AddPartitionChecksSizesBeforeDrawing) {
   EXPECT_EQ(image.PayloadOf("k"), nullptr);
   EXPECT_TRUE(image.partition_table().partitions.empty());
   ASSERT_TRUE(image.AddPartition("k", 0, 64, 48, 1).ok());
-  EXPECT_EQ(image.PayloadOf("k")->bytes.size(), 64u);
+  EXPECT_EQ(image.PayloadOf("k")->size(), 64u);
   // Size errors win over the duplicate name.
   EXPECT_EQ(image.AddPartition("k", 64, 64, 49, 1).code(), ErrorCode::kInvalidArgument);
   EXPECT_EQ(image.AddPartition("k", 64, 64, 48, 1).code(), ErrorCode::kAlreadyExists);
@@ -257,7 +271,7 @@ TEST(ImageTest, FlashVerification) {
   ASSERT_TRUE(image.AddRawPartition("nvs", 0x2000, 0x100).ok());
   Flash flash(16384);
   EXPECT_FALSE(image.VerifyFlash(flash).ok());  // nothing flashed
-  ASSERT_TRUE(flash.Write(0x100, image.PayloadOf("kernel")->bytes).ok());
+  ASSERT_TRUE(flash.Write(0x100, image.PayloadOf("kernel")->bytes()).ok());
   EXPECT_TRUE(image.VerifyFlash(flash).ok());
   // nvs is a raw partition: scribbling there must NOT fail validation.
   ASSERT_TRUE(flash.Write(0x2000, {0xaa, 0xbb}).ok());
@@ -315,8 +329,10 @@ class BoardTest : public ::testing::Test {
 
 TEST_F(BoardTest, RamAccessAndBounds) {
   ASSERT_TRUE(board_.RamWrite(0x100, {9, 8, 7}).ok());
-  EXPECT_EQ(board_.RamRead(0x100, 3).value(), (std::vector<uint8_t>{9, 8, 7}));
-  EXPECT_FALSE(board_.RamRead(board_.spec().ram_bytes - 1, 2).ok());
+  std::vector<uint8_t> read;
+  ASSERT_TRUE(board_.RamReadInto(0x100, 3, &read).ok());
+  EXPECT_EQ(read, (std::vector<uint8_t>{9, 8, 7}));
+  EXPECT_FALSE(board_.RamReadInto(board_.spec().ram_bytes - 1, 2, &read).ok());
   ASSERT_TRUE(board_.RamWriteU32(0x200, 0xcafef00d).ok());
   EXPECT_EQ(board_.RamReadU32(0x200).value(), 0xcafef00du);
 }

@@ -24,6 +24,13 @@ bool AllZero(const std::vector<uint8_t>& bytes) {
   return std::all_of(bytes.begin(), bytes.end(), [](uint8_t byte) { return byte == 0; });
 }
 
+// RAM bytes [offset, offset + size) of `board`; the range must be in bounds.
+std::vector<uint8_t> RamBytes(const Board& board, uint64_t offset, uint64_t size) {
+  std::vector<uint8_t> out;
+  EXPECT_TRUE(board.RamReadInto(offset, size, &out).ok());
+  return out;
+}
+
 uint64_t PageCount(uint64_t ram_bytes) {
   return (ram_bytes + kRamPageBytes - 1) / kRamPageBytes;
 }
@@ -35,7 +42,7 @@ void ExpectCleanPagesZero(const Board& board) {
     if (!board.RamPageDirty(page)) {
       const uint64_t offset = page * kRamPageBytes;
       const uint64_t size = std::min(kRamPageBytes, ram_bytes - offset);
-      ASSERT_TRUE(AllZero(board.RamRead(offset, size).value())) << "clean page " << page;
+      ASSERT_TRUE(AllZero(RamBytes(board, offset, size))) << "clean page " << page;
     }
   }
 }
@@ -94,7 +101,7 @@ TEST(RamPagesTest, BootZeroesLikeAFullWipe) {
       std::copy(bytes.begin(), bytes.end(),
                 reference.begin() + static_cast<std::ptrdiff_t>(offset));
     }
-    ASSERT_EQ(board.RamRead(0, ram_bytes).value(), reference) << "step " << step;
+    ASSERT_EQ(RamBytes(board, 0, ram_bytes), reference) << "step " << step;
     ExpectCleanPagesZero(board);
   }
 }
@@ -153,7 +160,7 @@ TEST(RamPagesTest, LoadRamTouchesOnlyListedAndDirtyPages) {
   std::vector<uint8_t> expected(ram_bytes, 0);
   expected[9 * kRamPageBytes + 8] = 9;
   expected[ram_bytes - 1] = 7;
-  EXPECT_EQ(board.RamRead(0, ram_bytes).value(), expected);
+  EXPECT_EQ(RamBytes(board, 0, ram_bytes), expected);
   for (uint64_t page = 0; page < PageCount(ram_bytes); ++page) {
     EXPECT_EQ(board.RamPageDirty(page), page == 9 || page == 70) << "page " << page;
   }
@@ -166,18 +173,19 @@ const uint64_t kWrappingOffsets[] = {UINT64_MAX, UINT64_MAX - 1, UINT64_MAX - 3,
 TEST(RamBoundsTest, BoardAccessorsRejectWrappingRanges) {
   Board board(BoardSpecByName("stm32f407-disco").value());
   const uint64_t ram_bytes = board.spec().ram_bytes;
+  std::vector<uint8_t> read;
   for (uint64_t offset : kWrappingOffsets) {
     EXPECT_EQ(board.RamWrite(offset, {1, 2, 3, 4, 5, 6, 7, 8, 9}).code(),
               ErrorCode::kOutOfRange);
-    EXPECT_EQ(board.RamRead(offset, 9).status().code(), ErrorCode::kOutOfRange);
+    EXPECT_EQ(board.RamReadInto(offset, 9, &read).code(), ErrorCode::kOutOfRange);
     EXPECT_EQ(board.RamWriteU32(offset, 0xffffffff).code(), ErrorCode::kOutOfRange);
     EXPECT_EQ(board.RamWriteU64(offset, UINT64_MAX).code(), ErrorCode::kOutOfRange);
     EXPECT_EQ(board.RamReadU32(offset).status().code(), ErrorCode::kOutOfRange);
   }
-  EXPECT_EQ(board.RamRead(16, UINT64_MAX - 8).status().code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(board.RamRead(ram_bytes, UINT64_MAX).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(board.RamReadInto(16, UINT64_MAX - 8, &read).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(board.RamReadInto(ram_bytes, UINT64_MAX, &read).code(), ErrorCode::kOutOfRange);
   // Nothing was written and no page was marked.
-  EXPECT_TRUE(AllZero(board.RamRead(0, ram_bytes).value()));
+  EXPECT_TRUE(AllZero(RamBytes(board, 0, ram_bytes)));
   for (uint64_t page = 0; page < PageCount(ram_bytes); ++page) {
     EXPECT_FALSE(board.RamPageDirty(page));
   }
@@ -185,9 +193,9 @@ TEST(RamBoundsTest, BoardAccessorsRejectWrappingRanges) {
   EXPECT_TRUE(board.RamWriteU32(ram_bytes - 4, 1).ok());
   EXPECT_TRUE(board.RamWriteU64(ram_bytes - 8, 1).ok());
   EXPECT_TRUE(board.RamReadU32(ram_bytes - 4).ok());
-  EXPECT_TRUE(board.RamRead(ram_bytes, 0).ok());
+  EXPECT_TRUE(board.RamReadInto(ram_bytes, 0, &read).ok());
   EXPECT_TRUE(board.RamWrite(ram_bytes, {}).ok());
-  EXPECT_FALSE(board.RamRead(ram_bytes + 1, 0).ok());
+  EXPECT_FALSE(board.RamReadInto(ram_bytes + 1, 0, &read).ok());
 }
 
 class BootedPortTest : public ::testing::Test {
@@ -203,7 +211,7 @@ class BootedPortTest : public ::testing::Test {
     for (const Partition& part : image->partition_table().partitions) {
       const FirmwareImage::Payload* payload = image->PayloadOf(part.name);
       if (payload != nullptr) {
-        ASSERT_TRUE(board_.FlashWrite(part.offset, payload->bytes).ok());
+        ASSERT_TRUE(board_.FlashWrite(part.offset, payload->bytes()).ok());
       }
     }
     board_.Reset();
@@ -217,7 +225,7 @@ class BootedPortTest : public ::testing::Test {
 
 TEST_F(BootedPortTest, WindowsRejectWrappingRanges) {
   const BoardSpec& spec = board_.spec();
-  const std::vector<uint8_t> before = board_.RamRead(0, spec.ram_bytes).value();
+  const std::vector<uint8_t> before = RamBytes(board_, 0, spec.ram_bytes);
   for (uint64_t address : kWrappingOffsets) {
     EXPECT_EQ(port_.ReadMem(address, 16).status().code(), ErrorCode::kOutOfRange);
     EXPECT_EQ(port_.WriteMem(address, std::vector<uint8_t>(16, 0xaa)).code(),
@@ -238,7 +246,7 @@ TEST_F(BootedPortTest, WindowsRejectWrappingRanges) {
             ErrorCode::kOutOfRange);
   std::vector<PortOp> plan = {PortOp::Read(spec.flash_base + 16, UINT64_MAX - 8)};
   EXPECT_EQ(port_.RunBatch(&plan).code(), ErrorCode::kOutOfRange);
-  EXPECT_EQ(board_.RamRead(0, spec.ram_bytes).value(), before);
+  EXPECT_EQ(RamBytes(board_, 0, spec.ram_bytes), before);
 }
 
 // WriteRam charges exactly what RunBatch charges for the whole-RAM write plan it
@@ -266,14 +274,14 @@ TEST_F(BootedPortTest, WriteRamPricesTheWholeRamWritePlan) {
   ASSERT_TRUE(port_.RunBatch(&plan).ok());
   const VirtualDuration batch_cost = port_.Now() - start;
   DebugPortStats after_batch = port_.stats();
-  EXPECT_EQ(board_.RamRead(0, spec.ram_bytes).value(), expected);
+  EXPECT_EQ(RamBytes(board_, 0, spec.ram_bytes), expected);
 
   ASSERT_TRUE(board_.RamWriteU32(0, 0xffffffff).ok());  // a page the image lacks
   start = port_.Now();
   ASSERT_TRUE(port_.WriteRam(image).ok());
   EXPECT_EQ(port_.Now() - start, batch_cost);
   DebugPortStats after_write = port_.stats();
-  EXPECT_EQ(board_.RamRead(0, spec.ram_bytes).value(), expected);
+  EXPECT_EQ(RamBytes(board_, 0, spec.ram_bytes), expected);
   EXPECT_EQ(after_write.transactions - after_batch.transactions,
             after_batch.transactions - before.transactions);
   EXPECT_EQ(after_write.batches - after_batch.batches, 1u);

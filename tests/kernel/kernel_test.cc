@@ -170,8 +170,10 @@ TEST_F(KernelContextTest, BucketsYieldDistinctEdges) {
   ctx.CovBucket(site, 0);
   ctx.CovBucket(site, 1);
   EXPECT_EQ(RingCount(), 2u);
-  auto entry0 = board_.RamRead(ring_.EntryOffset(0, 0), 8).value();
-  auto entry1 = board_.RamRead(ring_.EntryOffset(0, 1), 8).value();
+  std::vector<uint8_t> entry0;
+  std::vector<uint8_t> entry1;
+  ASSERT_TRUE(board_.RamReadInto(ring_.EntryOffset(0, 0), 8, &entry0).ok());
+  ASSERT_TRUE(board_.RamReadInto(ring_.EntryOffset(0, 1), 8, &entry1).ok());
   EXPECT_NE(entry0, entry1);
 }
 
