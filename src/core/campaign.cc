@@ -84,19 +84,9 @@ Result<RepeatedResult> RunRepeated(const FuzzerConfig& base, int repetitions,
   }
   repeated.runs.resize(static_cast<size_t>(repetitions));
 
-  if (parallelism <= 1) {
-    for (int rep = 0; rep < repetitions; ++rep) {
-      FuzzerConfig config = base;
-      config.seed = RepetitionSeed(base.seed, rep);
-      EofFuzzer fuzzer(config);
-      ASSIGN_OR_RETURN(repeated.runs[static_cast<size_t>(rep)], fuzzer.Run());
-    }
-    return repeated;
-  }
-
-  // Parallel mode: each repetition is an independent seeded campaign on its own
-  // simulated board, so running them concurrently reproduces the serial results
-  // run-for-run. A shared counter hands out repetition indices.
+  // Each repetition is an independent seeded campaign on its own simulated board, so
+  // any number of threads reproduce the one-thread results run for run. A shared
+  // counter hands out repetition indices.
   std::atomic<int> next_rep(0);
   std::vector<Status> statuses(static_cast<size_t>(repetitions), OkStatus());
   auto run_reps = [&]() {
@@ -112,16 +102,17 @@ Result<RepeatedResult> RunRepeated(const FuzzerConfig& base, int repetitions,
       }
     }
   };
+  // The calling thread is one of the `parallelism` workers, and the only one at
+  // parallelism <= 1: a one-board campaign's host time depends on its thread.
   std::vector<std::thread> threads;
-  int thread_count = std::min(parallelism, repetitions);
-  threads.reserve(static_cast<size_t>(thread_count));
-  for (int i = 0; i < thread_count; ++i) {
+  for (int i = 1; i < parallelism && i < repetitions; ++i) {
     threads.emplace_back(run_reps);
   }
+  run_reps();
   for (std::thread& thread : threads) {
     thread.join();
   }
-  for (const Status& status : statuses) {
+  for (const Status& status : statuses) {  // the lowest-index failing rep's status
     RETURN_IF_ERROR(status);
   }
   return repeated;

@@ -86,6 +86,17 @@ struct FuzzerConfig {
   VirtualDuration metrics_interval = 30 * kVirtualSecond;
 };
 
+// The fields a fleet LeaseGrant carries, in wire order (src/fleet/proto.cc walks this
+// list both ways). A knob the CLI can set belongs here; generator and instrumentation
+// tuning, `metrics_out` and `export_corpus` stay at their defaults on the worker.
+template <class IO>
+void Fields(IO& io, FuzzerConfig& c) {
+  io(c.os_name, c.board_name, c.seed, c.budget, c.max_execs, c.metrics_interval,
+     c.sample_points, c.periodic_reset_execs, c.restore_mode, c.coverage_feedback,
+     c.log_monitor, c.exception_monitor, c.watchdogs, c.power_probe, c.use_extended_specs,
+     c.inject_peripheral_events, c.overlapped_drain, c.trim, c.seed_programs);
+}
+
 // Shared campaign setup (Figure 3 step ②): mines + post-validates the target's API
 // specifications, resolves the OS exception symbol and builds board 0's firmware image.
 // Board-independent, so farms run it once and share the result across workers.

@@ -281,13 +281,12 @@ CampaignResult CampaignScheduler::Finalize(const ExecStats& stats, VirtualTime e
   SetResultScalars(registry_->Snapshot(), stats, link, &result_);
   result_.elapsed = elapsed;
   if (options_.export_corpus) {
-    std::vector<std::pair<std::string, uint64_t>> exported;
+    std::vector<fuzz::CorpusRecord> exported;
     corpus_.ExportSince(specs_, 0, &exported);
     result_.corpus_programs.clear();
     result_.corpus_programs.reserve(exported.size());
-    for (auto& [text, new_edges] : exported) {
-      (void)new_edges;
-      result_.corpus_programs.push_back(std::move(text));
+    for (fuzz::CorpusRecord& record : exported) {
+      result_.corpus_programs.push_back(std::move(record.text));
     }
   }
   return result_;
@@ -317,19 +316,18 @@ Result<size_t> CampaignScheduler::MergeRemoteCoverage(const std::vector<uint8_t>
   return fresh;
 }
 
-uint64_t CampaignScheduler::ExportCorpusSince(
-    uint64_t from_seq, std::vector<std::pair<std::string, uint64_t>>* out) const {
+uint64_t CampaignScheduler::ExportCorpusSince(uint64_t from_seq,
+                                              std::vector<fuzz::CorpusRecord>* out) const {
   return corpus_.ExportSince(specs_, from_seq, out);
 }
 
-size_t CampaignScheduler::AdmitRemotePrograms(
-    const std::vector<std::pair<std::string, uint64_t>>& entries) {
+size_t CampaignScheduler::AdmitRemotePrograms(const std::vector<fuzz::CorpusRecord>& records) {
   std::lock_guard<std::mutex> lock(mu_);
   size_t admitted = 0;
-  for (const auto& [text, new_edges] : entries) {
-    auto parsed = fuzz::ParseProgramText(specs_, text);
+  for (const fuzz::CorpusRecord& record : records) {
+    auto parsed = fuzz::ParseProgramText(specs_, record.text);
     if (parsed.ok() &&
-        corpus_.Add(std::move(parsed.value()), std::max<uint64_t>(new_edges, 1))) {
+        corpus_.Add(std::move(parsed.value()), std::max<uint64_t>(record.new_edges, 1))) {
       ++admitted;
     }
   }

@@ -222,14 +222,12 @@ class CampaignScheduler {
   // Folds a peer's blob into the campaign map; returns edges new here. Remote
   // edges are not re-logged into the delta (the peer already has them).
   Result<size_t> MergeRemoteCoverage(const std::vector<uint8_t>& blob);
-  // Corpus delta export as (reproducer text, new_edges) pairs; returns the next
-  // cursor. Pass UINT64_MAX once to learn the current cursor without copying.
-  uint64_t ExportCorpusSince(uint64_t from_seq,
-                             std::vector<std::pair<std::string, uint64_t>>* out) const;
-  // Admits peer programs (hash-deduplicated, no generator credit); returns how
-  // many were new.
-  size_t AdmitRemotePrograms(
-      const std::vector<std::pair<std::string, uint64_t>>& entries);
+  // Corpus delta export; returns the next cursor. Pass UINT64_MAX once to learn the
+  // current cursor without copying.
+  uint64_t ExportCorpusSince(uint64_t from_seq, std::vector<fuzz::CorpusRecord>* out) const;
+  // Admits peer programs (hash-deduplicated, no generator credit); a text that no
+  // longer parses against the specs is skipped. Returns how many were new.
+  size_t AdmitRemotePrograms(const std::vector<fuzz::CorpusRecord>& records);
   // Confirmed bugs admitted at index >= `from` (upload cursor for fleet sync).
   std::vector<BugReport> BugsSince(size_t from) const;
   // Takes bugs other workers confirmed as known: a later local sighting of one is

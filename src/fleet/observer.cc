@@ -33,11 +33,11 @@ Result<StatusReplyMsg> FetchStatus(Transport* transport,
 
 namespace {
 
-const char* PhaseName(uint8_t phase) {
+const char* PhaseName(ShardPhase phase) {
   switch (phase) {
-    case 0: return "pending";
-    case 1: return "leased";
-    case 2: return "done";
+    case ShardPhase::kPending: return "pending";
+    case ShardPhase::kLeased: return "leased";
+    case ShardPhase::kDone: return "done";
   }
   return "?";
 }
@@ -180,7 +180,7 @@ std::string RenderTopFrame(const std::vector<StatusReplyMsg>& history) {
     out += line + "\n";
     if (!campaign.shards.empty()) {
       out += "  shard  phase    worker  attempt  execs        elapsed_s\n";
-      for (const ShardStatusWire& shard : campaign.shards) {
+      for (const ShardState& shard : campaign.shards) {
         out += StrFormat("  %5u  %-7s  %6u  %7u  %-11llu  %.2f\n", shard.shard,
                          PhaseName(shard.phase), shard.worker, shard.attempt,
                          static_cast<unsigned long long>(shard.execs),

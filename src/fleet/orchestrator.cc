@@ -110,9 +110,10 @@ Status Orchestrator::AddCampaign(const FleetCampaignSpec& spec) {
   }
   auto campaign = std::make_unique<CampaignState>();
   campaign->spec = spec;
-  campaign->wire =
-      ToWireConfig(spec.config, spec.campaign_id, static_cast<uint32_t>(spec.shards));
   campaign->shards.resize(static_cast<size_t>(spec.shards));
+  for (size_t i = 0; i < campaign->shards.size(); ++i) {
+    campaign->shards[i].shard = static_cast<uint32_t>(i);
+  }
   for (const char* name : kCampaignCounters) {
     campaign->metrics.RegisterCounter(name);
   }
@@ -302,10 +303,13 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
   }
 
   LeaseGrantMsg grant;
-  grant.config = best->wire;
+  grant.campaign_id = best->spec.campaign_id;
+  grant.config = best->spec.config;
   uint64_t now = NowMs();
-  for (size_t i = 0; i < best->shards.size() && grant.leases.size() < want; ++i) {
-    ShardState& shard = best->shards[i];
+  for (ShardState& shard : best->shards) {
+    if (grant.leases.size() >= want) {
+      break;
+    }
     if (shard.phase != ShardPhase::kPending) {
       continue;
     }
@@ -314,10 +318,7 @@ Frame Orchestrator::HandleLeaseRequest(const LeaseRequestMsg& msg) {
     shard.worker = msg.worker_id;
     shard.deadline_ms = now + options_.lease_timeout_ms;
     ++shard.attempt;
-    ShardLease lease;
-    lease.lease_id = shard.lease_id;
-    lease.shard = static_cast<uint32_t>(i);
-    lease.attempt = shard.attempt;
+    ShardLease lease{shard.lease_id, shard.shard, shard.attempt};
     grant.leases.push_back(lease);
     best->metrics.RegisterCounter("fleet.leases_granted")->Increment();
     telemetry::Journal(sink(), best->snapshot_at_us, static_cast<int>(msg.worker_id), [&] {
@@ -362,9 +363,9 @@ void Orchestrator::MergeCoverageLocked(CampaignState* campaign,
 }
 
 void Orchestrator::AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
-                                     const std::vector<CorpusEntryWire>& entries) {
+                                     const std::vector<fuzz::CorpusRecord>& entries) {
   size_t admitted = 0;
-  for (const CorpusEntryWire& entry : entries) {
+  for (const fuzz::CorpusRecord& entry : entries) {
     uint64_t hash = Fnv1a(entry.text);
     if (!campaign->corpus_hashes.insert(hash).second) {
       continue;
@@ -606,7 +607,7 @@ std::vector<FleetCampaignResult> Orchestrator::Results() {
 
     out.result = MergedResultLocked(*campaign);
     out.result.bugs = campaign->bugs;
-    for (const CorpusEntryWire& entry : campaign->corpus) {
+    for (const fuzz::CorpusRecord& entry : campaign->corpus) {
       out.result.corpus_programs.push_back(entry.text);
     }
     results.push_back(std::move(out));
@@ -628,25 +629,15 @@ StatusReplyMsg Orchestrator::AssembleStatusLocked(uint64_t now_ms) {
     wire.budget_us = campaign->spec.config.budget;
     wire.shards_total = static_cast<uint32_t>(campaign->shards.size());
     uint64_t execs = 0;
-    for (size_t i = 0; i < campaign->shards.size(); ++i) {
-      const ShardState& shard = campaign->shards[i];
+    for (const ShardState& shard : campaign->shards) {
       switch (shard.phase) {
         case ShardPhase::kPending: ++wire.shards_pending; break;
         case ShardPhase::kLeased: ++wire.shards_leased; break;
         case ShardPhase::kDone: ++wire.shards_done; break;
       }
       execs += shard.execs;
-      ShardStatusWire row;
-      row.shard = static_cast<uint32_t>(i);
-      row.phase = static_cast<uint8_t>(shard.phase);
-      row.lease_id = shard.lease_id;
-      row.worker = shard.worker;
-      row.attempt = shard.attempt;
-      row.deadline_ms = shard.deadline_ms;
-      row.elapsed_us = shard.elapsed_us;
-      row.execs = shard.execs;
-      wire.shards.push_back(row);
     }
+    wire.shards = campaign->shards;
     CampaignResult merged = MergedResultLocked(*campaign);
     wire.metrics = campaign->metrics.Snapshot();
     wire.metrics.counters["fleet.campaign.execs"] = execs;

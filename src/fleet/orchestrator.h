@@ -5,7 +5,8 @@
 // of who fuzzes what next.
 //
 // Work unit: a *shard* — one campaign-global board lane (label + seed stream,
-// the FarmWorkerSeed rule). Shards move Pending -> Leased -> Done; a lease is
+// the FarmWorkerSeed rule), kept as a ShardState (proto.h), the same record a
+// status poll reads. Shards move Pending -> Leased -> Done; a lease is
 // renewed by the worker's periodic Sync and reclaimed (back to Pending, attempt
 // incremented) when the worker stays silent past the lease timeout, so a
 // crashed worker's shards re-run elsewhere and a rejoining worker simply asks
@@ -38,7 +39,6 @@
 
 #include "src/common/coverage_map.h"
 #include "src/core/fuzzer.h"
-#include "src/fleet/fleet_config.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
 #include "src/telemetry/journal.h"
@@ -119,18 +119,6 @@ class Orchestrator {
   telemetry::MetricsSnapshot MetricsSnapshot() const;
 
  private:
-  enum class ShardPhase { kPending, kLeased, kDone };
-
-  struct ShardState {
-    ShardPhase phase = ShardPhase::kPending;
-    uint64_t lease_id = 0;
-    uint32_t worker = 0;
-    uint64_t deadline_ms = 0;
-    uint32_t attempt = 0;
-    uint64_t elapsed_us = 0;
-    uint64_t execs = 0;
-  };
-
   // What this worker has already been told (grant or ack): positions into the
   // campaign's append-only edge log and corpus store.
   struct WorkerCursor {
@@ -141,11 +129,10 @@ class Orchestrator {
 
   struct CampaignState {
     FleetCampaignSpec spec;
-    WireCampaignConfig wire;
-    std::vector<ShardState> shards;
+    std::vector<ShardState> shards;  // shards[i].shard == i
     CoverageMap coverage;
     std::vector<uint64_t> edge_log;  // distinct edges in merge order
-    std::vector<CorpusEntryWire> corpus;
+    std::vector<fuzz::CorpusRecord> corpus;
     std::vector<uint32_t> corpus_origin;  // worker id that contributed entry i
     std::unordered_set<uint64_t> corpus_hashes;
     std::vector<BugReport> bugs;  // one per bug (telemetry::SameBug), first upload wins
@@ -198,7 +185,7 @@ class Orchestrator {
   void MergeCoverageLocked(CampaignState* campaign,
                            const std::vector<uint8_t>& blob);
   void AdmitCorpusLocked(CampaignState* campaign, uint32_t worker,
-                         const std::vector<CorpusEntryWire>& entries);
+                         const std::vector<fuzz::CorpusRecord>& entries);
   void AdmitBugsLocked(CampaignState* campaign, const std::vector<BugReport>& bugs);
   uint64_t FrontierLocked(const CampaignState& campaign) const;
   // The campaign's merged result so far, minus bugs and corpus_programs.

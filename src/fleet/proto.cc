@@ -14,6 +14,7 @@ namespace {
 // Each message and each struct nested in one lists its fields once. A Writer
 // visits the list to encode and a Reader visits it to decode, so the two
 // directions cannot drift. A vector travels as a u32 count and then its items.
+// The grant's FuzzerConfig travels through the engine's own list (fuzzer.h).
 // A bug travels through the journal's own bug_report list (telemetry::Fields),
 // whose field names the wire drops, with the row's `at` ahead of it.
 
@@ -29,20 +30,15 @@ template <class IO>
 void Fields(IO& io, LeaseRequestMsg& m) { io(m.worker_id, m.capacity); }
 
 template <class IO>
-void Fields(IO& io, WireCampaignConfig& m) {
-  io(m.campaign_id, m.os_name, m.board_name, m.seed, m.budget_us, m.max_execs,
-     m.metrics_interval_us, m.total_shards, m.sample_points, m.periodic_reset_execs,
-     m.restore_mode, m.flags, m.seed_programs);
-}
-
-template <class IO>
 void Fields(IO& io, ShardLease& m) { io(m.lease_id, m.shard, m.attempt); }
 
 template <class IO>
-void Fields(IO& io, CorpusEntryWire& m) { io(m.text, m.new_edges); }
+void Fields(IO& io, fuzz::CorpusRecord& m) { io(m.text, m.new_edges); }
 
 template <class IO>
-void Fields(IO& io, LeaseGrantMsg& m) { io(m.config, m.leases, m.coverage, m.corpus); }
+void Fields(IO& io, LeaseGrantMsg& m) {
+  io(m.campaign_id, m.config, m.leases, m.coverage, m.corpus);
+}
 
 template <class IO>
 void Fields(IO& io, NoWorkMsg& m) { io(m.campaign_done, m.retry_ms); }
@@ -79,7 +75,7 @@ template <class IO>
 void Fields(IO& io, StatusRequestMsg& m) { io(m.campaign_id, m.include_shards); }
 
 template <class IO>
-void Fields(IO& io, ShardStatusWire& m) {
+void Fields(IO& io, ShardState& m) {
   io(m.shard, m.phase, m.lease_id, m.worker, m.attempt, m.deadline_ms, m.elapsed_us,
      m.execs);
 }
@@ -175,6 +171,9 @@ class Writer {
 
  private:
   void Write(uint8_t& v) { out_.PutU8(v); }
+  void Write(bool& v) { out_.PutU8(v ? 1 : 0); }
+  void Write(RestoreMode& v) { out_.PutU8(static_cast<uint8_t>(v)); }
+  void Write(ShardPhase& v) { out_.PutU8(static_cast<uint8_t>(v)); }
   void Write(uint32_t& v) { out_.PutU32(v); }
   void Write(int& v) { out_.PutU32(static_cast<uint32_t>(v)); }
   void Write(uint64_t& v) { out_.PutU64(v); }
@@ -242,7 +241,25 @@ class Reader {
  private:
   bool ok() const { return status_.ok() && !in_.failed(); }
 
+  // One byte that must not exceed `max`: a bool's 1 or an enum's last enumerator.
+  template <class T>
+  uint8_t ReadByteUpTo(const char* what, T max) {
+    uint8_t raw = in_.GetU8();
+    if (raw > static_cast<uint8_t>(max)) {
+      status_ = DataLossError(
+          StrFormat("%s byte %u is out of range", what, static_cast<unsigned>(raw)));
+    }
+    return raw;
+  }
+
   void Read(uint8_t& v) { v = in_.GetU8(); }
+  void Read(bool& v) { v = ReadByteUpTo("bool", 1) != 0; }
+  void Read(RestoreMode& v) {
+    v = static_cast<RestoreMode>(ReadByteUpTo("restore mode", RestoreMode::kSnapshot));
+  }
+  void Read(ShardPhase& v) {
+    v = static_cast<ShardPhase>(ReadByteUpTo("shard phase", ShardPhase::kDone));
+  }
   void Read(uint32_t& v) { v = in_.GetU32(); }
   void Read(int& v) {
     uint32_t raw = in_.GetU32();

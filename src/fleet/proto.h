@@ -15,9 +15,12 @@
 // socket never multiplexes.
 //
 // The campaign config travels by value in every LeaseGrant (workers are
-// stateless between batches — that is what makes crash/rejoin trivial). Fields
-// the CLI cannot set (generator/instrumentation tuning) are not carried and stay
-// at their defaults on the worker.
+// stateless between batches — that is what makes crash/rejoin trivial): the
+// grant holds a FuzzerConfig and the wire carries the fields its Fields list
+// (src/core/fuzzer.h) names. Fields the CLI cannot set (generator and
+// instrumentation tuning) are not carried and stay at their defaults on the
+// worker. Corpus entries travel as fuzz::CorpusRecord, and StatusReply's shard
+// rows are the orchestrator's own ShardState records.
 
 #ifndef SRC_FLEET_PROTO_H_
 #define SRC_FLEET_PROTO_H_
@@ -27,6 +30,8 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/core/fuzzer.h"
+#include "src/fuzz/corpus.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/rows.h"
 
@@ -34,7 +39,7 @@ namespace eof {
 namespace fleet {
 
 inline constexpr uint32_t kFrameMagic = 0x4C464F45;  // "EOFL" little-endian
-inline constexpr uint16_t kProtoVersion = 6;
+inline constexpr uint16_t kProtoVersion = 7;
 inline constexpr size_t kFrameHeaderBytes = 12;
 // Upper bound on one payload: a full coverage snapshot plus a large corpus is
 // well under this; anything bigger is a corrupt or hostile stream.
@@ -89,41 +94,19 @@ struct LeaseRequestMsg {
   uint32_t capacity = 1;
 };
 
-// The CLI-settable slice of FuzzerConfig, shipped with every grant.
-struct WireCampaignConfig {
-  std::string campaign_id;
-  std::string os_name;
-  std::string board_name;
-  uint64_t seed = 1;
-  uint64_t budget_us = 0;
-  uint64_t max_execs = 0;
-  uint64_t metrics_interval_us = 0;
-  uint32_t total_shards = 1;  // campaign-wide shard count (for context/logs)
-  uint32_t sample_points = 96;
-  uint32_t periodic_reset_execs = 24;
-  uint8_t restore_mode = 0;  // RestoreMode enum value
-  // Flag bits, see ConfigFlag below.
-  uint32_t flags = 0;
-  std::vector<std::string> seed_programs;
-};
-
 struct ShardLease {
   uint64_t lease_id = 0;
   uint32_t shard = 0;    // campaign-global shard index = board label + seed lane
   uint32_t attempt = 1;  // grant attempt (>1 after a reclaim)
 };
 
-struct CorpusEntryWire {
-  std::string text;  // reproducer-text program
-  uint64_t new_edges = 0;
-};
-
 struct LeaseGrantMsg {
-  WireCampaignConfig config;
+  std::string campaign_id;
+  FuzzerConfig config;  // only the fields its Fields list names travel
   std::vector<ShardLease> leases;
   // Orchestrator's merged campaign state at grant time: the rejoin resync.
-  std::vector<uint8_t> coverage;        // full coverage snapshot blob
-  std::vector<CorpusEntryWire> corpus;  // merged corpus (without seed programs)
+  std::vector<uint8_t> coverage;           // full coverage snapshot blob
+  std::vector<fuzz::CorpusRecord> corpus;  // merged corpus (without seed programs)
 };
 
 struct NoWorkMsg {
@@ -145,8 +128,8 @@ struct SyncMsg {
   std::string campaign_id;
   uint64_t seq = 0;  // per-worker upload sequence (replays are detectable)
   std::vector<ShardProgressWire> shards;
-  std::vector<uint8_t> coverage_delta;  // diff blob since the last Sync
-  std::vector<CorpusEntryWire> corpus;  // newly admitted programs
+  std::vector<uint8_t> coverage_delta;     // diff blob since the last Sync
+  std::vector<fuzz::CorpusRecord> corpus;  // newly admitted programs
   // Newly confirmed bugs, each as the journal's bug_report list with `at` ahead.
   std::vector<telemetry::BugReport> bugs;
   uint64_t journal_dropped = 0;  // this worker's sink drop count so far
@@ -155,9 +138,9 @@ struct SyncMsg {
 struct SyncAckMsg {
   uint8_t accepted = 1;       // 0 = unknown worker / stale batch, abort it
   uint8_t campaign_done = 0;  // campaign finished elsewhere, stop fuzzing it
-  std::vector<uint8_t> coverage_delta;  // global news for this worker
-  std::vector<CorpusEntryWire> corpus;  // programs from other workers
-  std::vector<uint64_t> revoked;        // lease ids no longer held (reclaimed)
+  std::vector<uint8_t> coverage_delta;     // global news for this worker
+  std::vector<fuzz::CorpusRecord> corpus;  // programs from other workers
+  std::vector<uint64_t> revoked;           // lease ids no longer held (reclaimed)
   // Bugs the orchestrator admitted since this worker's cursor, each as the
   // journal's bug_report list with `at` ahead: a later local sighting of one
   // dedups instead of replaying and uploading it again.
@@ -200,10 +183,14 @@ struct StatusRequestMsg {
   uint8_t include_shards = 1; // 0 = omit the per-shard lease table
 };
 
-// Per-shard lease-table row. `phase` mirrors ShardState::Phase.
-struct ShardStatusWire {
-  uint32_t shard = 0;
-  uint8_t phase = 0;  // 0 pending, 1 leased, 2 done
+enum class ShardPhase : uint8_t { kPending, kLeased, kDone };
+
+// One shard's lease-table row: the orchestrator's record of the shard, and the
+// StatusReply row that shows it. Shards move Pending -> Leased -> Done; a reclaim
+// sends a leased shard back to Pending.
+struct ShardState {
+  uint32_t shard = 0;  // campaign-global shard index
+  ShardPhase phase = ShardPhase::kPending;
   uint64_t lease_id = 0;
   uint32_t worker = 0;       // worker id holding the lease (leased phase)
   uint32_t attempt = 0;      // grant attempts so far
@@ -253,8 +240,8 @@ struct CampaignStatusWire {
   uint64_t journal_dropped = 0;          // orchestrator sink drops
   uint64_t journal_dropped_workers = 0;  // sum of worker-reported drops
   uint8_t finalized = 0;
-  std::vector<ShardStatusWire> shards;  // empty when include_shards == 0
-  std::vector<BugStatusWire> bugs;      // deduped bug table
+  std::vector<ShardState> shards;   // empty when include_shards == 0
+  std::vector<BugStatusWire> bugs;  // deduped bug table
 };
 
 struct StatusReplyMsg {
@@ -265,26 +252,12 @@ struct StatusReplyMsg {
   std::vector<WorkerStatusWire> workers;
 };
 
-// Flag bit helpers for WireCampaignConfig::flags.
-enum ConfigFlag : uint32_t {
-  kFlagCoverageFeedback = 1u << 0,
-  kFlagLogMonitor = 1u << 1,
-  kFlagExceptionMonitor = 1u << 2,
-  kFlagWatchdogs = 1u << 3,
-  kFlagPowerProbe = 1u << 4,
-  kFlagUseExtendedSpecs = 1u << 5,
-  kFlagInjectPeripheralEvents = 1u << 6,
-  // 1u << 7 was the legacy-link selector: retired, do not reuse (a mixed-version
-  // fleet would read it with its old meaning).
-  kFlagOverlappedDrain = 1u << 8,
-  // 1u << 9 was the directed-scheduling switch: retired, do not reuse.
-  kFlagTrim = 1u << 10,
-};
-
 // Per-message payload codecs. Each message, and each struct nested in one, has
 // one field list in wire order that both directions walk. Decoders fail on
-// truncated or trailing bytes; the metrics blob (WorkerFinal, StatusReply) keeps
-// its own codec, which also rejects counts past its end and duplicate names.
+// truncated or trailing bytes, a bool byte past 1, and a RestoreMode or
+// ShardPhase byte past its last enumerator; the metrics blob (WorkerFinal,
+// StatusReply) keeps its own codec, which also rejects counts past its end and
+// duplicate names.
 std::vector<uint8_t> Encode(const HelloMsg& msg);
 std::vector<uint8_t> Encode(const HelloAckMsg& msg);
 std::vector<uint8_t> Encode(const LeaseRequestMsg& msg);

@@ -16,29 +16,6 @@ namespace {
 
 constexpr int kHandshakeTimeoutMs = 30 * 1000;
 
-std::vector<std::pair<std::string, uint64_t>> ToCorpusPairs(
-    const std::vector<CorpusEntryWire>& entries) {
-  std::vector<std::pair<std::string, uint64_t>> pairs;
-  pairs.reserve(entries.size());
-  for (const CorpusEntryWire& entry : entries) {
-    pairs.emplace_back(entry.text, entry.new_edges);
-  }
-  return pairs;
-}
-
-std::vector<CorpusEntryWire> ToCorpusWire(
-    const std::vector<std::pair<std::string, uint64_t>>& pairs) {
-  std::vector<CorpusEntryWire> entries;
-  entries.reserve(pairs.size());
-  for (const auto& [text, new_edges] : pairs) {
-    CorpusEntryWire entry;
-    entry.text = text;
-    entry.new_edges = new_edges;
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
 }  // namespace
 
 FleetWorker::FleetWorker(Options options) : options_(std::move(options)) {}
@@ -122,7 +99,7 @@ Status FleetWorker::Run(Transport* transport) {
 
 Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
                                              const LeaseGrantMsg& grant) {
-  FuzzerConfig config = FromWireConfig(grant.config);
+  const FuzzerConfig& config = grant.config;
   ASSIGN_OR_RETURN(CampaignPlan prepared, PrepareCampaign(config));
   auto plan = std::make_shared<const CampaignPlan>(std::move(prepared));
 
@@ -135,7 +112,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
 
   telemetry::CampaignTelemetry::Options telemetry_options =
       MakeTelemetryOptions(config, sessions);
-  telemetry_options.campaign_id = grant.config.campaign_id;
+  telemetry_options.campaign_id = grant.campaign_id;
   telemetry_options.board_labels = shard_labels;
   telemetry_options.shared_sink = sink();
   telemetry_options.emit_farm_rows = false;  // the orchestrator owns farm rows
@@ -157,63 +134,93 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   if (!grant.coverage.empty()) {
     RETURN_IF_ERROR(scheduler.MergeRemoteCoverage(grant.coverage).status());
   }
-  scheduler.AdmitRemotePrograms(ToCorpusPairs(grant.corpus));
+  scheduler.AdmitRemotePrograms(grant.corpus);
   // Upload cursors start after the seeded + granted corpus: only locally
   // discovered programs travel upstream.
-  std::vector<std::pair<std::string, uint64_t>> scratch;
+  std::vector<fuzz::CorpusRecord> scratch;
   uint64_t corpus_cursor = scheduler.ExportCorpusSince(UINT64_MAX, &scratch);
   size_t bug_cursor = 0;
 
-  // Zero-progress renewal sync for the deploy phase: under host load a serial
-  // multi-board deploy can outlast the lease timeout (the fleet bench's top
-  // point brings up 64 sessions across 8 processes), and a worker silent that
-  // long loses its leases and its connection. Merges from the ack are the
-  // pump's usual idempotent set operations; on a single-worker campaign the
-  // payloads are empty, so bit-identity with --jobs 1 is untouched.
-  auto renew_leases = [&]() -> Result<bool> {
+  std::vector<FarmSession> farm(grant.leases.size());
+  std::atomic<bool> stop(false);
+  std::vector<std::unique_ptr<std::atomic<bool>>> cancels;
+  std::vector<std::unique_ptr<FarmProgress>> progress;
+  for (size_t i = 0; i < farm.size(); ++i) {
+    cancels.push_back(std::make_unique<std::atomic<bool>>(false));
+    progress.push_back(std::make_unique<FarmProgress>());
+  }
+  std::vector<bool> reported(farm.size(), false);  // completed or revoked
+
+  // One Sync round trip, for the deploy-phase renewal and the pump alike: a
+  // progress row for each lease not yet reported, the coverage, corpus and bugs
+  // found since the last Sync, then the SyncAck. An accepted ack's news
+  // (coverage, corpus, bug table) folds into the scheduler; the merges are
+  // idempotent set operations and no-ops on the empty payloads of a
+  // single-worker campaign, so bit-identity with --jobs 1 is untouched. The
+  // caller acts on `accepted` and `revoked`.
+  auto sync_round = [&]() -> Result<SyncAckMsg> {
     SyncMsg sync;
     sync.worker_id = worker_id_;
-    sync.campaign_id = grant.config.campaign_id;
+    sync.campaign_id = grant.campaign_id;
     sync.seq = ++sync_seq_;
-    for (const ShardLease& lease : grant.leases) {
+    for (size_t i = 0; i < grant.leases.size(); ++i) {
+      if (reported[i]) {
+        continue;
+      }
       ShardProgressWire shard;
-      shard.lease_id = lease.lease_id;
-      shard.shard = lease.shard;
+      shard.lease_id = grant.leases[i].lease_id;
+      shard.shard = grant.leases[i].shard;
+      shard.elapsed_us = progress[i]->elapsed_us.load(std::memory_order_relaxed);
+      shard.execs = progress[i]->execs.load(std::memory_order_relaxed);
+      bool completed = progress[i]->done.load(std::memory_order_acquire) &&
+                       farm[i].status.ok() &&
+                       !cancels[i]->load(std::memory_order_relaxed) &&
+                       !stop.load(std::memory_order_relaxed);
+      shard.completed = completed ? 1 : 0;
+      if (completed) {
+        reported[i] = true;
+      }
       sync.shards.push_back(shard);
     }
+    sync.coverage_delta = scheduler.TakeCoverageDelta();
+    corpus_cursor = scheduler.ExportCorpusSince(corpus_cursor, &sync.corpus);
+    sync.bugs = scheduler.BugsSince(bug_cursor);
+    bug_cursor += sync.bugs.size();
     sync.journal_dropped = sink() != nullptr ? sink()->dropped() : 0;
+
     RETURN_IF_ERROR(transport->Send({MsgType::kSync, Encode(sync)}));
-    ASSIGN_OR_RETURN(Frame reply,
-                     transport->Recv(static_cast<int>(lease_timeout_ms_)));
+    ASSIGN_OR_RETURN(Frame reply, transport->Recv(static_cast<int>(lease_timeout_ms_)));
     if (reply.type != MsgType::kSyncAck) {
       return FailedPreconditionError("fleet worker: expected SyncAck");
     }
     ASSIGN_OR_RETURN(SyncAckMsg ack, DecodeSyncAck(reply.payload));
-    if (ack.accepted == 0 || !ack.revoked.empty()) {
-      return true;  // stale worker or reclaimed lease: abandon the batch
+    if (ack.accepted != 0) {
+      if (!ack.coverage_delta.empty()) {
+        (void)scheduler.MergeRemoteCoverage(ack.coverage_delta);
+      }
+      // Peer programs re-export upstream on the next sync; the orchestrator's
+      // content hash dedups them, so no cursor surgery.
+      scheduler.AdmitRemotePrograms(ack.corpus);
+      scheduler.LearnRemoteBugs(ack.bugs);
     }
-    if (!ack.coverage_delta.empty()) {
-      (void)scheduler.MergeRemoteCoverage(ack.coverage_delta);
-    }
-    scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
-    scheduler.LearnRemoteBugs(ack.bugs);
-    return false;
+    return ack;
   };
 
   // Deploy serially on the campaign-global shard seeds, then fuzz. Unlike
-  // BoardFarm::Run's concurrent bring-up, this stays on one thread: the lease
-  // renewal check runs between deploys, so a slow bring-up cannot outlive its
-  // leases unnoticed.
+  // BoardFarm::Run's concurrent bring-up, this stays on one thread so a
+  // zero-progress renewal Sync can run between deploys: under host load a serial
+  // multi-board deploy can outlast the lease timeout (the fleet bench's top point
+  // brings up 64 sessions across 8 processes), and a worker silent that long
+  // loses its leases and its connection.
   auto last_renewal = std::chrono::steady_clock::now();
-  std::vector<FarmSession> farm(grant.leases.size());
   for (size_t i = 0; i < grant.leases.size(); ++i) {
     auto since_renewal = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - last_renewal);
     if (static_cast<uint64_t>(since_renewal.count()) >= heartbeat_ms_) {
-      ASSIGN_OR_RETURN(bool stale, renew_leases());
-      if (stale) {
-        return FailedPreconditionError(
-            "fleet worker: leases reclaimed during deploy");
+      ASSIGN_OR_RETURN(SyncAckMsg ack, sync_round());
+      if (ack.accepted == 0 || !ack.revoked.empty()) {
+        // Stale worker or reclaimed lease: abandon the batch.
+        return FailedPreconditionError("fleet worker: leases reclaimed during deploy");
       }
       last_renewal = std::chrono::steady_clock::now();
     }
@@ -227,14 +234,6 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
 
   telemetry->CampaignStart(config.os_name, config.board_name);
   telemetry->StartEmitter([&scheduler] { return scheduler.Snapshot(); });
-
-  std::atomic<bool> stop(false);
-  std::vector<std::unique_ptr<std::atomic<bool>>> cancels;
-  std::vector<std::unique_ptr<FarmProgress>> progress;
-  for (size_t i = 0; i < farm.size(); ++i) {
-    cancels.push_back(std::make_unique<std::atomic<bool>>(false));
-    progress.push_back(std::make_unique<FarmProgress>());
-  }
 
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -263,7 +262,6 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
   // Sync pump: heartbeat cadence while sessions run, one closing sync (with
   // completed flags) after they drain. Runs on this thread — the transport has
   // exactly one user.
-  std::vector<bool> reported(farm.size(), false);  // completed or revoked
   Status pump_status = OkStatus();
   bool aborted = false;
   for (;;) {
@@ -275,69 +273,17 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
       all_done = done_count == farm.size();
     }
 
-    SyncMsg sync;
-    sync.worker_id = worker_id_;
-    sync.campaign_id = grant.config.campaign_id;
-    sync.seq = ++sync_seq_;
-    for (size_t i = 0; i < grant.leases.size(); ++i) {
-      if (reported[i]) {
-        continue;
-      }
-      ShardProgressWire shard;
-      shard.lease_id = grant.leases[i].lease_id;
-      shard.shard = grant.leases[i].shard;
-      shard.elapsed_us = progress[i]->elapsed_us.load(std::memory_order_relaxed);
-      shard.execs = progress[i]->execs.load(std::memory_order_relaxed);
-      bool completed = progress[i]->done.load(std::memory_order_acquire) &&
-                       farm[i].status.ok() &&
-                       !cancels[i]->load(std::memory_order_relaxed) &&
-                       !stop.load(std::memory_order_relaxed);
-      shard.completed = completed ? 1 : 0;
-      if (completed) {
-        reported[i] = true;
-      }
-      sync.shards.push_back(shard);
-    }
-    sync.coverage_delta = scheduler.TakeCoverageDelta();
-    std::vector<std::pair<std::string, uint64_t>> fresh_corpus;
-    corpus_cursor = scheduler.ExportCorpusSince(corpus_cursor, &fresh_corpus);
-    sync.corpus = ToCorpusWire(fresh_corpus);
-    sync.bugs = scheduler.BugsSince(bug_cursor);
-    bug_cursor += sync.bugs.size();
-    sync.journal_dropped = sink() != nullptr ? sink()->dropped() : 0;
-
-    pump_status = transport->Send({MsgType::kSync, Encode(sync)});
-    if (pump_status.ok()) {
-      Result<Frame> reply =
-          transport->Recv(static_cast<int>(lease_timeout_ms_));
-      if (!reply.ok()) {
-        pump_status = reply.status();
-      } else if (reply.value().type != MsgType::kSyncAck) {
-        pump_status = FailedPreconditionError("fleet worker: expected SyncAck");
-      } else {
-        Result<SyncAckMsg> ack_or = DecodeSyncAck(reply.value().payload);
-        if (!ack_or.ok()) {
-          pump_status = ack_or.status();
-        } else {
-          const SyncAckMsg& ack = ack_or.value();
-          if (ack.accepted == 0) {
-            aborted = true;
-          } else {
-            if (!ack.coverage_delta.empty()) {
-              (void)scheduler.MergeRemoteCoverage(ack.coverage_delta);
-            }
-            // Peer programs re-export upstream on the next sync; the
-            // orchestrator's content hash dedups them, so no cursor surgery.
-            scheduler.AdmitRemotePrograms(ToCorpusPairs(ack.corpus));
-            scheduler.LearnRemoteBugs(ack.bugs);
-            for (uint64_t lease_id : ack.revoked) {
-              for (size_t i = 0; i < grant.leases.size(); ++i) {
-                if (grant.leases[i].lease_id == lease_id) {
-                  cancels[i]->store(true, std::memory_order_relaxed);
-                  reported[i] = true;
-                }
-              }
-            }
+    Result<SyncAckMsg> ack = sync_round();
+    if (!ack.ok()) {
+      pump_status = ack.status();
+    } else if (ack->accepted == 0) {
+      aborted = true;
+    } else {
+      for (uint64_t lease_id : ack->revoked) {
+        for (size_t i = 0; i < grant.leases.size(); ++i) {
+          if (grant.leases[i].lease_id == lease_id) {
+            cancels[i]->store(true, std::memory_order_relaxed);
+            reported[i] = true;
           }
         }
       }
@@ -372,7 +318,7 @@ Result<CampaignResult> FleetWorker::RunBatch(Transport* transport,
 
   WorkerFinalMsg final;
   final.worker_id = worker_id_;
-  final.campaign_id = grant.config.campaign_id;
+  final.campaign_id = grant.campaign_id;
   final.seq = ++sync_seq_;
   final.elapsed_us = result.elapsed;
   final.journal_dropped = result.journal_dropped;

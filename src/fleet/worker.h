@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/core/board_farm.h"
-#include "src/fleet/fleet_config.h"
 #include "src/fleet/proto.h"
 #include "src/fleet/transport.h"
 #include "src/telemetry/journal.h"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/common/strings.h"
 #include "src/fuzz/program_text.h"
 
 namespace eof {
@@ -26,11 +25,6 @@ bool Corpus::AddLocked(Program program, uint64_t new_edges) {
   TrimIfNeededLocked();
   weights_stale_ = true;
   return true;
-}
-
-bool Corpus::Seen(const Program& program) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return !seen_hashes_.insert(program.Hash()).second;
 }
 
 uint64_t Corpus::WeightLocked(size_t index) const {
@@ -71,14 +65,6 @@ size_t Corpus::PickIndexLocked(Rng& rng) {
   return pick;
 }
 
-const Program* Corpus::PickSeed(Rng& rng) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.empty()) {
-    return nullptr;
-  }
-  return &entries_[PickIndexLocked(rng)].program;
-}
-
 bool Corpus::PickSeedCopy(Rng& rng, Program* out) {
   std::lock_guard<std::mutex> lock(mu_);
   if (entries_.empty()) {
@@ -88,63 +74,15 @@ bool Corpus::PickSeedCopy(Rng& rng, Program* out) {
   return true;
 }
 
-uint64_t Corpus::ExportSince(
-    const spec::CompiledSpecs& specs, uint64_t from_seq,
-    std::vector<std::pair<std::string, uint64_t>>* out) const {
+uint64_t Corpus::ExportSince(const spec::CompiledSpecs& specs, uint64_t from_seq,
+                             std::vector<CorpusRecord>* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const CorpusEntry& entry : entries_) {
     if (entry.added_seq >= from_seq) {
-      out->emplace_back(SerializeProgramText(specs, entry.program), entry.new_edges);
+      out->push_back({SerializeProgramText(specs, entry.program), entry.new_edges});
     }
   }
   return next_seq_;
-}
-
-std::string Corpus::SaveText(const spec::CompiledSpecs& specs) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  for (const CorpusEntry& entry : entries_) {
-    out += StrFormat("# new_edges=%llu\n",
-                     static_cast<unsigned long long>(entry.new_edges));
-    out += SerializeProgramText(specs, entry.program);
-    out += "\n";
-  }
-  return out;
-}
-
-Result<size_t> Corpus::LoadText(const spec::CompiledSpecs& specs, const std::string& text) {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t admitted = 0;
-  uint64_t new_edges = 1;
-  std::string block;
-  auto flush = [&]() {
-    if (block.empty()) {
-      return;
-    }
-    auto parsed = ParseProgramText(specs, block);
-    if (parsed.ok() && AddLocked(std::move(parsed.value()), new_edges)) {
-      ++admitted;
-    }
-    block.clear();
-    new_edges = 1;
-  };
-  for (const std::string& line : StrSplit(text, '\n', /*keep_empty=*/true)) {
-    std::string trimmed(StripWhitespace(line));
-    if (trimmed.empty()) {
-      flush();
-      continue;
-    }
-    if (trimmed[0] == '#') {
-      size_t tag = trimmed.find("new_edges=");
-      if (tag != std::string::npos) {
-        new_edges = strtoull(trimmed.c_str() + tag + 10, nullptr, 10);
-      }
-      continue;
-    }
-    block += trimmed + "\n";
-  }
-  flush();
-  return admitted;
 }
 
 void Corpus::TrimIfNeededLocked() {

@@ -4,21 +4,18 @@
 // mutation ... otherwise it discards the case").
 //
 // Thread safety: all public methods are internally synchronised, so a board farm's
-// workers may Add/Seen/PickSeedCopy on one shared corpus concurrently. PickSeed
-// returns a pointer into the entry store and is only safe while the caller is the
-// sole mutator (the single-threaded engine); concurrent schedulers must use
-// PickSeedCopy, which copies the chosen program out under the lock.
+// workers may Add/PickSeedCopy/ExportSince on one shared corpus concurrently.
 
 #ifndef SRC_FUZZ_CORPUS_H_
 #define SRC_FUZZ_CORPUS_H_
 
 #include <cstdint>
 #include <mutex>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/status.h"
 #include "src/fuzz/program.h"
 #include "src/spec/compiler.h"
 
@@ -32,6 +29,14 @@ struct CorpusEntry {
   uint64_t picks = 0;       // times scheduled since admission
 };
 
+// A corpus entry outside its campaign: the program as reproducer text and the edges it
+// discovered. The export, the scheduler's remote admission, the fleet wire and the
+// orchestrator's merged store all hold this one record.
+struct CorpusRecord {
+  std::string text;
+  uint64_t new_edges = 0;
+};
+
 class Corpus {
  public:
   explicit Corpus(size_t max_entries = 4096) : max_entries_(max_entries) {}
@@ -39,33 +44,17 @@ class Corpus {
   // Admits `program` if its hash is unseen. Returns true when added.
   bool Add(Program program, uint64_t new_edges);
 
-  // True if an identical program was admitted before (also marks it seen, so repeated
-  // non-interesting duplicates are cheap to skip).
-  bool Seen(const Program& program);
-
-  // Weighted seed choice: more new edges and fresher entries are favoured; heavily
-  // re-picked entries decay. Returns nullptr while empty. Single-threaded callers
-  // only — the pointer is invalidated by any concurrent Add/trim.
-  const Program* PickSeed(Rng& rng);
-
-  // Same schedule (identical RNG consumption), but copies the pick into `out` under
-  // the lock. Returns false while empty. Safe under concurrent mutation.
+  // Weighted seed choice, copied into `out` under the lock: more new edges and fresher
+  // entries are favoured; heavily re-picked entries decay. Returns false while empty.
   bool PickSeedCopy(Rng& rng, Program* out);
 
-  // Serializes the whole corpus as reproducer texts separated by blank lines (campaign
-  // checkpointing); LoadText re-admits every program that still parses against `specs`
-  // and returns how many were admitted.
-  std::string SaveText(const spec::CompiledSpecs& specs) const;
-  Result<size_t> LoadText(const spec::CompiledSpecs& specs, const std::string& text);
-
-  // Copies every entry admitted at or after sequence `from_seq` into `out` as
-  // (reproducer text, new_edges) pairs, in admission order, and returns the
-  // cursor to pass next time (one past the newest admitted sequence). This is
-  // the fleet corpus-sync export: a worker remembers the cursor it last shipped
-  // and uploads only the delta. Entries trimmed away between calls are simply
+  // Copies every entry admitted at or after sequence `from_seq` into `out`, in
+  // admission order, and returns the cursor to pass next time (one past the newest
+  // admitted sequence). This is the fleet corpus-sync export: a worker remembers
+  // the cursor it last shipped and uploads only the delta. Entries trimmed away between calls are simply
   // absent — the orchestrator already holds them. Safe under concurrent Add.
   uint64_t ExportSince(const spec::CompiledSpecs& specs, uint64_t from_seq,
-                       std::vector<std::pair<std::string, uint64_t>>* out) const;
+                       std::vector<CorpusRecord>* out) const;
 
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -73,7 +62,7 @@ class Corpus {
   }
   bool empty() const { return size() == 0; }
 
-  // Snapshot of the entry store. Single-threaded callers only (tests, checkpointing).
+  // Snapshot of the entry store. Single-threaded callers only (tests).
   const std::vector<CorpusEntry>& entries() const { return entries_; }
 
  private:

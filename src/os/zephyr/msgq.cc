@@ -138,7 +138,7 @@ int64_t MsgqNumUsed(KernelContext& ctx, ZephyrState& state,
 
 // Pseudo-syscall: static-init a msgq (no validation, as k_msgq_init on a user buffer),
 // put `count` messages, then get them back.
-int64_t SyzMsgqRoundtrip(KernelContext& ctx, ZephyrState& state,
+int64_t SyzMsgqRoundtrip(KernelContext& ctx, ZephyrState& /*state*/,
                          const std::vector<ArgValue>& args) {
   ctx.ConsumeCycles(kApiBaseCycles);
   EOF_COV(ctx);

@@ -119,7 +119,7 @@ int64_t SysHeapRuntimeStats(KernelContext& ctx, ZephyrState& state,
   return static_cast<int64_t>(state.sys_heap.used_bytes);
 }
 
-int64_t SysHeapStress(KernelContext& ctx, ZephyrState& state,
+int64_t SysHeapStress(KernelContext& ctx, ZephyrState& /*state*/,
                       const std::vector<ArgValue>& args) {
   ctx.ConsumeCycles(kApiBaseCycles);
   EOF_COV(ctx);

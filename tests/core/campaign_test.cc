@@ -187,6 +187,30 @@ TEST_F(CampaignTest, SeededCorpusSetsTheCorpusGauge) {
   EXPECT_EQ(registry.Snapshot().GaugeValue("campaign.corpus"), scheduler.CorpusSize());
 }
 
+// A peer program whose text no longer parses (an API from an older build) is
+// skipped; a live one is admitted with its discovery value, and a second delivery
+// admits nothing.
+TEST_F(CampaignTest, AdmitRemoteProgramsSkipsStaleTexts) {
+  FuzzerConfig config = ShortCampaign(4);
+  config.os_name = "rtthread";
+  auto plan = PrepareCampaign(config);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  CampaignScheduler::Options options = MakeSchedulerOptions(
+      config, /*workers=*/1, std::make_shared<const CampaignPlan>(plan.value()));
+  CampaignScheduler scheduler(plan->specs, options);
+
+  const std::vector<fuzz::CorpusRecord> records = {
+      {"r0 = rt_sem_create(`73656d30`, 0x1)\n", 3}, {"r0 = rt_api_gone(0x1)\n", 5}};
+  EXPECT_EQ(scheduler.AdmitRemotePrograms(records), 1u);
+  EXPECT_EQ(scheduler.AdmitRemotePrograms(records), 0u);
+
+  std::vector<fuzz::CorpusRecord> exported;
+  scheduler.ExportCorpusSince(0, &exported);
+  ASSERT_EQ(exported.size(), 1u);
+  EXPECT_EQ(exported[0].text, records[0].text);
+  EXPECT_EQ(exported[0].new_edges, 3u);
+}
+
 // EOF_BENCH_SCALE is a positive integer divisor of the paper's 24 hours. Anything
 // else exits naming the value instead of silently running the full 24 hours.
 TEST(BenchScaleTest, AcceptsOnlyPositiveIntegers) {

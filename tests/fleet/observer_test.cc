@@ -193,9 +193,9 @@ StatusReplyMsg FullReply() {
   campaign.journal_dropped = 4;
   campaign.journal_dropped_workers = 11;
   campaign.finalized = 1;
-  ShardStatusWire shard;
+  ShardState shard;
   shard.shard = 2;
-  shard.phase = 1;
+  shard.phase = ShardPhase::kLeased;
   shard.lease_id = 42;
   shard.worker = 7;
   shard.attempt = 3;
@@ -267,7 +267,7 @@ TEST(StatusProtoTest, ReplyRoundtripPreservesEveryField) {
   EXPECT_EQ(campaign.finalized, 1u);
   ASSERT_EQ(campaign.shards.size(), 1u);
   EXPECT_EQ(campaign.shards[0].shard, 2u);
-  EXPECT_EQ(campaign.shards[0].phase, 1u);
+  EXPECT_EQ(campaign.shards[0].phase, ShardPhase::kLeased);
   EXPECT_EQ(campaign.shards[0].lease_id, 42u);
   EXPECT_EQ(campaign.shards[0].worker, 7u);
   EXPECT_EQ(campaign.shards[0].attempt, 3u);
@@ -401,8 +401,8 @@ TEST_F(ObserverTest, HandleStatusAggregatesCampaignWorkerAndShardState) {
   EXPECT_EQ(campaign.bugs[0].excerpt, "PANIC: null deref");
   ASSERT_EQ(campaign.shards.size(), 2u);
   uint64_t synced_execs = 0;
-  for (const ShardStatusWire& shard : campaign.shards) {
-    EXPECT_EQ(shard.phase, 1u);  // leased
+  for (const ShardState& shard : campaign.shards) {
+    EXPECT_EQ(shard.phase, ShardPhase::kLeased);
     EXPECT_EQ(shard.worker, worker_id);
     EXPECT_EQ(shard.attempt, 1u);
     synced_execs += shard.execs;
@@ -657,8 +657,8 @@ std::vector<StatusReplyMsg> TwoCampaignHistory(Orchestrator* orchestrator,
   uint32_t b_id = hello(b_client.get(), "rack1/b");
   LeaseGrantMsg a_grant = grant(a_client.get(), a_id, 2);  // alpha shards 0, 1
   LeaseGrantMsg b_grant = grant(b_client.get(), b_id, 1);  // beta shard 0
-  EXPECT_EQ(a_grant.config.campaign_id, "alpha");
-  EXPECT_EQ(b_grant.config.campaign_id, "beta");
+  EXPECT_EQ(a_grant.campaign_id, "alpha");
+  EXPECT_EQ(b_grant.campaign_id, "beta");
 
   std::vector<StatusReplyMsg> history;
   history.push_back(orchestrator->HandleStatus(StatusRequestMsg{}));
@@ -714,7 +714,7 @@ std::vector<StatusReplyMsg> TwoCampaignHistory(Orchestrator* orchestrator,
   *now_ms += 5000;
   orchestrator->ReapExpiredLeases();
   LeaseGrantMsg b_regrant = grant(b_client.get(), b_id, 2);
-  EXPECT_EQ(b_regrant.config.campaign_id, "alpha");
+  EXPECT_EQ(b_regrant.campaign_id, "alpha");
   SyncMsg b_alpha;
   b_alpha.worker_id = b_id;
   b_alpha.campaign_id = "alpha";

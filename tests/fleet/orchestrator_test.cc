@@ -127,8 +127,7 @@ TEST_F(OrchestratorTest, GrantsLeasesUpToPoolAndTracksShards) {
   ASSERT_TRUE(grant.ok());
   // Pool of 2 caps the grant below both capacity (4) and shard count (3).
   EXPECT_EQ(grant->leases.size(), 2u);
-  EXPECT_EQ(grant->config.campaign_id, "c");
-  EXPECT_EQ(grant->config.total_shards, 3u);
+  EXPECT_EQ(grant->campaign_id, "c");
   std::set<uint32_t> shards;
   for (const ShardLease& lease : grant->leases) {
     EXPECT_EQ(lease.attempt, 1u);
@@ -171,7 +170,7 @@ TEST_F(OrchestratorTest, WeightedFairShareFavorsHeavierCampaign) {
     auto grant = AskForWork(client.get(), worker_id, 1);
     ASSERT_TRUE(grant.ok());
     ASSERT_EQ(grant->leases.size(), 1u);
-    if (grant->config.campaign_id == "heavy") {
+    if (grant->campaign_id == "heavy") {
       ++heavy_grants;
     }
   }

@@ -79,21 +79,31 @@ TEST(ProtoTest, HandshakeMessagesRoundTrip) {
   EXPECT_EQ(ack2->lease_timeout_ms, 2000u);
 }
 
+// Every carried FuzzerConfig field away from its default, so a field the list drops
+// or misorders shows in the round trip.
 LeaseGrantMsg GoldenGrant() {
   LeaseGrantMsg grant;
-  grant.config.campaign_id = "night-run";
-  grant.config.os_name = "zephyr";
-  grant.config.board_name = "frdm_k64f";
-  grant.config.seed = 1234;
-  grant.config.budget_us = 60'000'000;
-  grant.config.max_execs = 5000;
-  grant.config.metrics_interval_us = 1'000'000;
-  grant.config.total_shards = 8;
-  grant.config.sample_points = 48;
-  grant.config.periodic_reset_execs = 12;
-  grant.config.restore_mode = 1;
-  grant.config.flags = kFlagCoverageFeedback | kFlagTrim;
-  grant.config.seed_programs = {"r0 = k_yield()", "r1 = k_msgq_put(r0, `00`)"};
+  grant.campaign_id = "night-run";
+  FuzzerConfig& config = grant.config;
+  config.os_name = "zephyr";
+  config.board_name = "frdm_k64f";
+  config.seed = 1234;
+  config.budget = 60'000'000;
+  config.max_execs = 5000;
+  config.metrics_interval = 1'000'000;
+  config.sample_points = 48;
+  config.periodic_reset_execs = 12;
+  config.restore_mode = RestoreMode::kSnapshot;
+  config.coverage_feedback = false;
+  config.log_monitor = false;
+  config.exception_monitor = false;
+  config.watchdogs = false;
+  config.power_probe = true;
+  config.use_extended_specs = false;
+  config.inject_peripheral_events = true;
+  config.overlapped_drain = false;
+  config.trim = true;
+  config.seed_programs = {"r0 = k_yield()", "r1 = k_msgq_put(r0, `00`)"};
   grant.leases.push_back({77, 3, 2});
   grant.leases.push_back({78, 5, 1});
   grant.coverage = {0xaa, 0xbb};
@@ -103,12 +113,55 @@ LeaseGrantMsg GoldenGrant() {
 
 TEST(ProtoTest, LeaseGrantRoundTrips) {
   LeaseGrantMsg grant = GoldenGrant();
+  // Fields the grant does not carry: set here, default on the far side.
+  grant.config.gen.max_calls = 3;
+  grant.config.gen.max_buffer_len = 48;
+  grant.config.gen.use_extended = false;
+  grant.config.gen.allowed_subsystems = {"http"};
+  grant.config.gen.wild_scalar_per_mille = 0;
+  grant.config.instrumentation.enabled = false;
+  grant.config.instrumentation.module_filter = {"apps/"};
+  grant.config.instrumentation.semihost = true;
+  grant.config.metrics_out = "journal.jsonl";
+  grant.config.export_corpus = true;
+
   auto grant2 = DecodeLeaseGrant(Encode(grant));
-  ASSERT_TRUE(grant2.ok());
-  EXPECT_EQ(grant2->config.campaign_id, "night-run");
-  EXPECT_EQ(grant2->config.seed, 1234u);
-  EXPECT_EQ(grant2->config.flags, grant.config.flags);
-  EXPECT_EQ(grant2->config.seed_programs, grant.config.seed_programs);
+  ASSERT_TRUE(grant2.ok()) << grant2.status().ToString();
+  EXPECT_EQ(grant2->campaign_id, "night-run");
+  const FuzzerConfig& sent = grant.config;
+  const FuzzerConfig& got = grant2->config;
+  EXPECT_EQ(got.os_name, sent.os_name);
+  EXPECT_EQ(got.board_name, sent.board_name);
+  EXPECT_EQ(got.seed, sent.seed);
+  EXPECT_EQ(got.budget, sent.budget);
+  EXPECT_EQ(got.max_execs, sent.max_execs);
+  EXPECT_EQ(got.metrics_interval, sent.metrics_interval);
+  EXPECT_EQ(got.sample_points, sent.sample_points);
+  EXPECT_EQ(got.periodic_reset_execs, sent.periodic_reset_execs);
+  EXPECT_EQ(got.restore_mode, sent.restore_mode);
+  EXPECT_EQ(got.coverage_feedback, sent.coverage_feedback);
+  EXPECT_EQ(got.log_monitor, sent.log_monitor);
+  EXPECT_EQ(got.exception_monitor, sent.exception_monitor);
+  EXPECT_EQ(got.watchdogs, sent.watchdogs);
+  EXPECT_EQ(got.power_probe, sent.power_probe);
+  EXPECT_EQ(got.use_extended_specs, sent.use_extended_specs);
+  EXPECT_EQ(got.inject_peripheral_events, sent.inject_peripheral_events);
+  EXPECT_EQ(got.overlapped_drain, sent.overlapped_drain);
+  EXPECT_EQ(got.trim, sent.trim);
+  EXPECT_EQ(got.seed_programs, sent.seed_programs);
+
+  const FuzzerConfig defaults;
+  EXPECT_EQ(got.gen.max_calls, defaults.gen.max_calls);
+  EXPECT_EQ(got.gen.max_buffer_len, defaults.gen.max_buffer_len);
+  EXPECT_EQ(got.gen.use_extended, defaults.gen.use_extended);
+  EXPECT_EQ(got.gen.allowed_subsystems, defaults.gen.allowed_subsystems);
+  EXPECT_EQ(got.gen.wild_scalar_per_mille, defaults.gen.wild_scalar_per_mille);
+  EXPECT_EQ(got.instrumentation.enabled, defaults.instrumentation.enabled);
+  EXPECT_EQ(got.instrumentation.module_filter, defaults.instrumentation.module_filter);
+  EXPECT_EQ(got.instrumentation.semihost, defaults.instrumentation.semihost);
+  EXPECT_EQ(got.metrics_out, defaults.metrics_out);
+  EXPECT_EQ(got.export_corpus, defaults.export_corpus);
+
   ASSERT_EQ(grant2->leases.size(), 2u);
   EXPECT_EQ(grant2->leases[0].lease_id, 77u);
   EXPECT_EQ(grant2->leases[0].shard, 3u);
@@ -319,7 +372,7 @@ StatusReplyMsg GoldenStatusReply() {
   campaign.journal_dropped = 4;
   campaign.journal_dropped_workers = 11;
   campaign.finalized = 1;
-  campaign.shards.push_back({2, 1, 42, 7, 3, 124000, 2'500'000, 321});
+  campaign.shards.push_back({2, ShardPhase::kLeased, 42, 7, 3, 124000, 2'500'000, 321});
   campaign.bugs.push_back({9, "exception", "double free", "PANIC: double\nfree", 777, 1});
   reply.campaigns.push_back(campaign);
   reply.workers.push_back({7, "rack0/w7", 123300, 1, 4567, 2, 31, 6});
@@ -328,8 +381,8 @@ StatusReplyMsg GoldenStatusReply() {
 
 // One fully populated instance of every message (each field non-default, each
 // vector non-empty, each u8 flag non-zero), its decoder, and its wire bytes as
-// pinned at protocol version 5 (only Sync's bytes moved from version 4: its bugs
-// travel as the journal's bug_report list).
+// pinned at protocol version 7 (only LeaseGrant's bytes moved from version 6: it
+// carries FuzzerConfig's own field list).
 struct CodecCase {
   const char* name;
   std::vector<uint8_t> golden;
@@ -347,11 +400,11 @@ std::vector<CodecCase> CodecCases() {
        "2a00000004000000"},
       {"LeaseGrant", Encode(GoldenGrant()), DecodeThenEncode(&DecodeLeaseGrant),
        "090000006e696768742d72756e060000007a6570687972090000006672646d5f6b363466d2040000"
-       "000000000087930300000000881300000000000040420f000000000008000000300000000c000000"
-       "0101040000020000000e0000007230203d206b5f7969656c642829190000007231203d206b5f6d73"
-       "67715f7075742872302c206030306029020000004d0000000000000003000000020000004e000000"
-       "00000000050000000100000002000000aabb010000000e0000007230203d206b5f7969656c642829"
-       "0400000000000000"},
+       "000000000087930300000000881300000000000040420f0000000000300000000c00000002000000"
+       "000100010001020000000e0000007230203d206b5f7969656c642829190000007231203d206b5f6d"
+       "7367715f7075742872302c206030306029020000004d0000000000000003000000020000004e0000"
+       "0000000000050000000100000002000000aabb010000000e0000007230203d206b5f7969656c6428"
+       "290400000000000000"},
       {"NoWork", Encode(NoWorkMsg{1, 250}), DecodeThenEncode(&DecodeNoWork),
        "01fa00000000000000"},
       {"Sync", Encode(GoldenSync()), DecodeThenEncode(&DecodeSync),
@@ -438,6 +491,57 @@ TEST(ProtoTest, DecodersRejectTruncationAndTrailingBytes) {
   SyncMsg sync;
   sync.worker_id = 1;
   EXPECT_FALSE(DecodeLeaseGrant(Encode(sync)).ok());
+}
+
+// The index of the one byte where two same-length encodings differ.
+size_t OnlyDifference(const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::vector<size_t> differ;
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    if (a[i] != b[i]) {
+      differ.push_back(i);
+    }
+  }
+  EXPECT_EQ(differ.size(), 1u);
+  return differ.empty() ? 0 : differ[0];
+}
+
+// A byte past its field's range is DataLoss, not a value cast into being: a
+// restore mode past kSnapshot, a bool past 1, a shard phase past kDone.
+TEST(ProtoTest, DecodersRejectOutOfRangeEnumsAndBools) {
+  LeaseGrantMsg grant = GoldenGrant();
+  const std::vector<uint8_t> golden = Encode(grant);
+  grant.config.restore_mode = RestoreMode::kReflash;
+  const size_t mode = OnlyDifference(golden, Encode(grant));
+  grant = GoldenGrant();
+  grant.config.trim = false;
+  const size_t trim = OnlyDifference(golden, Encode(grant));
+  ASSERT_EQ(golden[mode], 2);
+  ASSERT_EQ(golden[trim], 1);
+
+  std::vector<uint8_t> bad = golden;
+  bad[mode] = 3;
+  Result<LeaseGrantMsg> decoded = DecodeLeaseGrant(bad);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
+  bad = golden;
+  bad[trim] = 2;
+  decoded = DecodeLeaseGrant(bad);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kDataLoss);
+
+  StatusReplyMsg reply = GoldenStatusReply();
+  const std::vector<uint8_t> status = Encode(reply);
+  reply.campaigns[0].shards[0].phase = ShardPhase::kDone;
+  const size_t phase = OnlyDifference(status, Encode(reply));
+  ASSERT_EQ(status[phase], 1);
+  bad = status;
+  bad[phase] = 2;
+  EXPECT_TRUE(DecodeStatusReply(bad).ok());
+  bad[phase] = 3;
+  Result<StatusReplyMsg> reply2 = DecodeStatusReply(bad);
+  ASSERT_FALSE(reply2.ok());
+  EXPECT_EQ(reply2.status().code(), ErrorCode::kDataLoss);
 }
 
 TEST(TransportTest, LoopbackPairMovesFrames) {

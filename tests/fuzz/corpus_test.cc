@@ -1,6 +1,6 @@
-// Corpus checkpointing and concurrency: SaveText/LoadText round-trips preserve the
-// corpus, and the thread-safe access path (Add / PickSeedCopy / Seen from many
-// threads) holds its invariants — run under -fsanitize=thread in CI to catch races.
+// Corpus scheduling and concurrency: the pinned PickSeedCopy schedule, and the
+// thread-safe access path (Add / PickSeedCopy / ExportSince from many threads)
+// holds its invariants — run under -fsanitize=thread in CI to catch races.
 
 #include "src/fuzz/corpus.h"
 
@@ -13,7 +13,6 @@
 
 #include "src/common/hash.h"
 #include "src/fuzz/generator.h"
-#include "src/fuzz/program_text.h"
 #include "src/kernel/os.h"
 #include "src/os/all_oses.h"
 #include "src/spec/spec_miner.h"
@@ -30,49 +29,6 @@ const spec::CompiledSpecs& Specs() {
     return new spec::CompiledSpecs(std::move(mined.value().specs));
   }();
   return *specs;
-}
-
-TEST(CorpusCheckpointTest, SaveLoadRoundTripPreservesEntryCountAndTexts) {
-  Generator generator(Specs(), GeneratorOptions{}, 7);
-  Corpus original;
-  for (int i = 0; i < 24; ++i) {
-    original.Add(generator.Generate(), static_cast<uint64_t>(i % 5 + 1));
-  }
-  ASSERT_GT(original.size(), 0u);
-
-  std::string text = original.SaveText(Specs());
-
-  Corpus restored;
-  auto admitted = restored.LoadText(Specs(), text);
-  ASSERT_TRUE(admitted.ok()) << admitted.status().ToString();
-  EXPECT_EQ(admitted.value(), original.size());
-  EXPECT_EQ(restored.size(), original.size());
-
-  // Same programs, same order, same recorded discovery value.
-  for (size_t i = 0; i < original.entries().size(); ++i) {
-    EXPECT_EQ(SerializeProgramText(Specs(), restored.entries()[i].program),
-              SerializeProgramText(Specs(), original.entries()[i].program))
-        << "entry " << i;
-    EXPECT_EQ(restored.entries()[i].new_edges, original.entries()[i].new_edges);
-  }
-
-  // A second save of the restored corpus is byte-identical (stable fixed point).
-  EXPECT_EQ(restored.SaveText(Specs()), text);
-}
-
-TEST(CorpusCheckpointTest, LoadSkipsGarbageBlocksKeepsValidOnes) {
-  Generator generator(Specs(), GeneratorOptions{}, 9);
-  Corpus original;
-  for (int i = 0; i < 4; ++i) {
-    original.Add(generator.Generate(), 1);
-  }
-  std::string text = original.SaveText(Specs());
-  text += "\nthis_is_not_an_api(1, 2, 3)\n\n";
-
-  Corpus restored;
-  auto admitted = restored.LoadText(Specs(), text);
-  ASSERT_TRUE(admitted.ok());
-  EXPECT_EQ(admitted.value(), original.size());
 }
 
 // Pins the schedule PickSeedCopy draws (PickIndexLocked's weights and its one RNG
@@ -118,7 +74,7 @@ TEST(CorpusScheduleTest, PickIndexSequenceIsPinned) {
   EXPECT_EQ(digest, 0x28d467f5371d9e5bULL);
 }
 
-TEST(CorpusConcurrencyTest, ParallelAddPickSeenKeepsInvariants) {
+TEST(CorpusConcurrencyTest, ParallelAddPickExportKeepsInvariants) {
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 400;
   constexpr size_t kMaxEntries = 256;
@@ -134,6 +90,7 @@ TEST(CorpusConcurrencyTest, ParallelAddPickSeenKeepsInvariants) {
       Generator generator(Specs(), GeneratorOptions{}, 1000 + static_cast<uint64_t>(t));
       Rng rng(2000 + static_cast<uint64_t>(t));
       Program scratch;
+      uint64_t cursor = 0;
       for (int i = 0; i < kOpsPerThread; ++i) {
         switch (i % 4) {
           case 0:
@@ -150,9 +107,15 @@ TEST(CorpusConcurrencyTest, ParallelAddPickSeenKeepsInvariants) {
               EXPECT_FALSE(scratch.calls.empty());
             }
             break;
-          default:
-            (void)corpus.Seen(generator.Generate());
+          default: {
+            // The fleet pump's pattern: export the delta since the last cursor.
+            std::vector<CorpusRecord> exported;
+            uint64_t next = corpus.ExportSince(Specs(), cursor, &exported);
+            EXPECT_GE(next, cursor);
+            EXPECT_LE(exported.size(), kMaxEntries);
+            cursor = next;
             break;
+          }
         }
       }
     });

@@ -6,7 +6,6 @@
 
 #include "src/common/strings.h"
 #include "src/core/replay.h"
-#include "src/fuzz/corpus.h"
 #include "src/fuzz/generator.h"
 #include "src/fuzz/program_text.h"
 #include "src/kernel/os.h"
@@ -74,41 +73,6 @@ TEST(ProgramTextTest, RejectsMalformedInputs) {
   for (const char* text : bad) {
     EXPECT_FALSE(ParseProgramText(specs, text).ok()) << text;
   }
-}
-
-TEST(ProgramTextTest, CorpusCheckpointRoundTrip) {
-  const spec::CompiledSpecs& specs = Specs("rtthread");
-  Generator generator(specs, GeneratorOptions{}, 2718);
-  Corpus original;
-  for (int i = 0; i < 40; ++i) {
-    original.Add(generator.Generate(), static_cast<uint64_t>(i % 7) + 1);
-  }
-  std::string checkpoint = original.SaveText(specs);
-
-  Corpus restored;
-  auto admitted = restored.LoadText(specs, checkpoint);
-  ASSERT_TRUE(admitted.ok());
-  EXPECT_EQ(admitted.value(), original.size());
-  EXPECT_EQ(restored.size(), original.size());
-  // Entry programs and their discovery value survive.
-  for (size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(restored.entries()[i].program.Hash(), original.entries()[i].program.Hash());
-    EXPECT_EQ(restored.entries()[i].new_edges, original.entries()[i].new_edges);
-  }
-  // Loading the same checkpoint again admits nothing (dedup holds).
-  EXPECT_EQ(restored.LoadText(specs, checkpoint).value(), 0u);
-}
-
-TEST(ProgramTextTest, CorpusLoadSkipsStaleEntries) {
-  const spec::CompiledSpecs& specs = Specs("rtthread");
-  Corpus corpus;
-  std::string checkpoint =
-      "# new_edges=3\nr0 = rt_sem_create(`73656d30`, 0x1)\n\n"
-      "# from an older build\nr0 = rt_api_gone(0x1)\n\n";
-  auto admitted = corpus.LoadText(specs, checkpoint);
-  ASSERT_TRUE(admitted.ok());
-  EXPECT_EQ(admitted.value(), 1u);  // the stale entry is dropped, the live one admitted
-  EXPECT_EQ(corpus.entries()[0].new_edges, 3u);
 }
 
 // Backtick-hex byte literal of `text` (no terminator), as a reproducer file spells it.
